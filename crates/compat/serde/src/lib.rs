@@ -2,15 +2,26 @@
 //!
 //! The build environment has no access to crates.io, so this crate stands
 //! in for `serde`/`serde_json` where the workspace needs real (de)serial-
-//! ization — currently the observability subsystem's JSONL trace codec.
-//! It provides a dynamic [`Value`] tree, [`Serialize`]/[`Deserialize`]
-//! traits over it, and a compact JSON text codec in [`json`].
+//! ization: the observability subsystem's JSONL trace codec, the
+//! `refer-node` wire codec and the benchmark's result files. It is the one
+//! JSON layer under all of them, in two tiers:
+//!
+//! * [`json::Writer`] and [`json::Reader`] — a streaming encoder into a
+//!   caller-owned byte buffer and a pull decoder over the borrowed input. The
+//!   per-datagram and per-event paths use these directly, so they build no
+//!   tree and allocate for no key. Number formatting, string escaping and
+//!   tokenising (with the nesting cap, [`json::MAX_DEPTH`]) live here and
+//!   nowhere else.
+//! * a dynamic [`Value`] tree with [`Serialize`]/[`Deserialize`] traits
+//!   over it, for offline consumers (trace replay, result files) that want
+//!   random access. [`json::to_string`] and [`json::from_str`] are
+//!   [`json::Writer::value`] and [`json::Reader::read_value`].
 //!
 //! It deliberately does **not** provide derive macros: the dormant
 //! `cfg_attr(feature = "serde", derive(...))` sites in `kautz`, `wsan-sim`
 //! and `can-dht` stay disabled (their `serde` features are never enabled
-//! inside this workspace). Consumers hand-write `to_value`/`from_value`
-//! conversions instead, which keeps the shim a few hundred auditable lines.
+//! inside this workspace). Consumers hand-write their conversions instead,
+//! which keeps the shim to one auditable file with no dependencies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -264,277 +275,561 @@ impl<T: Deserialize> Deserialize for Option<T> {
     }
 }
 
-/// Compact JSON text codec over [`Value`]: single-line output (suitable for
-/// JSONL streams), full escape handling on input.
+/// Compact JSON text codec: a streaming [`Writer`](json::Writer) into a
+/// caller-owned byte buffer and a pull [`Reader`](json::Reader) over
+/// the borrowed input, with [`to_string`](json::to_string) /
+/// [`from_str`](json::from_str) over [`Value`] built on the two. Output is
+/// single-line (suitable for JSONL streams); input gets full escape
+/// handling and a nesting cap.
 pub mod json {
     use super::{Error, Value};
-    use std::fmt::Write as _;
+    use std::borrow::Cow;
+    use std::io::Write as _;
+
+    /// Deepest container nesting the [`Reader`] accepts. Input arrives
+    /// from the network (a 64 KiB datagram of `[` would otherwise recurse
+    /// 60 000 frames deep), so the cap is what bounds the stack of every
+    /// consumer: [`Reader::skip_value`], [`Reader::read_value`] and
+    /// whatever a caller builds on `begin_*`.
+    pub const MAX_DEPTH: usize = 128;
 
     /// Encodes a value as compact (single-line) JSON.
     pub fn to_string(value: &Value) -> String {
-        let mut out = String::new();
-        encode(value, &mut out);
-        out
-    }
-
-    fn encode(value: &Value, out: &mut String) {
-        match value {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::U64(x) => {
-                let _ = write!(out, "{x}");
-            }
-            Value::I64(x) => {
-                let _ = write!(out, "{x}");
-            }
-            Value::F64(x) => {
-                if x.is_finite() {
-                    // {:?} is the shortest representation that round-trips.
-                    let _ = write!(out, "{x:?}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Value::Str(s) => encode_str(s, out),
-            Value::Seq(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    encode(item, out);
-                }
-                out.push(']');
-            }
-            Value::Map(fields) => {
-                out.push('{');
-                for (i, (key, item)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    encode_str(key, out);
-                    out.push(':');
-                    encode(item, out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    fn encode_str(s: &str, out: &mut String) {
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
-                }
-                c => out.push(c),
-            }
-        }
-        out.push('"');
+        let mut out = Vec::new();
+        Writer::new(&mut out).value(value);
+        String::from_utf8(out).expect("the writer emits UTF-8")
     }
 
     /// Parses one JSON document (rejects trailing data).
     pub fn from_str(input: &str) -> Result<Value, Error> {
-        let mut parser = Parser { bytes: input.as_bytes(), pos: 0 };
-        let value = parser.value()?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return Err(Error::msg(format!("trailing data at byte {}", parser.pos)));
-        }
+        let mut reader = Reader::new(input);
+        let value = reader.read_value()?;
+        reader.end()?;
         Ok(value)
     }
 
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
+    /// Longest string [`Writer`] assembles on the stack before appending.
+    const SHORT: usize = 28;
+
+    /// Streaming encoder: appends compact JSON to a caller-owned buffer,
+    /// so a hot path can encode without building a [`Value`] and can reuse
+    /// the buffer across calls. Commas are placed by the writer; balancing
+    /// `begin_*`/`end_*` and alternating [`key`](Writer::key) with one
+    /// value inside objects is the caller's side of the contract.
+    pub struct Writer<'a> {
+        out: &'a mut Vec<u8>,
+        /// A value was completed in the open container, so the next key or
+        /// element needs a separator first.
+        comma: bool,
     }
 
-    impl Parser<'_> {
+    impl<'a> Writer<'a> {
+        /// A writer appending to `out`.
+        pub fn new(out: &'a mut Vec<u8>) -> Self {
+            Writer { out, comma: false }
+        }
+
+        #[inline]
+        fn sep(&mut self) {
+            if self.comma {
+                self.out.push(b',');
+            }
+            self.comma = true;
+        }
+
+        #[inline]
+        fn raw(&mut self, text: &[u8]) -> &mut Self {
+            self.sep();
+            self.out.extend_from_slice(text);
+            self
+        }
+
+        /// Opens an object.
+        #[inline]
+        pub fn begin_object(&mut self) -> &mut Self {
+            self.raw(b"{").comma = false;
+            self
+        }
+
+        /// Closes the innermost open object.
+        #[inline]
+        pub fn end_object(&mut self) -> &mut Self {
+            self.out.push(b'}');
+            self.comma = true;
+            self
+        }
+
+        /// Opens an array.
+        #[inline]
+        pub fn begin_array(&mut self) -> &mut Self {
+            self.raw(b"[").comma = false;
+            self
+        }
+
+        /// Closes the innermost open array.
+        #[inline]
+        pub fn end_array(&mut self) -> &mut Self {
+            self.out.push(b']');
+            self.comma = true;
+            self
+        }
+
+        /// Writes an object key; exactly one value must follow.
+        #[inline(always)]
+        pub fn key(&mut self, key: &str) -> &mut Self {
+            self.quoted(key, b"\":");
+            self.comma = false;
+            self
+        }
+
+        /// Writes `null`.
+        #[inline]
+        pub fn null(&mut self) -> &mut Self {
+            self.raw(b"null")
+        }
+
+        /// Writes a boolean.
+        #[inline]
+        pub fn bool(&mut self, x: bool) -> &mut Self {
+            self.raw(if x { b"true" } else { b"false" })
+        }
+
+        /// Writes an unsigned integer.
+        #[inline]
+        pub fn u64(&mut self, mut x: u64) -> &mut Self {
+            // Separator and digits leave in one append: a u64 has at most
+            // 20 digits, and the byte before them is there for the comma.
+            let mut text = [b','; 21];
+            let mut start = text.len();
+            loop {
+                start -= 1;
+                text[start] = b'0' + (x % 10) as u8;
+                x /= 10;
+                if x == 0 {
+                    break;
+                }
+            }
+            start -= usize::from(self.comma);
+            self.comma = true;
+            self.out.extend_from_slice(&text[start..]);
+            self
+        }
+
+        /// Writes a signed integer.
+        pub fn i64(&mut self, x: i64) -> &mut Self {
+            if x < 0 {
+                self.sep();
+                self.out.push(b'-');
+                self.comma = false;
+            }
+            self.u64(x.unsigned_abs())
+        }
+
+        /// Writes a float in the shortest form that round-trips;
+        /// non-finite values as `null` (JSON has no NaN).
+        pub fn f64(&mut self, x: f64) -> &mut Self {
+            if !x.is_finite() {
+                return self.null();
+            }
+            self.sep();
+            write!(self.out, "{x:?}").expect("writing to a Vec cannot fail");
+            self
+        }
+
+        /// Writes a string, escaped.
+        #[inline(always)]
+        pub fn str(&mut self, s: &str) -> &mut Self {
+            self.quoted(s, b"\"")
+        }
+
+        /// The one string formatter: separator, opening quote, `s` escaped,
+        /// then `close` (the closing quote, and for a key its colon).
+        ///
+        /// Keys and enum names — short, nothing to escape — are assembled
+        /// on the stack and appended whole: each append to the `Vec` is a
+        /// capacity check and a `memcpy` call, and at five a field those,
+        /// not the bytes, were the encoder's cost. Inlined, a literal key
+        /// folds to one constant-length copy.
+        #[inline(always)]
+        fn quoted(&mut self, s: &str, close: &[u8]) -> &mut Self {
+            let bytes = s.as_bytes();
+            let plain = |&b: &u8| b >= 0x20 && b != b'"' && b != b'\\';
+            if bytes.len() > SHORT || !bytes.iter().all(plain) {
+                return self.quoted_slow(bytes, close);
+            }
+            let mut token = [0u8; 2 + SHORT + 2];
+            let end = 2 + bytes.len() + close.len();
+            token[..2].copy_from_slice(b",\"");
+            token[2..2 + bytes.len()].copy_from_slice(bytes);
+            token[2 + bytes.len()..end].copy_from_slice(close);
+            if self.comma {
+                self.out.extend_from_slice(&token[..end]);
+            } else {
+                self.out.extend_from_slice(&token[1..end]);
+            }
+            self.comma = true;
+            self
+        }
+
+        fn quoted_slow(&mut self, bytes: &[u8], close: &[u8]) -> &mut Self {
+            self.raw(b"\"");
+            // Copy unescaped runs whole; every escaped character is ASCII,
+            // so byte positions are code-point boundaries.
+            let mut run = 0;
+            for (i, &b) in bytes.iter().enumerate() {
+                let escape: &[u8] = match b {
+                    b'"' => b"\\\"",
+                    b'\\' => b"\\\\",
+                    b'\n' => b"\\n",
+                    b'\t' => b"\\t",
+                    b'\r' => b"\\r",
+                    0..=0x1f => b"",
+                    _ => continue,
+                };
+                self.out.extend_from_slice(&bytes[run..i]);
+                run = i + 1;
+                if escape.is_empty() {
+                    write!(self.out, "\\u{b:04x}").expect("writing to a Vec cannot fail");
+                } else {
+                    self.out.extend_from_slice(escape);
+                }
+            }
+            self.out.extend_from_slice(&bytes[run..]);
+            self.out.extend_from_slice(close);
+            self
+        }
+
+        /// Writes a whole [`Value`] tree.
+        pub fn value(&mut self, value: &Value) -> &mut Self {
+            match value {
+                Value::Null => self.null(),
+                Value::Bool(x) => self.bool(*x),
+                Value::U64(x) => self.u64(*x),
+                Value::I64(x) => self.i64(*x),
+                Value::F64(x) => self.f64(*x),
+                Value::Str(s) => self.str(s),
+                Value::Seq(items) => {
+                    self.begin_array();
+                    for item in items {
+                        self.value(item);
+                    }
+                    self.end_array()
+                }
+                Value::Map(fields) => {
+                    self.begin_object();
+                    for (key, item) in fields {
+                        self.key(key).value(item);
+                    }
+                    self.end_object()
+                }
+            }
+        }
+    }
+
+    /// Pull decoder over borrowed text: the caller walks the document it
+    /// expects (`begin_object`, `next_key`, a typed `read_*`, …) and
+    /// [`skip_value`](Reader::skip_value)s what it does not, so nothing is
+    /// allocated for structure, keys or unescaped strings. Bytes off the
+    /// wire enter through [`from_bytes`](Reader::from_bytes), which checks
+    /// UTF-8 once for the whole document; every string handed out after
+    /// that is a slice of it.
+    pub struct Reader<'a> {
+        text: &'a str,
+        pos: usize,
+        depth: usize,
+        /// The innermost container was just opened: its first key or
+        /// element takes no separator.
+        first: bool,
+    }
+
+    impl<'a> Reader<'a> {
+        /// A reader at the start of `text`.
+        pub fn new(text: &'a str) -> Self {
+            Reader { text, pos: 0, depth: 0, first: false }
+        }
+
+        /// A reader at the start of `bytes`, which must be UTF-8.
+        pub fn from_bytes(bytes: &'a [u8]) -> Result<Self, Error> {
+            std::str::from_utf8(bytes)
+                .map(Reader::new)
+                .map_err(|e| Error::msg(format!("document is not UTF-8: {e}")))
+        }
+
+        #[inline]
+        fn bytes(&self) -> &'a [u8] {
+            self.text.as_bytes()
+        }
+
+        #[inline]
         fn skip_ws(&mut self) {
-            while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            while matches!(self.bytes().get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
                 self.pos += 1;
             }
         }
 
-        fn peek(&mut self) -> Result<u8, Error> {
+        /// The next non-whitespace byte, not consumed. No error is built
+        /// for the end of input: the hot paths compare first and diagnose
+        /// only on failure.
+        #[inline]
+        fn peek_byte(&mut self) -> Option<u8> {
             self.skip_ws();
-            self.bytes
-                .get(self.pos)
-                .copied()
-                .ok_or_else(|| Error::msg("unexpected end of input"))
+            self.bytes().get(self.pos).copied()
         }
 
-        fn expect(&mut self, byte: u8) -> Result<(), Error> {
-            if self.peek()? == byte {
+        /// What kind of value comes next: its first byte, not consumed.
+        #[inline]
+        fn peek(&mut self) -> Result<u8, Error> {
+            self.peek_byte().ok_or_else(|| self.expected("a value"))
+        }
+
+        #[cold]
+        fn expected(&self, what: &str) -> Error {
+            if self.pos == self.text.len() {
+                Error::msg("unexpected end of input")
+            } else {
+                Error::msg(format!("expected {what} at byte {}", self.pos))
+            }
+        }
+
+        #[inline]
+        fn expect(&mut self, byte: u8, what: &str) -> Result<(), Error> {
+            if self.peek_byte() == Some(byte) {
                 self.pos += 1;
                 Ok(())
             } else {
-                Err(Error::msg(format!("expected {:?} at byte {}", byte as char, self.pos)))
+                Err(self.expected(what))
             }
         }
 
-        fn value(&mut self) -> Result<Value, Error> {
-            match self.peek()? {
-                b'{' => self.map(),
-                b'[' => self.seq(),
-                b'"' => Ok(Value::Str(self.string()?)),
+        /// The text not yet consumed. `pos` only ever advances past ASCII
+        /// bytes, so it is always a character boundary; `get` all the same,
+        /// because a slip here must not be a panic on input off the wire.
+        #[inline]
+        fn rest(&self) -> &'a str {
+            self.text.get(self.pos..).unwrap_or_default()
+        }
+
+        #[inline]
+        fn open(&mut self, bracket: u8, what: &str) -> Result<(), Error> {
+            self.expect(bracket, what)?;
+            if self.depth == MAX_DEPTH {
+                return Err(Error::msg(format!(
+                    "nesting deeper than {MAX_DEPTH} at byte {}",
+                    self.pos
+                )));
+            }
+            self.depth += 1;
+            self.first = true;
+            Ok(())
+        }
+
+        /// Steps to the next key or element of the open container: `true`
+        /// when one follows (its separator consumed), `false` when `close`
+        /// ended the container.
+        #[inline]
+        fn step(&mut self, close: u8, what: &str) -> Result<bool, Error> {
+            let next = self.peek_byte();
+            if next == Some(close) {
+                self.pos += 1;
+                // Saturating: a caller that steps without having opened
+                // gets its error from the next read, not a panic here.
+                self.depth = self.depth.saturating_sub(1);
+                self.first = false;
+                Ok(false)
+            } else if self.first && next.is_some() {
+                Ok(true)
+            } else if next == Some(b',') {
+                self.pos += 1;
+                Ok(true)
+            } else {
+                Err(self.expected(what))
+            }
+        }
+
+        /// Enters an object; follow with [`next_key`](Reader::next_key)
+        /// until it returns `None`.
+        #[inline]
+        pub fn begin_object(&mut self) -> Result<(), Error> {
+            self.open(b'{', "'{'")
+        }
+
+        /// The next key of the open object (its value must then be read or
+        /// skipped), or `None` once the object has closed. Keys come back
+        /// unescaped, in document order, duplicates included.
+        #[inline]
+        pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, Error> {
+            if !self.step(b'}', "',' or '}'")? {
+                return Ok(None);
+            }
+            let key = self.string()?;
+            self.expect(b':', "':'")?;
+            Ok(Some(key))
+        }
+
+        /// Enters an array; follow with
+        /// [`next_element`](Reader::next_element) until it returns `false`.
+        #[inline]
+        pub fn begin_array(&mut self) -> Result<(), Error> {
+            self.open(b'[', "'['")
+        }
+
+        /// `true` when another element follows (it must then be read or
+        /// skipped), `false` once the array has closed.
+        #[inline]
+        pub fn next_element(&mut self) -> Result<bool, Error> {
+            self.step(b']', "',' or ']'")
+        }
+
+        /// Requires that only whitespace remains.
+        pub fn end(&mut self) -> Result<(), Error> {
+            self.skip_ws();
+            if self.pos == self.text.len() {
+                Ok(())
+            } else {
+                Err(Error::msg(format!("trailing data at byte {}", self.pos)))
+            }
+        }
+
+        /// Reads `null`, a boolean or a number — the values that need no
+        /// allocation — with integers keeping their exact type so u64 ids
+        /// round-trip lossless. A string or container here is an error.
+        #[inline]
+        fn read_scalar(&mut self) -> Result<Value, Error> {
+            let value = match self.peek()? {
                 b't' => self.literal("true", Value::Bool(true)),
                 b'f' => self.literal("false", Value::Bool(false)),
                 b'n' => self.literal("null", Value::Null),
                 _ => self.number(),
+            }?;
+            self.first = false;
+            Ok(value)
+        }
+
+        /// Reads a number as an unsigned integer, by [`Value::as_u64`]'s
+        /// rules (an integral float counts).
+        #[inline]
+        pub fn read_u64(&mut self) -> Result<u64, Error> {
+            let at = self.pos;
+            self.read_scalar()?
+                .as_u64()
+                .ok_or_else(|| Error::msg(format!("expected an unsigned integer at byte {at}")))
+        }
+
+        /// Reads a number as a float, by [`Value::as_f64`]'s rules (`null`
+        /// reads as NaN).
+        #[inline]
+        pub fn read_f64(&mut self) -> Result<f64, Error> {
+            let at = self.pos;
+            self.read_scalar()?
+                .as_f64()
+                .ok_or_else(|| Error::msg(format!("expected a number at byte {at}")))
+        }
+
+        /// Reads a boolean.
+        #[inline]
+        pub fn read_bool(&mut self) -> Result<bool, Error> {
+            let at = self.pos;
+            self.read_scalar()?
+                .as_bool()
+                .ok_or_else(|| Error::msg(format!("expected a boolean at byte {at}")))
+        }
+
+        /// Reads a string, unescaped; borrowed from the input unless it
+        /// contains an escape.
+        #[inline]
+        pub fn read_str(&mut self) -> Result<Cow<'a, str>, Error> {
+            let s = self.string()?;
+            self.first = false;
+            Ok(s)
+        }
+
+        /// Reads any value into a [`Value`] tree.
+        pub fn read_value(&mut self) -> Result<Value, Error> {
+            match self.peek()? {
+                b'{' => {
+                    self.begin_object()?;
+                    let mut fields = Vec::new();
+                    while let Some(key) = self.next_key()? {
+                        fields.push((key.into_owned(), self.read_value()?));
+                    }
+                    Ok(Value::Map(fields))
+                }
+                b'[' => {
+                    self.begin_array()?;
+                    let mut items = Vec::new();
+                    while self.next_element()? {
+                        items.push(self.read_value()?);
+                    }
+                    Ok(Value::Seq(items))
+                }
+                b'"' => Ok(Value::Str(self.read_str()?.into_owned())),
+                _ => self.read_scalar(),
             }
+        }
+
+        /// Consumes one value of any kind, checking its syntax exactly as
+        /// reading it would.
+        pub fn skip_value(&mut self) -> Result<(), Error> {
+            match self.peek()? {
+                b'{' => {
+                    self.begin_object()?;
+                    while self.next_key()?.is_some() {
+                        self.skip_value()?;
+                    }
+                }
+                b'[' => {
+                    self.begin_array()?;
+                    while self.next_element()? {
+                        self.skip_value()?;
+                    }
+                }
+                b'"' => {
+                    self.read_str()?;
+                }
+                _ => {
+                    self.read_scalar()?;
+                }
+            }
+            Ok(())
         }
 
         fn literal(&mut self, text: &str, value: Value) -> Result<Value, Error> {
-            self.skip_ws();
-            if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+            if self.rest().starts_with(text) {
                 self.pos += text.len();
                 Ok(value)
             } else {
-                Err(Error::msg(format!("expected {text:?} at byte {}", self.pos)))
+                Err(self.expected(text))
             }
         }
 
-        fn map(&mut self) -> Result<Value, Error> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            if self.peek()? == b'}' {
-                self.pos += 1;
-                return Ok(Value::Map(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.expect(b':')?;
-                fields.push((key, self.value()?));
-                match self.peek()? {
-                    b',' => self.pos += 1,
-                    b'}' => {
-                        self.pos += 1;
-                        return Ok(Value::Map(fields));
-                    }
-                    _ => {
-                        return Err(Error::msg(format!(
-                            "expected ',' or '}}' at byte {}",
-                            self.pos
-                        )))
-                    }
-                }
-            }
-        }
-
-        fn seq(&mut self) -> Result<Value, Error> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            if self.peek()? == b']' {
-                self.pos += 1;
-                return Ok(Value::Seq(items));
-            }
-            loop {
-                items.push(self.value()?);
-                match self.peek()? {
-                    b',' => self.pos += 1,
-                    b']' => {
-                        self.pos += 1;
-                        return Ok(Value::Seq(items));
-                    }
-                    _ => {
-                        return Err(Error::msg(format!(
-                            "expected ',' or ']' at byte {}",
-                            self.pos
-                        )))
-                    }
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, Error> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self
-                    .bytes
-                    .get(self.pos)
-                    .copied()
-                    .ok_or_else(|| Error::msg("unterminated string"))?
-                {
-                    b'"' => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    b'\\' => {
-                        self.pos += 1;
-                        let escape = self
-                            .bytes
-                            .get(self.pos)
-                            .copied()
-                            .ok_or_else(|| Error::msg("unterminated escape"))?;
-                        self.pos += 1;
-                        match escape {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'n' => out.push('\n'),
-                            b't' => out.push('\t'),
-                            b'r' => out.push('\r'),
-                            b'b' => out.push('\u{8}'),
-                            b'f' => out.push('\u{c}'),
-                            b'u' => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos..self.pos + 4)
-                                    .ok_or_else(|| Error::msg("truncated \\u escape"))?;
-                                let code = std::str::from_utf8(hex)
-                                    .ok()
-                                    .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                    .ok_or_else(|| Error::msg("bad \\u escape"))?;
-                                self.pos += 4;
-                                out.push(char::from_u32(code).ok_or_else(|| {
-                                    Error::msg(format!("invalid \\u{code:04x}"))
-                                })?);
-                            }
-                            other => {
-                                return Err(Error::msg(format!(
-                                    "unknown escape \\{}",
-                                    other as char
-                                )))
-                            }
-                        }
-                    }
-                    _ => {
-                        // Consume one UTF-8 code point verbatim.
-                        let start = self.pos;
-                        self.pos += 1;
-                        while self.pos < self.bytes.len() && self.bytes[self.pos] & 0xC0 == 0x80 {
-                            self.pos += 1;
-                        }
-                        out.push_str(
-                            std::str::from_utf8(&self.bytes[start..self.pos]).map_err(Error::msg)?,
-                        );
-                    }
-                }
-            }
-        }
-
+        #[inline]
         fn number(&mut self) -> Result<Value, Error> {
-            self.skip_ws();
+            let rest = self.rest().as_bytes();
+            // What nearly every number on the wire is: a run of at most 19
+            // digits, which cannot overflow and needs no second pass.
+            let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+            let plain = !matches!(rest.get(digits), Some(b'-' | b'+' | b'.' | b'e' | b'E'));
+            if plain && (1..=19).contains(&digits) {
+                self.pos += digits;
+                let value = rest[..digits].iter().fold(0, |x, b| x * 10 + u64::from(b - b'0'));
+                return Ok(Value::U64(value));
+            }
+            self.number_slow()
+        }
+
+        /// Every other number: signed, fractional, exponent, 20 digits.
+        fn number_slow(&mut self) -> Result<Value, Error> {
             let start = self.pos;
-            while matches!(
-                self.bytes.get(self.pos),
-                Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            ) {
-                self.pos += 1;
+            let rest = self.rest();
+            let len = rest
+                .bytes()
+                .take_while(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
+                .count();
+            if len == 0 {
+                return Err(self.expected("a value"));
             }
-            if start == self.pos {
-                return Err(Error::msg(format!("expected a value at byte {start}")));
-            }
-            let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(Error::msg)?;
+            self.pos += len;
+            let text = &rest[..len];
             // Integers keep their exact type so u64 ids round-trip lossless.
             if !text.contains(['.', 'e', 'E']) {
                 if let Ok(x) = text.parse::<u64>() {
@@ -547,6 +842,69 @@ pub mod json {
             text.parse::<f64>()
                 .map(Value::F64)
                 .map_err(|e| Error::msg(format!("bad number at byte {start}: {e}")))
+        }
+
+        /// One string token; with no escape in it (the common case), a
+        /// slice of the input.
+        #[inline]
+        fn string(&mut self) -> Result<Cow<'a, str>, Error> {
+            self.expect(b'"', "'\"'")?;
+            let rest = self.rest();
+            // Both delimiters are ASCII, so where one is found is a
+            // character boundary of `rest`.
+            match rest.bytes().position(|b| b == b'"' || b == b'\\') {
+                Some(len) if rest.as_bytes()[len] == b'"' => {
+                    self.pos += len + 1;
+                    Ok(Cow::Borrowed(&rest[..len]))
+                }
+                _ => self.string_with_escapes().map(Cow::Owned),
+            }
+        }
+
+        /// The rest of a string token that has an escape in it (or no end).
+        fn string_with_escapes(&mut self) -> Result<String, Error> {
+            let mut unescaped = String::new();
+            loop {
+                let rest = self.rest();
+                let len = rest
+                    .bytes()
+                    .position(|b| b == b'"' || b == b'\\')
+                    .ok_or_else(|| Error::msg("unterminated string"))?;
+                unescaped.push_str(&rest[..len]);
+                self.pos += len + 1;
+                if rest.as_bytes()[len] == b'"' {
+                    return Ok(unescaped);
+                }
+                unescaped.push(self.escape()?);
+            }
+        }
+
+        /// The character a backslash escape stands for; `pos` is just past
+        /// the backslash.
+        fn escape(&mut self) -> Result<char, Error> {
+            let mut rest = self.rest().chars();
+            let escape = rest.next().ok_or_else(|| Error::msg("unterminated escape"))?;
+            let unescaped = match escape {
+                '"' | '\\' | '/' => escape,
+                'n' => '\n',
+                't' => '\t',
+                'r' => '\r',
+                'b' => '\u{8}',
+                'f' => '\u{c}',
+                'u' => {
+                    let code = rest
+                        .as_str()
+                        .get(..4)
+                        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                        .ok_or_else(|| Error::msg("bad or truncated \\u escape"))?;
+                    self.pos += 4;
+                    char::from_u32(code)
+                        .ok_or_else(|| Error::msg(format!("invalid \\u{code:04x}")))?
+                }
+                other => return Err(Error::msg(format!("unknown escape \\{other}"))),
+            };
+            self.pos += 1;
+            Ok(unescaped)
         }
     }
 }
@@ -611,5 +969,247 @@ mod tests {
         assert_eq!(v.get("b").and_then(Value::as_str), Some("x"));
         assert!(v.get("c").is_none());
         assert!(json::from_str("{} trailing").is_err());
+    }
+
+    #[test]
+    fn escapes_encode_and_decode() {
+        let raw = "a\u{1}b\"c\\d\né–\u{1F600}\u{7f}";
+        let text = json::to_string(&Value::Str(raw.to_string()));
+        assert_eq!(text, "\"a\\u0001b\\\"c\\\\d\\né–\u{1F600}\u{7f}\"");
+        assert_eq!(
+            json::from_str(&text).expect("parses"),
+            Value::Str(raw.to_string())
+        );
+        // Escapes the encoder never writes still read.
+        let v = json::from_str(r#""\/\b\f\r\t\u00e9\u0041""#).expect("parses");
+        assert_eq!(v, Value::Str("/\u{8}\u{c}\r\t\u{e9}A".to_string()));
+        for bad in [
+            r#""\x""#,
+            r#""\u12""#,
+            r#""\ud800""#,
+            r#""\uzzzz""#,
+            r#""abc"#,
+            r#""a\"#,
+        ] {
+            assert!(json::from_str(bad).is_err(), "{bad}");
+        }
+        // Either side of the length the writer assembles on the stack, as
+        // first and as later element, plain and escaped.
+        for len in [0, 1, 27, 28, 29, 64] {
+            let plain = if len < 3 { "x".repeat(len) } else { format!("é{}", "x".repeat(len - 2)) };
+            assert_eq!(plain.len(), len);
+            let escaped = format!("{}\n", &plain[..len.saturating_sub(1)]);
+            let seq = Value::Seq(vec![Value::Str(plain.clone()), Value::Str(escaped.clone())]);
+            let text = json::to_string(&seq);
+            let want = format!("[\"{plain}\",\"{}\\n\"]", &escaped[..escaped.len() - 1]);
+            assert_eq!(text, want);
+            assert_eq!(json::from_str(&text).expect("parses"), seq);
+            let map = Value::Map(vec![(plain.clone(), Value::Null), (escaped, Value::U64(1))]);
+            assert_eq!(json::from_str(&json::to_string(&map)).expect("parses"), map);
+        }
+        // Keys take the same escaping as values.
+        let map = Value::Map(vec![("k\"\n".to_string(), Value::Null)]);
+        assert_eq!(json::to_string(&map), r#"{"k\"\n":null}"#);
+        assert_eq!(json::from_str(r#"{"k\"\n":null}"#).expect("parses"), map);
+    }
+
+    #[test]
+    fn numbers_keep_their_type_and_text() {
+        for (text, value, back) in [
+            ("-0", Value::I64(0), "0"),
+            ("-0.0", Value::F64(-0.0), "-0.0"),
+            ("1e2", Value::F64(100.0), "100.0"),
+            (
+                "18446744073709551615",
+                Value::U64(u64::MAX),
+                "18446744073709551615",
+            ),
+            (
+                "-9223372036854775808",
+                Value::I64(i64::MIN),
+                "-9223372036854775808",
+            ),
+            (
+                "18446744073709551616",
+                Value::F64(18446744073709551616.0),
+                "1.8446744073709552e19",
+            ),
+            ("1e-7", Value::F64(1e-7), "1e-7"),
+            ("1e21", Value::F64(1e21), "1e21"),
+            ("0.1", Value::F64(0.1), "0.1"),
+            ("+5", Value::U64(5), "5"),
+        ] {
+            let parsed = json::from_str(text).expect(text);
+            assert_eq!(parsed, value, "{text}");
+            assert_eq!(json::to_string(&parsed), back, "{text}");
+        }
+        assert_eq!(json::from_str("1e2").expect("parses").as_u64(), Some(100));
+        for bad in ["", "-", "1.2.3", "e", "--1", "tru", "nul", "falsy"] {
+            assert!(json::from_str(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_not_recursed() {
+        let nest =
+            |open: &str, close: &str, n: usize| format!("{}{}", open.repeat(n), close.repeat(n));
+        assert!(json::from_str(&nest("[", "]", json::MAX_DEPTH)).is_ok());
+        assert!(json::from_str(&nest("[", "]", json::MAX_DEPTH + 1)).is_err());
+        assert!(json::from_str(&format!(
+            "{}1{}",
+            "{\"a\":".repeat(json::MAX_DEPTH),
+            "}".repeat(json::MAX_DEPTH)
+        ))
+        .is_ok());
+        assert!(json::from_str(&format!(
+            "{}1{}",
+            "{\"a\":".repeat(json::MAX_DEPTH + 1),
+            "}".repeat(json::MAX_DEPTH + 1)
+        ))
+        .is_err());
+        // The remote-abort input: one receive buffer's worth of '['.
+        assert!(json::from_str(&"[".repeat(60_000)).is_err());
+        assert!(json::from_str(&"[{\"k\":".repeat(12_000)).is_err());
+        let hostile = format!("{{\"known\":1,\"junk\":{}}}", "[".repeat(60_000));
+        let mut reader = json::Reader::new(&hostile);
+        reader.begin_object().expect("object");
+        assert_eq!(reader.next_key().expect("key").as_deref(), Some("known"));
+        assert_eq!(reader.read_u64().expect("value"), 1);
+        assert_eq!(reader.next_key().expect("key").as_deref(), Some("junk"));
+        assert!(reader.skip_value().is_err());
+        // Siblings do not accumulate depth.
+        assert!(json::from_str(&format!("[{}]", vec!["[[]]"; 1000].join(","))).is_ok());
+    }
+
+    #[test]
+    fn writer_streams_what_the_tree_encodes() {
+        let tree = Value::Map(vec![
+            ("id".to_string(), Value::U64(7)),
+            ("neg".to_string(), Value::I64(-3)),
+            ("empty".to_string(), Value::Seq(vec![])),
+            (
+                "xs".to_string(),
+                Value::Seq(vec![
+                    Value::F64(1.5),
+                    Value::F64(f64::INFINITY),
+                    Value::Map(vec![]),
+                    Value::Map(vec![("s".to_string(), Value::Str("é\t".to_string()))]),
+                ]),
+            ),
+            ("ok".to_string(), Value::Bool(true)),
+        ]);
+        let mut out = b"prefix ".to_vec();
+        let mut w = json::Writer::new(&mut out);
+        w.begin_object();
+        w.key("id").u64(7);
+        w.key("neg").i64(-3);
+        w.key("empty").begin_array().end_array();
+        w.key("xs").begin_array().f64(1.5).f64(f64::INFINITY);
+        w.begin_object().end_object();
+        w.begin_object().key("s").str("é\t").end_object();
+        w.end_array();
+        w.key("ok").bool(true);
+        w.end_object();
+        let text = json::to_string(&tree);
+        assert_eq!(
+            text,
+            r#"{"id":7,"neg":-3,"empty":[],"xs":[1.5,null,{},{"s":"é\t"}],"ok":true}"#
+        );
+        assert_eq!(
+            out,
+            format!("prefix {text}").into_bytes(),
+            "appends, never clears"
+        );
+    }
+
+    #[test]
+    fn reader_pulls_borrowed_keys_and_skips_the_rest() {
+        use std::borrow::Cow;
+        let text = " { \"a\" : 1 , \"skip\" : {\"x\":[1,\"]\",{\"y\":null}],\"z\":\"\\\"}\"} ,\n\"b\\u0062\":[ 2.0 , null ,true],\"a\":\"dup\",\"s\":\"é\" } ";
+        let mut r = json::Reader::new(text);
+        r.begin_object().expect("object");
+        let key = r.next_key().expect("key").expect("some");
+        assert!(
+            matches!(key, Cow::Borrowed("a")),
+            "plain keys borrow from the input"
+        );
+        assert_eq!(r.read_u64().expect("a"), 1);
+        assert_eq!(r.next_key().expect("key").as_deref(), Some("skip"));
+        r.skip_value()
+            .expect("skips nested containers and strings holding brackets");
+        let key = r.next_key().expect("key").expect("some");
+        assert!(
+            matches!(&key, Cow::Owned(k) if k == "bb"),
+            "escaped keys are unescaped"
+        );
+        r.begin_array().expect("array");
+        assert!(r.next_element().expect("first"));
+        assert_eq!(r.read_u64().expect("integral float"), 2);
+        assert!(r.next_element().expect("second"));
+        assert!(r.read_f64().expect("null battery").is_nan());
+        assert!(r.next_element().expect("third"));
+        assert!(r.read_bool().expect("bool"));
+        assert!(!r.next_element().expect("closed"));
+        assert_eq!(r.next_key().expect("key").as_deref(), Some("a"));
+        assert_eq!(
+            r.read_str().expect("duplicates are the caller's call"),
+            "dup"
+        );
+        assert_eq!(r.next_key().expect("key").as_deref(), Some("s"));
+        assert!(matches!(r.read_str().expect("s"), Cow::Borrowed("é")));
+        assert_eq!(r.next_key().expect("end"), None);
+        r.end().expect("only whitespace remains");
+
+        for bad in [
+            "{\"a\":1,}",
+            "{,\"a\":1}",
+            "{\"a\" 1}",
+            "{\"a\":1 \"b\":2}",
+            "[1,]",
+            "[1 2]",
+            "[1}",
+            "{\"a\":1]",
+            "{1:2}",
+        ] {
+            assert!(json::from_str(bad).is_err(), "{bad}");
+            let mut r = json::Reader::new(bad);
+            assert!(r.skip_value().and_then(|()| r.end()).is_err(), "{bad}");
+        }
+        for (wrong, what) in [
+            ("\"1\"", "string"),
+            ("[1]", "array"),
+            ("-1", "negative"),
+            ("1.5", "fraction"),
+            ("true", "bool"),
+            ("null", "null"),
+        ] {
+            assert!(
+                json::Reader::new(wrong).read_u64().is_err(),
+                "{what} is no u64"
+            );
+        }
+    }
+
+    #[test]
+    fn bytes_are_checked_once_and_multibyte_text_never_splits() {
+        for bad in [
+            &b"\"\xff\""[..],
+            b"{\"\xc3\":1}",
+            b"[\"\xe2\x82\"]",
+            b"[1,\xff]",
+            b"\"\xc3\\n\xa9\"",
+        ] {
+            assert!(json::Reader::from_bytes(bad).is_err(), "{bad:?}");
+        }
+        let mut r = json::Reader::from_bytes("[\"é\",1]".as_bytes()).expect("UTF-8");
+        assert_eq!(r.read_value().expect("parses").as_seq().map(<[Value]>::len), Some(2));
+        // Multi-byte characters where the tokenizer looks for ASCII: every
+        // one is a clean error (or a clean read), never a split character.
+        for text in ["é", "[1,é]", "{é:1}", "\"\\é\"", "\"\\u12é\"", "\"\\u00é9\"", "\"\\ué\"", "tré", "1é", "\"é"] {
+            assert!(json::from_str(text).is_err(), "{text}");
+            let mut r = json::Reader::new(text);
+            assert!(r.skip_value().and_then(|()| r.end()).is_err(), "{text}");
+        }
+        assert_eq!(json::from_str("\"\\u00e9é\\\\é\"").expect("parses"), Value::Str("éé\\é".to_string()));
     }
 }

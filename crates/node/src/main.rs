@@ -20,17 +20,19 @@
 //!   prediction.
 
 mod wire;
+#[cfg(test)]
+mod wire_oracle;
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::io::{BufWriter, Write as _};
-use std::net::UdpSocket;
+use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use refer::{ReferConfig, ReferMsg, ReferProtocol};
-use refer_obs::{from_jsonl_line, to_jsonl_line, PacketLedger, VecSink};
+use refer_obs::{from_jsonl_line, write_jsonl_line, PacketLedger, VecSink};
 use refer_proto::{EngineCore, Input, Output, PacketMeta, WorldView};
 use wsan_sim::trace::TraceEvent;
 use wsan_sim::{runner, Area, DataId, Message, NodeId, SimConfig, SimDuration, SimTime};
@@ -143,6 +145,22 @@ impl Scenario {
     fn node_count(&self) -> usize {
         self.sensors + 3
     }
+
+    /// Every node's socket address, indexed by node id: `base_port + id`
+    /// on loopback. A cluster whose last port would not fit `u16` is a
+    /// configuration error, caught here before anything binds or sends.
+    fn peer_addrs(&self, base_port: u16) -> Result<Vec<SocketAddr>, String> {
+        let nodes = self.node_count();
+        let last_port = u16::try_from(nodes - 1)
+            .ok()
+            .and_then(|last_id| base_port.checked_add(last_id))
+            .ok_or_else(|| {
+                format!("--base-port {base_port} leaves no room for {nodes} nodes: ports end at 65535")
+            })?;
+        Ok((base_port..=last_port)
+            .map(|port| SocketAddr::from((Ipv4Addr::LOCALHOST, port)))
+            .collect())
+    }
 }
 
 fn now_unix_micros() -> u64 {
@@ -169,9 +187,12 @@ fn main() -> ExitCode {
 struct Daemon {
     engine: EngineCore<ReferProtocol>,
     socket: UdpSocket,
-    base_port: u16,
+    /// Every node's address, resolved once at boot.
+    peers: Vec<SocketAddr>,
     me: NodeId,
     trace: BufWriter<Box<dyn std::io::Write + Send>>,
+    /// The trace line being written, reused across events.
+    line: Vec<u8>,
     /// Cluster-clock creation time of every packet this process has seen
     /// (own emissions and wire arrivals), for end-to-end delay accounting.
     created_us: HashMap<DataId, u64>,
@@ -180,12 +201,22 @@ struct Daemon {
     packet_bits: u32,
     sent: u64,
     delivered: u64,
+    /// Datagrams that did not decode.
+    rejects: u64,
 }
+
+/// Undecodable datagrams logged in full before the daemon only counts:
+/// a peer (or anyone else on the host) sending garbage must not turn
+/// stderr into an unbounded log.
+const LOGGED_REJECTS: u64 = 5;
 
 impl Daemon {
     fn trace_event(&mut self, ev: &TraceEvent) {
+        self.line.clear();
+        write_jsonl_line(ev, &mut self.line);
+        self.line.push(b'\n');
         // A dead trace pipe should not take the data plane down with it.
-        let _ = writeln!(self.trace, "{}", to_jsonl_line(ev));
+        let _ = self.trace.write_all(&self.line);
     }
 
     /// Executes everything the protocol asked for in response to one
@@ -201,9 +232,14 @@ impl Daemon {
                     };
                     let msg = Message { from, size_bits, account, broadcast, payload };
                     let wire = wire::encode_datagram(to, created, &msg);
-                    let addr = ("127.0.0.1", self.base_port + to.0 as u16);
-                    match self.socket.send_to(&wire, addr) {
-                        Ok(_) => {
+                    // A destination outside the cluster has no address:
+                    // the send fails like any other.
+                    let result = match self.peers.get(to.index()) {
+                        Some(addr) => self.socket.send_to(&wire, addr).map(drop),
+                        None => Err(std::io::ErrorKind::AddrNotAvailable.into()),
+                    };
+                    match result {
+                        Ok(()) => {
                             self.sent += 1;
                             self.trace_event(&TraceEvent::Send {
                                 at,
@@ -239,7 +275,13 @@ impl Daemon {
         let (to, created_us, msg) = match wire::decode_datagram(bytes) {
             Ok(d) => d,
             Err(e) => {
-                eprintln!("refer-node[{}]: dropping undecodable datagram: {e}", self.me.0);
+                self.rejects += 1;
+                if self.rejects <= LOGGED_REJECTS {
+                    eprintln!("refer-node[{}]: dropping undecodable datagram: {e}", self.me.0);
+                }
+                if self.rejects == LOGGED_REJECTS {
+                    eprintln!("refer-node[{}]: further rejects are only counted", self.me.0);
+                }
                 return;
             }
         };
@@ -340,6 +382,11 @@ fn cmd_run(args: impl Iterator<Item = String>) -> ExitCode {
         ));
     }
 
+    let peers = match scenario.peer_addrs(base_port) {
+        Ok(peers) => peers,
+        Err(e) => return usage(&e),
+    };
+
     let cfg = scenario.config();
     let warmup = cfg.warmup;
     let packet_bits = cfg.traffic.packet_bits;
@@ -354,10 +401,10 @@ fn cmd_run(args: impl Iterator<Item = String>) -> ExitCode {
     let is_sensor = world.sensor_ids().contains(&me);
     let engine = EngineCore::new(proto, world);
 
-    let socket = match UdpSocket::bind(("127.0.0.1", base_port + node as u16)) {
+    let socket = match UdpSocket::bind(peers[me.index()]) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("refer-node[{node}]: cannot bind port {}: {e}", base_port + node as u16);
+            eprintln!("refer-node[{node}]: cannot bind {}: {e}", peers[me.index()]);
             return ExitCode::FAILURE;
         }
     };
@@ -376,14 +423,16 @@ fn cmd_run(args: impl Iterator<Item = String>) -> ExitCode {
     let mut daemon = Daemon {
         engine,
         socket,
-        base_port,
+        peers,
         me,
         trace: BufWriter::new(trace),
+        line: Vec::new(),
         created_us: HashMap::new(),
         timers: BinaryHeap::new(),
         packet_bits,
         sent: 0,
         delivered: 0,
+        rejects: 0,
     };
 
     // Synchronize the cluster clock: all processes begin the live phase
@@ -440,8 +489,7 @@ fn cmd_run(args: impl Iterator<Item = String>) -> ExitCode {
         match daemon.socket.recv_from(&mut buf) {
             Ok((n, _)) => {
                 let now_us = sim_now_us(&t0);
-                let datagram = buf[..n].to_vec();
-                daemon.on_datagram(now_us, &datagram);
+                daemon.on_datagram(now_us, &buf[..n]);
             }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -458,8 +506,8 @@ fn cmd_run(args: impl Iterator<Item = String>) -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!(
-        "refer-node[{node}]: done (emitted {seq}, sent {} frames, delivered {})",
-        daemon.sent, daemon.delivered
+        "refer-node[{node}]: done (emitted {seq}, sent {} frames, delivered {}, rejected {})",
+        daemon.sent, daemon.delivered, daemon.rejects
     );
     ExitCode::SUCCESS
 }
@@ -557,6 +605,9 @@ fn cmd_cluster(args: impl Iterator<Item = String>) -> ExitCode {
     }
 
     let nodes = scenario.node_count();
+    if let Err(e) = scenario.peer_addrs(base_port) {
+        return usage(&e);
+    }
     let cfg = scenario.config();
     if let Err(e) = std::fs::create_dir_all(&out_dir) {
         eprintln!("cluster: cannot create {}: {e}", out_dir.display());
@@ -745,6 +796,23 @@ mod tests {
         assert!(matches!(s.accept("--sensors", &mut ok), Ok(true)));
         assert_eq!(s.sensors, 12);
         assert!(matches!(s.accept("--unknown", &mut empty), Ok(false)));
+    }
+
+    /// A base port the cluster does not fit under is refused up front —
+    /// it used to wrap (release) or panic (debug) at the first send to a
+    /// high node id.
+    #[test]
+    fn base_port_must_leave_room_for_every_node() {
+        let s = Scenario::default();
+        let peers = s.peer_addrs(45700).expect("fits");
+        assert_eq!(peers.len(), s.node_count());
+        assert_eq!(peers[0].port(), 45700);
+        assert_eq!(peers[18], "127.0.0.1:45718".parse().expect("addr"));
+        assert_eq!(s.peer_addrs(65535 - 18).expect("last port is 65535")[18].port(), 65535);
+        assert!(s.peer_addrs(65535 - 17).is_err());
+        assert!(s.peer_addrs(65535).is_err());
+        let huge = Scenario { sensors: 70_000, ..Scenario::default() };
+        assert!(huge.peer_addrs(0).is_err(), "more nodes than ports");
     }
 
     /// The launcher must satisfy the cluster's floor: at least 12 real

@@ -7,29 +7,10 @@
 //! another crate, so the conversions are free functions here rather than
 //! trait impls.
 
-use serde::{json, Error, Value};
+use serde::json::{self, Writer};
+use serde::{Error, Value};
 use wsan_sim::trace::TraceEvent;
 use wsan_sim::{DataId, DropReason, EnergyAccount, HopReason, NodeId, SimTime};
-
-fn map(fields: Vec<(&str, Value)>) -> Value {
-    Value::Map(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn time(at: SimTime) -> Value {
-    Value::U64(at.as_micros())
-}
-
-fn node(n: NodeId) -> Value {
-    Value::U64(u64::from(n.0))
-}
-
-fn packet(p: DataId) -> Value {
-    Value::U64(p.0)
-}
-
-fn f64_value(x: f64) -> Value {
-    Value::F64(x)
-}
 
 /// Stable name of an [`EnergyAccount`].
 pub fn account_str(account: EnergyAccount) -> &'static str {
@@ -85,89 +66,92 @@ fn parse_hop_reason(s: &str) -> Result<HopReason, Error> {
         .ok_or_else(|| Error::msg(format!("unknown hop reason {s:?}")))
 }
 
-/// Converts an event into its externally tagged [`Value`] tree.
-pub fn event_to_value(event: &TraceEvent) -> Value {
-    let body = match event {
-        TraceEvent::PacketOrigin { at, packet: p, origin, measured } => map(vec![
-            ("at", time(*at)),
-            ("packet", packet(*p)),
-            ("origin", node(*origin)),
-            ("measured", Value::Bool(*measured)),
-        ]),
-        TraceEvent::PacketDest { at, packet: p, dest } => map(vec![
-            ("at", time(*at)),
-            ("packet", packet(*p)),
-            ("dest", node(*dest)),
-        ]),
-        TraceEvent::Hop { at, packet: p, from, to, reason, queue_s } => map(vec![
-            ("at", time(*at)),
-            ("packet", packet(*p)),
-            ("from", node(*from)),
-            ("to", node(*to)),
-            ("reason", Value::Str(reason.as_str().to_string())),
-            ("queue_s", f64_value(*queue_s)),
-        ]),
-        TraceEvent::Send { at, from, to, size_bits, account } => map(vec![
-            ("at", time(*at)),
-            ("from", node(*from)),
-            ("to", node(*to)),
-            ("size_bits", Value::U64(u64::from(*size_bits))),
-            ("account", Value::Str(account_str(*account).to_string())),
-        ]),
-        TraceEvent::SendFailed { at, from, to } => {
-            map(vec![("at", time(*at)), ("from", node(*from)), ("to", node(*to))])
+fn write_node(w: &mut Writer, key: &str, n: NodeId) {
+    w.key(key).u64(u64::from(n.0));
+}
+
+fn write_nodes(w: &mut Writer, key: &str, nodes: &[NodeId]) {
+    w.key(key).begin_array();
+    for n in nodes {
+        w.u64(u64::from(n.0));
+    }
+    w.end_array();
+}
+
+/// Appends an event's JSONL line (no trailing newline) to `out`, streamed
+/// field by field — no tree, no per-key allocation — so a sink can encode
+/// every event of a run into one reused buffer.
+pub fn write_jsonl_line(event: &TraceEvent, out: &mut Vec<u8>) {
+    let w = &mut Writer::new(out);
+    w.begin_object().key(event.kind()).begin_object();
+    // Every variant leads with its timestamp.
+    w.key("at").u64(event.at().as_micros());
+    match *event {
+        TraceEvent::PacketOrigin { packet, origin, measured, .. } => {
+            w.key("packet").u64(packet.0);
+            write_node(w, "origin", origin);
+            w.key("measured").bool(measured);
         }
-        TraceEvent::QueueDrop { at, from } => {
-            map(vec![("at", time(*at)), ("from", node(*from))])
+        TraceEvent::PacketDest { packet, dest, .. } => {
+            w.key("packet").u64(packet.0);
+            write_node(w, "dest", dest);
         }
-        TraceEvent::Broadcast { at, from, receivers, account } => map(vec![
-            ("at", time(*at)),
-            ("from", node(*from)),
-            ("receivers", Value::U64(*receivers as u64)),
-            ("account", Value::Str(account_str(*account).to_string())),
-        ]),
-        TraceEvent::Delivered { at, packet: p, node: n, delay_s, hops } => map(vec![
-            ("at", time(*at)),
-            ("packet", packet(*p)),
-            ("node", node(*n)),
-            ("delay_s", f64_value(*delay_s)),
-            ("hops", Value::U64(u64::from(*hops))),
-        ]),
-        TraceEvent::Dropped { at, packet: p, reason } => map(vec![
-            ("at", time(*at)),
-            ("packet", packet(*p)),
-            ("reason", Value::Str(drop_reason_str(*reason).to_string())),
-        ]),
-        TraceEvent::FaultRotation { at, failed, recovered } => map(vec![
-            ("at", time(*at)),
-            ("failed", Value::Seq(failed.iter().map(|&n| node(n)).collect())),
-            ("recovered", Value::Seq(recovered.iter().map(|&n| node(n)).collect())),
-        ]),
-        TraceEvent::Retransmit { at, from, to, attempt } => map(vec![
-            ("at", time(*at)),
-            ("from", node(*from)),
-            ("to", node(*to)),
-            ("attempt", Value::U64(u64::from(*attempt))),
-        ]),
-        TraceEvent::Suspected { at, node: n } => {
-            map(vec![("at", time(*at)), ("node", node(*n))])
+        TraceEvent::Hop { packet, from, to, reason, queue_s, .. } => {
+            w.key("packet").u64(packet.0);
+            write_node(w, "from", from);
+            write_node(w, "to", to);
+            w.key("reason").str(reason.as_str());
+            w.key("queue_s").f64(queue_s);
         }
-        TraceEvent::Misroute { at, from, intended, actual } => map(vec![
-            ("at", time(*at)),
-            ("from", node(*from)),
-            ("intended", node(*intended)),
-            ("actual", node(*actual)),
-        ]),
-        TraceEvent::ForgedAck { at, node: n } => {
-            map(vec![("at", time(*at)), ("node", node(*n))])
+        TraceEvent::Send { from, to, size_bits, account, .. } => {
+            write_node(w, "from", from);
+            write_node(w, "to", to);
+            w.key("size_bits").u64(u64::from(size_bits));
+            w.key("account").str(account_str(account));
         }
-        TraceEvent::Slander { at, accuser, accused } => map(vec![
-            ("at", time(*at)),
-            ("accuser", node(*accuser)),
-            ("accused", node(*accused)),
-        ]),
-    };
-    Value::Map(vec![(event.kind().to_string(), body)])
+        TraceEvent::SendFailed { from, to, .. } => {
+            write_node(w, "from", from);
+            write_node(w, "to", to);
+        }
+        TraceEvent::QueueDrop { from, .. } => write_node(w, "from", from),
+        TraceEvent::Broadcast { from, receivers, account, .. } => {
+            write_node(w, "from", from);
+            w.key("receivers").u64(receivers as u64);
+            w.key("account").str(account_str(account));
+        }
+        TraceEvent::Delivered { packet, node, delay_s, hops, .. } => {
+            w.key("packet").u64(packet.0);
+            write_node(w, "node", node);
+            w.key("delay_s").f64(delay_s);
+            w.key("hops").u64(u64::from(hops));
+        }
+        TraceEvent::Dropped { packet, reason, .. } => {
+            w.key("packet").u64(packet.0);
+            w.key("reason").str(drop_reason_str(reason));
+        }
+        TraceEvent::FaultRotation { ref failed, ref recovered, .. } => {
+            write_nodes(w, "failed", failed);
+            write_nodes(w, "recovered", recovered);
+        }
+        TraceEvent::Retransmit { from, to, attempt, .. } => {
+            write_node(w, "from", from);
+            write_node(w, "to", to);
+            w.key("attempt").u64(u64::from(attempt));
+        }
+        TraceEvent::Suspected { node, .. } | TraceEvent::ForgedAck { node, .. } => {
+            write_node(w, "node", node);
+        }
+        TraceEvent::Misroute { from, intended, actual, .. } => {
+            write_node(w, "from", from);
+            write_node(w, "intended", intended);
+            write_node(w, "actual", actual);
+        }
+        TraceEvent::Slander { accuser, accused, .. } => {
+            write_node(w, "accuser", accuser);
+            write_node(w, "accused", accused);
+        }
+    }
+    w.end_object().end_object();
 }
 
 fn get<'v>(body: &'v Value, key: &str) -> Result<&'v Value, Error> {
@@ -319,7 +303,9 @@ pub fn event_from_value(value: &Value) -> Result<TraceEvent, Error> {
 
 /// Encodes an event as one JSONL line (no trailing newline).
 pub fn to_jsonl_line(event: &TraceEvent) -> String {
-    json::to_string(&event_to_value(event))
+    let mut line = Vec::with_capacity(128);
+    write_jsonl_line(event, &mut line);
+    String::from_utf8(line).expect("the JSON writer emits UTF-8")
 }
 
 /// Parses one JSONL line back into an event.
@@ -330,6 +316,111 @@ pub fn from_jsonl_line(line: &str) -> Result<TraceEvent, Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn map(fields: Vec<(&str, Value)>) -> Value {
+        Value::Map(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    fn time(at: SimTime) -> Value {
+        Value::U64(at.as_micros())
+    }
+
+    fn node(n: NodeId) -> Value {
+        Value::U64(u64::from(n.0))
+    }
+
+    fn packet(p: DataId) -> Value {
+        Value::U64(p.0)
+    }
+
+    fn f64_value(x: f64) -> Value {
+        Value::F64(x)
+    }
+
+    /// The oracle: the tree-built encoder `write_jsonl_line` replaced.
+    fn event_to_value(event: &TraceEvent) -> Value {
+        let body = match event {
+            TraceEvent::PacketOrigin { at, packet: p, origin, measured } => map(vec![
+                ("at", time(*at)),
+                ("packet", packet(*p)),
+                ("origin", node(*origin)),
+                ("measured", Value::Bool(*measured)),
+            ]),
+            TraceEvent::PacketDest { at, packet: p, dest } => map(vec![
+                ("at", time(*at)),
+                ("packet", packet(*p)),
+                ("dest", node(*dest)),
+            ]),
+            TraceEvent::Hop { at, packet: p, from, to, reason, queue_s } => map(vec![
+                ("at", time(*at)),
+                ("packet", packet(*p)),
+                ("from", node(*from)),
+                ("to", node(*to)),
+                ("reason", Value::Str(reason.as_str().to_string())),
+                ("queue_s", f64_value(*queue_s)),
+            ]),
+            TraceEvent::Send { at, from, to, size_bits, account } => map(vec![
+                ("at", time(*at)),
+                ("from", node(*from)),
+                ("to", node(*to)),
+                ("size_bits", Value::U64(u64::from(*size_bits))),
+                ("account", Value::Str(account_str(*account).to_string())),
+            ]),
+            TraceEvent::SendFailed { at, from, to } => {
+                map(vec![("at", time(*at)), ("from", node(*from)), ("to", node(*to))])
+            }
+            TraceEvent::QueueDrop { at, from } => {
+                map(vec![("at", time(*at)), ("from", node(*from))])
+            }
+            TraceEvent::Broadcast { at, from, receivers, account } => map(vec![
+                ("at", time(*at)),
+                ("from", node(*from)),
+                ("receivers", Value::U64(*receivers as u64)),
+                ("account", Value::Str(account_str(*account).to_string())),
+            ]),
+            TraceEvent::Delivered { at, packet: p, node: n, delay_s, hops } => map(vec![
+                ("at", time(*at)),
+                ("packet", packet(*p)),
+                ("node", node(*n)),
+                ("delay_s", f64_value(*delay_s)),
+                ("hops", Value::U64(u64::from(*hops))),
+            ]),
+            TraceEvent::Dropped { at, packet: p, reason } => map(vec![
+                ("at", time(*at)),
+                ("packet", packet(*p)),
+                ("reason", Value::Str(drop_reason_str(*reason).to_string())),
+            ]),
+            TraceEvent::FaultRotation { at, failed, recovered } => map(vec![
+                ("at", time(*at)),
+                ("failed", Value::Seq(failed.iter().map(|&n| node(n)).collect())),
+                ("recovered", Value::Seq(recovered.iter().map(|&n| node(n)).collect())),
+            ]),
+            TraceEvent::Retransmit { at, from, to, attempt } => map(vec![
+                ("at", time(*at)),
+                ("from", node(*from)),
+                ("to", node(*to)),
+                ("attempt", Value::U64(u64::from(*attempt))),
+            ]),
+            TraceEvent::Suspected { at, node: n } => {
+                map(vec![("at", time(*at)), ("node", node(*n))])
+            }
+            TraceEvent::Misroute { at, from, intended, actual } => map(vec![
+                ("at", time(*at)),
+                ("from", node(*from)),
+                ("intended", node(*intended)),
+                ("actual", node(*actual)),
+            ]),
+            TraceEvent::ForgedAck { at, node: n } => {
+                map(vec![("at", time(*at)), ("node", node(*n))])
+            }
+            TraceEvent::Slander { at, accuser, accused } => map(vec![
+                ("at", time(*at)),
+                ("accuser", node(*accuser)),
+                ("accused", node(*accused)),
+            ]),
+        };
+        Value::Map(vec![(event.kind().to_string(), body)])
+    }
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
@@ -396,8 +487,13 @@ mod tests {
 
     #[test]
     fn every_variant_round_trips() {
+        let mut reused = Vec::new();
         for event in every_variant() {
             let line = to_jsonl_line(&event);
+            assert_eq!(line, json::to_string(&event_to_value(&event)), "streamed ≡ tree-built");
+            reused.clear();
+            write_jsonl_line(&event, &mut reused);
+            assert_eq!(reused, line.as_bytes(), "a reused buffer holds exactly the line");
             assert!(!line.contains('\n'), "JSONL must be single-line: {line}");
             let back = from_jsonl_line(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(back, event, "{line}");
@@ -439,5 +535,9 @@ mod tests {
         assert!(from_jsonl_line(r#"{"QueueDrop":{"from":9}}"#).is_err());
         assert!(from_jsonl_line("not json").is_err());
         assert!(from_jsonl_line(r#"{"Hop":{"at":1},"Send":{"at":2}}"#).is_err());
+        // Nesting past the JSON layer's cap is an error, not a stack overflow.
+        assert!(from_jsonl_line(&"[".repeat(60_000)).is_err());
+        let deep = format!(r#"{{"QueueDrop":{{"at":42,"from":9,"x":{}}}}}"#, "[".repeat(60_000));
+        assert!(from_jsonl_line(&deep).is_err());
     }
 }

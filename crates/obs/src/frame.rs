@@ -51,9 +51,19 @@ impl std::error::Error for FrameError {}
 
 /// Appends one length-prefixed frame carrying `payload` to `out`.
 pub fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    assert!(payload.len() <= MAX_FRAME_LEN, "frame payload exceeds MAX_FRAME_LEN");
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
+    write_frame_with(out, |out| out.extend_from_slice(payload));
+}
+
+/// Appends one frame whose payload `fill` appends straight to `out`: the
+/// header is reserved first and patched once the length is known, so an
+/// encoder can stream into the frame without a second buffer.
+pub fn write_frame_with(out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) {
+    let header = out.len();
+    out.extend_from_slice(&[0; HEADER_LEN]);
+    fill(out);
+    let len = out.len() - header - HEADER_LEN;
+    assert!(len <= MAX_FRAME_LEN, "frame payload exceeds MAX_FRAME_LEN");
+    out[header..header + HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
 }
 
 /// Encodes one payload as a standalone frame.
@@ -61,6 +71,32 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     write_frame(&mut out, payload);
     out
+}
+
+/// The first frame of a byte slice, borrowed from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SplitFrame<'a> {
+    /// The frame's payload.
+    pub payload: &'a [u8],
+    /// Everything after the frame.
+    pub rest: &'a [u8],
+}
+
+/// Splits the first frame off `bytes` without copying; `Ok(None)` if
+/// `bytes` ends mid-frame.
+pub fn split_frame(bytes: &[u8]) -> Result<Option<SplitFrame<'_>>, FrameError> {
+    let Some((header, body)) = bytes.split_first_chunk::<HEADER_LEN>() else {
+        return Ok(None);
+    };
+    let declared = u32::from_le_bytes(*header) as usize;
+    if declared > MAX_FRAME_LEN {
+        return Err(FrameError::Oversize { declared });
+    }
+    if body.len() < declared {
+        return Ok(None);
+    }
+    let (payload, rest) = body.split_at(declared);
+    Ok(Some(SplitFrame { payload, rest }))
 }
 
 /// Incremental decoder: accepts arbitrarily split byte chunks, yields
@@ -92,20 +128,11 @@ impl FrameDecoder {
     /// Yields the next complete frame's payload, `Ok(None)` if the
     /// buffered bytes end mid-frame (feed more and retry).
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
-        let pending = &self.buf[self.read..];
-        if pending.len() < HEADER_LEN {
+        let Some(frame) = split_frame(&self.buf[self.read..])? else {
             return Ok(None);
-        }
-        let declared = u32::from_le_bytes(pending[..HEADER_LEN].try_into().expect("4 bytes"));
-        let declared = declared as usize;
-        if declared > MAX_FRAME_LEN {
-            return Err(FrameError::Oversize { declared });
-        }
-        if pending.len() < HEADER_LEN + declared {
-            return Ok(None);
-        }
-        let payload = pending[HEADER_LEN..HEADER_LEN + declared].to_vec();
-        self.read += HEADER_LEN + declared;
+        };
+        let payload = frame.payload.to_vec();
+        self.read += HEADER_LEN + payload.len();
         Ok(Some(payload))
     }
 
@@ -182,6 +209,26 @@ mod tests {
         assert_eq!(d.next_frame(), Ok(None));
         assert_eq!(d.pending_len(), frame.len() - 3);
         assert!(!d.is_empty());
+    }
+
+    #[test]
+    fn split_frame_borrows_payload_and_rest() {
+        let mut stream = b"earlier".to_vec();
+        let start = stream.len();
+        write_frame_with(&mut stream, |out| out.extend_from_slice(b"streamed"));
+        assert_eq!(&stream[start..], &encode_frame(b"streamed")[..], "header patched in place");
+        stream.extend_from_slice(b"rest");
+        assert_eq!(
+            split_frame(&stream[start..]),
+            Ok(Some(SplitFrame { payload: b"streamed", rest: b"rest" }))
+        );
+        for cut in start..stream.len() - b"rest".len() {
+            assert_eq!(split_frame(&stream[start..cut]), Ok(None), "prefix of {cut} bytes");
+        }
+        assert_eq!(
+            split_frame(&u32::MAX.to_le_bytes()),
+            Err(FrameError::Oversize { declared: u32::MAX as usize })
+        );
     }
 
     /// Body of the round-trip property, outside the macro (the vendored

@@ -34,8 +34,13 @@ pub mod hash;
 pub mod ledger;
 pub mod sink;
 
-pub use codec::{account_str, event_from_value, event_to_value, from_jsonl_line, to_jsonl_line};
-pub use frame::{encode_frame, write_frame, FrameDecoder, FrameError, MAX_FRAME_LEN};
+pub use codec::{
+    account_str, event_from_value, from_jsonl_line, to_jsonl_line, write_jsonl_line,
+};
+pub use frame::{
+    encode_frame, split_frame, write_frame, write_frame_with, FrameDecoder, FrameError,
+    SplitFrame, MAX_FRAME_LEN,
+};
 pub use hash::{fnv1a64, EventHash};
 pub use ledger::{HopRecord, LedgerStats, Outcome, PacketLedger, PacketRecord};
 pub use sink::{

@@ -7,7 +7,7 @@
 //! [`TraceSink::flush`] time, so the caller keeps a cheap clone of the
 //! handle and never needs to downcast the returned box.
 
-use crate::codec::to_jsonl_line;
+use crate::codec::{to_jsonl_line, write_jsonl_line};
 use crate::hash::EventHash;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
@@ -18,6 +18,9 @@ use wsan_sim::trace::{TraceEvent, TraceSink};
 /// memory no matter how many events the run produces.
 pub struct JsonlSink<W: Write + Send> {
     writer: W,
+    /// The current event's line, newline included; reused across events
+    /// so steady-state encoding allocates nothing.
+    line: Vec<u8>,
     /// Events written so far.
     pub written: u64,
 }
@@ -26,7 +29,7 @@ impl<W: Write + Send> JsonlSink<W> {
     /// Wraps a writer. Wrap files in a `BufWriter` — the sink writes one
     /// small line per event.
     pub fn new(writer: W) -> Self {
-        JsonlSink { writer, written: 0 }
+        JsonlSink { writer, line: Vec::new(), written: 0 }
     }
 }
 
@@ -39,10 +42,11 @@ impl JsonlSink<io::BufWriter<std::fs::File>> {
 
 impl<W: Write + Send> TraceSink for JsonlSink<W> {
     fn on_event(&mut self, event: &TraceEvent) {
-        let line = to_jsonl_line(event);
+        self.line.clear();
+        write_jsonl_line(event, &mut self.line);
+        self.line.push(b'\n');
         // A full disk mid-simulation has no useful recovery; surface it.
-        self.writer.write_all(line.as_bytes()).expect("trace sink write");
-        self.writer.write_all(b"\n").expect("trace sink write");
+        self.writer.write_all(&self.line).expect("trace sink write");
         self.written += 1;
     }
 
