@@ -1,7 +1,7 @@
 //! Shared scenario-flag parsing for the workspace CLIs.
 //!
-//! `figures`, `compare`, `perfbench` and the obs crate's `trace` all
-//! accept the same scenario knobs — `--fault-model`, `--workload`,
+//! `figures`, `compare` and the obs crate's `trace` all accept the same
+//! scenario knobs — `--fault-model`, `--workload`,
 //! `--routing`, `--offered-load`, `--attacker-fraction`, `--link-pdr` —
 //! with the same validation and the same exit-2-on-garbage contract.
 //! [`ScenarioFlags`] is that surface in one place: a binary feeds it its

@@ -7,7 +7,7 @@
 //! previously written dumps keep loading. Non-finite floats serialize as
 //! `null` and load back as NaN, mirroring `serde_json`'s lossy behavior.
 
-use crate::{DaemonLatency, Sweep, SweepPoint, SweepResult};
+use crate::{Sweep, SweepPoint, SweepResult};
 use std::fmt::Write as _;
 use wsan_sim::harness::AggregateSummary;
 use wsan_sim::stats::CiStat;
@@ -18,10 +18,11 @@ use wsan_sim::FaultModel;
 /// Byzantine columns plus the `fault_model`/`git_commit` provenance fields
 /// arrived, to 4 when the congestion columns (queue-delay percentiles,
 /// hot-link utilization, congestion drops) and the `Load` sweep landed,
-/// and to 5 when the optional `daemon_latency` section (live `refer-node`
-/// cluster measurements) was added; dumps without the field are treated as
-/// version 1 and keep loading, and every field added since version 1 loads
-/// as its default when absent.
+/// and to 5 for an optional `daemon_latency` section, since removed
+/// (unknown top-level keys are ignored, so a dump carrying one still
+/// loads); dumps without the field are treated as version 1 and keep
+/// loading, and every field added since version 1 loads as its default
+/// when absent.
 pub const SCHEMA_VERSION: u64 = 5;
 
 /// Serializes a sweep result as pretty-printed JSON.
@@ -95,19 +96,7 @@ pub fn to_json(result: &SweepResult) -> String {
     let _ = writeln!(out, "  \"seeds\": [{}],", seeds.join(", "));
     let _ = writeln!(out, "  \"scale\": {},", fmt_f64(result.scale));
     let _ = writeln!(out, "  \"fault_model\": \"{:?}\",", result.fault_model);
-    let git_comma = if result.daemon_latency.is_some() { "," } else { "" };
-    let _ = writeln!(out, "  \"git_commit\": \"{}\"{git_comma}", result.git_commit);
-    if let Some(dl) = &result.daemon_latency {
-        out.push_str("  \"daemon_latency\": {\n");
-        let _ = writeln!(out, "    \"nodes\": {},", dl.nodes);
-        let _ = writeln!(out, "    \"measured_delivery\": {},", fmt_f64(dl.measured_delivery));
-        let _ = writeln!(out, "    \"sim_delivery\": {},", fmt_f64(dl.sim_delivery));
-        let _ = writeln!(out, "    \"delay_p50_s\": {},", fmt_f64(dl.delay_p50_s));
-        let _ = writeln!(out, "    \"delay_p95_s\": {},", fmt_f64(dl.delay_p95_s));
-        let _ = writeln!(out, "    \"delay_p99_s\": {},", fmt_f64(dl.delay_p99_s));
-        let _ = writeln!(out, "    \"wall_s\": {}", fmt_f64(dl.wall_s));
-        out.push_str("  }\n");
-    }
+    let _ = writeln!(out, "  \"git_commit\": \"{}\"", result.git_commit);
     out.push('}');
     out
 }
@@ -211,22 +200,6 @@ pub fn from_json(input: &str) -> Result<SweepResult, String> {
         .iter()
         .map(|v| v.as_f64("seed").map(|f| f as u64))
         .collect::<Result<Vec<u64>, String>>()?;
-    // The live-cluster section arrived with schema version 5 and is
-    // optional even there.
-    let daemon_latency = if obj.iter().any(|(k, _)| k == "daemon_latency") {
-        let dobj = obj.get("daemon_latency")?.as_object("daemon_latency")?;
-        Some(DaemonLatency {
-            nodes: dobj.get_f64("nodes")? as usize,
-            measured_delivery: dobj.get_f64("measured_delivery")?,
-            sim_delivery: dobj.get_f64("sim_delivery")?,
-            delay_p50_s: dobj.get_f64("delay_p50_s")?,
-            delay_p95_s: dobj.get_f64("delay_p95_s")?,
-            delay_p99_s: dobj.get_f64("delay_p99_s")?,
-            wall_s: dobj.get_f64("wall_s")?,
-        })
-    } else {
-        None
-    };
     Ok(SweepResult {
         sweep,
         points,
@@ -234,7 +207,6 @@ pub fn from_json(input: &str) -> Result<SweepResult, String> {
         scale: obj.get_f64("scale")?,
         fault_model,
         git_commit,
-        daemon_latency,
     })
 }
 
@@ -586,7 +558,6 @@ mod tests {
             scale: 0.25,
             fault_model: FaultModel::Byzantine,
             git_commit: "deadbeef".to_string(),
-            daemon_latency: None,
         }
     }
 
@@ -671,38 +642,17 @@ mod tests {
     }
 
     #[test]
-    fn daemon_latency_section_round_trips_and_stays_optional() {
-        // Without the section: no key in the dump, loads back as None.
-        let plain = sample();
-        let json = to_json(&plain);
-        assert!(!json.contains("daemon_latency"));
-        assert_eq!(from_json(&json).expect("loads").daemon_latency, None);
-
-        // With the section: full round trip.
-        let mut live = sample();
-        live.daemon_latency = Some(DaemonLatency {
-            nodes: 13,
-            measured_delivery: 0.98,
-            sim_delivery: 1.0,
-            delay_p50_s: 0.004,
-            delay_p95_s: 0.012,
-            delay_p99_s: 0.025,
-            wall_s: 30.5,
-        });
-        let json = to_json(&live);
-        let parsed = from_json(&json).expect("live dumps load");
-        assert_eq!(parsed.daemon_latency, live.daemon_latency);
-    }
-
-    #[test]
     fn older_schema_versions_without_daemon_latency_still_load() {
-        // A version-4 dump is exactly today's layout minus the new
-        // section; rewriting the stamp must not break loading.
+        // Rewriting the stamp on today's layout must not break loading.
         let json = to_json(&sample()).replace("\"schema_version\": 5", "\"schema_version\": 4");
-        let parsed = from_json(&json).expect("version-4 dumps keep loading");
-        assert_eq!(parsed.daemon_latency, None);
+        from_json(&json).expect("version-4 dumps keep loading");
         let json = to_json(&sample()).replace("\"schema_version\": 5", "\"schema_version\": 2");
         from_json(&json).expect("version-2 dumps keep loading");
+        // So does a version-5 dump carrying the retired section: top-level
+        // keys the loader does not know are ignored.
+        let extra = to_json(&sample())
+            .replacen('{', "{\n  \"daemon_latency\": { \"nodes\": 19 },", 1);
+        from_json(&extra).expect("unknown sections do not stop a dump loading");
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! scenario (mobility for Figures 4-5, faulty nodes for Figures 6-7,
 //! network size for Figures 8-11), each comparing four systems. This crate
 //! runs those sweeps deterministically over a seed list and renders each
-//! figure's series; the `figures` binary drives it from the command line
-//! and the Criterion benches run scaled-down versions.
+//! figure's series; the `figures` binary drives it from the command line.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -243,24 +242,6 @@ pub fn base_config(scale: f64) -> SimConfig {
     cfg
 }
 
-/// A miniature configuration for the Criterion bench of one figure: the
-/// figure's sweep pinned at its most demanding point, at very small scale
-/// (Criterion times a full simulation per iteration). The full-fidelity
-/// series come from the `figures` binary.
-pub fn bench_config(fig: &Figure) -> SimConfig {
-    let mut cfg = base_config(0.02);
-    let x = match fig.sweep {
-        Sweep::Mobility => 5.0,
-        Sweep::Faults => 10.0,
-        Sweep::Size => 200.0,
-        Sweep::Attackers => 0.3,
-        Sweep::Load => 2000.0,
-    };
-    fig.sweep.configure(&mut cfg, x);
-    cfg.seed = 1;
-    cfg
-}
-
 /// One aggregated data point of a sweep.
 #[derive(Debug, Clone)]
 pub struct SweepPoint {
@@ -289,30 +270,6 @@ pub struct SweepResult {
     /// `git rev-parse HEAD` of the tree that produced the dump, or
     /// `"unknown"` outside a git checkout.
     pub git_commit: String,
-    /// Live-cluster measurements from a `refer-node` run on the same
-    /// topology, when one was collected (schema version 5); `None` for
-    /// pure-simulation dumps.
-    pub daemon_latency: Option<DaemonLatency>,
-}
-
-/// Latency and delivery measured from a real `refer-node` localhost
-/// cluster, stored next to the sim numbers it is compared against.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DaemonLatency {
-    /// Number of daemon processes in the cell.
-    pub nodes: usize,
-    /// Delivery ratio measured from the merged live traces.
-    pub measured_delivery: f64,
-    /// Delivery ratio the simulator predicts for the same topology/seed.
-    pub sim_delivery: f64,
-    /// Measured end-to-end delay percentiles, seconds.
-    pub delay_p50_s: f64,
-    /// 95th percentile, seconds.
-    pub delay_p95_s: f64,
-    /// 99th percentile, seconds.
-    pub delay_p99_s: f64,
-    /// Wall-clock duration of the live run, seconds.
-    pub wall_s: f64,
 }
 
 /// The commit hash of the working tree, for provenance stamps in dumps;
@@ -525,7 +482,6 @@ pub fn run_sweep_opts(
         scale,
         fault_model,
         git_commit: git_commit(),
-        daemon_latency: None,
     }
 }
 

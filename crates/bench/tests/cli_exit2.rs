@@ -6,11 +6,7 @@ use std::process::Command;
 
 #[test]
 fn malformed_scenario_flag_exits_2_with_shared_wording() {
-    for bin in [
-        env!("CARGO_BIN_EXE_figures"),
-        env!("CARGO_BIN_EXE_compare"),
-        env!("CARGO_BIN_EXE_perfbench"),
-    ] {
+    for bin in [env!("CARGO_BIN_EXE_figures"), env!("CARGO_BIN_EXE_compare")] {
         let out = Command::new(bin)
             .args(["--fault-model", "nonsense"])
             .output()

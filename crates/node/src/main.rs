@@ -726,8 +726,8 @@ fn cmd_cluster(args: impl Iterator<Item = String>) -> ExitCode {
     println!("wall time: {wall_s:.1} s");
 
     if let Some(path) = &json_path {
-        // Field names mirror the bench schema's `daemon_latency` section
-        // so downstream tooling reads both the same way.
+        // The cluster comparison's own file: one flat object, delivery
+        // ratios and delay percentiles in seconds.
         let json = format!(
             concat!(
                 "{{\"nodes\":{},\"measured_delivery\":{},\"sim_delivery\":{},",

@@ -7,7 +7,6 @@
 //!               [--attacker-fraction F] [--link-pdr P]
 //!               [--workload paper|all2all|hotspot|incast|scan]
 //!               [--offered-load PPS] [--routing shortest|regular]
-//!               [--scheduler wheel|heap]
 //! trace packet  <id> --in trace.jsonl      # one packet's full causal chain
 //! trace node    <id> --in trace.jsonl      # packets that crossed a node
 //! trace summary --in trace.jsonl           # counts, drops by reason, digest
@@ -20,13 +19,10 @@
 //! trace verify  --live node-*.jsonl [--expect-delivery F] [--tolerance F]
 //! ```
 //!
-//! `verify` proves determinism four times over: the multiset digest of
-//! all events from serial per-seed runs must equal the digest from the
-//! same runs on parallel threads; runs under the spatial grid neighbor
-//! index must produce the same event multiset as runs on the reference
-//! linear scan; runs on the timing-wheel scheduler must stream the same
-//! bytes as runs on the reference binary heap; and recording the same
-//! seed twice must give byte-identical JSONL. A mismatch exits nonzero.
+//! `verify` proves determinism twice over: the multiset digest of all
+//! events from serial per-seed runs must equal the digest from the same
+//! runs on parallel threads, and recording the same seed twice must give
+//! byte-identical JSONL. A mismatch exits nonzero.
 //!
 //! `verify --live` ingests traces collected from real `refer-node`
 //! daemons: per-node JSONL files are merged into one [`PacketLedger`],
@@ -51,9 +47,7 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 use wsan_sim::flood::FloodProtocol;
 use wsan_sim::trace::TraceEvent;
-use wsan_sim::{
-    DataId, Engine, NeighborIndex, NodeId, Scheduler, ShardedConfig, SimConfig,
-};
+use wsan_sim::{DataId, Engine, NodeId, ShardedConfig, SimConfig};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -89,8 +83,7 @@ fn usage(error: &str) -> ExitCode {
          trace diff    <a> <b>\n  \
          trace verify  [--system S] [--scale F] [--seeds N] [--faults N]\n                \
          [--fault-model oracle|discovered|byzantine] [--attacker-fraction F]\n                \
-         [--link-pdr P] [--workload W] [--offered-load PPS] [--routing R]\n                \
-         [--scheduler wheel|heap]\n  \
+         [--link-pdr P] [--workload W] [--offered-load PPS] [--routing R]\n  \
          trace verify  --sharded [--scale F] [--seeds N] [--sensors N] [--threads N]\n                \
          [--workload W] [--offered-load PPS]\n  \
          trace verify  --live FILE... [--expect-delivery F] [--tolerance F]\n\
@@ -123,14 +116,6 @@ fn parse_system(name: &str) -> Result<System, String> {
         "ddear" => Ok(System::Ddear),
         "kautz" | "kautz-overlay" => Ok(System::KautzOverlay),
         other => Err(format!("unknown system `{other}` (refer, datree, ddear, kautz)")),
-    }
-}
-
-fn parse_scheduler(name: &str) -> Result<Scheduler, String> {
-    match name {
-        "wheel" => Ok(Scheduler::Wheel),
-        "heap" => Ok(Scheduler::Heap),
-        other => Err(format!("unknown scheduler `{other}` (wheel, heap)")),
     }
 }
 
@@ -168,9 +153,6 @@ fn scenario(flags: &BTreeMap<String, String>) -> Result<(SimConfig, System), Str
     cfg.sensors = flag(flags, "sensors", cfg.sensors)?;
     cfg.faults.count = flag(flags, "faults", cfg.faults.count)?;
     cfg.mobility.max_speed = flag(flags, "mobility", cfg.mobility.max_speed)?;
-    if let Some(raw) = flags.get("scheduler") {
-        cfg.scheduler = parse_scheduler(raw)?;
-    }
     // The scenario knobs shared by every CLI live in one parser.
     let mut shared = ScenarioFlags::default();
     shared.apply_map(|name| flags.get(name).map(String::as_str))?;
@@ -464,64 +446,6 @@ fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
         println!("  parallel {}", parallel.digest());
     }
 
-    // Index pass: the grid-indexed runs must emit the same event multiset
-    // as the reference linear scan — the spatial index is pure speedup.
-    let mut by_index = [EventHash::new(), EventHash::new()];
-    for (i, index) in [NeighborIndex::Grid, NeighborIndex::LinearScan].into_iter().enumerate() {
-        for &seed in &seeds {
-            let mut cfg = cfg.clone();
-            cfg.seed = seed;
-            cfg.neighbor_index = index;
-            let (sink, hash) = HashingSink::new();
-            run_system_with_sinks(&cfg, system, vec![Box::new(sink)]);
-            by_index[i].merge(&hash.get());
-        }
-    }
-    let index_ok = by_index[0] == by_index[1];
-    println!(
-        "grid/linear-scan event multiset: {} ({} events, digest {})",
-        if index_ok { "IDENTICAL" } else { "MISMATCH" },
-        by_index[0].count,
-        by_index[0].digest()
-    );
-    if !index_ok {
-        println!("  grid        {}", by_index[0].digest());
-        println!("  linear scan {}", by_index[1].digest());
-    }
-
-    // Scheduler pass: the timing wheel orders events by the same
-    // `(at, seq)` key as the reference binary heap, so swapping the queue
-    // must leave the event multiset *and* the byte stream untouched.
-    let mut by_sched = [EventHash::new(), EventHash::new()];
-    for (i, scheduler) in [Scheduler::Wheel, Scheduler::Heap].into_iter().enumerate() {
-        for &seed in &seeds {
-            let mut cfg = cfg.clone();
-            cfg.seed = seed;
-            cfg.scheduler = scheduler;
-            let (sink, hash) = HashingSink::new();
-            run_system_with_sinks(&cfg, system, vec![Box::new(sink)]);
-            by_sched[i].merge(&hash.get());
-        }
-    }
-    let sched_bytes = [Scheduler::Wheel, Scheduler::Heap].map(|scheduler| {
-        let mut cfg = cfg.clone();
-        cfg.scheduler = scheduler;
-        record_bytes(&cfg, system)
-    });
-    let sched_ok = by_sched[0] == by_sched[1] && sched_bytes[0] == sched_bytes[1];
-    println!(
-        "wheel/heap scheduler: {} ({} events, digest {}; {} bytes, fnv1a {:016x})",
-        if sched_ok { "IDENTICAL" } else { "MISMATCH" },
-        by_sched[0].count,
-        by_sched[0].digest(),
-        sched_bytes[0].len(),
-        fnv1a64(&sched_bytes[0])
-    );
-    if !sched_ok {
-        println!("  wheel {} fnv1a {:016x}", by_sched[0].digest(), fnv1a64(&sched_bytes[0]));
-        println!("  heap  {} fnv1a {:016x}", by_sched[1].digest(), fnv1a64(&sched_bytes[1]));
-    }
-
     // Record/replay pass: same seed twice must stream identical bytes.
     let record = record_bytes(&cfg, system);
     let replay = record_bytes(&cfg, system);
@@ -533,7 +457,7 @@ fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
         fnv1a64(&record)
     );
 
-    if order_ok && index_ok && sched_ok && replay_ok {
+    if order_ok && replay_ok {
         println!("verify PASSED");
         Ok(ExitCode::SUCCESS)
     } else {
@@ -741,26 +665,7 @@ fn cmd_verify_sharded(flags: &BTreeMap<String, String>) -> Result<ExitCode, Stri
         fnv1a64(&one)
     );
 
-    // Scheduler pass: per-shard timing wheels must replay the per-shard
-    // binary heaps byte-for-byte under the same window barriers.
-    let sched_streams = [Scheduler::Wheel, Scheduler::Heap].map(|scheduler| {
-        let mut cfg = cfg.clone();
-        cfg.scheduler = scheduler;
-        bytes(&cfg, threads)
-    });
-    let sched_ok = sched_streams[0] == sched_streams[1];
-    println!(
-        "wheel/heap sharded({threads}) JSONL: {} ({} bytes, fnv1a {:016x})",
-        if sched_ok { "BIT-IDENTICAL" } else { "MISMATCH" },
-        sched_streams[0].len(),
-        fnv1a64(&sched_streams[0])
-    );
-    if !sched_ok {
-        println!("  wheel fnv1a {:016x}", fnv1a64(&sched_streams[0]));
-        println!("  heap  fnv1a {:016x}", fnv1a64(&sched_streams[1]));
-    }
-
-    if multiset_ok && bytes_ok && sched_ok {
+    if multiset_ok && bytes_ok {
         println!("verify --sharded PASSED");
         Ok(ExitCode::SUCCESS)
     } else {

@@ -7,7 +7,7 @@ use refer_obs::{
     from_jsonl_line, to_jsonl_line, HashingSink, JsonlSink, Outcome, PacketLedger, SharedBuf,
     VecSink,
 };
-use wsan_sim::{FaultModel, NeighborIndex, SimConfig};
+use wsan_sim::{FaultModel, SimConfig};
 
 /// A small faulty scenario under discovered failures — drops happen.
 fn faulty_cfg(seed: u64) -> SimConfig {
@@ -93,37 +93,4 @@ fn record_replay_streams_are_bit_identical() {
     assert!(!first_buf.bytes().is_empty());
     assert_eq!(first_buf.bytes(), second_buf.bytes(), "record/replay bytes");
     assert_eq!(first_hash.get(), second_hash.get(), "record/replay digests");
-}
-
-#[test]
-fn grid_and_linear_scan_streams_are_bit_identical() {
-    // The spatial grid index must not change a single traced event: the
-    // JSONL byte streams (and thus the digests) of a faulty mobile run
-    // match between the grid and the reference linear scan, per system.
-    for system in [System::Refer, System::DaTree] {
-        let mut grid_cfg = faulty_cfg(3);
-        grid_cfg.mobility.max_speed = 3.0;
-        let mut scan_cfg = grid_cfg.clone();
-        grid_cfg.neighbor_index = NeighborIndex::Grid;
-        scan_cfg.neighbor_index = NeighborIndex::LinearScan;
-
-        let (grid_buf, scan_buf) = (SharedBuf::new(), SharedBuf::new());
-        let (grid_hash_sink, grid_hash) = HashingSink::new();
-        let (scan_hash_sink, scan_hash) = HashingSink::new();
-        let (grid_summary, _) = run_system_with_sinks(
-            &grid_cfg,
-            system,
-            vec![Box::new(JsonlSink::new(grid_buf.clone())), Box::new(grid_hash_sink)],
-        );
-        let (scan_summary, _) = run_system_with_sinks(
-            &scan_cfg,
-            system,
-            vec![Box::new(JsonlSink::new(scan_buf.clone())), Box::new(scan_hash_sink)],
-        );
-
-        assert!(!grid_buf.bytes().is_empty());
-        assert_eq!(grid_buf.bytes(), scan_buf.bytes(), "{}: grid/scan bytes", system.name());
-        assert_eq!(grid_hash.get(), scan_hash.get(), "{}: grid/scan digests", system.name());
-        assert_eq!(grid_summary, scan_summary, "{}: grid/scan summaries", system.name());
-    }
 }

@@ -273,21 +273,6 @@ impl LinkModel {
     }
 }
 
-/// How [`Ctx`](crate::Ctx) neighborhood queries resolve candidates.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum NeighborIndex {
-    /// Uniform spatial grid with cell side ≥ the maximum usable radio
-    /// range: a query inspects only the 3×3 cell block around the node
-    /// (O(1) amortized). Results are bit-identical to the scan — `trace
-    /// verify` proves the event multisets match.
-    #[default]
-    Grid,
-    /// Full scan over the node table (O(n) per query). Kept as the
-    /// reference implementation the grid is verified against.
-    LinearScan,
-}
-
 /// How Kautz-routed protocols pick the next hop toward a destination
 /// identifier.
 ///
@@ -311,30 +296,10 @@ pub enum RoutingStrategy {
     Regular,
 }
 
-/// Which priority-queue implementation orders the event loop.
-///
-/// Mirrors [`NeighborIndex`]: both implementations pop events in exactly
-/// the same `(at, seq)` order, so every run is bit-identical under either
-/// — `trace verify` proves the event multisets and JSONL streams match.
-/// The wheel is the default because its bucketed inserts and bitmap-driven
-/// pops are O(1) where the heap pays O(log n) sifts of full event
-/// payloads; the heap stays available as the verified reference.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum Scheduler {
-    /// Hierarchical timing wheel (`wheel` module): 8 levels × 256 buckets
-    /// over the microsecond clock, cascading overflow, per-bucket `seq`
-    /// ordering.
-    #[default]
-    Wheel,
-    /// `BinaryHeap` reference implementation.
-    Heap,
-}
-
 /// Which event-loop engine executes the run.
 ///
-/// Mirrors [`NeighborIndex`]: the serial loop stays the default and the
-/// verified reference, the sharded engine is opt-in per run. The two
+/// The serial loop stays the default and the verified reference, the
+/// sharded engine is opt-in per run. The two
 /// engines define *different* (each internally deterministic) random
 /// streams — the serial loop draws every choice from one master RNG in
 /// global event order, which no parallel execution can reproduce — so a
@@ -490,16 +455,9 @@ pub struct SimConfig {
     /// Packets count toward QoS throughput only if delivered within this
     /// deadline (paper: 0.6 s).
     pub qos_deadline: SimDuration,
-    /// How neighborhood queries resolve candidates (spatial grid by
-    /// default; the linear scan is the verified-against reference).
-    pub neighbor_index: NeighborIndex,
     /// Which event-loop engine executes the run (serial by default; the
     /// sharded engine is opt-in and verified against itself at 1 thread).
     pub engine: Engine,
-    /// Which priority-queue implementation orders events (timing wheel by
-    /// default; the binary heap is the verified-against reference — both
-    /// pop in identical `(at, seq)` order).
-    pub scheduler: Scheduler,
     /// How Kautz-routed protocols pick next hops (greedy shortest by
     /// default; regular routing equalizes load under traffic matrices).
     pub routing: RoutingStrategy,
@@ -529,9 +487,7 @@ impl SimConfig {
             warmup: SimDuration::from_secs(100),
             duration: SimDuration::from_secs(1000),
             qos_deadline: SimDuration::from_secs_f64(0.6),
-            neighbor_index: NeighborIndex::default(),
             engine: Engine::default(),
-            scheduler: Scheduler::default(),
             routing: RoutingStrategy::default(),
             seed: 1,
         }

@@ -1,7 +1,7 @@
 //! The simulation context: world state plus the API protocols use to act.
 
 use crate::acks::AckTable;
-use crate::config::{NeighborIndex, SimConfig};
+use crate::config::SimConfig;
 use crate::energy::EnergyAccount;
 use crate::geometry::Point;
 use crate::grid::SpatialGrid;
@@ -411,34 +411,28 @@ impl<P> Ctx<P> {
             let node = &self.nodes[other.index()];
             !node.faulty && my_pos.distance(&node.position) <= my_range
         };
-        match self.cfg.neighbor_index {
-            NeighborIndex::LinearScan => {
-                buf.extend(self.node_ids().filter(|&other| in_my_range(other)));
-            }
-            // When the cell block spans all or most of the grid the index
-            // cannot prune enough to pay for itself; the plain scan gives
-            // the identical answer without the cell indirection.
-            NeighborIndex::Grid if self.grid.block_covers_most() => {
-                buf.extend(self.node_ids().filter(|&other| in_my_range(other)));
-            }
-            NeighborIndex::Grid => {
-                // Filtering while visiting the 3×3 block and then sorting
-                // by id reproduces the scan's iteration order (the range
-                // filter is pointwise, so the two commute) while only ever
-                // materializing and sorting the survivors. The distance
-                // check runs on the grid's inline position copy (kept
-                // exact by `move_node`); only in-range candidates touch
-                // the node table for the liveness bit.
-                self.grid.for_each_candidate(me.position, |other, pos| {
-                    if other != id
-                        && my_pos.distance(&pos) <= my_range
-                        && !self.nodes[other.index()].faulty
-                    {
-                        buf.push(other);
-                    }
-                });
-                buf.sort_unstable();
-            }
+        // When the cell block spans all or most of the grid the index
+        // cannot prune enough to pay for itself; the plain scan gives
+        // the identical answer without the cell indirection.
+        if self.grid.block_covers_most() {
+            buf.extend(self.node_ids().filter(|&other| in_my_range(other)));
+        } else {
+            // Filtering while visiting the 3×3 block and then sorting
+            // by id reproduces the scan's iteration order (the range
+            // filter is pointwise, so the two commute) while only ever
+            // materializing and sorting the survivors. The distance
+            // check runs on the grid's inline position copy (kept
+            // exact by `move_node`); only in-range candidates touch
+            // the node table for the liveness bit.
+            self.grid.for_each_candidate(me.position, |other, pos| {
+                if other != id
+                    && my_pos.distance(&pos) <= my_range
+                    && !self.nodes[other.index()].faulty
+                {
+                    buf.push(other);
+                }
+            });
+            buf.sort_unstable();
         }
     }
 

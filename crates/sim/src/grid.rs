@@ -17,7 +17,8 @@
 //! linear scan's ascending-`NodeId` iteration order filter first and sort
 //! the survivors — the range predicate is pointwise, so this produces
 //! exactly the scan's output and grid-indexed runs stay bit-identical to
-//! it (proven by `trace verify` and the proptests in `crates/sim/tests`).
+//! it (proven by the brute-force audits and the proptest in
+//! `crates/sim/tests`, on geometries larger than 3×3 cells).
 //!
 //! Liveness is deliberately *not* stored here: fault rotation flips
 //! `NodeState::faulty` without touching positions, so queries filter dead

@@ -59,8 +59,8 @@ mod wheel;
 
 pub use config::{
     ActuatorPlacement, ByzantineConfig, Engine, FaultConfig, FaultModel, LinkModel, MobilityConfig,
-    MobilityModel, NeighborIndex, RadioConfig, RoutingStrategy, Scheduler, SensorPlacement,
-    ShardedConfig, SimConfig, TrafficConfig,
+    MobilityModel, RadioConfig, RoutingStrategy, SensorPlacement, ShardedConfig, SimConfig,
+    TrafficConfig,
 };
 pub use ctx::Ctx;
 pub use energy::{EnergyAccount, EnergyLedger, EnergyModel};

@@ -293,14 +293,13 @@ pub(crate) fn build_ctx<Pl>(cfg: SimConfig) -> Ctx<Pl> {
     let grid = crate::grid::SpatialGrid::new(cfg.area, side, nodes.iter().map(|n| n.position));
 
     let end = SimTime::ZERO + cfg.total_time();
-    let queue = crate::wheel::EventQueue::new(cfg.scheduler);
     Ctx {
         cfg,
         now: SimTime::ZERO,
         nodes,
         actuators,
         sensors,
-        queue,
+        queue: crate::wheel::EventQueue::new(),
         seq: 0,
         rng,
         metrics: crate::metrics::Metrics::default(),

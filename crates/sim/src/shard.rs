@@ -58,9 +58,7 @@
 //! schedule is *not* the serial engine's: the serial loop draws all
 //! randomness from one master RNG in global event order, which no
 //! partitioned execution can reproduce. The sharded engine is therefore
-//! verified against **itself at one thread** (its own serial reference),
-//! the same way [`NeighborIndex::Grid`](crate::NeighborIndex) is verified
-//! against the linear scan.
+//! verified against **itself at one thread** (its own serial reference).
 //!
 //! # Unsupported configurations
 //!
@@ -340,7 +338,7 @@ where
                 nodes: master.nodes.clone(),
                 actuators: master.actuators.clone(),
                 sensors: master.sensors.clone(),
-                queue: crate::wheel::EventQueue::new(master.cfg.scheduler),
+                queue: crate::wheel::EventQueue::new(),
                 seq: 0,
                 rng: StdRng::seed_from_u64(seed),
                 metrics: crate::metrics::Metrics::default(),

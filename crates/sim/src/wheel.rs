@@ -1,5 +1,5 @@
-//! The event queue behind the engines: a hierarchical timing wheel with a
-//! binary-heap reference implementation.
+//! The event queue behind the engines: a hierarchical timing wheel,
+//! checked against a binary heap in every debug build.
 //!
 //! # Why a wheel
 //!
@@ -48,10 +48,18 @@
 //!   the wheel (its times precede every staged or bucketed time by
 //!   construction).
 //!
-//! `trace verify` and the scheduler proptests hold the two implementations
-//! to byte-identical output; see DESIGN.md §14.
+//! # Where the proof lives
+//!
+//! A `BinaryHeap` ordered by `(at, seq)` is the reference, in two places.
+//! The unit scripts and the proptest below drive a heap and the wheel
+//! through the same pushes and pops. And under `debug_assertions` every
+//! [`EventQueue`] carries a shadow heap of bare `(at, seq)` keys: each
+//! `pop` and `next_at` asserts the wheel returned the shadow's minimum, so
+//! every simulation a debug-profile test runs — serial, sharded, lossy
+//! ACKs, Byzantine, traffic matrices — checks the wheel on the engine's
+//! real operation sequence. Release builds compile the shadow out. See
+//! DESIGN.md §14.
 
-use crate::config::Scheduler;
 use crate::ctx::Scheduled;
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -68,59 +76,10 @@ const WORDS: usize = SLOTS / 64;
 /// Bucket-index mask within a level.
 const SLOT_MASK: u64 = (SLOTS - 1) as u64;
 
-/// The event queue of one engine context, switchable between the verified
-/// binary-heap reference and the timing wheel ([`Scheduler`] knob). Both
-/// pop in exactly the same `(at, seq)` order.
-// One queue lives per context (not per event), so the wheel's inline
-// cursor/bitmap state is cheaper than boxing it onto the hot path.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum EventQueue<P> {
-    /// `BinaryHeap` reference implementation.
-    Heap(BinaryHeap<Reverse<Scheduled<P>>>),
-    /// Hierarchical timing wheel.
-    Wheel(TimingWheel<P>),
-}
-
-impl<P> EventQueue<P> {
-    pub(crate) fn new(scheduler: Scheduler) -> Self {
-        match scheduler {
-            Scheduler::Heap => EventQueue::Heap(BinaryHeap::new()),
-            Scheduler::Wheel => EventQueue::Wheel(TimingWheel::new()),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn push(&mut self, ev: Scheduled<P>) {
-        match self {
-            EventQueue::Heap(heap) => heap.push(Reverse(ev)),
-            EventQueue::Wheel(wheel) => wheel.push(ev),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn pop(&mut self) -> Option<Scheduled<P>> {
-        match self {
-            EventQueue::Heap(heap) => heap.pop().map(|rev| rev.0),
-            EventQueue::Wheel(wheel) => wheel.pop(),
-        }
-    }
-
-    /// The timestamp of the next event to pop, without popping it. Takes
-    /// `&mut self` because the wheel may advance its cursor to the next
-    /// occupied bucket to answer (a pure relabeling: no event order or
-    /// content changes).
-    #[inline]
-    pub(crate) fn next_at(&mut self) -> Option<SimTime> {
-        match self {
-            EventQueue::Heap(heap) => heap.peek().map(|rev| rev.0.at),
-            EventQueue::Wheel(wheel) => wheel.next_at(),
-        }
-    }
-}
-
-/// Hierarchical timing wheel keyed on microsecond [`SimTime`]; see the
-/// module docs for the layout and the exact-equivalence argument.
-pub(crate) struct TimingWheel<P> {
+/// The event queue of one engine context: a hierarchical timing wheel
+/// keyed on microsecond [`SimTime`] that pops in exactly `(at, seq)`
+/// order; see the module docs for the layout and the equivalence argument.
+pub(crate) struct EventQueue<P> {
     /// `LEVELS * SLOTS` buckets, row-major by level. Bucket vectors keep
     /// their capacity across stagings, so the steady state allocates
     /// nothing.
@@ -137,20 +96,28 @@ pub(crate) struct TimingWheel<P> {
     /// Events pushed with `at < cursor` — only the sharded engine's claim
     /// injections do this. Always pops before the wheel.
     overdue: BinaryHeap<Reverse<Scheduled<P>>>,
+    /// The reference order: the `(at, seq)` key of every queued event in a
+    /// plain binary heap, which `pop` and `next_at` must agree with.
+    #[cfg(debug_assertions)]
+    shadow: BinaryHeap<Reverse<(SimTime, u64)>>,
 }
 
-impl<P> TimingWheel<P> {
+impl<P> EventQueue<P> {
     pub(crate) fn new() -> Self {
-        TimingWheel {
+        EventQueue {
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             occupied: [[0; WORDS]; LEVELS],
             cursor: 0,
             current: VecDeque::new(),
             overdue: BinaryHeap::new(),
+            #[cfg(debug_assertions)]
+            shadow: BinaryHeap::new(),
         }
     }
 
     pub(crate) fn push(&mut self, ev: Scheduled<P>) {
+        #[cfg(debug_assertions)]
+        self.shadow.push(Reverse((ev.at, ev.seq)));
         let at = ev.at.as_micros();
         if at > self.cursor {
             self.place(ev, at);
@@ -165,23 +132,41 @@ impl<P> TimingWheel<P> {
         // Overdue events precede everything the wheel still holds: their
         // times are strictly below the cursor, staged events sit at it,
         // bucketed events beyond it.
-        if self.overdue.peek().is_some() {
-            return self.overdue.pop().map(|rev| rev.0);
-        }
-        if !self.stage() {
-            return None;
-        }
-        self.current.pop_front()
+        let ev = if self.overdue.peek().is_some() {
+            self.overdue.pop().map(|rev| rev.0)
+        } else if self.stage() {
+            self.current.pop_front()
+        } else {
+            None
+        };
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            ev.as_ref().map(|ev| (ev.at, ev.seq)),
+            self.shadow.pop().map(|rev| rev.0),
+            "timing wheel popped out of (at, seq) order"
+        );
+        ev
     }
 
+    /// The timestamp of the next event to pop, without popping it. Takes
+    /// `&mut self` because the wheel may advance its cursor to the next
+    /// occupied bucket to answer (a pure relabeling: no event order or
+    /// content changes).
     pub(crate) fn next_at(&mut self) -> Option<SimTime> {
-        if let Some(Reverse(ev)) = self.overdue.peek() {
-            return Some(ev.at);
-        }
-        if !self.stage() {
-            return None;
-        }
-        Some(SimTime::from_micros(self.cursor))
+        let at = if let Some(Reverse(ev)) = self.overdue.peek() {
+            Some(ev.at)
+        } else if self.stage() {
+            Some(SimTime::from_micros(self.cursor))
+        } else {
+            None
+        };
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            at,
+            self.shadow.peek().map(|rev| rev.0 .0),
+            "timing wheel peeked a time other than the earliest"
+        );
+        at
     }
 
     /// Binary-search insert into the staged bucket, keeping it ascending
@@ -293,21 +278,23 @@ mod tests {
         Scheduled { at: SimTime::from_micros(at), seq, kind: EventKind::Timer { node: NodeId(0), tag: seq } }
     }
 
-    /// Drives both implementations through the same push/pop script and
-    /// asserts identical pop streams. `pushes` yields batches; between
-    /// batches `drains` events are popped (simulating dispatch that pushes
-    /// more work), and at the end both queues are popped dry.
+    /// Drives a reference `BinaryHeap` and the wheel through the same
+    /// push/pop script and asserts identical pop streams (explicitly, so
+    /// the scripts also hold in release test builds, where the queue's own
+    /// shadow is compiled out). `script` yields batches; between batches
+    /// `drain` events are popped (simulating dispatch that pushes more
+    /// work), and at the end both queues are popped dry.
     fn assert_identical(script: Vec<(Vec<(u64, u64)>, usize)>) {
-        let mut heap = EventQueue::<()>::new(Scheduler::Heap);
-        let mut wheel = EventQueue::<()>::new(Scheduler::Wheel);
+        let mut heap = BinaryHeap::<Reverse<Scheduled<()>>>::new();
+        let mut wheel = EventQueue::<()>::new();
         let mut popped = 0usize;
         for (batch, drain) in script {
             for &(at, seq) in &batch {
-                heap.push(ev(at, seq));
+                heap.push(Reverse(ev(at, seq)));
                 wheel.push(ev(at, seq));
             }
             for _ in 0..drain {
-                let h = heap.pop();
+                let h = heap.pop().map(|rev| rev.0);
                 let w = wheel.pop();
                 match (&h, &w) {
                     (Some(h), Some(w)) => {
@@ -320,8 +307,12 @@ mod tests {
             }
         }
         loop {
-            assert_eq!(heap.next_at(), wheel.next_at(), "next_at diverged after {popped} pops");
-            let (h, w) = (heap.pop(), wheel.pop());
+            assert_eq!(
+                heap.peek().map(|rev| rev.0.at),
+                wheel.next_at(),
+                "next_at diverged after {popped} pops"
+            );
+            let (h, w) = (heap.pop().map(|rev| rev.0), wheel.pop());
             match (h, w) {
                 (Some(h), Some(w)) => {
                     assert_eq!((h.at, h.seq), (w.at, w.seq), "pop #{popped} diverged")
@@ -335,9 +326,41 @@ mod tests {
 
     #[test]
     fn empty_wheel_pops_nothing() {
-        let mut q = EventQueue::<()>::new(Scheduler::Wheel);
+        let mut q = EventQueue::<()>::new();
         assert!(q.pop().is_none());
         assert!(q.next_at().is_none());
+    }
+
+    // The two tests below pin the debug-build shadow heap itself.
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "timing wheel popped out of (at, seq) order")]
+    fn shadow_heap_catches_a_misordered_pop() {
+        let mut q = EventQueue::<()>::new();
+        q.push(ev(10, 0));
+        q.push(ev(10, 1));
+        assert_eq!(q.next_at(), Some(SimTime::from_micros(10))); // stages both
+        q.current.swap(0, 1); // what a FIFO bucket would do under sharded keys
+        q.pop();
+    }
+
+    #[test]
+    fn behind_cursor_push_pops_first_and_agrees_with_the_shadow() {
+        // The sharded engine's late claim: the cursor has been advanced to
+        // t=100 by a `next_at` peek when an event for t=40 arrives.
+        let mut q = EventQueue::<()>::new();
+        q.push(ev(100, 0));
+        q.push(ev(5_000, 1));
+        assert_eq!(q.next_at(), Some(SimTime::from_micros(100)));
+        q.push(ev(40, 2));
+        assert_eq!(q.overdue.len(), 1, "a behind-cursor push goes to the overflow heap");
+        assert_eq!(q.next_at(), Some(SimTime::from_micros(40)));
+        let order: Vec<(u64, u64)> =
+            std::iter::from_fn(|| q.pop()).map(|e| (e.at.as_micros(), e.seq)).collect();
+        assert_eq!(order, vec![(40, 2), (100, 0), (5_000, 1)]);
+        #[cfg(debug_assertions)]
+        assert!(q.shadow.is_empty(), "the shadow drains in step with the wheel");
     }
 
     #[test]

@@ -1,13 +1,10 @@
 //! Allocation-lean hot path contracts: broadcast clones its payload
-//! exactly `receivers − 1` times (the last copy is moved, not cloned),
-//! under both schedulers.
+//! exactly `receivers − 1` times (the last copy is moved, not cloned).
 
 use std::cell::Cell;
 use std::rc::Rc;
 use wsan_sim::runner::run_owned;
-use wsan_sim::{
-    Ctx, DataId, EnergyAccount, Message, NodeId, Protocol, Scheduler, SimConfig, SimDuration,
-};
+use wsan_sim::{Ctx, DataId, EnergyAccount, Message, NodeId, Protocol, SimConfig, SimDuration};
 
 /// A payload whose `Clone` impl counts itself.
 #[derive(Debug)]
@@ -56,9 +53,8 @@ impl Protocol for OneBroadcast {
     fn on_app_data(&mut self, _ctx: &mut Ctx<CountingPayload>, _src: NodeId, _data: DataId) {}
 }
 
-fn broadcast_clone_count(scheduler: Scheduler) -> (u64, usize, u64) {
+fn broadcast_clone_count() -> (u64, usize, u64) {
     let mut cfg = SimConfig::smoke();
-    cfg.scheduler = scheduler;
     cfg.traffic.sources_per_round = 0; // no app traffic: only the one broadcast
     cfg.faults.count = 0; // the sender must stay alive
     cfg.warmup = SimDuration::from_secs(0);
@@ -72,17 +68,12 @@ fn broadcast_clone_count(scheduler: Scheduler) -> (u64, usize, u64) {
 
 #[test]
 fn broadcast_clones_payload_exactly_n_minus_1_times() {
-    for scheduler in [Scheduler::Wheel, Scheduler::Heap] {
-        let (clones, receivers, delivered) = broadcast_clone_count(scheduler);
-        assert!(receivers > 1, "scenario must have a multi-receiver broadcast, got {receivers}");
-        assert_eq!(
-            clones,
-            receivers as u64 - 1,
-            "{scheduler:?}: broadcast to {receivers} receivers must clone n−1 times"
-        );
-        assert_eq!(
-            delivered, receivers as u64,
-            "{scheduler:?}: every receiver (lossless links) must get its copy"
-        );
-    }
+    let (clones, receivers, delivered) = broadcast_clone_count();
+    assert!(receivers > 1, "scenario must have a multi-receiver broadcast, got {receivers}");
+    assert_eq!(
+        clones,
+        receivers as u64 - 1,
+        "broadcast to {receivers} receivers must clone n−1 times"
+    );
+    assert_eq!(delivered, receivers as u64, "every receiver (lossless links) must get its copy");
 }

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use wsan_sim::stats::{ci95, mean, std_dev};
 use wsan_sim::{
     Area, Ctx, DataId, LinkModel, Message, MobilityModel, NodeId, Point, Protocol, SimConfig,
-    SimDuration, SimTime,
+    SimDuration, SimTime, SpatialGrid,
 };
 
 proptest! {
@@ -78,8 +78,8 @@ proptest! {
 }
 
 /// Recomputes every node's neighborhood by brute force at each mobility
-/// tick and compares it against `physical_neighbors` (grid-indexed by
-/// default), recording any divergence.
+/// tick and compares it against `physical_neighbors`, recording any
+/// divergence.
 struct NeighborOracle {
     ticks: u64,
     checks: u64,
@@ -146,6 +146,9 @@ proptest! {
     // The grid index is observationally equivalent to the linear scan for
     // arbitrary deployments: random node counts, ranges, speeds, mobility
     // models, link models and fault rotations (alive/dead flips included).
+    // One range for every node on a 1000 m square makes the cell side the
+    // drawn range — 5×5 to 25×25 cells — so every case runs the grid arm,
+    // not the ≤ 3×3 scan fallback (asserted).
     #[test]
     fn grid_neighbors_match_brute_force(
         sensors in 15usize..45,
@@ -157,8 +160,14 @@ proptest! {
     ) {
         let ticks = 100u64;
         let mut cfg = SimConfig::smoke();
+        cfg.area = Area::new(1000.0, 1000.0);
         cfg.sensors = sensors;
         cfg.sensor_range = range;
+        cfg.actuator_range = range;
+        prop_assert!(
+            !SpatialGrid::new(cfg.area, range, std::iter::empty()).block_covers_most(),
+            "range {range} on {:?} falls back to the scan", cfg.area
+        );
         cfg.seed = 0xA11D1 ^ sensors as u64 ^ (range as u64) << 8;
         cfg.warmup = SimDuration::ZERO;
         cfg.duration = SimDuration::from_secs(ticks);

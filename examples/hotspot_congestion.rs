@@ -3,7 +3,7 @@
 //! The Kautz fabric (`refer_baselines::fabric_config`) maps one sensor to
 //! each vertex of `K(2, 8)` (384 nodes) and routes every packet over the
 //! overlay arcs, on the sharded engine — the same setup as
-//! `perfbench`/`compare` (DESIGN.md §13). Two traffic matrices, two
+//! `compare --fabric` (DESIGN.md §13). Two traffic matrices, two
 //! routing strategies:
 //!
 //! - Under **all-to-all** load, greedy shortest routing concentrates flows
