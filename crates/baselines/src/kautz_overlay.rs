@@ -227,7 +227,7 @@ impl KautzOverlayProtocol {
             .get(&node)?
             .iter()
             .find(|(c, _)| *c == cell)
-            .map(|(_, k)| k.clone())
+            .map(|(_, k)| *k)
     }
 
     fn build_overlay(&mut self, ctx: &mut impl ProtoCtx<OvMsg>) {
@@ -252,17 +252,17 @@ impl KautzOverlayProtocol {
                 cell.corners.iter().map(|&i| actuators[i]).collect();
             let mut roster = BTreeMap::new();
             for (kid, &node) in self.plan.actuator_kids.iter().zip(corners.iter()) {
-                roster.insert(kid.clone(), node);
+                roster.insert(*kid, node);
             }
             for kid in &sensor_kids {
                 if let Some(node) = free.pop() {
-                    roster.insert(kid.clone(), node);
+                    roster.insert(*kid, node);
                 }
             }
             let idx = self.cells.len();
             let mut roster_idx = vec![None; self.route_table.node_count()];
             for (kid, &node) in &roster {
-                self.member_cells.entry(node).or_default().push((idx, kid.clone()));
+                self.member_cells.entry(node).or_default().push((idx, *kid));
                 if let Some(i) = self.route_table.index_of(kid) {
                     roster_idx[i] = Some(node);
                 }
@@ -576,7 +576,7 @@ impl SansIo for KautzOverlayProtocol {
             self.stats.drops += 1;
             return;
         };
-        let (cell, _) = self.member_cells[&access][0].clone();
+        let (cell, _) = self.member_cells[&access][0];
         let corners = self.cells[cell].corners.clone();
         let nearest = corners
             .iter()
@@ -586,7 +586,7 @@ impl SansIo for KautzOverlayProtocol {
             })
             .map(|(i, _)| i)
             .expect("three corners");
-        let dest_kid = self.plan.actuator_kids[nearest].clone();
+        let dest_kid = self.plan.actuator_kids[nearest];
         let frame = OvFrame {
             data,
             cell,

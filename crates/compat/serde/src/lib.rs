@@ -17,11 +17,9 @@
 //!   random access. [`json::to_string`] and [`json::from_str`] are
 //!   [`json::Writer::value`] and [`json::Reader::read_value`].
 //!
-//! It deliberately does **not** provide derive macros: the dormant
-//! `cfg_attr(feature = "serde", derive(...))` sites in `kautz`, `wsan-sim`
-//! and `can-dht` stay disabled (their `serde` features are never enabled
-//! inside this workspace). Consumers hand-write their conversions instead,
-//! which keeps the shim to one auditable file with no dependencies.
+//! It deliberately does **not** provide derive macros. Consumers hand-write
+//! their conversions instead, which keeps the shim to one auditable file
+//! with no dependencies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -49,7 +49,7 @@ pub struct CellLayout {
 impl CellLayout {
     /// The corner KID of actuator `index`, if it participates in a cell.
     pub fn kid_of(&self, index: usize, degree: u8) -> Option<KautzId> {
-        self.colors[index].map(|c| corner_kids(degree)[c as usize].clone())
+        self.colors[index].map(|c| corner_kids(degree)[c as usize])
     }
 
     /// The cells actuator `index` participates in.

@@ -76,45 +76,41 @@ impl EmbeddingPlan {
             let interior = walk_interior(from, &to, &assigned)
                 .expect("a length-3 walk between rotations always exists");
             for w in &interior {
-                assigned.insert(w.clone());
+                assigned.insert(*w);
             }
-            stage1.push(StagePath { from: from.clone(), to, interior });
+            stage1.push(StagePath { from: *from, to, interior });
         }
 
         // Stage 2: successor of the smallest actuator KID to the
         // predecessor of the largest.
-        let smallest = actuator_kids
+        let smallest = *actuator_kids
             .iter()
             .min()
-            .expect("three corners")
-            .clone();
-        let largest = actuator_kids
+            .expect("three corners");
+        let largest = *actuator_kids
             .iter()
             .max()
-            .expect("three corners")
-            .clone();
-        let s_i = stage1
+            .expect("three corners");
+        let s_i = *stage1
             .iter()
             .find(|p| p.from == smallest)
             .expect("every corner queries once")
             .interior
             .first()
-            .expect("two interiors")
-            .clone();
-        let s_j = stage1
+            .expect("two interiors");
+        let s_j = *stage1
             .iter()
             .find(|p| p.to == largest)
             .expect("every corner collects once")
             .interior
             .last()
-            .expect("two interiors")
-            .clone();
+            .expect("two interiors");
         let interior = walk_interior(&s_i, &s_j, &assigned)
             .expect("the stage-2 walk exists for d >= 2");
         for w in &interior {
-            assigned.insert(w.clone());
+            assigned.insert(*w);
         }
-        let stage2 = StagePath { from: s_i.clone(), to: s_j.clone(), interior };
+        let stage2 = StagePath { from: s_i, to: s_j, interior };
         assigned.insert(s_i);
         assigned.insert(s_j);
 
@@ -136,7 +132,7 @@ impl EmbeddingPlan {
                 .max_by_key(|(_, v)| anchor_count(v, &assigned))
                 .expect("non-empty");
             let v = stage3.swap_remove(idx);
-            assigned.insert(v.clone());
+            assigned.insert(v);
             ordered.push(v);
         }
         EmbeddingPlan { degree, actuator_kids, stage1, stage2, stage3: ordered }
@@ -220,8 +216,8 @@ pub fn logical_embed(
     let mut placed: HashMap<KautzId, Point> = HashMap::new();
     let mut assignment: HashMap<KautzId, usize> = HashMap::new();
     for (kid, (handle, pos)) in plan.actuator_kids.iter().zip(actuators.iter()) {
-        placed.insert(kid.clone(), *pos);
-        assignment.insert(kid.clone(), *handle);
+        placed.insert(*kid, *pos);
+        assignment.insert(*kid, *handle);
     }
     let mut free: Vec<SensorCandidate> = candidates.to_vec();
 
@@ -266,7 +262,7 @@ pub fn logical_embed(
                     .map(|(i, _)| i)
             })?;
         let chosen = free.swap_remove(pick);
-        placed.insert(kid.clone(), chosen.position);
+        placed.insert(kid, chosen.position);
         assignment.insert(kid, chosen.handle);
     }
     Some(assignment)
@@ -347,9 +343,9 @@ mod tests {
         for d in 2..=4u8 {
             let plan = EmbeddingPlan::for_degree(d);
             for p in plan.stage1.iter().chain(std::iter::once(&plan.stage2)) {
-                let mut walk = vec![p.from.clone()];
+                let mut walk = vec![p.from];
                 walk.extend(p.interior.iter().cloned());
-                walk.push(p.to.clone());
+                walk.push(p.to);
                 for w in walk.windows(2) {
                     assert!(w[0].is_arc_to(&w[1]), "K({d},3): {:?}", walk);
                 }

@@ -299,7 +299,7 @@ impl ReferProtocol {
         if let Some(idx) = self.route_table.index_of(&kid) {
             self.cells[cell].roster_idx[idx] = Some(node);
         }
-        if let Some(prev) = self.cells[cell].roster.insert(kid.clone(), node) {
+        if let Some(prev) = self.cells[cell].roster.insert(kid, node) {
             self.remove_membership(prev, cell, &kid);
         }
         self.member_cells.entry(node).or_default().push((cell, kid));
@@ -327,7 +327,7 @@ impl ReferProtocol {
             .get(&node)?
             .iter()
             .find(|(c, _)| *c == cell)
-            .map(|(_, k)| k.clone())
+            .map(|(_, k)| *k)
     }
 
     // ----- failure knowledge ---------------------------------------------
@@ -443,7 +443,7 @@ impl ReferProtocol {
                 let mut roster = BTreeMap::new();
                 let mut roster_idx = vec![None; self.route_table.node_count()];
                 for (kid, &node) in self.plan.actuator_kids.iter().zip(corners.iter()) {
-                    roster.insert(kid.clone(), node);
+                    roster.insert(*kid, node);
                     if let Some(idx) = self.route_table.index_of(kid) {
                         roster_idx[idx] = Some(node);
                     }
@@ -453,7 +453,7 @@ impl ReferProtocol {
             .collect();
         for (idx, cell) in self.cells.iter().enumerate() {
             for (kid, &node) in self.plan.actuator_kids.iter().zip(cell.corners.iter()) {
-                self.member_cells.entry(node).or_default().push((idx, kid.clone()));
+                self.member_cells.entry(node).or_default().push((idx, *kid));
             }
         }
         self.tier = Some(DhtTier::build(&layout, &ids, ctx.config().area));
@@ -514,7 +514,7 @@ impl ReferProtocol {
     fn on_stage1_timer(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, arg: u64) {
         let cell = (arg >> 2) as usize;
         let corner = (arg & 3) as usize;
-        let from_kid = self.plan.actuator_kids[corner].clone();
+        let from_kid = self.plan.actuator_kids[corner];
         let stage = self
             .plan
             .stage1
@@ -625,7 +625,7 @@ impl ReferProtocol {
                     EnergyAccount::Construction,
                     ReferMsg::Assignment,
                 );
-                self.assign_kid(cell, kid.clone(), node);
+                self.assign_kid(cell, *kid, node);
                 self.stats.fallback_assignments += 1;
             }
         }
@@ -643,7 +643,7 @@ impl ReferProtocol {
                 .iter()
                 .map(|(kid, &node)| {
                     (
-                        kid.clone(),
+                        *kid,
                         node,
                         ctx.position(node),
                         matches!(ctx.kind(node), NodeKind::Actuator),
@@ -704,7 +704,7 @@ impl ReferProtocol {
             .zip(query.interior_kids.iter().cloned())
             .collect();
         for (node, kid) in &assignments {
-            self.assign_kid(cell, kid.clone(), *node);
+            self.assign_kid(cell, *kid, *node);
         }
         // Assignment chain back along the path: collector -> s2 -> s1.
         let last = assignments.len() - 1;
@@ -861,7 +861,7 @@ impl ReferProtocol {
                 EnergyAccount::Communication,
                 ReferMsg::ReplaceNotice,
             );
-            self.assign_kid(cell, nk.clone(), replacement);
+            self.assign_kid(cell, nk, replacement);
             self.stats.replacements += 1;
             self.stats.heals += 1;
             ctx.record_handover();
@@ -956,7 +956,7 @@ impl ReferProtocol {
             }
             ctx.broadcast(node, self.rcfg.ctrl_bits, EnergyAccount::Communication, ReferMsg::ReplaceNotice);
             self.remove_membership(node, cell, &kid);
-            self.assign_kid(cell, kid.clone(), replacement);
+            self.assign_kid(cell, kid, replacement);
             self.stats.replacements += 1;
             ctx.record_handover();
             if self.timers_started.insert(replacement) {
@@ -1034,7 +1034,7 @@ impl ReferProtocol {
                         .expect("finite")
                 })
                 .expect("three corners");
-            return (dest_cell, self.plan.actuator_kids[nearest].clone());
+            return (dest_cell, self.plan.actuator_kids[nearest]);
         }
         let memberships = self.member_cells.get(&access).expect("access is a member");
         // The access member's cell; actuators belong to several — pick the
@@ -1083,7 +1083,7 @@ impl ReferProtocol {
                         .expect("finite")
                 })
                 .expect("three corners");
-            self.plan.actuator_kids[nearest].clone()
+            self.plan.actuator_kids[nearest]
         };
         (dest_cell, kid)
     }
@@ -1181,24 +1181,21 @@ impl ReferProtocol {
             }
         };
         let roster_idx = &self.cells[frame.dest_cell].roster_idx;
-        let resolved: Vec<(Option<NodeId>, Option<u8>)> = choices
-            .iter()
-            .map(|c| (roster_idx[c.successor as usize], c.forced_digit))
-            .collect();
         // First pass: live and uncongested; second pass: live.
-        let pick = resolved
+        let pick = choices
             .iter()
             .enumerate()
-            .find(|(_, (n, _))| {
-                n.map(|n| n != node && self.usable(ctx, node, n) && !ctx.is_congested(n))
-                    .unwrap_or(false)
+            .find_map(|(idx, c)| {
+                let n = roster_idx[c.successor as usize]?;
+                (n != node && self.usable(ctx, node, n) && !ctx.is_congested(n))
+                    .then_some((idx, n, c.forced_digit))
             })
             .or_else(|| {
-                resolved.iter().enumerate().find(|(_, (n, _))| {
-                    n.map(|n| n != node && self.usable(ctx, node, n)).unwrap_or(false)
+                choices.iter().enumerate().find_map(|(idx, c)| {
+                    let n = roster_idx[c.successor as usize]?;
+                    (n != node && self.usable(ctx, node, n)).then_some((idx, n, c.forced_digit))
                 })
-            })
-            .map(|(idx, (n, forced))| (idx, n.expect("picked choices resolve"), *forced));
+            });
         let Some((idx, next, forced)) = pick else {
             // Last resort, per Section III-C2's lowest-delay rule: if the
             // destination itself is directly reachable, skip the broken
@@ -1237,8 +1234,8 @@ impl ReferProtocol {
             self.stats.drop_no_successor += 1;
             return;
         };
-        let memberships = self.member_cells.get(&node).cloned().unwrap_or_default();
-        let Some((home_cell, _)) = memberships.first().cloned() else {
+        let memberships = self.member_cells.get(&node).map_or(&[][..], Vec::as_slice);
+        let Some(&(home_cell, _)) = memberships.first() else {
             ctx.drop_data_reason(frame.data, DropReason::NoRoute);
             self.stats.drop_no_successor += 1;
             return;
@@ -1309,8 +1306,7 @@ impl ReferProtocol {
             .unwrap_or(ctx.config().traffic.packet_bits);
         if next_owner == node {
             // This actuator also owns the next cell: continue directly.
-            let f = frame.clone();
-            self.forward(ctx, node, f);
+            self.forward(ctx, node, frame);
             return;
         }
         if self.usable(ctx, node, next_owner) {
@@ -1510,7 +1506,7 @@ impl SansIo for ReferProtocol {
                 let frame = DataFrame {
                     data,
                     dest_cell,
-                    dest_kid: dest_kid.clone(),
+                    dest_kid,
                     forced: None,
                     appended: 0,
                     hops: 0,
@@ -1772,11 +1768,11 @@ mod tests {
             ready: false,
         });
         let kid = KautzId::parse("010", 2).expect("valid");
-        p.assign_kid(0, kid.clone(), NodeId(7));
+        p.assign_kid(0, kid, NodeId(7));
         assert!(p.is_member(NodeId(7)));
-        assert_eq!(p.kid_in_cell(NodeId(7), 0), Some(kid.clone()));
+        assert_eq!(p.kid_in_cell(NodeId(7), 0), Some(kid));
         // Reassignment evicts the previous holder.
-        p.assign_kid(0, kid.clone(), NodeId(8));
+        p.assign_kid(0, kid, NodeId(8));
         assert!(!p.is_member(NodeId(7)));
         assert_eq!(p.roster(0).expect("cell").get(&kid), Some(&NodeId(8)));
     }

@@ -271,7 +271,7 @@ mod tests {
     fn routing_to_self_is_an_error() {
         let mut rng = StdRng::seed_from_u64(1);
         let u = id("012", 2);
-        let h = RouteHeader { dest_kid: u.clone(), forced_digit: None };
+        let h = RouteHeader { dest_kid: u, forced_digit: None };
         assert_eq!(route_choices(&u, &h, &mut rng), Err(RoutingError::SameNode));
     }
 
@@ -306,7 +306,7 @@ mod tests {
                     let mut rng_a = StdRng::seed_from_u64(seed);
                     let mut rng_b = StdRng::seed_from_u64(seed);
                     let header =
-                        RouteHeader { dest_kid: vid.clone(), forced_digit: forced };
+                        RouteHeader { dest_kid: vid, forced_digit: forced };
                     let hops = route_choices(&uid, &header, &mut rng_a).expect("routable");
                     let indexed = route_choices_indexed(&table, u, v, forced, &mut rng_b)
                         .expect("routable");
@@ -344,8 +344,7 @@ mod tests {
                 .iter()
                 .find(|h| h.length == 4)
                 .expect("k+1 plans exist")
-                .successor
-                .clone();
+                .successor;
             seen.insert(first_tie);
         }
         assert!(seen.len() > 1, "ties should shuffle: {seen:?}");

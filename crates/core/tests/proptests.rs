@@ -83,7 +83,7 @@ proptest! {
         let v = KautzId::from_index(b % 320, 4, 4);
         prop_assume!(u != v);
         let mut rng = StdRng::seed_from_u64(seed);
-        let header = RouteHeader { dest_kid: v.clone(), forced_digit: None };
+        let header = RouteHeader { dest_kid: v, forced_digit: None };
         let hops = route_choices(&u, &header, &mut rng).expect("valid pair");
         prop_assert_eq!(hops.len(), 4);
         let succ: HashSet<&KautzId> = hops.iter().map(|h| &h.successor).collect();
@@ -98,7 +98,7 @@ proptest! {
         let v = KautzId::from_index(b % 320, 4, 4);
         prop_assume!(u != v);
         let mut rng = StdRng::seed_from_u64(seed);
-        let header = RouteHeader { dest_kid: v.clone(), forced_digit: Some(digit) };
+        let header = RouteHeader { dest_kid: v, forced_digit: Some(digit) };
         let hops = route_choices(&u, &header, &mut rng).expect("valid pair");
         prop_assert!(!hops.is_empty());
         if digit != u.last() {

@@ -8,7 +8,6 @@ use std::fmt;
 
 /// Identifier of a CAN member node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CanId(pub u64);
 
 impl fmt::Display for CanId {

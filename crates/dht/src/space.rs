@@ -4,7 +4,6 @@ use std::fmt;
 
 /// A point in the unit square `[0, 1) x [0, 1)`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Coord {
     /// First coordinate, in `[0, 1)`.
     pub x: f64,
@@ -43,7 +42,6 @@ impl fmt::Display for Coord {
 /// An axis-aligned half-open rectangle `[lo_x, hi_x) x [lo_y, hi_y)` owned
 /// by one CAN node.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Zone {
     /// Inclusive lower x bound.
     pub lo_x: f64,

@@ -24,14 +24,14 @@ pub fn bfs_shortest_path(
 ) -> Option<Vec<KautzId>> {
     assert!(graph.contains(u) && graph.contains(v), "endpoints must be in the graph");
     if u == v {
-        return Some(vec![u.clone()]);
+        return Some(vec![*u]);
     }
     let n = graph.node_count();
     let mut parent: Vec<Option<usize>> = vec![None; n];
     let mut seen = vec![false; n];
     let mut queue = VecDeque::new();
     seen[u.to_index()] = true;
-    queue.push_back(u.clone());
+    queue.push_back(*u);
     while let Some(cur) = queue.pop_front() {
         for next in cur.successors() {
             let idx = next.to_index();
@@ -42,7 +42,7 @@ pub fn bfs_shortest_path(
             parent[idx] = Some(cur.to_index());
             if &next == v {
                 // Reconstruct.
-                let mut path = vec![v.clone()];
+                let mut path = vec![*v];
                 let mut at = v.to_index();
                 while let Some(p) = parent[at] {
                     path.push(KautzId::from_index(p, graph.degree(), graph.diameter()));
@@ -97,7 +97,7 @@ impl RouteGenerator {
             match self.bfs_counting(graph, u, v, &excluded) {
                 Some(path) => {
                     for interior in &path[1..path.len().saturating_sub(1)] {
-                        excluded.insert(interior.clone());
+                        excluded.insert(*interior);
                     }
                     paths.push(path);
                 }
@@ -117,14 +117,14 @@ impl RouteGenerator {
         // Same as `bfs_shortest_path` but metering dequeues so benches can
         // compare the work against the ID-only planner.
         if u == v {
-            return Some(vec![u.clone()]);
+            return Some(vec![*u]);
         }
         let n = graph.node_count();
         let mut parent: Vec<Option<usize>> = vec![None; n];
         let mut seen = vec![false; n];
         let mut queue = VecDeque::new();
         seen[u.to_index()] = true;
-        queue.push_back(u.clone());
+        queue.push_back(*u);
         while let Some(cur) = queue.pop_front() {
             self.vertices_visited += 1;
             for next in cur.successors() {
@@ -135,7 +135,7 @@ impl RouteGenerator {
                 seen[idx] = true;
                 parent[idx] = Some(cur.to_index());
                 if &next == v {
-                    let mut path = vec![v.clone()];
+                    let mut path = vec![*v];
                     let mut at = v.to_index();
                     while let Some(p) = parent[at] {
                         path.push(KautzId::from_index(p, graph.degree(), graph.diameter()));

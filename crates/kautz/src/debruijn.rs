@@ -13,7 +13,6 @@ use std::fmt;
 
 /// A vertex of `B(d, k)`: a length-`k` word over the alphabet `[0, d-1]`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DeBruijnId {
     digits: Vec<u8>,
     base: u8,

@@ -50,7 +50,6 @@ use crate::routing::{check_pair, greedy_next_hop};
 
 /// Which of the `d` disjoint paths a successor begins (Theorem 3.8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PathClass {
     /// Case (2): the unique shortest path of length `k - l`
     /// (out-digit `v_{l+1}`).
@@ -69,7 +68,6 @@ pub enum PathClass {
 /// One of the `d` disjoint `U -> V` paths: its first hop, its class, and
 /// its total length as given by Theorem 3.8.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PathPlan {
     /// `U`'s successor on this path: `u_2 ... u_k alpha`.
     pub successor: KautzId,
@@ -215,7 +213,7 @@ fn interiors_disjoint(a: &[KautzId], b: &[KautzId]) -> bool {
 /// Materializes the walk `U -> successor -> (forced hop?) -> greedy ... -> V`
 /// exactly as REFER's relays execute it on the wire.
 fn walk(u: &KautzId, v: &KautzId, successor: &KautzId, forced_digit: Option<u8>) -> Vec<KautzId> {
-    let mut path = vec![u.clone(), successor.clone()];
+    let mut path = vec![*u, *successor];
     if let Some(digit) = forced_digit {
         if path.last().expect("non-empty") != v {
             let forced = successor
@@ -352,7 +350,7 @@ mod tests {
         let v = id("012", 2);
         let plans = disjoint_paths(&u, &v).expect("routable");
         assert_eq!(plans.len(), 2);
-        let succ: Vec<_> = plans.iter().map(|p| p.successor.clone()).collect();
+        let succ: Vec<_> = plans.iter().map(|p| p.successor).collect();
         for s in u.successors() {
             assert!(succ.contains(&s));
         }

@@ -37,6 +37,14 @@ pub enum KautzIdError {
         /// The offending character.
         ch: char,
     },
+    /// The label is longer than an identifier holds
+    /// ([`KautzId::MAX_K`](crate::KautzId::MAX_K)).
+    TooLong {
+        /// The length asked for.
+        len: usize,
+        /// The longest label supported.
+        max: usize,
+    },
 }
 
 impl fmt::Display for KautzIdError {
@@ -57,6 +65,9 @@ impl fmt::Display for KautzIdError {
             ),
             KautzIdError::InvalidChar { index, ch } => {
                 write!(f, "invalid character {ch:?} at position {index}")
+            }
+            KautzIdError::TooLong { len, max } => {
+                write!(f, "kautz identifier of {len} digits exceeds the supported length {max}")
             }
         }
     }

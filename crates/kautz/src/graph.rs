@@ -19,7 +19,6 @@ use std::collections::HashSet;
 /// assert_eq!(g.edge_count(), 24);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KautzGraph {
     degree: u8,
     diameter: usize,
@@ -27,9 +26,10 @@ pub struct KautzGraph {
 
 impl KautzGraph {
     /// Creates a graph handle, or `None` for degenerate parameters
-    /// (`d == 0` or `k == 0`).
+    /// (`d == 0` or `k == 0`) and for a diameter no [`KautzId`] can label
+    /// (`k >` [`KautzId::MAX_K`]).
     pub fn new(degree: u8, diameter: usize) -> Option<Self> {
-        if degree == 0 || diameter == 0 {
+        if degree == 0 || diameter == 0 || diameter > KautzId::MAX_K {
             return None;
         }
         Some(KautzGraph { degree, diameter })
@@ -100,7 +100,7 @@ impl KautzGraph {
     /// Iterates over every arc `(u, v)` of the digraph.
     pub fn arcs(&self) -> impl Iterator<Item = (KautzId, KautzId)> + '_ {
         self.nodes()
-            .flat_map(|u| u.successors().into_iter().map(move |v| (u.clone(), v)))
+            .flat_map(|u| u.successors().into_iter().map(move |v| (u, v)))
     }
 
     /// Computes a Hamiltonian cycle of this graph: a closed walk visiting
@@ -258,6 +258,8 @@ mod tests {
     fn rejects_degenerate_parameters() {
         assert!(KautzGraph::new(0, 3).is_none());
         assert!(KautzGraph::new(2, 0).is_none());
+        assert!(KautzGraph::new(2, KautzId::MAX_K).is_some());
+        assert!(KautzGraph::new(2, KautzId::MAX_K + 1).is_none());
     }
 
     #[test]
@@ -322,7 +324,7 @@ mod tests {
         let mut seen = HashSet::new();
         for w in circuit.windows(2) {
             assert!(w[0].is_arc_to(&w[1]), "walk follows arcs");
-            assert!(seen.insert((w[0].clone(), w[1].clone())), "arc repeated");
+            assert!(seen.insert((w[0], w[1])), "arc repeated");
         }
         assert_eq!(seen.len(), g.edge_count());
     }

@@ -2,11 +2,15 @@
 //!
 //! A vertex of the Kautz digraph `K(d, k)` is a word `u_1 u_2 ... u_k` over
 //! the alphabet `{0, 1, ..., d}` (that is, `d + 1` letters) in which no two
-//! adjacent letters are equal. [`KautzId`] owns such a word together with its
-//! degree `d` and enforces the invariant at construction.
+//! adjacent letters are equal. [`KautzId`] holds such a word inline — a
+//! fixed-length word by the paper's construction, so a `Copy` value with no
+//! heap part — together with its degree `d`, and enforces the invariant at
+//! construction.
 
 use crate::error::KautzIdError;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
 /// A validated Kautz vertex label `u_1 u_2 ... u_k` over the alphabet
@@ -15,6 +19,10 @@ use std::str::FromStr;
 /// The identifier knows the degree `d` of the graph it belongs to; two
 /// identifiers are comparable / routable only when both their degree and
 /// length agree.
+///
+/// Equality, ordering and hashing are those of the pair
+/// `(digits slice, degree)` — exactly what a `(Vec<u8>, u8)` would give —
+/// so ordered rosters (`BTreeMap<KautzId, _>`) iterate in digit order.
 ///
 /// # Examples
 ///
@@ -28,28 +36,48 @@ use std::str::FromStr;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct KautzId {
-    digits: Vec<u8>,
+    /// `digits[..len]` is the word; the tail stays zero so the derived
+    /// equality is equality of the words.
+    digits: [u8; KautzId::MAX_K],
+    len: u8,
     degree: u8,
 }
 
 impl KautzId {
+    /// The longest label an identifier can hold: `k <= MAX_K`. Covers every
+    /// graph the repository builds (`k = 3` in a cell, 13 in the `K(2, 13)`
+    /// fabric) and keeps the value at 24 bytes.
+    pub const MAX_K: usize = 22;
+
     /// Creates an identifier from raw digits, validating the Kautz
     /// constraints.
     ///
     /// # Errors
     ///
-    /// Returns [`KautzIdError`] if the digit string is empty, the degree is
-    /// zero, any digit exceeds `degree`, or two adjacent digits are equal.
+    /// Returns [`KautzIdError`] if the digit string is empty or longer than
+    /// [`MAX_K`](Self::MAX_K), the degree is zero, any digit exceeds
+    /// `degree`, or two adjacent digits are equal.
     pub fn new(digits: impl Into<Vec<u8>>, degree: u8) -> Result<Self, KautzIdError> {
-        let digits = digits.into();
+        Self::from_slice(&digits.into(), degree)
+    }
+
+    /// [`KautzId::new`] over borrowed digits: no allocation, for callers
+    /// that already hold the word (decoders, tables).
+    ///
+    /// # Errors
+    ///
+    /// As [`KautzId::new`].
+    pub fn from_slice(digits: &[u8], degree: u8) -> Result<Self, KautzIdError> {
         if degree == 0 {
             return Err(KautzIdError::ZeroDegree);
         }
         if digits.is_empty() {
             return Err(KautzIdError::Empty);
+        }
+        if digits.len() > Self::MAX_K {
+            return Err(KautzIdError::TooLong { len: digits.len(), max: Self::MAX_K });
         }
         for (index, &digit) in digits.iter().enumerate() {
             if digit > degree {
@@ -59,7 +87,9 @@ impl KautzId {
                 return Err(KautzIdError::AdjacentEqual { index, digit });
             }
         }
-        Ok(KautzId { digits, degree })
+        let mut word = [0; Self::MAX_K];
+        word[..digits.len()].copy_from_slice(digits);
+        Ok(KautzId { digits: word, len: digits.len() as u8, degree })
     }
 
     /// Parses a decimal digit string such as `"201"` into an identifier of
@@ -67,8 +97,9 @@ impl KautzId {
     ///
     /// # Errors
     ///
-    /// Returns [`KautzIdError`] on non-digit characters or any violation of
-    /// the Kautz constraints.
+    /// Returns [`KautzIdError`] on non-digit characters, more than
+    /// [`MAX_K`](Self::MAX_K) digits, or any violation of the Kautz
+    /// constraints.
     ///
     /// # Examples
     ///
@@ -81,21 +112,15 @@ impl KautzId {
     /// # }
     /// ```
     pub fn parse(s: &str, degree: u8) -> Result<Self, KautzIdError> {
-        let mut digits = Vec::with_capacity(s.len());
-        for (index, ch) in s.chars().enumerate() {
-            let digit = ch
-                .to_digit(10)
-                .ok_or(KautzIdError::InvalidChar { index, ch })? as u8;
-            digits.push(digit);
-        }
-        Self::new(digits, degree)
+        let (word, len) = parse_digits(s)?;
+        Self::from_slice(&word[..len], degree)
     }
 
     /// The label length `k`, i.e. the diameter of the graph this vertex
     /// belongs to.
     #[inline]
     pub fn k(&self) -> usize {
-        self.digits.len()
+        self.len as usize
     }
 
     /// The graph degree `d`; the alphabet is `[0, d]`.
@@ -107,7 +132,7 @@ impl KautzId {
     /// The raw digits `u_1 ... u_k`.
     #[inline]
     pub fn digits(&self) -> &[u8] {
-        &self.digits
+        &self.digits[..self.len as usize]
     }
 
     /// The first digit `u_1`.
@@ -119,14 +144,14 @@ impl KautzId {
     /// The last digit `u_k`.
     #[inline]
     pub fn last(&self) -> u8 {
-        *self.digits.last().expect("KautzId is never empty")
+        self.digits[self.len as usize - 1]
     }
 
     /// Whether `self` and `other` label vertices of the same graph
     /// (equal degree and length).
     #[inline]
     pub fn same_graph(&self, other: &KautzId) -> bool {
-        self.degree == other.degree && self.digits.len() == other.digits.len()
+        self.degree == other.degree && self.len == other.len
     }
 
     /// `L(U, V)`: the length of the longest *proper-or-full* suffix of `self`
@@ -147,9 +172,10 @@ impl KautzId {
     /// # }
     /// ```
     pub fn overlap(&self, other: &KautzId) -> usize {
-        let k = self.digits.len().min(other.digits.len());
+        let (mine, theirs) = (self.digits(), other.digits());
+        let k = mine.len().min(theirs.len());
         for l in (1..=k).rev() {
-            if self.digits[self.digits.len() - l..] == other.digits[..l] {
+            if mine[mine.len() - l..] == theirs[..l] {
                 return l;
             }
         }
@@ -162,7 +188,7 @@ impl KautzId {
     /// Returns `0` when the identifiers are equal.
     pub fn routing_distance(&self, other: &KautzId) -> usize {
         debug_assert!(self.same_graph(other), "distance across different graphs");
-        other.digits.len() - self.overlap(other)
+        other.k() - self.overlap(other)
     }
 
     /// Shift-append: drops `u_1` and appends `digit`, producing the successor
@@ -175,21 +201,25 @@ impl KautzId {
     pub fn shift_append(&self, digit: u8) -> Result<Self, KautzIdError> {
         if digit > self.degree {
             return Err(KautzIdError::DigitOutOfRange {
-                index: self.digits.len(),
+                index: self.k(),
                 digit,
                 degree: self.degree,
             });
         }
         if digit == self.last() {
-            return Err(KautzIdError::AdjacentEqual {
-                index: self.digits.len() - 1,
-                digit,
-            });
+            return Err(KautzIdError::AdjacentEqual { index: self.k() - 1, digit });
         }
-        let mut digits = Vec::with_capacity(self.digits.len());
-        digits.extend_from_slice(&self.digits[1..]);
-        digits.push(digit);
-        Ok(KautzId { digits, degree: self.degree })
+        Ok(self.shifted_left(digit))
+    }
+
+    /// `u_2 ... u_k last`: the word moved one place left with `last`
+    /// entering at the end (unchecked).
+    fn shifted_left(&self, last: u8) -> Self {
+        let k = self.k();
+        let mut out = *self;
+        out.digits.copy_within(1..k, 0);
+        out.digits[k - 1] = last;
+        out
     }
 
     /// All `d` out-neighbors (successors) of this vertex, in increasing
@@ -197,23 +227,21 @@ impl KautzId {
     pub fn successors(&self) -> Vec<KautzId> {
         (0..=self.degree)
             .filter(|&digit| digit != self.last())
-            .map(|digit| {
-                self.shift_append(digit)
-                    .expect("digit validated against alphabet and last digit")
-            })
+            .map(|digit| self.shifted_left(digit))
             .collect()
     }
 
     /// All `d` in-neighbors (predecessors): vertices `beta u_1 ... u_{k-1}`
     /// with `beta != u_1`.
     pub fn predecessors(&self) -> Vec<KautzId> {
+        let k = self.k();
         (0..=self.degree)
             .filter(|&beta| beta != self.first())
             .map(|beta| {
-                let mut digits = Vec::with_capacity(self.digits.len());
-                digits.push(beta);
-                digits.extend_from_slice(&self.digits[..self.digits.len() - 1]);
-                KautzId { digits, degree: self.degree }
+                let mut out = *self;
+                out.digits.copy_within(0..k - 1, 1);
+                out.digits[0] = beta;
+                out
             })
             .collect()
     }
@@ -223,7 +251,7 @@ impl KautzId {
     pub fn is_arc_to(&self, other: &KautzId) -> bool {
         self.same_graph(other)
             && self != other
-            && self.digits[1..] == other.digits[..other.digits.len() - 1]
+            && self.digits()[1..] == other.digits()[..other.k() - 1]
     }
 
     /// Whether the two vertices are connected by an arc in either direction
@@ -244,16 +272,13 @@ impl KautzId {
     /// Returns [`KautzIdError::AdjacentEqual`] when `u_1 == u_k`, in which
     /// case the rotation is not a valid Kautz word.
     pub fn rotate_left(&self) -> Result<Self, KautzIdError> {
-        if self.first() == self.last() && self.digits.len() > 1 {
+        if self.first() == self.last() && self.k() > 1 {
             return Err(KautzIdError::AdjacentEqual {
-                index: self.digits.len() - 1,
+                index: self.k() - 1,
                 digit: self.first(),
             });
         }
-        let mut digits = Vec::with_capacity(self.digits.len());
-        digits.extend_from_slice(&self.digits[1..]);
-        digits.push(self.digits[0]);
-        Ok(KautzId { digits, degree: self.degree })
+        Ok(self.shifted_left(self.first()))
     }
 
     /// A dense index of this vertex in `0..(d+1)*d^(k-1)`, the mixed-radix
@@ -263,7 +288,7 @@ impl KautzId {
     pub fn to_index(&self) -> usize {
         let d = self.degree as usize;
         let mut index = self.digits[0] as usize;
-        for w in self.digits.windows(2) {
+        for w in self.digits().windows(2) {
             let (prev, cur) = (w[0], w[1]);
             // Rank of `cur` among letters != prev, i.e. cur adjusted down by
             // one when it sorts after prev.
@@ -277,32 +302,87 @@ impl KautzId {
     ///
     /// # Panics
     ///
-    /// Panics if `index` is out of range for `K(degree, k)` or `degree == 0`
-    /// or `k == 0`.
+    /// Panics if `index` is out of range for `K(degree, k)`, `degree == 0`,
+    /// `k == 0` or `k >` [`MAX_K`](Self::MAX_K) — graph parameters come
+    /// from the program, not from input; [`KautzGraph::new`] and
+    /// [`RouteTable::new`] refuse such a `k` before any vertex is built.
+    ///
+    /// [`KautzGraph::new`]: crate::KautzGraph::new
+    /// [`RouteTable::new`]: crate::RouteTable::new
     pub fn from_index(mut index: usize, degree: u8, k: usize) -> Self {
         assert!(degree >= 1 && k >= 1, "degenerate Kautz graph");
+        assert!(k <= Self::MAX_K, "{}", KautzIdError::TooLong { len: k, max: Self::MAX_K });
         let d = degree as usize;
-        let count = (d + 1) * d.pow((k - 1) as u32);
-        assert!(index < count, "index {index} out of range for K({degree}, {k})");
-        let mut ranks = Vec::with_capacity(k);
-        for _ in 0..k - 1 {
-            ranks.push(index % d);
+        // A vertex count past `usize` (K(8, 22)) puts every index in range.
+        let count = d.checked_pow((k - 1) as u32).and_then(|p| p.checked_mul(d + 1));
+        assert!(
+            count.is_none_or(|count| index < count),
+            "index {index} out of range for K({degree}, {k})"
+        );
+        // Peel the ranks off last digit first, then turn each rank into the
+        // letter it names among those differing from its predecessor.
+        let mut digits = [0; Self::MAX_K];
+        for slot in digits[1..k].iter_mut().rev() {
+            *slot = (index % d) as u8;
             index /= d;
         }
-        let mut digits = Vec::with_capacity(k);
-        digits.push(index as u8);
-        for rank in ranks.into_iter().rev() {
-            let prev = *digits.last().expect("non-empty");
-            let cur = if (rank as u8) >= prev { rank as u8 + 1 } else { rank as u8 };
-            digits.push(cur);
+        digits[0] = index as u8;
+        for i in 1..k {
+            if digits[i] >= digits[i - 1] {
+                digits[i] += 1;
+            }
         }
-        KautzId { digits, degree }
+        KautzId { digits, len: k as u8, degree }
+    }
+}
+
+// What the hot paths rely on: a KID is a `Copy` value of at most 24 bytes,
+// and the K(2, 13) fabric's labels fit.
+const _: () = {
+    const fn assert_copy<T: Copy>() {}
+    assert_copy::<KautzId>();
+    assert!(std::mem::size_of::<KautzId>() <= 24);
+    assert!(KautzId::MAX_K >= 16);
+};
+
+/// Decimal digits of `s` into an inline word, diagnosing the first
+/// non-digit and a string past [`KautzId::MAX_K`].
+fn parse_digits(s: &str) -> Result<([u8; KautzId::MAX_K], usize), KautzIdError> {
+    let mut word = [0; KautzId::MAX_K];
+    let mut len = 0;
+    for (index, ch) in s.chars().enumerate() {
+        let digit = ch.to_digit(10).ok_or(KautzIdError::InvalidChar { index, ch })? as u8;
+        if index == KautzId::MAX_K {
+            return Err(KautzIdError::TooLong { len: s.chars().count(), max: KautzId::MAX_K });
+        }
+        word[index] = digit;
+        len = index + 1;
+    }
+    Ok((word, len))
+}
+
+impl PartialOrd for KautzId {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for KautzId {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.digits(), self.degree).cmp(&(other.digits(), other.degree))
+    }
+}
+
+impl Hash for KautzId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.digits().hash(state);
+        self.degree.hash(state);
     }
 }
 
 impl fmt::Display for KautzId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for &digit in &self.digits {
+        for &digit in self.digits() {
             write!(f, "{digit}")?;
         }
         Ok(())
@@ -311,13 +391,13 @@ impl fmt::Display for KautzId {
 
 impl fmt::Debug for KautzId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "KautzId({self} /K({}, {}))", self.degree, self.digits.len())
+        write!(f, "KautzId({self} /K({}, {}))", self.degree, self.len)
     }
 }
 
 impl AsRef<[u8]> for KautzId {
     fn as_ref(&self) -> &[u8] {
-        &self.digits
+        self.digits()
     }
 }
 
@@ -330,15 +410,10 @@ impl FromStr for KautzId {
     type Err = KautzIdError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut digits = Vec::with_capacity(s.len());
-        for (index, ch) in s.chars().enumerate() {
-            let digit = ch
-                .to_digit(10)
-                .ok_or(KautzIdError::InvalidChar { index, ch })? as u8;
-            digits.push(digit);
-        }
+        let (word, len) = parse_digits(s)?;
+        let digits = &word[..len];
         let degree = digits.iter().copied().max().unwrap_or(1).max(1);
-        Self::new(digits, degree)
+        Self::from_slice(digits, degree)
     }
 }
 
@@ -370,6 +445,52 @@ mod tests {
     fn new_rejects_empty_and_zero_degree() {
         assert_eq!(KautzId::new(Vec::new(), 2), Err(KautzIdError::Empty));
         assert_eq!(KautzId::new([0, 1], 0), Err(KautzIdError::ZeroDegree));
+    }
+
+    /// A word of `len` alternating digits `0101…`.
+    fn alternating(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i % 2) as u8).collect()
+    }
+
+    #[test]
+    fn labels_past_max_k_are_a_diagnosed_reject() {
+        let longest = alternating(KautzId::MAX_K);
+        let id = KautzId::new(longest.clone(), 2).expect("MAX_K digits fit");
+        assert_eq!(id.digits(), longest);
+        let text: String = longest.iter().map(|d| d.to_string()).collect();
+        assert_eq!(KautzId::parse(&text, 2), Ok(id));
+        assert_eq!(text.parse::<KautzId>().expect("fits").digits(), longest);
+
+        for len in [KautzId::MAX_K + 1, 64, 10_000] {
+            let too_long = KautzIdError::TooLong { len, max: KautzId::MAX_K };
+            let digits = alternating(len);
+            assert_eq!(KautzId::new(digits.clone(), 2), Err(too_long.clone()));
+            assert_eq!(KautzId::from_slice(&digits, 2), Err(too_long.clone()));
+            let text: String = digits.iter().map(|d| d.to_string()).collect();
+            assert_eq!(KautzId::parse(&text, 2), Err(too_long.clone()));
+            assert_eq!(text.parse::<KautzId>(), Err(too_long));
+        }
+        // The first bad character still wins over the length.
+        let text = format!("{}x", "01".repeat(4));
+        assert!(matches!(text.parse::<KautzId>(), Err(KautzIdError::InvalidChar { index: 8, .. })));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the supported length")]
+    fn from_index_refuses_a_diameter_past_max_k() {
+        KautzId::from_index(0, 2, KautzId::MAX_K + 1);
+    }
+
+    #[test]
+    fn from_index_reaches_max_k() {
+        let k = KautzId::MAX_K;
+        let count = 3 * 2usize.pow(k as u32 - 1);
+        for index in [0, 1, count / 2, count - 1] {
+            let id = KautzId::from_index(index, 2, k);
+            assert_eq!(id.k(), k);
+            assert_eq!(id.to_index(), index);
+            assert_eq!(KautzId::new(id.digits(), 2), Ok(id));
+        }
     }
 
     #[test]

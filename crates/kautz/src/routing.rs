@@ -72,11 +72,11 @@ pub fn greedy_next_hop(u: &KautzId, v: &KautzId) -> Result<KautzId, RoutingError
 /// are equal.
 pub fn greedy_path(u: &KautzId, v: &KautzId) -> Result<Vec<KautzId>, RoutingError> {
     check_pair(u, v)?;
-    let mut path = vec![u.clone()];
-    let mut cur = u.clone();
+    let mut path = vec![*u];
+    let mut cur = *u;
     while &cur != v {
         cur = greedy_next_hop(&cur, v)?;
-        path.push(cur.clone());
+        path.push(cur);
         debug_assert!(path.len() <= v.k() + 1, "greedy path cannot exceed diameter");
     }
     Ok(path)
@@ -146,14 +146,14 @@ pub fn regular_next_hop(
 /// are equal.
 pub fn regular_path(u: &KautzId, v: &KautzId) -> Result<Vec<KautzId>, RoutingError> {
     check_pair(u, v)?;
-    let mut path = vec![u.clone()];
-    let mut cur = u.clone();
+    let mut path = vec![*u];
+    let mut cur = *u;
     let mut appended = 0;
     while &cur != v {
         let (hop, next) = regular_next_hop(&cur, v, appended)?;
         cur = hop;
         appended = next;
-        path.push(cur.clone());
+        path.push(cur);
         debug_assert!(
             path.len() <= v.k() + 1,
             "regular path cannot exceed the diameter"

@@ -161,8 +161,9 @@ impl RouteTable {
     ///
     /// # Errors
     ///
-    /// Returns [`KautzIdError::ZeroDegree`] when `degree == 0` and
-    /// [`KautzIdError::Empty`] when `k == 0`. Degrees above [`MAX_DEGREE`]
+    /// Returns [`KautzIdError::ZeroDegree`] when `degree == 0`,
+    /// [`KautzIdError::Empty`] when `k == 0` and [`KautzIdError::TooLong`]
+    /// when `k` exceeds [`KautzId::MAX_K`]. Degrees above [`MAX_DEGREE`]
     /// are rejected as [`KautzIdError::DigitOutOfRange`] — the fixed-size
     /// [`PlanSet`] (and any realistic radio fan-out) stops there.
     pub fn new(degree: u8, k: usize) -> Result<Self, KautzIdError> {
@@ -171,6 +172,9 @@ impl RouteTable {
         }
         if k == 0 {
             return Err(KautzIdError::Empty);
+        }
+        if k > KautzId::MAX_K {
+            return Err(KautzIdError::TooLong { len: k, max: KautzId::MAX_K });
         }
         if degree > MAX_DEGREE {
             return Err(KautzIdError::DigitOutOfRange {
@@ -334,8 +338,8 @@ impl RouteTable {
         (id.degree() == self.degree && id.k() == self.k).then(|| id.to_index())
     }
 
-    /// Materializes the [`KautzId`] of a dense index (allocates; intended
-    /// for boundaries and diagnostics, not the per-packet path).
+    /// Materializes the [`KautzId`] of a dense index (recomputes the digits
+    /// from the index; [`RouteTable::digits_of`] is the table read).
     ///
     /// # Panics
     ///
@@ -566,6 +570,10 @@ mod tests {
         assert_eq!(RouteTable::new(0, 3).unwrap_err(), KautzIdError::ZeroDegree);
         assert_eq!(RouteTable::new(2, 0).unwrap_err(), KautzIdError::Empty);
         assert!(RouteTable::new(MAX_DEGREE + 1, 2).is_err());
+        assert_eq!(
+            RouteTable::new(2, KautzId::MAX_K + 1).unwrap_err(),
+            KautzIdError::TooLong { len: KautzId::MAX_K + 1, max: KautzId::MAX_K }
+        );
     }
 
     #[test]
@@ -635,7 +643,7 @@ mod tests {
                     }
                     let vid = table.id_of(v);
                     let mut cur = u;
-                    let mut cur_id = uid.clone();
+                    let mut cur_id = uid;
                     let mut appended = 0u8;
                     let mut hops = 0usize;
                     while cur != v {

@@ -10,7 +10,51 @@ fn graph_params() -> impl Strategy<Value = (u8, usize)> {
     (2u8..=5, 2usize..=4)
 }
 
+/// Strategy producing a vertex of any `K(d <= 8, k <= MAX_K)`: the index
+/// is drawn wide and folded into the graph's range.
+fn any_vertex() -> impl Strategy<Value = KautzId> {
+    (1u8..=8, 1usize..=KautzId::MAX_K, 0u64..u64::MAX).prop_map(|(d, k, seed)| {
+        let count = (d as u128 + 1) * (d as u128).pow((k - 1) as u32);
+        let count = count.min(usize::MAX as u128) as u64;
+        KautzId::from_index((seed % count) as usize, d, k)
+    })
+}
+
+fn hash_of<T: std::hash::Hash>(value: &T) -> u64 {
+    use std::hash::Hasher;
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    value.hash(&mut hasher);
+    hasher.finish()
+}
+
 proptest! {
+    // Rosters are `BTreeMap<KautzId, _>` and traces follow their iteration
+    // order: the inline word must compare, equal and hash exactly as the
+    // `(Vec<u8>, u8)` pair it replaced — across degrees and lengths too.
+    #[test]
+    fn order_equality_and_hash_are_those_of_digits_then_degree(
+        u in any_vertex(),
+        v in any_vertex(),
+        same in 0u8..4,
+    ) {
+        // A quarter of the pairs are equal words, where ties must hold.
+        let v = if same == 0 { u } else { v };
+        let pair = |id: &KautzId| (id.digits().to_vec(), id.degree());
+        prop_assert_eq!(u.cmp(&v), pair(&u).cmp(&pair(&v)));
+        prop_assert_eq!(u.partial_cmp(&v), pair(&u).partial_cmp(&pair(&v)));
+        prop_assert_eq!(u == v, pair(&u) == pair(&v));
+        prop_assert_eq!(hash_of(&u), hash_of(&pair(&u)));
+        // A prefix sorts before its extension; equal digits order by degree.
+        if u.k() > 1 {
+            let prefix = KautzId::new(&u.digits()[..u.k() - 1], u.degree()).expect("prefix of a word");
+            prop_assert!(prefix < u);
+        }
+        if u.degree() < 8 {
+            let wider = KautzId::new(u.digits(), u.degree() + 1).expect("same word, larger alphabet");
+            prop_assert!(u < wider && u != wider);
+        }
+    }
+
     #[test]
     fn from_index_always_yields_valid_ids((d, k) in graph_params(), seed in 0usize..10_000) {
         let count = (d as usize + 1) * (d as usize).pow((k - 1) as u32);
@@ -92,7 +136,7 @@ proptest! {
         prop_assume!(u != v);
         let plans = disjoint_paths(&u, &v).expect("valid pair");
         prop_assert_eq!(plans.len(), d as usize);
-        let mut succ: Vec<_> = plans.iter().map(|p| p.successor.clone()).collect();
+        let mut succ: Vec<_> = plans.iter().map(|p| p.successor).collect();
         succ.sort();
         let mut expected = u.successors();
         expected.sort();

@@ -32,7 +32,7 @@ const GRAPHS: &[(u8, usize)] = &[(2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (2, 4),
 
 fn ordered_pairs(g: &KautzGraph) -> impl Iterator<Item = (KautzId, KautzId)> + '_ {
     g.nodes().flat_map(move |u| {
-        g.nodes().filter_map(move |v| if u == v { None } else { Some((u.clone(), v.clone())) })
+        g.nodes().filter_map(move |v| if u == v { None } else { Some((u, v)) })
     })
 }
 

@@ -24,7 +24,7 @@ mod wire;
 mod wire_oracle;
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::io::{BufWriter, Write as _};
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
 use std::path::PathBuf;
@@ -193,9 +193,6 @@ struct Daemon {
     trace: BufWriter<Box<dyn std::io::Write + Send>>,
     /// The trace line being written, reused across events.
     line: Vec<u8>,
-    /// Cluster-clock creation time of every packet this process has seen
-    /// (own emissions and wire arrivals), for end-to-end delay accounting.
-    created_us: HashMap<DataId, u64>,
     /// Armed timers for the owned node: `(fire_at_us, tag)`.
     timers: BinaryHeap<Reverse<(u64, u64)>>,
     packet_bits: u32,
@@ -211,6 +208,13 @@ struct Daemon {
 const LOGGED_REJECTS: u64 = 5;
 
 impl Daemon {
+    /// Cluster-clock creation time of a packet this process has seen (own
+    /// emission or wire arrival), for end-to-end delay accounting: the
+    /// engine's packet table already holds it.
+    fn created_us(&self, packet: DataId) -> Option<u64> {
+        self.engine.ctx().packet_meta(packet).map(|meta| meta.created.as_micros())
+    }
+
     fn trace_event(&mut self, ev: &TraceEvent) {
         self.line.clear();
         write_jsonl_line(ev, &mut self.line);
@@ -227,7 +231,7 @@ impl Daemon {
             match out {
                 Output::Send { from, to, size_bits, account, broadcast, payload } => {
                     let created = match &payload {
-                        ReferMsg::Data(f) => self.created_us.get(&f.data).copied().unwrap_or(0),
+                        ReferMsg::Data(f) => self.created_us(f.data).unwrap_or(0),
                         _ => 0,
                     };
                     let msg = Message { from, size_bits, account, broadcast, payload };
@@ -260,7 +264,7 @@ impl Daemon {
                     }
                 }
                 Output::Deliver { packet, node, hops } => {
-                    let created = self.created_us.get(&packet).copied().unwrap_or(now_us);
+                    let created = self.created_us(packet).unwrap_or(now_us);
                     let delay_s = now_us.saturating_sub(created) as f64 / 1e6;
                     self.delivered += 1;
                     self.trace_event(&TraceEvent::Delivered { at, packet, node, delay_s, hops });
@@ -290,18 +294,21 @@ impl Daemon {
         }
         if let ReferMsg::Data(frame) = &msg.payload {
             // First sight of a wire packet: register what its origin knew
-            // so the protocol's data_* queries resolve here too.
+            // so the protocol's data_* queries resolve here too. A later
+            // copy of the same packet keeps the first creation time, so
+            // delays do not shift.
             let data = frame.data;
-            self.created_us.entry(data).or_insert(created_us);
-            self.engine.register_packet(
-                data,
-                PacketMeta {
-                    origin: NodeId((data.0 >> 32) as u32),
-                    size_bits: self.packet_bits,
-                    dest: None,
-                    created: SimTime::from_micros(created_us),
-                },
-            );
+            if self.created_us(data).is_none() {
+                self.engine.register_packet(
+                    data,
+                    PacketMeta {
+                        origin: NodeId((data.0 >> 32) as u32),
+                        size_bits: self.packet_bits,
+                        dest: None,
+                        created: SimTime::from_micros(created_us),
+                    },
+                );
+            }
         }
         let at = SimTime::from_micros(now_us);
         let outputs: Vec<_> = self.engine.handle(Input::Frame { at, to: self.me, msg }).collect();
@@ -311,7 +318,6 @@ impl Daemon {
     /// Emits one application packet from the owned sensor.
     fn emit(&mut self, now_us: u64, packet: DataId) {
         let at = SimTime::from_micros(now_us);
-        self.created_us.insert(packet, now_us);
         self.trace_event(&TraceEvent::PacketOrigin { at, packet, origin: self.me, measured: true });
         let input = Input::AppData {
             at,
@@ -427,7 +433,6 @@ fn cmd_run(args: impl Iterator<Item = String>) -> ExitCode {
         me,
         trace: BufWriter::new(trace),
         line: Vec::new(),
-        created_us: HashMap::new(),
         timers: BinaryHeap::new(),
         packet_bits,
         sent: 0,
@@ -813,6 +818,54 @@ mod tests {
         assert!(s.peer_addrs(65535).is_err());
         let huge = Scenario { sensors: 70_000, ..Scenario::default() };
         assert!(huge.peer_addrs(0).is_err(), "more nodes than ports");
+    }
+
+    /// A `Data` datagram whose `dest_kid` is longer than a KID holds is a
+    /// counted reject at the first digit past `KautzId::MAX_K` — it used to
+    /// build a heap id as long as the sender liked and hand it to routing.
+    #[test]
+    fn hostile_length_kids_are_counted_rejects() {
+        let scenario = Scenario::default();
+        let cfg = scenario.config();
+        let mut proto = ReferProtocol::new(ReferConfig::default());
+        let ctx = runner::construct(cfg.clone(), &mut proto, cfg.warmup);
+        let me = NodeId(3);
+        let mut daemon = Daemon {
+            engine: EngineCore::new(proto, WorldView::from_sim(&ctx)),
+            socket: UdpSocket::bind("127.0.0.1:0").expect("bind"),
+            peers: Vec::new(),
+            me,
+            trace: BufWriter::new(Box::new(std::io::sink())),
+            line: Vec::new(),
+            timers: BinaryHeap::new(),
+            packet_bits: cfg.traffic.packet_bits,
+            sent: 0,
+            delivered: 0,
+            rejects: 0,
+        };
+        let datagram = |digits: usize, created_us: u64| {
+            let kid: Vec<String> = (0..digits).map(|i| (i % 2).to_string()).collect();
+            let json = format!(
+                r#"{{"to":3,"created_us":{created_us},"from":7,"size_bits":1024,"account":"communication","broadcast":false,"payload":{{"Data":{{"data":1,"dest_cell":0,"dest_kid":{{"digits":[{}],"degree":2}},"appended":0,"hops":0}}}}}}"#,
+                kid.join(",")
+            );
+            refer_obs::encode_frame(json.as_bytes())
+        };
+        for (n, digits) in [kautz::KautzId::MAX_K + 1, 64, 10_000].into_iter().enumerate() {
+            let bytes = datagram(digits, 1);
+            let err = wire::decode_datagram(&bytes).expect_err("too long");
+            assert!(err.to_string().contains("KID longer than"), "{err}");
+            daemon.on_datagram(1, &bytes);
+            assert_eq!(daemon.rejects, n as u64 + 1);
+        }
+        // The longest KID that fits decodes and reaches the protocol.
+        assert!(wire::decode_datagram(&datagram(kautz::KautzId::MAX_K, 1)).is_ok());
+        daemon.on_datagram(2, &datagram(kautz::KautzId::MAX_K, 1));
+        assert_eq!(daemon.rejects, 3);
+        assert_eq!(daemon.created_us(DataId(1)), Some(1));
+        // A later copy of the packet does not move its creation time.
+        daemon.on_datagram(3, &datagram(3, 99));
+        assert_eq!(daemon.created_us(DataId(1)), Some(1));
     }
 
     /// The launcher must satisfy the cluster's floor: at least 12 real

@@ -179,13 +179,25 @@ fn read_kid(r: &mut Reader) -> Result<KautzId, Error> {
     while let Some(key) = r.next_key()? {
         match &*key {
             "digits" if digits.is_none() => {
-                digits = Some(read_seq(r, |r| read_u8(r, "KID digit"))?);
+                // Into a fixed word: a hostile length is refused at the
+                // first digit a KID cannot hold, with nothing allocated.
+                let (mut word, mut len) = ([0; KautzId::MAX_K], 0);
+                r.begin_array()?;
+                while r.next_element()? {
+                    let digit = read_u8(r, "KID digit")?;
+                    *word.get_mut(len).ok_or_else(|| {
+                        Error::msg(format!("KID longer than {} digits", KautzId::MAX_K))
+                    })? = digit;
+                    len += 1;
+                }
+                digits = Some((word, len));
             }
             "degree" if degree.is_none() => degree = Some(read_u8(r, "field \"degree\"")?),
             _ => r.skip_value()?,
         }
     }
-    KautzId::new(need(digits, "digits")?, need(degree, "degree")?)
+    let (word, len) = need(digits, "digits")?;
+    KautzId::from_slice(&word[..len], need(degree, "degree")?)
         .map_err(|e| Error::msg(format!("invalid KID on the wire: {e}")))
 }
 

@@ -600,6 +600,25 @@ fn decoder_keeps_every_rejection_of_the_tree_decoder() {
     ] {
         rejected(&envelope(payload));
     }
+    // A KID longer than an identifier holds, in both places one travels
+    // (at exactly `MAX_K` digits it still decodes).
+    let kid_of = |len: usize| {
+        let digits: Vec<String> = (0..len).map(|i| (i % 2).to_string()).collect();
+        format!(r#"{{"digits":[{}],"degree":2}}"#, digits.join(","))
+    };
+    let data_to = |kid: &str| {
+        envelope(&format!(
+            r#"{{"Data":{{"data":1,"dest_cell":2,"dest_kid":{kid},"appended":0,"hops":0}}}}"#
+        ))
+    };
+    assert!(agree_json(&data_to(&kid_of(KautzId::MAX_K))));
+    for len in [KautzId::MAX_K + 1, 64, 10_000] {
+        rejected(&data_to(&kid_of(len)));
+        rejected(&envelope(&format!(
+            r#"{{"PathAssign":{{"assignments":[[4,{}]],"hop":0}}}}"#,
+            kid_of(len)
+        )));
+    }
     // The document: not an object, empty, torn, bad syntax in a part no
     // field lookup would ever visit, trailing data inside the frame.
     for json in [

@@ -232,6 +232,12 @@ impl<P: Clone + Debug> IoCtx<P> {
         self.data.insert(id, meta);
     }
 
+    /// What was registered for `id`, if anything — the driver's one
+    /// per-packet table, so a shell needs none of its own.
+    pub fn packet_meta(&self, id: DataId) -> Option<&PacketMeta> {
+        self.data.get(&id)
+    }
+
     /// Advances the driver clock (monotonic: earlier timestamps are
     /// clamped to `now`).
     pub fn advance_to(&mut self, at: SimTime) {

@@ -8,7 +8,6 @@ use crate::traffic::TrafficPattern;
 
 /// How actuators are positioned in the area.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ActuatorPlacement {
     /// The paper's 5-actuator scenario: four actuators at the quarter
     /// points plus one at the center, forming 4 triangular cells.
@@ -21,7 +20,6 @@ pub enum ActuatorPlacement {
 
 /// How sensors are scattered over the area.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SensorPlacement {
     /// I.i.d. uniform over the whole area.
     UniformArea,
@@ -39,7 +37,6 @@ pub enum SensorPlacement {
 /// (Section IV: "Every 10 seconds, we randomly chose 5 source nodes, which
 /// transmit data to their nearby actuators at the rate of 1 Mbps").
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TrafficConfig {
     /// Interval between source re-selection rounds.
     pub round_interval: SimDuration,
@@ -76,7 +73,6 @@ impl Default for TrafficConfig {
 /// randomly selects a destination point and moves to that point with a
 /// speed randomly selected from [0, max]").
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MobilityConfig {
     /// Minimum node speed, m/s.
     pub min_speed: f64,
@@ -101,7 +97,6 @@ impl Default for MobilityConfig {
 
 /// How protocols learn about node failures.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FaultModel {
     /// Protocols may consult the global fault oracle
     /// ([`Ctx::is_faulty`](crate::Ctx::is_faulty) /
@@ -135,7 +130,6 @@ pub enum FaultModel {
 /// probabilities are per-decision and drawn from the acting node's
 /// simulator RNG stream.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ByzantineConfig {
     /// Fraction of sensors compromised at t=0, in `[0, 1]`. The set is
     /// drawn once from the master RNG after placement and stays fixed for
@@ -172,7 +166,6 @@ impl Default for ByzantineConfig {
 /// Fault injection: every `rotation`, the previous faulty set recovers and
 /// `count` random sensors break down (Section IV-B).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultConfig {
     /// Number of simultaneously faulty sensors.
     pub count: usize,
@@ -202,7 +195,6 @@ impl Default for FaultConfig {
 
 /// How link success depends on distance.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LinkModel {
     /// Classic unit disk: frames within the range always arrive, frames
     /// beyond it never do (the paper's model).
@@ -281,7 +273,6 @@ impl LinkModel {
 /// REFER's intra-cell forwarding, the Kautz overlay baseline, the fabric
 /// used by the heavy-traffic workloads — switches together.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RoutingStrategy {
     /// The paper's greedy shortest protocol (Section III-C1) with the
     /// Theorem 3.8 disjoint-path planner around failures. Minimizes hops,
@@ -307,7 +298,6 @@ pub enum RoutingStrategy {
 /// (its own serial reference), not against [`Engine::Serial`] bit-for-bit.
 /// See `shard` module docs for the full determinism argument.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Engine {
     /// The single-threaded discrete-event loop ([`runner::run`]
     /// (crate::runner::run)): one global event heap, one master RNG.
@@ -324,7 +314,6 @@ pub enum Engine {
 /// everywhere, and every automatic choice depends only on the topology —
 /// never on the host — so results are reproducible across machines.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ShardedConfig {
     /// Number of logical shards (rectangular tiles of grid cells). The
     /// event semantics depend on this value; 0 picks a topology-derived
@@ -343,7 +332,6 @@ pub struct ShardedConfig {
 
 /// How sensors move between mobility ticks.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MobilityModel {
     /// Random waypoint without pause (the paper's model): pick a uniform
     /// destination, walk to it at a uniform speed, repeat.
@@ -362,7 +350,6 @@ pub enum MobilityModel {
 /// contention jitter. Transmissions queue behind the sender's (and the
 /// receiver's) earlier traffic, which is what congests hot relays.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RadioConfig {
     /// Channel bitrate, bits/second (802.11b default: 11 Mb/s).
     pub bitrate_bps: f64,
@@ -420,7 +407,6 @@ impl Default for RadioConfig {
 /// Complete scenario description. `SimConfig::paper()` reproduces the
 /// evaluation defaults; `SimConfig::smoke()` is a fast variant for tests.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimConfig {
     /// Deployment area.
     pub area: Area,

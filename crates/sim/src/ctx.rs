@@ -105,6 +105,86 @@ pub(crate) struct PendingAck<P> {
     pub(crate) attempt: u32,
 }
 
+/// The records of the application packets a context originated, by
+/// [`DataId`].
+///
+/// The id's own bits pick the container — no engine flag. An id whose
+/// high 32 bits are zero (the serial engine mints 0, 1, 2, …) indexes a
+/// `Vec`: one push per packet and one indexed read per lookup, where a
+/// hash table spent its time on memory traffic. An id that carries its
+/// origin in the high word (`origin << 32 | n`, the sharded engine's
+/// scheme) stays in a map: one `Vec` lane per origin costs more
+/// allocations than the map does (DESIGN.md §14).
+///
+/// Debug builds carry a shadow `HashMap` and check every lookup against
+/// it, like the timing wheel's shadow heap, so each debug-profile
+/// simulation is a store ≡ map proof; release builds compile it out.
+#[derive(Debug, Default)]
+pub(crate) struct PacketStore {
+    dense: Vec<Option<DataRecord>>,
+    tagged: HashMap<DataId, DataRecord>,
+    #[cfg(debug_assertions)]
+    shadow: HashMap<DataId, DataRecord>,
+}
+
+impl PacketStore {
+    /// The `dense` slot of `id`, or `None` for an origin-tagged id.
+    #[inline]
+    fn slot(id: DataId) -> Option<usize> {
+        (id.0 >> 32 == 0).then_some(id.0 as usize)
+    }
+
+    pub(crate) fn insert(&mut self, id: DataId, record: DataRecord) {
+        #[cfg(debug_assertions)]
+        self.shadow.insert(id, DataRecord { delivered: None, ..record.clone() });
+        match Self::slot(id) {
+            Some(slot) if slot < self.dense.len() => self.dense[slot] = Some(record),
+            Some(slot) => {
+                // Ids are minted in sequence, so this is a plain push.
+                self.dense.resize_with(slot, || None);
+                self.dense.push(Some(record));
+            }
+            None => {
+                self.tagged.insert(id, record);
+            }
+        }
+    }
+
+    #[inline]
+    pub(crate) fn get(&self, id: DataId) -> Option<&DataRecord> {
+        let found = match Self::slot(id) {
+            Some(slot) => self.dense.get(slot).and_then(Option::as_ref),
+            None => self.tagged.get(&id),
+        };
+        #[cfg(debug_assertions)]
+        self.check_shadow(id, found);
+        found
+    }
+
+    #[inline]
+    pub(crate) fn get_mut(&mut self, id: DataId) -> Option<&mut DataRecord> {
+        #[cfg(debug_assertions)]
+        let _ = self.get(id); // the shadow check
+        match Self::slot(id) {
+            Some(slot) => self.dense.get_mut(slot).and_then(Option::as_mut),
+            None => self.tagged.get_mut(&id),
+        }
+    }
+
+    /// The shadow keeps every record as inserted; `delivered` is the one
+    /// field [`PacketStore::get_mut`] is handed out to write, so the
+    /// comparison leaves it out.
+    #[cfg(debug_assertions)]
+    fn check_shadow(&self, id: DataId, found: Option<&DataRecord>) {
+        let as_inserted = found.map(|r| DataRecord { delivered: None, ..r.clone() });
+        assert_eq!(
+            as_inserted.as_ref(),
+            self.shadow.get(&id),
+            "packet store and its shadow map disagree on {id}"
+        );
+    }
+}
+
 /// World state and protocol-facing API.
 ///
 /// A `Ctx` is handed to every [`Protocol`](crate::Protocol) hook. It owns
@@ -120,7 +200,7 @@ pub struct Ctx<P> {
     pub(crate) seq: u64,
     pub(crate) rng: StdRng,
     pub(crate) metrics: Metrics,
-    pub(crate) data: HashMap<DataId, DataRecord>,
+    pub(crate) data: PacketStore,
     pub(crate) next_data_id: u64,
     pub(crate) pending_acks: AckTable<P>,
     /// Fault-oracle consultations made through the public API. A `Cell` so
@@ -754,10 +834,7 @@ impl<P> Ctx<P> {
     pub fn deliver_data_with_hops(&mut self, data: DataId, at: NodeId, hops: u32) {
         debug_assert!(
             matches!(self.nodes[at.index()].kind, NodeKind::Actuator)
-                || self
-                    .data
-                    .get(&data)
-                    .is_none_or(|record| record.dest == Some(at)),
+                || self.data.get(data).is_none_or(|record| record.dest == Some(at)),
             "data must be delivered to an actuator or its matrix-assigned sensor"
         );
         let now = self.now;
@@ -782,7 +859,7 @@ impl<P> Ctx<P> {
     /// direct serial path and the sharded engine's claim dispatch.
     pub(crate) fn apply_delivery_claim(&mut self, data: DataId, node: NodeId, hops: u32, at: SimTime) {
         let qos = self.cfg.qos_deadline;
-        let Some(record) = self.data.get_mut(&data) else {
+        let Some(record) = self.data.get_mut(data) else {
             return;
         };
         if record.delivered.is_some() {
@@ -837,7 +914,7 @@ impl<P> Ctx<P> {
     /// at the (possibly past) time `at`. Counterpart of
     /// [`Ctx::apply_delivery_claim`].
     pub(crate) fn apply_drop_claim(&mut self, data: DataId, reason: DropReason, at: SimTime) {
-        if let Some(record) = self.data.get(&data) {
+        if let Some(record) = self.data.get(data) {
             if record.delivered.is_none() {
                 if record.measured {
                     self.metrics.dropped_packets += 1;
@@ -993,12 +1070,12 @@ impl<P> Ctx<P> {
 
     /// The origin node of an application packet.
     pub fn data_origin(&self, data: DataId) -> Option<NodeId> {
-        self.data.get(&data).map(|r| r.origin)
+        self.data.get(data).map(|r| r.origin)
     }
 
     /// The application payload size of a packet, bits.
     pub fn data_size_bits(&self, data: DataId) -> Option<u32> {
-        self.data.get(&data).map(|r| r.size_bits)
+        self.data.get(data).map(|r| r.size_bits)
     }
 
     /// The destination sensor a traffic matrix assigned to `data`: `None`
@@ -1007,7 +1084,7 @@ impl<P> Ctx<P> {
     /// `on_app_data`, where the origin's record is local, and carry it in
     /// their frames from there.
     pub fn data_dest(&self, data: DataId) -> Option<NodeId> {
-        self.data.get(&data).and_then(|r| r.dest)
+        self.data.get(data).and_then(|r| r.dest)
     }
 
     // ----- internals ----------------------------------------------------
@@ -1171,5 +1248,138 @@ impl<P> Ctx<P> {
             self.metrics.energy.charge_rx(&model, account);
         }
         self.deplete_check(node);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn record(origin: u32) -> DataRecord {
+        DataRecord {
+            origin: NodeId(origin),
+            created: SimTime::from_micros(u64::from(origin)),
+            size_bits: 8_000,
+            delivered: None,
+            measured: true,
+            dest: None,
+        }
+    }
+
+    /// An id as the sharded engine mints it.
+    fn tagged(origin: u32, n: u32) -> DataId {
+        DataId(u64::from(origin) << 32 | u64::from(n))
+    }
+
+    #[test]
+    fn unknown_ids_resolve_to_none() {
+        let mut store = PacketStore::default();
+        assert_eq!(store.get(DataId(0)), None);
+        assert_eq!(store.get(tagged(3, 0)), None);
+        store.insert(DataId(1), record(1));
+        store.insert(tagged(3, 1), record(3));
+        // Below, between and past what was inserted, in both layouts.
+        for id in [DataId(0), DataId(2), DataId(u64::from(u32::MAX)), tagged(3, 0), tagged(4, 1)] {
+            assert_eq!(store.get(id), None, "{id}");
+            assert_eq!(store.get_mut(id), None, "{id}");
+        }
+        assert_eq!(store.get(DataId(1)), Some(&record(1)));
+    }
+
+    #[test]
+    fn an_origin_tagged_id_round_trips_beside_serial_ids() {
+        let mut store = PacketStore::default();
+        store.insert(DataId(0), record(0));
+        store.insert(DataId(1 << 32), record(1)); // origin 1, n 0: low word collides with id 0
+        store.insert(DataId(u64::MAX), record(2));
+        assert_eq!(store.get(DataId(0)), Some(&record(0)));
+        assert_eq!(store.get(DataId(1 << 32)), Some(&record(1)));
+        assert_eq!(store.get(DataId(u64::MAX)), Some(&record(2)));
+        store.get_mut(DataId(1 << 32)).expect("present").delivered = Some(SimTime::from_secs(9));
+        assert_eq!(store.get(DataId(0)).expect("present").delivered, None);
+        assert_eq!(store.dense.len(), 1, "tagged ids never size the dense lane");
+    }
+
+    #[test]
+    fn second_delivery_of_one_packet_is_ignored() {
+        let mut ctx = crate::runner::build_ctx::<()>(SimConfig::smoke());
+        let actuator = ctx.actuator_ids()[0];
+        ctx.now = SimTime::from_secs(1);
+        for id in [DataId(0), tagged(5, 0)] {
+            ctx.data.insert(id, record(5));
+            ctx.deliver_data(id, actuator);
+            let first = ctx.data.get(id).expect("present").delivered;
+            ctx.now += SimDuration::from_millis(5);
+            ctx.deliver_data(id, actuator);
+            assert_eq!(ctx.data.get(id).expect("present").delivered, first);
+        }
+        assert_eq!(ctx.metrics.delivered_packets, 2);
+    }
+
+    #[test]
+    fn dropping_an_unknown_packet_is_a_no_op() {
+        let mut ctx = crate::runner::build_ctx::<()>(SimConfig::smoke());
+        ctx.enable_trace(16);
+        for id in [DataId(0), DataId(999), tagged(7, 1)] {
+            ctx.drop_data(id);
+            ctx.deliver_data(id, ctx.actuator_ids()[0]);
+        }
+        assert_eq!(ctx.metrics.dropped_packets, 0);
+        assert_eq!(ctx.metrics.delivered_packets, 0);
+        assert!(ctx.take_trace().is_empty());
+        assert!(ctx.data.dense.is_empty() && ctx.data.tagged.is_empty());
+    }
+
+    /// The shadow map must notice a store that resolves an id differently
+    /// from a map (here: a record lost from the dense lane).
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "packet store and its shadow map disagree")]
+    fn shadow_catches_a_planted_disagreement() {
+        let mut store = PacketStore::default();
+        store.insert(DataId(0), record(0));
+        store.dense[0] = None;
+        store.get(DataId(0));
+    }
+
+    // One random script of inserts, reads and writes over both id layouts,
+    // against a plain map (explicitly, so it also holds in release test
+    // builds, where the shadow is compiled out).
+    proptest! {
+        #[test]
+        fn store_matches_a_hash_map(
+            script in prop::collection::vec((0u8..4, 0u32..3, 0u32..48, 0u32..1_000), 0..200)
+        ) {
+            let mut store = PacketStore::default();
+            let mut map = HashMap::new();
+            for (op, origin, n, stamp) in script {
+                // Origin 0 is the serial layout; 1 and 2 are origin-tagged.
+                let id = tagged(origin, n);
+                match op {
+                    0 | 1 => {
+                        store.insert(id, record(stamp));
+                        map.insert(id, record(stamp));
+                    }
+                    2 => prop_assert_eq!(store.get(id), map.get(&id)),
+                    _ => {
+                        let at = Some(SimTime::from_micros(u64::from(stamp)));
+                        if let Some(r) = map.get_mut(&id) {
+                            r.delivered = at;
+                        }
+                        if let Some(r) = store.get_mut(id) {
+                            r.delivered = at;
+                        }
+                        prop_assert_eq!(store.get(id), map.get(&id));
+                    }
+                }
+            }
+            for origin in 0..3 {
+                for n in 0..48 {
+                    let id = tagged(origin, n);
+                    prop_assert_eq!(store.get(id), map.get(&id));
+                }
+            }
+        }
     }
 }

@@ -10,7 +10,6 @@ use std::fmt;
 
 /// Which ledger a message's energy is billed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum EnergyAccount {
     /// Initial overlay/topology construction (Figure 10): ID assignment,
     /// tree building, clustering, overlay path setup.
@@ -22,7 +21,6 @@ pub enum EnergyAccount {
 
 /// Per-packet energy prices, in Joules.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnergyModel {
     /// Joules charged to the sender per transmitted packet (paper: 2).
     pub tx_joules: f64,
@@ -43,7 +41,6 @@ impl Default for EnergyModel {
 
 /// Accumulated energy per account and radio mode.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnergyLedger {
     /// Transmit energy billed to construction, J.
     pub construction_tx: f64,

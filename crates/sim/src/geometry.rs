@@ -4,7 +4,6 @@ use std::fmt;
 
 /// A position in the deployment area, in meters.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point {
     /// Horizontal coordinate, meters.
     pub x: f64,
@@ -48,7 +47,6 @@ impl fmt::Display for Point {
 
 /// The rectangular deployment area `[0, width] x [0, height]`, in meters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Area {
     /// Width of the area, meters.
     pub width: f64,

@@ -56,7 +56,6 @@ where
 
 /// Aggregated metrics over a set of independent runs.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AggregateSummary {
     /// QoS throughput, bytes/second.
     pub throughput_bps: CiStat,

@@ -11,7 +11,6 @@ use std::fmt;
 /// compute end-to-end delay at delivery regardless of how many overlay or
 /// physical hops the packet took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DataId(pub u64);
 
 impl fmt::Display for DataId {
@@ -39,7 +38,7 @@ pub struct Message<P> {
 }
 
 /// Record of one application packet's lifecycle, kept by the simulator.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataRecord {
     /// The node that sensed/originated the packet.
     pub origin: NodeId,

@@ -9,7 +9,6 @@ use crate::time::SimDuration;
 /// drop counters exported in [`RunSummary`]; protocols with richer internal
 /// stats map their reasons onto these buckets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DropReason {
     /// No access member / first hop toward an actuator was available.
     NoAccess,
@@ -106,7 +105,6 @@ pub struct Metrics {
 
 /// The per-run summary the figure harness consumes.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunSummary {
     /// QoS throughput, bytes per second of measured time (Figures 4, 7).
     pub throughput_bps: f64,

@@ -6,7 +6,6 @@ use std::fmt;
 /// Identifier of a simulated node; dense indices into the simulator's node
 /// table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -26,7 +25,6 @@ impl fmt::Display for NodeId {
 /// The device class of a node (Section I: sensors are low-power,
 /// short-range; actuators are resource-rich with longer range).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum NodeKind {
     /// A low-power sensing device (default range 100 m, mobile).
     Sensor,

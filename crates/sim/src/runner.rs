@@ -11,7 +11,6 @@ use crate::protocol::Protocol;
 use crate::time::SimTime;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// Runs one simulation of `protocol` under `cfg` and returns the summary.
 ///
@@ -303,7 +302,7 @@ pub(crate) fn build_ctx<Pl>(cfg: SimConfig) -> Ctx<Pl> {
         seq: 0,
         rng,
         metrics: crate::metrics::Metrics::default(),
-        data: HashMap::new(),
+        data: crate::ctx::PacketStore::default(),
         next_data_id: 0,
         pending_acks: crate::acks::AckTable::serial(),
         oracle_queries: std::cell::Cell::new(0),

@@ -342,7 +342,7 @@ where
                 seq: 0,
                 rng: StdRng::seed_from_u64(seed),
                 metrics: crate::metrics::Metrics::default(),
-                data: std::collections::HashMap::new(),
+                data: crate::ctx::PacketStore::default(),
                 next_data_id: 0,
                 pending_acks: crate::acks::AckTable::sharded(),
                 oracle_queries: std::cell::Cell::new(0),

@@ -4,7 +4,6 @@
 
 /// A mean with its symmetric 95% confidence half-width.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CiStat {
     /// Sample mean.
     pub mean: f64,

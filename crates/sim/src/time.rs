@@ -8,12 +8,10 @@ use std::ops::{Add, AddAssign, Sub};
 /// A point in simulated time, measured in microseconds from the start of
 /// the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimTime(u64);
 
 /// A span of simulated time, measured in microseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimDuration(u64);
 
 impl SimTime {

@@ -22,7 +22,6 @@ use crate::node::NodeId;
 /// explicit destination *sensor* recorded in
 /// [`DataRecord::dest`](crate::message::DataRecord).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TrafficPattern {
     /// The paper's trickle: `sources_per_round` random sensors, protocol
     /// picks the destination (Section IV defaults).
