@@ -294,7 +294,7 @@ pub enum RoutingStrategy {
 /// engines define *different* (each internally deterministic) random
 /// streams — the serial loop draws every choice from one master RNG in
 /// global event order, which no parallel execution can reproduce — so a
-/// sharded run is compared against the sharded engine at 1 worker thread
+/// sharded run is compared against the sharded engine at `threads: 1`
 /// (its own serial reference), not against [`Engine::Serial`] bit-for-bit.
 /// See `shard` module docs for the full determinism argument.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -305,8 +305,9 @@ pub enum Engine {
     Serial,
     /// The sharded windowed engine ([`shard::run_sharded`]
     /// (crate::shard::run_sharded)): grid-cell shards stepped in
-    /// conservative time windows on worker threads. Output is a pure
-    /// function of the config — independent of `threads`.
+    /// conservative time windows by `threads` threads, the caller among
+    /// them. Output is a pure function of the config — independent of
+    /// `threads`.
     Sharded(ShardedConfig),
 }
 
@@ -319,9 +320,11 @@ pub struct ShardedConfig {
     /// event semantics depend on this value; 0 picks a topology-derived
     /// default. Capped at the number of grid cells.
     pub shards: usize,
-    /// Worker threads executing the shards. Purely an execution detail:
-    /// any value produces byte-identical traces and summaries. 0 uses
-    /// the host's available parallelism (capped at the shard count).
+    /// Threads that run shards, the caller included: 1 runs the whole
+    /// engine on the caller and spawns nothing, `n` adds `n − 1` workers.
+    /// Purely an execution detail: any value produces byte-identical
+    /// traces and summaries. 0 uses the host's available parallelism;
+    /// every value is capped at the shard count.
     pub threads: usize,
     /// Synchronization window length, microseconds. Must not exceed the
     /// minimum cross-node event latency (`radio.mac_overhead`) or the

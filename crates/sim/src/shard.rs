@@ -1,5 +1,5 @@
 //! The sharded event-loop engine: grid-cell shards stepped in conservative
-//! time windows on worker threads.
+//! time windows by a team of threads, the caller among them.
 //!
 //! # Architecture
 //!
@@ -14,10 +14,10 @@
 //!
 //! Execution proceeds in **windows** of at most `W = radio.mac_overhead`
 //! microseconds. Within a window every shard processes its own heap
-//! independently on a worker thread; events destined for another shard's
-//! nodes accumulate in per-destination outboxes and are exchanged at the
-//! window edge. This is conservative (Chandy–Misra-style) synchronization
-//! with `W` as the lookahead:
+//! independently, on whichever thread holds its stripe; events destined
+//! for another shard's nodes accumulate in per-destination outboxes and
+//! are exchanged at the window edge. This is conservative
+//! (Chandy–Misra-style) synchronization with `W` as the lookahead:
 //!
 //! * every cross-node event the simulator schedules — a frame delivery
 //!   (`service ≥ mac_overhead`), a link-layer ACK (`mac_overhead +
@@ -26,7 +26,7 @@
 //!   after `t1`: no shard can ever receive an event for a time it has
 //!   already simulated past;
 //! * central drivers (traffic rounds, fault rotation, mobility) run on the
-//!   coordinator **between** windows, and windows never straddle them.
+//!   caller **between** windows, and windows never straddle them.
 //!
 //! The one deliberate exception is *claims*: when a shard delivers (or
 //! drops) a packet whose origin lives elsewhere, the bookkeeping against
@@ -37,10 +37,35 @@
 //! order within a timestamp) and never spawn further events, so the
 //! lookahead argument is unaffected.
 //!
+//! # Threads
+//!
+//! [`ShardedConfig::threads`] counts the threads that run shards, **the
+//! caller included**: thread `t` of `T` runs stripe `t` — shards `t`,
+//! `t + T`, … — of every window's run phase and flush phase, and the
+//! caller is thread 0. Between windows the caller alone is the
+//! coordinator (window selection, central drivers, the trace merge into
+//! the user's sinks) while the `T − 1` spawned workers sit at the top
+//! barrier. At `threads: 1` nothing is spawned, the barrier has arity one
+//! and the whole engine runs on the caller; it is the same loop, not a
+//! special case.
+//!
+//! A panic has two ways out, and neither may leave a thread waiting at a
+//! barrier the others will never reach. One raised inside a phase — a
+//! protocol hook, on any thread, the caller's stripe too — is caught
+//! where it happens and parked, the thread goes on to keep the window's
+//! barrier arity, and the caller re-raises the first payload when the
+//! window closes. One raised in coordinator-only code (a user
+//! [`TraceSink`], a central driver) unwinds out of the caller's loop. All
+//! such code runs while every worker is at, or on its way to, the top
+//! barrier, so a drop guard on the caller that stores `stop` and crosses
+//! that barrier *once* releases every worker; the same guard ends a
+//! normal run, and `thread::scope` joins the workers before the panic
+//! travels on.
+//!
 //! # Determinism
 //!
 //! The output is a pure function of the [`SimConfig`] — independent of the
-//! worker-thread count and of the host:
+//! thread count and of the host:
 //!
 //! * the shard count `S` (and the node→shard map) derives only from the
 //!   topology, never from the machine;
@@ -371,62 +396,71 @@ where
 
     let window_end = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
-    let barrier = Barrier::new(threads + 1);
+    let barrier = Barrier::new(threads);
     let trace_deposits: Mutex<Vec<(u32, Vec<TraceEvent>)>> = Mutex::new(Vec::new());
-    // A panic inside a worker (a protocol contract violation, a poisoned
-    // shard lock) must not strand the coordinator at the barrier forever:
-    // the first payload parks here, the window protocol keeps its barrier
-    // arity, and the coordinator re-raises after an orderly shutdown.
+    // A panic inside a shard's phase (a protocol contract violation, a
+    // poisoned shard lock) must not strand the other threads at a barrier
+    // forever: the first payload parks here, the window protocol keeps its
+    // barrier arity, and the caller re-raises it at the window's end.
     let worker_panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
     let mut faulty_set: Vec<NodeId> = Vec::new();
 
+    // Thread `t`'s share of the released window: stripe `t` (shards `t`,
+    // `t + threads`, …) of the run phase, then of the flush phase, each
+    // closed by a barrier.
+    let work_window = |t: usize| {
+        let w_end = window_end.load(Ordering::Acquire);
+        let stripe = |phase: &dyn Fn(&Mutex<ShardState<P>>)| {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                states.iter().skip(t).step_by(threads).for_each(phase);
+            }));
+            if let Err(payload) = caught {
+                worker_panic
+                    .lock()
+                    .expect("the slot is only ever assigned under its lock")
+                    .get_or_insert(payload);
+            }
+        };
+        stripe(&|state| run_shard_window(state, &inboxes, &heap_next, w_end));
+        // Every shard has finished the window before anyone flushes: a
+        // batch deposited mid-window would be injected by some shards and
+        // missed by others depending on thread scheduling, which would
+        // make sequence assignment (and so the canonical order) depend on
+        // the thread count.
+        barrier.wait();
+        stripe(&|state| flush_shard_window(state, &inboxes, &trace_deposits));
+        barrier.wait();
+    };
+
     std::thread::scope(|scope| {
-        for t in 0..threads {
-            let states = &states;
-            let inboxes = &inboxes;
-            let heap_next = &heap_next;
-            let barrier = &barrier;
-            let window_end = &window_end;
-            let stop = &stop;
-            let trace_deposits = &trace_deposits;
-            let worker_panic = &worker_panic;
-            let park_panic = move |phase: std::thread::Result<()>| {
-                if let Err(payload) = phase {
-                    let mut slot = worker_panic.lock().unwrap();
-                    if slot.is_none() {
-                        *slot = Some(payload);
-                    }
-                }
-            };
+        let (barrier, stop, work_window) = (&barrier, &stop, &work_window);
+        for t in 1..threads {
             scope.spawn(move || loop {
-                barrier.wait();
+                barrier.wait(); // parked here until a window is released
                 if stop.load(Ordering::Acquire) {
                     break;
                 }
-                let w_end = window_end.load(Ordering::Acquire);
-                park_panic(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut sh = t;
-                    while sh < states.len() {
-                        run_shard_window(&states[sh], inboxes, heap_next, w_end);
-                        sh += threads;
-                    }
-                })));
-                // Every shard has finished the window before anyone
-                // flushes: a batch deposited mid-window would be injected
-                // by some shards and missed by others depending on thread
-                // scheduling, which would make sequence assignment (and so
-                // the canonical order) depend on the thread count.
-                barrier.wait();
-                park_panic(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut sh = t;
-                    while sh < states.len() {
-                        flush_shard_window(&states[sh], inboxes, trace_deposits);
-                        sh += threads;
-                    }
-                })));
-                barrier.wait();
+                work_window(t);
             });
         }
+
+        // From here on the caller is the coordinator and thread 0. Whatever
+        // below is not inside `work_window` runs while every worker is at
+        // the top barrier, so on any way out — the horizon, a parked phase
+        // panic re-raised, a panic unwinding out of a sink or a central
+        // driver — storing `stop` and crossing that barrier once releases
+        // them all for `scope` to join.
+        struct ReleaseWorkers<'a> {
+            stop: &'a AtomicBool,
+            barrier: &'a Barrier,
+        }
+        impl Drop for ReleaseWorkers<'_> {
+            fn drop(&mut self) {
+                self.stop.store(true, Ordering::Release);
+                self.barrier.wait();
+            }
+        }
+        let _release = ReleaseWorkers { stop, barrier };
 
         let mut t0: u64 = 0;
         loop {
@@ -457,14 +491,8 @@ where
             let t1 = (t0 + window).min(central_next).min(end_micros + 1);
             window_end.store(t1, Ordering::Release);
             barrier.wait(); // release the window
-            barrier.wait(); // run phase: every shard processed [t0, t1)
-            barrier.wait(); // flush phase: outboxes and traces deposited
+            work_window(0); // every shard ran [t0, t1) and flushed
             if let Some(payload) = worker_panic.lock().unwrap().take() {
-                // Orderly shutdown first — workers are parked at the top
-                // barrier and must see `stop` before the scope can join
-                // them — then re-raise the worker's original panic.
-                stop.store(true, Ordering::Release);
-                barrier.wait();
                 std::panic::resume_unwind(payload);
             }
             if tracing {
@@ -478,8 +506,6 @@ where
             }
             t0 = t1;
         }
-        stop.store(true, Ordering::Release);
-        barrier.wait();
     });
 
     // Claims deposited in the final window never saw another window;

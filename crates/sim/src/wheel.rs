@@ -80,10 +80,22 @@ const SLOT_MASK: u64 = (SLOTS - 1) as u64;
 /// keyed on microsecond [`SimTime`] that pops in exactly `(at, seq)`
 /// order; see the module docs for the layout and the equivalence argument.
 pub(crate) struct EventQueue<P> {
-    /// `LEVELS * SLOTS` buckets, row-major by level. Bucket vectors keep
-    /// their capacity across stagings, so the steady state allocates
-    /// nothing.
+    /// `LEVELS * SLOTS` buckets, row-major by level. A level-0 bucket
+    /// keeps its vector when it is staged; a bucket of a coarser level
+    /// gives its vector up to `spares` when it cascades and is left
+    /// without one (capacity 0) until its next first push.
     slots: Vec<Vec<Scheduled<P>>>,
+    /// Per level, the vectors of cascaded buckets, empty but with their
+    /// capacity: the next bucket of that level to receive a first push
+    /// takes one. The steady state therefore allocates nothing, and a
+    /// level holds as many vectors as it ever had buckets occupied at
+    /// once — not one per bucket ever touched, which grows with the span
+    /// of simulated time (a level-1 bucket comes round again after 65 ms,
+    /// a level-2 bucket after 16.8 s). Per level because bucket sizes
+    /// differ by orders of magnitude between levels: a level-2 vector
+    /// behind a level-1 bucket would pin its capacity for a handful of
+    /// events.
+    spares: [Vec<Vec<Scheduled<P>>>; LEVELS],
     /// Per-level occupancy bitmaps.
     occupied: [[u64; WORDS]; LEVELS],
     /// The staged timestamp: every event with `at < cursor` has been
@@ -106,6 +118,7 @@ impl<P> EventQueue<P> {
     pub(crate) fn new() -> Self {
         EventQueue {
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            spares: std::array::from_fn(|_| Vec::new()),
             occupied: [[0; WORDS]; LEVELS],
             cursor: 0,
             current: VecDeque::new(),
@@ -187,7 +200,14 @@ impl<P> EventQueue<P> {
         debug_assert!(at > self.cursor);
         let level = ((63 - (at ^ self.cursor).leading_zeros()) / SLOT_BITS) as usize;
         let slot = ((at >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
-        self.slots[level * SLOTS + slot].push(ev);
+        let bucket = &mut self.slots[level * SLOTS + slot];
+        if bucket.capacity() == 0 {
+            // First push since this bucket cascaded (or ever).
+            if let Some(spare) = self.spares[level].pop() {
+                *bucket = spare;
+            }
+        }
+        bucket.push(ev);
         self.occupied[level][slot / 64] |= 1u64 << (slot % 64);
     }
 
@@ -224,6 +244,9 @@ impl<P> EventQueue<P> {
                 // by seq and it is the staged bucket.
                 batch.sort_unstable_by_key(|e| e.seq);
                 self.current.extend(batch.drain(..));
+                // All 256 level-0 buckets come round every 256 µs: handing
+                // the vector straight back is bounded and the cheapest.
+                self.slots[slot] = batch;
             } else {
                 // Cascade: every event re-files at least one level lower
                 // (its high bits now match the cursor through this
@@ -237,10 +260,8 @@ impl<P> EventQueue<P> {
                         self.place(ev, at);
                     }
                 }
+                self.spares[level].push(batch);
             }
-            // Hand the drained vector back so the bucket keeps its
-            // capacity for the next rotation.
-            self.slots[level * SLOTS + slot] = batch;
         }
     }
 
@@ -417,6 +438,112 @@ mod tests {
             script.push((vec![(7, 100 + i)], 1));
         }
         assert_identical(script);
+    }
+
+    // The three tests below pin bucket recycling: the wheel's storage is
+    // bounded by the buckets occupied at once, not by the span of
+    // simulated time it has been turned through.
+
+    /// Element capacity of every vector the wheel holds on to: buckets of
+    /// every level plus the per-level spares.
+    fn retained_capacity(q: &EventQueue<()>) -> usize {
+        q.slots.iter().chain(q.spares.iter().flatten()).map(Vec::capacity).sum()
+    }
+
+    /// Largest capacity among `level`'s buckets and spares.
+    fn widest_vector(q: &EventQueue<()>, level: usize) -> usize {
+        q.slots[level * SLOTS..(level + 1) * SLOTS]
+            .iter()
+            .chain(&q.spares[level])
+            .map(Vec::capacity)
+            .max()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn flood_bursts_reuse_the_first_bursts_vectors() {
+        // The flood pattern: once a simulated second a tick fires and
+        // ~10 k events land within the next 10 ms — straight into level 1,
+        // whose buckets at 1 s, 2 s and 3 s are all different (a level-1
+        // bucket repeats every 65 ms). Each burst fills 39 whole level-1
+        // buckets, one event per microsecond, so every vector ends in one
+        // capacity class and "no growth" is an equality, not a tolerance.
+        const BUCKETS: u64 = 39;
+        let mut q = EventQueue::<()>::new();
+        let mut seq = 0u64;
+        q.push(ev(1_000_000, seq));
+        let mut after = Vec::new();
+        for burst in 1..=3u64 {
+            let tick = q.pop().expect("the tick is armed");
+            assert_eq!(tick.at.as_micros(), burst * 1_000_000);
+            let edge = (tick.at.as_micros() | SLOT_MASK) + 1; // next level-1 bucket
+            for at in edge..edge + BUCKETS * SLOTS as u64 {
+                seq += 1;
+                q.push(ev(at, seq));
+            }
+            seq += 1;
+            q.push(ev((burst + 1) * 1_000_000, seq));
+            for _ in 0..BUCKETS * SLOTS as u64 {
+                assert!(q.pop().expect("the burst is queued").at.as_micros() < edge + 10_000);
+            }
+            after.push(retained_capacity(&q));
+        }
+        assert!(after[0] >= (BUCKETS as usize) * SLOTS, "the burst was bucketed: {after:?}");
+        assert_eq!(after[2], after[0], "storage grew with simulated time: {after:?}");
+    }
+
+    /// One timer per id with a 250 ms period, re-armed at every expiry,
+    /// for four simulated seconds (the `timers_1m` pattern). The phases
+    /// put exactly one expiry on every 16th microsecond, so a level-2
+    /// bucket holds 4 096 events, a level-1 bucket 16 and a level-0
+    /// bucket one. Returns the wheel and its retained capacity sampled at
+    /// the end of every period.
+    fn duty_cycle(ids: u64) -> (EventQueue<()>, Vec<usize>) {
+        const PERIOD: u64 = 250_000;
+        let stride = PERIOD / ids;
+        let mut q = EventQueue::<()>::new();
+        for id in 0..ids {
+            q.push(ev(1 + id * stride, id));
+        }
+        let mut samples = Vec::new();
+        let mut seq = ids;
+        for period in 1..=16u64 {
+            while q.next_at().is_some_and(|at| at.as_micros() <= period * PERIOD) {
+                let fired = q.pop().expect("peeked");
+                q.push(ev(fired.at.as_micros() + PERIOD, seq));
+                seq += 1;
+            }
+            samples.push(retained_capacity(&q));
+        }
+        (q, samples)
+    }
+
+    #[test]
+    fn duty_cycle_storage_is_bounded_by_the_timers_in_flight() {
+        let ids = 15_625;
+        let (_, samples) = duty_cycle(ids);
+        // Sixteen periods turn the wheel through 61 level-2 buckets of
+        // 4 096 events each; four are ever occupied at once.
+        assert!(
+            samples.iter().all(|&cap| cap <= 2 * ids as usize),
+            "retained capacity exceeds twice the {ids} events in flight: {samples:?}"
+        );
+        // The allocation-free steady state: after the first period no
+        // vector is created and none grows.
+        assert!(
+            samples[1..].iter().all(|&cap| cap == samples[1]),
+            "storage still moving after the first period: {samples:?}"
+        );
+    }
+
+    #[test]
+    fn spares_stay_on_their_own_level() {
+        let (q, _) = duty_cycle(15_625);
+        assert_eq!(widest_vector(&q, 2), 4_096, "level 2 buckets a quarter period each");
+        // One shared spare list would hand level 2's vectors to level-1
+        // buckets, where each would pin 4 096 slots for 16 events.
+        assert_eq!(widest_vector(&q, 1), 16, "a level-1 bucket took a level-2 vector");
+        assert!(q.spares[0].is_empty(), "level 0 hands its vectors straight back");
     }
 
     // Random interleavings of pushes (dense ties, far-future tails,

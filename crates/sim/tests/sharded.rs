@@ -5,8 +5,11 @@
 //! and lossy acknowledged traffic.
 
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex};
-use wsan_sim::flood::FloodProtocol;
+use std::collections::HashSet;
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread::{self, ThreadId};
+use std::time::Duration;
+use wsan_sim::flood::{FloodPayload, FloodProtocol};
 use wsan_sim::shard::run_sharded_with_sinks;
 use wsan_sim::trace::{TraceEvent, TraceSink};
 use wsan_sim::{
@@ -262,6 +265,101 @@ fn worker_panics_propagate_instead_of_deadlocking() {
     let payload = result.expect_err("the protocol panic must surface");
     let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
     assert!(msg.contains("poison receiver bit a frame"), "unexpected payload: {msg:?}");
+}
+
+/// Panics on its 500th event: a fault in coordinator-only code (the trace
+/// merge into user sinks runs between windows, on the caller).
+struct PoisonSink(u32);
+
+impl TraceSink for PoisonSink {
+    fn on_event(&mut self, _event: &TraceEvent) {
+        self.0 += 1;
+        assert!(self.0 < 500, "poison sink bit event 500");
+    }
+}
+
+#[test]
+fn coordinator_panics_propagate_instead_of_deadlocking() {
+    // A panic that unwinds out of the coordinator's own code must release
+    // the workers parked at the top barrier, or the scope joins them for
+    // ever. A hang cannot fail a test by itself, so the run sits on a
+    // helper thread and the test waits with a deadline.
+    for threads in [1, 2] {
+        let (tx, rx) = mpsc::channel();
+        thread::spawn(move || {
+            let result = std::panic::catch_unwind(|| {
+                run_sharded_with_sinks(
+                    sharded_cfg(2, threads),
+                    &mut FloodProtocol::new(6),
+                    vec![Box::new(PoisonSink(0))],
+                )
+            });
+            let payload = result.err().expect("the sink panic must surface");
+            let _ = tx.send(payload.downcast_ref::<&str>().copied().unwrap_or_default());
+        });
+        let msg = rx
+            .recv_timeout(Duration::from_secs(120))
+            .unwrap_or_else(|_| panic!("run at {threads} threads hung after a coordinator panic"));
+        assert!(msg.contains("poison sink bit event 500"), "unexpected payload: {msg:?}");
+    }
+}
+
+/// Floods, and notes which OS threads the engine runs its hooks on.
+#[derive(Clone)]
+struct WhoRuns {
+    flood: FloodProtocol,
+    seen: Arc<Mutex<HashSet<ThreadId>>>,
+}
+
+impl Protocol for WhoRuns {
+    type Payload = FloodPayload;
+
+    fn name(&self) -> &'static str {
+        "WhoRuns"
+    }
+
+    fn on_init(&mut self, ctx: &mut Ctx<FloodPayload>) {
+        self.flood.on_init(ctx);
+    }
+
+    fn on_app_data(&mut self, ctx: &mut Ctx<FloodPayload>, src: NodeId, data: DataId) {
+        self.flood.on_app_data(ctx, src, data);
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<FloodPayload>, at: NodeId, msg: Message<FloodPayload>) {
+        self.seen.lock().unwrap().insert(thread::current().id());
+        self.flood.on_message(ctx, at, msg);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<FloodPayload>, at: NodeId, tag: u64) {
+        self.flood.on_timer(ctx, at, tag);
+    }
+}
+
+impl ShardableProtocol for WhoRuns {}
+
+#[test]
+fn the_caller_is_one_of_the_threads_that_run_shards() {
+    // `threads` counts the caller: 1 runs the whole engine on it and wakes
+    // nobody, 2 adds exactly one worker, and a request beyond the shard
+    // count is clamped to one thread per shard.
+    let me = thread::current().id();
+    for (threads, expected) in [(1, 1), (2, 2), (64, 8)] {
+        let seen = Arc::new(Mutex::new(HashSet::new()));
+        let mut protocol = WhoRuns { flood: FloodProtocol::new(6), seen: seen.clone() };
+        let mut cfg = sharded_cfg(13, threads);
+        cfg.warmup = SimDuration::from_secs(1);
+        cfg.duration = SimDuration::from_secs(2);
+        // The paper's square is 2 x 2 cells of the 250 m actuator range,
+        // which caps `sharded_cfg` at 4 shards; 100 m cells give it the 8
+        // it asks for, and 200 sensors put flood traffic in every one.
+        cfg.actuator_range = cfg.sensor_range;
+        cfg.sensors = 200;
+        wsan_sim::run_sharded(cfg, &mut protocol);
+        let seen = seen.lock().unwrap();
+        assert!(seen.contains(&me), "threads = {threads}: the caller ran no shard");
+        assert_eq!(seen.len(), expected, "threads = {threads}: hooks ran on {seen:?}");
+    }
 }
 
 #[test]
