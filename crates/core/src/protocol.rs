@@ -55,6 +55,9 @@ fn untag(t: u64) -> (u64, u64) {
     (t >> TAG_SHIFT, t & ((1 << TAG_SHIFT) - 1))
 }
 
+#[cfg(debug_assertions)]
+const SHADOW_MISMATCH: &str = "REFER node rows and their shadow trees disagree";
+
 /// A data frame traveling through REFER.
 #[derive(Debug, Clone)]
 pub struct DataFrame {
@@ -136,14 +139,46 @@ pub enum ReferMsg {
 struct CellState {
     /// Corner actuator nodes in KID order (012, 120, 201).
     corners: [NodeId; 3],
-    /// KID -> current owner node.
-    roster: BTreeMap<KautzId, NodeId>,
-    /// Dense mirror of `roster` indexed by [`kautz::KautzId::to_index`],
-    /// giving forwarding an O(1) owner lookup instead of a `BTreeMap`
-    /// walk. Kept in sync by `assign_kid` and the initial cell build.
-    roster_idx: Vec<Option<NodeId>>,
+    /// The cell's one roster: current owner by [`kautz::KautzId::to_index`].
+    /// The index is the mixed-radix rank of the digit word, so ascending
+    /// index order is ascending KID order — what a walk of the old
+    /// `BTreeMap<KautzId, NodeId>` visited.
+    roster: Vec<Option<NodeId>>,
     /// Construction finished.
     ready: bool,
+}
+
+/// What one node keeps — the whole of a REFER node's protocol state, and
+/// all of it local: its KID per cell, the members it last heard, the
+/// standby candidates that registered with it. [`ReferProtocol`] holds one
+/// row per node, indexed by [`NodeId::index`].
+#[derive(Debug, Clone, Default)]
+struct NodeLocal {
+    /// `(cell, KID)` per cell the node is a member of, in assignment
+    /// order; empty for a sleeping sensor.
+    memberships: Vec<(usize, KautzId)>,
+    /// Members whose beacons this (non-member) node heard, most recent
+    /// first.
+    heard: Vec<NodeId>,
+    /// Sleepers that registered with this member as replacement
+    /// candidates, most recent first.
+    candidates: Vec<NodeId>,
+    /// When this sleeper last probed a member (micros).
+    last_probe: Option<u64>,
+    /// Whether the node's beacon (and maintenance) timers are running.
+    beacon_started: bool,
+}
+
+/// The trees [`NodeLocal`] rows and the dense rosters replaced, kept by
+/// debug builds as the reference: every membership test, member scan and
+/// roster lookup asserts that the row and the tree agree — on content and,
+/// where a tree was iterated, on order — so each debug-profile REFER
+/// simulation is a layout ≡ trees proof. Release builds compile it out.
+#[cfg(debug_assertions)]
+#[derive(Debug, Default)]
+struct ShadowTrees {
+    member_cells: BTreeMap<NodeId, Vec<(usize, KautzId)>>,
+    rosters: Vec<BTreeMap<KautzId, NodeId>>,
 }
 
 /// In-flight path query state, held at the collector.
@@ -214,17 +249,15 @@ pub struct ReferProtocol {
     /// Actuator node per layout index.
     actuator_nodes: Vec<NodeId>,
     cells: Vec<CellState>,
-    /// node -> memberships (cell index, KID).
-    member_cells: BTreeMap<NodeId, Vec<(usize, KautzId)>>,
-    /// sensor -> recently heard members, most recent first.
-    access_cache: BTreeMap<NodeId, Vec<NodeId>>,
-    /// member -> registered candidates.
-    candidates: BTreeMap<NodeId, Vec<NodeId>>,
-    /// sleeper -> last probe time (micros).
-    last_probe: BTreeMap<NodeId, u64>,
+    /// One row per node, sized at init.
+    nodes: Vec<NodeLocal>,
+    /// The nodes with at least one membership, ascending: what every
+    /// "nearest member" scan walks, in the order the ties break in.
+    members: Vec<NodeId>,
+    #[cfg(debug_assertions)]
+    shadow: ShadowTrees,
     queries: BTreeMap<u64, QueryState>,
     forwarded_queries: BTreeSet<(NodeId, u64)>,
-    timers_started: BTreeSet<NodeId>,
     next_qid: u64,
     /// Whether the run routes on local suspicion instead of the fault
     /// oracle: `FaultModel::Discovered` or `Byzantine` (set at init).
@@ -261,13 +294,12 @@ impl ReferProtocol {
             tier: None,
             actuator_nodes: Vec::new(),
             cells: Vec::new(),
-            member_cells: BTreeMap::new(),
-            access_cache: BTreeMap::new(),
-            candidates: BTreeMap::new(),
-            last_probe: BTreeMap::new(),
+            nodes: Vec::new(),
+            members: Vec::new(),
+            #[cfg(debug_assertions)]
+            shadow: ShadowTrees::default(),
             queries: BTreeMap::new(),
             forwarded_queries: BTreeSet::new(),
-            timers_started: BTreeSet::new(),
             next_qid: 0,
             discovered: false,
             byzantine: false,
@@ -283,9 +315,9 @@ impl ReferProtocol {
         self.layout.as_ref()
     }
 
-    /// Current KID -> node roster of `cell`.
-    pub fn roster(&self, cell: usize) -> Option<&BTreeMap<KautzId, NodeId>> {
-        self.cells.get(cell).map(|c| &c.roster)
+    /// Current KID -> node roster of `cell`, as a map built on demand.
+    pub fn roster(&self, cell: usize) -> Option<BTreeMap<KautzId, NodeId>> {
+        (cell < self.cells.len()).then(|| self.roster_entries(cell).collect())
     }
 
     /// The shared dense route table for the cell graph `K(degree, 3)`.
@@ -295,27 +327,67 @@ impl ReferProtocol {
 
     // ----- roster bookkeeping -------------------------------------------
 
+    /// Hands `kid` of `cell` to `node`, evicting the previous holder.
     fn assign_kid(&mut self, cell: usize, kid: KautzId, node: NodeId) {
-        if let Some(idx) = self.route_table.index_of(&kid) {
-            self.cells[cell].roster_idx[idx] = Some(node);
+        let Some(idx) = self.route_table.index_of(&kid) else {
+            debug_assert!(false, "{kid} does not label the cell graph");
+            return;
+        };
+        let prev = self.cells[cell].roster[idx].replace(node);
+        #[cfg(debug_assertions)]
+        {
+            if self.shadow.rosters.len() <= cell {
+                self.shadow.rosters.resize_with(cell + 1, BTreeMap::new);
+            }
+            assert_eq!(prev, self.shadow.rosters[cell].insert(kid, node), "{SHADOW_MISMATCH}");
         }
-        if let Some(prev) = self.cells[cell].roster.insert(kid, node) {
+        if let Some(prev) = prev {
             self.remove_membership(prev, cell, &kid);
         }
-        self.member_cells.entry(node).or_default().push((cell, kid));
+        let row = &mut self.nodes[node.index()];
+        if row.memberships.is_empty() {
+            let at = self.members.binary_search(&node).expect_err("no memberships, so not listed");
+            self.members.insert(at, node);
+        }
+        row.memberships.push((cell, kid));
+        #[cfg(debug_assertions)]
+        self.shadow.member_cells.entry(node).or_default().push((cell, kid));
     }
 
     fn remove_membership(&mut self, node: NodeId, cell: usize, kid: &KautzId) {
-        if let Some(ms) = self.member_cells.get_mut(&node) {
+        let row = &mut self.nodes[node.index()];
+        if row.memberships.is_empty() {
+            return;
+        }
+        row.memberships.retain(|(c, k)| !(*c == cell && k == kid));
+        if row.memberships.is_empty() {
+            let at = self.members.binary_search(&node).expect("a member is listed");
+            self.members.remove(at);
+        }
+        #[cfg(debug_assertions)]
+        if let Some(ms) = self.shadow.member_cells.get_mut(&node) {
             ms.retain(|(c, k)| !(*c == cell && k == kid));
             if ms.is_empty() {
-                self.member_cells.remove(&node);
+                self.shadow.member_cells.remove(&node);
             }
         }
     }
 
+    /// `node`'s `(cell, KID)` memberships; empty for a non-member and for
+    /// an id outside the deployment (a peer's frame can name any id).
+    fn memberships(&self, node: NodeId) -> &[(usize, KautzId)] {
+        let found = self.nodes.get(node.index()).map_or(&[][..], |row| &row.memberships);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            found,
+            self.shadow.member_cells.get(&node).map_or(&[][..], Vec::as_slice),
+            "{SHADOW_MISMATCH}"
+        );
+        found
+    }
+
     fn is_member(&self, node: NodeId) -> bool {
-        self.member_cells.contains_key(&node)
+        !self.memberships(node).is_empty()
     }
 
     fn is_assigned_sensor(&self, ctx: &impl ProtoCtx<ReferMsg>, node: NodeId) -> bool {
@@ -323,11 +395,60 @@ impl ReferProtocol {
     }
 
     fn kid_in_cell(&self, node: NodeId, cell: usize) -> Option<KautzId> {
-        self.member_cells
-            .get(&node)?
+        self.memberships(node).iter().find(|(c, _)| *c == cell).map(|(_, k)| *k)
+    }
+
+    /// Every member, ascending by id.
+    fn members(&self) -> &[NodeId] {
+        #[cfg(debug_assertions)]
+        assert!(self.members.iter().eq(self.shadow.member_cells.keys()), "{SHADOW_MISMATCH}");
+        &self.members
+    }
+
+    /// The member nearest `from` among those `from` would pick as a next
+    /// hop; the lowest id wins a distance tie.
+    fn nearest_member(&self, ctx: &impl ProtoCtx<ReferMsg>, from: NodeId) -> Option<NodeId> {
+        self.members()
             .iter()
-            .find(|(c, _)| *c == cell)
-            .map(|(_, k)| *k)
+            .filter(|&&m| self.usable(ctx, from, m))
+            .map(|&m| (ctx.distance(from, m), m))
+            .min_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"))
+            .map(|(_, m)| m)
+    }
+
+    /// Current owner of the KID with dense index `idx` in `cell`.
+    fn owner_at(&self, cell: usize, idx: usize) -> Option<NodeId> {
+        let found = self.cells[cell].roster[idx];
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            found,
+            self.shadow
+                .rosters
+                .get(cell)
+                .and_then(|r| r.get(&self.route_table.id_of(idx)))
+                .copied(),
+            "{SHADOW_MISMATCH}"
+        );
+        found
+    }
+
+    /// Current owner of `kid` in `cell`.
+    fn owner_of(&self, cell: usize, kid: &KautzId) -> Option<NodeId> {
+        self.owner_at(cell, self.route_table.index_of(kid)?)
+    }
+
+    /// `cell`'s roster as `(KID, owner)`, ascending by KID.
+    fn roster_entries(&self, cell: usize) -> impl Iterator<Item = (KautzId, NodeId)> + '_ {
+        let entries = move || {
+            let occupied = self.cells[cell].roster.iter().enumerate();
+            occupied.filter_map(|(idx, owner)| Some((self.route_table.id_of(idx), (*owner)?)))
+        };
+        #[cfg(debug_assertions)]
+        assert!(
+            entries().eq(self.shadow.rosters.get(cell).into_iter().flatten().map(|(k, n)| (*k, *n))),
+            "{SHADOW_MISMATCH}"
+        );
+        entries()
     }
 
     // ----- failure knowledge ---------------------------------------------
@@ -440,20 +561,14 @@ impl ReferProtocol {
                     actuator_nodes[cell.corners[1]],
                     actuator_nodes[cell.corners[2]],
                 ];
-                let mut roster = BTreeMap::new();
-                let mut roster_idx = vec![None; self.route_table.node_count()];
-                for (kid, &node) in self.plan.actuator_kids.iter().zip(corners.iter()) {
-                    roster.insert(*kid, node);
-                    if let Some(idx) = self.route_table.index_of(kid) {
-                        roster_idx[idx] = Some(node);
-                    }
-                }
-                CellState { corners, roster, roster_idx, ready: false }
+                let roster = vec![None; self.route_table.node_count()];
+                CellState { corners, roster, ready: false }
             })
             .collect();
-        for (idx, cell) in self.cells.iter().enumerate() {
-            for (kid, &node) in self.plan.actuator_kids.iter().zip(cell.corners.iter()) {
-                self.member_cells.entry(node).or_default().push((idx, *kid));
+        for cell in 0..self.cells.len() {
+            let corners = self.cells[cell].corners;
+            for (corner, node) in corners.into_iter().enumerate() {
+                self.assign_kid(cell, self.plan.actuator_kids[corner], node);
             }
         }
         self.tier = Some(DhtTier::build(&layout, &ids, ctx.config().area));
@@ -542,9 +657,9 @@ impl ReferProtocol {
             .flat_map(|p| p.interior.iter().cloned())
             .collect();
         self.fallback_assign(ctx, cell, &stage1_kids);
-        let (Some(&s_i), Some(&s_j)) = (
-            self.cells[cell].roster.get(&self.plan.stage2.from),
-            self.cells[cell].roster.get(&self.plan.stage2.to),
+        let (Some(s_i), Some(s_j)) = (
+            self.owner_of(cell, &self.plan.stage2.from),
+            self.owner_of(cell, &self.plan.stage2.to),
         ) else {
             return;
         };
@@ -580,15 +695,15 @@ impl ReferProtocol {
     fn fallback_assign(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, cell: usize, kids: &[KautzId]) {
         let coordinator = self.cells[cell].corners[0];
         for kid in kids {
-            if self.cells[cell].roster.contains_key(kid) {
+            if self.owner_of(cell, kid).is_some() {
                 continue;
             }
             let anchors: Vec<wsan_sim::Point> = kid
                 .successors()
                 .into_iter()
                 .chain(kid.predecessors())
-                .filter_map(|n| self.cells[cell].roster.get(&n))
-                .map(|&node| ctx.position(node))
+                .filter_map(|n| self.owner_of(cell, &n))
+                .map(|node| ctx.position(node))
                 .collect();
             let range = ctx.config().sensor_range;
             let centroid = self
@@ -638,16 +753,10 @@ impl ReferProtocol {
         self.stats.cells_ready += 1;
         self.snapshots.push(CellSnapshot {
             cell,
-            members: self.cells[cell]
-                .roster
-                .iter()
-                .map(|(kid, &node)| {
-                    (
-                        *kid,
-                        node,
-                        ctx.position(node),
-                        matches!(ctx.kind(node), NodeKind::Actuator),
-                    )
+            members: self
+                .roster_entries(cell)
+                .map(|(kid, node)| {
+                    (kid, node, ctx.position(node), matches!(ctx.kind(node), NodeKind::Actuator))
                 })
                 .collect(),
             centroid: self
@@ -657,9 +766,9 @@ impl ReferProtocol {
                 .unwrap_or_default(),
         });
         // Start periodic timers for every member of this cell (once per node).
-        let members: Vec<NodeId> = self.cells[cell].roster.values().copied().collect();
+        let members: Vec<NodeId> = self.roster_entries(cell).map(|(_, node)| node).collect();
         for node in members {
-            if self.timers_started.insert(node) {
+            if !std::mem::replace(&mut self.nodes[node.index()].beacon_started, true) {
                 let stagger = SimDuration::from_micros(ctx.rng().gen_range(0..1_000_000));
                 ctx.set_timer(node, self.rcfg.beacon_interval + stagger, tag(KIND_BEACON, 0));
                 if matches!(ctx.kind(node), NodeKind::Sensor) {
@@ -753,7 +862,7 @@ impl ReferProtocol {
         if self.is_member(node) {
             ctx.set_timer(node, self.rcfg.beacon_interval, tag(KIND_BEACON, 0));
         } else {
-            self.timers_started.remove(&node);
+            self.nodes[node.index()].beacon_started = false;
         }
     }
 
@@ -761,12 +870,10 @@ impl ReferProtocol {
     /// Kautz graphs of every cell it belongs to.
     fn kautz_neighbor_owners(&self, node: NodeId) -> Vec<(usize, KautzId, NodeId)> {
         let mut out = Vec::new();
-        for (cell, kid) in self.member_cells.get(&node).cloned().unwrap_or_default() {
+        for &(cell, kid) in self.memberships(node) {
             for nk in kid.successors().into_iter().chain(kid.predecessors()) {
-                if let Some(&owner) = self.cells[cell].roster.get(&nk) {
-                    if owner != node {
-                        out.push((cell, nk, owner));
-                    }
+                if let Some(owner) = self.owner_of(cell, &nk).filter(|&owner| owner != node) {
+                    out.push((cell, nk, owner));
                 }
             }
         }
@@ -786,9 +893,9 @@ impl ReferProtocol {
         kid.successors()
             .into_iter()
             .chain(kid.predecessors())
-            .filter_map(|n| self.cells[cell].roster.get(&n))
-            .filter(|&&n| n != except)
-            .map(|&n| ctx.position(n))
+            .filter_map(|n| self.owner_of(cell, &n))
+            .filter(|&n| n != except)
+            .map(|n| ctx.position(n))
             .collect()
     }
 
@@ -828,12 +935,10 @@ impl ReferProtocol {
             let neighbor_positions = self.neighbor_positions(ctx, cell, &nk, owner);
             // Candidates that registered with the dead member, then ours:
             // the healer heard both candidacies announced on the air.
-            let pool: Vec<NodeId> = self
+            let pool: Vec<NodeId> = self.nodes[owner.index()]
                 .candidates
-                .get(&owner)
-                .into_iter()
-                .chain(self.candidates.get(&node))
-                .flatten()
+                .iter()
+                .chain(&self.nodes[node.index()].candidates)
                 .copied()
                 .filter(|&c| c != owner && self.presumed_alive(ctx, c) && !self.is_member(c))
                 .collect();
@@ -868,16 +973,22 @@ impl ReferProtocol {
             // The owner just lost its KID on failure belief alone: graded
             // as wrongful when it was actually alive and honest.
             ctx.record_eviction(owner);
-            if self.timers_started.insert(replacement) {
-                ctx.set_timer(replacement, self.rcfg.beacon_interval, tag(KIND_BEACON, 0));
-                ctx.set_timer(replacement, self.rcfg.maintenance_interval, tag(KIND_MAINT, 0));
-            }
+            self.start_member_timers(ctx, replacement);
+        }
+    }
+
+    /// Arms a replacement's beacon and maintenance timers unless they are
+    /// already running from an earlier membership.
+    fn start_member_timers(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, node: NodeId) {
+        if !std::mem::replace(&mut self.nodes[node.index()].beacon_started, true) {
+            ctx.set_timer(node, self.rcfg.beacon_interval, tag(KIND_BEACON, 0));
+            ctx.set_timer(node, self.rcfg.maintenance_interval, tag(KIND_MAINT, 0));
         }
     }
 
     fn on_maintenance_timer(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, node: NodeId) {
         if !self.is_member(node) {
-            self.timers_started.remove(&node);
+            self.nodes[node.index()].beacon_started = false;
             return;
         }
         ctx.set_timer(node, self.rcfg.maintenance_interval, tag(KIND_MAINT, 0));
@@ -891,7 +1002,8 @@ impl ReferProtocol {
         if matches!(ctx.kind(node), NodeKind::Actuator) {
             return;
         }
-        let memberships = self.member_cells.get(&node).cloned().unwrap_or_default();
+        // A snapshot: a handover below edits the row being walked.
+        let memberships = self.memberships(node).to_vec();
         let range = ctx.config().sensor_range;
         for (cell, kid) in memberships {
             let neighbor_positions = self.neighbor_positions(ctx, cell, &kid, node);
@@ -904,11 +1016,9 @@ impl ReferProtocol {
             }
             // Pick the best live candidate able to reach all neighbors
             // (Section III-B4's replacement rule).
-            let pool: Vec<NodeId> = self
+            let pool: Vec<NodeId> = self.nodes[node.index()]
                 .candidates
-                .get(&node)
-                .into_iter()
-                .flatten()
+                .iter()
                 .copied()
                 .filter(|&c| self.presumed_alive(ctx, c) && !self.is_member(c))
                 .collect();
@@ -959,10 +1069,7 @@ impl ReferProtocol {
             self.assign_kid(cell, kid, replacement);
             self.stats.replacements += 1;
             ctx.record_handover();
-            if self.timers_started.insert(replacement) {
-                ctx.set_timer(replacement, self.rcfg.beacon_interval, tag(KIND_BEACON, 0));
-                ctx.set_timer(replacement, self.rcfg.maintenance_interval, tag(KIND_MAINT, 0));
-            }
+            self.start_member_timers(ctx, replacement);
         }
     }
 
@@ -979,26 +1086,14 @@ impl ReferProtocol {
         }
         // Prefer a cached beacon source; fall back to the nearest member
         // believed reachable.
-        let target = self
-            .access_cache
-            .get(&node)
-            .into_iter()
-            .flatten()
+        let target = self.nodes[node.index()]
+            .heard
+            .iter()
             .copied()
             .find(|&m| self.is_member(m) && self.usable(ctx, node, m))
-            .or_else(|| {
-                self.member_cells
-                    .keys()
-                    .copied()
-                    .filter(|&m| self.usable(ctx, node, m))
-                    .min_by(|&a, &b| {
-                        ctx.distance(node, a)
-                            .partial_cmp(&ctx.distance(node, b))
-                            .expect("finite")
-                    })
-            });
+            .or_else(|| self.nearest_member(ctx, node));
         if let Some(m) = target {
-            self.last_probe.insert(node, ctx.now().as_micros());
+            self.nodes[node.index()].last_probe = Some(ctx.now().as_micros());
             ctx.send(node, m, self.rcfg.ctrl_bits, EnergyAccount::Communication, ReferMsg::Probe);
         }
     }
@@ -1036,10 +1131,10 @@ impl ReferProtocol {
                 .expect("three corners");
             return (dest_cell, self.plan.actuator_kids[nearest]);
         }
-        let memberships = self.member_cells.get(&access).expect("access is a member");
         // The access member's cell; actuators belong to several — pick the
         // one whose centroid is nearest the source.
-        let home_cell = memberships
+        let home_cell = self
+            .memberships(access)
             .iter()
             .map(|(c, _)| *c)
             .min_by(|&a, &b| {
@@ -1049,7 +1144,7 @@ impl ReferProtocol {
                     .partial_cmp(&ctx.position(src).distance(&la.cells[b].centroid))
                     .expect("finite")
             })
-            .expect("memberships non-empty");
+            .expect("access is a member");
         let cross = self.rcfg.cross_cell_fraction > 0.0
             && self.cells.len() > 1
             && ctx.rng().gen_bool(self.rcfg.cross_cell_fraction);
@@ -1134,7 +1229,7 @@ impl ReferProtocol {
         // delay, which could be either a multi-hop path or direct path".
         // When the destination itself is in range and uncongested, the
         // direct path is the lowest-delay choice.
-        if let Some(dest) = self.cells[frame.dest_cell].roster_idx[dest_idx] {
+        if let Some(dest) = self.owner_at(frame.dest_cell, dest_idx) {
             if self.usable(ctx, node, dest) && !ctx.is_congested(dest) {
                 let size = ctx
                     .data_size_bits(frame.data)
@@ -1153,7 +1248,7 @@ impl ReferProtocol {
             if let Some((succ_idx, appended)) =
                 self.route_table.regular_next(at_idx, dest_idx, frame.appended)
             {
-                let next = self.cells[frame.dest_cell].roster_idx[succ_idx];
+                let next = self.owner_at(frame.dest_cell, succ_idx);
                 if let Some(next) = next.filter(|&n| {
                     n != node && self.usable(ctx, node, n) && !ctx.is_congested(n)
                 }) {
@@ -1180,19 +1275,18 @@ impl ReferProtocol {
                 return;
             }
         };
-        let roster_idx = &self.cells[frame.dest_cell].roster_idx;
         // First pass: live and uncongested; second pass: live.
         let pick = choices
             .iter()
             .enumerate()
             .find_map(|(idx, c)| {
-                let n = roster_idx[c.successor as usize]?;
+                let n = self.owner_at(frame.dest_cell, c.successor as usize)?;
                 (n != node && self.usable(ctx, node, n) && !ctx.is_congested(n))
                     .then_some((idx, n, c.forced_digit))
             })
             .or_else(|| {
                 choices.iter().enumerate().find_map(|(idx, c)| {
-                    let n = roster_idx[c.successor as usize]?;
+                    let n = self.owner_at(frame.dest_cell, c.successor as usize)?;
                     (n != node && self.usable(ctx, node, n)).then_some((idx, n, c.forced_digit))
                 })
             });
@@ -1200,8 +1294,8 @@ impl ReferProtocol {
             // Last resort, per Section III-C2's lowest-delay rule: if the
             // destination itself is directly reachable, skip the broken
             // overlay hop and deliver straight.
-            let direct = self.cells[frame.dest_cell].roster_idx[dest_idx]
-                .filter(|&d| self.usable(ctx, node, d));
+            let direct =
+                self.owner_at(frame.dest_cell, dest_idx).filter(|&d| self.usable(ctx, node, d));
             if let Some(dest) = direct {
                 let size = ctx
                     .data_size_bits(frame.data)
@@ -1234,7 +1328,7 @@ impl ReferProtocol {
             self.stats.drop_no_successor += 1;
             return;
         };
-        let memberships = self.member_cells.get(&node).map_or(&[][..], Vec::as_slice);
+        let memberships = self.memberships(node);
         let Some(&(home_cell, _)) = memberships.first() else {
             ctx.drop_data_reason(frame.data, DropReason::NoRoute);
             self.stats.drop_no_successor += 1;
@@ -1271,9 +1365,8 @@ impl ReferProtocol {
                     return;
                 }
             };
-            let roster_idx = &self.cells[home_cell].roster_idx;
             let pick = choices.iter().find_map(|c| {
-                roster_idx[c.successor as usize]
+                self.owner_at(home_cell, c.successor as usize)
                     .filter(|&n| n != node && self.usable(ctx, node, n))
             });
             let Some(next) = pick else {
@@ -1350,6 +1443,7 @@ impl SansIo for ReferProtocol {
         );
         self.byzantine = matches!(ctx.config().faults.model, FaultModel::Byzantine);
         self.view = FailureView::new(self.rcfg.suspicion_ttl);
+        self.nodes = vec![NodeLocal::default(); ctx.node_count()];
         self.start_construction(ctx);
     }
 
@@ -1386,15 +1480,7 @@ impl SansIo for ReferProtocol {
         } else {
             // Non-member (source or access relay): re-enter via the nearest
             // member still presumed reachable.
-            let next = self
-                .member_cells
-                .keys()
-                .copied()
-                .filter(|&m| self.usable(ctx, at, m))
-                .min_by(|&a, &b| {
-                    ctx.distance(at, a).partial_cmp(&ctx.distance(at, b)).expect("finite")
-                });
-            match next {
+            match self.nearest_member(ctx, at) {
                 Some(m) => {
                     let size = ctx
                         .data_size_bits(frame.data)
@@ -1421,24 +1507,12 @@ impl SansIo for ReferProtocol {
         } else {
             // Prefer the beacon cache; fall back to the nearest live member
             // in range (what a fresh beacon round would tell us).
-            let cached = self
-                .access_cache
-                .get(&src)
-                .into_iter()
-                .flatten()
+            let cached = self.nodes[src.index()]
+                .heard
+                .iter()
                 .copied()
                 .find(|&m| self.is_member(m) && self.usable(ctx, src, m));
-            cached.or_else(|| {
-                self.member_cells
-                    .keys()
-                    .copied()
-                    .filter(|&m| self.usable(ctx, src, m))
-                    .min_by(|&a, &b| {
-                        ctx.distance(src, a)
-                            .partial_cmp(&ctx.distance(src, b))
-                            .expect("finite")
-                    })
-            })
+            cached.or_else(|| self.nearest_member(ctx, src))
         };
         // Two-hop access: no member in range, but a neighbor has one (the
         // neighbor learned it from beacons). Hand the packet to that relay;
@@ -1459,26 +1533,14 @@ impl SansIo for ReferProtocol {
                 .filter(|&n| {
                     matches!(ctx.kind(n), NodeKind::Sensor)
                         && !self.is_member(n)
-                        && self
-                            .member_cells
-                            .keys()
-                            .any(|&m| self.usable(ctx, n, m))
+                        && self.members().iter().any(|&m| self.usable(ctx, n, m))
                 })
                 .min_by(|&a, &b| {
                     ctx.distance(src, a).partial_cmp(&ctx.distance(src, b)).expect("finite")
                 });
             if let Some(relay) = relay {
-                let home = self
-                    .member_cells
-                    .keys()
-                    .copied()
-                    .filter(|&m| self.usable(ctx, relay, m))
-                    .min_by(|&a, &b| {
-                        ctx.distance(relay, a)
-                            .partial_cmp(&ctx.distance(relay, b))
-                            .expect("finite")
-                    })
-                    .expect("relay has a member in range");
+                let home =
+                    self.nearest_member(ctx, relay).expect("relay has a member in range");
                 let (dest_cell, dest_kid) = self.choose_destination(ctx, src, home, data);
                 let size =
                     ctx.data_size_bits(data).unwrap_or(ctx.config().traffic.packet_bits);
@@ -1499,7 +1561,7 @@ impl SansIo for ReferProtocol {
         let (dest_cell, dest_kid) = self.choose_destination(ctx, src, access, data);
         // Lowest-delay rule at the source too: a sensor standing next to
         // the destination actuator reports directly.
-        if let Some(&dest) = self.cells[dest_cell].roster.get(&dest_kid) {
+        if let Some(dest) = self.owner_of(dest_cell, &dest_kid) {
             if self.usable(ctx, src, dest) && !ctx.is_congested(dest) {
                 let size =
                     ctx.data_size_bits(data).unwrap_or(ctx.config().traffic.packet_bits);
@@ -1590,19 +1652,17 @@ impl SansIo for ReferProtocol {
                 if self.is_member(at) {
                     return;
                 }
-                let cache = self.access_cache.entry(at).or_default();
-                cache.retain(|&m| m != msg.from);
-                cache.insert(0, msg.from);
-                cache.truncate(4);
+                let row = &mut self.nodes[at.index()];
+                row.heard.retain(|&m| m != msg.from);
+                row.heard.insert(0, msg.from);
+                row.heard.truncate(4);
                 // Sleeping nodes probe the member to register as candidates.
                 let now = ctx.now().as_micros();
-                let due = self
+                let due = row
                     .last_probe
-                    .get(&at)
-                    .map(|&t| now.saturating_sub(t) >= self.rcfg.probe_interval.as_micros())
-                    .unwrap_or(true);
+                    .is_none_or(|t| now.saturating_sub(t) >= self.rcfg.probe_interval.as_micros());
                 if due && self.rcfg.maintenance_enabled && !ctx.self_faulty(at) {
-                    self.last_probe.insert(at, now);
+                    row.last_probe = Some(now);
                     ctx.send(
                         at,
                         msg.from,
@@ -1627,7 +1687,7 @@ impl SansIo for ReferProtocol {
                 }
             }
             ReferMsg::Probe => {
-                let cands = self.candidates.entry(at).or_default();
+                let cands = &mut self.nodes[at.index()].candidates;
                 cands.retain(|&c| c != msg.from);
                 cands.insert(0, msg.from);
                 cands.truncate(8);
@@ -1638,17 +1698,7 @@ impl SansIo for ReferProtocol {
                 } else {
                     // Access relay (or a stale handoff): push the frame to
                     // the nearest member in range, or give up.
-                    let next = self
-                        .member_cells
-                        .keys()
-                        .copied()
-                        .filter(|&m| self.usable(ctx, at, m))
-                        .min_by(|&a, &b| {
-                            ctx.distance(at, a)
-                                .partial_cmp(&ctx.distance(at, b))
-                                .expect("finite")
-                        });
-                    match next {
+                    match self.nearest_member(ctx, at) {
                         Some(m) => {
                             self.send_data(ctx, at, m, msg.size_bits, frame, HopReason::Access);
                         }
@@ -1740,6 +1790,7 @@ impl Default for ReferProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn timer_tags_round_trip() {
@@ -1760,13 +1811,7 @@ mod tests {
 
     #[test]
     fn assign_kid_moves_ownership() {
-        let mut p = ReferProtocol::default();
-        p.cells.push(CellState {
-            corners: [NodeId(100), NodeId(101), NodeId(102)],
-            roster: BTreeMap::new(),
-            roster_idx: vec![None; p.route_table.node_count()],
-            ready: false,
-        });
+        let mut p = blank(1, 9);
         let kid = KautzId::parse("010", 2).expect("valid");
         p.assign_kid(0, kid, NodeId(7));
         assert!(p.is_member(NodeId(7)));
@@ -1775,6 +1820,104 @@ mod tests {
         p.assign_kid(0, kid, NodeId(8));
         assert!(!p.is_member(NodeId(7)));
         assert_eq!(p.roster(0).expect("cell").get(&kid), Some(&NodeId(8)));
+        assert_eq!(p.members(), [NodeId(8)]);
+    }
+
+    /// A protocol with `cells` empty cells and `nodes` rows, as `on_init`
+    /// leaves it before any KID is handed out.
+    fn blank(cells: usize, nodes: usize) -> ReferProtocol {
+        let mut p = ReferProtocol::default();
+        for _ in 0..cells {
+            p.cells.push(CellState {
+                corners: [NodeId(0); 3],
+                roster: vec![None; p.route_table.node_count()],
+                ready: false,
+            });
+        }
+        p.nodes = vec![NodeLocal::default(); nodes];
+        p
+    }
+
+    /// The shadow trees must notice a row that answers differently from
+    /// the tree it replaced (here: a membership lost from the row).
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "REFER node rows and their shadow trees disagree")]
+    fn shadow_catches_a_planted_disagreement() {
+        let mut p = blank(1, 4);
+        p.assign_kid(0, KautzId::parse("010", 2).expect("valid"), NodeId(3));
+        p.nodes[3].memberships.clear();
+        p.is_member(NodeId(3));
+    }
+
+    #[test]
+    fn ids_outside_the_deployment_are_not_members() {
+        // A peer's frame can name any id; the trees answered "unknown".
+        let p = blank(1, 4);
+        assert!(!p.is_member(NodeId(4)));
+        assert!(!p.is_member(NodeId(u32::MAX)));
+        assert_eq!(p.kid_in_cell(NodeId(u32::MAX), 0), None);
+    }
+
+    // Random assignment / removal / handover scripts against the trees the
+    // rows replaced, held explicitly so the comparison also runs in release
+    // test builds (where the shadow is compiled out): the member list must
+    // be the membership tree's keys in order, each roster the KID tree's
+    // entries in order, each row the tree's value.
+    proptest! {
+        #[test]
+        fn rows_match_the_trees_they_replaced(
+            script in prop::collection::vec((0u8..3, 0usize..3, 0usize..12, 0u32..10), 0..120)
+        ) {
+            let mut p = blank(3, 10);
+            let mut member_cells: BTreeMap<NodeId, Vec<(usize, KautzId)>> = BTreeMap::new();
+            let mut rosters: Vec<BTreeMap<KautzId, NodeId>> = vec![BTreeMap::new(); 3];
+            let forget = |tree: &mut BTreeMap<NodeId, Vec<(usize, KautzId)>>, node, cell, kid| {
+                if let Some(ms) = tree.get_mut(&node) {
+                    ms.retain(|&(c, k)| (c, k) != (cell, kid));
+                    if ms.is_empty() {
+                        tree.remove(&node);
+                    }
+                }
+            };
+            for (op, cell, idx, node) in script {
+                let (kid, node) = (p.route_table.id_of(idx), NodeId(node));
+                match op {
+                    // Assignment (and healing: the previous holder is evicted).
+                    0 => {
+                        p.assign_kid(cell, kid, node);
+                        if let Some(prev) = rosters[cell].insert(kid, node) {
+                            forget(&mut member_cells, prev, cell, kid);
+                        }
+                        member_cells.entry(node).or_default().push((cell, kid));
+                    }
+                    1 => {
+                        p.remove_membership(node, cell, &kid);
+                        forget(&mut member_cells, node, cell, kid);
+                    }
+                    // Handover: the current holder resigns, then hands on.
+                    _ => {
+                        if let Some(&holder) = rosters[cell].get(&kid) {
+                            p.remove_membership(holder, cell, &kid);
+                            forget(&mut member_cells, holder, cell, kid);
+                            p.assign_kid(cell, kid, node);
+                            rosters[cell].insert(kid, node);
+                            member_cells.entry(node).or_default().push((cell, kid));
+                        }
+                    }
+                }
+                prop_assert!(p.members().iter().eq(member_cells.keys()));
+            }
+            for (cell, tree) in rosters.iter().enumerate() {
+                prop_assert_eq!(&p.roster(cell).expect("cell"), tree);
+                prop_assert!(p.roster_entries(cell).eq(tree.iter().map(|(k, n)| (*k, *n))));
+            }
+            for node in (0..10).map(NodeId) {
+                let expected = member_cells.get(&node).map_or(&[][..], Vec::as_slice);
+                prop_assert_eq!(p.memberships(node), expected);
+                prop_assert_eq!(p.is_member(node), !expected.is_empty());
+            }
+        }
     }
 
     #[test]

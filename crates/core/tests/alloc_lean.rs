@@ -1,11 +1,12 @@
 //! Allocation-lean REFER hot path: in steady state the smoke scenario
-//! stays under a quarter of a heap allocation per handler event.
+//! stays under 0.15 heap allocations per handler event.
 //!
 //! With packet records in a hash map and Kautz IDs on the heap the same
-//! measure read 0.75 (0.16 now); a per-hop `Vec` or `KautzId` allocation
-//! coming back adds one per data hop, so tier-1 catches it without the
-//! benchmark. The count is per thread, so the test harness's own threads
-//! do not disturb it.
+//! measure read 0.75; with node state in five `NodeId`-keyed trees, 0.156
+//! (0.140 now, exactly: the run is seeded). A per-hop `Vec` or `KautzId` allocation coming back adds
+//! one per data hop, so tier-1 catches it without the benchmark. The
+//! count is per thread, so the test harness's own threads do not disturb
+//! it.
 
 use refer::{ReferConfig, ReferMsg, ReferProtocol};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -125,7 +126,7 @@ fn run_for(seconds: u64) -> (u64, u64) {
 }
 
 #[test]
-fn steady_state_stays_under_a_quarter_allocation_per_event() {
+fn steady_state_stays_under_0_15_allocations_per_event() {
     // Construction is the same in both runs (same seed), so the difference
     // is the steady state: what a packet costs per handler event.
     let (short_allocs, short_events) = run_for(30);
@@ -134,7 +135,7 @@ fn steady_state_stays_under_a_quarter_allocation_per_event() {
     assert!(events > 50_000, "too few events to judge: {events}");
     let per_event = allocs as f64 / events as f64;
     assert!(
-        per_event < 0.25,
+        per_event < 0.15,
         "{allocs} allocations over {events} handler events = {per_event:.3} per event"
     );
 }

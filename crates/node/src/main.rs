@@ -820,21 +820,17 @@ mod tests {
         assert!(huge.peer_addrs(0).is_err(), "more nodes than ports");
     }
 
-    /// A `Data` datagram whose `dest_kid` is longer than a KID holds is a
-    /// counted reject at the first digit past `KautzId::MAX_K` — it used to
-    /// build a heap id as long as the sender liked and hand it to routing.
-    #[test]
-    fn hostile_length_kids_are_counted_rejects() {
-        let scenario = Scenario::default();
-        let cfg = scenario.config();
+    /// Node 3 of the default scenario with no peers to reach and its trace
+    /// discarded: what `on_datagram` needs and nothing else.
+    fn offline_daemon() -> Daemon {
+        let cfg = Scenario::default().config();
         let mut proto = ReferProtocol::new(ReferConfig::default());
         let ctx = runner::construct(cfg.clone(), &mut proto, cfg.warmup);
-        let me = NodeId(3);
-        let mut daemon = Daemon {
+        Daemon {
             engine: EngineCore::new(proto, WorldView::from_sim(&ctx)),
             socket: UdpSocket::bind("127.0.0.1:0").expect("bind"),
             peers: Vec::new(),
-            me,
+            me: NodeId(3),
             trace: BufWriter::new(Box::new(std::io::sink())),
             line: Vec::new(),
             timers: BinaryHeap::new(),
@@ -842,15 +838,45 @@ mod tests {
             sent: 0,
             delivered: 0,
             rejects: 0,
-        };
-        let datagram = |digits: usize, created_us: u64| {
-            let kid: Vec<String> = (0..digits).map(|i| (i % 2).to_string()).collect();
-            let json = format!(
-                r#"{{"to":3,"created_us":{created_us},"from":7,"size_bits":1024,"account":"communication","broadcast":false,"payload":{{"Data":{{"data":1,"dest_cell":0,"dest_kid":{{"digits":[{}],"degree":2}},"appended":0,"hops":0}}}}}}"#,
-                kid.join(",")
-            );
-            refer_obs::encode_frame(json.as_bytes())
-        };
+        }
+    }
+
+    /// A `Data` datagram for node 3 carrying packet `data` and a
+    /// `digits`-long destination KID.
+    fn data_datagram(data: u64, digits: usize, created_us: u64) -> Vec<u8> {
+        let kid: Vec<String> = (0..digits).map(|i| (i % 2).to_string()).collect();
+        let json = format!(
+            r#"{{"to":3,"created_us":{created_us},"from":7,"size_bits":1024,"account":"communication","broadcast":false,"payload":{{"Data":{{"data":{data},"dest_cell":0,"dest_kid":{{"digits":[{}],"degree":2}},"appended":0,"hops":0}}}}}}"#,
+            kid.join(",")
+        );
+        refer_obs::encode_frame(json.as_bytes())
+    }
+
+    /// A peer minting a fresh packet id per datagram cannot make the
+    /// daemon remember them all: the packet table is a fixed window, so
+    /// old ids are forgotten, recent ones resolve, nothing else grows.
+    #[test]
+    fn a_flood_of_fresh_packet_ids_leaves_bounded_state() {
+        let mut daemon = offline_daemon();
+        let id = |n: u64| ((n % 19) << 32) | (n / 19);
+        const FLOOD: u64 = 100_000;
+        for n in 0..FLOOD {
+            daemon.on_datagram(n, &data_datagram(id(n), 3, n));
+            assert_eq!(daemon.created_us(DataId(id(n))), Some(n), "just registered");
+        }
+        assert_eq!(daemon.rejects, 0);
+        let remembered = (0..FLOOD).filter(|&n| daemon.created_us(DataId(id(n))).is_some()).count();
+        assert!((1..=1 << 10).contains(&remembered), "{remembered} of {FLOOD} ids remembered");
+        assert!(daemon.timers.is_empty(), "data frames arm nothing");
+    }
+
+    /// A `Data` datagram whose `dest_kid` is longer than a KID holds is a
+    /// counted reject at the first digit past `KautzId::MAX_K` — it used to
+    /// build a heap id as long as the sender liked and hand it to routing.
+    #[test]
+    fn hostile_length_kids_are_counted_rejects() {
+        let mut daemon = offline_daemon();
+        let datagram = |digits: usize, created_us: u64| data_datagram(1, digits, created_us);
         for (n, digits) in [kautz::KautzId::MAX_K + 1, 64, 10_000].into_iter().enumerate() {
             let bytes = datagram(digits, 1);
             let err = wire::decode_datagram(&bytes).expect_err("too long");

@@ -18,7 +18,6 @@
 use crate::{ProtoCtx, SansIo};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::fmt::Debug;
 use wsan_sim::trace::TraceEvent;
 use wsan_sim::{
@@ -91,6 +90,45 @@ pub struct PacketMeta {
     pub dest: Option<NodeId>,
     /// When the packet was created.
     pub created: SimTime,
+}
+
+/// How many packets a driver remembers: a power of two, well above what
+/// one node has in flight (a packet is looked up within a few hops of
+/// being registered), small enough that 19 daemons' tables fit in cache.
+const PACKET_WINDOW: usize = 1 << 10;
+
+/// The packets a driver saw recently, by [`DataId`]: a direct-mapped
+/// table of [`PACKET_WINDOW`] slots, allocated once. Registering a packet
+/// overwrites whatever shared its slot, so memory does not grow with
+/// packets seen — whoever sends them — and a forgotten (or never seen) id
+/// answers `None`, which every caller already handles.
+#[derive(Debug)]
+struct PacketWindow {
+    slots: Box<[Option<(DataId, PacketMeta)>]>,
+}
+
+impl PacketWindow {
+    fn new() -> Self {
+        PacketWindow { slots: vec![None; PACKET_WINDOW].into_boxed_slice() }
+    }
+
+    /// Ids are `origin << 32 | seq`: the low bits of the two halves folded
+    /// together, so a window's worth of one origin's consecutive packets
+    /// never share a slot, nor do different origins' same-numbered ones.
+    fn slot(id: DataId) -> usize {
+        (id.0 ^ (id.0 >> 32)) as usize & (PACKET_WINDOW - 1)
+    }
+
+    fn insert(&mut self, id: DataId, meta: PacketMeta) {
+        self.slots[Self::slot(id)] = Some((id, meta));
+    }
+
+    fn get(&self, id: DataId) -> Option<&PacketMeta> {
+        match &self.slots[Self::slot(id)] {
+            Some((held, meta)) if *held == id => Some(meta),
+            _ => None,
+        }
+    }
 }
 
 /// One event fed into the protocol core by a driver.
@@ -207,7 +245,7 @@ pub struct IoCtx<P> {
     world: WorldView,
     now: SimTime,
     rng: StdRng,
-    data: HashMap<DataId, PacketMeta>,
+    data: PacketWindow,
     out: Vec<Output<P>>,
     scratch: Vec<NodeId>,
 }
@@ -221,7 +259,7 @@ impl<P: Clone + Debug> IoCtx<P> {
             world,
             now: SimTime::ZERO,
             rng: StdRng::seed_from_u64(seed),
-            data: HashMap::new(),
+            data: PacketWindow::new(),
             out: Vec::new(),
             scratch: Vec::new(),
         }
@@ -232,10 +270,11 @@ impl<P: Clone + Debug> IoCtx<P> {
         self.data.insert(id, meta);
     }
 
-    /// What was registered for `id`, if anything — the driver's one
+    /// What was registered for `id`, if the driver still remembers it
+    /// (it keeps a fixed window of recent packets) — the driver's one
     /// per-packet table, so a shell needs none of its own.
     pub fn packet_meta(&self, id: DataId) -> Option<&PacketMeta> {
-        self.data.get(&id)
+        self.data.get(id)
     }
 
     /// Advances the driver clock (monotonic: earlier timestamps are
@@ -417,13 +456,13 @@ impl<P: Clone + Debug> ProtoCtx<P> for IoCtx<P> {
         None
     }
     fn data_origin(&self, data: DataId) -> Option<NodeId> {
-        self.data.get(&data).map(|m| m.origin)
+        self.data.get(data).map(|m| m.origin)
     }
     fn data_size_bits(&self, data: DataId) -> Option<u32> {
-        self.data.get(&data).map(|m| m.size_bits)
+        self.data.get(data).map(|m| m.size_bits)
     }
     fn data_dest(&self, data: DataId) -> Option<NodeId> {
-        self.data.get(&data).and_then(|m| m.dest)
+        self.data.get(data).and_then(|m| m.dest)
     }
     fn tracing_active(&self) -> bool {
         true
@@ -481,5 +520,57 @@ impl<T: SansIo> EngineCore<T> {
     /// The driver context (world + clock inspection).
     pub fn ctx(&self) -> &IoCtx<T::Payload> {
         &self.ctx
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn meta(n: u64) -> PacketMeta {
+        PacketMeta {
+            origin: NodeId((n >> 32) as u32),
+            size_bits: 8_000,
+            dest: None,
+            created: SimTime::from_micros(n),
+        }
+    }
+
+    /// A million distinct ids, as 19 origins would mint them, leave the
+    /// table at the size it was born with; each reads back until a later
+    /// id takes its slot, and an evicted id that is registered again
+    /// reads back again.
+    #[test]
+    fn the_packet_window_does_not_grow_with_packets_seen() {
+        let mut window = PacketWindow::new();
+        let storage = window.slots.as_ptr();
+        let id = |n: u64| DataId(((n % 19) << 32) | (n / 19));
+        for n in 0..1_000_000 {
+            window.insert(id(n), meta(n));
+            assert_eq!(window.get(id(n)), Some(&meta(n)));
+        }
+        assert_eq!(window.slots.len(), PACKET_WINDOW);
+        assert_eq!(window.slots.as_ptr(), storage, "allocated once");
+        assert_eq!(window.get(id(0)), None, "long evicted");
+        assert_eq!(window.get(DataId(u64::MAX)), None, "never seen");
+        window.insert(id(0), meta(0));
+        assert_eq!(window.get(id(0)), Some(&meta(0)));
+    }
+
+    /// What a node actually has in flight — a run of one origin's packets,
+    /// or several origins' packets of the same number — evicts nothing.
+    #[test]
+    fn packets_in_flight_together_share_no_slot() {
+        let distinct = |ids: &mut dyn Iterator<Item = u64>| {
+            let slots: std::collections::BTreeSet<usize> =
+                ids.map(|id| PacketWindow::slot(DataId(id))).collect();
+            slots.len()
+        };
+        let window = PACKET_WINDOW as u64;
+        for origin in [0, 7, 18] {
+            let mut run = (5_000..5_000 + window).map(|seq| (origin << 32) | seq);
+            assert_eq!(distinct(&mut run), PACKET_WINDOW);
+        }
+        assert_eq!(distinct(&mut (0..window).map(|origin| (origin << 32) | 77)), PACKET_WINDOW);
     }
 }

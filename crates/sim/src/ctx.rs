@@ -105,23 +105,104 @@ pub(crate) struct PendingAck<P> {
     pub(crate) attempt: u32,
 }
 
+/// What the store answers about a packet: its [`DataRecord`] with the
+/// delivery time reduced to the fact — nothing in the simulator reads
+/// *when* a packet was first delivered, only *whether*.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Packet {
+    pub(crate) origin: NodeId,
+    pub(crate) created: SimTime,
+    pub(crate) size_bits: u32,
+    pub(crate) delivered: bool,
+    pub(crate) measured: bool,
+    pub(crate) dest: Option<NodeId>,
+}
+
+impl From<&DataRecord> for Packet {
+    fn from(r: &DataRecord) -> Self {
+        Packet {
+            origin: r.origin,
+            created: r.created,
+            size_bits: r.size_bits,
+            delivered: r.delivered.is_some(),
+            measured: r.measured,
+            dest: r.dest,
+        }
+    }
+}
+
+/// One packet of the dense lane in 16 bytes (a [`DataRecord`] is 48).
+/// `size_bits` is not here: the lane's one writer (`emit_packet`) gives
+/// every packet the configured size, so [`PacketStore`] holds it once.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Creation time in micros, shifted left past the two flag bits.
+    stamp: u64,
+    /// [`Slot::VACANT`] marks a slot no packet was stored in.
+    origin: u32,
+    /// [`Slot::NO_DEST`] = the protocol picks the destination itself.
+    dest: u32,
+}
+
+impl Slot {
+    const MEASURED: u64 = 1;
+    const DELIVERED: u64 = 2;
+    const FLAG_BITS: u32 = 2;
+    const VACANT: u32 = u32::MAX;
+    const NO_DEST: u32 = u32::MAX;
+    const EMPTY: Slot = Slot { stamp: 0, origin: Slot::VACANT, dest: Slot::NO_DEST };
+
+    fn pack(r: &DataRecord) -> Slot {
+        let created = r.created.as_micros();
+        // 2^62 µs is 146 000 simulated years; `u32::MAX` nodes do not fit
+        // in memory. Both are bugs in the caller, not inputs.
+        assert!(
+            created >> (u64::BITS - Slot::FLAG_BITS) == 0
+                && r.origin.0 != Slot::VACANT
+                && r.dest != Some(NodeId(Slot::NO_DEST)),
+            "packet record does not fit a slot: {r:?}"
+        );
+        Slot {
+            stamp: created << Slot::FLAG_BITS
+                | if r.measured { Slot::MEASURED } else { 0 }
+                | if r.delivered.is_some() { Slot::DELIVERED } else { 0 },
+            origin: r.origin.0,
+            dest: r.dest.map_or(Slot::NO_DEST, |d| d.0),
+        }
+    }
+
+    fn unpack(self, size_bits: u32) -> Option<Packet> {
+        (self.origin != Slot::VACANT).then_some(Packet {
+            origin: NodeId(self.origin),
+            created: SimTime::from_micros(self.stamp >> Slot::FLAG_BITS),
+            size_bits,
+            delivered: self.stamp & Slot::DELIVERED != 0,
+            measured: self.stamp & Slot::MEASURED != 0,
+            dest: (self.dest != Slot::NO_DEST).then_some(NodeId(self.dest)),
+        })
+    }
+}
+
 /// The records of the application packets a context originated, by
 /// [`DataId`].
 ///
 /// The id's own bits pick the container — no engine flag. An id whose
 /// high 32 bits are zero (the serial engine mints 0, 1, 2, …) indexes a
-/// `Vec`: one push per packet and one indexed read per lookup, where a
-/// hash table spent its time on memory traffic. An id that carries its
-/// origin in the high word (`origin << 32 | n`, the sharded engine's
-/// scheme) stays in a map: one `Vec` lane per origin costs more
-/// allocations than the map does (DESIGN.md §14).
+/// `Vec` of 16-byte [`Slot`]s: one push per packet and one indexed read
+/// per lookup, where a hash table spent its time on memory traffic. An id
+/// that carries its origin in the high word (`origin << 32 | n`, the
+/// sharded engine's scheme) stays in a map of whole records: one `Vec`
+/// lane per origin costs more allocations than the map does (DESIGN.md
+/// §14).
 ///
 /// Debug builds carry a shadow `HashMap` and check every lookup against
 /// it, like the timing wheel's shadow heap, so each debug-profile
 /// simulation is a store ≡ map proof; release builds compile it out.
 #[derive(Debug, Default)]
 pub(crate) struct PacketStore {
-    dense: Vec<Option<DataRecord>>,
+    dense: Vec<Slot>,
+    /// The payload size of every packet in `dense`.
+    dense_size_bits: u32,
     tagged: HashMap<DataId, DataRecord>,
     #[cfg(debug_assertions)]
     shadow: HashMap<DataId, DataRecord>,
@@ -136,50 +217,55 @@ impl PacketStore {
 
     pub(crate) fn insert(&mut self, id: DataId, record: DataRecord) {
         #[cfg(debug_assertions)]
-        self.shadow.insert(id, DataRecord { delivered: None, ..record.clone() });
-        match Self::slot(id) {
-            Some(slot) if slot < self.dense.len() => self.dense[slot] = Some(record),
-            Some(slot) => {
-                // Ids are minted in sequence, so this is a plain push.
-                self.dense.resize_with(slot, || None);
-                self.dense.push(Some(record));
-            }
-            None => {
-                self.tagged.insert(id, record);
-            }
+        self.shadow.insert(id, record.clone());
+        let Some(slot) = Self::slot(id) else {
+            self.tagged.insert(id, record);
+            return;
+        };
+        assert!(
+            self.dense.is_empty() || self.dense_size_bits == record.size_bits,
+            "serial packet ids share one payload size"
+        );
+        self.dense_size_bits = record.size_bits;
+        if slot >= self.dense.len() {
+            // Ids are minted in sequence, so this grows by one, amortised.
+            self.dense.resize(slot + 1, Slot::EMPTY);
         }
+        self.dense[slot] = Slot::pack(&record);
     }
 
     #[inline]
-    pub(crate) fn get(&self, id: DataId) -> Option<&DataRecord> {
+    pub(crate) fn get(&self, id: DataId) -> Option<Packet> {
         let found = match Self::slot(id) {
-            Some(slot) => self.dense.get(slot).and_then(Option::as_ref),
-            None => self.tagged.get(&id),
+            Some(slot) => self.dense.get(slot).and_then(|s| s.unpack(self.dense_size_bits)),
+            None => self.tagged.get(&id).map(Packet::from),
         };
         #[cfg(debug_assertions)]
         self.check_shadow(id, found);
         found
     }
 
+    /// Marks `id` delivered at `at`; answers the packet if this was its
+    /// first delivery, `None` for an unknown id or a repeat.
     #[inline]
-    pub(crate) fn get_mut(&mut self, id: DataId) -> Option<&mut DataRecord> {
-        #[cfg(debug_assertions)]
-        let _ = self.get(id); // the shadow check
+    pub(crate) fn mark_delivered(&mut self, id: DataId, at: SimTime) -> Option<Packet> {
+        let packet = self.get(id).filter(|packet| !packet.delivered)?;
         match Self::slot(id) {
-            Some(slot) => self.dense.get_mut(slot).and_then(Option::as_mut),
-            None => self.tagged.get_mut(&id),
+            Some(slot) => self.dense[slot].stamp |= Slot::DELIVERED,
+            None => self.tagged.get_mut(&id)?.delivered = Some(at),
         }
+        Some(packet)
     }
 
-    /// The shadow keeps every record as inserted; `delivered` is the one
-    /// field [`PacketStore::get_mut`] is handed out to write, so the
-    /// comparison leaves it out.
+    /// The shadow keeps every record as inserted; whether it was delivered
+    /// since is the one thing the store writes afterwards
+    /// ([`PacketStore::mark_delivered`]), so the comparison leaves it out.
     #[cfg(debug_assertions)]
-    fn check_shadow(&self, id: DataId, found: Option<&DataRecord>) {
-        let as_inserted = found.map(|r| DataRecord { delivered: None, ..r.clone() });
+    fn check_shadow(&self, id: DataId, found: Option<Packet>) {
+        let as_inserted = |p: Packet| Packet { delivered: false, ..p };
         assert_eq!(
-            as_inserted.as_ref(),
-            self.shadow.get(&id),
+            found.map(as_inserted),
+            self.shadow.get(&id).map(|r| as_inserted(r.into())),
             "packet store and its shadow map disagree on {id}"
         );
     }
@@ -859,13 +945,9 @@ impl<P> Ctx<P> {
     /// direct serial path and the sharded engine's claim dispatch.
     pub(crate) fn apply_delivery_claim(&mut self, data: DataId, node: NodeId, hops: u32, at: SimTime) {
         let qos = self.cfg.qos_deadline;
-        let Some(record) = self.data.get_mut(data) else {
+        let Some(record) = self.data.mark_delivered(data, at) else {
             return;
         };
-        if record.delivered.is_some() {
-            return;
-        }
-        record.delivered = Some(at);
         let delay = at - record.created;
         // Metrics only count measured packets; the trace still records
         // warmup deliveries so forensics see every packet's fate.
@@ -915,7 +997,7 @@ impl<P> Ctx<P> {
     /// [`Ctx::apply_delivery_claim`].
     pub(crate) fn apply_drop_claim(&mut self, data: DataId, reason: DropReason, at: SimTime) {
         if let Some(record) = self.data.get(data) {
-            if record.delivered.is_none() {
+            if !record.delivered {
                 if record.measured {
                     self.metrics.dropped_packets += 1;
                     match reason {
@@ -1282,9 +1364,9 @@ mod tests {
         // Below, between and past what was inserted, in both layouts.
         for id in [DataId(0), DataId(2), DataId(u64::from(u32::MAX)), tagged(3, 0), tagged(4, 1)] {
             assert_eq!(store.get(id), None, "{id}");
-            assert_eq!(store.get_mut(id), None, "{id}");
+            assert_eq!(store.mark_delivered(id, SimTime::ZERO), None, "{id}");
         }
-        assert_eq!(store.get(DataId(1)), Some(&record(1)));
+        assert_eq!(store.get(DataId(1)), Some(Packet::from(&record(1))));
     }
 
     #[test]
@@ -1293,11 +1375,12 @@ mod tests {
         store.insert(DataId(0), record(0));
         store.insert(DataId(1 << 32), record(1)); // origin 1, n 0: low word collides with id 0
         store.insert(DataId(u64::MAX), record(2));
-        assert_eq!(store.get(DataId(0)), Some(&record(0)));
-        assert_eq!(store.get(DataId(1 << 32)), Some(&record(1)));
-        assert_eq!(store.get(DataId(u64::MAX)), Some(&record(2)));
-        store.get_mut(DataId(1 << 32)).expect("present").delivered = Some(SimTime::from_secs(9));
-        assert_eq!(store.get(DataId(0)).expect("present").delivered, None);
+        assert_eq!(store.get(DataId(0)), Some(Packet::from(&record(0))));
+        assert_eq!(store.get(DataId(1 << 32)), Some(Packet::from(&record(1))));
+        assert_eq!(store.get(DataId(u64::MAX)), Some(Packet::from(&record(2))));
+        store.mark_delivered(DataId(1 << 32), SimTime::from_secs(9)).expect("first delivery");
+        assert!(store.get(DataId(1 << 32)).expect("present").delivered);
+        assert!(!store.get(DataId(0)).expect("present").delivered);
         assert_eq!(store.dense.len(), 1, "tagged ids never size the dense lane");
     }
 
@@ -1308,11 +1391,15 @@ mod tests {
         ctx.now = SimTime::from_secs(1);
         for id in [DataId(0), tagged(5, 0)] {
             ctx.data.insert(id, record(5));
+            let first = ctx.now;
             ctx.deliver_data(id, actuator);
-            let first = ctx.data.get(id).expect("present").delivered;
+            assert!(ctx.data.get(id).expect("present").delivered);
             ctx.now += SimDuration::from_millis(5);
             ctx.deliver_data(id, actuator);
-            assert_eq!(ctx.data.get(id).expect("present").delivered, first);
+            // Only the tagged arm keeps the time: the first one.
+            if let Some(record) = ctx.data.tagged.get(&id) {
+                assert_eq!(record.delivered, Some(first));
+            }
         }
         assert_eq!(ctx.metrics.delivered_packets, 2);
     }
@@ -1339,45 +1426,76 @@ mod tests {
     fn shadow_catches_a_planted_disagreement() {
         let mut store = PacketStore::default();
         store.insert(DataId(0), record(0));
-        store.dense[0] = None;
+        store.dense[0] = Slot::EMPTY;
         store.get(DataId(0));
     }
 
-    // One random script of inserts, reads and writes over both id layouts,
-    // against a plain map (explicitly, so it also holds in release test
-    // builds, where the shadow is compiled out).
+    #[test]
+    fn a_dense_slot_is_sixteen_bytes_and_holds_every_field() {
+        assert_eq!(std::mem::size_of::<Slot>(), 16);
+        let widest = DataRecord {
+            origin: NodeId(u32::MAX - 1),
+            created: SimTime::from_micros((1 << 62) - 1),
+            size_bits: 8_000,
+            delivered: None,
+            measured: false,
+            dest: Some(NodeId(u32::MAX - 1)),
+        };
+        let mut store = PacketStore::default();
+        store.insert(DataId(0), widest.clone());
+        assert_eq!(store.get(DataId(0)), Some(Packet::from(&widest)));
+        let first = store.mark_delivered(DataId(0), SimTime::ZERO).expect("first delivery");
+        assert_eq!(first, Packet::from(&widest));
+        assert_eq!(store.get(DataId(0)), Some(Packet { delivered: true, ..first }));
+    }
+
+    // One random script of inserts, reads and deliveries over both id
+    // layouts, against a plain map (explicitly, so it also holds in release
+    // test builds, where the shadow is compiled out).
     proptest! {
         #[test]
         fn store_matches_a_hash_map(
-            script in prop::collection::vec((0u8..4, 0u32..3, 0u32..48, 0u32..1_000), 0..200)
+            script in prop::collection::vec(
+                (0u8..4, 0u32..3, 0u32..48, 0u64..1 << 62, 0u8..2, 0u32..10),
+                0..200,
+            )
         ) {
             let mut store = PacketStore::default();
-            let mut map = HashMap::new();
-            for (op, origin, n, stamp) in script {
+            let mut map: HashMap<DataId, Packet> = HashMap::new();
+            for (op, origin, n, created, measured, dest) in script {
                 // Origin 0 is the serial layout; 1 and 2 are origin-tagged.
                 let id = tagged(origin, n);
                 match op {
                     0 | 1 => {
-                        store.insert(id, record(stamp));
-                        map.insert(id, record(stamp));
+                        let record = DataRecord {
+                            created: SimTime::from_micros(created),
+                            measured: measured == 1,
+                            // 0 = the paper trickle's "no destination".
+                            dest: dest.checked_sub(1).map(NodeId),
+                            ..record(n)
+                        };
+                        map.insert(id, Packet::from(&record));
+                        store.insert(id, record);
                     }
-                    2 => prop_assert_eq!(store.get(id), map.get(&id)),
+                    2 => prop_assert_eq!(store.get(id), map.get(&id).copied()),
                     _ => {
-                        let at = Some(SimTime::from_micros(u64::from(stamp)));
-                        if let Some(r) = map.get_mut(&id) {
-                            r.delivered = at;
-                        }
-                        if let Some(r) = store.get_mut(id) {
-                            r.delivered = at;
-                        }
-                        prop_assert_eq!(store.get(id), map.get(&id));
+                        // A first delivery answers the packet, a second (or
+                        // an unknown id) nothing, and the flag stays set.
+                        let expected = map.get_mut(&id).filter(|p| !p.delivered).map(|p| {
+                            let before = *p;
+                            p.delivered = true;
+                            before
+                        });
+                        prop_assert_eq!(store.mark_delivered(id, SimTime::from_micros(created)), expected);
+                        prop_assert_eq!(store.mark_delivered(id, SimTime::from_micros(created)), None);
+                        prop_assert_eq!(store.get(id), map.get(&id).copied());
                     }
                 }
             }
             for origin in 0..3 {
                 for n in 0..48 {
                     let id = tagged(origin, n);
-                    prop_assert_eq!(store.get(id), map.get(&id));
+                    prop_assert_eq!(store.get(id), map.get(&id).copied());
                 }
             }
         }
