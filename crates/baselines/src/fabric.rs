@@ -235,6 +235,11 @@ pub fn fabric_config(degree: u8, k: usize, offered_pps: f64) -> SimConfig {
     // then costs ~8k ms uncongested, leaving most of the 0.6 s QoS budget
     // for queueing — the regime where the routing strategies differ.
     cfg.radio.bitrate_bps = 1_000_000.0;
+    // The fabric is a per-arc-capacity model: a vertex's service rate is
+    // its own sender queue's (Faber–Streib's regular-routing setting).
+    // Under the paper scenario's receiver occupancy the serial engine lets
+    // one backlogged sender freeze every vertex it targets.
+    cfg.radio.receiver_occupancy = 0.0;
     cfg.seed = 1;
     cfg
 }
@@ -304,6 +309,14 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The two workloads want different contention models; neither may
+    /// change its own by accident (DESIGN.md §13, "Engine discipline").
+    #[test]
+    fn the_paper_scenario_reserves_receivers_and_the_fabric_does_not() {
+        assert!(wsan_sim::RadioConfig::default().receiver_occupancy > 0.0);
+        assert_eq!(fabric_config(2, 3, 25.0).radio.receiver_occupancy, 0.0);
     }
 
     #[test]

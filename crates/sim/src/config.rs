@@ -360,8 +360,14 @@ pub struct RadioConfig {
     pub mac_overhead: SimDuration,
     /// Upper bound of the uniform random contention jitter per hop.
     pub max_jitter: SimDuration,
-    /// Fraction of a frame's service time that also occupies the
-    /// *receiver*'s radio (models the shared medium around hot nodes).
+    /// Receiver occupancy, on (any positive value) or off (zero); the
+    /// magnitude is not read. On, a frame reserves its *receiver*'s radio
+    /// from the moment it is queued at the sender until it arrives, so a
+    /// node cannot start transmitting before everything already addressed
+    /// to it has landed — the shared medium around hot nodes, and the
+    /// contention model behind the flooding baselines' delays in Figures
+    /// 4–8 (EXPERIMENTS.md). Serial engine only: the sharded engine models
+    /// no receiver occupancy and ignores this field (DESIGN.md §13).
     pub receiver_occupancy: f64,
     /// Maximum radio backlog: a frame offered to a node whose transmit
     /// queue already exceeds this horizon is tail-dropped (bounded MAC

@@ -297,8 +297,6 @@ pub struct Ctx<P> {
     /// interface-queue tail drop (all of it is conceptually spread over the
     /// deployment phase, not burst through a 1.5 s buffer at t = 0).
     pub(crate) unbounded_queue: bool,
-    /// Optional event trace (None = tracing disabled, zero cost).
-    pub(crate) trace: Option<crate::trace::TraceLog>,
     /// Streaming trace sinks attached for this run
     /// ([`runner::run_with_sinks`](crate::runner::run_with_sinks)); empty =
     /// no streaming consumers, zero cost.
@@ -323,6 +321,42 @@ pub struct Ctx<P> {
 }
 
 impl<P> Ctx<P> {
+    /// A context at t = 0 over the given world with nothing scheduled and
+    /// nothing metered: the serial engine's one context (`shard: None`,
+    /// `rng` the master stream) or one shard's replica of it.
+    pub(crate) fn new(
+        cfg: SimConfig,
+        nodes: Vec<NodeState>,
+        sensors: Vec<NodeId>,
+        actuators: Vec<NodeId>,
+        grid: SpatialGrid,
+        rng: StdRng,
+        shard: Option<Box<crate::shard::ShardCtl<P>>>,
+    ) -> Self {
+        Ctx {
+            end: SimTime::ZERO + cfg.total_time(),
+            cfg,
+            now: SimTime::ZERO,
+            nodes,
+            actuators,
+            sensors,
+            queue: EventQueue::new(),
+            seq: 0,
+            rng,
+            metrics: Metrics::default(),
+            data: PacketStore::default(),
+            next_data_id: 0,
+            pending_acks: if shard.is_some() { AckTable::sharded() } else { AckTable::serial() },
+            oracle_queries: Cell::new(0),
+            unbounded_queue: false,
+            sinks: Vec::new(),
+            grid,
+            recv_buf: Vec::new(),
+            alive_buf: Vec::new(),
+            shard,
+        }
+    }
+
     // ----- clock and configuration ------------------------------------
 
     /// Current simulated time.
@@ -366,35 +400,22 @@ impl<P> Ctx<P> {
         }
     }
 
-    /// Enables event tracing with a bounded buffer of `capacity` events.
-    /// Typically called from `Protocol::on_init`.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(crate::trace::TraceLog::new(capacity));
-    }
-
-    /// Takes the trace log (if tracing was enabled), leaving tracing on
-    /// with an empty buffer.
-    pub fn take_trace(&mut self) -> Vec<crate::trace::TraceEvent> {
-        self.trace.as_mut().map(crate::trace::TraceLog::drain).unwrap_or_default()
-    }
-
-    /// Attaches a streaming trace sink for the rest of the run. The sink
-    /// observes every subsequent event in simulation order; the runner
-    /// flushes and returns it when the run completes
-    /// ([`runner::run_with_sinks`](crate::runner::run_with_sinks)).
+    /// Attaches a streaming trace sink for the rest of the run — typically
+    /// from `Protocol::on_init`. The sink observes every subsequent event
+    /// in simulation order; the runner flushes and returns it when the run
+    /// completes ([`runner::run_with_sinks`](crate::runner::run_with_sinks)).
     pub fn add_trace_sink(&mut self, sink: Box<dyn crate::trace::TraceSink>) {
         self.sinks.push(sink);
     }
 
-    /// Whether any trace consumer (bounded log or streaming sink) is
-    /// attached. Protocols can skip building expensive event payloads when
-    /// this is false.
+    /// Whether any trace sink is attached. Protocols can skip building
+    /// expensive event payloads when this is false.
     #[inline]
     pub fn tracing_active(&self) -> bool {
-        if let Some(ctl) = &self.shard {
-            return ctl.tracing;
+        match &self.shard {
+            Some(ctl) => ctl.tracing,
+            None => !self.sinks.is_empty(),
         }
-        self.trace.is_some() || !self.sinks.is_empty()
     }
 
     #[inline]
@@ -417,15 +438,12 @@ impl<P> Ctx<P> {
             }
             return;
         }
-        if self.trace.is_none() && self.sinks.is_empty() {
-            return; // tracing disabled: two loads and a branch, no event built
+        if self.sinks.is_empty() {
+            return; // tracing disabled: a load and a branch, no event built
         }
         let event = make();
         for sink in &mut self.sinks {
             sink.on_event(&event);
-        }
-        if let Some(log) = self.trace.as_mut() {
-            log.push(event);
         }
     }
 
@@ -1246,33 +1264,24 @@ impl<P> Ctx<P> {
         SimTime::from_micros(done)
     }
 
+    /// The one *model* fork on `self.shard` (every other is mechanism: RNG
+    /// streams, event routing, id minting, ACK home, duplicate-ACK elision,
+    /// claims, trace buffering). Serially, with `radio.receiver_occupancy`
+    /// positive, a frame reserves its receiver's radio at push time until
+    /// its arrival: `busy_until = max(busy_until, arrival)` — the contention
+    /// model EXPERIMENTS.md's flooding-baseline verdicts depend on. The
+    /// sharded engine models no receiver occupancy at all and ignores the
+    /// field: the receiver may live in a shard running concurrently, and
+    /// the only write its owner could make on arrival,
+    /// `busy_until = max(busy_until, now)`, changes nothing, because every
+    /// reader takes `max(now', busy_until)` or `busy_until − now'` at a
+    /// `now' ≥ now` (ROADMAP item 1(a)).
     fn bump_receiver(&mut self, to: NodeId, arrival: SimTime) {
-        if self.shard.is_some() {
-            // The receiver may live in another shard whose window is
-            // running concurrently; its occupancy bump is applied when the
-            // Deliver event is processed ([`Ctx::bump_on_delivery`]) —
-            // same resulting busy horizon, no cross-shard write.
-            return;
-        }
-        let occupancy = self.cfg.radio.receiver_occupancy;
-        if occupancy <= 0.0 {
+        if self.shard.is_some() || self.cfg.radio.receiver_occupancy <= 0.0 {
             return;
         }
         let node = &mut self.nodes[to.index()];
         node.busy_until_micros = node.busy_until_micros.max(arrival.as_micros());
-    }
-
-    /// The sharded engine's receiver-occupancy bump, applied by the shard
-    /// that owns the receiver at the moment the frame arrives (`now` *is*
-    /// the arrival time then, so the resulting busy horizon matches what
-    /// the serial engine wrote at push time).
-    pub(crate) fn bump_on_delivery(&mut self, to: NodeId) {
-        if self.cfg.radio.receiver_occupancy <= 0.0 {
-            return;
-        }
-        let now = self.now.as_micros();
-        let node = &mut self.nodes[to.index()];
-        node.busy_until_micros = node.busy_until_micros.max(now);
     }
 
     /// Per-frame service time: payload serialization at the channel bitrate
@@ -1407,14 +1416,15 @@ mod tests {
     #[test]
     fn dropping_an_unknown_packet_is_a_no_op() {
         let mut ctx = crate::runner::build_ctx::<()>(SimConfig::smoke());
-        ctx.enable_trace(16);
+        let log = std::sync::Arc::new(std::sync::Mutex::new(crate::trace::TraceLog::new(16)));
+        ctx.add_trace_sink(Box::new(log.clone()));
         for id in [DataId(0), DataId(999), tagged(7, 1)] {
             ctx.drop_data(id);
             ctx.deliver_data(id, ctx.actuator_ids()[0]);
         }
         assert_eq!(ctx.metrics.dropped_packets, 0);
         assert_eq!(ctx.metrics.delivered_packets, 0);
-        assert!(ctx.take_trace().is_empty());
+        assert!(log.lock().expect("sole user").is_empty());
         assert!(ctx.data.dense.is_empty() && ctx.data.tagged.is_empty());
     }
 

@@ -71,7 +71,7 @@ pub use message::{DataId, DataRecord, Message};
 pub use metrics::{jain_fairness, DropReason, Metrics, RunSummary};
 pub use node::{NodeId, NodeKind, NodeState};
 pub use protocol::Protocol;
-pub use shard::{run_engine, run_engine_with_sinks, run_sharded, run_sharded_with_sinks, ShardableProtocol};
+pub use shard::{run_engine, run_sharded, run_sharded_with_sinks, ShardableProtocol};
 pub use time::{SimDuration, SimTime};
 pub use trace::{HopReason, TraceEvent, TraceLog, TraceSink};
 pub use traffic::TrafficPattern;

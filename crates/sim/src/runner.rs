@@ -35,6 +35,20 @@ pub fn run_with_sinks<P: Protocol>(
     protocol: &mut P,
     sinks: Vec<Box<dyn crate::trace::TraceSink>>,
 ) -> (RunSummary, Vec<Box<dyn crate::trace::TraceSink>>) {
+    let mut ctx = boot(cfg, protocol, sinks);
+    push_drivers(&mut ctx);
+    let end = ctx.end;
+    run_until(&mut ctx, protocol, end);
+    finish(&mut ctx)
+}
+
+/// How every run starts, whichever engine continues it: the world is built
+/// from the seed and the protocol constructs its network on it.
+pub(crate) fn boot<P: Protocol>(
+    cfg: SimConfig,
+    protocol: &mut P,
+    sinks: Vec<Box<dyn crate::trace::TraceSink>>,
+) -> Ctx<P::Payload> {
     cfg.validate();
     let mut ctx = build_ctx::<P::Payload>(cfg);
     ctx.sinks = sinks;
@@ -45,9 +59,12 @@ pub fn run_with_sinks<P: Protocol>(
     for node in &mut ctx.nodes {
         node.busy_until_micros = 0;
     }
+    ctx
+}
 
-    // Drivers: traffic from t=0 (warmup traffic flows but is not measured),
-    // mobility from the first tick, fault rotation from the first boundary.
+/// Drivers: traffic from t=0 (warmup traffic flows but is not measured),
+/// mobility from the first tick, fault rotation from the first boundary.
+pub(crate) fn push_drivers<Pl>(ctx: &mut Ctx<Pl>) {
     ctx.push(SimTime::ZERO, EventKind::TrafficRound);
     let mob_tick = ctx.cfg.mobility.tick;
     ctx.push(SimTime::ZERO + mob_tick, EventKind::MobilityTick);
@@ -55,8 +72,10 @@ pub fn run_with_sinks<P: Protocol>(
         let rot = ctx.cfg.faults.rotation;
         ctx.push(SimTime::ZERO + rot, EventKind::FaultRotation);
     }
+}
 
-    let end = ctx.end;
+/// The serial loop: pops and dispatches every event up to `end`.
+fn run_until<P: Protocol>(ctx: &mut Ctx<P::Payload>, protocol: &mut P, end: SimTime) {
     let mut faulty_set: Vec<NodeId> = Vec::new();
     while let Some(ev) = ctx.queue.pop() {
         if ev.at > end {
@@ -64,8 +83,16 @@ pub fn run_with_sinks<P: Protocol>(
         }
         debug_assert!(ev.at >= ctx.now, "event queue went backwards");
         ctx.now = ev.at;
-        dispatch_one(&mut ctx, protocol, &mut faulty_set, ev.kind);
+        dispatch_one(ctx, protocol, &mut faulty_set, ev.kind);
     }
+}
+
+/// How every run ends: the summary of what `ctx` metered — for the sharded
+/// engine the master context, after each shard's meters were folded into
+/// it — and the sinks, flushed, handed back.
+pub(crate) fn finish<Pl>(
+    ctx: &mut Ctx<Pl>,
+) -> (RunSummary, Vec<Box<dyn crate::trace::TraceSink>>) {
     let mut summary = ctx.metrics.summarize(ctx.cfg.duration);
     let consumed: Vec<f64> = ctx
         .sensors
@@ -83,14 +110,33 @@ pub fn run_with_sinks<P: Protocol>(
     (summary, sinks)
 }
 
-/// Handles one popped event: the serial engine's entire dispatch table.
-/// `ctx.now` must already be the event's timestamp. Shared between the
-/// full run loop and [`construct`] so the construction-only replay and a
-/// real run execute byte-identical logic per event.
-pub(crate) fn dispatch_one<P: Protocol>(
+/// Handles one popped event of the serial engine: the central drivers
+/// here, everything else in [`dispatch_node_event`]. `ctx.now` must
+/// already be the event's timestamp.
+fn dispatch_one<P: Protocol>(
     ctx: &mut Ctx<P::Payload>,
     protocol: &mut P,
     faulty_set: &mut Vec<NodeId>,
+    kind: EventKind<P::Payload>,
+) {
+    match kind {
+        EventKind::TrafficRound => traffic_round(ctx),
+        EventKind::FaultRotation => {
+            let (failed, recovered) = rotate_faults_core(ctx, faulty_set);
+            protocol.on_fault_rotation(ctx, &failed, &recovered);
+        }
+        EventKind::MobilityTick => mobility_tick(ctx),
+        kind => dispatch_node_event(ctx, protocol, kind),
+    }
+}
+
+/// Handles one event homed at a node — both engines' dispatch table for
+/// everything that is not a central driver or a claim. `ctx.now` must
+/// already be the event's timestamp (and, in a shard, `active` its home).
+#[inline]
+pub(crate) fn dispatch_node_event<P: Protocol>(
+    ctx: &mut Ctx<P::Payload>,
+    protocol: &mut P,
     kind: EventKind<P::Payload>,
 ) {
     match kind {
@@ -115,34 +161,26 @@ pub(crate) fn dispatch_one<P: Protocol>(
                 }
             } else {
                 // A duplicate or late ACK — the frame already expired
-                // (timeout fired first) or was acknowledged. Counted
-                // and dropped.
+                // (timeout fired first) or was acknowledged (always ACKed
+                // again by a shard that cannot see the sender's pending
+                // table). Counted and dropped.
                 ctx.metrics.stale_acks += 1;
             }
         }
-        EventKind::AckExpire { id } => {
-            ack_expire(ctx, protocol, id);
-        }
-        EventKind::Timer { node, tag } => {
-            // Timers fire even on faulty nodes so periodic chains are
-            // not permanently severed by a transient fault; protocols
-            // check `ctx.is_faulty` before acting.
-            protocol.on_timer(ctx, node, tag);
-        }
+        EventKind::AckExpire { id } => ack_expire(ctx, protocol, id),
+        // Timers fire even on faulty nodes so periodic chains are not
+        // permanently severed by a transient fault; protocols check
+        // `ctx.is_faulty` before acting.
+        EventKind::Timer { node, tag } => protocol.on_timer(ctx, node, tag),
         EventKind::EmitPacket { node, remaining, gap_micros } => {
             emit_packet(ctx, protocol, node, remaining, gap_micros);
         }
-        EventKind::TrafficRound => {
-            traffic_round(ctx);
-        }
-        EventKind::FaultRotation => {
-            rotate_faults(ctx, protocol, faulty_set);
-        }
-        EventKind::MobilityTick => {
-            mobility_tick(ctx);
-        }
-        EventKind::DeliverClaim { .. } | EventKind::DropClaim { .. } => {
-            unreachable!("delivery claims exist only under the sharded engine")
+        EventKind::TrafficRound
+        | EventKind::FaultRotation
+        | EventKind::MobilityTick
+        | EventKind::DeliverClaim { .. }
+        | EventKind::DropClaim { .. } => {
+            unreachable!("central drivers and claims are dispatched by the engine's own loop")
         }
     }
 }
@@ -167,25 +205,8 @@ pub fn construct<P: Protocol>(
     protocol: &mut P,
     horizon: crate::time::SimDuration,
 ) -> Ctx<P::Payload> {
-    cfg.validate();
-    let mut ctx = build_ctx::<P::Payload>(cfg);
-    ctx.unbounded_queue = true;
-    protocol.on_init(&mut ctx);
-    ctx.unbounded_queue = false;
-    // Construction bursts through at t=0; radios start steady state clear.
-    for node in &mut ctx.nodes {
-        node.busy_until_micros = 0;
-    }
-    let end = SimTime::ZERO + horizon;
-    let mut faulty_set: Vec<NodeId> = Vec::new();
-    while let Some(ev) = ctx.queue.pop() {
-        if ev.at > end {
-            break;
-        }
-        debug_assert!(ev.at >= ctx.now, "event queue went backwards");
-        ctx.now = ev.at;
-        dispatch_one(&mut ctx, protocol, &mut faulty_set, ev.kind);
-    }
+    let mut ctx = boot(cfg, protocol, Vec::new());
+    run_until(&mut ctx, protocol, SimTime::ZERO + horizon);
     ctx
 }
 
@@ -207,7 +228,7 @@ pub(crate) fn hot_link_utilization(nodes: &[NodeState], cfg: &SimConfig) -> f64 
 /// exhausted. A stale timeout (the ACK arrived, or a retry superseded this
 /// attempt) is a no-op because the entry was removed or re-keyed by
 /// attempt count.
-pub(crate) fn ack_expire<P: Protocol>(ctx: &mut Ctx<P::Payload>, protocol: &mut P, id: u64) {
+fn ack_expire<P: Protocol>(ctx: &mut Ctx<P::Payload>, protocol: &mut P, id: u64) {
     // One lookup decides everything; later steps tolerate the entry
     // disappearing rather than `expect`ing it, so no interleaving of
     // ACKs, retries and expiries (including ones future lossy/Byzantine
@@ -291,30 +312,7 @@ pub(crate) fn build_ctx<Pl>(cfg: SimConfig) -> Ctx<Pl> {
         .fold(0.0, f64::max);
     let grid = crate::grid::SpatialGrid::new(cfg.area, side, nodes.iter().map(|n| n.position));
 
-    let end = SimTime::ZERO + cfg.total_time();
-    Ctx {
-        cfg,
-        now: SimTime::ZERO,
-        nodes,
-        actuators,
-        sensors,
-        queue: crate::wheel::EventQueue::new(),
-        seq: 0,
-        rng,
-        metrics: crate::metrics::Metrics::default(),
-        data: crate::ctx::PacketStore::default(),
-        next_data_id: 0,
-        pending_acks: crate::acks::AckTable::serial(),
-        oracle_queries: std::cell::Cell::new(0),
-        end,
-        unbounded_queue: false,
-        trace: None,
-        sinks: Vec::new(),
-        grid,
-        recv_buf: Vec::new(),
-        alive_buf: Vec::new(),
-        shard: None,
-    }
+    Ctx::new(cfg, nodes, sensors, actuators, grid, rng, None)
 }
 
 fn actuator_positions(cfg: &SimConfig, rng: &mut rand::rngs::StdRng) -> Vec<Point> {
@@ -432,7 +430,7 @@ pub(crate) fn traffic_round<Pl>(ctx: &mut Ctx<Pl>) {
     ctx.alive_buf = alive;
 }
 
-pub(crate) fn emit_packet<P: Protocol>(
+fn emit_packet<P: Protocol>(
     ctx: &mut Ctx<P::Payload>,
     protocol: &mut P,
     node: NodeId,
@@ -493,15 +491,6 @@ pub(crate) fn emit_packet<P: Protocol>(
     }
 }
 
-fn rotate_faults<P: Protocol>(
-    ctx: &mut Ctx<P::Payload>,
-    protocol: &mut P,
-    faulty_set: &mut Vec<NodeId>,
-) {
-    let (failed, recovered) = rotate_faults_core(ctx, faulty_set);
-    protocol.on_fault_rotation(ctx, &failed, &recovered);
-}
-
 /// The protocol-independent half of a fault rotation: redraws the faulty
 /// set, flips node flags, records the trace event and schedules the next
 /// rotation. Returns `(failed, recovered)` so callers (the serial loop
@@ -516,11 +505,6 @@ pub(crate) fn rotate_faults_core<Pl>(
         // Battery death is permanent: depleted nodes never recover.
         .filter(|id| !ctx.nodes[id.index()].depleted)
         .collect();
-    for &id in &recovered {
-        let node = &mut ctx.nodes[id.index()];
-        node.faulty = false;
-        node.fault_since_micros = None;
-    }
     let count = ctx.cfg.faults.count.min(ctx.sensors.len());
     // Disjoint field borrows: the roster is read while only the RNG is
     // mutated, so no clone of the sensor list is needed.
@@ -529,18 +513,11 @@ pub(crate) fn rotate_faults_core<Pl>(
         .choose_multiple(&mut ctx.rng, count)
         .copied()
         .collect();
-    let now = ctx.now.as_micros();
-    for &id in &failed {
-        let node = &mut ctx.nodes[id.index()];
-        if !node.faulty {
-            node.fault_since_micros = Some(now);
-        }
-        node.faulty = true;
-    }
+    flip_faults(&mut ctx.nodes, &failed, &recovered, ctx.now);
     *faulty_set = failed.clone();
     {
-        let (f, r) = (failed.clone(), recovered.clone());
-        ctx.record(move |at| wsan_sim_trace_event(at, f, r));
+        let (failed, recovered) = (failed.clone(), recovered.clone());
+        ctx.record(move |at| crate::trace::TraceEvent::FaultRotation { at, failed, recovered });
     }
     let next = ctx.now + ctx.cfg.faults.rotation;
     if next <= ctx.end {
@@ -549,12 +526,28 @@ pub(crate) fn rotate_faults_core<Pl>(
     (failed, recovered)
 }
 
-fn wsan_sim_trace_event(
-    at: crate::time::SimTime,
-    failed: Vec<NodeId>,
-    recovered: Vec<NodeId>,
-) -> crate::trace::TraceEvent {
-    crate::trace::TraceEvent::FaultRotation { at, failed, recovered }
+/// Applies one rotation to a node table — the master's, and under the
+/// sharded engine every shard's replica of it: `recovered` come back, then
+/// `failed` break down at `now` (one already down, a depleted battery,
+/// keeps the time it first broke).
+pub(crate) fn flip_faults(
+    nodes: &mut [NodeState],
+    failed: &[NodeId],
+    recovered: &[NodeId],
+    now: SimTime,
+) {
+    for &id in recovered {
+        let node = &mut nodes[id.index()];
+        node.faulty = false;
+        node.fault_since_micros = None;
+    }
+    for &id in failed {
+        let node = &mut nodes[id.index()];
+        if !node.faulty {
+            node.fault_since_micros = Some(now.as_micros());
+        }
+        node.faulty = true;
+    }
 }
 
 pub(crate) fn mobility_tick<Pl>(ctx: &mut Ctx<Pl>) {

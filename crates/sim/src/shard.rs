@@ -89,9 +89,9 @@
 //!
 //! `faults.battery_death` is rejected by [`SimConfig::validate`] under
 //! this engine (rotation runs centrally and cannot see per-shard battery
-//! state), and the bounded in-`Ctx` trace buffer
-//! ([`Ctx::take_trace`](crate::Ctx::take_trace)) reads empty inside shard
-//! hooks — streaming sinks are the supported trace path.
+//! state). `radio.receiver_occupancy` is accepted and ignored: this engine
+//! has no receiver-occupancy model (see `Ctx::bump_receiver`), so a
+//! figure must state which engine drew it.
 
 use crate::config::{Engine, ShardedConfig, SimConfig};
 use crate::ctx::{Ctx, EventKind, Scheduled};
@@ -300,34 +300,19 @@ where
     P: ShardableProtocol,
     P::Payload: Clone + Send,
 {
-    cfg.validate();
-    let scfg = match cfg.engine {
+    // Construction runs exactly like the serial engine: master context,
+    // master RNG, unbounded queue, then radios reset for steady state.
+    let mut master = crate::runner::boot(cfg, protocol, sinks);
+    crate::runner::push_drivers(&mut master);
+    let scfg = match master.cfg.engine {
         Engine::Sharded(s) => s,
         Engine::Serial => ShardedConfig::default(),
     };
     let window = if scfg.window_micros == 0 {
-        cfg.radio.mac_overhead.as_micros()
+        master.cfg.radio.mac_overhead.as_micros()
     } else {
         scfg.window_micros
     };
-
-    // Construction runs exactly like the serial engine: master context,
-    // master RNG, unbounded queue, then radios reset for steady state.
-    let mut master = crate::runner::build_ctx::<P::Payload>(cfg);
-    master.sinks = sinks;
-    master.unbounded_queue = true;
-    protocol.on_init(&mut master);
-    master.unbounded_queue = false;
-    for node in &mut master.nodes {
-        node.busy_until_micros = 0;
-    }
-    master.push(SimTime::ZERO, EventKind::TrafficRound);
-    let mob_tick = master.cfg.mobility.tick;
-    master.push(SimTime::ZERO + mob_tick, EventKind::MobilityTick);
-    if master.cfg.faults.count > 0 {
-        let rot = master.cfg.faults.rotation;
-        master.push(SimTime::ZERO + rot, EventKind::FaultRotation);
-    }
 
     let map = build_map(&master, scfg.shards);
     let shards = map.shards;
@@ -357,29 +342,15 @@ where
                 trace_buf: Vec::new(),
                 tracing,
             };
-            let ctx = Ctx {
-                cfg: master.cfg.clone(),
-                now: SimTime::ZERO,
-                nodes: master.nodes.clone(),
-                actuators: master.actuators.clone(),
-                sensors: master.sensors.clone(),
-                queue: crate::wheel::EventQueue::new(),
-                seq: 0,
-                rng: StdRng::seed_from_u64(seed),
-                metrics: crate::metrics::Metrics::default(),
-                data: crate::ctx::PacketStore::default(),
-                next_data_id: 0,
-                pending_acks: crate::acks::AckTable::sharded(),
-                oracle_queries: std::cell::Cell::new(0),
-                end: master.end,
-                unbounded_queue: false,
-                trace: None,
-                sinks: Vec::new(),
-                grid: master.grid.clone(),
-                recv_buf: Vec::new(),
-                alive_buf: Vec::new(),
-                shard: Some(Box::new(ctl)),
-            };
+            let ctx = Ctx::new(
+                master.cfg.clone(),
+                master.nodes.clone(),
+                master.sensors.clone(),
+                master.actuators.clone(),
+                master.grid.clone(),
+                StdRng::seed_from_u64(seed), // never drawn: a shard's streams are in `ctl`
+                Some(Box::new(ctl)),
+            );
             Mutex::new(ShardState { ctx, protocol: protocol.clone() })
         })
         .collect();
@@ -391,8 +362,8 @@ where
     // Construction-era node events (protocol sends/timers from on_init)
     // leave the master queue for their owners' inboxes; only the central
     // drivers stay behind.
-    let per_dest = drain_node_events(&mut master, &map.owner, shards);
-    deposit(&inboxes, CENTRAL_SRC, per_dest);
+    let mut per_dest = drain_node_events(&mut master, &map.owner, shards);
+    deposit(&inboxes, CENTRAL_SRC, &mut per_dest);
 
     let window_end = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
@@ -482,9 +453,9 @@ where
             // times and are simply settled in the next window.
             t0 = t0.max(next_work);
             if central_next <= t0 {
-                let per_dest =
+                let mut per_dest =
                     run_central_due(&mut master, t0, &mut faulty_set, &states, &map.owner);
-                deposit(&inboxes, CENTRAL_SRC, per_dest);
+                deposit(&inboxes, CENTRAL_SRC, &mut per_dest);
             }
             let central_next =
                 master.queue.next_at().map(SimTime::as_micros).unwrap_or(u64::MAX);
@@ -517,25 +488,10 @@ where
         }
         batches.sort_by_key(|&(src, _)| src);
         let mut st = state.lock().unwrap();
-        for (_, events) in batches {
-            for (_, kind) in events {
-                match kind {
-                    EventKind::DeliverClaim { packet, node, hops, at_micros } => {
-                        st.ctx.apply_delivery_claim(
-                            packet,
-                            node,
-                            hops,
-                            SimTime::from_micros(at_micros),
-                        );
-                    }
-                    EventKind::DropClaim { packet, reason, at_micros } => {
-                        st.ctx.apply_drop_claim(packet, reason, SimTime::from_micros(at_micros));
-                    }
-                    // Anything else was scheduled past the horizon; the
-                    // serial loop leaves those unprocessed too.
-                    _ => {}
-                }
-            }
+        for (_, kind) in batches.into_iter().flat_map(|(_, events)| events) {
+            // Anything but a claim was scheduled past the horizon; the
+            // serial loop leaves those unprocessed too.
+            settle_claim(&mut st.ctx, &kind);
         }
         if tracing {
             let buf = std::mem::take(&mut st.ctx.shard.as_mut().unwrap().trace_buf);
@@ -545,45 +501,22 @@ where
         }
     }
 
-    // Reduce: master (construction) + shards in shard order; per-sensor
-    // energy gathered from each sensor's owner in sensor-id order, so the
-    // fairness/hotspot floats see one canonical summation order.
-    let mut metrics = std::mem::take(&mut master.metrics);
-    let mut oracle = master.oracle_queries.get();
-    let sensors = master.sensors.clone();
-    let mut consumed = vec![0.0f64; sensors.len()];
-    // Per-node transmit airtime gathered from each node's owner, same
-    // as per-sensor energy, so hot_link_utilization sees every radio.
-    let mut airtime = vec![0u64; n];
+    // Reduce: fold every shard's meters into the master (which holds
+    // construction's), in shard order, and each node's energy and transmit
+    // airtime from its owner, so the summary's floats see one canonical
+    // summation order — the serial engine's.
     for (sh, state) in states.into_iter().enumerate() {
         let st = state.into_inner().unwrap();
-        metrics.merge(&st.ctx.metrics);
-        oracle += st.ctx.oracle_queries.get();
-        for (slot, &id) in consumed.iter_mut().zip(sensors.iter()) {
-            if map.owner[id.index()] == sh as u32 {
-                *slot = st.ctx.nodes[id.index()].consumed;
-            }
-        }
-        for (id, slot) in airtime.iter_mut().enumerate() {
+        master.metrics.merge(&st.ctx.metrics);
+        master.oracle_queries.set(master.oracle_queries.get() + st.ctx.oracle_queries.get());
+        for (id, node) in master.nodes.iter_mut().enumerate() {
             if map.owner[id] == sh as u32 {
-                *slot = st.ctx.nodes[id].tx_busy_micros;
+                node.consumed = st.ctx.nodes[id].consumed;
+                node.tx_busy_micros = st.ctx.nodes[id].tx_busy_micros;
             }
         }
     }
-    let mut summary = metrics.summarize(master.cfg.duration);
-    summary.hotspot_energy_j = consumed.iter().cloned().fold(0.0, f64::max);
-    summary.energy_fairness = crate::metrics::jain_fairness(&consumed);
-    for (id, &t) in airtime.iter().enumerate() {
-        master.nodes[id].tx_busy_micros = t;
-    }
-    summary.hot_link_utilization =
-        crate::runner::hot_link_utilization(&master.nodes, &master.cfg);
-    summary.oracle_queries = oracle;
-    let mut sinks = std::mem::take(&mut master.sinks);
-    for sink in &mut sinks {
-        sink.flush();
-    }
-    (summary, sinks)
+    crate::runner::finish(&mut master)
 }
 
 /// Dispatches on `cfg.engine`: the serial loop ([`runner::run`]
@@ -596,22 +529,6 @@ where
     match cfg.engine {
         Engine::Serial => crate::runner::run(cfg, protocol),
         Engine::Sharded(_) => run_sharded(cfg, protocol),
-    }
-}
-
-/// [`run_engine`] with streaming trace sinks.
-pub fn run_engine_with_sinks<P>(
-    cfg: SimConfig,
-    protocol: &mut P,
-    sinks: Vec<Box<dyn TraceSink>>,
-) -> (RunSummary, Vec<Box<dyn TraceSink>>)
-where
-    P: ShardableProtocol,
-    P::Payload: Clone + Send,
-{
-    match cfg.engine {
-        Engine::Serial => crate::runner::run_with_sinks(cfg, protocol, sinks),
-        Engine::Sharded(_) => run_sharded_with_sinks(cfg, protocol, sinks),
     }
 }
 
@@ -637,17 +554,18 @@ fn drain_node_events<Pl>(
     per_dest
 }
 
-/// Appends per-destination batches to the shard inboxes under source tag
+/// Moves per-destination batches into the shard inboxes under source tag
 /// `src`, maintaining each inbox's earliest-pending-time watermark.
 fn deposit<Pl>(
     inboxes: &[Mutex<Inbox<Pl>>],
     src: u32,
-    per_dest: Vec<Vec<(SimTime, EventKind<Pl>)>>,
+    per_dest: &mut [Vec<(SimTime, EventKind<Pl>)>],
 ) {
-    for (dest, batch) in per_dest.into_iter().enumerate() {
+    for (dest, batch) in per_dest.iter_mut().enumerate() {
         if batch.is_empty() {
             continue;
         }
+        let batch = std::mem::take(batch);
         let min = batch.iter().map(|(at, _)| at.as_micros()).min().unwrap_or(u64::MAX);
         let mut inbox = inboxes[dest].lock().unwrap();
         inbox.min_at = inbox.min_at.min(min);
@@ -704,22 +622,10 @@ where
             }
             EventKind::FaultRotation => {
                 let (failed, recovered) = crate::runner::rotate_faults_core(master, faulty_set);
-                let now = master.now.as_micros();
                 for state in states {
                     let mut st = state.lock().unwrap();
                     let ShardState { ctx, protocol } = &mut *st;
-                    for &id in &recovered {
-                        let node = &mut ctx.nodes[id.index()];
-                        node.faulty = false;
-                        node.fault_since_micros = None;
-                    }
-                    for &id in &failed {
-                        let node = &mut ctx.nodes[id.index()];
-                        if !node.faulty {
-                            node.fault_since_micros = Some(now);
-                        }
-                        node.faulty = true;
-                    }
+                    crate::runner::flip_faults(&mut ctx.nodes, &failed, &recovered, master.now);
                     ctx.now = ctx.now.max(master.now);
                     protocol.on_fault_rotation(ctx, &failed, &recovered);
                 }
@@ -793,101 +699,47 @@ fn flush_shard_window<P>(
     P::Payload: Clone + Send,
 {
     let mut st = state.lock().unwrap();
-    let ctx = &mut st.ctx;
-    let me = ctx.shard.as_ref().expect("shard context").me as usize;
-
-    for (dest, dest_inbox) in inboxes.iter().enumerate() {
-        if dest == me {
-            debug_assert!(ctx.shard.as_ref().expect("shard context").outbox[dest].is_empty());
-            continue;
-        }
-        let batch = std::mem::take(&mut ctx.shard.as_mut().expect("shard context").outbox[dest]);
-        if batch.is_empty() {
-            continue;
-        }
-        let min = batch.iter().map(|(at, _)| at.as_micros()).min().unwrap_or(u64::MAX);
-        let mut inbox = dest_inbox.lock().unwrap();
-        inbox.min_at = inbox.min_at.min(min);
-        inbox.batches.push((me as u32, batch));
-    }
-
-    let ctl = ctx.shard.as_mut().expect("shard context");
+    let ctl = st.ctx.shard.as_mut().expect("shard context");
+    debug_assert!(ctl.outbox[ctl.me as usize].is_empty(), "local events never take the outbox");
+    deposit(inboxes, ctl.me, &mut ctl.outbox);
     if !ctl.trace_buf.is_empty() {
         let buf = std::mem::take(&mut ctl.trace_buf);
-        trace_deposits.lock().unwrap().push((me as u32, buf));
+        trace_deposits.lock().unwrap().push((ctl.me, buf));
     }
 }
 
-/// Dispatches one shard event — the sharded counterpart of the serial
-/// loop's match, with two deltas: claims settle remote-origin bookkeeping
-/// at their recorded (possibly past) time, and the receiver-occupancy
-/// bump happens at arrival instead of at push time.
+/// Dispatches one shard event: the serial engine's node-event table
+/// ([`runner::dispatch_node_event`](crate::runner::dispatch_node_event))
+/// with one delta — claims settle remote-origin bookkeeping at their
+/// recorded (possibly past) time.
 fn dispatch<P>(ctx: &mut Ctx<P::Payload>, protocol: &mut P, ev: Scheduled<P::Payload>)
 where
     P: ShardableProtocol,
     P::Payload: Clone + Send,
 {
-    let at = ev.at;
-    match ev.kind {
+    if settle_claim(ctx, &ev.kind) {
+        // Claims are the one event allowed to arrive "late".
+        ctx.now = ctx.now.max(ev.at);
+        return;
+    }
+    debug_assert!(ev.at >= ctx.now, "shard event queue went backwards");
+    ctx.now = ev.at;
+    let home = ev.kind.home().expect("central drivers never reach a shard heap");
+    ctx.shard.as_mut().expect("shard context").active = home;
+    crate::runner::dispatch_node_event(ctx, protocol, ev.kind);
+}
+
+/// If `kind` is a claim, settles it against the origin's ledger here,
+/// stamped with its true time, and answers `true`.
+fn settle_claim<Pl>(ctx: &mut Ctx<Pl>, kind: &EventKind<Pl>) -> bool {
+    match *kind {
         EventKind::DeliverClaim { packet, node, hops, at_micros } => {
-            // Claims are the one event allowed to arrive "late": they only
-            // settle the origin's ledger, stamped with their true time.
-            ctx.now = ctx.now.max(at);
             ctx.apply_delivery_claim(packet, node, hops, SimTime::from_micros(at_micros));
         }
         EventKind::DropClaim { packet, reason, at_micros } => {
-            ctx.now = ctx.now.max(at);
             ctx.apply_drop_claim(packet, reason, SimTime::from_micros(at_micros));
         }
-        kind => {
-            debug_assert!(at >= ctx.now, "shard event queue went backwards");
-            ctx.now = at;
-            let home = kind.home().expect("central drivers never reach a shard heap");
-            ctx.shard.as_mut().expect("shard context").active = home;
-            match kind {
-                EventKind::Deliver { to, msg, ack_id } => {
-                    // The serial engine bumps the receiver's busy horizon
-                    // at push time regardless of the receiver's eventual
-                    // fate; here the bump lands at arrival (same horizon),
-                    // so it too precedes the liveness check.
-                    ctx.bump_on_delivery(to);
-                    if ctx.nodes[to.index()].faulty {
-                        return; // receiver died in flight; frame lost, no ACK
-                    }
-                    ctx.charge_rx(to, msg.account);
-                    if ctx.byz_swallow(to, msg.from, ack_id, msg.broadcast) {
-                        return; // attacker swallowed it (ACK forged inside)
-                    }
-                    if let Some(id) = ack_id {
-                        ctx.schedule_ack(id, to, msg.from);
-                    }
-                    protocol.on_message(ctx, to, msg);
-                }
-                EventKind::AckArrive { id } => {
-                    if let Some(p) = ctx.pending_acks.remove(id) {
-                        if !ctx.nodes[p.from.index()].faulty {
-                            protocol.on_ack(ctx, p.from, p.to);
-                        }
-                    } else {
-                        // Duplicate delivery already ACKed this frame (the
-                        // remote receiver cannot see the sender's pending
-                        // table, so it always ACKs): counted and dropped.
-                        ctx.metrics.stale_acks += 1;
-                    }
-                }
-                EventKind::AckExpire { id } => crate::runner::ack_expire(ctx, protocol, id),
-                EventKind::Timer { node, tag } => protocol.on_timer(ctx, node, tag),
-                EventKind::EmitPacket { node, remaining, gap_micros } => {
-                    crate::runner::emit_packet(ctx, protocol, node, remaining, gap_micros);
-                }
-                EventKind::TrafficRound
-                | EventKind::FaultRotation
-                | EventKind::MobilityTick
-                | EventKind::DeliverClaim { .. }
-                | EventKind::DropClaim { .. } => {
-                    unreachable!("central drivers run only on the coordinator")
-                }
-            }
-        }
+        _ => return false,
     }
+    true
 }

@@ -1,17 +1,13 @@
 //! Optional event tracing: what happened on the (simulated) air, for
 //! debugging protocols, building timelines and packet forensics.
 //!
-//! Tracing is off by default and costs nothing when disabled. Two
-//! consumers exist:
-//!
-//! * the bounded in-memory [`TraceLog`], enabled with
-//!   [`Ctx::enable_trace`](crate::Ctx::enable_trace) and drained with
-//!   [`Ctx::take_trace`](crate::Ctx::take_trace);
-//! * streaming [`TraceSink`]s attached via
-//!   [`runner::run_with_sinks`](crate::runner::run_with_sinks), which see
-//!   every event as it happens (no buffer, bounded memory at any event
-//!   count) — the `refer-obs` crate builds JSONL, counting and hashing
-//!   sinks on this trait.
+//! Tracing is off by default and costs nothing when disabled. There is
+//! one path: streaming [`TraceSink`]s, attached via
+//! [`runner::run_with_sinks`](crate::runner::run_with_sinks) or
+//! [`Ctx::add_trace_sink`](crate::Ctx::add_trace_sink), which see every
+//! event as it happens (no buffer, bounded memory at any event count) —
+//! the `refer-obs` crate builds JSONL, counting and hashing sinks on this
+//! trait, and the bounded in-memory [`TraceLog`] here is one too.
 
 use crate::energy::EnergyAccount;
 use crate::message::DataId;
@@ -296,6 +292,19 @@ pub trait TraceSink: Send {
 impl TraceSink for TraceLog {
     fn on_event(&mut self, event: &TraceEvent) {
         self.push(event.clone());
+    }
+}
+
+/// A shared handle to a sink is a sink: attach a clone, keep the original,
+/// and read what the run left in it (the engine hands sinks back only as
+/// `Box<dyn TraceSink>`).
+impl<S: TraceSink> TraceSink for std::sync::Arc<std::sync::Mutex<S>> {
+    fn on_event(&mut self, event: &TraceEvent) {
+        self.lock().expect("a sink panicked mid-event").on_event(event);
+    }
+
+    fn flush(&mut self) {
+        self.lock().expect("a sink panicked mid-event").flush();
     }
 }
 

@@ -2,8 +2,9 @@
 //! exercised through purpose-built micro-protocols.
 
 use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
 use wsan_sim::flood::FloodProtocol;
-use wsan_sim::trace::TraceEvent;
+use wsan_sim::trace::{TraceEvent, TraceLog};
 use wsan_sim::{
     runner, Ctx, DataId, EnergyAccount, Message, NodeId, Protocol, SimConfig, SimDuration,
 };
@@ -135,16 +136,16 @@ fn retransmissions_are_charged_to_the_energy_ledger() {
     );
 }
 
-/// Records every fault rotation the engine reports and drains the trace
-/// near the end of the run.
+/// Records every fault rotation the engine reports, and the run's trace
+/// through a shared handle to the sink it attaches.
 struct FaultWatcher {
     rotations: Vec<(Vec<NodeId>, Vec<NodeId>)>,
-    trace: Vec<TraceEvent>,
+    trace: Arc<Mutex<TraceLog>>,
 }
 
 impl FaultWatcher {
     fn new() -> Self {
-        Self { rotations: Vec::new(), trace: Vec::new() }
+        Self { rotations: Vec::new(), trace: Arc::new(Mutex::new(TraceLog::new(usize::MAX))) }
     }
 }
 
@@ -154,14 +155,10 @@ impl Protocol for FaultWatcher {
         "FaultWatcher"
     }
     fn on_init(&mut self, ctx: &mut Ctx<()>) {
-        ctx.enable_trace(4096);
-        let first = ctx.sensor_ids()[0];
-        ctx.set_timer(first, SimDuration::from_secs(33), 1);
+        ctx.add_trace_sink(Box::new(self.trace.clone()));
     }
     fn on_message(&mut self, _ctx: &mut Ctx<()>, _at: NodeId, _msg: Message<()>) {}
-    fn on_timer(&mut self, ctx: &mut Ctx<()>, _at: NodeId, _tag: u64) {
-        self.trace = ctx.take_trace();
-    }
+    fn on_timer(&mut self, _ctx: &mut Ctx<()>, _at: NodeId, _tag: u64) {}
     fn on_app_data(&mut self, ctx: &mut Ctx<()>, _src: NodeId, data: DataId) {
         ctx.drop_data(data);
     }
@@ -198,9 +195,9 @@ fn fault_rotations_are_traced() {
     cfg.faults.count = 6;
     cfg.faults.rotation = SimDuration::from_secs(10);
     let (_, watcher) = runner::run_owned(cfg, FaultWatcher::new());
-    let traced: Vec<_> = watcher
-        .trace
-        .iter()
+    let trace = watcher.trace.lock().unwrap();
+    let traced: Vec<_> = trace
+        .events()
         .filter_map(|e| match e {
             TraceEvent::FaultRotation { failed, recovered, .. } => {
                 Some((failed.clone(), recovered.clone()))

@@ -1,23 +1,25 @@
 //! Event tracing: record what happened on the air during a REFER run and
 //! print a condensed timeline.
 //!
-//! Demonstrates protocol composition: a thin wrapper enables the
-//! simulator's trace buffer at init and delegates everything to REFER.
+//! Demonstrates protocol composition: a thin wrapper attaches a trace
+//! sink at init and delegates everything to REFER.
 //!
 //! ```text
 //! cargo run --example trace_timeline --release
 //! ```
 
 use refer_wsan::refer::{ReferConfig, ReferProtocol};
-use refer_wsan::wsan_sim::trace::TraceEvent;
+use refer_wsan::wsan_sim::trace::{TraceEvent, TraceLog};
 use refer_wsan::wsan_sim::{
     runner, Ctx, DataId, Message, NodeId, Protocol, SimConfig, SimDuration,
 };
+use std::sync::{Arc, Mutex};
 
-/// Wraps any protocol and records the simulator's event trace.
+/// Wraps any protocol and records the simulator's event trace: the sink
+/// goes to the engine, the shared handle stays here to be read afterwards.
 struct Traced<P> {
     inner: P,
-    events: Vec<TraceEvent>,
+    log: Arc<Mutex<TraceLog>>,
 }
 
 impl<P: Protocol> Protocol for Traced<P> {
@@ -26,7 +28,7 @@ impl<P: Protocol> Protocol for Traced<P> {
         "Traced"
     }
     fn on_init(&mut self, ctx: &mut Ctx<P::Payload>) {
-        ctx.enable_trace(50_000);
+        ctx.add_trace_sink(Box::new(self.log.clone()));
         self.inner.on_init(ctx);
     }
     fn on_message(&mut self, ctx: &mut Ctx<P::Payload>, at: NodeId, msg: Message<P::Payload>) {
@@ -34,8 +36,6 @@ impl<P: Protocol> Protocol for Traced<P> {
     }
     fn on_timer(&mut self, ctx: &mut Ctx<P::Payload>, at: NodeId, tag: u64) {
         self.inner.on_timer(ctx, at, tag);
-        // Periodically drain so the bounded buffer never evicts.
-        self.events.extend(ctx.take_trace());
     }
     fn on_app_data(&mut self, ctx: &mut Ctx<P::Payload>, src: NodeId, data: DataId) {
         self.inner.on_app_data(ctx, src, data);
@@ -50,11 +50,11 @@ fn main() {
     cfg.traffic.rate_bps = 24_000.0;
     cfg.seed = 9;
 
-    let traced: Traced<ReferProtocol> =
-        Traced { inner: ReferProtocol::new(ReferConfig::default()), events: Vec::new() };
-    let (summary, mut traced) = runner::run_owned::<Traced<ReferProtocol>>(cfg, traced);
-    // The last batch stays in the buffer until drained.
-    let events = std::mem::take(&mut traced.events);
+    // Unbounded: the whole run is read back below.
+    let log = Arc::new(Mutex::new(TraceLog::new(usize::MAX)));
+    let traced = Traced { inner: ReferProtocol::new(ReferConfig::default()), log: log.clone() };
+    let (summary, _) = runner::run_owned(cfg, traced);
+    let events = log.lock().expect("the run is over").drain();
 
     let mut sends = 0u64;
     let mut failures = 0u64;
