@@ -13,6 +13,7 @@ use crate::wheel::EventQueue;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::cell::Cell;
+#[cfg(debug_assertions)]
 use std::collections::HashMap;
 
 /// An event awaiting dispatch.
@@ -131,9 +132,8 @@ impl From<&DataRecord> for Packet {
     }
 }
 
-/// One packet of the dense lane in 16 bytes (a [`DataRecord`] is 48).
-/// `size_bits` is not here: the lane's one writer (`emit_packet`) gives
-/// every packet the configured size, so [`PacketStore`] holds it once.
+/// One stored packet in 16 bytes (a [`DataRecord`] is 48). `size_bits` is
+/// not here: [`PacketStore`] holds it once.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     /// Creation time in micros, shifted left past the two flag bits.
@@ -184,76 +184,151 @@ impl Slot {
 }
 
 /// The records of the application packets a context originated, by
-/// [`DataId`].
+/// [`DataId`], in 16-byte [`Slot`]s: one indexed read per lookup, where a
+/// hash table spent its time on memory traffic. `size_bits` is held once
+/// for the whole store — its one writer (`emit_packet`) gives every
+/// packet the configured size.
 ///
-/// The id's own bits pick the container — no engine flag. An id whose
-/// high 32 bits are zero (the serial engine mints 0, 1, 2, …) indexes a
-/// `Vec` of 16-byte [`Slot`]s: one push per packet and one indexed read
-/// per lookup, where a hash table spent its time on memory traffic. An id
-/// that carries its origin in the high word (`origin << 32 | n`, the
-/// sharded engine's scheme) stays in a map of whole records: one `Vec`
-/// lane per origin costs more allocations than the map does (DESIGN.md
-/// §14).
+/// The id's own bits pick the lane — no engine flag. An id whose high 32
+/// bits are zero (the serial engine mints 0, 1, 2, …) indexes `dense`
+/// directly. An id that carries its origin in the high word
+/// (`origin << 32 | n`, the sharded engine's scheme) resolves through a
+/// page directory: origin `o`'s packets `n = 0, 1, 2, …` fill pages of
+/// `16, 32, 64, …` slots ([`PacketStore::PAGE0`]` << k`), each a run of
+/// `arena` whose first slot is `directory[k * origins + o]`. Pages are
+/// claimed on first use, so ten thousand origins minting a few packets
+/// each cost one 256-byte page apiece, and one origin minting a million
+/// costs 16 directory rows rather than `n / 16` — two amortised `Vec`s
+/// in all, where one lane per origin doubled the run's allocation count
+/// (DESIGN.md §14). An origin outside the deployment resolves to nothing.
 ///
 /// Debug builds carry a shadow `HashMap` and check every lookup against
 /// it, like the timing wheel's shadow heap, so each debug-profile
 /// simulation is a store ≡ map proof; release builds compile it out.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct PacketStore {
     dense: Vec<Slot>,
-    /// The payload size of every packet in `dense`.
-    dense_size_bits: u32,
-    tagged: HashMap<DataId, DataRecord>,
+    /// The payload size of every stored packet.
+    size_bits: u32,
+    /// The deployment's node count: the width of a `directory` row.
+    origins: usize,
+    /// Row `k` holds, per origin, where its page `k` starts in `arena`
+    /// ([`PacketStore::NO_PAGE`] until claimed). Grows by whole rows.
+    directory: Vec<u32>,
+    arena: Vec<Slot>,
     #[cfg(debug_assertions)]
     shadow: HashMap<DataId, DataRecord>,
 }
 
 impl PacketStore {
-    /// The `dense` slot of `id`, or `None` for an origin-tagged id.
+    /// Slots in an origin's first page; page `k` holds `PAGE0 << k`.
+    const PAGE0: u64 = 16;
+    const NO_PAGE: u32 = u32::MAX;
+
+    /// An empty store for a deployment of `origins` nodes. Allocates
+    /// nothing until a packet is stored.
+    pub(crate) fn new(origins: usize) -> Self {
+        PacketStore {
+            dense: Vec::new(),
+            size_bits: 0,
+            origins,
+            directory: Vec::new(),
+            arena: Vec::new(),
+            #[cfg(debug_assertions)]
+            shadow: HashMap::new(),
+        }
+    }
+
+    /// Where origin-tagged `id` lives: its page number, its cell of
+    /// `directory` and its offset inside the page. `None` for an origin
+    /// outside the deployment.
     #[inline]
-    fn slot(id: DataId) -> Option<usize> {
+    fn locate(&self, id: DataId) -> Option<(u32, usize, usize)> {
+        let origin = (id.0 >> 32) as usize;
+        if origin >= self.origins {
+            return None;
+        }
+        let n = id.0 & u64::from(u32::MAX);
+        // Pages 0..k hold PAGE0·(2^k − 1) slots between them.
+        let page = (n / Self::PAGE0 + 1).ilog2();
+        let before = (Self::PAGE0 << page) - Self::PAGE0;
+        Some((page, page as usize * self.origins + origin, (n - before) as usize))
+    }
+
+    /// The `dense` index of `id`, or `None` for an origin-tagged id.
+    #[inline]
+    fn dense_index(id: DataId) -> Option<usize> {
         (id.0 >> 32 == 0).then_some(id.0 as usize)
+    }
+
+    /// The `arena` index of origin-tagged `id`, or `None` while its page
+    /// is unclaimed. A claimed page is wholly inside the arena.
+    #[inline]
+    fn paged_index(&self, id: DataId) -> Option<usize> {
+        let (_, cell, offset) = self.locate(id)?;
+        let start = *self.directory.get(cell)?;
+        (start != Self::NO_PAGE).then(|| start as usize + offset)
     }
 
     pub(crate) fn insert(&mut self, id: DataId, record: DataRecord) {
         #[cfg(debug_assertions)]
         self.shadow.insert(id, record.clone());
-        let Some(slot) = Self::slot(id) else {
-            self.tagged.insert(id, record);
-            return;
-        };
         assert!(
-            self.dense.is_empty() || self.dense_size_bits == record.size_bits,
-            "serial packet ids share one payload size"
+            (self.dense.is_empty() && self.arena.is_empty()) || self.size_bits == record.size_bits,
+            "packet ids share one payload size"
         );
-        self.dense_size_bits = record.size_bits;
-        if slot >= self.dense.len() {
-            // Ids are minted in sequence, so this grows by one, amortised.
-            self.dense.resize(slot + 1, Slot::EMPTY);
+        self.size_bits = record.size_bits;
+        let packed = Slot::pack(&record);
+        if let Some(slot) = Self::dense_index(id) {
+            if slot >= self.dense.len() {
+                // Ids are minted in sequence, so this grows by one, amortised.
+                self.dense.resize(slot + 1, Slot::EMPTY);
+            }
+            self.dense[slot] = packed;
+            return;
         }
-        self.dense[slot] = Slot::pack(&record);
+        let (page, cell, offset) = self
+            .locate(id)
+            .unwrap_or_else(|| panic!("packet {id} names an origin outside the deployment"));
+        if cell >= self.directory.len() {
+            self.directory.resize((page as usize + 1) * self.origins, Self::NO_PAGE);
+        }
+        if self.directory[cell] == Self::NO_PAGE {
+            let start = self.arena.len();
+            self.directory[cell] = u32::try_from(start)
+                .ok()
+                .filter(|&start| start != Self::NO_PAGE)
+                .expect("packet arena outgrew its 32-bit page offsets");
+            self.arena.resize(start + (Self::PAGE0 << page) as usize, Slot::EMPTY);
+        }
+        self.arena[self.directory[cell] as usize + offset] = packed;
     }
 
     #[inline]
     pub(crate) fn get(&self, id: DataId) -> Option<Packet> {
-        let found = match Self::slot(id) {
-            Some(slot) => self.dense.get(slot).and_then(|s| s.unpack(self.dense_size_bits)),
-            None => self.tagged.get(&id).map(Packet::from),
+        let slot = match Self::dense_index(id) {
+            Some(slot) => self.dense.get(slot),
+            None => self.paged_index(id).map(|slot| &self.arena[slot]),
         };
+        let found = slot.and_then(|slot| slot.unpack(self.size_bits));
         #[cfg(debug_assertions)]
         self.check_shadow(id, found);
         found
     }
 
-    /// Marks `id` delivered at `at`; answers the packet if this was its
-    /// first delivery, `None` for an unknown id or a repeat.
+    /// Marks `id` delivered; answers the packet if this was its first
+    /// delivery, `None` for an unknown id or a repeat.
     #[inline]
-    pub(crate) fn mark_delivered(&mut self, id: DataId, at: SimTime) -> Option<Packet> {
+    pub(crate) fn mark_delivered(&mut self, id: DataId) -> Option<Packet> {
         let packet = self.get(id).filter(|packet| !packet.delivered)?;
-        match Self::slot(id) {
-            Some(slot) => self.dense[slot].stamp |= Slot::DELIVERED,
-            None => self.tagged.get_mut(&id)?.delivered = Some(at),
-        }
+        let slot = match Self::dense_index(id) {
+            Some(slot) => &mut self.dense[slot],
+            None => {
+                let slot = self.paged_index(id)?;
+                &mut self.arena[slot]
+            }
+        };
+        slot.stamp |= Slot::DELIVERED;
         Some(packet)
     }
 
@@ -337,6 +412,7 @@ impl<P> Ctx<P> {
             end: SimTime::ZERO + cfg.total_time(),
             cfg,
             now: SimTime::ZERO,
+            data: PacketStore::new(nodes.len()),
             nodes,
             actuators,
             sensors,
@@ -344,7 +420,6 @@ impl<P> Ctx<P> {
             seq: 0,
             rng,
             metrics: Metrics::default(),
-            data: PacketStore::default(),
             next_data_id: 0,
             pending_acks: if shard.is_some() { AckTable::sharded() } else { AckTable::serial() },
             oracle_queries: Cell::new(0),
@@ -624,6 +699,12 @@ impl<P> Ctx<P> {
     /// position changes after construction go through here (mobility
     /// ticks).
     pub(crate) fn move_node(&mut self, id: NodeId, to: Point) {
+        // A static scenario still ticks (the waypoint draws are part of the
+        // RNG stream); its sensors go nowhere, and `relocate` would scan
+        // the node's whole cell to find that out.
+        if self.nodes[id.index()].position == to {
+            return;
+        }
         self.nodes[id.index()].position = to;
         self.grid.relocate(id, to);
     }
@@ -963,7 +1044,7 @@ impl<P> Ctx<P> {
     /// direct serial path and the sharded engine's claim dispatch.
     pub(crate) fn apply_delivery_claim(&mut self, data: DataId, node: NodeId, hops: u32, at: SimTime) {
         let qos = self.cfg.qos_deadline;
-        let Some(record) = self.data.mark_delivered(data, at) else {
+        let Some(record) = self.data.mark_delivered(data) else {
             return;
         };
         let delay = at - record.created;
@@ -1219,7 +1300,9 @@ impl<P> Ctx<P> {
         match self.shard.as_mut() {
             Some(ctl) => {
                 let c = ctl.next_data[origin.index()];
-                ctl.next_data[origin.index()] = c + 1;
+                // A wrapped counter would alias packet 0's slot.
+                ctl.next_data[origin.index()] =
+                    c.checked_add(1).expect("one origin minted 2^32 packets");
                 DataId((u64::from(origin.0) << 32) | u64::from(c))
             }
             None => {
@@ -1346,6 +1429,7 @@ impl<P> Ctx<P> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn record(origin: u32) -> DataRecord {
         DataRecord {
@@ -1363,34 +1447,60 @@ mod tests {
         DataId(u64::from(origin) << 32 | u64::from(n))
     }
 
+    /// Capacities of the store's three vectors: any (re)allocation changes
+    /// one of them.
+    fn capacities(store: &PacketStore) -> [usize; 3] {
+        [store.dense.capacity(), store.directory.capacity(), store.arena.capacity()]
+    }
+
     #[test]
     fn unknown_ids_resolve_to_none() {
-        let mut store = PacketStore::default();
+        let mut store = PacketStore::new(8);
         assert_eq!(store.get(DataId(0)), None);
         assert_eq!(store.get(tagged(3, 0)), None);
         store.insert(DataId(1), record(1));
         store.insert(tagged(3, 1), record(3));
-        // Below, between and past what was inserted, in both layouts.
-        for id in [DataId(0), DataId(2), DataId(u64::from(u32::MAX)), tagged(3, 0), tagged(4, 1)] {
+        let before = capacities(&store);
+        // Below, between and past what was inserted, in both layouts; in a
+        // page no packet claimed; for origins the deployment does not have.
+        for id in [
+            DataId(0),
+            DataId(2),
+            DataId(u64::from(u32::MAX)),
+            tagged(3, 0),
+            tagged(3, 16),
+            tagged(3, u32::MAX),
+            tagged(4, 1),
+            tagged(8, 1),
+            DataId(u64::MAX),
+        ] {
             assert_eq!(store.get(id), None, "{id}");
-            assert_eq!(store.mark_delivered(id, SimTime::ZERO), None, "{id}");
+            assert_eq!(store.mark_delivered(id), None, "{id}");
         }
+        assert_eq!(capacities(&store), before, "a lookup never allocates");
         assert_eq!(store.get(DataId(1)), Some(Packet::from(&record(1))));
     }
 
     #[test]
     fn an_origin_tagged_id_round_trips_beside_serial_ids() {
-        let mut store = PacketStore::default();
+        let mut store = PacketStore::new(3);
         store.insert(DataId(0), record(0));
         store.insert(DataId(1 << 32), record(1)); // origin 1, n 0: low word collides with id 0
-        store.insert(DataId(u64::MAX), record(2));
+        store.insert(tagged(2, 1_000), record(2)); // sparse: nothing before it in its page
         assert_eq!(store.get(DataId(0)), Some(Packet::from(&record(0))));
         assert_eq!(store.get(DataId(1 << 32)), Some(Packet::from(&record(1))));
-        assert_eq!(store.get(DataId(u64::MAX)), Some(Packet::from(&record(2))));
-        store.mark_delivered(DataId(1 << 32), SimTime::from_secs(9)).expect("first delivery");
+        assert_eq!(store.get(tagged(2, 1_000)), Some(Packet::from(&record(2))));
+        assert_eq!(store.get(tagged(2, 999)), None);
+        store.mark_delivered(DataId(1 << 32)).expect("first delivery");
         assert!(store.get(DataId(1 << 32)).expect("present").delivered);
         assert!(!store.get(DataId(0)).expect("present").delivered);
         assert_eq!(store.dense.len(), 1, "tagged ids never size the dense lane");
+    }
+
+    #[test]
+    #[should_panic(expected = "names an origin outside the deployment")]
+    fn storing_a_packet_of_an_origin_outside_the_deployment_is_a_bug() {
+        PacketStore::new(3).insert(tagged(3, 0), record(3));
     }
 
     #[test]
@@ -1400,15 +1510,10 @@ mod tests {
         ctx.now = SimTime::from_secs(1);
         for id in [DataId(0), tagged(5, 0)] {
             ctx.data.insert(id, record(5));
-            let first = ctx.now;
             ctx.deliver_data(id, actuator);
             assert!(ctx.data.get(id).expect("present").delivered);
             ctx.now += SimDuration::from_millis(5);
             ctx.deliver_data(id, actuator);
-            // Only the tagged arm keeps the time: the first one.
-            if let Some(record) = ctx.data.tagged.get(&id) {
-                assert_eq!(record.delivered, Some(first));
-            }
         }
         assert_eq!(ctx.metrics.delivered_packets, 2);
     }
@@ -1425,7 +1530,7 @@ mod tests {
         assert_eq!(ctx.metrics.dropped_packets, 0);
         assert_eq!(ctx.metrics.delivered_packets, 0);
         assert!(log.lock().expect("sole user").is_empty());
-        assert!(ctx.data.dense.is_empty() && ctx.data.tagged.is_empty());
+        assert_eq!(capacities(&ctx.data), [0; 3]);
     }
 
     /// The shadow map must notice a store that resolves an id differently
@@ -1434,7 +1539,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "packet store and its shadow map disagree")]
     fn shadow_catches_a_planted_disagreement() {
-        let mut store = PacketStore::default();
+        let mut store = PacketStore::new(1);
         store.insert(DataId(0), record(0));
         store.dense[0] = Slot::EMPTY;
         store.get(DataId(0));
@@ -1451,32 +1556,88 @@ mod tests {
             measured: false,
             dest: Some(NodeId(u32::MAX - 1)),
         };
-        let mut store = PacketStore::default();
-        store.insert(DataId(0), widest.clone());
-        assert_eq!(store.get(DataId(0)), Some(Packet::from(&widest)));
-        let first = store.mark_delivered(DataId(0), SimTime::ZERO).expect("first delivery");
-        assert_eq!(first, Packet::from(&widest));
-        assert_eq!(store.get(DataId(0)), Some(Packet { delivered: true, ..first }));
+        let mut store = PacketStore::new(2);
+        for id in [DataId(0), tagged(1, 0)] {
+            store.insert(id, widest.clone());
+            assert_eq!(store.get(id), Some(Packet::from(&widest)));
+            let first = store.mark_delivered(id).expect("first delivery");
+            assert_eq!(first, Packet::from(&widest));
+            assert_eq!(store.get(id), Some(Packet { delivered: true, ..first }));
+        }
+    }
+
+    /// DESIGN.md §14's bound for a hot origin: a million packets from one
+    /// sensor among 25 000 claim 16 pages — 16 directory rows of 100 kB and
+    /// an arena the packets fill to the last slot — where fixed 16-slot
+    /// pages would want 62 500 rows (6 GB) and one lane per origin 25 000
+    /// allocations before the first packet moved.
+    #[test]
+    fn a_hot_origin_costs_log_many_pages_and_allocations() {
+        const NODES: usize = 25_000;
+        const PACKETS: u32 = 1 << 20;
+        let mut store = PacketStore::new(NODES);
+        let mut allocations = 0;
+        let mut mint = |store: &mut PacketStore, origin, n| {
+            let before = capacities(store);
+            store.insert(tagged(origin, n), record(origin));
+            allocations += usize::from(capacities(store) != before);
+        };
+        // Sixteen full pages of the hot origin, then one packet — one
+        // first page — from every other node.
+        for n in 0..PACKETS - 16 {
+            mint(&mut store, 7, n);
+        }
+        for origin in (1..NODES as u32).filter(|&origin| origin != 7) {
+            mint(&mut store, origin, 0);
+        }
+        assert!(allocations < 64, "{allocations} allocations");
+        let bytes = store.directory.capacity() * 4
+            + store.arena.capacity() * std::mem::size_of::<Slot>();
+        assert!(bytes < 64 << 20, "{bytes} bytes");
+        assert_eq!(store.get(tagged(7, PACKETS - 17)), Some(Packet::from(&record(7))));
+        assert_eq!(store.get(tagged(7, PACKETS - 16)), None);
+        assert_eq!(store.get(tagged(NODES as u32 - 1, 0)), Some(Packet::from(&record(NODES as u32 - 1))));
     }
 
     // One random script of inserts, reads and deliveries over both id
     // layouts, against a plain map (explicitly, so it also holds in release
-    // test builds, where the shadow is compiled out).
+    // test builds, where the shadow is compiled out). The script runs on
+    // top of a skewed population — one origin that minted `hot` packets
+    // beside `ones` origins that minted one — and reaches for sparse `n`
+    // and for origins the deployment does not have.
     proptest! {
         #[test]
         fn store_matches_a_hash_map(
+            hot in prop_oneof![20 => 0u32..64, 11 => 0u32..3_000, 1 => 100_000u32..100_001],
+            ones in 0u32..4_000,
             script in prop::collection::vec(
-                (0u8..4, 0u32..3, 0u32..48, 0u64..1 << 62, 0u8..2, 0u32..10),
+                (0u8..4, 0usize..64, 0u32..48, 0u64..1 << 62, 0u8..2, 0u32..10),
                 0..200,
             )
         ) {
-            let mut store = PacketStore::default();
+            const NODES: u32 = 5_000;
+            const HOT: u32 = 1;
+            let mut store = PacketStore::new(NODES as usize);
             let mut map: HashMap<DataId, Packet> = HashMap::new();
-            for (op, origin, n, created, measured, dest) in script {
-                // Origin 0 is the serial layout; 1 and 2 are origin-tagged.
+            let mint = |store: &mut PacketStore, map: &mut HashMap<DataId, Packet>, id, record| {
+                map.insert(id, Packet::from(&record));
+                store.insert(id, record);
+            };
+            for n in 0..hot {
+                mint(&mut store, &mut map, tagged(HOT, n), record(HOT));
+            }
+            for origin in 0..ones {
+                mint(&mut store, &mut map, tagged(NODES - 1 - origin, 0), record(origin));
+            }
+            for (op, place, n, created, measured, dest) in script {
+                // Origin 0 is the serial layout, the rest origin-tagged: the
+                // hot one, quiet ones, and three the deployment lacks.
+                let origin = [0, HOT, 2, 3, NODES - 1, NODES, NODES + 7, u32::MAX][place % 8];
+                // Mostly the first pages; sometimes far up the hot range.
+                let n = n + [0, 0, 0, 0, 16, 997, 20_011, 99_990][place / 8];
                 let id = tagged(origin, n);
                 match op {
-                    0 | 1 => {
+                    0 | 1 if origin < NODES => {
                         let record = DataRecord {
                             created: SimTime::from_micros(created),
                             measured: measured == 1,
@@ -1484,10 +1645,9 @@ mod tests {
                             dest: dest.checked_sub(1).map(NodeId),
                             ..record(n)
                         };
-                        map.insert(id, Packet::from(&record));
-                        store.insert(id, record);
+                        mint(&mut store, &mut map, id, record);
                     }
-                    2 => prop_assert_eq!(store.get(id), map.get(&id).copied()),
+                    0..=2 => prop_assert_eq!(store.get(id), map.get(&id).copied()),
                     _ => {
                         // A first delivery answers the packet, a second (or
                         // an unknown id) nothing, and the flag stays set.
@@ -1496,14 +1656,21 @@ mod tests {
                             p.delivered = true;
                             before
                         });
-                        prop_assert_eq!(store.mark_delivered(id, SimTime::from_micros(created)), expected);
-                        prop_assert_eq!(store.mark_delivered(id, SimTime::from_micros(created)), None);
+                        let before = capacities(&store);
+                        prop_assert_eq!(store.mark_delivered(id), expected);
+                        prop_assert_eq!(store.mark_delivered(id), None);
                         prop_assert_eq!(store.get(id), map.get(&id).copied());
+                        prop_assert_eq!(capacities(&store), before);
                     }
                 }
             }
-            for origin in 0..3 {
-                for n in 0..48 {
+            for (&id, &packet) in &map {
+                prop_assert_eq!(store.get(id), Some(packet));
+            }
+            // Ids no one minted: the neighbourhood of every page boundary
+            // of every origin the script could name.
+            for origin in [0, HOT, 2, 3, NODES - 1, NODES, NODES + 7, u32::MAX] {
+                for n in (0..48).chain(990..1_100).chain(20_000..20_100).chain(99_980..100_100) {
                     let id = tagged(origin, n);
                     prop_assert_eq!(store.get(id), map.get(&id).copied());
                 }

@@ -67,8 +67,9 @@ pub struct SpatialGrid {
 impl SpatialGrid {
     /// Builds the grid over `area` with cell side at least `side` (the
     /// maximum usable radio range) and inserts `positions` as nodes
-    /// `0..positions.len()`.
-    pub fn new(area: Area, side: f64, positions: impl Iterator<Item = Point>) -> Self {
+    /// `0..positions.len()`. Walks `positions` twice (count, then fill),
+    /// hence `Clone`: buffering a million points instead costs 16 MB.
+    pub fn new(area: Area, side: f64, positions: impl Iterator<Item = Point> + Clone) -> Self {
         let axis = |extent: f64| -> usize {
             if side <= 0.0 {
                 return 1;
@@ -82,11 +83,24 @@ impl SpatialGrid {
             rows,
             cell_w: area.width / cols as f64,
             cell_h: area.height / rows as f64,
-            cells: vec![Vec::new(); cols * rows],
+            cells: Vec::new(),
             cell_of: Vec::new(),
         };
-        for p in positions {
-            grid.insert(p);
+        // Counting build: size every cell exactly before filling it, so a
+        // cell costs one allocation instead of a doubling sequence. Filling
+        // in node order keeps the member order of push-as-you-go.
+        let mut counts = vec![0usize; cols * rows];
+        grid.cell_of = positions
+            .clone()
+            .map(|p| {
+                let cell = grid.cell_index(p);
+                counts[cell] += 1;
+                cell as u32
+            })
+            .collect();
+        grid.cells = counts.into_iter().map(Vec::with_capacity).collect();
+        for (node, (pos, &cell)) in positions.zip(&grid.cell_of).enumerate() {
+            grid.cells[cell as usize].push(Member { id: node as u32, pos });
         }
         grid
     }
@@ -139,7 +153,7 @@ impl SpatialGrid {
     }
 
     /// `(column, row)` of the cell holding `p`, hardened as described on
-    /// [`SpatialGrid::cell_index`]. Every position→cell mapping (insert,
+    /// [`SpatialGrid::cell_index`]. Every position→cell mapping (construction,
     /// relocate, 3×3 block queries) funnels through here so they cannot
     /// disagree about edge cases.
     #[inline]
@@ -154,14 +168,6 @@ impl SpatialGrid {
         let cx = ((p.x / self.cell_w).max(0.0) as usize).min(self.cols - 1);
         let cy = ((p.y / self.cell_h).max(0.0) as usize).min(self.rows - 1);
         (cx, cy)
-    }
-
-    /// Inserts the next node (index `self.len()`) at `p`.
-    fn insert(&mut self, p: Point) {
-        let node = self.cell_of.len() as u32;
-        let cell = self.cell_index(p);
-        self.cells[cell].push(Member { id: node, pos: p });
-        self.cell_of.push(cell as u32);
     }
 
     /// Moves `node` to `p`: its stored coordinates are refreshed in place,
@@ -238,6 +244,20 @@ mod tests {
         let got = ids(buf);
         assert!(got.contains(&0) && got.contains(&1) && got.contains(&2));
         assert!(!got.contains(&3), "far node is outside the 3x3 block");
+    }
+
+    #[test]
+    fn construction_sizes_each_cell_exactly_and_fills_it_in_node_order() {
+        let area = Area::new(300.0, 100.0);
+        let xs = [250.0, 50.0, 60.0, 260.0, 150.0, 55.0, 270.0];
+        let grid = SpatialGrid::new(area, 100.0, xs.iter().map(|&x| Point::new(x, 50.0)));
+        let members: Vec<Vec<u32>> =
+            grid.cells.iter().map(|c| c.iter().map(|m| m.id).collect()).collect();
+        assert_eq!(members, [vec![1, 2, 5], vec![4], vec![0, 3, 6]]);
+        assert_eq!(grid.cell_of, [2, 0, 0, 2, 1, 0, 2]);
+        for cell in &grid.cells {
+            assert_eq!(cell.capacity(), cell.len(), "one exact allocation per cell");
+        }
     }
 
     #[test]
