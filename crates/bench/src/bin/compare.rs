@@ -27,40 +27,9 @@
 //! scenario where Faber–Streib regular routing beats greedy shortest
 //! routing on the queue-delay tail under all-to-all load.
 
-use refer_bench::{base_config, run_system, ScenarioFlags, LOAD_ROUTINGS, SYSTEMS};
+use refer_bench::{base_config, or_dash, run_system, ScenarioFlags, LOAD_ROUTINGS, SYSTEMS};
 use refer_baselines::{fabric_config, KautzFabricProtocol};
-use wsan_sim::{
-    run_engine, Engine, FaultModel, RoutingStrategy, ShardedConfig, SimDuration, TrafficPattern,
-};
-
-/// Milliseconds with one decimal, or `—` when the quantity is undefined
-/// (NaN: no deliveries to take a percentile of).
-fn ms_or_dash(seconds: f64) -> String {
-    if seconds.is_finite() {
-        format!("{:.1}", seconds * 1e3)
-    } else {
-        "—".to_string()
-    }
-}
-
-/// Percentage with one decimal, or `—` when undefined (0 of 0 offered).
-fn pct_or_dash(ratio: f64) -> String {
-    if ratio.is_finite() {
-        format!("{:.1}%", ratio * 100.0)
-    } else {
-        "—".to_string()
-    }
-}
-
-/// Plain number with the given decimals, or `—` when undefined (NaN: a
-/// zero-length measurement window, or nothing observed).
-fn num_or_dash(x: f64, digits: usize) -> String {
-    if x.is_finite() {
-        format!("{x:.digits$}")
-    } else {
-        "—".to_string()
-    }
-}
+use wsan_sim::{run_engine, Engine, FaultModel, ShardedConfig, SimDuration};
 
 /// Exits with the CLI's usage error code for a malformed flag value.
 fn bail(message: String) -> ! {
@@ -74,12 +43,7 @@ struct Args {
     mobility: f64,
     faults: usize,
     sensors: usize,
-    fault_model: FaultModel,
-    attacker_fraction: f64,
-    link_pdr: f64,
-    workload: TrafficPattern,
-    routing: RoutingStrategy,
-    offered_pps: f64,
+    scenario: ScenarioFlags,
     fabric: Option<(u8, usize)>,
     threads: usize,
 }
@@ -91,20 +55,14 @@ fn parse_args() -> Args {
         mobility: 3.0,
         faults: 0,
         sensors: 200,
-        fault_model: FaultModel::Oracle,
-        attacker_fraction: 0.0,
-        link_pdr: 0.0,
-        workload: TrafficPattern::Paper,
-        routing: RoutingStrategy::Shortest,
-        offered_pps: 0.0,
+        scenario: ScenarioFlags::default(),
         fabric: None,
         threads: 2,
     };
-    let mut scenario = ScenarioFlags::default();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         // The scenario knobs shared by every CLI live in one parser.
-        if scenario.accept(&a, &mut it).unwrap_or_else(|e| bail(e)) {
+        if args.scenario.accept(&a, &mut it).unwrap_or_else(|e| bail(e)) {
             continue;
         }
         let mut next = || it.next().expect("flag needs a value");
@@ -127,12 +85,6 @@ fn parse_args() -> Args {
             other => panic!("unknown argument {other:?}"),
         }
     }
-    args.fault_model = scenario.fault_model;
-    args.attacker_fraction = scenario.attacker_fraction;
-    args.link_pdr = scenario.link_pdr;
-    args.workload = scenario.workload;
-    args.routing = scenario.routing.unwrap_or(RoutingStrategy::Shortest);
-    args.offered_pps = scenario.offered_pps;
     args
 }
 
@@ -142,23 +94,29 @@ fn main() {
         run_fabric(&args);
         return;
     }
-    let byzantine = args.fault_model == FaultModel::Byzantine;
-    let matrix = args.workload.is_matrix();
+    let mut cfg = base_config(args.scale);
+    cfg.mobility.max_speed = args.mobility;
+    cfg.faults.count = args.faults;
+    cfg.sensors = args.sensors;
+    cfg.seed = args.seed;
+    args.scenario.apply(&mut cfg);
+    let byzantine = cfg.faults.model == FaultModel::Byzantine;
+    let matrix = cfg.traffic.pattern.is_matrix();
 
     println!(
         "scenario: {} sensors, mobility [0,{}] m/s, {} faulty ({:?}), \
          attacker fraction {}, link pdr {}, workload {} ({:?} routing, {} pps), scale {}, seed {}\n",
-        args.sensors,
-        args.mobility,
-        args.faults,
-        args.fault_model,
-        args.attacker_fraction,
-        args.link_pdr,
-        args.workload.name(),
-        args.routing,
-        args.offered_pps,
+        cfg.sensors,
+        cfg.mobility.max_speed,
+        cfg.faults.count,
+        cfg.faults.model,
+        cfg.faults.byzantine.attacker_fraction,
+        cfg.radio.link_pdr,
+        cfg.traffic.pattern.name(),
+        cfg.routing,
+        cfg.traffic.offered_pps,
         args.scale,
-        args.seed
+        cfg.seed
     );
     print!(
         "{:>15} {:>13} {:>9} {:>8} {:>8} {:>8} {:>6} {:>12} {:>12} {:>7} {:>9} {:>9} {:>7} {:>7} {:>6} {:>8}",
@@ -179,17 +137,6 @@ fn main() {
     }
     println!(" {:>7}", "wall");
     for system in SYSTEMS {
-        let mut cfg = base_config(args.scale);
-        cfg.mobility.max_speed = args.mobility;
-        cfg.faults.count = args.faults;
-        cfg.faults.model = args.fault_model;
-        cfg.faults.byzantine.attacker_fraction = args.attacker_fraction;
-        cfg.radio.link_pdr = args.link_pdr;
-        cfg.sensors = args.sensors;
-        cfg.traffic.pattern = args.workload;
-        cfg.traffic.offered_pps = args.offered_pps;
-        cfg.routing = args.routing;
-        cfg.seed = args.seed;
         let t = std::time::Instant::now();
         let s = run_system(&cfg, system);
         print!(
@@ -197,13 +144,13 @@ fn main() {
             system.name(),
             s.throughput_bps,
             s.mean_delay_s * 1e3,
-            ms_or_dash(s.delay_p50_s),
-            ms_or_dash(s.delay_p95_s),
-            ms_or_dash(s.delay_p99_s),
-            pct_or_dash(s.deadline_miss_ratio),
+            or_dash(s.delay_p50_s * 1e3, 1, ""),
+            or_dash(s.delay_p95_s * 1e3, 1, ""),
+            or_dash(s.delay_p99_s * 1e3, 1, ""),
+            or_dash(s.deadline_miss_ratio * 100.0, 1, "%"),
             s.energy_communication_j,
             s.energy_construction_j,
-            pct_or_dash(s.delivery_ratio),
+            or_dash(s.delivery_ratio * 100.0, 1, "%"),
             s.hotspot_energy_j,
             s.energy_fairness,
             s.retransmissions,
@@ -219,16 +166,16 @@ fn main() {
                 s.slander_events,
                 s.wrongful_evictions,
                 s.attackers_contained,
-                num_or_dash(s.mean_containment_time_s, 1)
+                or_dash(s.mean_containment_time_s, 1, "")
             );
         }
         if matrix {
             print!(
                 " {:>9} {:>9} {:>9} {:>8} {:>7}",
-                ms_or_dash(s.queue_delay_p50_s),
-                ms_or_dash(s.queue_delay_p99_s),
-                ms_or_dash(s.queue_max_s),
-                num_or_dash(s.hot_link_utilization, 3),
+                or_dash(s.queue_delay_p50_s * 1e3, 1, ""),
+                or_dash(s.queue_delay_p99_s * 1e3, 1, ""),
+                or_dash(s.queue_max_s * 1e3, 1, ""),
+                or_dash(s.hot_link_utilization, 3, ""),
                 s.congestion_drops,
             );
         }
@@ -243,10 +190,11 @@ fn main() {
 /// is printed.
 fn run_fabric(args: &Args) {
     let (d, k) = args.fabric.expect("checked by caller");
-    let offered = if args.offered_pps > 0.0 { args.offered_pps } else { 20_000.0 };
+    let scenario = &args.scenario;
+    let offered = if scenario.offered_pps > 0.0 { scenario.offered_pps } else { 20_000.0 };
     let mut cfg = fabric_config(d, k, offered);
-    if args.workload.is_matrix() {
-        cfg.traffic.pattern = args.workload;
+    if scenario.workload.is_matrix() {
+        cfg.traffic.pattern = scenario.workload;
     }
     cfg.duration = SimDuration::from_secs_f64((1000.0 * args.scale).max(20.0));
     cfg.warmup = SimDuration::from_secs_f64((100.0 * args.scale).max(10.0));
@@ -284,13 +232,13 @@ fn run_fabric(args: &Args) {
         println!(
             "{:>16} {:>8} {:>9} {:>9} {:>9} {:>9} {:>8} {:>6} {:>8} {:>9} {:>6.1}s",
             format!("KFabric/{routing:?}"),
-            pct_or_dash(s1.delivery_ratio),
-            ms_or_dash(s1.delay_p99_s),
-            ms_or_dash(s1.queue_delay_p50_s),
-            ms_or_dash(s1.queue_delay_p99_s),
-            ms_or_dash(s1.queue_max_s),
-            num_or_dash(s1.hot_link_utilization, 3),
-            pct_or_dash(s1.deadline_miss_ratio),
+            or_dash(s1.delivery_ratio * 100.0, 1, "%"),
+            or_dash(s1.delay_p99_s * 1e3, 1, ""),
+            or_dash(s1.queue_delay_p50_s * 1e3, 1, ""),
+            or_dash(s1.queue_delay_p99_s * 1e3, 1, ""),
+            or_dash(s1.queue_max_s * 1e3, 1, ""),
+            or_dash(s1.hot_link_utilization, 3, ""),
+            or_dash(s1.deadline_miss_ratio * 100.0, 1, "%"),
             s1.congestion_drops,
             format!("1≡{}", args.threads),
             t.elapsed().as_secs_f64()

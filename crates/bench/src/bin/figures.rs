@@ -10,9 +10,10 @@
 //! ```
 //!
 //! Figures sharing a sweep (4-5 mobility, 6-7 faults, 8-11 size) reuse the
-//! same simulations. Output: one aligned text table per figure on stdout
-//! and a JSON dump per sweep under `--out`. `--fault-model discovered`
-//! replaces the paper's idealized failure knowledge with link-layer
+//! same simulations. Output: one aligned text table per figure on stdout,
+//! and under `--out` a JSON dump per sweep plus one SVG per figure, both
+//! from the same in-memory result. `--fault-model discovered` replaces
+//! the paper's idealized failure knowledge with link-layer
 //! ACK-based detection in every system; `byzantine` additionally
 //! compromises `--attacker-fraction` of the sensors. `--link-pdr` adds a
 //! uniform per-link loss probability. `--degradation` skips the paper
@@ -24,11 +25,9 @@
 //! apply to the paper figures for heavy-traffic variants.
 
 use refer_bench::{
-    figure, render_degradation, render_figure, render_load, run_sweep_opts, Figure, ScenarioFlags,
-    Sweep, SweepOpts, SweepResult, FIGURES,
+    figure, render_degradation, render_figure, render_load, run_sweep, Figure, ScenarioFlags,
+    Sweep, FIGURES,
 };
-use std::collections::BTreeSet;
-use std::io::Write as _;
 
 struct Args {
     figs: Vec<u32>,
@@ -36,7 +35,7 @@ struct Args {
     scale: f64,
     out: Option<String>,
     quiet: bool,
-    opts: SweepOpts,
+    scenario: ScenarioFlags,
     degradation: bool,
     load: bool,
 }
@@ -54,15 +53,14 @@ fn parse_args() -> Args {
         scale: 0.25,
         out: Some("results".to_string()),
         quiet: false,
-        opts: SweepOpts::default(),
+        scenario: ScenarioFlags::default(),
         degradation: false,
         load: false,
     };
-    let mut scenario = ScenarioFlags::default();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         // The scenario knobs shared by every CLI live in one parser.
-        if scenario.accept(&a, &mut it).unwrap_or_else(|e| bail(e)) {
+        if args.scenario.accept(&a, &mut it).unwrap_or_else(|e| bail(e)) {
             continue;
         }
         match a.as_str() {
@@ -99,145 +97,95 @@ fn parse_args() -> Args {
             other => panic!("unknown argument {other:?}"),
         }
     }
-    args.opts.fault_model = scenario.fault_model;
-    args.opts.attacker_fraction = scenario.attacker_fraction;
-    args.opts.link_pdr = scenario.link_pdr;
-    args.opts.workload = scenario.workload;
-    args.opts.offered_pps = scenario.offered_pps;
-    if let Some(routing) = scenario.routing {
-        args.opts.routing = routing;
-    }
     args
 }
 
 fn main() {
     let args = parse_args();
-    if args.degradation {
-        run_degradation(&args);
-        return;
-    }
-    if args.load {
-        run_load(&args);
-        return;
-    }
-    let figs: Vec<Figure> = args
-        .figs
-        .iter()
-        .map(|&id| figure(id).unwrap_or_else(|| panic!("no figure {id}; the paper has 4..=11")))
-        .collect();
-    let sweeps_needed: BTreeSet<String> =
-        figs.iter().map(|f| format!("{:?}", f.sweep)).collect();
-
-    eprintln!(
-        "Reproducing {} figure(s) over {} seed(s) at scale {} ({} sweeps)",
-        figs.len(),
-        args.seeds.len(),
-        args.scale,
-        sweeps_needed.len()
-    );
-
-    let mut results: Vec<SweepResult> = Vec::new();
-    for sweep in [Sweep::Mobility, Sweep::Faults, Sweep::Size] {
-        if !figs.iter().any(|f| f.sweep == sweep) {
-            continue;
-        }
-        let quiet = args.quiet;
-        let t = std::time::Instant::now();
-        let result = run_sweep_opts(sweep, &args.seeds, args.scale, args.opts, |label| {
-            if !quiet {
-                eprintln!("  done: {label}");
-            }
-        });
-        eprintln!("sweep {sweep:?} finished in {:.1}s", t.elapsed().as_secs_f64());
-        results.push(result);
-    }
-
-    for fig in &FIGURES {
-        if !figs.iter().any(|f| f.id == fig.id) {
-            continue;
-        }
-        let sweep = results
+    // Each mode is a list of sweeps; all three then share one
+    // run → print → write loop.
+    let sweeps: Vec<Sweep> = if args.degradation {
+        eprintln!(
+            "Byzantine degradation sweep over {} seed(s) at scale {}",
+            args.seeds.len(),
+            args.scale
+        );
+        vec![Sweep::Attackers]
+    } else if args.load {
+        eprintln!(
+            "Heavy-traffic load sweep ({} workload) over {} seed(s) at scale {}",
+            args.scenario.workload.name(),
+            args.seeds.len(),
+            args.scale
+        );
+        vec![Sweep::Load]
+    } else {
+        let figs: Vec<Figure> = args
+            .figs
             .iter()
-            .find(|r| r.sweep == fig.sweep)
-            .expect("sweep was run");
-        println!("{}", render_figure(fig, sweep));
+            .map(|&id| {
+                figure(id).unwrap_or_else(|| panic!("no figure {id}; the paper has 4..=11"))
+            })
+            .collect();
+        let sweeps: Vec<Sweep> = [Sweep::Mobility, Sweep::Faults, Sweep::Size]
+            .into_iter()
+            .filter(|&sweep| figs.iter().any(|f| f.sweep == sweep))
+            .collect();
+        eprintln!(
+            "Reproducing {} figure(s) over {} seed(s) at scale {} ({} sweeps)",
+            figs.len(),
+            args.seeds.len(),
+            args.scale,
+            sweeps.len()
+        );
+        sweeps
+    };
+    // The requested paper figures a sweep feeds, in the paper's order.
+    let wanted = &args.figs;
+    let figures_of = |sweep: Sweep| {
+        FIGURES
+            .iter()
+            .filter(move |fig| fig.sweep == sweep && wanted.contains(&fig.id))
+    };
+
+    let results: Vec<_> = sweeps
+        .into_iter()
+        .map(|sweep| {
+            let t = std::time::Instant::now();
+            let result = run_sweep(sweep, &args.seeds, args.scale, &args.scenario, |label| {
+                if !args.quiet {
+                    eprintln!("  done: {label}");
+                }
+            });
+            eprintln!("sweep {sweep:?} finished in {:.1}s", t.elapsed().as_secs_f64());
+            result
+        })
+        .collect();
+
+    for result in &results {
+        match result.sweep {
+            Sweep::Attackers => println!("{}", render_degradation(result)),
+            Sweep::Load => println!("{}", render_load(result)),
+            sweep => {
+                for fig in figures_of(sweep) {
+                    println!("{}", render_figure(fig, result));
+                }
+            }
+        }
     }
 
     if let Some(out) = &args.out {
         std::fs::create_dir_all(out).expect("create output directory");
         for result in &results {
-            let path = format!("{out}/sweep_{:?}.json", result.sweep).to_lowercase();
-            let mut f = std::fs::File::create(&path).expect("create json");
-            let json = refer_bench::json::to_json(result);
-            f.write_all(json.as_bytes()).expect("write json");
+            let path = format!("{out}/sweep_{}.json", format!("{:?}", result.sweep).to_lowercase());
+            std::fs::write(&path, refer_bench::json::to_json(result)).expect("write json");
             eprintln!("wrote {path}");
-        }
-        for fig in &FIGURES {
-            if !figs.iter().any(|f| f.id == fig.id) {
-                continue;
+            for fig in figures_of(result.sweep) {
+                let path = format!("{out}/fig{:02}.svg", fig.id);
+                std::fs::write(&path, refer_bench::svgplot::figure_svg(fig, result))
+                    .expect("write svg");
+                eprintln!("wrote {path}");
             }
-            let sweep = results
-                .iter()
-                .find(|r| r.sweep == fig.sweep)
-                .expect("sweep was run");
-            let path = format!("{out}/fig{:02}.svg", fig.id);
-            std::fs::write(&path, refer_bench::svgplot::figure_svg(fig, sweep))
-                .expect("write svg");
-            eprintln!("wrote {path}");
         }
-    }
-}
-
-/// `--degradation`: sweep the compromised sensor fraction under the
-/// Byzantine model and print the robustness table instead of the paper's
-/// figures.
-/// `--load`: sweep the offered load of a traffic matrix and print REFER's
-/// congestion metrics under shortest vs. regular Kautz routing.
-fn run_load(args: &Args) {
-    eprintln!(
-        "Heavy-traffic load sweep ({} workload) over {} seed(s) at scale {}",
-        args.opts.workload.name(),
-        args.seeds.len(),
-        args.scale
-    );
-    let quiet = args.quiet;
-    let t = std::time::Instant::now();
-    let result = run_sweep_opts(Sweep::Load, &args.seeds, args.scale, args.opts, |label| {
-        if !quiet {
-            eprintln!("  done: {label}");
-        }
-    });
-    eprintln!("sweep Load finished in {:.1}s", t.elapsed().as_secs_f64());
-    println!("{}", render_load(&result));
-    if let Some(out) = &args.out {
-        std::fs::create_dir_all(out).expect("create output directory");
-        let path = format!("{out}/sweep_load.json");
-        let mut f = std::fs::File::create(&path).expect("create json");
-        f.write_all(refer_bench::json::to_json(&result).as_bytes()).expect("write json");
-        eprintln!("wrote {path}");
-    }
-}
-
-fn run_degradation(args: &Args) {
-    eprintln!(
-        "Byzantine degradation sweep over {} seed(s) at scale {}",
-        args.seeds.len(),
-        args.scale
-    );
-    let quiet = args.quiet;
-    let t = std::time::Instant::now();
-    let result = run_sweep_opts(Sweep::Attackers, &args.seeds, args.scale, args.opts, |label| {
-        if !quiet {
-            eprintln!("  done: {label}");
-        }
-    });
-    eprintln!("sweep Attackers finished in {:.1}s", t.elapsed().as_secs_f64());
-    println!("{}", render_degradation(&result));
-    if let Some(out) = &args.out {
-        std::fs::create_dir_all(out).expect("create output directory");
-        let path = format!("{out}/sweep_attackers.json");
-        let mut f = std::fs::File::create(&path).expect("create json");
-        f.write_all(refer_bench::json::to_json(&result).as_bytes()).expect("write json");
-        eprintln!("wrote {path}");
     }
 }

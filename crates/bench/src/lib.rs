@@ -93,7 +93,7 @@ pub enum Sweep {
     Attackers,
     /// Heavy-traffic load curve (not a paper figure): aggregate offered
     /// load in packets/second under a traffic matrix (all-to-all unless
-    /// the options pick another matrix), comparing REFER under
+    /// the scenario flags pick another matrix), comparing REFER under
     /// [`RoutingStrategy::Shortest`] against
     /// [`RoutingStrategy::Regular`] instead of the four systems.
     Load,
@@ -137,9 +137,8 @@ impl Sweep {
 
     /// Applies the sweep parameter to a scenario. [`Sweep::Attackers`]
     /// forces [`FaultModel::Byzantine`] (a compromised fraction is
-    /// meaningless under the other models), which is why
-    /// [`run_sweep_opts`] applies the requested fault model *before*
-    /// calling this.
+    /// meaningless under the other models), which is why [`run_sweep`]
+    /// applies the scenario flags *before* calling this.
     pub fn configure(self, cfg: &mut SimConfig, x: f64) {
         match self {
             Sweep::Mobility => cfg.mobility.max_speed = x,
@@ -150,7 +149,7 @@ impl Sweep {
                 cfg.faults.byzantine.attacker_fraction = x;
             }
             Sweep::Load => {
-                // A load point needs a matrix workload; if the options left
+                // A load point needs a matrix workload; if the flags left
                 // the paper trickle in place, all-to-all is the default.
                 if !cfg.traffic.pattern.is_matrix() {
                     cfg.traffic.pattern = TrafficPattern::All2All;
@@ -264,8 +263,8 @@ pub struct SweepResult {
     pub seeds: Vec<u64>,
     /// The duration scale used.
     pub scale: f64,
-    /// The fault model the sweep actually ran under
-    /// ([`Sweep::Attackers`] always records `Byzantine`).
+    /// The fault model the sweep's configured runs used
+    /// ([`Sweep::Attackers`] always forces `Byzantine`).
     pub fault_model: FaultModel,
     /// `git rev-parse HEAD` of the tree that produced the dump, or
     /// `"unknown"` outside a git checkout.
@@ -284,44 +283,6 @@ pub fn git_commit() -> String {
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Scenario knobs shared by the sweep-running CLIs, beyond the sweep's own
-/// x parameter.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepOpts {
-    /// Failure-knowledge model for every system.
-    pub fault_model: FaultModel,
-    /// Compromised sensor fraction under `Byzantine` (ignored by the
-    /// other models, overridden per point by [`Sweep::Attackers`]).
-    pub attacker_fraction: f64,
-    /// Uniform extra per-link loss probability in `[0, 1]` (0 keeps the
-    /// paper's lossless links).
-    pub link_pdr: f64,
-    /// Workload shape ([`TrafficPattern::Paper`] keeps the Section IV
-    /// trickle; [`Sweep::Load`] upgrades a non-matrix choice to
-    /// all-to-all per point).
-    pub workload: TrafficPattern,
-    /// Kautz next-hop strategy for every system (overridden per column by
-    /// [`Sweep::Load`], which compares both).
-    pub routing: RoutingStrategy,
-    /// Aggregate offered load for matrix workloads, packets/second network
-    /// wide; 0 keeps the per-source `rate_bps` semantics (overridden per
-    /// point by [`Sweep::Load`]).
-    pub offered_pps: f64,
-}
-
-impl Default for SweepOpts {
-    fn default() -> Self {
-        SweepOpts {
-            fault_model: FaultModel::default(),
-            attacker_fraction: 0.0,
-            link_pdr: 0.0,
-            workload: TrafficPattern::Paper,
-            routing: RoutingStrategy::Shortest,
-            offered_pps: 0.0,
-        }
-    }
 }
 
 /// Parses a `--fault-model` CLI value; the error lists the accepted names.
@@ -380,9 +341,37 @@ pub fn parse_unit_interval(flag: &str, s: &str) -> Result<f64, String> {
     }
 }
 
-/// Runs a full sweep: every x value, every system, every seed.
+/// `x` with `digits` decimals and a `unit` suffix, or `—` when `x` is
+/// undefined (NaN: nothing delivered to take a percentile of, 0 of 0
+/// offered, an aggregate no seed defined). Every CLI table formats such
+/// cells through this.
+pub fn or_dash(x: f64, digits: usize, unit: &str) -> String {
+    if x.is_finite() {
+        format!("{x:.digits$}{unit}")
+    } else {
+        "—".to_string()
+    }
+}
+
+/// The scenario of one sweep point, before its column and seed:
+/// [`base_config`]`(scale)`, then the explicitly given `flags`
+/// ([`ScenarioFlags::apply`]), then the sweep parameter
+/// ([`Sweep::configure`] — so [`Sweep::Attackers`] overrides the fault
+/// model and compromised fraction per point).
+fn point_config(sweep: Sweep, scale: f64, flags: &ScenarioFlags, x: f64) -> SimConfig {
+    let mut cfg = base_config(scale);
+    flags.apply(&mut cfg);
+    sweep.configure(&mut cfg, x);
+    cfg
+}
+
+/// Runs a full sweep: every x value, every column, every seed.
 ///
-/// The seeds of each (x, system) batch run concurrently on scoped threads;
+/// Each point runs its [`point_config`] scenario. The columns are the four
+/// [`SYSTEMS`]; a [`Sweep::Load`] point instead runs REFER once per
+/// [`LOAD_ROUTINGS`] strategy, which overrides the flags' routing.
+///
+/// The seeds of each (x, column) batch run concurrently on scoped threads;
 /// every trial is an isolated simulation deterministically seeded by
 /// `cfg.seed`, so the per-seed summaries are bit-identical to a serial
 /// sweep and aggregate in seed order.
@@ -393,88 +382,50 @@ pub fn run_sweep(
     sweep: Sweep,
     seeds: &[u64],
     scale: f64,
-    progress: impl FnMut(&str),
-) -> SweepResult {
-    run_sweep_with(sweep, seeds, scale, FaultModel::default(), progress)
-}
-
-/// [`run_sweep`] under an explicit fault model: `Oracle` reproduces the
-/// paper's idealized failure knowledge, `Discovered` makes every system
-/// detect failures from unacknowledged frames and heartbeats only.
-pub fn run_sweep_with(
-    sweep: Sweep,
-    seeds: &[u64],
-    scale: f64,
-    fault_model: FaultModel,
-    progress: impl FnMut(&str),
-) -> SweepResult {
-    run_sweep_opts(sweep, seeds, scale, SweepOpts { fault_model, ..SweepOpts::default() }, progress)
-}
-
-/// [`run_sweep`] under explicit scenario options (fault model, compromised
-/// fraction, link loss). The options apply before
-/// [`Sweep::configure`], so [`Sweep::Attackers`] overrides the model and
-/// fraction per point.
-pub fn run_sweep_opts(
-    sweep: Sweep,
-    seeds: &[u64],
-    scale: f64,
-    opts: SweepOpts,
+    flags: &ScenarioFlags,
     mut progress: impl FnMut(&str),
 ) -> SweepResult {
-    // One (x, system) batch: every seed concurrently, then aggregate.
-    // `routing` overrides the options' strategy for the Load columns.
-    let mut batch = |system: System, routing: Option<RoutingStrategy>, x: f64, tag: &str| {
-        let mut runs: Vec<Option<RunSummary>> = (0..seeds.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for (slot, &seed) in runs.iter_mut().zip(seeds) {
-                let mut cfg = base_config(scale);
-                cfg.faults.model = opts.fault_model;
-                cfg.faults.byzantine.attacker_fraction = opts.attacker_fraction;
-                cfg.radio.link_pdr = opts.link_pdr;
-                cfg.traffic.pattern = opts.workload;
-                cfg.traffic.offered_pps = opts.offered_pps;
-                cfg.routing = opts.routing;
-                sweep.configure(&mut cfg, x);
-                if let Some(routing) = routing {
-                    cfg.routing = routing;
-                }
-                cfg.seed = seed;
-                scope.spawn(move || *slot = Some(run_system(&cfg, system)));
-            }
-        });
-        let runs: Vec<RunSummary> =
-            runs.into_iter().map(|r| r.expect("every trial completes")).collect();
-        for &seed in seeds {
-            progress(&format!("{sweep:?} x={x} {tag} seed={seed}"));
-        }
-        aggregate(&runs)
+    // The load curve compares routing strategies within REFER, not the
+    // four systems: the question is how the same fabric behaves under
+    // shortest vs. regular next hops as pressure grows.
+    let columns: Vec<(System, Option<RoutingStrategy>)> = if sweep == Sweep::Load {
+        LOAD_ROUTINGS.iter().map(|&routing| (System::Refer, Some(routing))).collect()
+    } else {
+        SYSTEMS.iter().map(|&system| (system, None)).collect()
     };
+    let mut fault_model = FaultModel::default();
     let mut points = Vec::new();
     for x in sweep.x_values() {
-        let systems = if sweep == Sweep::Load {
-            // The load curve compares routing strategies within REFER, not
-            // the four systems: the question is how the same fabric behaves
-            // under shortest vs. regular next hops as pressure grows.
-            LOAD_ROUTINGS
-                .iter()
-                .map(|&routing| {
-                    batch(System::Refer, Some(routing), x, &format!("REFER/{routing:?}"))
-                })
-                .collect()
-        } else {
-            SYSTEMS
-                .iter()
-                .map(|&system| batch(system, None, x, system.name()))
-                .collect()
-        };
+        let cfg = point_config(sweep, scale, flags, x);
+        fault_model = cfg.faults.model;
+        let mut systems = Vec::with_capacity(columns.len());
+        for &(system, routing) in &columns {
+            let mut cfg = cfg.clone();
+            let tag = match routing {
+                Some(routing) => {
+                    cfg.routing = routing;
+                    format!("{}/{routing:?}", system.name())
+                }
+                None => system.name().to_string(),
+            };
+            let runs: Vec<RunSummary> = std::thread::scope(|scope| {
+                let trials: Vec<_> = seeds
+                    .iter()
+                    .map(|&seed| {
+                        let mut cfg = cfg.clone();
+                        cfg.seed = seed;
+                        scope.spawn(move || run_system(&cfg, system))
+                    })
+                    .collect();
+                trials.into_iter().map(|t| t.join().expect("every trial completes")).collect()
+            });
+            for &seed in seeds {
+                progress(&format!("{sweep:?} x={x} {tag} seed={seed}"));
+            }
+            systems.push(aggregate(&runs));
+        }
         points.push(SweepPoint { x, axis: sweep.axis_value(x), systems });
     }
-    let fault_model = if sweep == Sweep::Attackers {
-        FaultModel::Byzantine
-    } else {
-        opts.fault_model
-    };
     SweepResult {
         sweep,
         points,
@@ -514,16 +465,10 @@ pub fn render_figure(fig: &Figure, sweep: &SweepResult) -> String {
 
 /// Renders the Byzantine degradation table from an [`Sweep::Attackers`]
 /// result: delivery, wrongful evictions and attacker containment per
-/// system at each compromised fraction.
+/// system at each compromised fraction. Undefined cells (a NaN aggregate:
+/// nothing delivered, or no attacker ever contained) print as `—`.
 pub fn render_degradation(sweep: &SweepResult) -> String {
     use std::fmt::Write;
-    fn num(x: f64, digits: usize) -> String {
-        if x.is_finite() {
-            format!("{x:.digits$}")
-        } else {
-            "—".to_string()
-        }
-    }
     let mut out = String::new();
     writeln!(out, "Byzantine degradation (fault model {:?})", sweep.fault_model)
         .expect("write to string");
@@ -540,12 +485,12 @@ pub fn render_degradation(sweep: &SweepResult) -> String {
                 "{:>10} {:>15} {:>9} {:>9} {:>9} {:>9} {:>10} {:>11}",
                 format!("{:.2}", point.x),
                 system.name(),
-                num(agg.delivery_ratio.mean, 3),
-                num(agg.throughput_bps.mean, 0),
-                num(agg.wrongful_evictions.mean, 1),
-                num(agg.slander_events.mean, 1),
-                num(agg.attackers_contained.mean, 1),
-                num(agg.containment_time_s.mean, 1),
+                or_dash(agg.delivery_ratio.mean, 3, ""),
+                or_dash(agg.throughput_bps.mean, 0, ""),
+                or_dash(agg.wrongful_evictions.mean, 1, ""),
+                or_dash(agg.slander_events.mean, 1, ""),
+                or_dash(agg.attackers_contained.mean, 1, ""),
+                or_dash(agg.containment_time_s.mean, 1, ""),
             )
             .expect("write to string");
         }
@@ -559,13 +504,6 @@ pub fn render_degradation(sweep: &SweepResult) -> String {
 /// print as `—`.
 pub fn render_load(sweep: &SweepResult) -> String {
     use std::fmt::Write;
-    fn num(x: f64, digits: usize) -> String {
-        if x.is_finite() {
-            format!("{x:.digits$}")
-        } else {
-            "—".to_string()
-        }
-    }
     let mut out = String::new();
     writeln!(out, "Heavy-traffic load response (fault model {:?})", sweep.fault_model)
         .expect("write to string");
@@ -582,13 +520,13 @@ pub fn render_load(sweep: &SweepResult) -> String {
                 "{:>10} {:>16} {:>8} {:>10} {:>10} {:>10} {:>9} {:>9} {:>8}",
                 format!("{:.0}", point.x),
                 format!("REFER/{routing:?}"),
-                num(agg.delivery_ratio.mean, 3),
-                num(agg.queue_delay_p50_s.mean * 1e3, 2),
-                num(agg.queue_delay_p99_s.mean * 1e3, 2),
-                num(agg.queue_max_s.mean * 1e3, 1),
-                num(agg.hot_link_utilization.mean, 3),
-                num(agg.deadline_miss_ratio.mean, 3),
-                num(agg.congestion_drops.mean, 0),
+                or_dash(agg.delivery_ratio.mean, 3, ""),
+                or_dash(agg.queue_delay_p50_s.mean * 1e3, 2, ""),
+                or_dash(agg.queue_delay_p99_s.mean * 1e3, 2, ""),
+                or_dash(agg.queue_max_s.mean * 1e3, 1, ""),
+                or_dash(agg.hot_link_utilization.mean, 3, ""),
+                or_dash(agg.deadline_miss_ratio.mean, 3, ""),
+                or_dash(agg.congestion_drops.mean, 0, ""),
             )
             .expect("write to string");
         }
@@ -680,6 +618,119 @@ mod tests {
         assert_eq!(parse_offered_load("2500"), Ok(2500.0));
         assert!(parse_offered_load("-1").is_err());
         assert!(parse_offered_load("many").is_err());
+    }
+
+    #[test]
+    fn or_dash_formats_defined_values_and_dashes_undefined_ones() {
+        assert_eq!(or_dash(0.01234 * 1e3, 1, ""), "12.3");
+        assert_eq!(or_dash(0.9876 * 100.0, 1, "%"), "98.8%");
+        assert_eq!(or_dash(0.0042 * 1e3, 1, "ms"), "4.2ms");
+        assert_eq!(or_dash(624225.4, 0, ""), "624225");
+        for undefined in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(or_dash(undefined, 3, "%"), "—");
+        }
+    }
+
+    fn flags(args: &[&str]) -> ScenarioFlags {
+        let mut flags = ScenarioFlags::default();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            assert_eq!(flags.accept(arg, &mut it), Ok(true), "{arg}");
+        }
+        flags
+    }
+
+    /// A point's scenario is `base_config`, then the given flags, then the
+    /// sweep parameter — and nothing else.
+    #[test]
+    fn point_config_is_base_config_plus_flags_plus_the_sweep_parameter() {
+        for (args, model, link_pdr) in [
+            (&[][..], FaultModel::Oracle, 0.0),
+            (&["--fault-model", "discovered", "--link-pdr", "0.1"][..], FaultModel::Discovered, 0.1),
+        ] {
+            let flags = flags(args);
+            for x in Sweep::Faults.x_values() {
+                let mut want = base_config(0.02);
+                want.faults.count = x as usize;
+                want.faults.model = model;
+                want.radio.link_pdr = link_pdr;
+                assert_eq!(point_config(Sweep::Faults, 0.02, &flags, x), want, "{args:?} x={x}");
+            }
+        }
+        // The sweep parameter wins over a flag that sets the same knob.
+        let cfg = point_config(Sweep::Attackers, 0.02, &flags(&["--fault-model", "oracle"]), 0.2);
+        assert_eq!(cfg.faults.model, FaultModel::Byzantine);
+    }
+
+    /// Pins what `run_sweep` runs end to end: each (x, system) cell is the
+    /// aggregate of hand-built per-seed `run_system` runs. The flags are
+    /// ones that change every system's runs yet keep the debug build quick
+    /// (any non-Oracle model costs the Kautz overlay ~7 s a run there).
+    #[test]
+    fn run_sweep_aggregates_hand_built_runs() {
+        let (seeds, scale) = ([1, 2], 0.02);
+        let flags = flags(&["--routing", "regular", "--link-pdr", "0.02"]);
+        let result = run_sweep(Sweep::Faults, &seeds, scale, &flags, |_| {});
+        assert_eq!(result.fault_model, FaultModel::Oracle);
+        let xs: Vec<f64> = result.points.iter().map(|p| p.x).collect();
+        assert_eq!(xs, Sweep::Faults.x_values());
+        for point in &result.points {
+            for (&system, agg) in SYSTEMS.iter().zip(&point.systems) {
+                let runs: Vec<RunSummary> = std::thread::scope(|scope| {
+                    let handles: Vec<_> = seeds
+                        .iter()
+                        .map(|&seed| {
+                            let mut cfg = base_config(scale);
+                            cfg.faults.count = point.x as usize;
+                            cfg.routing = RoutingStrategy::Regular;
+                            cfg.radio.link_pdr = 0.02;
+                            cfg.seed = seed;
+                            scope.spawn(move || run_system(&cfg, system))
+                        })
+                        .collect();
+                    handles.into_iter().map(|h| h.join().expect("run completes")).collect()
+                });
+                // Debug text, so an undefined (NaN) column equals itself.
+                assert_eq!(
+                    format!("{:?}", aggregate(&runs)),
+                    format!("{agg:?}"),
+                    "x={} {}",
+                    point.x,
+                    system.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn render_degradation_prints_an_aggregate_no_seed_defined_as_a_dash() {
+        // At fraction 0 nothing is compromised, so no seed contains anyone.
+        let uncontained =
+            RunSummary { mean_containment_time_s: f64::NAN, ..RunSummary::default() };
+        let contained =
+            RunSummary { mean_containment_time_s: 14.5, attackers_contained: 2, ..uncontained.clone() };
+        let point = |x: f64, run: &RunSummary| SweepPoint {
+            x,
+            axis: x,
+            systems: vec![aggregate(&[run.clone(), run.clone()]); SYSTEMS.len()],
+        };
+        let result = SweepResult {
+            sweep: Sweep::Attackers,
+            points: vec![point(0.0, &uncontained), point(0.1, &contained)],
+            seeds: vec![1, 2],
+            scale: 0.02,
+            fault_model: FaultModel::Byzantine,
+            git_commit: "test".to_string(),
+        };
+        let table = render_degradation(&result);
+        let rows: Vec<&str> = table.lines().skip(2).collect();
+        assert_eq!(rows.len(), 2 * SYSTEMS.len(), "{table}");
+        for row in &rows[..SYSTEMS.len()] {
+            assert!(row.trim_start().starts_with("0.00") && row.ends_with(" —"), "{row}");
+        }
+        for row in &rows[SYSTEMS.len()..] {
+            assert!(row.ends_with(" 2.0        14.5"), "{row}");
+        }
     }
 
     #[test]

@@ -39,7 +39,9 @@
 //! paper trickle for a traffic matrix, so the invariance check also covers
 //! the open-loop injector and its `PacketDest` events.
 
-use refer_bench::{base_config, run_system_with_sinks, ScenarioFlags, System};
+use refer_bench::{
+    base_config, or_dash, parse_unit_interval, run_system_with_sinks, ScenarioFlags, System,
+};
 use refer_obs::{
     from_jsonl_line, fnv1a64, EventHash, HashingSink, JsonlSink, PacketLedger, SharedBuf,
 };
@@ -119,20 +121,6 @@ fn parse_system(name: &str) -> Result<System, String> {
     }
 }
 
-/// Parses a probability/fraction flag, rejecting values outside `[0, 1]`.
-fn unit_interval_flag(
-    flags: &BTreeMap<String, String>,
-    name: &str,
-    default: f64,
-) -> Result<f64, String> {
-    let x: f64 = flag(flags, name, default)?;
-    if (0.0..=1.0).contains(&x) {
-        Ok(x)
-    } else {
-        Err(format!("--{name} must be in [0, 1], got {x}"))
-    }
-}
-
 fn flag<T: std::str::FromStr>(
     flags: &BTreeMap<String, String>,
     name: &str,
@@ -199,29 +187,13 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
     println!(
         "delivery {:.1}%  p50 {}  p95 {}  p99 {}  deadline-miss {}",
         summary.delivery_ratio * 100.0,
-        ms(summary.delay_p50_s),
-        ms(summary.delay_p95_s),
-        ms(summary.delay_p99_s),
-        pct(summary.deadline_miss_ratio),
+        or_dash(summary.delay_p50_s * 1e3, 1, "ms"),
+        or_dash(summary.delay_p95_s * 1e3, 1, "ms"),
+        or_dash(summary.delay_p99_s * 1e3, 1, "ms"),
+        or_dash(summary.deadline_miss_ratio * 100.0, 1, "%"),
     );
     println!("digest {}", hash.get().digest());
     Ok(ExitCode::SUCCESS)
-}
-
-fn ms(seconds: f64) -> String {
-    if seconds.is_finite() {
-        format!("{:.1}ms", seconds * 1e3)
-    } else {
-        "—".to_string()
-    }
-}
-
-fn pct(ratio: f64) -> String {
-    if ratio.is_finite() {
-        format!("{:.1}%", ratio * 100.0)
-    } else {
-        "—".to_string()
-    }
 }
 
 /// Loads a JSONL trace: the raw lines and their parsed events.
@@ -276,7 +248,7 @@ fn cmd_node(args: &[String]) -> Result<ExitCode, String> {
     for record in visiting {
         let outcome = match &record.outcome {
             refer_obs::Outcome::Delivered { delay_s, .. } => {
-                format!("delivered after {}", ms(*delay_s))
+                format!("delivered after {}", or_dash(*delay_s * 1e3, 1, "ms"))
             }
             refer_obs::Outcome::Dropped { reason, .. } => {
                 format!("dropped ({})", refer_obs::codec::drop_reason_str(*reason))
@@ -491,16 +463,13 @@ fn cmd_verify_live(
     if paths.is_empty() {
         return Err("verify --live needs at least one trace file".to_string());
     }
-    let expect_delivery: Option<f64> = match flags.get("expect-delivery") {
-        None => None,
-        Some(raw) => Some(
-            raw.parse()
-                .ok()
-                .filter(|x| (0.0..=1.0).contains(x))
-                .ok_or_else(|| format!("--expect-delivery must be in [0, 1], got `{raw}`"))?,
-        ),
-    };
-    let tolerance = unit_interval_flag(flags, "tolerance", 0.10)?;
+    let expect_delivery = flags
+        .get("expect-delivery")
+        .map(|raw| parse_unit_interval("--expect-delivery", raw))
+        .transpose()?;
+    let tolerance = flags
+        .get("tolerance")
+        .map_or(Ok(0.10), |raw| parse_unit_interval("--tolerance", raw))?;
 
     let mut events = Vec::new();
     for path in paths {

@@ -131,10 +131,15 @@ pub struct AggregateSummary {
 /// Undefined per-seed values (NaN: the delivery ratio or delay tail of a
 /// run that delivered nothing) are excluded from that column's statistic
 /// rather than poisoning the mean; the stat's `n` reflects the seeds that
-/// actually defined the quantity.
+/// actually defined the quantity. A column no seed defined is undefined
+/// too: NaN mean and half-width with `n == 0`, never a zero that reads as
+/// a measurement.
 pub fn aggregate(runs: &[RunSummary]) -> AggregateSummary {
     fn col(runs: &[RunSummary], f: impl Fn(&RunSummary) -> f64) -> CiStat {
         let xs: Vec<f64> = runs.iter().map(f).filter(|x| x.is_finite()).collect();
+        if xs.is_empty() {
+            return CiStat { mean: f64::NAN, ci95: f64::NAN, n: 0 };
+        }
         ci95(&xs)
     }
     AggregateSummary {
@@ -262,5 +267,16 @@ mod tests {
         assert_eq!(agg.delay_p50_s.n, 1);
         assert_eq!(agg.delay_p50_s.mean, 0.1);
         assert_eq!(agg.throughput_bps.n, 2);
+    }
+
+    #[test]
+    fn a_column_no_seed_defined_aggregates_to_nan_not_zero() {
+        let run = RunSummary { mean_containment_time_s: f64::NAN, ..RunSummary::default() };
+        let agg = aggregate(&[run.clone(), run]);
+        assert_eq!(agg.containment_time_s.n, 0);
+        assert!(agg.containment_time_s.mean.is_nan(), "{:?}", agg.containment_time_s);
+        assert!(agg.containment_time_s.ci95.is_nan(), "{:?}", agg.containment_time_s);
+        // Defined columns of the same runs are untouched.
+        assert_eq!(agg.throughput_bps, CiStat { mean: 0.0, ci95: 0.0, n: 2 });
     }
 }
