@@ -2,20 +2,19 @@
 //!
 //! The build environment has no access to crates.io, so this crate stands
 //! in for `serde`/`serde_json` where the workspace needs real (de)serial-
-//! ization: the observability subsystem's JSONL trace codec, the
-//! `refer-node` wire codec and the benchmark's result files. It is the one
-//! JSON layer under all of them, in two tiers:
+//! ization: the observability subsystem's JSONL trace codec and the
+//! benchmark's result files. It is the one JSON layer under both, in two
+//! tiers:
 //!
-//! * [`json::Writer`] and [`json::Reader`] — a streaming encoder into a
-//!   caller-owned byte buffer and a pull decoder over the borrowed input. The
-//!   per-datagram and per-event paths use these directly, so they build no
-//!   tree and allocate for no key. Number formatting, string escaping and
-//!   tokenising (with the nesting cap, [`json::MAX_DEPTH`]) live here and
-//!   nowhere else.
+//! * [`json::Writer`] — a streaming encoder into a caller-owned byte
+//!   buffer. The per-event trace path uses it directly, so it builds no
+//!   tree. Number formatting and string escaping live here and nowhere
+//!   else.
 //! * a dynamic [`Value`] tree with [`Serialize`]/[`Deserialize`] traits
 //!   over it, for offline consumers (trace replay, result files) that want
-//!   random access. [`json::to_string`] and [`json::from_str`] are
-//!   [`json::Writer::value`] and [`json::Reader::read_value`].
+//!   random access. [`json::to_string`] is [`json::Writer::value`];
+//!   [`json::from_str`] parses through a tokenizer private to [`json`],
+//!   with the nesting cap [`json::MAX_DEPTH`].
 //!
 //! It deliberately does **not** provide derive macros. Consumers hand-write
 //! their conversions instead, which keeps the shim to one auditable file
@@ -274,21 +273,18 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 /// Compact JSON text codec: a streaming [`Writer`](json::Writer) into a
-/// caller-owned byte buffer and a pull [`Reader`](json::Reader) over
-/// the borrowed input, with [`to_string`](json::to_string) /
-/// [`from_str`](json::from_str) over [`Value`] built on the two. Output is
-/// single-line (suitable for JSONL streams); input gets full escape
-/// handling and a nesting cap.
+/// caller-owned byte buffer, with [`to_string`](json::to_string) /
+/// [`from_str`](json::from_str) over [`Value`]. Output is single-line
+/// (suitable for JSONL streams); input gets full escape handling and a
+/// nesting cap.
 pub mod json {
     use super::{Error, Value};
     use std::borrow::Cow;
     use std::io::Write as _;
 
-    /// Deepest container nesting the [`Reader`] accepts. Input arrives
-    /// from the network (a 64 KiB datagram of `[` would otherwise recurse
-    /// 60 000 frames deep), so the cap is what bounds the stack of every
-    /// consumer: [`Reader::skip_value`], [`Reader::read_value`] and
-    /// whatever a caller builds on `begin_*`.
+    /// Deepest container nesting [`from_str`] accepts. Its input is
+    /// whatever file a caller was handed (64 KiB of `[` would otherwise
+    /// recurse 60 000 frames deep), so the cap is what bounds the stack.
     pub const MAX_DEPTH: usize = 128;
 
     /// Encodes a value as compact (single-line) JSON.
@@ -524,14 +520,10 @@ pub mod json {
         }
     }
 
-    /// Pull decoder over borrowed text: the caller walks the document it
-    /// expects (`begin_object`, `next_key`, a typed `read_*`, …) and
-    /// [`skip_value`](Reader::skip_value)s what it does not, so nothing is
-    /// allocated for structure, keys or unescaped strings. Bytes off the
-    /// wire enter through [`from_bytes`](Reader::from_bytes), which checks
-    /// UTF-8 once for the whole document; every string handed out after
-    /// that is a slice of it.
-    pub struct Reader<'a> {
+    /// Pull decoder over borrowed text, behind [`from_str`]: `begin_*`,
+    /// `next_key`/`next_element` and the `read_*` of each value walk the
+    /// document, and keys and unescaped strings come back as slices of it.
+    struct Reader<'a> {
         text: &'a str,
         pos: usize,
         depth: usize,
@@ -542,15 +534,8 @@ pub mod json {
 
     impl<'a> Reader<'a> {
         /// A reader at the start of `text`.
-        pub fn new(text: &'a str) -> Self {
+        fn new(text: &'a str) -> Self {
             Reader { text, pos: 0, depth: 0, first: false }
-        }
-
-        /// A reader at the start of `bytes`, which must be UTF-8.
-        pub fn from_bytes(bytes: &'a [u8]) -> Result<Self, Error> {
-            std::str::from_utf8(bytes)
-                .map(Reader::new)
-                .map_err(|e| Error::msg(format!("document is not UTF-8: {e}")))
         }
 
         #[inline]
@@ -644,10 +629,10 @@ pub mod json {
             }
         }
 
-        /// Enters an object; follow with [`next_key`](Reader::next_key)
-        /// until it returns `None`.
+        /// Enters an object; follow with `next_key` until it returns
+        /// `None`.
         #[inline]
-        pub fn begin_object(&mut self) -> Result<(), Error> {
+        fn begin_object(&mut self) -> Result<(), Error> {
             self.open(b'{', "'{'")
         }
 
@@ -655,7 +640,7 @@ pub mod json {
         /// skipped), or `None` once the object has closed. Keys come back
         /// unescaped, in document order, duplicates included.
         #[inline]
-        pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, Error> {
+        fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, Error> {
             if !self.step(b'}', "',' or '}'")? {
                 return Ok(None);
             }
@@ -664,22 +649,22 @@ pub mod json {
             Ok(Some(key))
         }
 
-        /// Enters an array; follow with
-        /// [`next_element`](Reader::next_element) until it returns `false`.
+        /// Enters an array; follow with `next_element` until it returns
+        /// `false`.
         #[inline]
-        pub fn begin_array(&mut self) -> Result<(), Error> {
+        fn begin_array(&mut self) -> Result<(), Error> {
             self.open(b'[', "'['")
         }
 
         /// `true` when another element follows (it must then be read or
         /// skipped), `false` once the array has closed.
         #[inline]
-        pub fn next_element(&mut self) -> Result<bool, Error> {
+        fn next_element(&mut self) -> Result<bool, Error> {
             self.step(b']', "',' or ']'")
         }
 
         /// Requires that only whitespace remains.
-        pub fn end(&mut self) -> Result<(), Error> {
+        fn end(&mut self) -> Result<(), Error> {
             self.skip_ws();
             if self.pos == self.text.len() {
                 Ok(())
@@ -703,46 +688,17 @@ pub mod json {
             Ok(value)
         }
 
-        /// Reads a number as an unsigned integer, by [`Value::as_u64`]'s
-        /// rules (an integral float counts).
-        #[inline]
-        pub fn read_u64(&mut self) -> Result<u64, Error> {
-            let at = self.pos;
-            self.read_scalar()?
-                .as_u64()
-                .ok_or_else(|| Error::msg(format!("expected an unsigned integer at byte {at}")))
-        }
-
-        /// Reads a number as a float, by [`Value::as_f64`]'s rules (`null`
-        /// reads as NaN).
-        #[inline]
-        pub fn read_f64(&mut self) -> Result<f64, Error> {
-            let at = self.pos;
-            self.read_scalar()?
-                .as_f64()
-                .ok_or_else(|| Error::msg(format!("expected a number at byte {at}")))
-        }
-
-        /// Reads a boolean.
-        #[inline]
-        pub fn read_bool(&mut self) -> Result<bool, Error> {
-            let at = self.pos;
-            self.read_scalar()?
-                .as_bool()
-                .ok_or_else(|| Error::msg(format!("expected a boolean at byte {at}")))
-        }
-
         /// Reads a string, unescaped; borrowed from the input unless it
         /// contains an escape.
         #[inline]
-        pub fn read_str(&mut self) -> Result<Cow<'a, str>, Error> {
+        fn read_str(&mut self) -> Result<Cow<'a, str>, Error> {
             let s = self.string()?;
             self.first = false;
             Ok(s)
         }
 
         /// Reads any value into a [`Value`] tree.
-        pub fn read_value(&mut self) -> Result<Value, Error> {
+        fn read_value(&mut self) -> Result<Value, Error> {
             match self.peek()? {
                 b'{' => {
                     self.begin_object()?;
@@ -763,32 +719,6 @@ pub mod json {
                 b'"' => Ok(Value::Str(self.read_str()?.into_owned())),
                 _ => self.read_scalar(),
             }
-        }
-
-        /// Consumes one value of any kind, checking its syntax exactly as
-        /// reading it would.
-        pub fn skip_value(&mut self) -> Result<(), Error> {
-            match self.peek()? {
-                b'{' => {
-                    self.begin_object()?;
-                    while self.next_key()?.is_some() {
-                        self.skip_value()?;
-                    }
-                }
-                b'[' => {
-                    self.begin_array()?;
-                    while self.next_element()? {
-                        self.skip_value()?;
-                    }
-                }
-                b'"' => {
-                    self.read_str()?;
-                }
-                _ => {
-                    self.read_scalar()?;
-                }
-            }
-            Ok(())
         }
 
         fn literal(&mut self, text: &str, value: Value) -> Result<Value, Error> {
@@ -903,6 +833,54 @@ pub mod json {
             };
             self.pos += 1;
             Ok(unescaped)
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn reader_pulls_borrowed_keys_in_document_order() {
+            let text = " { \"a\" : 1 , \"skip\" : {\"x\":[1,\"]\",{\"y\":null}],\"z\":\"\\\"}\"} ,\n\"b\\u0062\":[ 2.0 , null ,true],\"a\":\"dup\",\"s\":\"é\" } ";
+            let mut r = Reader::new(text);
+            r.begin_object().expect("object");
+            let key = r.next_key().expect("key").expect("some");
+            assert!(matches!(key, Cow::Borrowed("a")), "plain keys borrow from the input");
+            assert_eq!(r.read_value().expect("a"), Value::U64(1));
+            assert_eq!(r.next_key().expect("key").as_deref(), Some("skip"));
+            let map = |fields: Vec<(&str, Value)>| {
+                Value::Map(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+            };
+            let xs = vec![Value::U64(1), Value::Str("]".into()), map(vec![("y", Value::Null)])];
+            assert_eq!(
+                r.read_value().expect("nested containers and strings holding brackets"),
+                map(vec![("x", Value::Seq(xs)), ("z", Value::Str("\"}".into()))])
+            );
+            let key = r.next_key().expect("key").expect("some");
+            assert!(matches!(&key, Cow::Owned(k) if k == "bb"), "escaped keys are unescaped");
+            let floats = vec![Value::F64(2.0), Value::Null, Value::Bool(true)];
+            assert_eq!(r.read_value().expect("array"), Value::Seq(floats));
+            assert_eq!(r.next_key().expect("key").as_deref(), Some("a"));
+            assert_eq!(r.read_str().expect("duplicates are the caller's call"), "dup");
+            assert_eq!(r.next_key().expect("key").as_deref(), Some("s"));
+            assert!(matches!(r.read_str().expect("s"), Cow::Borrowed("é")));
+            assert_eq!(r.next_key().expect("end"), None);
+            r.end().expect("only whitespace remains");
+
+            for bad in [
+                "{\"a\":1,}",
+                "{,\"a\":1}",
+                "{\"a\" 1}",
+                "{\"a\":1 \"b\":2}",
+                "[1,]",
+                "[1 2]",
+                "[1}",
+                "{\"a\":1]",
+                "{1:2}",
+            ] {
+                assert!(from_str(bad).is_err(), "{bad}");
+            }
         }
     }
 }
@@ -1069,12 +1047,7 @@ mod tests {
         assert!(json::from_str(&"[".repeat(60_000)).is_err());
         assert!(json::from_str(&"[{\"k\":".repeat(12_000)).is_err());
         let hostile = format!("{{\"known\":1,\"junk\":{}}}", "[".repeat(60_000));
-        let mut reader = json::Reader::new(&hostile);
-        reader.begin_object().expect("object");
-        assert_eq!(reader.next_key().expect("key").as_deref(), Some("known"));
-        assert_eq!(reader.read_u64().expect("value"), 1);
-        assert_eq!(reader.next_key().expect("key").as_deref(), Some("junk"));
-        assert!(reader.skip_value().is_err());
+        assert!(json::from_str(&hostile).is_err());
         // Siblings do not accumulate depth.
         assert!(json::from_str(&format!("[{}]", vec!["[[]]"; 1000].join(","))).is_ok());
     }
@@ -1121,92 +1094,13 @@ mod tests {
     }
 
     #[test]
-    fn reader_pulls_borrowed_keys_and_skips_the_rest() {
-        use std::borrow::Cow;
-        let text = " { \"a\" : 1 , \"skip\" : {\"x\":[1,\"]\",{\"y\":null}],\"z\":\"\\\"}\"} ,\n\"b\\u0062\":[ 2.0 , null ,true],\"a\":\"dup\",\"s\":\"é\" } ";
-        let mut r = json::Reader::new(text);
-        r.begin_object().expect("object");
-        let key = r.next_key().expect("key").expect("some");
-        assert!(
-            matches!(key, Cow::Borrowed("a")),
-            "plain keys borrow from the input"
-        );
-        assert_eq!(r.read_u64().expect("a"), 1);
-        assert_eq!(r.next_key().expect("key").as_deref(), Some("skip"));
-        r.skip_value()
-            .expect("skips nested containers and strings holding brackets");
-        let key = r.next_key().expect("key").expect("some");
-        assert!(
-            matches!(&key, Cow::Owned(k) if k == "bb"),
-            "escaped keys are unescaped"
-        );
-        r.begin_array().expect("array");
-        assert!(r.next_element().expect("first"));
-        assert_eq!(r.read_u64().expect("integral float"), 2);
-        assert!(r.next_element().expect("second"));
-        assert!(r.read_f64().expect("null battery").is_nan());
-        assert!(r.next_element().expect("third"));
-        assert!(r.read_bool().expect("bool"));
-        assert!(!r.next_element().expect("closed"));
-        assert_eq!(r.next_key().expect("key").as_deref(), Some("a"));
-        assert_eq!(
-            r.read_str().expect("duplicates are the caller's call"),
-            "dup"
-        );
-        assert_eq!(r.next_key().expect("key").as_deref(), Some("s"));
-        assert!(matches!(r.read_str().expect("s"), Cow::Borrowed("é")));
-        assert_eq!(r.next_key().expect("end"), None);
-        r.end().expect("only whitespace remains");
-
-        for bad in [
-            "{\"a\":1,}",
-            "{,\"a\":1}",
-            "{\"a\" 1}",
-            "{\"a\":1 \"b\":2}",
-            "[1,]",
-            "[1 2]",
-            "[1}",
-            "{\"a\":1]",
-            "{1:2}",
-        ] {
-            assert!(json::from_str(bad).is_err(), "{bad}");
-            let mut r = json::Reader::new(bad);
-            assert!(r.skip_value().and_then(|()| r.end()).is_err(), "{bad}");
-        }
-        for (wrong, what) in [
-            ("\"1\"", "string"),
-            ("[1]", "array"),
-            ("-1", "negative"),
-            ("1.5", "fraction"),
-            ("true", "bool"),
-            ("null", "null"),
-        ] {
-            assert!(
-                json::Reader::new(wrong).read_u64().is_err(),
-                "{what} is no u64"
-            );
-        }
-    }
-
-    #[test]
-    fn bytes_are_checked_once_and_multibyte_text_never_splits() {
-        for bad in [
-            &b"\"\xff\""[..],
-            b"{\"\xc3\":1}",
-            b"[\"\xe2\x82\"]",
-            b"[1,\xff]",
-            b"\"\xc3\\n\xa9\"",
-        ] {
-            assert!(json::Reader::from_bytes(bad).is_err(), "{bad:?}");
-        }
-        let mut r = json::Reader::from_bytes("[\"é\",1]".as_bytes()).expect("UTF-8");
-        assert_eq!(r.read_value().expect("parses").as_seq().map(<[Value]>::len), Some(2));
+    fn multibyte_text_never_splits() {
+        let parsed = json::from_str("[\"é\",1]").expect("parses");
+        assert_eq!(parsed.as_seq().map(<[Value]>::len), Some(2));
         // Multi-byte characters where the tokenizer looks for ASCII: every
         // one is a clean error (or a clean read), never a split character.
         for text in ["é", "[1,é]", "{é:1}", "\"\\é\"", "\"\\u12é\"", "\"\\u00é9\"", "\"\\ué\"", "tré", "1é", "\"é"] {
             assert!(json::from_str(text).is_err(), "{text}");
-            let mut r = json::Reader::new(text);
-            assert!(r.skip_value().and_then(|()| r.end()).is_err(), "{text}");
         }
         assert_eq!(json::from_str("\"\\u00e9é\\\\é\"").expect("parses"), Value::Str("éé\\é".to_string()));
     }

@@ -21,7 +21,7 @@
 
 mod wire;
 #[cfg(test)]
-mod wire_oracle;
+mod wire_golden;
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -196,10 +196,24 @@ struct Daemon {
     /// Armed timers for the owned node: `(fire_at_us, tag)`.
     timers: BinaryHeap<Reverse<(u64, u64)>>,
     packet_bits: u32,
+    tally: Tally,
+}
+
+/// What the daemon reports on exit: datagrams and wire bytes each way,
+/// and what became of the datagrams it could not use.
+#[derive(Default)]
+struct Tally {
+    /// Datagrams sent, and their bytes.
     sent: u64,
+    sent_bytes: u64,
+    /// Datagrams received, whatever became of them, and their bytes.
+    received: u64,
+    received_bytes: u64,
     delivered: u64,
     /// Datagrams that did not decode.
     rejects: u64,
+    /// Datagrams that decoded but name another node as receiver.
+    misaddressed: u64,
 }
 
 /// Undecodable datagrams logged in full before the daemon only counts:
@@ -244,7 +258,8 @@ impl Daemon {
                     };
                     match result {
                         Ok(()) => {
-                            self.sent += 1;
+                            self.tally.sent += 1;
+                            self.tally.sent_bytes += wire.len() as u64;
                             self.trace_event(&TraceEvent::Send {
                                 at,
                                 from,
@@ -266,7 +281,7 @@ impl Daemon {
                 Output::Deliver { packet, node, hops } => {
                     let created = self.created_us(packet).unwrap_or(now_us);
                     let delay_s = now_us.saturating_sub(created) as f64 / 1e6;
-                    self.delivered += 1;
+                    self.tally.delivered += 1;
                     self.trace_event(&TraceEvent::Delivered { at, packet, node, delay_s, hops });
                 }
                 Output::Trace(ev) => self.trace_event(&ev),
@@ -276,21 +291,24 @@ impl Daemon {
 
     /// Feeds one decoded datagram into the core.
     fn on_datagram(&mut self, now_us: u64, bytes: &[u8]) {
+        self.tally.received += 1;
+        self.tally.received_bytes += bytes.len() as u64;
         let (to, created_us, msg) = match wire::decode_datagram(bytes) {
             Ok(d) => d,
             Err(e) => {
-                self.rejects += 1;
-                if self.rejects <= LOGGED_REJECTS {
+                self.tally.rejects += 1;
+                if self.tally.rejects <= LOGGED_REJECTS {
                     eprintln!("refer-node[{}]: dropping undecodable datagram: {e}", self.me.0);
                 }
-                if self.rejects == LOGGED_REJECTS {
+                if self.tally.rejects == LOGGED_REJECTS {
                     eprintln!("refer-node[{}]: further rejects are only counted", self.me.0);
                 }
                 return;
             }
         };
         if to != self.me {
-            return; // misaddressed datagram; not ours to process
+            self.tally.misaddressed += 1;
+            return;
         }
         if let ReferMsg::Data(frame) = &msg.payload {
             // First sight of a wire packet: register what its origin knew
@@ -435,9 +453,7 @@ fn cmd_run(args: impl Iterator<Item = String>) -> ExitCode {
         line: Vec::new(),
         timers: BinaryHeap::new(),
         packet_bits,
-        sent: 0,
-        delivered: 0,
-        rejects: 0,
+        tally: Tally::default(),
     };
 
     // Synchronize the cluster clock: all processes begin the live phase
@@ -510,9 +526,11 @@ fn cmd_run(args: impl Iterator<Item = String>) -> ExitCode {
         eprintln!("refer-node[{node}]: trace flush failed");
         return ExitCode::FAILURE;
     }
+    let t = &daemon.tally;
     println!(
-        "refer-node[{node}]: done (emitted {seq}, sent {} frames, delivered {}, rejected {})",
-        daemon.sent, daemon.delivered, daemon.rejects
+        "refer-node[{node}]: done (emitted {seq}, delivered {}, sent {} frames / {} bytes, \
+         received {} datagrams / {} bytes, rejected {}, misaddressed {})",
+        t.delivered, t.sent, t.sent_bytes, t.received, t.received_bytes, t.rejects, t.misaddressed
     );
     ExitCode::SUCCESS
 }
@@ -773,6 +791,9 @@ fn cmd_cluster(args: impl Iterator<Item = String>) -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kautz::KautzId;
+    use refer::DataFrame;
+    use wsan_sim::EnergyAccount;
 
     /// The cluster scenario must be one the simulator predicts well for:
     /// the comparison (and the CI gate on it) is only meaningful if the
@@ -835,21 +856,45 @@ mod tests {
             line: Vec::new(),
             timers: BinaryHeap::new(),
             packet_bits: cfg.traffic.packet_bits,
-            sent: 0,
-            delivered: 0,
-            rejects: 0,
+            tally: Tally::default(),
         }
     }
 
     /// A `Data` datagram for node 3 carrying packet `data` and a
     /// `digits`-long destination KID.
     fn data_datagram(data: u64, digits: usize, created_us: u64) -> Vec<u8> {
-        let kid: Vec<String> = (0..digits).map(|i| (i % 2).to_string()).collect();
-        let json = format!(
-            r#"{{"to":3,"created_us":{created_us},"from":7,"size_bits":1024,"account":"communication","broadcast":false,"payload":{{"Data":{{"data":{data},"dest_cell":0,"dest_kid":{{"digits":[{}],"degree":2}},"appended":0,"hops":0}}}}}}"#,
-            kid.join(",")
-        );
-        refer_obs::encode_frame(json.as_bytes())
+        let digits: Vec<u8> = (0..digits).map(|i| (i % 2) as u8).collect();
+        let frame = DataFrame {
+            data: DataId(data),
+            dest_cell: 0,
+            dest_kid: KautzId::new(digits, 2).expect("a KID"),
+            forced: None,
+            appended: 0,
+            hops: 0,
+        };
+        wire::encode_datagram(NodeId(3), created_us, &from_7(ReferMsg::Data(frame)))
+    }
+
+    fn from_7(payload: ReferMsg) -> Message<ReferMsg> {
+        Message {
+            from: NodeId(7),
+            size_bits: 1024,
+            account: EnergyAccount::Communication,
+            broadcast: false,
+            payload,
+        }
+    }
+
+    /// Feeds `bytes` to the daemon and requires a counted reject whose
+    /// decoding allocated nothing; returns the decoder's error.
+    fn counted_reject(daemon: &mut Daemon, bytes: &[u8]) -> wire::WireError {
+        let (decoded, allocations) = wire_golden::allocations(|| wire::decode_datagram(bytes));
+        let err = decoded.expect_err("hostile datagram decodes");
+        assert_eq!(allocations, 0, "{err}");
+        let rejects = daemon.tally.rejects;
+        daemon.on_datagram(1, bytes);
+        assert_eq!(daemon.tally.rejects, rejects + 1, "{err}");
+        err
     }
 
     /// A peer minting a fresh packet id per datagram cannot make the
@@ -864,34 +909,167 @@ mod tests {
             daemon.on_datagram(n, &data_datagram(id(n), 3, n));
             assert_eq!(daemon.created_us(DataId(id(n))), Some(n), "just registered");
         }
-        assert_eq!(daemon.rejects, 0);
+        assert_eq!(daemon.tally.rejects, 0);
         let remembered = (0..FLOOD).filter(|&n| daemon.created_us(DataId(id(n))).is_some()).count();
         assert!((1..=1 << 10).contains(&remembered), "{remembered} of {FLOOD} ids remembered");
         assert!(daemon.timers.is_empty(), "data frames arm nothing");
     }
 
-    /// A `Data` datagram whose `dest_kid` is longer than a KID holds is a
-    /// counted reject at the first digit past `KautzId::MAX_K` — it used to
-    /// build a heap id as long as the sender liked and hand it to routing.
+    /// A `Data` datagram whose KID length byte exceeds `KautzId::MAX_K` is
+    /// a counted reject at that byte, before any digit is read — it used
+    /// to build a heap id as long as the sender liked and hand it to
+    /// routing.
     #[test]
     fn hostile_length_kids_are_counted_rejects() {
         let mut daemon = offline_daemon();
-        let datagram = |digits: usize, created_us: u64| data_datagram(1, digits, created_us);
-        for (n, digits) in [kautz::KautzId::MAX_K + 1, 64, 10_000].into_iter().enumerate() {
-            let bytes = datagram(digits, 1);
-            let err = wire::decode_datagram(&bytes).expect_err("too long");
+        for len in [KautzId::MAX_K as u8 + 1, 255] {
+            let mut bytes = data_datagram(1, 3, 1);
+            // The tail is `len, 3 digits, forced, appended, hops`.
+            let at = bytes.len() - 7;
+            assert_eq!(bytes[at], 3);
+            bytes[at] = len;
+            let err = counted_reject(&mut daemon, &bytes);
             assert!(err.to_string().contains("KID longer than"), "{err}");
-            daemon.on_datagram(1, &bytes);
-            assert_eq!(daemon.rejects, n as u64 + 1);
+            assert_eq!(err.at, at);
         }
         // The longest KID that fits decodes and reaches the protocol.
-        assert!(wire::decode_datagram(&datagram(kautz::KautzId::MAX_K, 1)).is_ok());
-        daemon.on_datagram(2, &datagram(kautz::KautzId::MAX_K, 1));
-        assert_eq!(daemon.rejects, 3);
+        let longest = data_datagram(1, KautzId::MAX_K, 1);
+        assert!(wire::decode_datagram(&longest).is_ok());
+        daemon.on_datagram(2, &longest);
+        assert_eq!(daemon.tally.rejects, 2);
         assert_eq!(daemon.created_us(DataId(1)), Some(1));
         // A later copy of the packet does not move its creation time.
-        daemon.on_datagram(3, &datagram(3, 99));
+        daemon.on_datagram(3, &data_datagram(1, 3, 99));
         assert_eq!(daemon.created_us(DataId(1)), Some(1));
+    }
+
+    /// A sequence count of 2^40 in a 20-byte datagram is refused at the
+    /// count, before a `Vec` is sized by it, in every variant that
+    /// carries a sequence.
+    #[test]
+    fn hostile_sequence_counts_are_counted_rejects() {
+        let mut daemon = offline_daemon();
+        let empty = [
+            ReferMsg::Gossip { accused: vec![] },
+            ReferMsg::PathQuery { qid: 0, ttl: 0, target: NodeId(0), path: vec![] },
+            ReferMsg::PathAssign { assignments: vec![], hop: 0 },
+        ];
+        for payload in empty {
+            let mut bytes = wire::encode_datagram(NodeId(3), 0, &from_7(payload));
+            // Every field here is one byte: the count is the first 0
+            // after the tag (PathAssign's trailing `hop` is another).
+            let count_at = bytes.len() - if bytes[7] == 3 { 2 } else { 1 };
+            assert_eq!(bytes[count_at], 0);
+            bytes.splice(count_at..=count_at, [0x80, 0x80, 0x80, 0x80, 0x80, 0x20]);
+            bytes.resize(20, 0);
+            let err = counted_reject(&mut daemon, &bytes);
+            assert_eq!((err.at, err.reason), (count_at, wire::Reason::Count(1 << 40)));
+        }
+    }
+
+    /// A bad item after a count that fits is a counted reject too, but
+    /// only after the sequence's `Vec` is sized: one allocation, which
+    /// the count check bounds by the datagram's length.
+    #[test]
+    fn a_bad_item_after_a_fitting_count_allocates_only_its_sequence() {
+        let mut daemon = offline_daemon();
+        let kid = KautzId::new(vec![0, 1, 0], 2).expect("a KID");
+        // The second item's node id (2) sits this far from the end.
+        let cases = [
+            (ReferMsg::Gossip { accused: vec![NodeId(1), NodeId(2)] }, 1),
+            (
+                ReferMsg::PathQuery {
+                    qid: 0,
+                    ttl: 0,
+                    target: NodeId(0),
+                    path: vec![(NodeId(1), 0.5), (NodeId(2), 0.5)],
+                },
+                1 + 8,
+            ),
+            (
+                ReferMsg::PathAssign {
+                    assignments: vec![(NodeId(1), kid), (NodeId(2), kid)],
+                    hop: 0,
+                },
+                1 + 5 + 1,
+            ),
+        ];
+        for (payload, from_end) in cases {
+            let mut bytes = wire::encode_datagram(NodeId(3), 0, &from_7(payload));
+            let at = bytes.len() - from_end;
+            assert_eq!(bytes[at], 2);
+            bytes.splice(at..=at, [0x82, 0x00]);
+            let (decoded, allocations) = wire_golden::allocations(|| wire::decode_datagram(&bytes));
+            let err = decoded.expect_err("non-minimal node id decodes");
+            assert_eq!((err.at, err.reason), (at, wire::Reason::NonMinimalVarint));
+            assert_eq!(allocations, 1, "the sequence's Vec, sized by a count that fits");
+            let rejects = daemon.tally.rejects;
+            daemon.on_datagram(1, &bytes);
+            assert_eq!(daemon.tally.rejects, rejects + 1);
+        }
+    }
+
+    /// Every byte the layout gives no meaning, and varints it would never
+    /// write, are counted rejects.
+    #[test]
+    fn malformed_envelopes_are_counted_rejects() {
+        use wire::Reason;
+        let mut daemon = offline_daemon();
+        let beacon = wire::encode_datagram(NodeId(3), 0, &from_7(ReferMsg::Beacon));
+        assert_eq!(beacon.len(), 8, "format, to, created_us, from, size_bits ×2, flags, tag");
+        let patched = |at: usize, byte: u8| {
+            let mut bytes = beacon.clone();
+            bytes[at] = byte;
+            bytes
+        };
+        let mut eleven = vec![wire::FORMAT];
+        eleven.extend_from_slice(&[0x80; 10]);
+        eleven.push(0x01);
+        let cases = [
+            (eleven, Reason::LongVarint),
+            ([&[wire::FORMAT, 0x83, 0x00], &beacon[2..]].concat(), Reason::NonMinimalVarint),
+            (patched(7, 12), Reason::Unknown("payload tag", 12)),
+            (patched(7, 0xff), Reason::Unknown("payload tag", 0xff)),
+            (patched(6, 0x05), Reason::Unknown("flag bits", 0x05)),
+            (patched(6, 0x81), Reason::Unknown("flag bits", 0x81)),
+            (patched(0, wire::FORMAT + 1), Reason::Unknown("format byte", wire::FORMAT + 1)),
+            (patched(0, b'{'), Reason::Unknown("format byte", b'{')),
+        ];
+        for (bytes, reason) in cases {
+            assert_eq!(counted_reject(&mut daemon, &bytes).reason, reason, "{bytes:02x?}");
+        }
+    }
+
+    /// A daemon of the JSON-wire build in a mixed-version cluster sends a
+    /// u32 length prefix and a JSON document; it is rejected, never
+    /// misparsed, framed or bare.
+    #[test]
+    fn json_datagrams_from_the_previous_wire_are_rejected() {
+        let mut daemon = offline_daemon();
+        let json = concat!(
+            r#"{"to":3,"created_us":1,"from":7,"size_bits":1024,"account":"communication","#,
+            r#""broadcast":false,"payload":{"Data":{"data":1,"dest_cell":0,"#,
+            r#""dest_kid":{"digits":[0,1,0],"degree":2},"appended":0,"hops":0}}}"#
+        );
+        let framed = [&(json.len() as u32).to_le_bytes()[..], json.as_bytes()].concat();
+        for bytes in [framed, json.as_bytes().to_vec()] {
+            counted_reject(&mut daemon, &bytes);
+        }
+        assert_eq!(daemon.created_us(DataId(1)), None, "nothing reached the packet table");
+        assert_eq!(daemon.tally.received, 2);
+    }
+
+    /// A datagram for another node decodes but is counted, not processed.
+    #[test]
+    fn misaddressed_datagrams_are_counted() {
+        let mut daemon = offline_daemon();
+        let mut other = wire::encode_datagram(NodeId(4), 5, &from_7(ReferMsg::Beacon));
+        daemon.on_datagram(1, &other);
+        other[1] = 3;
+        daemon.on_datagram(2, &other);
+        let t = &daemon.tally;
+        assert_eq!((t.received, t.received_bytes), (2, 2 * other.len() as u64));
+        assert_eq!((t.misaddressed, t.rejects), (1, 0));
     }
 
     /// The launcher must satisfy the cluster's floor: at least 12 real

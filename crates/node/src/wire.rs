@@ -1,6 +1,5 @@
-//! Datagram codec for inter-daemon frames: canonical JSON (the same
-//! `serde`-shim JSON layer the trace JSONL uses) wrapped in the
-//! `refer-obs` length-prefixed binary framing.
+//! Datagram codec for inter-daemon frames: one canonical binary image
+//! per message, and a decoder that accepts that image and nothing else.
 //!
 //! A datagram carries one envelope: the destination node plus the exact
 //! [`Message`] the receiving protocol hook sees. Every [`ReferMsg`]
@@ -9,372 +8,419 @@
 //! under the Oracle model with zero faults), but the codec refuses to be
 //! the reason a control frame can't travel.
 //!
-//! Both directions run once per hop, so neither builds a tree: the
-//! encoder streams through [`Writer`] straight into the frame, the
-//! decoder pulls from the borrowed datagram with [`Reader`]. The decoder
-//! reads JSON, not just this encoder's output — keys in any order and
-//! escaped, whitespace, unknown keys skipped, the first of duplicate keys
-//! winning, integral floats as integers, a `null` battery as NaN — which
-//! is what `wire_oracle.rs` holds it to, against the tree-based codec it
-//! replaced.
+//! The layout (DESIGN.md §15), field by field:
+//!
+//! | field | bytes |
+//! |---|---|
+//! | format | one byte, [`FORMAT`] |
+//! | `to`, `created_us`, `from`, `size_bits` | minimal unsigned LEB128 varints |
+//! | flags | one byte: bit 0 `account == Communication`, bit 1 `broadcast`, the rest 0 |
+//! | payload tag | one byte: the variant's index in `ReferMsg` declaration order |
+//! | payload | the variant's fields in declaration order |
+//!
+//! Inside a payload a `u8` is one byte and every wider integer a varint;
+//! a KID is `degree, len, digits`; `forced` is `0` or `1, digit`; a
+//! sequence is a varint count and then its items; a battery is its
+//! 8 little-endian bytes, so every `f64` — NaN, ±inf, −0.0 — arrives as
+//! the bits that left.
+//!
+//! The datagram is the frame, so there is no length prefix: the decoder
+//! must consume every byte, with none missing and none trailing. Every
+//! other check refuses a byte string the encoder would not have written
+//! — a non-minimal varint, an unknown format byte or tag, a reserved flag
+//! bit, a `forced` marker other than 0 or 1 — so `encode(decode(b)) == b`
+//! holds for every `b` that decodes. Lengths and counts are checked
+//! against the bytes left before anything is read into or allocated.
 
-use kautz::KautzId;
+use std::fmt;
+
+use kautz::{KautzId, KautzIdError};
 use refer::{DataFrame, ReferMsg};
-use refer_obs::{split_frame, write_frame_with, FrameError, SplitFrame};
-use serde::json::{Reader, Writer};
-use serde::Error;
 use wsan_sim::{DataId, EnergyAccount, Message, NodeId};
 
-fn write_kid(w: &mut Writer, kid: &KautzId) {
-    w.begin_object().key("digits").begin_array();
-    for &digit in kid.digits() {
-        w.u64(u64::from(digit));
-    }
-    w.end_array().key("degree").u64(u64::from(kid.degree())).end_object();
+/// The first byte of every datagram: this layout, version 1. A datagram
+/// of the earlier JSON wire fails here (`{`, or its length prefix's low
+/// byte) or, should that byte be `0xB1`, no later than the flags byte,
+/// where the JSON's `"` sets reserved bits.
+pub const FORMAT: u8 = 0xB1;
+
+const FLAG_COMMUNICATION: u8 = 1;
+const FLAG_BROADCAST: u8 = 2;
+
+/// Longest varints of the integer widths the layout carries.
+const VARINT_U64: usize = 10;
+const VARINT_U32: usize = 5;
+/// Longest encoded KID: degree, length, digits.
+const KID_MAX: usize = 2 + KautzId::MAX_K;
+/// Fewest bytes an encoded KID can occupy (one digit).
+const KID_MIN: usize = 3;
+/// Longest envelope: format, four varints, flags, payload tag.
+const ENVELOPE_MAX: usize = 1 + VARINT_U32 + VARINT_U64 + VARINT_U32 + VARINT_U32 + 1 + 1;
+
+/// Why a datagram was refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Reason {
+    /// The datagram ends inside a field.
+    Truncated,
+    /// Bytes follow a complete message.
+    Trailing,
+    /// A byte the encoder never writes where a marker belongs: format
+    /// byte, reserved flag bit, payload tag or `forced` marker.
+    Unknown(&'static str, u8),
+    /// A varint with a redundant final byte.
+    NonMinimalVarint,
+    /// A varint past the 64 bits any field holds.
+    LongVarint,
+    /// An integer wider than its field.
+    OutOfRange(&'static str),
+    /// A sequence count the rest of the datagram cannot hold.
+    Count(u64),
+    /// A KID length past [`KautzId::MAX_K`].
+    KidTooLong(u8),
+    /// A KID whose digits break the Kautz constraints.
+    Kid(KautzIdError),
 }
 
-fn write_payload(w: &mut Writer, msg: &ReferMsg) {
-    let unit = |w: &mut Writer, tag: &str| {
-        w.key(tag).null();
-    };
-    w.begin_object();
-    match msg {
-        ReferMsg::Ctrl => unit(w, "Ctrl"),
-        ReferMsg::Assignment => unit(w, "Assignment"),
-        ReferMsg::PathQuery { qid, ttl, target, path } => {
-            w.key("PathQuery").begin_object();
-            w.key("qid").u64(*qid);
-            w.key("ttl").u64(u64::from(*ttl));
-            w.key("target").u64(u64::from(target.0));
-            w.key("path").begin_array();
-            for &(n, battery) in path {
-                w.begin_array().u64(u64::from(n.0)).f64(battery).end_array();
+/// A refused datagram: the reason and the offset of the byte that decided it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WireError {
+    /// Offset of the field (or byte) the decoder could not accept.
+    pub at: usize,
+    /// What was wrong with it.
+    pub reason: Reason,
+}
+
+impl fmt::Display for WireError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.reason {
+            Reason::Truncated => write!(f, "truncated datagram")?,
+            Reason::Trailing => write!(f, "trailing bytes after the message")?,
+            Reason::Unknown(what, byte) => write!(f, "unknown {what} {byte:#04x}")?,
+            Reason::NonMinimalVarint => write!(f, "non-minimal varint")?,
+            Reason::LongVarint => write!(f, "varint longer than 64 bits")?,
+            Reason::OutOfRange(what) => write!(f, "{what} out of range")?,
+            Reason::Count(n) => write!(f, "sequence of {n} items overruns the datagram")?,
+            Reason::KidTooLong(len) => {
+                write!(f, "KID longer than {} digits ({len})", KautzId::MAX_K)?;
             }
-            w.end_array().end_object();
+            Reason::Kid(e) => write!(f, "invalid KID on the wire: {e}")?,
+        }
+        write!(f, " at byte {}", self.at)
+    }
+}
+
+impl std::error::Error for WireError {}
+
+fn put_varint(out: &mut Vec<u8>, mut x: u64) {
+    while x >= 0x80 {
+        out.push(x as u8 | 0x80);
+        x >>= 7;
+    }
+    out.push(x as u8);
+}
+
+fn put_kid(out: &mut Vec<u8>, kid: &KautzId) {
+    let digits = kid.digits();
+    out.extend_from_slice(&[kid.degree(), digits.len() as u8]);
+    out.extend_from_slice(digits);
+}
+
+/// The variant's index in `ReferMsg` declaration order.
+fn tag(msg: &ReferMsg) -> u8 {
+    match msg {
+        ReferMsg::Ctrl => 0,
+        ReferMsg::Assignment => 1,
+        ReferMsg::PathQuery { .. } => 2,
+        ReferMsg::PathAssign { .. } => 3,
+        ReferMsg::StartStage2 { .. } => 4,
+        ReferMsg::CellReady => 5,
+        ReferMsg::Beacon => 6,
+        ReferMsg::Gossip { .. } => 7,
+        ReferMsg::Probe => 8,
+        ReferMsg::Replace => 9,
+        ReferMsg::ReplaceNotice => 10,
+        ReferMsg::Data(_) => 11,
+    }
+}
+
+/// An upper bound on the payload's encoded size, so the encoder
+/// allocates once.
+fn payload_max(msg: &ReferMsg) -> usize {
+    match msg {
+        ReferMsg::PathQuery { path, .. } => {
+            VARINT_U64 + 1 + VARINT_U32 + VARINT_U64 + path.len() * (VARINT_U32 + 8)
+        }
+        ReferMsg::PathAssign { assignments, .. } => {
+            VARINT_U64 + assignments.len() * (VARINT_U32 + KID_MAX) + VARINT_U64
+        }
+        ReferMsg::StartStage2 { .. } => VARINT_U64 + VARINT_U32,
+        ReferMsg::Gossip { accused } => VARINT_U64 + accused.len() * VARINT_U32,
+        ReferMsg::Data(_) => 2 * VARINT_U64 + KID_MAX + 2 + 2,
+        _ => 0,
+    }
+}
+
+fn put_payload(out: &mut Vec<u8>, msg: &ReferMsg) {
+    out.push(tag(msg));
+    match msg {
+        ReferMsg::PathQuery { qid, ttl, target, path } => {
+            put_varint(out, *qid);
+            out.push(*ttl);
+            put_varint(out, u64::from(target.0));
+            put_varint(out, path.len() as u64);
+            for &(n, battery) in path {
+                put_varint(out, u64::from(n.0));
+                out.extend_from_slice(&battery.to_le_bytes());
+            }
         }
         ReferMsg::PathAssign { assignments, hop } => {
-            w.key("PathAssign").begin_object();
-            w.key("assignments").begin_array();
+            put_varint(out, assignments.len() as u64);
             for (n, kid) in assignments {
-                w.begin_array().u64(u64::from(n.0));
-                write_kid(w, kid);
-                w.end_array();
+                put_varint(out, u64::from(n.0));
+                put_kid(out, kid);
             }
-            w.end_array();
-            w.key("hop").u64(*hop as u64).end_object();
+            put_varint(out, *hop as u64);
         }
         ReferMsg::StartStage2 { qid, target } => {
-            w.key("StartStage2").begin_object();
-            w.key("qid").u64(*qid);
-            w.key("target").u64(u64::from(target.0)).end_object();
+            put_varint(out, *qid);
+            put_varint(out, u64::from(target.0));
         }
-        ReferMsg::CellReady => unit(w, "CellReady"),
-        ReferMsg::Beacon => unit(w, "Beacon"),
         ReferMsg::Gossip { accused } => {
-            w.key("Gossip").begin_object().key("accused").begin_array();
+            put_varint(out, accused.len() as u64);
             for n in accused {
-                w.u64(u64::from(n.0));
+                put_varint(out, u64::from(n.0));
             }
-            w.end_array().end_object();
         }
-        ReferMsg::Probe => unit(w, "Probe"),
-        ReferMsg::Replace => unit(w, "Replace"),
-        ReferMsg::ReplaceNotice => unit(w, "ReplaceNotice"),
         ReferMsg::Data(frame) => {
-            w.key("Data").begin_object();
-            w.key("data").u64(frame.data.0);
-            w.key("dest_cell").u64(frame.dest_cell as u64);
-            w.key("dest_kid");
-            write_kid(w, &frame.dest_kid);
-            if let Some(forced) = frame.forced {
-                w.key("forced").u64(u64::from(forced));
+            put_varint(out, frame.data.0);
+            put_varint(out, frame.dest_cell as u64);
+            put_kid(out, &frame.dest_kid);
+            match frame.forced {
+                None => out.push(0),
+                Some(digit) => out.extend_from_slice(&[1, digit]),
             }
-            w.key("appended").u64(u64::from(frame.appended));
-            w.key("hops").u64(u64::from(frame.hops)).end_object();
+            out.extend_from_slice(&[frame.appended, frame.hops]);
         }
+        ReferMsg::Ctrl
+        | ReferMsg::Assignment
+        | ReferMsg::CellReady
+        | ReferMsg::Beacon
+        | ReferMsg::Probe
+        | ReferMsg::Replace
+        | ReferMsg::ReplaceNotice => {}
     }
-    w.end_object();
 }
 
-/// Encodes one datagram: a length-prefixed frame holding the canonical
-/// JSON encoding of `(to, created_us, msg)`. `created_us` is the cluster
-/// clock (microseconds on the shared epoch) at which the application
-/// packet inside a `Data` payload was created — it rides the envelope so
-/// the delivering daemon can account end-to-end delay without a
-/// rendezvous; zero for control payloads.
+/// Encodes one datagram: the canonical image of `(to, created_us, msg)`
+/// in one allocation. `created_us` is the cluster clock (microseconds on
+/// the shared epoch) at which the application packet inside a `Data`
+/// payload was created — it rides the envelope so the delivering daemon
+/// can account end-to-end delay without a rendezvous; zero for control
+/// payloads.
 pub fn encode_datagram(to: NodeId, created_us: u64, msg: &Message<ReferMsg>) -> Vec<u8> {
-    // A `Data` datagram, all but the only kind a cluster sends, is ~225
-    // bytes: one allocation carries header and payload.
-    let mut out = Vec::with_capacity(256);
-    write_frame_with(&mut out, |out| {
-        let mut w = Writer::new(out);
-        w.begin_object();
-        w.key("to").u64(u64::from(to.0));
-        w.key("created_us").u64(created_us);
-        w.key("from").u64(u64::from(msg.from.0));
-        w.key("size_bits").u64(u64::from(msg.size_bits));
-        w.key("account").str(refer_obs::account_str(msg.account));
-        w.key("broadcast").bool(msg.broadcast);
-        w.key("payload");
-        write_payload(&mut w, &msg.payload);
-        w.end_object();
-    });
+    let mut out = Vec::with_capacity(ENVELOPE_MAX + payload_max(&msg.payload));
+    out.push(FORMAT);
+    put_varint(&mut out, u64::from(to.0));
+    put_varint(&mut out, created_us);
+    put_varint(&mut out, u64::from(msg.from.0));
+    put_varint(&mut out, u64::from(msg.size_bits));
+    let mut flags = 0;
+    if msg.account == EnergyAccount::Communication {
+        flags |= FLAG_COMMUNICATION;
+    }
+    if msg.broadcast {
+        flags |= FLAG_BROADCAST;
+    }
+    out.push(flags);
+    put_payload(&mut out, &msg.payload);
     out
 }
 
-fn need<T>(field: Option<T>, key: &str) -> Result<T, Error> {
-    field.ok_or_else(|| Error::msg(format!("missing field {key:?}")))
+/// A cursor over the borrowed datagram.
+struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
 }
 
-fn read_u8(r: &mut Reader, what: &str) -> Result<u8, Error> {
-    let raw = r.read_u64()?;
-    u8::try_from(raw).map_err(|_| Error::msg(format!("{what} out of u8 range: {raw}")))
+fn fail<T>(at: usize, reason: Reason) -> Result<T, WireError> {
+    Err(WireError { at, reason })
 }
 
-fn read_node(r: &mut Reader, what: &str) -> Result<NodeId, Error> {
-    let raw = r.read_u64()?;
-    u32::try_from(raw)
-        .map(NodeId)
-        .map_err(|_| Error::msg(format!("{what} out of NodeId range: {raw}")))
-}
-
-fn read_seq<T>(
-    r: &mut Reader,
-    mut item: impl FnMut(&mut Reader) -> Result<T, Error>,
-) -> Result<Vec<T>, Error> {
-    let mut items = Vec::new();
-    r.begin_array()?;
-    while r.next_element()? {
-        items.push(item(r)?);
+impl<'a> Reader<'a> {
+    #[inline]
+    fn byte(&mut self) -> Result<u8, WireError> {
+        match self.bytes.get(self.pos) {
+            Some(&b) => {
+                self.pos += 1;
+                Ok(b)
+            }
+            None => fail(self.pos, Reason::Truncated),
+        }
     }
-    Ok(items)
-}
 
-/// Reads a `[a, b]` array of exactly two elements.
-fn read_pair<A, B>(
-    r: &mut Reader,
-    what: &str,
-    first: impl FnOnce(&mut Reader) -> Result<A, Error>,
-    second: impl FnOnce(&mut Reader) -> Result<B, Error>,
-) -> Result<(A, B), Error> {
-    let not_a_pair = || Error::msg(format!("{what} is not a 2-element sequence"));
-    r.begin_array()?;
-    if !r.next_element()? {
-        return Err(not_a_pair());
+    #[inline]
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        match self.bytes.get(self.pos..self.pos + n) {
+            Some(slice) => {
+                self.pos += n;
+                Ok(slice)
+            }
+            None => fail(self.pos, Reason::Truncated),
+        }
     }
-    let a = first(r)?;
-    if !r.next_element()? {
-        return Err(not_a_pair());
-    }
-    let b = second(r)?;
-    if r.next_element()? {
-        return Err(not_a_pair());
-    }
-    Ok((a, b))
-}
 
-fn read_kid(r: &mut Reader) -> Result<KautzId, Error> {
-    let (mut digits, mut degree) = (None, None);
-    r.begin_object()?;
-    while let Some(key) = r.next_key()? {
-        match &*key {
-            "digits" if digits.is_none() => {
-                // Into a fixed word: a hostile length is refused at the
-                // first digit a KID cannot hold, with nothing allocated.
-                let (mut word, mut len) = ([0; KautzId::MAX_K], 0);
-                r.begin_array()?;
-                while r.next_element()? {
-                    let digit = read_u8(r, "KID digit")?;
-                    *word.get_mut(len).ok_or_else(|| {
-                        Error::msg(format!("KID longer than {} digits", KautzId::MAX_K))
-                    })? = digit;
-                    len += 1;
+    /// A minimal LEB128 varint of at most 64 bits.
+    #[inline]
+    fn varint(&mut self) -> Result<u64, WireError> {
+        let start = self.pos;
+        let mut value = 0;
+        for shift in (0..64).step_by(7) {
+            let b = self.byte()?;
+            let bits = u64::from(b & 0x7f);
+            if shift == 63 && bits > 1 {
+                return fail(start, Reason::LongVarint);
+            }
+            value |= bits << shift;
+            if b & 0x80 == 0 {
+                if b == 0 && shift > 0 {
+                    return fail(start, Reason::NonMinimalVarint);
                 }
-                digits = Some((word, len));
+                return Ok(value);
             }
-            "degree" if degree.is_none() => degree = Some(read_u8(r, "field \"degree\"")?),
-            _ => r.skip_value()?,
+        }
+        fail(start, Reason::LongVarint)
+    }
+
+    /// A varint that must fit its field's type.
+    fn int<T: TryFrom<u64>>(&mut self, what: &'static str) -> Result<T, WireError> {
+        let start = self.pos;
+        let raw = self.varint()?;
+        T::try_from(raw).or_else(|_| fail(start, Reason::OutOfRange(what)))
+    }
+
+    fn node(&mut self, what: &'static str) -> Result<NodeId, WireError> {
+        self.int(what).map(NodeId)
+    }
+
+    fn battery(&mut self) -> Result<f64, WireError> {
+        let bytes = self.take(8)?;
+        Ok(f64::from_le_bytes(bytes.try_into().expect("took 8 bytes")))
+    }
+
+    /// A sequence count, refused unless the bytes left could hold that
+    /// many items of at least `min_item` bytes each.
+    fn count(&mut self, min_item: usize) -> Result<usize, WireError> {
+        let start = self.pos;
+        let n = self.varint()?;
+        let room = (self.bytes.len() - self.pos) / min_item;
+        if n > room as u64 {
+            return fail(start, Reason::Count(n));
+        }
+        Ok(n as usize)
+    }
+
+    fn kid(&mut self) -> Result<KautzId, WireError> {
+        let degree = self.byte()?;
+        let at = self.pos;
+        let len = self.byte()?;
+        if usize::from(len) > KautzId::MAX_K {
+            return fail(at, Reason::KidTooLong(len));
+        }
+        let digits = self.take(usize::from(len))?;
+        KautzId::from_slice(digits, degree).or_else(|e| fail(at, Reason::Kid(e)))
+    }
+
+    fn forced(&mut self) -> Result<Option<u8>, WireError> {
+        let at = self.pos;
+        match self.byte()? {
+            0 => Ok(None),
+            1 => self.byte().map(Some),
+            other => fail(at, Reason::Unknown("forced marker", other)),
         }
     }
-    let (word, len) = need(digits, "digits")?;
-    KautzId::from_slice(&word[..len], need(degree, "degree")?)
-        .map_err(|e| Error::msg(format!("invalid KID on the wire: {e}")))
-}
 
-fn read_frame(r: &mut Reader) -> Result<DataFrame, Error> {
-    let (mut data, mut dest_cell, mut dest_kid) = (None, None, None);
-    let (mut forced, mut appended, mut hops) = (None, None, None);
-    r.begin_object()?;
-    while let Some(key) = r.next_key()? {
-        match &*key {
-            "data" if data.is_none() => data = Some(DataId(r.read_u64()?)),
-            "dest_cell" if dest_cell.is_none() => dest_cell = Some(r.read_u64()? as usize),
-            "dest_kid" if dest_kid.is_none() => dest_kid = Some(read_kid(r)?),
-            "forced" if forced.is_none() => forced = Some(read_u8(r, "field \"forced\"")?),
-            "appended" if appended.is_none() => {
-                appended = Some(read_u8(r, "field \"appended\"")?);
+    fn payload(&mut self) -> Result<ReferMsg, WireError> {
+        let at = self.pos;
+        Ok(match self.byte()? {
+            0 => ReferMsg::Ctrl,
+            1 => ReferMsg::Assignment,
+            2 => {
+                let qid = self.varint()?;
+                let ttl = self.byte()?;
+                let target = self.node("PathQuery target")?;
+                let n = self.count(1 + 8)?;
+                let mut path = Vec::with_capacity(n);
+                for _ in 0..n {
+                    path.push((self.node("path node")?, self.battery()?));
+                }
+                ReferMsg::PathQuery { qid, ttl, target, path }
             }
-            "hops" if hops.is_none() => hops = Some(read_u8(r, "field \"hops\"")?),
-            _ => r.skip_value()?,
-        }
-    }
-    Ok(DataFrame {
-        data: need(data, "data")?,
-        dest_cell: need(dest_cell, "dest_cell")?,
-        dest_kid: need(dest_kid, "dest_kid")?,
-        forced,
-        appended: need(appended, "appended")?,
-        hops: need(hops, "hops")?,
-    })
-}
-
-fn read_path_query(r: &mut Reader) -> Result<ReferMsg, Error> {
-    let (mut qid, mut ttl, mut target, mut path) = (None, None, None, None);
-    r.begin_object()?;
-    while let Some(key) = r.next_key()? {
-        match &*key {
-            "qid" if qid.is_none() => qid = Some(r.read_u64()?),
-            "ttl" if ttl.is_none() => ttl = Some(read_u8(r, "field \"ttl\"")?),
-            "target" if target.is_none() => target = Some(read_node(r, "field \"target\"")?),
-            "path" if path.is_none() => {
-                let entry = |r: &mut Reader| {
-                    read_pair(r, "path entry", |r| read_node(r, "path node"), |r| r.read_f64())
-                };
-                path = Some(read_seq(r, entry)?);
+            3 => {
+                let n = self.count(1 + KID_MIN)?;
+                let mut assignments = Vec::with_capacity(n);
+                for _ in 0..n {
+                    assignments.push((self.node("assignment node")?, self.kid()?));
+                }
+                ReferMsg::PathAssign { assignments, hop: self.int("PathAssign hop")? }
             }
-            _ => r.skip_value()?,
-        }
-    }
-    Ok(ReferMsg::PathQuery {
-        qid: need(qid, "qid")?,
-        ttl: need(ttl, "ttl")?,
-        target: need(target, "target")?,
-        path: need(path, "path")?,
-    })
-}
-
-fn read_path_assign(r: &mut Reader) -> Result<ReferMsg, Error> {
-    let (mut assignments, mut hop) = (None, None);
-    r.begin_object()?;
-    while let Some(key) = r.next_key()? {
-        match &*key {
-            "assignments" if assignments.is_none() => {
-                let entry = |r: &mut Reader| {
-                    read_pair(r, "assignment entry", |r| read_node(r, "assignment node"), read_kid)
-                };
-                assignments = Some(read_seq(r, entry)?);
+            4 => ReferMsg::StartStage2 {
+                qid: self.varint()?,
+                target: self.node("StartStage2 target")?,
+            },
+            5 => ReferMsg::CellReady,
+            6 => ReferMsg::Beacon,
+            7 => {
+                let n = self.count(1)?;
+                let mut accused = Vec::with_capacity(n);
+                for _ in 0..n {
+                    accused.push(self.node("accused node")?);
+                }
+                ReferMsg::Gossip { accused }
             }
-            "hop" if hop.is_none() => hop = Some(r.read_u64()? as usize),
-            _ => r.skip_value()?,
-        }
+            8 => ReferMsg::Probe,
+            9 => ReferMsg::Replace,
+            10 => ReferMsg::ReplaceNotice,
+            11 => ReferMsg::Data(DataFrame {
+                data: DataId(self.varint()?),
+                dest_cell: self.int("dest_cell")?,
+                dest_kid: self.kid()?,
+                forced: self.forced()?,
+                appended: self.byte()?,
+                hops: self.byte()?,
+            }),
+            other => return fail(at, Reason::Unknown("payload tag", other)),
+        })
     }
-    Ok(ReferMsg::PathAssign {
-        assignments: need(assignments, "assignments")?,
-        hop: need(hop, "hop")?,
-    })
 }
 
-fn read_start_stage2(r: &mut Reader) -> Result<ReferMsg, Error> {
-    let (mut qid, mut target) = (None, None);
-    r.begin_object()?;
-    while let Some(key) = r.next_key()? {
-        match &*key {
-            "qid" if qid.is_none() => qid = Some(r.read_u64()?),
-            "target" if target.is_none() => target = Some(read_node(r, "field \"target\"")?),
-            _ => r.skip_value()?,
-        }
+/// Decodes one datagram produced by [`encode_datagram`]; any other byte
+/// string is an error naming the offset that decided it.
+pub fn decode_datagram(bytes: &[u8]) -> Result<(NodeId, u64, Message<ReferMsg>), WireError> {
+    let r = &mut Reader { bytes, pos: 0 };
+    let format = r.byte()?;
+    if format != FORMAT {
+        return fail(0, Reason::Unknown("format byte", format));
     }
-    Ok(ReferMsg::StartStage2 { qid: need(qid, "qid")?, target: need(target, "target")? })
-}
-
-fn read_gossip(r: &mut Reader) -> Result<ReferMsg, Error> {
-    let mut accused = None;
-    r.begin_object()?;
-    while let Some(key) = r.next_key()? {
-        match &*key {
-            "accused" if accused.is_none() => {
-                accused = Some(read_seq(r, |r| read_node(r, "accused node"))?);
-            }
-            _ => r.skip_value()?,
-        }
+    let to = r.node("to")?;
+    let created_us = r.varint()?;
+    let from = r.node("from")?;
+    let size_bits = r.int("size_bits")?;
+    let at = r.pos;
+    let flags = r.byte()?;
+    if flags & !(FLAG_COMMUNICATION | FLAG_BROADCAST) != 0 {
+        return fail(at, Reason::Unknown("flag bits", flags));
     }
-    Ok(ReferMsg::Gossip { accused: need(accused, "accused")? })
-}
-
-/// Reads the externally tagged payload: an object of exactly one key, the
-/// variant's name. A unit variant's body is whatever follows the tag.
-fn read_payload(r: &mut Reader) -> Result<ReferMsg, Error> {
-    let one_tag = || Error::msg("payload must have exactly one variant tag");
-    r.begin_object()?;
-    let tag = r.next_key()?.ok_or_else(one_tag)?;
-    let unit = |r: &mut Reader, msg| r.skip_value().map(|()| msg);
-    let msg = match &*tag {
-        "Ctrl" => unit(r, ReferMsg::Ctrl),
-        "Assignment" => unit(r, ReferMsg::Assignment),
-        "PathQuery" => read_path_query(r),
-        "PathAssign" => read_path_assign(r),
-        "StartStage2" => read_start_stage2(r),
-        "CellReady" => unit(r, ReferMsg::CellReady),
-        "Beacon" => unit(r, ReferMsg::Beacon),
-        "Gossip" => read_gossip(r),
-        "Probe" => unit(r, ReferMsg::Probe),
-        "Replace" => unit(r, ReferMsg::Replace),
-        "ReplaceNotice" => unit(r, ReferMsg::ReplaceNotice),
-        "Data" => read_frame(r).map(ReferMsg::Data),
-        other => Err(Error::msg(format!("unknown payload variant {other:?}"))),
-    }?;
-    if r.next_key()?.is_some() {
-        return Err(one_tag());
-    }
-    Ok(msg)
-}
-
-/// Decodes one datagram produced by [`encode_datagram`].
-pub fn decode_datagram(bytes: &[u8]) -> Result<(NodeId, u64, Message<ReferMsg>), Error> {
-    let payload = match split_frame(bytes) {
-        Ok(Some(SplitFrame { payload, rest: [] })) => payload,
-        Ok(Some(_)) => return Err(Error::msg("trailing bytes after frame in datagram")),
-        Ok(None) => return Err(Error::msg("truncated datagram: incomplete frame")),
-        Err(FrameError::Oversize { declared }) => {
-            return Err(Error::msg(format!("oversize frame on the wire: {declared} bytes")))
-        }
+    let account = if flags & FLAG_COMMUNICATION != 0 {
+        EnergyAccount::Communication
+    } else {
+        EnergyAccount::Construction
     };
-    let (mut to, mut created_us, mut from, mut size_bits) = (None, None, None, None);
-    let (mut account, mut broadcast, mut msg) = (None, None, None);
-    let r = &mut Reader::from_bytes(payload)?;
-    r.begin_object()?;
-    while let Some(key) = r.next_key()? {
-        match &*key {
-            "to" if to.is_none() => to = Some(read_node(r, "field \"to\"")?),
-            "created_us" if created_us.is_none() => created_us = Some(r.read_u64()?),
-            "from" if from.is_none() => from = Some(read_node(r, "field \"from\"")?),
-            "size_bits" if size_bits.is_none() => {
-                let raw = r.read_u64()?;
-                size_bits = Some(
-                    u32::try_from(raw).map_err(|_| Error::msg("size_bits out of u32 range"))?,
-                );
-            }
-            "account" if account.is_none() => {
-                account = Some(match &*r.read_str()? {
-                    "construction" => EnergyAccount::Construction,
-                    "communication" => EnergyAccount::Communication,
-                    other => return Err(Error::msg(format!("unknown energy account {other:?}"))),
-                });
-            }
-            "broadcast" if broadcast.is_none() => broadcast = Some(r.read_bool()?),
-            "payload" if msg.is_none() => msg = Some(read_payload(r)?),
-            _ => r.skip_value()?,
-        }
+    let payload = r.payload()?;
+    if r.pos != bytes.len() {
+        return fail(r.pos, Reason::Trailing);
     }
-    r.end()?;
-    let msg = Message {
-        from: need(from, "from")?,
-        size_bits: need(size_bits, "size_bits")?,
-        account: need(account, "account")?,
-        broadcast: need(broadcast, "broadcast")?,
-        payload: need(msg, "payload")?,
-    };
-    Ok((need(to, "to")?, need(created_us, "created_us")?, msg))
+    let msg = Message { from, size_bits, account, broadcast: flags & FLAG_BROADCAST != 0, payload };
+    Ok((to, created_us, msg))
 }
 
 #[cfg(test)]
@@ -461,45 +507,32 @@ mod tests {
 
     #[test]
     fn corrupt_datagrams_are_rejected_not_panicked() {
-        assert!(decode_datagram(&[]).is_err());
+        assert_eq!(decode_datagram(&[]).unwrap_err().reason, Reason::Truncated);
         assert!(decode_datagram(&[1, 2, 3]).is_err());
         let mut wire = encode_datagram(NodeId(0), 0, &msg(ReferMsg::Beacon));
         wire.truncate(wire.len() - 1);
         assert!(decode_datagram(&wire).is_err());
         let mut trailing = encode_datagram(NodeId(0), 0, &msg(ReferMsg::Beacon));
         trailing.push(0);
-        assert!(decode_datagram(&trailing).is_err());
+        let err = decode_datagram(&trailing).unwrap_err();
+        assert_eq!((err.at, err.reason), (trailing.len() - 1, Reason::Trailing));
     }
 
-    /// The remote abort: before the shim's reader capped nesting, one
-    /// datagram of `[` overflowed the daemon's stack. Any frame nested
-    /// deeper than the cap, whatever its size, must come back as `Err` —
-    /// checked on a 2 MiB stack, the smallest a thread here gets.
+    /// The remote abort of the JSON codec: a datagram of `[` overflowed
+    /// the daemon's stack until its reader capped nesting. The binary
+    /// decoder recurses nowhere, so any JSON document — nested however
+    /// deep — is refused at its first byte, checked on a 2 MiB stack,
+    /// the smallest a thread here gets.
     #[test]
     fn deeply_nested_frames_are_rejected_not_recursed() {
-        let frame = |json: String| refer_obs::encode_frame(json.as_bytes());
-        let beacon = encode_datagram(NodeId(0), 0, &msg(ReferMsg::Beacon));
-        let envelope = std::str::from_utf8(&beacon[4..]).expect("utf8").to_string();
-        let nested = |open: &str, close: &str, n: usize| {
-            format!("{{\"junk\":{}{},{}", open.repeat(n), close.repeat(n), &envelope[1..])
-        };
-        let hostile = vec![
-            frame("[".repeat(60_000)),
-            frame("{\"a\":".repeat(10_000)),
-            frame(format!("{{\"junk\":{}", "[".repeat(60_000))),
-            frame(nested("[", "]", 30_000)),
-            frame(nested("{\"k\":[", "]}", 100)),
-            frame(envelope.replace("null", &format!("{}null{}", "[".repeat(200), "]".repeat(200)))),
-        ];
-        let shallow = frame(nested("[", "]", 100));
+        let hostile = vec!["[".repeat(60_000), "{\"a\":".repeat(10_000), "[".repeat(64 * 1024)];
         std::thread::Builder::new()
             .stack_size(2 << 20)
             .spawn(move || {
-                for wire in &hostile {
-                    assert!(wire.len() <= 64 * 1024 + 4, "fits the daemon's receive buffer");
-                    assert!(decode_datagram(wire).is_err());
+                for json in &hostile {
+                    let err = decode_datagram(json.as_bytes()).unwrap_err();
+                    assert_eq!(err.at, 0, "{err}");
                 }
-                decode_datagram(&shallow).expect("nesting under the cap in a skipped key decodes");
             })
             .expect("spawn")
             .join()

@@ -1,9 +1,9 @@
-//! Length-prefixed binary framing for live byte streams.
+//! Length-prefixed binary framing for byte streams that do not keep
+//! record boundaries.
 //!
-//! `refer-node` speaks the JSONL trace codec over UDP-adjacent byte
-//! streams (stdout pipes, files mid-write, socket reads) where record
-//! boundaries are not preserved: a reader may observe any prefix of the
-//! stream, cut anywhere — including mid-length-header. Each frame is
+//! A reader of a pipe, a file mid-write or a socket may observe any
+//! prefix of the stream, cut anywhere — including mid-length-header.
+//! Each frame is
 //!
 //! ```text
 //! [len: u32 little-endian][payload: len bytes]
@@ -14,13 +14,18 @@
 //! buffering partial frames across `feed` calls. Encoding and decoding
 //! are exact inverses for every payload, so a record sequence round-trips
 //! byte-identically regardless of how the transport splits the stream.
+//!
+//! No tool in the workspace frames its output today: traces are
+//! newline-delimited JSONL, and `refer-node`'s datagrams are their own
+//! frames. The benchmark's `obs.frame.{encode,decode}.ns` rows, which
+//! time both halves on trace lines, are the module's only caller.
 
 /// Hard ceiling on a single frame's payload length.
 ///
 /// A corrupt or adversarial length header would otherwise make the
 /// decoder buffer unboundedly waiting for a frame that never completes.
-/// Trace lines and wire envelopes are hundreds of bytes; 16 MiB is far
-/// above any legitimate frame.
+/// Trace lines are hundreds of bytes; 16 MiB is far above any
+/// legitimate frame.
 pub const MAX_FRAME_LEN: usize = 16 << 20;
 
 const HEADER_LEN: usize = 4;
@@ -51,19 +56,9 @@ impl std::error::Error for FrameError {}
 
 /// Appends one length-prefixed frame carrying `payload` to `out`.
 pub fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    write_frame_with(out, |out| out.extend_from_slice(payload));
-}
-
-/// Appends one frame whose payload `fill` appends straight to `out`: the
-/// header is reserved first and patched once the length is known, so an
-/// encoder can stream into the frame without a second buffer.
-pub fn write_frame_with(out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) {
-    let header = out.len();
-    out.extend_from_slice(&[0; HEADER_LEN]);
-    fill(out);
-    let len = out.len() - header - HEADER_LEN;
-    assert!(len <= MAX_FRAME_LEN, "frame payload exceeds MAX_FRAME_LEN");
-    out[header..header + HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
+    assert!(payload.len() <= MAX_FRAME_LEN, "frame payload exceeds MAX_FRAME_LEN");
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
 }
 
 /// Encodes one payload as a standalone frame.
@@ -73,18 +68,9 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// The first frame of a byte slice, borrowed from it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SplitFrame<'a> {
-    /// The frame's payload.
-    pub payload: &'a [u8],
-    /// Everything after the frame.
-    pub rest: &'a [u8],
-}
-
-/// Splits the first frame off `bytes` without copying; `Ok(None)` if
-/// `bytes` ends mid-frame.
-pub fn split_frame(bytes: &[u8]) -> Result<Option<SplitFrame<'_>>, FrameError> {
+/// The payload of the first frame of `bytes`, borrowed from it;
+/// `Ok(None)` if `bytes` ends mid-frame.
+fn split_frame(bytes: &[u8]) -> Result<Option<&[u8]>, FrameError> {
     let Some((header, body)) = bytes.split_first_chunk::<HEADER_LEN>() else {
         return Ok(None);
     };
@@ -92,11 +78,7 @@ pub fn split_frame(bytes: &[u8]) -> Result<Option<SplitFrame<'_>>, FrameError> {
     if declared > MAX_FRAME_LEN {
         return Err(FrameError::Oversize { declared });
     }
-    if body.len() < declared {
-        return Ok(None);
-    }
-    let (payload, rest) = body.split_at(declared);
-    Ok(Some(SplitFrame { payload, rest }))
+    Ok(body.get(..declared))
 }
 
 /// Incremental decoder: accepts arbitrarily split byte chunks, yields
@@ -128,10 +110,10 @@ impl FrameDecoder {
     /// Yields the next complete frame's payload, `Ok(None)` if the
     /// buffered bytes end mid-frame (feed more and retry).
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
-        let Some(frame) = split_frame(&self.buf[self.read..])? else {
+        let Some(payload) = split_frame(&self.buf[self.read..])? else {
             return Ok(None);
         };
-        let payload = frame.payload.to_vec();
+        let payload = payload.to_vec();
         self.read += HEADER_LEN + payload.len();
         Ok(Some(payload))
     }
@@ -215,13 +197,12 @@ mod tests {
     fn split_frame_borrows_payload_and_rest() {
         let mut stream = b"earlier".to_vec();
         let start = stream.len();
-        write_frame_with(&mut stream, |out| out.extend_from_slice(b"streamed"));
-        assert_eq!(&stream[start..], &encode_frame(b"streamed")[..], "header patched in place");
+        write_frame(&mut stream, b"streamed");
+        assert_eq!(&stream[start..], &encode_frame(b"streamed")[..], "appended after the prefix");
         stream.extend_from_slice(b"rest");
-        assert_eq!(
-            split_frame(&stream[start..]),
-            Ok(Some(SplitFrame { payload: b"streamed", rest: b"rest" }))
-        );
+        let payload = split_frame(&stream[start..]).expect("in range").expect("whole");
+        assert_eq!(payload, b"streamed");
+        assert_eq!(&stream[start + HEADER_LEN + payload.len()..], b"rest");
         for cut in start..stream.len() - b"rest".len() {
             assert_eq!(split_frame(&stream[start..cut]), Ok(None), "prefix of {cut} bytes");
         }

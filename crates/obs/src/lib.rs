@@ -8,8 +8,8 @@
 //! * [`codec`] — a JSONL codec for trace events (one externally-tagged
 //!   JSON object per line), so traces survive on disk and across tools;
 //! * [`frame`] — u32-LE length-prefixed binary framing with an
-//!   incremental [`FrameDecoder`](frame::FrameDecoder), the wire layout
-//!   `refer-node` uses for datagram payloads;
+//!   incremental [`FrameDecoder`](frame::FrameDecoder); only the
+//!   benchmark's `obs.frame.*` rows call it, on trace lines;
 //! * [`sink`] — streaming sinks: [`JsonlSink`](sink::JsonlSink) to any
 //!   writer, [`CountingSink`](sink::CountingSink) for per-kind tallies,
 //!   [`HashingSink`](sink::HashingSink) for order-independent stream
@@ -37,10 +37,7 @@ pub mod sink;
 pub use codec::{
     account_str, event_from_value, from_jsonl_line, to_jsonl_line, write_jsonl_line,
 };
-pub use frame::{
-    encode_frame, split_frame, write_frame, write_frame_with, FrameDecoder, FrameError,
-    SplitFrame, MAX_FRAME_LEN,
-};
+pub use frame::{encode_frame, write_frame, FrameDecoder, FrameError, MAX_FRAME_LEN};
 pub use hash::{fnv1a64, EventHash};
 pub use ledger::{HopRecord, LedgerStats, Outcome, PacketLedger, PacketRecord};
 pub use sink::{
