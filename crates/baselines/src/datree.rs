@@ -9,28 +9,14 @@
 //! behaviour that costs DaTree its throughput and energy under mobility
 //! and faults (Figures 4-7).
 
-use crate::flood::{discover, ControlPayload};
+use crate::flood::{discover, ControlPayload, CTRL_BITS, FLOOD_SCOPE};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use wsan_sim::{
     Ctx, DataId, EnergyAccount, HopReason, Message, NodeId, NodeKind, Protocol, SimDuration,
 };
 
-/// DaTree parameters.
-#[derive(Debug, Clone)]
-pub struct DaTreeConfig {
-    /// Control frame size, bits.
-    pub ctrl_bits: u32,
-    /// Maximum source retransmissions per packet.
-    pub max_retx: u8,
-    /// Flood scope (hops) for repair broadcasts toward the root.
-    pub repair_scope: usize,
-}
-
-impl Default for DaTreeConfig {
-    fn default() -> Self {
-        DaTreeConfig { ctrl_bits: 256, max_retx: 2, repair_scope: 16 }
-    }
-}
+/// Maximum source retransmissions per packet.
+const MAX_RETX: u8 = 2;
 
 /// DaTree wire messages.
 #[derive(Debug, Clone)]
@@ -68,9 +54,8 @@ pub struct DaTreeStats {
 }
 
 /// The DaTree protocol.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct DaTreeProtocol {
-    cfg: DaTreeConfig,
     /// Sensor -> current parent.
     parent: BTreeMap<NodeId, NodeId>,
     /// Sensor -> tree root (actuator).
@@ -83,18 +68,6 @@ pub struct DaTreeProtocol {
 }
 
 impl DaTreeProtocol {
-    /// Creates a DaTree instance.
-    pub fn new(cfg: DaTreeConfig) -> Self {
-        DaTreeProtocol {
-            cfg,
-            parent: BTreeMap::new(),
-            root_of: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            next_pending: 0,
-            stats: DaTreeStats::default(),
-        }
-    }
-
     /// The current parent of `sensor`, if attached.
     pub fn parent_of(&self, sensor: NodeId) -> Option<NodeId> {
         self.parent.get(&sensor).copied()
@@ -114,7 +87,7 @@ impl DaTreeProtocol {
         // per node instead of allocating per hop.
         let mut frontier: Vec<NodeId> = Vec::new();
         while let Some(cur) = queue.pop_front() {
-            ctx.broadcast(cur, self.cfg.ctrl_bits, EnergyAccount::Construction, DaTreeMsg::Ctrl);
+            ctx.broadcast(cur, CTRL_BITS, EnergyAccount::Construction, DaTreeMsg::Ctrl);
             let root = self.root_of[&cur];
             ctx.neighbors_into(cur, &mut frontier);
             for &n in &frontier {
@@ -165,8 +138,7 @@ impl DaTreeProtocol {
             ctx,
             node,
             root,
-            self.cfg.repair_scope,
-            self.cfg.ctrl_bits,
+            FLOOD_SCOPE,
             EnergyAccount::Communication,
         );
         match outcome.route {
@@ -190,7 +162,7 @@ impl DaTreeProtocol {
         attempts: u8,
         delay: SimDuration,
     ) {
-        if attempts >= self.cfg.max_retx {
+        if attempts >= MAX_RETX {
             ctx.drop_data(data);
             self.stats.drop_exhausted += 1;
             return;
@@ -250,12 +222,6 @@ impl Protocol for DaTreeProtocol {
             // the hop count restarts with it.
             self.climb(ctx, src, data, attempts, 0);
         }
-    }
-}
-
-impl Default for DaTreeProtocol {
-    fn default() -> Self {
-        Self::new(DaTreeConfig::default())
     }
 }
 

@@ -8,36 +8,18 @@
 //! only heads rebuild paths on failure — cheaper than DaTree's per-sensor
 //! recovery, but still broadcast-based (Figures 5 and 9).
 
-use crate::flood::{discover, ControlPayload};
+use crate::flood::{discover, ControlPayload, CTRL_BITS, FLOOD_SCOPE};
 use std::collections::{BTreeMap, BTreeSet};
 use wsan_sim::{
     Ctx, DataId, EnergyAccount, HopReason, Message, NodeId, NodeKind, Protocol, SimDuration,
 };
 
-/// D-DEAR parameters.
-#[derive(Debug, Clone)]
-pub struct DdearConfig {
-    /// Control frame size, bits.
-    pub ctrl_bits: u32,
-    /// Maximum source retransmissions per packet.
-    pub max_retx: u8,
-    /// Flood scope (hops) for head-to-actuator route discovery.
-    pub route_scope: usize,
-    /// Minimum spacing between path rebuild floods per head; packets
-    /// arriving inside the window wait for the in-flight rebuild.
-    pub rebuild_cooldown: SimDuration,
-}
+/// Maximum source retransmissions per packet.
+const MAX_RETX: u8 = 2;
 
-impl Default for DdearConfig {
-    fn default() -> Self {
-        DdearConfig {
-            ctrl_bits: 256,
-            max_retx: 2,
-            route_scope: 16,
-            rebuild_cooldown: SimDuration::from_secs(1),
-        }
-    }
-}
+/// Minimum spacing between path rebuild floods per head; packets arriving
+/// inside the window wait for the in-flight rebuild.
+const REBUILD_COOLDOWN: SimDuration = SimDuration::from_secs(1);
 
 /// D-DEAR wire messages.
 #[derive(Debug, Clone)]
@@ -82,9 +64,8 @@ pub struct DdearStats {
 }
 
 /// The D-DEAR protocol.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct DdearProtocol {
-    cfg: DdearConfig,
     heads: BTreeSet<NodeId>,
     /// Member -> (its head, optional gateway toward it).
     head_of: BTreeMap<NodeId, (NodeId, Option<NodeId>)>,
@@ -101,20 +82,6 @@ pub struct DdearProtocol {
 }
 
 impl DdearProtocol {
-    /// Creates a D-DEAR instance.
-    pub fn new(cfg: DdearConfig) -> Self {
-        DdearProtocol {
-            cfg,
-            heads: BTreeSet::new(),
-            head_of: BTreeMap::new(),
-            head_path: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            next_pending: 0,
-            last_rebuild: BTreeMap::new(),
-            stats: DdearStats::default(),
-        }
-    }
-
     /// The elected cluster heads.
     pub fn heads(&self) -> &BTreeSet<NodeId> {
         &self.heads
@@ -124,8 +91,8 @@ impl DdearProtocol {
         // Two hello broadcasts per sensor (own hello + 2-hop forwarding).
         let sensors: Vec<NodeId> = ctx.sensor_ids().to_vec();
         for &s in &sensors {
-            ctx.broadcast(s, self.cfg.ctrl_bits, EnergyAccount::Construction, DdearMsg::Ctrl);
-            ctx.broadcast(s, self.cfg.ctrl_bits, EnergyAccount::Construction, DdearMsg::Ctrl);
+            ctx.broadcast(s, CTRL_BITS, EnergyAccount::Construction, DdearMsg::Ctrl);
+            ctx.broadcast(s, CTRL_BITS, EnergyAccount::Construction, DdearMsg::Ctrl);
         }
         // Nothing moves or fails during construction, so every node's
         // neighbor set is computed exactly once for the whole placement
@@ -246,7 +213,7 @@ impl DdearProtocol {
         let now = ctx.now();
         if matches!(account, EnergyAccount::Communication) {
             if let Some(&last) = self.last_rebuild.get(&head) {
-                if now.saturating_since(last) < self.cfg.rebuild_cooldown {
+                if now.saturating_since(last) < REBUILD_COOLDOWN {
                     // A rebuild just ran; retry shortly against its result.
                     return Some(SimDuration::from_millis(20));
                 }
@@ -260,8 +227,7 @@ impl DdearProtocol {
             .min_by(|&a, &b| {
                 ctx.distance(head, a).partial_cmp(&ctx.distance(head, b)).expect("finite")
             })?;
-        let outcome =
-            discover(ctx, head, actuator, self.cfg.route_scope, self.cfg.ctrl_bits, account);
+        let outcome = discover(ctx, head, actuator, FLOOD_SCOPE, account);
         match outcome.route {
             Some(route) => {
                 self.head_path.insert(head, route);
@@ -384,7 +350,7 @@ impl DdearProtocol {
             return;
         }
         // Stale membership: one solicitation broadcast, re-attach, retry.
-        ctx.broadcast(node, self.cfg.ctrl_bits, EnergyAccount::Communication, DdearMsg::Ctrl);
+        ctx.broadcast(node, CTRL_BITS, EnergyAccount::Communication, DdearMsg::Ctrl);
         self.head_of.remove(&node);
         match self.attach_member(ctx, node) {
             Some((h, g)) => {
@@ -414,7 +380,7 @@ impl DdearProtocol {
         delay: SimDuration,
         hops: u32,
     ) {
-        if attempts >= self.cfg.max_retx {
+        if attempts >= MAX_RETX {
             ctx.drop_data(data);
             self.stats.drops += 1;
             return;
@@ -487,12 +453,6 @@ impl Protocol for DdearProtocol {
             };
             self.forward(ctx, node, data, head, None, attempts, hops);
         }
-    }
-}
-
-impl Default for DdearProtocol {
-    fn default() -> Self {
-        Self::new(DdearConfig::default())
     }
 }
 

@@ -22,6 +22,15 @@ use refer_proto::ProtoCtx;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use wsan_sim::{EnergyAccount, NodeId, SimDuration};
 
+/// Size of every baseline's control frames (hellos, tree-build waves,
+/// route requests and replies), bits.
+pub(crate) const CTRL_BITS: u32 = 256;
+
+/// Flood scope (hops) of every baseline's route discovery: DaTree's repair
+/// toward its root, D-DEAR's head-to-actuator paths, the overlay's
+/// physical paths.
+pub(crate) const FLOOD_SCOPE: usize = 16;
+
 /// Payloads that can represent an inert control frame (delivered, charged,
 /// but carrying no protocol action).
 pub trait ControlPayload: Clone + std::fmt::Debug {
@@ -46,14 +55,13 @@ pub struct Discovery {
 /// `scope` hops, charging every frame to `account`.
 ///
 /// The BFS expands alive nodes only and uses each expander's own
-/// transmission range (directional links). `ctrl_bits` sizes the control
-/// frames.
+/// transmission range (directional links). Every frame is a
+/// [`CTRL_BITS`] control frame.
 pub fn discover<P: ControlPayload>(
     ctx: &mut impl ProtoCtx<P>,
     from: NodeId,
     to: NodeId,
     scope: usize,
-    ctrl_bits: u32,
     account: EnergyAccount,
 ) -> Discovery {
     let mut parent: BTreeMap<NodeId, NodeId> = BTreeMap::new();
@@ -75,7 +83,7 @@ pub fn discover<P: ControlPayload>(
         }
         // The expansion broadcast: real frame, real energy, real congestion.
         broadcasts += 1;
-        ctx.broadcast(cur, ctrl_bits, account, P::inert());
+        ctx.broadcast(cur, CTRL_BITS, account, P::inert());
         if found {
             // The wave keeps spreading a little after the target is hit;
             // one extra ring is enough to model that cost.
@@ -100,8 +108,8 @@ pub fn discover<P: ControlPayload>(
         }
     }
     if !seen.contains(&to) {
-        let latency = per_hop_latency(ctx, ctrl_bits).mul(scope as u64)
-            + contention_latency(ctx, ctrl_bits, broadcasts);
+        let latency =
+            per_hop_latency(ctx).mul(scope as u64) + contention_latency(ctx, broadcasts);
         return Discovery { route: None, broadcasts, latency };
     }
     // Reconstruct and charge the reply path (unicast back along parents).
@@ -114,11 +122,10 @@ pub fn discover<P: ControlPayload>(
     route.reverse();
     for w in route.windows(2).rev() {
         // Reply travels destination -> source.
-        ctx.send(w[1], w[0], ctrl_bits, account, P::inert());
+        ctx.send(w[1], w[0], CTRL_BITS, account, P::inert());
     }
     let hops = route.len() as u64; // request depth + reply ≈ 2 * len
-    let latency = per_hop_latency(ctx, ctrl_bits).mul(2 * hops)
-        + contention_latency(ctx, ctrl_bits, broadcasts);
+    let latency = per_hop_latency(ctx).mul(2 * hops) + contention_latency(ctx, broadcasts);
     Discovery { route: Some(route), broadcasts, latency }
 }
 
@@ -127,11 +134,8 @@ pub fn discover<P: ControlPayload>(
 /// serialization time for small control frames.
 const DISCOVERY_BACKOFF: SimDuration = SimDuration::from_millis(25);
 
-fn per_hop_latency<P: Clone + std::fmt::Debug>(
-    ctx: &impl ProtoCtx<P>,
-    ctrl_bits: u32,
-) -> SimDuration {
-    ctx.service_time(ctrl_bits) + DISCOVERY_BACKOFF
+fn per_hop_latency<P: Clone + std::fmt::Debug>(ctx: &impl ProtoCtx<P>) -> SimDuration {
+    ctx.service_time(CTRL_BITS) + DISCOVERY_BACKOFF
 }
 
 /// The request wave contends for the shared medium across the flooded
@@ -139,10 +143,9 @@ fn per_hop_latency<P: Clone + std::fmt::Debug>(
 /// with the number of broadcasts it took.
 fn contention_latency<P: Clone + std::fmt::Debug>(
     ctx: &impl ProtoCtx<P>,
-    ctrl_bits: u32,
     broadcasts: usize,
 ) -> SimDuration {
-    ctx.service_time(ctrl_bits).mul(broadcasts as u64 / 4)
+    ctx.service_time(CTRL_BITS).mul(broadcasts as u64 / 4)
 }
 
 #[cfg(test)]
@@ -170,7 +173,7 @@ mod tests {
         fn on_init(&mut self, ctx: &mut Ctx<Inert>) {
             let from = ctx.sensor_ids()[0];
             let to = ctx.actuator_ids()[0];
-            self.outcome = Some(discover(ctx, from, to, 12, 256, EnergyAccount::Construction));
+            self.outcome = Some(discover(ctx, from, to, 12, EnergyAccount::Construction));
         }
         fn on_message(&mut self, _: &mut Ctx<Inert>, _: NodeId, _: Message<Inert>) {}
         fn on_timer(&mut self, _: &mut Ctx<Inert>, _: NodeId, _: u64) {}
@@ -206,7 +209,7 @@ mod tests {
             let from = ctx.sensor_ids()[0];
             let to = ctx.actuator_ids()[0];
             // Scope 0: cannot expand anywhere.
-            self.outcome = Some(discover(ctx, from, to, 0, 256, EnergyAccount::Communication));
+            self.outcome = Some(discover(ctx, from, to, 0, EnergyAccount::Communication));
         }
         fn on_message(&mut self, _: &mut Ctx<Inert>, _: NodeId, _: Message<Inert>) {}
         fn on_timer(&mut self, _: &mut Ctx<Inert>, _: NodeId, _: u64) {}

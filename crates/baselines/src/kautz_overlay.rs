@@ -9,7 +9,7 @@
 //! several physical transmissions (Figures 6 and 8's delay), and every
 //! physical break triggers a re-flood (Figures 5 and 9's energy).
 
-use crate::flood::{discover, ControlPayload};
+use crate::flood::{discover, ControlPayload, FLOOD_SCOPE};
 use kautz::{KautzId, RouteTable};
 use refer::cells::plan_cells;
 use refer::embedding::EmbeddingPlan;
@@ -23,39 +23,21 @@ use wsan_sim::{
     RoutingStrategy,
 };
 
-/// Kautz-overlay parameters.
-#[derive(Debug, Clone)]
-pub struct KautzOverlayConfig {
-    /// Kautz graph degree per cell.
-    pub degree: u8,
-    /// Control frame size, bits.
-    pub ctrl_bits: u32,
-    /// Flood scope (hops) for physical path discovery.
-    pub route_scope: usize,
-    /// Minimum spacing between re-discovery floods for the same
-    /// (node, target) pair; packets arriving inside the window reuse the
-    /// freshly discovered route instead of flooding again.
-    pub flood_cooldown: wsan_sim::SimDuration,
-    /// Maximum physical-path repairs per frame before giving up.
-    pub max_repairs: u8,
-    /// How long an unacknowledged-frame suspicion lasts under
-    /// [`FaultModel::Discovered`] before the peer is given the benefit of
-    /// the doubt again.
-    pub suspicion_ttl: wsan_sim::SimDuration,
-}
+/// Kautz graph degree per cell (REFER's, the paper's 2).
+const DEGREE: u8 = 2;
 
-impl Default for KautzOverlayConfig {
-    fn default() -> Self {
-        KautzOverlayConfig {
-            degree: 2,
-            ctrl_bits: 256,
-            route_scope: 16,
-            flood_cooldown: wsan_sim::SimDuration::from_secs(1),
-            max_repairs: 6,
-            suspicion_ttl: wsan_sim::SimDuration::from_secs(8),
-        }
-    }
-}
+/// Minimum spacing between re-discovery floods for the same (node,
+/// target) pair; packets arriving inside the window reuse the freshly
+/// discovered route instead of flooding again.
+const FLOOD_COOLDOWN: wsan_sim::SimDuration = wsan_sim::SimDuration::from_secs(1);
+
+/// Maximum physical-path repairs per frame before giving up.
+const MAX_REPAIRS: u8 = 6;
+
+/// How long an unacknowledged-frame suspicion lasts under
+/// [`FaultModel::Discovered`] before the peer is given the benefit of the
+/// doubt again.
+const SUSPICION_TTL: wsan_sim::SimDuration = wsan_sim::SimDuration::from_secs(8);
 
 /// A data frame riding the overlay.
 #[derive(Debug, Clone)]
@@ -126,7 +108,6 @@ struct OvCell {
 /// The Kautz-overlay protocol.
 #[derive(Debug)]
 pub struct KautzOverlayProtocol {
-    cfg: KautzOverlayConfig,
     plan: EmbeddingPlan,
     /// Dense Theorem 3.8 tables for the cell graph `K(degree, 3)`, shared
     /// with REFER's routing layer.
@@ -150,16 +131,13 @@ pub struct KautzOverlayProtocol {
     pub stats: OverlayStats,
 }
 
-impl KautzOverlayProtocol {
-    /// Creates a Kautz-overlay instance.
-    pub fn new(cfg: KautzOverlayConfig) -> Self {
-        let plan = EmbeddingPlan::for_degree(cfg.degree);
+impl Default for KautzOverlayProtocol {
+    fn default() -> Self {
+        let plan = EmbeddingPlan::for_degree(DEGREE);
         let route_table = Arc::new(
-            RouteTable::new(cfg.degree, 3).expect("cell graph degree within MAX_DEGREE"),
+            RouteTable::new(DEGREE, 3).expect("cell graph degree within MAX_DEGREE"),
         );
-        let suspicion_ttl = cfg.suspicion_ttl;
         KautzOverlayProtocol {
-            cfg,
             plan,
             route_table,
             cells: Vec::new(),
@@ -169,10 +147,13 @@ impl KautzOverlayProtocol {
             next_pending: 0,
             last_flood: BTreeMap::new(),
             discovered: false,
-            view: FailureView::new(suspicion_ttl),
+            view: FailureView::new(SUSPICION_TTL),
             stats: OverlayStats::default(),
         }
     }
+}
+
+impl KautzOverlayProtocol {
 
     fn is_member(&self, node: NodeId) -> bool {
         self.member_cells.contains_key(&node)
@@ -282,8 +263,7 @@ impl KautzOverlayProtocol {
                         ctx,
                         from,
                         to,
-                        self.cfg.route_scope,
-                        self.cfg.ctrl_bits,
+                        FLOOD_SCOPE,
                         EnergyAccount::Construction,
                     );
                     if let Some(route) = outcome.route {
@@ -439,7 +419,7 @@ impl KautzOverlayProtocol {
             self.overlay_step(ctx, node, frame);
             return;
         }
-        if frame.repairs >= self.cfg.max_repairs {
+        if frame.repairs >= MAX_REPAIRS {
             ctx.drop_data(frame.data);
             self.stats.drops += 1;
             return;
@@ -458,7 +438,7 @@ impl KautzOverlayProtocol {
         // repair instead of launching another flood.
         let now = ctx.now();
         if let Some(&last) = self.last_flood.get(&(node, target)) {
-            if now.saturating_since(last) < self.cfg.flood_cooldown {
+            if now.saturating_since(last) < FLOOD_COOLDOWN {
                 // A discovery for this pair just ran; retry shortly against
                 // its (cached) result instead of flooding again. The wait
                 // still consumes a repair: an unbounded budget lets frames
@@ -476,8 +456,7 @@ impl KautzOverlayProtocol {
             ctx,
             node,
             target,
-            self.cfg.route_scope,
-            self.cfg.ctrl_bits,
+            FLOOD_SCOPE,
             EnergyAccount::Communication,
         );
         match outcome.route {
@@ -514,7 +493,7 @@ impl SansIo for KautzOverlayProtocol {
             ctx.config().faults.model,
             FaultModel::Discovered | FaultModel::Byzantine
         );
-        self.view = FailureView::new(self.cfg.suspicion_ttl);
+        self.view = FailureView::new(SUSPICION_TTL);
         self.build_overlay(ctx);
     }
 
@@ -692,12 +671,6 @@ impl Protocol for KautzOverlayProtocol {
         recovered: &[NodeId],
     ) {
         SansIo::on_fault_rotation(self, ctx, failed, recovered);
-    }
-}
-
-impl Default for KautzOverlayProtocol {
-    fn default() -> Self {
-        Self::new(KautzOverlayConfig::default())
     }
 }
 

@@ -31,7 +31,7 @@ pub mod fabric;
 pub mod flood;
 pub mod kautz_overlay;
 
-pub use datree::{DaTreeConfig, DaTreeProtocol, DaTreeStats};
-pub use ddear::{DdearConfig, DdearProtocol, DdearStats};
+pub use datree::{DaTreeProtocol, DaTreeStats};
+pub use ddear::{DdearProtocol, DdearStats};
 pub use fabric::{fabric_config, FabricFrame, KautzFabricProtocol};
-pub use kautz_overlay::{KautzOverlayConfig, KautzOverlayProtocol, OverlayStats};
+pub use kautz_overlay::{KautzOverlayProtocol, OverlayStats};

@@ -5,7 +5,7 @@
 //!     [--scale 0.2] [--seed 17] [--mobility 3] [--faults 0] [--sensors 200] \
 //!     [--fault-model oracle|discovered|byzantine] \
 //!     [--attacker-fraction F] [--link-pdr P] \
-//!     [--workload paper|all2all|hotspot|incast|scan] \
+//!     [--workload paper|all2all|hotspot] \
 //!     [--routing shortest|regular] [--offered-load PPS] \
 //!     [--fabric D,K] [--threads T]
 //! ```
@@ -48,6 +48,11 @@ struct Args {
     threads: usize,
 }
 
+/// Parses one flag value, bailing with the flag's name when it is malformed.
+fn parse<T: std::str::FromStr>(flag: &str, v: &str) -> T {
+    v.parse().unwrap_or_else(|_| bail(format!("{flag}: cannot parse {v:?}")))
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         scale: 0.2,
@@ -65,14 +70,14 @@ fn parse_args() -> Args {
         if args.scenario.accept(&a, &mut it).unwrap_or_else(|e| bail(e)) {
             continue;
         }
-        let mut next = || it.next().expect("flag needs a value");
+        let mut next = || it.next().unwrap_or_else(|| bail(format!("{a} needs a value")));
         match a.as_str() {
-            "--scale" => args.scale = next().parse().expect("float"),
-            "--seed" => args.seed = next().parse().expect("integer"),
-            "--mobility" => args.mobility = next().parse().expect("float"),
-            "--faults" => args.faults = next().parse().expect("integer"),
-            "--sensors" => args.sensors = next().parse().expect("integer"),
-            "--threads" => args.threads = next().parse().expect("integer"),
+            "--scale" => args.scale = parse(&a, &next()),
+            "--seed" => args.seed = parse(&a, &next()),
+            "--mobility" => args.mobility = parse(&a, &next()),
+            "--faults" => args.faults = parse(&a, &next()),
+            "--sensors" => args.sensors = parse(&a, &next()),
+            "--threads" => args.threads = parse(&a, &next()),
             "--fabric" => {
                 let v = next();
                 let parsed = v.split_once(',').and_then(|(d, k)| {
@@ -82,7 +87,7 @@ fn parse_args() -> Args {
                     bail(format!("--fabric expects D,K (e.g. 4,7), got {v:?}"))
                 }));
             }
-            other => panic!("unknown argument {other:?}"),
+            other => bail(format!("unknown argument {other:?}")),
         }
     }
     args

@@ -5,7 +5,7 @@
 //!     [--seeds 1,2,3] [--scale 0.25] [--out results/] \
 //!     [--fault-model oracle|discovered|byzantine] \
 //!     [--attacker-fraction F] [--link-pdr P] [--degradation] \
-//!     [--load] [--workload paper|all2all|hotspot|incast|scan] \
+//!     [--load] [--workload paper|all2all|hotspot] \
 //!     [--routing shortest|regular] [--offered-load PPS]
 //! ```
 //!
@@ -46,6 +46,16 @@ fn bail(message: String) -> ! {
     std::process::exit(2);
 }
 
+/// Parses one flag value, bailing with the flag's name when it is malformed.
+fn parse<T: std::str::FromStr>(flag: &str, v: &str) -> T {
+    v.parse().unwrap_or_else(|_| bail(format!("{flag}: cannot parse {v:?}")))
+}
+
+/// Parses one comma-separated list, bailing on the first malformed item.
+fn parse_list<T: std::str::FromStr>(flag: &str, v: &str) -> Vec<T> {
+    v.split(',').map(|s| parse(flag, s)).collect()
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         figs: (4..=11).collect(),
@@ -63,38 +73,25 @@ fn parse_args() -> Args {
         if args.scenario.accept(&a, &mut it).unwrap_or_else(|e| bail(e)) {
             continue;
         }
+        let mut value = || it.next().unwrap_or_else(|| bail(format!("{a} needs a value")));
         match a.as_str() {
             "--fig" => {
-                let v = it.next().expect("--fig needs a value");
+                let v = value();
                 if v != "all" {
-                    args.figs = v
-                        .split(',')
-                        .map(|s| s.parse().expect("figure numbers are integers"))
-                        .collect();
+                    args.figs = parse_list("--fig", &v);
+                    if let Some(id) = args.figs.iter().find(|&&id| figure(id).is_none()) {
+                        bail(format!("no figure {id}; the paper has 4..=11"));
+                    }
                 }
             }
-            "--seeds" => {
-                let v = it.next().expect("--seeds needs a value");
-                args.seeds = v
-                    .split(',')
-                    .map(|s| s.parse().expect("seeds are integers"))
-                    .collect();
-            }
-            "--scale" => {
-                args.scale = it
-                    .next()
-                    .expect("--scale needs a value")
-                    .parse()
-                    .expect("scale is a float");
-            }
-            "--out" => {
-                args.out = Some(it.next().expect("--out needs a path"));
-            }
+            "--seeds" => args.seeds = parse_list("--seeds", &value()),
+            "--scale" => args.scale = parse("--scale", &value()),
+            "--out" => args.out = Some(value()),
             "--no-out" => args.out = None,
             "--quiet" => args.quiet = true,
             "--degradation" => args.degradation = true,
             "--load" => args.load = true,
-            other => panic!("unknown argument {other:?}"),
+            other => bail(format!("unknown argument {other:?}")),
         }
     }
     args
@@ -120,13 +117,8 @@ fn main() {
         );
         vec![Sweep::Load]
     } else {
-        let figs: Vec<Figure> = args
-            .figs
-            .iter()
-            .map(|&id| {
-                figure(id).unwrap_or_else(|| panic!("no figure {id}; the paper has 4..=11"))
-            })
-            .collect();
+        // Every id was checked against `figure` while parsing.
+        let figs: Vec<Figure> = args.figs.iter().filter_map(|&id| figure(id)).collect();
         let sweeps: Vec<Sweep> = [Sweep::Mobility, Sweep::Faults, Sweep::Size]
             .into_iter()
             .filter(|&sweep| figs.iter().any(|f| f.sweep == sweep))

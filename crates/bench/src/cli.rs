@@ -169,7 +169,7 @@ mod tests {
         );
         assert_eq!(
             accept(&mut sf, &["--workload", "nonsense"]),
-            Err("unknown workload \"nonsense\" (expected paper|all2all|hotspot|incast|scan)"
+            Err("unknown workload \"nonsense\" (expected paper|all2all|hotspot)"
                 .into())
         );
         assert_eq!(

@@ -300,7 +300,7 @@ pub fn parse_fault_model(s: &str) -> Result<FaultModel, String> {
 /// Parses a `--workload` CLI value; the error lists the accepted names.
 pub fn parse_workload(s: &str) -> Result<TrafficPattern, String> {
     TrafficPattern::parse(s).ok_or_else(|| {
-        format!("unknown workload {s:?} (expected paper|all2all|hotspot|incast|scan)")
+        format!("unknown workload {s:?} (expected paper|all2all|hotspot)")
     })
 }
 
@@ -600,9 +600,10 @@ mod tests {
         assert_eq!(cfg.traffic.offered_pps, 1000.0);
         // An explicit matrix choice survives the upgrade.
         let mut cfg = base_config(0.1);
-        cfg.traffic.pattern = TrafficPattern::Scan;
+        let hotspot = TrafficPattern::parse("hotspot").expect("known workload");
+        cfg.traffic.pattern = hotspot;
         Sweep::Load.configure(&mut cfg, 500.0);
-        assert_eq!(cfg.traffic.pattern, TrafficPattern::Scan);
+        assert_eq!(cfg.traffic.pattern, hotspot);
         assert_eq!(cfg.traffic.offered_pps, 500.0);
     }
 

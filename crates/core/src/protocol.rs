@@ -21,7 +21,10 @@
 
 use crate::addr::CellId;
 use crate::cells::{plan_cells, CellLayout};
-use crate::config::ReferConfig;
+use crate::config::{
+    ReferConfig, BATTERY_THRESHOLD, BEACON_INTERVAL, CTRL_BITS, HEARTBEAT_TIMEOUT, LINK_GUARD,
+    MAINTENANCE_INTERVAL, PROBE_INTERVAL, QUERY_WINDOW, SUSPICION_TTL,
+};
 use crate::embedding::EmbeddingPlan;
 use crate::maintenance::{battery_low, link_endangered, select_replacement};
 use crate::routing::route_choices_indexed;
@@ -285,7 +288,6 @@ impl ReferProtocol {
         let route_table = Arc::new(
             RouteTable::new(rcfg.degree, 3).expect("cell graph degree within MAX_DEGREE"),
         );
-        let rcfg_suspicion_ttl = rcfg.suspicion_ttl;
         ReferProtocol {
             rcfg,
             plan,
@@ -303,7 +305,7 @@ impl ReferProtocol {
             next_qid: 0,
             discovered: false,
             byzantine: false,
-            view: FailureView::new(rcfg_suspicion_ttl),
+            view: FailureView::new(SUSPICION_TTL),
             stats: ReferStats::default(),
             snapshots: Vec::new(),
         }
@@ -521,8 +523,8 @@ impl ReferProtocol {
         // Topology learning: two rounds of actuator broadcasts (hello +
         // neighbor-list exchange), billed to construction.
         for &a in &actuator_nodes {
-            ctx.broadcast(a, self.rcfg.ctrl_bits, EnergyAccount::Construction, ReferMsg::Ctrl);
-            ctx.broadcast(a, self.rcfg.ctrl_bits, EnergyAccount::Construction, ReferMsg::Ctrl);
+            ctx.broadcast(a, CTRL_BITS, EnergyAccount::Construction, ReferMsg::Ctrl);
+            ctx.broadcast(a, CTRL_BITS, EnergyAccount::Construction, ReferMsg::Ctrl);
         }
 
         let Some(layout) = plan_cells(&ids, &positions, ctx.config().actuator_range) else {
@@ -542,7 +544,7 @@ impl ReferProtocol {
                     ctx.send(
                         actuator_nodes[v],
                         actuator_nodes[n],
-                        self.rcfg.ctrl_bits,
+                        CTRL_BITS,
                         EnergyAccount::Construction,
                         ReferMsg::Assignment,
                     );
@@ -595,7 +597,7 @@ impl ReferProtocol {
         // wakes on this timer to probe a nearby member and register as a
         // replacement candidate. Staggered so the probes do not synchronize.
         if self.rcfg.maintenance_enabled {
-            let probe = self.rcfg.probe_interval.as_micros();
+            let probe = PROBE_INTERVAL.as_micros();
             let sensors: Vec<NodeId> = ctx.sensor_ids().to_vec();
             for s in sensors {
                 let stagger = SimDuration::from_micros(ctx.rng().gen_range(0..probe.max(1)));
@@ -620,7 +622,7 @@ impl ReferProtocol {
         );
         ctx.broadcast(
             origin,
-            self.rcfg.ctrl_bits,
+            CTRL_BITS,
             EnergyAccount::Construction,
             ReferMsg::PathQuery { qid, ttl: 2, target, path: Vec::new() },
         );
@@ -669,7 +671,7 @@ impl ReferProtocol {
         if ctx.send(
             coordinator,
             s_i,
-            self.rcfg.ctrl_bits,
+            CTRL_BITS,
             EnergyAccount::Construction,
             ReferMsg::StartStage2 { qid, target: s_j },
         ) {
@@ -684,7 +686,7 @@ impl ReferProtocol {
         self.fallback_assign(ctx, cell, &stage2_kids);
         let coordinator = self.cells[cell].corners[0];
         // One solicitation broadcast for the completion stage.
-        ctx.broadcast(coordinator, self.rcfg.ctrl_bits, EnergyAccount::Construction, ReferMsg::Ctrl);
+        ctx.broadcast(coordinator, CTRL_BITS, EnergyAccount::Construction, ReferMsg::Ctrl);
         let stage3 = self.plan.stage3.clone();
         self.fallback_assign(ctx, cell, &stage3);
     }
@@ -736,7 +738,7 @@ impl ReferProtocol {
                 ctx.send(
                     coordinator,
                     node,
-                    self.rcfg.ctrl_bits,
+                    CTRL_BITS,
                     EnergyAccount::Construction,
                     ReferMsg::Assignment,
                 );
@@ -748,7 +750,7 @@ impl ReferProtocol {
 
     fn on_ready_timer(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, cell: usize) {
         let coordinator = self.cells[cell].corners[0];
-        ctx.broadcast(coordinator, self.rcfg.ctrl_bits, EnergyAccount::Construction, ReferMsg::CellReady);
+        ctx.broadcast(coordinator, CTRL_BITS, EnergyAccount::Construction, ReferMsg::CellReady);
         self.cells[cell].ready = true;
         self.stats.cells_ready += 1;
         self.snapshots.push(CellSnapshot {
@@ -770,11 +772,11 @@ impl ReferProtocol {
         for node in members {
             if !std::mem::replace(&mut self.nodes[node.index()].beacon_started, true) {
                 let stagger = SimDuration::from_micros(ctx.rng().gen_range(0..1_000_000));
-                ctx.set_timer(node, self.rcfg.beacon_interval + stagger, tag(KIND_BEACON, 0));
+                ctx.set_timer(node, BEACON_INTERVAL + stagger, tag(KIND_BEACON, 0));
                 if matches!(ctx.kind(node), NodeKind::Sensor) {
                     ctx.set_timer(
                         node,
-                        self.rcfg.maintenance_interval + stagger,
+                        MAINTENANCE_INTERVAL + stagger,
                         tag(KIND_MAINT, 0),
                     );
                 }
@@ -820,7 +822,7 @@ impl ReferProtocol {
         ctx.send(
             collector,
             assignments[last].0,
-            self.rcfg.ctrl_bits,
+            CTRL_BITS,
             EnergyAccount::Construction,
             ReferMsg::PathAssign { assignments: assignments.clone(), hop: last },
         );
@@ -830,7 +832,7 @@ impl ReferProtocol {
 
     fn on_beacon_timer(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, node: NodeId) {
         if !ctx.self_faulty(node) && self.is_member(node) {
-            ctx.broadcast(node, self.rcfg.ctrl_bits, EnergyAccount::Communication, ReferMsg::Beacon);
+            ctx.broadcast(node, CTRL_BITS, EnergyAccount::Communication, ReferMsg::Beacon);
             if self.byzantine {
                 // Suspicion gossip rides the beacon round: honest members
                 // share their genuine suspicion list; a compromised member
@@ -852,7 +854,7 @@ impl ReferProtocol {
                 if !accused.is_empty() {
                     ctx.broadcast(
                         node,
-                        self.rcfg.ctrl_bits,
+                        CTRL_BITS,
                         EnergyAccount::Communication,
                         ReferMsg::Gossip { accused },
                     );
@@ -860,7 +862,7 @@ impl ReferProtocol {
             }
         }
         if self.is_member(node) {
-            ctx.set_timer(node, self.rcfg.beacon_interval, tag(KIND_BEACON, 0));
+            ctx.set_timer(node, BEACON_INTERVAL, tag(KIND_BEACON, 0));
         } else {
             self.nodes[node.index()].beacon_started = false;
         }
@@ -903,10 +905,10 @@ impl ReferProtocol {
     /// has beaconed before but has now been silent past the heartbeat
     /// timeout becomes suspected.
     fn heartbeat_check(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, node: NodeId) {
-        let timeout = self.rcfg.heartbeat_timeout;
         let now = ctx.now();
         for (_, _, owner) in self.kautz_neighbor_owners(node) {
-            if matches!(ctx.kind(owner), NodeKind::Sensor) && self.view.stale(owner, now, timeout)
+            if matches!(ctx.kind(owner), NodeKind::Sensor)
+                && self.view.stale(owner, now, HEARTBEAT_TIMEOUT)
             {
                 self.suspect(ctx, owner);
             }
@@ -954,7 +956,7 @@ impl ReferProtocol {
             if !ctx.send(
                 node,
                 replacement,
-                self.rcfg.ctrl_bits,
+                CTRL_BITS,
                 EnergyAccount::Communication,
                 ReferMsg::Replace,
             ) {
@@ -962,7 +964,7 @@ impl ReferProtocol {
             }
             ctx.broadcast(
                 node,
-                self.rcfg.ctrl_bits,
+                CTRL_BITS,
                 EnergyAccount::Communication,
                 ReferMsg::ReplaceNotice,
             );
@@ -981,8 +983,8 @@ impl ReferProtocol {
     /// already running from an earlier membership.
     fn start_member_timers(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, node: NodeId) {
         if !std::mem::replace(&mut self.nodes[node.index()].beacon_started, true) {
-            ctx.set_timer(node, self.rcfg.beacon_interval, tag(KIND_BEACON, 0));
-            ctx.set_timer(node, self.rcfg.maintenance_interval, tag(KIND_MAINT, 0));
+            ctx.set_timer(node, BEACON_INTERVAL, tag(KIND_BEACON, 0));
+            ctx.set_timer(node, MAINTENANCE_INTERVAL, tag(KIND_MAINT, 0));
         }
     }
 
@@ -991,7 +993,7 @@ impl ReferProtocol {
             self.nodes[node.index()].beacon_started = false;
             return;
         }
-        ctx.set_timer(node, self.rcfg.maintenance_interval, tag(KIND_MAINT, 0));
+        ctx.set_timer(node, MAINTENANCE_INTERVAL, tag(KIND_MAINT, 0));
         if !self.rcfg.maintenance_enabled || ctx.self_faulty(node) {
             return;
         }
@@ -1009,8 +1011,8 @@ impl ReferProtocol {
             let neighbor_positions = self.neighbor_positions(ctx, cell, &kid, node);
             let endangered = neighbor_positions
                 .iter()
-                .any(|&p| link_endangered(ctx.position(node), p, range, self.rcfg.link_guard));
-            let weak = battery_low(ctx.battery(node), self.rcfg.battery_threshold);
+                .any(|&p| link_endangered(ctx.position(node), p, range, LINK_GUARD));
+            let weak = battery_low(ctx.battery(node), BATTERY_THRESHOLD);
             if !endangered && !weak {
                 continue;
             }
@@ -1058,13 +1060,13 @@ impl ReferProtocol {
             if !ctx.send(
                 node,
                 replacement,
-                self.rcfg.ctrl_bits,
+                CTRL_BITS,
                 EnergyAccount::Communication,
                 ReferMsg::Replace,
             ) {
                 continue;
             }
-            ctx.broadcast(node, self.rcfg.ctrl_bits, EnergyAccount::Communication, ReferMsg::ReplaceNotice);
+            ctx.broadcast(node, CTRL_BITS, EnergyAccount::Communication, ReferMsg::ReplaceNotice);
             self.remove_membership(node, cell, &kid);
             self.assign_kid(cell, kid, replacement);
             self.stats.replacements += 1;
@@ -1080,7 +1082,7 @@ impl ReferProtocol {
         if !self.rcfg.maintenance_enabled {
             return;
         }
-        ctx.set_timer(node, self.rcfg.probe_interval, tag(KIND_PROBE, 0));
+        ctx.set_timer(node, PROBE_INTERVAL, tag(KIND_PROBE, 0));
         if self.is_member(node) || ctx.self_faulty(node) {
             return;
         }
@@ -1094,7 +1096,7 @@ impl ReferProtocol {
             .or_else(|| self.nearest_member(ctx, node));
         if let Some(m) = target {
             self.nodes[node.index()].last_probe = Some(ctx.now().as_micros());
-            ctx.send(node, m, self.rcfg.ctrl_bits, EnergyAccount::Communication, ReferMsg::Probe);
+            ctx.send(node, m, CTRL_BITS, EnergyAccount::Communication, ReferMsg::Probe);
         }
     }
 
@@ -1442,7 +1444,7 @@ impl SansIo for ReferProtocol {
             FaultModel::Discovered | FaultModel::Byzantine
         );
         self.byzantine = matches!(ctx.config().faults.model, FaultModel::Byzantine);
-        self.view = FailureView::new(self.rcfg.suspicion_ttl);
+        self.view = FailureView::new(SUSPICION_TTL);
         self.nodes = vec![NodeLocal::default(); ctx.node_count()];
         self.start_construction(ctx);
     }
@@ -1610,7 +1612,7 @@ impl SansIo for ReferProtocol {
                         }
                         if !q.timer_set {
                             q.timer_set = true;
-                            ctx.set_timer(at, self.rcfg.query_window, tag(KIND_QPICK, qid));
+                            ctx.set_timer(at, QUERY_WINDOW, tag(KIND_QPICK, qid));
                         }
                     }
                     return;
@@ -1626,7 +1628,7 @@ impl SansIo for ReferProtocol {
                 path.push((at, ctx.battery(at)));
                 ctx.broadcast(
                     at,
-                    self.rcfg.ctrl_bits,
+                    CTRL_BITS,
                     EnergyAccount::Construction,
                     ReferMsg::PathQuery { qid, ttl: ttl - 1, target, path },
                 );
@@ -1638,7 +1640,7 @@ impl SansIo for ReferProtocol {
                     ctx.send(
                         at,
                         next,
-                        self.rcfg.ctrl_bits,
+                        CTRL_BITS,
                         EnergyAccount::Construction,
                         ReferMsg::PathAssign { assignments, hop: hop - 1 },
                     );
@@ -1660,13 +1662,13 @@ impl SansIo for ReferProtocol {
                 let now = ctx.now().as_micros();
                 let due = row
                     .last_probe
-                    .is_none_or(|t| now.saturating_sub(t) >= self.rcfg.probe_interval.as_micros());
+                    .is_none_or(|t| now.saturating_sub(t) >= PROBE_INTERVAL.as_micros());
                 if due && self.rcfg.maintenance_enabled && !ctx.self_faulty(at) {
                     row.last_probe = Some(now);
                     ctx.send(
                         at,
                         msg.from,
-                        self.rcfg.ctrl_bits,
+                        CTRL_BITS,
                         EnergyAccount::Communication,
                         ReferMsg::Probe,
                     );

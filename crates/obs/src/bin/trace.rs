@@ -5,7 +5,7 @@
 //!               [--sensors N] [--faults N] [--mobility F]
 //!               [--fault-model oracle|discovered|byzantine]
 //!               [--attacker-fraction F] [--link-pdr P]
-//!               [--workload paper|all2all|hotspot|incast|scan]
+//!               [--workload paper|all2all|hotspot]
 //!               [--offered-load PPS] [--routing shortest|regular]
 //! trace packet  <id> --in trace.jsonl      # one packet's full causal chain
 //! trace node    <id> --in trace.jsonl      # packets that crossed a node
@@ -90,7 +90,7 @@ fn usage(error: &str) -> ExitCode {
          [--workload W] [--offered-load PPS]\n  \
          trace verify  --live FILE... [--expect-delivery F] [--tolerance F]\n\
          systems: refer (default), datree, ddear, kautz\n\
-         workloads: paper (default), all2all, hotspot, incast, scan"
+         workloads: paper (default), all2all, hotspot"
     );
     ExitCode::from(2)
 }

@@ -331,7 +331,7 @@ impl<P: Clone + Debug> ProtoCtx<P> for IoCtx<P> {
         self.position(a).distance(&self.position(b))
     }
     fn in_range(&self, a: NodeId, b: NodeId) -> bool {
-        self.world.cfg.radio.link.link_up(self.distance(a, b), self.range(a))
+        wsan_sim::config::in_unit_disk(self.distance(a, b), self.range(a))
     }
     fn is_faulty(&self, _id: NodeId) -> bool {
         false

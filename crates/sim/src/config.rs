@@ -1,7 +1,6 @@
 //! Simulation scenario configuration, with defaults matching Section IV of
 //! the paper.
 
-use crate::energy::EnergyModel;
 use crate::geometry::{Area, Point};
 use crate::time::SimDuration;
 use crate::traffic::TrafficPattern;
@@ -80,8 +79,6 @@ pub struct MobilityConfig {
     pub max_speed: f64,
     /// Position-update granularity.
     pub tick: SimDuration,
-    /// The movement model.
-    pub model: MobilityModel,
 }
 
 impl Default for MobilityConfig {
@@ -90,7 +87,6 @@ impl Default for MobilityConfig {
             min_speed: 0.0,
             max_speed: 3.0,
             tick: SimDuration::from_secs(1),
-            model: MobilityModel::RandomWaypoint,
         }
     }
 }
@@ -113,55 +109,46 @@ pub enum FaultModel {
     /// tests can assert the data path stayed honest.
     Discovered,
     /// [`Discovered`](FaultModel::Discovered) plus an active adversary: a
-    /// seeded fraction of sensors is *compromised* and misbehaves per
-    /// [`ByzantineConfig`] — misrouting frames, selectively dropping data
-    /// while still acknowledging it, forging ACKs, and slandering healthy
-    /// neighbors in suspicion gossip. Compromised nodes are physically
-    /// alive (the fault oracle does not flag them); defenses must come
-    /// from the reputation-weighted `FailureView` (hosted by the
-    /// `refer-proto` crate since the sans-io split). All adversary
+    /// seeded fraction of sensors ([`ByzantineConfig`]) is *compromised*
+    /// and misbehaves with the fixed `BYZ_*` probabilities — misrouting
+    /// frames, selectively dropping data while still acknowledging it
+    /// (forged ACKs), and slandering healthy neighbors in suspicion
+    /// gossip. Compromised nodes are physically alive (the fault oracle
+    /// does not flag them); defenses must come from the
+    /// reputation-weighted `FailureView` (hosted by the `refer-proto`
+    /// crate since the sans-io split). All adversary
     /// decisions are drawn from the per-node simulator RNG streams, so
     /// runs stay deterministic per seed and thread-invariant under
     /// [`Engine::Sharded`].
     Byzantine,
 }
 
-/// Adversary behavior knobs for [`FaultModel::Byzantine`]. All
-/// probabilities are per-decision and drawn from the acting node's
-/// simulator RNG stream.
-#[derive(Debug, Clone, PartialEq)]
+/// The adversary of [`FaultModel::Byzantine`]. How many sensors it holds
+/// is the scenario knob; how each one misbehaves is fixed (the
+/// `BYZ_*` constants), every probability per decision and drawn from the
+/// acting node's simulator RNG stream.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ByzantineConfig {
     /// Fraction of sensors compromised at t=0, in `[0, 1]`. The set is
     /// drawn once from the master RNG after placement and stays fixed for
     /// the run (compromise is a property of the node, not a rotating
     /// fault).
     pub attacker_fraction: f64,
-    /// Probability that a compromised *sender* redirects a unicast frame
-    /// to a random physical neighbor instead of the intended next hop.
-    pub misroute_prob: f64,
-    /// Probability that a compromised *receiver* silently discards a
-    /// delivered frame instead of processing it.
-    pub drop_prob: f64,
-    /// When `true`, a compromised receiver that drops an acknowledged
-    /// frame still returns the ACK — the sender believes the hop
-    /// succeeded and never retransmits.
-    pub forge_acks: bool,
-    /// Probability per gossip opportunity that a compromised node
-    /// fabricates an accusation against a healthy neighbor.
-    pub slander_prob: f64,
 }
 
-impl Default for ByzantineConfig {
-    fn default() -> Self {
-        ByzantineConfig {
-            attacker_fraction: 0.0,
-            misroute_prob: 0.25,
-            drop_prob: 0.5,
-            forge_acks: true,
-            slander_prob: 0.25,
-        }
-    }
-}
+/// Probability that a compromised *sender* redirects a unicast frame to a
+/// random physical neighbor instead of the intended next hop.
+pub const BYZ_MISROUTE_PROB: f64 = 0.25;
+
+/// Probability that a compromised *receiver* silently discards a delivered
+/// frame instead of processing it. A dropped acknowledged frame still
+/// returns its ACK (a forged one): the sender believes the hop succeeded
+/// and never retransmits.
+pub const BYZ_DROP_PROB: f64 = 0.5;
+
+/// Probability per gossip opportunity that a compromised node fabricates
+/// an accusation against a healthy neighbor.
+pub const BYZ_SLANDER_PROB: f64 = 0.25;
 
 /// Fault injection: every `rotation`, the previous faulty set recovers and
 /// `count` random sensors break down (Section IV-B).
@@ -193,76 +180,14 @@ impl Default for FaultConfig {
     }
 }
 
-/// How link success depends on distance.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub enum LinkModel {
-    /// Classic unit disk: frames within the range always arrive, frames
-    /// beyond it never do (the paper's model).
-    #[default]
-    UnitDisk,
-    /// Log-distance shadowing approximation: delivery probability decays
-    /// smoothly through the nominal range following a logistic curve of
-    /// the given transition width (meters). At `distance == range` the
-    /// probability is 0.5; links are considered "up" (MAC-visible) while
-    /// the probability is at least 0.5.
-    Shadowed {
-        /// Width of the success-probability transition band, meters.
-        fade_width: f64,
-    },
-}
-
-impl LinkModel {
-    /// Probability that a frame sent over `distance` with nominal `range`
-    /// is received.
-    pub fn delivery_prob(self, distance: f64, range: f64) -> f64 {
-        match self {
-            LinkModel::UnitDisk => {
-                if distance <= range {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            LinkModel::Shadowed { fade_width } => {
-                let w = fade_width.max(1e-9);
-                1.0 / (1.0 + ((distance - range) / w).exp())
-            }
-        }
-    }
-
-    /// Whether the MAC would report the link as usable (expected-case
-    /// reachability): delivery probability at least one half.
-    pub fn link_up(self, distance: f64, range: f64) -> bool {
-        self.delivery_prob(distance, range) >= 0.5
-    }
-
-    /// The largest distance at which a link with nominal `range` is still
-    /// usable ([`LinkModel::link_up`], i.e. delivery probability ≥ 0.5).
-    ///
-    /// The spatial neighbor index sizes its cells from this bound — *not*
-    /// from the nominal range — so a model whose usable distance exceeded
-    /// the nominal range could never make the grid miss a linkable pair.
-    /// For both current models the two coincide: the unit disk cuts off at
-    /// `range`, and the shadowed logistic crosses 0.5 exactly at `range`
-    /// regardless of `fade_width` (a regression test pins this boundary
-    /// under wide transition bands).
-    ///
-    /// [`RadioConfig::link_pdr`] deliberately does *not* enter this bound
-    /// (or [`LinkModel::link_up`]): residual per-link loss models frames
-    /// that retransmissions recover, not links the MAC cannot see.
-    pub fn max_usable_distance(self, range: f64) -> f64 {
-        match self {
-            LinkModel::UnitDisk => range,
-            LinkModel::Shadowed { .. } => range,
-        }
-    }
-
-    /// [`LinkModel::delivery_prob`] combined with a residual per-link
-    /// packet-drop rate `pdr ∈ [0, 1]`: each frame additionally survives
-    /// with probability `1 - pdr`, independent of distance.
-    pub fn delivery_prob_with_pdr(self, distance: f64, range: f64, pdr: f64) -> f64 {
-        self.delivery_prob(distance, range) * (1.0 - pdr.clamp(0.0, 1.0))
-    }
+/// The paper's link model, the unit disk: a frame sent over `distance`
+/// by a radio of `range` arrives when `distance <= range` and never
+/// beyond it. Every reachability question the simulator and the daemon
+/// ask goes through this one predicate; [`RadioConfig::link_pdr`] is the
+/// only loss on top of it and does not change which links are up.
+#[inline]
+pub fn in_unit_disk(distance: f64, range: f64) -> bool {
+    distance <= range
 }
 
 /// How Kautz-routed protocols pick the next hop toward a destination
@@ -333,33 +258,23 @@ pub struct ShardedConfig {
     pub window_micros: u64,
 }
 
-/// How sensors move between mobility ticks.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub enum MobilityModel {
-    /// Random waypoint without pause (the paper's model): pick a uniform
-    /// destination, walk to it at a uniform speed, repeat.
-    #[default]
-    RandomWaypoint,
-    /// Gauss-Markov: velocity evolves as an AR(1) process with memory
-    /// `alpha` in `[0, 1]` (1 = straight-line ballistic, 0 = fully random
-    /// each tick); reflects off the area boundary.
-    GaussMarkov {
-        /// Velocity memory coefficient.
-        alpha: f64,
-    },
-}
+/// Upper bound of the uniform random contention jitter per hop.
+pub const MAX_JITTER: SimDuration = SimDuration::from_micros(1_500);
+
+/// Packets count toward QoS throughput only if delivered within this
+/// deadline (Section IV: 0.6 s).
+pub const QOS_DEADLINE: SimDuration = SimDuration::from_millis(600);
 
 /// Radio/MAC timing model: per-hop service time plus a uniformly random
-/// contention jitter. Transmissions queue behind the sender's (and the
-/// receiver's) earlier traffic, which is what congests hot relays.
+/// contention jitter of at most [`MAX_JITTER`]. Transmissions queue
+/// behind the sender's (and the receiver's) earlier traffic, which is
+/// what congests hot relays.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RadioConfig {
     /// Channel bitrate, bits/second (802.11b default: 11 Mb/s).
     pub bitrate_bps: f64,
     /// Fixed per-frame MAC overhead added to the service time.
     pub mac_overhead: SimDuration,
-    /// Upper bound of the uniform random contention jitter per hop.
-    pub max_jitter: SimDuration,
     /// Receiver occupancy, on (any positive value) or off (zero); the
     /// magnitude is not read. On, a frame reserves its *receiver*'s radio
     /// from the moment it is queued at the sender until it arrives, so a
@@ -374,14 +289,12 @@ pub struct RadioConfig {
     /// buffers). The sender is not notified — the loss is silent, as with
     /// a real interface-queue overflow.
     pub max_queue: SimDuration,
-    /// The distance/success link model.
-    pub link: LinkModel,
     /// Residual per-link packet-drop rate in `[0, 1]`: every frame
     /// (unicast, ACK, broadcast leg) is additionally lost with this
     /// probability, independent of distance and of any attacker. Lossy
     /// links thus exist on their own; the link-layer ACK machinery is what
     /// recovers from them. Does not affect MAC-visible reachability
-    /// ([`LinkModel::link_up`]) or the spatial grid's cell sizing.
+    /// ([`in_unit_disk`]) or the spatial grid's cell sizing.
     pub link_pdr: f64,
     /// Link-layer ACK timeout for [`Ctx::send_acked`](crate::Ctx::send_acked)
     /// frames, counted from the moment the frame leaves the sender's radio
@@ -401,10 +314,8 @@ impl Default for RadioConfig {
         RadioConfig {
             bitrate_bps: 11_000_000.0,
             mac_overhead: SimDuration::from_micros(500),
-            max_jitter: SimDuration::from_micros(1_500),
             receiver_occupancy: 1.0,
             max_queue: SimDuration::from_millis(1_500),
-            link: LinkModel::UnitDisk,
             link_pdr: 0.0,
             ack_timeout: SimDuration::from_millis(10),
             max_retries: 3,
@@ -441,15 +352,10 @@ pub struct SimConfig {
     pub faults: FaultConfig,
     /// Radio/MAC timing parameters.
     pub radio: RadioConfig,
-    /// Energy prices.
-    pub energy: EnergyModel,
     /// Metrics start after this much simulated time.
     pub warmup: SimDuration,
     /// Measured simulation length (total run = warmup + duration).
     pub duration: SimDuration,
-    /// Packets count toward QoS throughput only if delivered within this
-    /// deadline (paper: 0.6 s).
-    pub qos_deadline: SimDuration,
     /// Which event-loop engine executes the run (serial by default; the
     /// sharded engine is opt-in and verified against itself at 1 thread).
     pub engine: Engine,
@@ -463,7 +369,10 @@ pub struct SimConfig {
 impl SimConfig {
     /// The paper's scenario: 500 m x 500 m, 5 actuators (quincunx), 200
     /// sensors, ranges 100/250 m, 1 Mb/s sources every 10 s, warmup 100 s,
-    /// 1000 s measured, QoS deadline 0.6 s, 2/0.75 J per packet.
+    /// 1000 s measured; the QoS deadline ([`QOS_DEADLINE`], 0.6 s) and the
+    /// energy prices ([`EnergyModel::PAPER`](crate::EnergyModel::PAPER),
+    /// 2/0.75 J per packet) are
+    /// constants.
     pub fn paper() -> Self {
         SimConfig {
             area: Area::new(500.0, 500.0),
@@ -478,10 +387,8 @@ impl SimConfig {
             mobility: MobilityConfig::default(),
             faults: FaultConfig::default(),
             radio: RadioConfig::default(),
-            energy: EnergyModel::PAPER,
             warmup: SimDuration::from_secs(100),
             duration: SimDuration::from_secs(1000),
-            qos_deadline: SimDuration::from_secs_f64(0.6),
             engine: Engine::default(),
             routing: RoutingStrategy::default(),
             seed: 1,
@@ -553,12 +460,19 @@ impl SimConfig {
             "attacker_fraction must be within [0, 1], got {}",
             byz.attacker_fraction
         );
-        for (name, p) in [
-            ("misroute_prob", byz.misroute_prob),
-            ("drop_prob", byz.drop_prob),
-            ("slander_prob", byz.slander_prob),
+        // Each periodic driver re-arms itself one period after it fires;
+        // a zero period would re-arm it at the same instant forever. The
+        // rotation driver only runs when there are faults to rotate.
+        for (name, period, armed) in [
+            ("traffic.round_interval", self.traffic.round_interval, true),
+            ("mobility.tick", self.mobility.tick, true),
+            ("faults.rotation", self.faults.rotation, self.faults.count > 0),
         ] {
-            assert!((0.0..=1.0).contains(&p), "{name} must be within [0, 1], got {p}");
+            assert!(
+                !armed || period > SimDuration::ZERO,
+                "`{name}` must be positive: its driver re-arms itself one period after \
+                 it fires, so a zero period never lets simulated time advance"
+            );
         }
         if let Engine::Sharded(sharded) = self.engine {
             // Incompatible-knob rejections name the offending field and the
@@ -600,6 +514,7 @@ impl Default for SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::energy::EnergyModel;
 
     #[test]
     fn paper_defaults_match_section_iv() {
@@ -612,9 +527,50 @@ mod tests {
         assert_eq!(cfg.traffic.pattern, TrafficPattern::Paper);
         assert_eq!(cfg.traffic.offered_pps, 0.0);
         assert_eq!(cfg.routing, RoutingStrategy::Shortest);
-        assert_eq!(cfg.qos_deadline.as_secs_f64(), 0.6);
+        assert_eq!(QOS_DEADLINE.as_secs_f64(), 0.6);
+        assert_eq!(EnergyModel::PAPER.tx_joules, 2.0);
+        assert_eq!(EnergyModel::PAPER.rx_joules, 0.75);
         assert_eq!(cfg.warmup.as_secs_f64(), 100.0);
         assert_eq!(cfg.duration.as_secs_f64(), 1000.0);
+        cfg.validate();
+    }
+
+    /// A zero period re-arms its driver at the same instant forever, so
+    /// validation names the field instead of letting the run hang.
+    #[test]
+    fn zero_driver_periods_are_rejected_by_name() {
+        let message = |cfg: SimConfig| -> String {
+            let err = std::panic::catch_unwind(move || cfg.validate())
+                .expect_err("config must be rejected");
+            err.downcast_ref::<String>()
+                .cloned()
+                .or_else(|| err.downcast_ref::<&str>().map(|s| (*s).to_string()))
+                .expect("panic payload must be a string")
+        };
+        let zeroed = |edit: fn(&mut SimConfig)| {
+            let mut cfg = SimConfig::smoke();
+            edit(&mut cfg);
+            cfg
+        };
+        for (field, cfg) in [
+            ("`traffic.round_interval`", zeroed(|c| c.traffic.round_interval = SimDuration::ZERO)),
+            ("`mobility.tick`", zeroed(|c| c.mobility.tick = SimDuration::ZERO)),
+            (
+                "`faults.rotation`",
+                zeroed(|c| {
+                    c.faults.count = 3;
+                    c.faults.rotation = SimDuration::ZERO;
+                }),
+            ),
+        ] {
+            let msg = message(cfg);
+            assert!(msg.contains(field), "{field} missing: {msg}");
+        }
+        // Without faults the rotation driver never runs, so its period is
+        // not read.
+        let mut cfg = SimConfig::smoke();
+        cfg.faults.count = 0;
+        cfg.faults.rotation = SimDuration::ZERO;
         cfg.validate();
     }
 

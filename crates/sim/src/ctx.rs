@@ -1,8 +1,10 @@
 //! The simulation context: world state plus the API protocols use to act.
 
 use crate::acks::AckTable;
-use crate::config::SimConfig;
-use crate::energy::EnergyAccount;
+use crate::config::{
+    SimConfig, BYZ_DROP_PROB, BYZ_MISROUTE_PROB, BYZ_SLANDER_PROB, MAX_JITTER, QOS_DEADLINE,
+};
+use crate::energy::{EnergyAccount, EnergyModel};
 use crate::geometry::Point;
 use crate::grid::SpatialGrid;
 use crate::message::{DataId, DataRecord, Message};
@@ -604,10 +606,10 @@ impl<P> Ctx<P> {
         self.position(a).distance(&self.position(b))
     }
 
-    /// Whether `b` is inside `a`'s transmission range (under the
-    /// configured link model: the MAC-visible expected reachability).
+    /// Whether `b` is inside `a`'s transmission range (the unit disk,
+    /// [`in_unit_disk`](crate::config::in_unit_disk)).
     pub fn in_range(&self, a: NodeId, b: NodeId) -> bool {
-        self.cfg.radio.link.link_up(self.distance(a, b), self.range(a))
+        crate::config::in_unit_disk(self.distance(a, b), self.range(a))
     }
 
     /// Whether a frame from `a` would currently reach `b`: both alive and
@@ -719,7 +721,7 @@ impl<P> Ctx<P> {
     /// of the QoS deadline. REFER treats a congested successor like a
     /// failed one and reroutes (Section III-C2).
     pub fn is_congested(&self, id: NodeId) -> bool {
-        self.queue_delay(id).as_micros() > self.cfg.qos_deadline.as_micros() / 10
+        self.queue_delay(id).as_micros() > QOS_DEADLINE.as_micros() / 10
     }
 
     // ----- acting -------------------------------------------------------
@@ -757,14 +759,10 @@ impl<P> Ctx<P> {
             self.record(|at| crate::trace::TraceEvent::SendFailed { at, from, to });
             return false;
         }
-        // Probabilistic link models can lose an "up" link's frame; the
+        // Residual per-link loss can lose an "up" link's frame; the
         // sender's MAC retries absorb most of it, so a lost draw here
-        // models residual loss after retries (unit disk never loses).
-        let p = self.cfg.radio.link.delivery_prob_with_pdr(
-            self.distance(from, to),
-            self.range(from),
-            self.cfg.radio.link_pdr,
-        );
+        // models residual loss after retries.
+        let p = self.frame_prob(from, to);
         if p < 1.0 && !self.sim_rng().gen_bool(p.clamp(0.0, 1.0)) {
             self.metrics.frames_failed += 1;
             self.record(|at| crate::trace::TraceEvent::SendFailed { at, from, to });
@@ -853,15 +851,7 @@ impl<P> Ctx<P> {
         let alive = from != to
             && !self.nodes[from.index()].faulty
             && !self.nodes[to.index()].faulty;
-        let prob = if alive {
-            self.cfg.radio.link.delivery_prob_with_pdr(
-                self.distance(from, to),
-                self.range(from),
-                self.cfg.radio.link_pdr,
-            )
-        } else {
-            0.0
-        };
+        let prob = if alive { self.frame_prob(from, to) } else { 0.0 };
         let received = prob >= 1.0 || (prob > 0.0 && self.sim_rng().gen_bool(prob.clamp(0.0, 1.0)));
         if received {
             self.record(|at| crate::trace::TraceEvent::Send { at, from, to, size_bits, account });
@@ -878,6 +868,16 @@ impl<P> Ctx<P> {
             self.record(|at| crate::trace::TraceEvent::SendFailed { at, from, to });
             let expire = self.now + self.service_time(size_bits) + timeout;
             self.push(expire, EventKind::AckExpire { id });
+        }
+    }
+
+    /// Probability that one frame from `from` reaches `to`: the unit disk
+    /// times the residual per-link loss `radio.link_pdr`.
+    fn frame_prob(&self, from: NodeId, to: NodeId) -> f64 {
+        if crate::config::in_unit_disk(self.distance(from, to), self.range(from)) {
+            1.0 - self.cfg.radio.link_pdr.clamp(0.0, 1.0)
+        } else {
+            0.0
         }
     }
 
@@ -900,11 +900,7 @@ impl<P> Ctx<P> {
         if self.shard.is_none() && !self.pending_acks.contains(id) {
             return; // duplicate delivery of an already-acknowledged frame
         }
-        let prob = self.cfg.radio.link.delivery_prob_with_pdr(
-            self.distance(from, to),
-            self.range(from),
-            self.cfg.radio.link_pdr,
-        );
+        let prob = self.frame_prob(from, to);
         let received = prob >= 1.0 || (prob > 0.0 && self.sim_rng().gen_bool(prob.clamp(0.0, 1.0)));
         if !received {
             return;
@@ -1043,7 +1039,6 @@ impl<P> Ctx<P> {
     /// `data`, with `at` as the (possibly past) delivery time. Shared by the
     /// direct serial path and the sharded engine's claim dispatch.
     pub(crate) fn apply_delivery_claim(&mut self, data: DataId, node: NodeId, hops: u32, at: SimTime) {
-        let qos = self.cfg.qos_deadline;
         let Some(record) = self.data.mark_delivered(data) else {
             return;
         };
@@ -1057,7 +1052,7 @@ impl<P> Ctx<P> {
             if hops > 0 {
                 self.metrics.hop_hist.record(u64::from(hops));
             }
-            if delay <= qos {
+            if delay <= QOS_DEADLINE {
                 self.metrics.qos_packets += 1;
                 self.metrics.qos_bytes += u64::from(record.size_bits) / 8;
                 self.metrics.qos_delay_sum += delay.as_secs_f64();
@@ -1163,15 +1158,14 @@ impl<P> Ctx<P> {
     // sequences.
 
     /// If `from` is compromised, rolls its misroute decision for this
-    /// frame: with `byzantine.misroute_prob` the frame is redirected to a
+    /// frame: with [`BYZ_MISROUTE_PROB`] the frame is redirected to a
     /// uniformly-drawn physical neighbor other than the intended receiver.
     /// Returns the (possibly replaced) receiver.
     pub(crate) fn byz_misroute(&mut self, from: NodeId, to: NodeId) -> NodeId {
         if !self.nodes[from.index()].compromised {
             return to;
         }
-        let p = self.cfg.faults.byzantine.misroute_prob;
-        if p <= 0.0 || !self.sim_rng().gen_bool(p.clamp(0.0, 1.0)) {
+        if !self.sim_rng().gen_bool(BYZ_MISROUTE_PROB) {
             return to;
         }
         let mut buf = std::mem::take(&mut self.recv_buf);
@@ -1192,9 +1186,9 @@ impl<P> Ctx<P> {
     }
 
     /// Byzantine receiver behavior for a unicast frame just delivered to
-    /// compromised node `to`: with `byzantine.drop_prob` the frame is
-    /// silently swallowed — and when `byzantine.forge_acks` is set the
-    /// attacker still returns the link-layer ACK, so the honest sender
+    /// compromised node `to`: with [`BYZ_DROP_PROB`] the frame is
+    /// silently swallowed — and the attacker still returns the link-layer
+    /// ACK of an acknowledged frame, so the honest sender
     /// believes the hop succeeded and suspicion never triggers. Returns
     /// `true` when the frame was swallowed (the caller must then skip
     /// `on_message`); receive energy has already been charged — a
@@ -1209,16 +1203,13 @@ impl<P> Ctx<P> {
         if broadcast || !self.nodes[to.index()].compromised {
             return false;
         }
-        let p = self.cfg.faults.byzantine.drop_prob;
-        if p <= 0.0 || !self.sim_rng().gen_bool(p.clamp(0.0, 1.0)) {
+        if !self.sim_rng().gen_bool(BYZ_DROP_PROB) {
             return false;
         }
-        if self.cfg.faults.byzantine.forge_acks {
-            if let Some(id) = ack_id {
-                self.metrics.forged_acks += 1;
-                self.record(|at| crate::trace::TraceEvent::ForgedAck { at, node: to });
-                self.schedule_ack(id, to, from);
-            }
+        if let Some(id) = ack_id {
+            self.metrics.forged_acks += 1;
+            self.record(|at| crate::trace::TraceEvent::ForgedAck { at, node: to });
+            self.schedule_ack(id, to, from);
         }
         true
     }
@@ -1233,8 +1224,7 @@ impl<P> Ctx<P> {
         if !self.nodes[accuser.index()].compromised || candidates.is_empty() {
             return None;
         }
-        let p = self.cfg.faults.byzantine.slander_prob;
-        if p <= 0.0 || !self.sim_rng().gen_bool(p.clamp(0.0, 1.0)) {
+        if !self.sim_rng().gen_bool(BYZ_SLANDER_PROB) {
             return None;
         }
         let victim = candidates[self.sim_rng().gen_range(0..candidates.len())];
@@ -1375,16 +1365,12 @@ impl<P> Ctx<P> {
     }
 
     fn sample_jitter(&mut self) -> SimDuration {
-        let max = self.cfg.radio.max_jitter.as_micros();
-        if max == 0 {
-            return SimDuration::ZERO;
-        }
-        let draw = self.sim_rng().gen_range(0..=max);
+        let draw = self.sim_rng().gen_range(0..=MAX_JITTER.as_micros());
         SimDuration::from_micros(draw)
     }
 
     fn charge_tx(&mut self, node: NodeId, account: EnergyAccount) {
-        let model = self.cfg.energy;
+        let model = EnergyModel::PAPER;
         let state = &mut self.nodes[node.index()];
         state.battery = (state.battery - model.tx_joules).max(0.0);
         state.consumed += model.tx_joules;
@@ -1414,7 +1400,7 @@ impl<P> Ctx<P> {
     /// Charges receive energy; invoked by the runner when a frame is
     /// actually received (a receiver that died in flight pays nothing).
     pub(crate) fn charge_rx(&mut self, node: NodeId, account: EnergyAccount) {
-        let model = self.cfg.energy;
+        let model = EnergyModel::PAPER;
         let state = &mut self.nodes[node.index()];
         state.battery = (state.battery - model.rx_joules).max(0.0);
         state.consumed += model.rx_joules;

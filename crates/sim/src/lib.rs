@@ -58,9 +58,8 @@ pub mod traffic;
 mod wheel;
 
 pub use config::{
-    ActuatorPlacement, ByzantineConfig, Engine, FaultConfig, FaultModel, LinkModel, MobilityConfig,
-    MobilityModel, RadioConfig, RoutingStrategy, SensorPlacement, ShardedConfig, SimConfig,
-    TrafficConfig,
+    ActuatorPlacement, ByzantineConfig, Engine, FaultConfig, FaultModel, MobilityConfig,
+    RadioConfig, RoutingStrategy, SensorPlacement, ShardedConfig, SimConfig, TrafficConfig,
 };
 pub use ctx::Ctx;
 pub use energy::{EnergyAccount, EnergyLedger, EnergyModel};

@@ -74,8 +74,6 @@ pub struct NodeState {
     pub waypoint: Point,
     /// Random-waypoint state: current speed, m/s.
     pub speed: f64,
-    /// Gauss-Markov state: current velocity vector, m/s.
-    pub velocity: (f64, f64),
 }
 
 impl NodeState {
@@ -95,7 +93,6 @@ impl NodeState {
             tx_busy_micros: 0,
             waypoint: position,
             speed: 0.0,
-            velocity: (0.0, 0.0),
         }
     }
 

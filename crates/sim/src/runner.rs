@@ -302,14 +302,9 @@ pub(crate) fn build_ctx<Pl>(cfg: SimConfig) -> Ctx<Pl> {
         }
     }
 
-    // Cell side: the largest distance at which any node's radio matters —
-    // the nominal range (physical_neighbors' raw-distance filter) or the
-    // link model's maximum usable distance, whichever is larger — so the
-    // 3×3 grid query can never miss a reachable or linkable pair.
-    let side = nodes
-        .iter()
-        .map(|n| n.range.max(cfg.radio.link.max_usable_distance(n.range)))
-        .fold(0.0, f64::max);
+    // Cell side: the largest radio range (the unit disk's reach), so the
+    // 3×3 grid query can never miss a reachable pair.
+    let side = nodes.iter().map(|n| n.range).fold(0.0, f64::max);
     let grid = crate::grid::SpatialGrid::new(cfg.area, side, nodes.iter().map(|n| n.position));
 
     Ctx::new(cfg, nodes, sensors, actuators, grid, rng, None)
@@ -440,7 +435,8 @@ fn emit_packet<P: Protocol>(
     if !ctx.nodes[node.index()].faulty {
         // Matrix patterns assign each packet a destination sensor by pure
         // hash — engine- and thread-invariant, no RNG draw. A `None` under
-        // a matrix pattern (an incast sink's own slot) emits nothing.
+        // a matrix pattern (a lone sensor has no one to send to) emits
+        // nothing.
         let pattern = ctx.cfg.traffic.pattern;
         let dest = if pattern.is_matrix() {
             let round =
@@ -551,10 +547,7 @@ pub(crate) fn flip_faults(
 }
 
 pub(crate) fn mobility_tick<Pl>(ctx: &mut Ctx<Pl>) {
-    match ctx.cfg.mobility.model {
-        crate::config::MobilityModel::RandomWaypoint => random_waypoint_tick(ctx),
-        crate::config::MobilityModel::GaussMarkov { alpha } => gauss_markov_tick(ctx, alpha),
-    }
+    random_waypoint_tick(ctx);
     let next = ctx.now + ctx.cfg.mobility.tick;
     if next <= ctx.end {
         ctx.push(next, EventKind::MobilityTick);
@@ -589,41 +582,6 @@ fn random_waypoint_tick<Pl>(ctx: &mut Ctx<Pl>) {
         let step = node.speed * dt;
         let next = area.clamp(node.position.step_toward(&node.waypoint, step));
         ctx.move_node(id, next);
-    }
-}
-
-fn gauss_markov_tick<Pl>(ctx: &mut Ctx<Pl>, alpha: f64) {
-    // Velocity AR(1): v' = a*v + (1-a)*mean + sqrt(1-a^2)*noise, with zero
-    // mean velocity and noise scaled to keep speeds near the configured
-    // mean; positions reflect off the area boundary.
-    let dt = ctx.cfg.mobility.tick.as_secs_f64();
-    let area = ctx.cfg.area;
-    let alpha = alpha.clamp(0.0, 1.0);
-    let mean_speed = (ctx.cfg.mobility.min_speed + ctx.cfg.mobility.max_speed) / 2.0;
-    let noise = (1.0 - alpha * alpha).sqrt() * mean_speed;
-    // Index loop for the same borrow reason as `random_waypoint_tick`.
-    for i in 0..ctx.sensors.len() {
-        let id = ctx.sensors[i];
-        let (nx, ny): (f64, f64) = (
-            ctx.rng.gen_range(-1.0..=1.0),
-            ctx.rng.gen_range(-1.0..=1.0),
-        );
-        let node = &mut ctx.nodes[id.index()];
-        let (vx, vy) = node.velocity;
-        let mut vx = alpha * vx + noise * nx;
-        let mut vy = alpha * vy + noise * ny;
-        let mut x = node.position.x + vx * dt;
-        let mut y = node.position.y + vy * dt;
-        if x < 0.0 || x > area.width {
-            vx = -vx;
-            x = x.clamp(0.0, area.width);
-        }
-        if y < 0.0 || y > area.height {
-            vy = -vy;
-            y = y.clamp(0.0, area.height);
-        }
-        node.velocity = (vx, vy);
-        ctx.move_node(id, Point::new(x, y));
     }
 }
 

@@ -38,20 +38,10 @@ pub enum TrafficPattern {
         /// Probability mass directed at the hot set, in `[0, 1]`.
         skew: f64,
     },
-    /// Convergecast: every sensor sends to the single sink sensor
-    /// `sink % n` (the sink itself stays silent).
-    Incast {
-        /// Dense rank of the sink sensor.
-        sink: usize,
-    },
-    /// Rotating neighbor scan: in round `r` sensor `i` sends to sensor
-    /// `(i + 1 + r mod (n-1)) mod n`, never itself. A moving permutation
-    /// that exercises every pair over time with zero instantaneous skew.
-    Scan,
 }
 
 impl TrafficPattern {
-    /// Parses a CLI name (`paper`, `all2all`, `hotspot`, `incast`, `scan`)
+    /// Parses a CLI name (`paper`, `all2all`, `hotspot`)
     /// into a pattern with its default parameters; `None` on unknown names.
     pub fn parse(name: &str) -> Option<TrafficPattern> {
         match name {
@@ -61,8 +51,6 @@ impl TrafficPattern {
                 targets: 8,
                 skew: 0.8,
             }),
-            "incast" => Some(TrafficPattern::Incast { sink: 0 }),
-            "scan" => Some(TrafficPattern::Scan),
             _ => None,
         }
     }
@@ -73,8 +61,6 @@ impl TrafficPattern {
             TrafficPattern::Paper => "paper",
             TrafficPattern::All2All => "all2all",
             TrafficPattern::Hotspot { .. } => "hotspot",
-            TrafficPattern::Incast { .. } => "incast",
-            TrafficPattern::Scan => "scan",
         }
     }
 
@@ -116,8 +102,8 @@ fn uniform_other(h: u64, origin: u64, sensors: u64) -> u64 {
 
 /// The destination *sensor* of one matrix packet, as a dense node id
 /// (sensors occupy ids `0..sensors`), or `None` when the pattern assigns
-/// this packet no destination (the paper trickle, an incast sink's own
-/// traffic, or a population too small to have another sensor).
+/// this packet no destination (the paper trickle, or a population too
+/// small to have another sensor).
 ///
 /// Deterministic in `(pattern, seed, origin, round, packet)` alone.
 pub fn destination(
@@ -147,17 +133,6 @@ pub fn destination(
                 uniform_other(mix(h ^ 1), o, n)
             }
         }
-        TrafficPattern::Incast { sink } => {
-            let s = sink as u64 % n;
-            if s == o {
-                return None;
-            }
-            s
-        }
-        TrafficPattern::Scan => {
-            let offset = 1 + round % (n - 1);
-            (o + offset) % n
-        }
     };
     debug_assert!(dest != o && dest < n);
     Some(NodeId(dest as u32))
@@ -169,7 +144,7 @@ mod tests {
 
     #[test]
     fn parse_round_trips_names() {
-        for name in ["paper", "all2all", "hotspot", "incast", "scan"] {
+        for name in ["paper", "all2all", "hotspot"] {
             let p = TrafficPattern::parse(name).expect("known name");
             assert_eq!(p.name(), name);
         }
@@ -225,37 +200,6 @@ mod tests {
             }
         }
         assert!(hot > total * 7 / 10, "only {hot}/{total} hit the hot set");
-    }
-
-    #[test]
-    fn incast_targets_the_sink_and_silences_it() {
-        let pattern = TrafficPattern::Incast { sink: 3 };
-        assert_eq!(
-            destination(pattern, 1, NodeId(7), 0, 0, 10),
-            Some(NodeId(3))
-        );
-        assert_eq!(destination(pattern, 1, NodeId(3), 0, 0, 10), None);
-    }
-
-    #[test]
-    fn scan_rotates_and_never_selfs() {
-        let n = 5;
-        for round in 0..20u64 {
-            for origin in 0..n {
-                let d = destination(TrafficPattern::Scan, 1, NodeId(origin), round, 0, n as usize)
-                    .expect("some");
-                assert_ne!(d, NodeId(origin));
-            }
-        }
-        // Round 0 sends i -> i+1; round 1 sends i -> i+2.
-        assert_eq!(
-            destination(TrafficPattern::Scan, 1, NodeId(0), 0, 0, 5),
-            Some(NodeId(1))
-        );
-        assert_eq!(
-            destination(TrafficPattern::Scan, 1, NodeId(0), 1, 0, 5),
-            Some(NodeId(2))
-        );
     }
 
     #[test]

@@ -6,7 +6,8 @@ use std::sync::{Arc, Mutex};
 use wsan_sim::flood::FloodProtocol;
 use wsan_sim::trace::{TraceEvent, TraceLog};
 use wsan_sim::{
-    runner, Ctx, DataId, EnergyAccount, Message, NodeId, Protocol, SimConfig, SimDuration,
+    runner, Ctx, DataId, EnergyAccount, EnergyModel, Message, NodeId, Protocol, SimConfig,
+    SimDuration,
 };
 
 fn tiny_cfg() -> SimConfig {
@@ -123,13 +124,14 @@ fn retransmissions_are_charged_to_the_energy_ledger() {
     let (acked, _) = runner::run_owned(cfg.clone(), AckProbe::new(false));
     let attempts = (cfg.radio.max_retries + 1) as f64;
     assert!(
-        (expired.energy_communication_j - attempts * cfg.energy.tx_joules).abs() < 1e-9,
+        (expired.energy_communication_j - attempts * EnergyModel::PAPER.tx_joules).abs() < 1e-9,
         "expired run spent {} J over {} attempts",
         expired.energy_communication_j,
         attempts
     );
     assert!(
-        (acked.energy_communication_j - (cfg.energy.tx_joules + cfg.energy.rx_joules)).abs()
+        (acked.energy_communication_j - (EnergyModel::PAPER.tx_joules + EnergyModel::PAPER.rx_joules))
+            .abs()
             < 1e-9,
         "acked run spent {} J, expected one tx + one rx",
         acked.energy_communication_j

@@ -3,8 +3,8 @@
 
 use wsan_sim::flood::FloodProtocol;
 use wsan_sim::{
-    runner, ActuatorPlacement, Ctx, DataId, EnergyAccount, Message, NodeId, NodeKind, Point,
-    Protocol, SimConfig, SimDuration,
+    runner, ActuatorPlacement, Ctx, DataId, EnergyAccount, EnergyModel, Message, NodeId,
+    NodeKind, Point, Protocol, SimConfig, SimDuration,
 };
 
 fn tiny_cfg() -> SimConfig {
@@ -164,11 +164,11 @@ fn unicast_energy_is_metered_per_packet() {
     // happens at an actuator, which the paper's sensor-energy metric
     // excludes. Frames sent >= deliveries (some sources are out of range).
     assert!(summary.frames_sent > 0);
-    let expected_min = summary.frames_sent as f64 * cfg.energy.tx_joules * 0.1;
+    let expected_min = summary.frames_sent as f64 * EnergyModel::PAPER.tx_joules * 0.1;
     assert!(summary.energy_communication_j >= expected_min);
     assert!(
         (summary.energy_communication_j
-            - summary.frames_sent as f64 * cfg.energy.tx_joules)
+            - summary.frames_sent as f64 * EnergyModel::PAPER.tx_joules)
             .abs()
             < 1e-6,
         "only sensor tx charges should appear: {} vs {} frames",

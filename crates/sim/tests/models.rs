@@ -1,65 +1,41 @@
-//! Tests for the alternative link and mobility models.
+//! Tests for the paper's link and mobility models: the unit disk with
+//! residual per-link loss, and random waypoint.
 
+use wsan_sim::config::in_unit_disk;
 use wsan_sim::flood::FloodProtocol;
-use wsan_sim::{
-    runner, Ctx, DataId, LinkModel, Message, MobilityModel, NodeId, Point, Protocol, SimConfig,
-    SimDuration,
-};
+use wsan_sim::{runner, Ctx, DataId, Message, NodeId, Point, Protocol, SimConfig, SimDuration};
 
 #[test]
 fn unit_disk_probabilities_are_step() {
-    let m = LinkModel::UnitDisk;
-    assert_eq!(m.delivery_prob(99.0, 100.0), 1.0);
-    assert_eq!(m.delivery_prob(100.0, 100.0), 1.0);
-    assert_eq!(m.delivery_prob(100.1, 100.0), 0.0);
-    assert!(m.link_up(100.0, 100.0));
-    assert!(!m.link_up(101.0, 100.0));
+    assert!(in_unit_disk(99.0, 100.0));
+    assert!(in_unit_disk(100.0, 100.0));
+    assert!(!in_unit_disk(100.1, 100.0));
+    assert!(!in_unit_disk(101.0, 100.0));
 }
 
 #[test]
-fn shadowed_probabilities_decay_smoothly() {
-    let m = LinkModel::Shadowed { fade_width: 10.0 };
-    let near = m.delivery_prob(50.0, 100.0);
-    let at = m.delivery_prob(100.0, 100.0);
-    let far = m.delivery_prob(150.0, 100.0);
-    assert!(near > 0.99);
-    assert!((at - 0.5).abs() < 1e-9, "p = 0.5 at the nominal range");
-    assert!(far < 0.01);
-    assert!(m.link_up(99.0, 100.0));
-    assert!(!m.link_up(101.0, 100.0));
-}
-
-#[test]
-fn shadowed_links_lose_some_frames_but_traffic_flows() {
+fn lossy_links_lose_some_frames_but_traffic_flows() {
     let mut cfg = SimConfig::smoke();
-    cfg.radio.link = LinkModel::Shadowed { fade_width: 15.0 };
     cfg.traffic.rate_bps = 40_000.0;
     cfg.warmup = SimDuration::from_secs(10);
     cfg.duration = SimDuration::from_secs(40);
-    let summary = runner::run(cfg, &mut FloodProtocol::new(6));
-    assert!(summary.delivery_ratio > 0.3, "{summary:?}");
+    let clean = runner::run(cfg.clone(), &mut FloodProtocol::new(6));
+    cfg.radio.link_pdr = 0.2;
+    let lossy = runner::run(cfg, &mut FloodProtocol::new(6));
+    assert_ne!(lossy, clean, "a fifth of the frames lost must change the run");
+    assert!(lossy.delivery_ratio > 0.3, "{lossy:?}");
 }
 
-/// Observes positions over time to characterize a mobility model.
+/// Observes positions over time to characterize the mobility model.
 struct Tracker {
-    start: Vec<Point>,
     total_displacement: f64,
-    direction_changes: usize,
     checks: usize,
     last: Vec<Point>,
-    prev_heading: Vec<Option<(f64, f64)>>,
 }
 
 impl Tracker {
     fn new() -> Self {
-        Tracker {
-            start: Vec::new(),
-            total_displacement: 0.0,
-            direction_changes: 0,
-            checks: 0,
-            last: Vec::new(),
-            prev_heading: Vec::new(),
-        }
+        Tracker { total_displacement: 0.0, checks: 0, last: Vec::new() }
     }
 }
 
@@ -69,9 +45,7 @@ impl Protocol for Tracker {
         "Tracker"
     }
     fn on_init(&mut self, ctx: &mut Ctx<()>) {
-        self.start = ctx.sensor_ids().iter().map(|&s| ctx.position(s)).collect();
-        self.last = self.start.clone();
-        self.prev_heading = vec![None; self.start.len()];
+        self.last = ctx.sensor_ids().iter().map(|&s| ctx.position(s)).collect();
         ctx.set_timer(ctx.sensor_ids()[0], SimDuration::from_secs(2), 1);
     }
     fn on_message(&mut self, _: &mut Ctx<()>, _: NodeId, _: Message<()>) {}
@@ -79,19 +53,7 @@ impl Protocol for Tracker {
         self.checks += 1;
         for (i, &s) in ctx.sensor_ids().iter().enumerate() {
             let p = ctx.position(s);
-            let dx = p.x - self.last[i].x;
-            let dy = p.y - self.last[i].y;
-            let step = (dx * dx + dy * dy).sqrt();
-            self.total_displacement += step;
-            if step > 1e-9 {
-                if let Some((hx, hy)) = self.prev_heading[i] {
-                    // Direction change: heading dot product flips sign.
-                    if hx * dx + hy * dy < 0.0 {
-                        self.direction_changes += 1;
-                    }
-                }
-                self.prev_heading[i] = Some((dx, dy));
-            }
+            self.total_displacement += p.distance(&self.last[i]);
             self.last[i] = p;
         }
         if self.checks < 20 {
@@ -103,10 +65,9 @@ impl Protocol for Tracker {
     }
 }
 
-fn track(model: MobilityModel, seed: u64) -> Tracker {
+fn track(seed: u64) -> Tracker {
     let mut cfg = SimConfig::smoke();
     cfg.sensors = 40;
-    cfg.mobility.model = model;
     cfg.mobility.max_speed = 3.0;
     cfg.traffic.sources_per_round = 0;
     cfg.warmup = SimDuration::from_secs(5);
@@ -117,31 +78,10 @@ fn track(model: MobilityModel, seed: u64) -> Tracker {
 }
 
 #[test]
-fn gauss_markov_moves_nodes() {
-    let t = track(MobilityModel::GaussMarkov { alpha: 0.85 }, 4);
+fn waypoint_mobility_moves_nodes() {
+    let t = track(4);
     assert!(t.checks >= 20);
     // 40 nodes, ~40 s of observed motion at ~1.5 m/s mean: substantial
     // total displacement.
     assert!(t.total_displacement > 500.0, "moved {}", t.total_displacement);
-}
-
-#[test]
-fn gauss_markov_turns_more_often_than_waypoint() {
-    // Random waypoint holds a heading for many ticks; Gauss-Markov with
-    // moderate memory wanders.
-    let gm = track(MobilityModel::GaussMarkov { alpha: 0.5 }, 5);
-    let rw = track(MobilityModel::RandomWaypoint, 5);
-    assert!(
-        gm.direction_changes > rw.direction_changes,
-        "gm {} vs rw {}",
-        gm.direction_changes,
-        rw.direction_changes
-    );
-}
-
-#[test]
-fn ballistic_gauss_markov_keeps_heading() {
-    let straight = track(MobilityModel::GaussMarkov { alpha: 1.0 }, 6);
-    let wander = track(MobilityModel::GaussMarkov { alpha: 0.2 }, 6);
-    assert!(straight.direction_changes <= wander.direction_changes);
 }

@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 use wsan_sim::stats::{ci95, mean, std_dev};
 use wsan_sim::{
-    Area, Ctx, DataId, LinkModel, Message, MobilityModel, NodeId, Point, Protocol, SimConfig,
-    SimDuration, SimTime, SpatialGrid,
+    Area, Ctx, DataId, Message, NodeId, Point, Protocol, SimConfig, SimDuration, SimTime,
+    SpatialGrid,
 };
 
 proptest! {
@@ -144,8 +144,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     // The grid index is observationally equivalent to the linear scan for
-    // arbitrary deployments: random node counts, ranges, speeds, mobility
-    // models, link models and fault rotations (alive/dead flips included).
+    // arbitrary deployments: random node counts, ranges, speeds and fault
+    // rotations (alive/dead flips included).
     // One range for every node on a 1000 m square makes the cell side the
     // drawn range — 5×5 to 25×25 cells — so every case runs the grid arm,
     // not the ≤ 3×3 scan fallback (asserted).
@@ -155,8 +155,6 @@ proptest! {
         range in 40.0..180.0f64,
         speed in 0.0..35.0f64,
         faults in 0usize..8,
-        gauss in 0u8..2,
-        shadowed in 0u8..2,
     ) {
         let ticks = 100u64;
         let mut cfg = SimConfig::smoke();
@@ -172,12 +170,6 @@ proptest! {
         cfg.warmup = SimDuration::ZERO;
         cfg.duration = SimDuration::from_secs(ticks);
         cfg.mobility.max_speed = speed;
-        if gauss == 1 {
-            cfg.mobility.model = MobilityModel::GaussMarkov { alpha: 0.5 };
-        }
-        if shadowed == 1 {
-            cfg.radio.link = LinkModel::Shadowed { fade_width: 30.0 };
-        }
         cfg.faults.count = faults.min(sensors / 2);
         cfg.faults.rotation = SimDuration::from_secs(3);
         cfg.traffic.sources_per_round = 1;

@@ -13,9 +13,8 @@ use wsan_sim::flood::{FloodPayload, FloodProtocol};
 use wsan_sim::shard::run_sharded_with_sinks;
 use wsan_sim::trace::{TraceEvent, TraceSink};
 use wsan_sim::{
-    Ctx, DataId, EnergyAccount, Engine, FaultModel, LinkModel, Message, MobilityModel, NodeId,
-    Protocol, RunSummary, ShardableProtocol, ShardedConfig, SimConfig, SimDuration,
-    TrafficPattern,
+    Ctx, DataId, EnergyAccount, Engine, FaultModel, Message, NodeId, Protocol, RunSummary,
+    ShardableProtocol, ShardedConfig, SimConfig, SimDuration, TrafficPattern,
 };
 
 /// Collects the canonical merged trace stream for byte-level comparison.
@@ -28,7 +27,7 @@ impl TraceSink for Collect {
     }
 }
 
-/// GaussMarkov mobility at a 250 ms tick over 30 s of simulated time
+/// Random-waypoint mobility at a 250 ms tick over 30 s of simulated time
 /// (≥ 120 ticks) with a rotating faulty set: every source of cross-shard
 /// coupling — moving nodes, flag rebroadcast, boundary frames — is active.
 fn sharded_cfg(seed: u64, threads: usize) -> SimConfig {
@@ -37,7 +36,6 @@ fn sharded_cfg(seed: u64, threads: usize) -> SimConfig {
     cfg.traffic.rate_bps = 40_000.0;
     cfg.warmup = SimDuration::from_secs(5);
     cfg.duration = SimDuration::from_secs(25);
-    cfg.mobility.model = MobilityModel::GaussMarkov { alpha: 0.75 };
     cfg.mobility.tick = SimDuration::from_millis(250);
     cfg.faults.count = 6;
     cfg.faults.rotation = SimDuration::from_secs(5);
@@ -142,7 +140,7 @@ fn shard_count_defines_the_semantics_but_any_count_delivers() {
 }
 
 /// Unicasts every packet straight to the nearest actuator over the
-/// acknowledged MAC path — under a lossy (shadowed) link, so cross-shard
+/// acknowledged MAC path — under a lossy link, so cross-shard
 /// retransmissions, ACK expiries and duplicate/stale ACKs all occur.
 #[derive(Clone)]
 struct AckedDirect {
@@ -204,7 +202,7 @@ fn acked_traffic_is_thread_invariant_and_stale_acks_are_survivable() {
         let mut cfg = sharded_cfg(5, threads);
         // Lossy links: some ACKs die on the air, their frames retransmit,
         // and the duplicate deliveries produce duplicate (stale) ACKs.
-        cfg.radio.link = LinkModel::Shadowed { fade_width: 60.0 };
+        cfg.radio.link_pdr = 0.2;
         cfg.radio.ack_timeout = SimDuration::from_millis(4);
         cfg
     };
@@ -213,7 +211,7 @@ fn acked_traffic_is_thread_invariant_and_stale_acks_are_survivable() {
     assert_eq!(a.0, b.0, "acknowledged traffic diverged across thread counts");
     assert_eq!(a.1, b.1, "trace stream diverged across thread counts");
     let retried = a.1.iter().any(|ev| matches!(ev, TraceEvent::Retransmit { .. }));
-    assert!(retried, "the shadowed link should force at least one retransmission");
+    assert!(retried, "the lossy link should force at least one retransmission");
 }
 
 /// Sends like [`AckedDirect`] but panics on any receipt — simulating a
