@@ -18,9 +18,8 @@
 //! protocol state once the frames are charged, the same simulation style
 //! used for REFER's construction.
 
-use refer_proto::ProtoCtx;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use wsan_sim::{EnergyAccount, NodeId, SimDuration};
+use wsan_sim::{Ctx, EnergyAccount, NodeId, SimDuration};
 
 /// Size of every baseline's control frames (hellos, tree-build waves,
 /// route requests and replies), bits.
@@ -58,7 +57,7 @@ pub struct Discovery {
 /// transmission range (directional links). Every frame is a
 /// [`CTRL_BITS`] control frame.
 pub fn discover<P: ControlPayload>(
-    ctx: &mut impl ProtoCtx<P>,
+    ctx: &mut Ctx<P>,
     from: NodeId,
     to: NodeId,
     scope: usize,
@@ -134,7 +133,7 @@ pub fn discover<P: ControlPayload>(
 /// serialization time for small control frames.
 const DISCOVERY_BACKOFF: SimDuration = SimDuration::from_millis(25);
 
-fn per_hop_latency<P: Clone + std::fmt::Debug>(ctx: &impl ProtoCtx<P>) -> SimDuration {
+fn per_hop_latency<P: Clone + std::fmt::Debug>(ctx: &Ctx<P>) -> SimDuration {
     ctx.service_time(CTRL_BITS) + DISCOVERY_BACKOFF
 }
 
@@ -142,7 +141,7 @@ fn per_hop_latency<P: Clone + std::fmt::Debug>(ctx: &impl ProtoCtx<P>) -> SimDur
 /// region; with a spatial-reuse factor of ~4, its completion time scales
 /// with the number of broadcasts it took.
 fn contention_latency<P: Clone + std::fmt::Debug>(
-    ctx: &impl ProtoCtx<P>,
+    ctx: &Ctx<P>,
     broadcasts: usize,
 ) -> SimDuration {
     ctx.service_time(CTRL_BITS).mul(broadcasts as u64 / 4)

@@ -13,13 +13,14 @@ use crate::flood::{discover, ControlPayload, FLOOD_SCOPE};
 use kautz::{KautzId, RouteTable};
 use refer::cells::plan_cells;
 use refer::embedding::EmbeddingPlan;
+use refer::roster::Roster;
 use refer::routing::route_choices_indexed;
 use rand::seq::SliceRandom;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use refer_proto::{FailureView, ProtoCtx, SansIo};
+use refer_proto::FailureKnowledge;
 use wsan_sim::{
-    Ctx, DataId, EnergyAccount, FaultModel, HopReason, Message, NodeId, NodeKind, Point, Protocol,
+    Ctx, DataId, EnergyAccount, HopReason, Message, NodeId, NodeKind, Point, Protocol,
     RoutingStrategy,
 };
 
@@ -95,16 +96,6 @@ pub struct OverlayStats {
 
 const MAX_OVERLAY_HOPS: u8 = 16;
 
-/// One overlay cell: corner actuators plus the KID -> node roster and its
-/// dense-index mirror (used by the forwarding hot path so an overlay step
-/// costs two array reads instead of a `BTreeMap` clone + walk).
-#[derive(Debug)]
-struct OvCell {
-    corners: Vec<NodeId>,
-    roster: BTreeMap<KautzId, NodeId>,
-    roster_idx: Vec<Option<NodeId>>,
-}
-
 /// The Kautz-overlay protocol.
 #[derive(Debug)]
 pub struct KautzOverlayProtocol {
@@ -112,9 +103,10 @@ pub struct KautzOverlayProtocol {
     /// Dense Theorem 3.8 tables for the cell graph `K(degree, 3)`, shared
     /// with REFER's routing layer.
     route_table: Arc<RouteTable>,
-    cells: Vec<OvCell>,
-    /// node -> memberships.
-    member_cells: BTreeMap<NodeId, Vec<(usize, KautzId)>>,
+    /// Corner actuators per cell, in KID order.
+    corners: Vec<Vec<NodeId>>,
+    /// Who holds which KID: REFER's roster, filled at random.
+    roster: Roster,
     /// Physical route per overlay arc (from-node, to-node).
     paths: BTreeMap<(NodeId, NodeId), Vec<NodeId>>,
     /// Pending resumptions after a repair: tag -> (node, frame).
@@ -122,11 +114,9 @@ pub struct KautzOverlayProtocol {
     next_pending: u64,
     /// Last flood time per (node, target), for the cooldown.
     last_flood: BTreeMap<(NodeId, NodeId), wsan_sim::SimTime>,
-    /// Whether the run uses [`FaultModel::Discovered`].
-    discovered: bool,
-    /// Failure suspicions learned from unacknowledged frames (`Discovered`
-    /// runs only).
-    view: FailureView,
+    /// The fault oracle, or (`Discovered` and `Byzantine` runs) failure
+    /// suspicions learned from unacknowledged frames.
+    knowledge: FailureKnowledge,
     /// Observable counters.
     pub stats: OverlayStats,
 }
@@ -139,54 +129,25 @@ impl Default for KautzOverlayProtocol {
         );
         KautzOverlayProtocol {
             plan,
+            roster: Roster::new(Arc::clone(&route_table), 0, 0),
             route_table,
-            cells: Vec::new(),
-            member_cells: BTreeMap::new(),
+            corners: Vec::new(),
             paths: BTreeMap::new(),
             pending: BTreeMap::new(),
             next_pending: 0,
             last_flood: BTreeMap::new(),
-            discovered: false,
-            view: FailureView::new(SUSPICION_TTL),
+            knowledge: FailureKnowledge::Oracle,
             stats: OverlayStats::default(),
         }
     }
 }
 
 impl KautzOverlayProtocol {
-
-    fn is_member(&self, node: NodeId) -> bool {
-        self.member_cells.contains_key(&node)
-    }
-
-    /// Whether `a` would pick `b` as a physical next hop: the link oracle
-    /// under [`FaultModel::Oracle`], local knowledge only (geometry + the
-    /// suspicion view) under [`FaultModel::Discovered`].
-    fn usable(&self, ctx: &impl ProtoCtx<OvMsg>, a: NodeId, b: NodeId) -> bool {
-        if self.discovered {
-            a != b
-                && !ctx.self_faulty(a)
-                && !self.view.is_suspected(b, ctx.now())
-                && ctx.in_range(a, b)
-        } else {
-            ctx.link_ok(a, b)
-        }
-    }
-
-    /// Whether `node` is presumed alive in the current mode.
-    fn presumed_alive(&self, ctx: &impl ProtoCtx<OvMsg>, node: NodeId) -> bool {
-        if self.discovered {
-            !self.view.is_suspected(node, ctx.now())
-        } else {
-            !ctx.is_faulty(node)
-        }
-    }
-
     /// Sends a data frame; under `Discovered` it rides the link-layer
     /// ACK/retransmit machinery and failures surface in `on_send_expired`.
     fn send_data(
         &mut self,
-        ctx: &mut impl ProtoCtx<OvMsg>,
+        ctx: &mut Ctx<OvMsg>,
         from: NodeId,
         to: NodeId,
         size: u32,
@@ -195,7 +156,7 @@ impl KautzOverlayProtocol {
     ) -> bool {
         frame.tx += 1;
         ctx.trace_hop(frame.data, from, to, reason);
-        if self.discovered {
+        if self.knowledge.is_local() {
             ctx.send_acked(from, to, size, EnergyAccount::Communication, OvMsg::Data(frame));
             true
         } else {
@@ -203,15 +164,7 @@ impl KautzOverlayProtocol {
         }
     }
 
-    fn kid_in_cell(&self, node: NodeId, cell: usize) -> Option<KautzId> {
-        self.member_cells
-            .get(&node)?
-            .iter()
-            .find(|(c, _)| *c == cell)
-            .map(|(_, k)| *k)
-    }
-
-    fn build_overlay(&mut self, ctx: &mut impl ProtoCtx<OvMsg>) {
+    fn build_overlay(&mut self, ctx: &mut Ctx<OvMsg>) {
         let actuators: Vec<NodeId> = ctx.actuator_ids().to_vec();
         let positions: Vec<Point> = actuators.iter().map(|&a| ctx.position(a)).collect();
         let ids: Vec<u64> = actuators.iter().map(|a| u64::from(a.0)).collect();
@@ -228,34 +181,27 @@ impl KautzOverlayProtocol {
             .into_iter()
             .filter(|k| !self.plan.actuator_kids.contains(k))
             .collect();
-        for cell in &layout.cells {
+        self.roster =
+            Roster::new(Arc::clone(&self.route_table), layout.cells.len(), ctx.node_count());
+        for (idx, cell) in layout.cells.iter().enumerate() {
             let corners: Vec<NodeId> =
                 cell.corners.iter().map(|&i| actuators[i]).collect();
-            let mut roster = BTreeMap::new();
             for (kid, &node) in self.plan.actuator_kids.iter().zip(corners.iter()) {
-                roster.insert(*kid, node);
+                self.roster.assign_kid(idx, *kid, node);
             }
             for kid in &sensor_kids {
                 if let Some(node) = free.pop() {
-                    roster.insert(*kid, node);
+                    self.roster.assign_kid(idx, *kid, node);
                 }
             }
-            let idx = self.cells.len();
-            let mut roster_idx = vec![None; self.route_table.node_count()];
-            for (kid, &node) in &roster {
-                self.member_cells.entry(node).or_default().push((idx, *kid));
-                if let Some(i) = self.route_table.index_of(kid) {
-                    roster_idx[i] = Some(node);
-                }
-            }
-            self.cells.push(OvCell { corners, roster, roster_idx });
+            self.corners.push(corners);
         }
         // Every overlay arc needs a flooding-built physical route.
-        for cell_idx in 0..self.cells.len() {
-            let roster = self.cells[cell_idx].roster.clone();
-            for (kid, &from) in &roster {
+        for cell_idx in 0..self.corners.len() {
+            let roster: Vec<(KautzId, NodeId)> = self.roster.roster_entries(cell_idx).collect();
+            for &(kid, from) in &roster {
                 for succ in kid.successors() {
-                    let Some(&to) = roster.get(&succ) else { continue };
+                    let Some(to) = self.roster.owner_of(cell_idx, &succ) else { continue };
                     if from == to || self.paths.contains_key(&(from, to)) {
                         continue;
                     }
@@ -277,14 +223,14 @@ impl KautzOverlayProtocol {
 
     /// Overlay-level step at member `node`: pick the next overlay hop with
     /// REFER's routing protocol and start walking its physical path.
-    fn overlay_step(&mut self, ctx: &mut impl ProtoCtx<OvMsg>, node: NodeId, mut frame: OvFrame) {
+    fn overlay_step(&mut self, ctx: &mut Ctx<OvMsg>, node: NodeId, mut frame: OvFrame) {
         if frame.hops >= MAX_OVERLAY_HOPS {
             ctx.drop_data(frame.data);
             self.stats.drops += 1;
             return;
         }
         frame.hops += 1;
-        let Some(kid) = self.kid_in_cell(node, frame.cell) else {
+        let Some(kid) = self.roster.kid_in_cell(node, frame.cell) else {
             ctx.drop_data(frame.data);
             self.stats.drops += 1;
             return;
@@ -311,8 +257,9 @@ impl KautzOverlayProtocol {
         let regular_pick = if matches!(ctx.config().routing, RoutingStrategy::Regular) {
             self.route_table.regular_next(at_idx, dest_idx, frame.appended).and_then(
                 |(succ_idx, appended)| {
-                    self.cells[frame.cell].roster_idx[succ_idx]
-                        .filter(|&n| n != node && self.presumed_alive(ctx, n))
+                    self.roster
+                        .owner_at(frame.cell, succ_idx)
+                        .filter(|&n| n != node && self.knowledge.presumed_alive(ctx, n))
                         .map(|n| (n, appended))
                 },
             )
@@ -336,10 +283,9 @@ impl KautzOverlayProtocol {
                     return;
                 }
             };
-            let roster_idx = &self.cells[frame.cell].roster_idx;
             let pick = choices.iter().enumerate().find_map(|(i, c)| {
-                let n = roster_idx[c.successor as usize]?;
-                if n == node || !self.presumed_alive(ctx, n) {
+                let n = self.roster.owner_at(frame.cell, c.successor as usize)?;
+                if n == node || !self.knowledge.presumed_alive(ctx, n) {
                     return None;
                 }
                 Some((i, n, c.forced_digit))
@@ -370,7 +316,7 @@ impl KautzOverlayProtocol {
     }
 
     /// Walks one physical hop of the current overlay path.
-    fn walk(&mut self, ctx: &mut impl ProtoCtx<OvMsg>, node: NodeId, mut frame: OvFrame) {
+    fn walk(&mut self, ctx: &mut Ctx<OvMsg>, node: NodeId, mut frame: OvFrame) {
         if frame.path.get(frame.pos).copied() != Some(node) {
             // The path was replaced while this frame was in flight; find
             // ourselves in it, or rebuild toward the overlay target.
@@ -396,7 +342,7 @@ impl KautzOverlayProtocol {
         let size = ctx
             .data_size_bits(frame.data)
             .unwrap_or(ctx.config().traffic.packet_bits);
-        if self.usable(ctx, node, next) {
+        if self.knowledge.usable(ctx, node, next) {
             frame.pos += 1;
             self.send_data(ctx, node, next, size, frame, HopReason::PathWalk);
             return;
@@ -410,7 +356,7 @@ impl KautzOverlayProtocol {
 
     fn repair_and_resume(
         &mut self,
-        ctx: &mut impl ProtoCtx<OvMsg>,
+        ctx: &mut Ctx<OvMsg>,
         node: NodeId,
         target: NodeId,
         mut frame: OvFrame,
@@ -427,7 +373,7 @@ impl KautzOverlayProtocol {
         frame.repairs += 1;
         // A previously repaired route for this pair may still be usable.
         if let Some(cached) = self.paths.get(&(node, target)) {
-            if cached.len() >= 2 && self.usable(ctx, node, cached[1]) {
+            if cached.len() >= 2 && self.knowledge.usable(ctx, node, cached[1]) {
                 frame.path = cached.clone();
                 frame.pos = 0;
                 self.walk(ctx, node, frame);
@@ -477,35 +423,29 @@ impl KautzOverlayProtocol {
     }
 }
 
-impl SansIo for KautzOverlayProtocol {
+impl Protocol for KautzOverlayProtocol {
     type Payload = OvMsg;
 
     fn name(&self) -> &'static str {
         "Kautz-overlay"
     }
 
-    fn on_init<C: ProtoCtx<OvMsg>>(&mut self, ctx: &mut C) {
+    fn on_init(&mut self, ctx: &mut Ctx<OvMsg>) {
         // Byzantine runs use the discovered machinery too: suspicion from
         // ACK expiry instead of the oracle. The overlay has no suspicion
         // gossip, so compromised nodes hurt it through misrouting, silent
         // drops and forged ACKs alone.
-        self.discovered = matches!(
-            ctx.config().faults.model,
-            FaultModel::Discovered | FaultModel::Byzantine
-        );
-        self.view = FailureView::new(SUSPICION_TTL);
+        self.knowledge = FailureKnowledge::for_model(ctx.config().faults.model, SUSPICION_TTL);
         self.build_overlay(ctx);
     }
 
-    fn on_ack<C: ProtoCtx<OvMsg>>(&mut self, ctx: &mut C, _at: NodeId, peer: NodeId) {
-        if self.discovered {
-            self.view.contact(peer, ctx.now());
-        }
+    fn on_ack(&mut self, ctx: &mut Ctx<OvMsg>, _at: NodeId, peer: NodeId) {
+        self.knowledge.contact(ctx, peer);
     }
 
-    fn on_send_expired<C: ProtoCtx<OvMsg>>(
+    fn on_send_expired(
         &mut self,
-        ctx: &mut C,
+        ctx: &mut Ctx<OvMsg>,
         at: NodeId,
         peer: NodeId,
         payload: OvMsg,
@@ -513,9 +453,7 @@ impl SansIo for KautzOverlayProtocol {
     ) {
         // Every retry toward `peer` went unacknowledged: suspect it and
         // repair the physical path around it, the overlay's usual recovery.
-        if self.discovered && self.view.suspect(peer, ctx.now()) {
-            ctx.record_suspicion(peer);
-        }
+        self.knowledge.suspect(ctx, peer);
         let OvMsg::Data(frame) = payload else {
             return;
         };
@@ -533,30 +471,24 @@ impl SansIo for KautzOverlayProtocol {
         }
     }
 
-    fn on_app_data<C: ProtoCtx<OvMsg>>(&mut self, ctx: &mut C, src: NodeId, data: DataId) {
-        if self.cells.is_empty() {
+    fn on_app_data(&mut self, ctx: &mut Ctx<OvMsg>, src: NodeId, data: DataId) {
+        if self.corners.is_empty() {
             ctx.drop_data(data);
             self.stats.drops += 1;
             return;
         }
-        let access = if self.is_member(src) {
+        let access = if self.roster.is_member(src) {
             Some(src)
         } else {
-            self.member_cells
-                .keys()
-                .copied()
-                .filter(|&m| self.usable(ctx, src, m))
-                .min_by(|&a, &b| {
-                    ctx.distance(src, a).partial_cmp(&ctx.distance(src, b)).expect("finite")
-                })
+            self.roster.nearest_member(ctx, &self.knowledge, src)
         };
         let Some(access) = access else {
             ctx.drop_data(data);
             self.stats.drops += 1;
             return;
         };
-        let (cell, _) = self.member_cells[&access][0];
-        let corners = self.cells[cell].corners.clone();
+        let (cell, _) = self.roster.memberships(access)[0];
+        let corners = &self.corners[cell];
         let nearest = corners
             .iter()
             .enumerate()
@@ -589,16 +521,14 @@ impl SansIo for KautzOverlayProtocol {
         }
     }
 
-    fn on_message<C: ProtoCtx<OvMsg>>(&mut self, ctx: &mut C, at: NodeId, msg: Message<OvMsg>) {
-        if self.discovered {
-            self.view.contact(msg.from, ctx.now());
-        }
+    fn on_message(&mut self, ctx: &mut Ctx<OvMsg>, at: NodeId, msg: Message<OvMsg>) {
+        self.knowledge.contact(ctx, msg.from);
         match msg.payload {
             OvMsg::Ctrl => {}
             OvMsg::Data(frame) => {
                 if frame.path.is_empty() {
                     // Access handoff arriving at the entry member.
-                    if self.is_member(at) {
+                    if self.roster.is_member(at) {
                         self.overlay_step(ctx, at, frame);
                     } else {
                         ctx.drop_data(frame.data);
@@ -611,7 +541,7 @@ impl SansIo for KautzOverlayProtocol {
         }
     }
 
-    fn on_timer<C: ProtoCtx<OvMsg>>(&mut self, ctx: &mut C, at: NodeId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<OvMsg>, at: NodeId, tag: u64) {
         if let Some((node, frame)) = self.pending.remove(&tag) {
             debug_assert_eq!(node, at);
             if ctx.self_faulty(node) {
@@ -621,56 +551,6 @@ impl SansIo for KautzOverlayProtocol {
             }
             self.walk(ctx, node, frame);
         }
-    }
-}
-
-// Simulator shim: one forwarding line per hook (see the identical adapter
-// on `ReferProtocol` for why the orphan rule forces this).
-impl Protocol for KautzOverlayProtocol {
-    type Payload = OvMsg;
-
-    fn name(&self) -> &'static str {
-        SansIo::name(self)
-    }
-
-    fn on_init(&mut self, ctx: &mut Ctx<OvMsg>) {
-        SansIo::on_init(self, ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<OvMsg>, at: NodeId, msg: Message<OvMsg>) {
-        SansIo::on_message(self, ctx, at, msg);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<OvMsg>, at: NodeId, tag: u64) {
-        SansIo::on_timer(self, ctx, at, tag);
-    }
-
-    fn on_app_data(&mut self, ctx: &mut Ctx<OvMsg>, src: NodeId, data: DataId) {
-        SansIo::on_app_data(self, ctx, src, data);
-    }
-
-    fn on_ack(&mut self, ctx: &mut Ctx<OvMsg>, at: NodeId, peer: NodeId) {
-        SansIo::on_ack(self, ctx, at, peer);
-    }
-
-    fn on_send_expired(
-        &mut self,
-        ctx: &mut Ctx<OvMsg>,
-        at: NodeId,
-        peer: NodeId,
-        payload: OvMsg,
-        attempts: u32,
-    ) {
-        SansIo::on_send_expired(self, ctx, at, peer, payload, attempts);
-    }
-
-    fn on_fault_rotation(
-        &mut self,
-        ctx: &mut Ctx<OvMsg>,
-        failed: &[NodeId],
-        recovered: &[NodeId],
-    ) {
-        SansIo::on_fault_rotation(self, ctx, failed, recovered);
     }
 }
 

@@ -3,30 +3,29 @@
 //! The build environment has no access to crates.io, so this crate stands
 //! in for `serde`/`serde_json` where the workspace needs real (de)serial-
 //! ization: the observability subsystem's JSONL trace codec and the
-//! benchmark's result files. It is the one JSON layer under both, in two
-//! tiers:
+//! benchmark's result files. It is the one JSON layer under both:
 //!
 //! * [`json::Writer`] — a streaming encoder into a caller-owned byte
 //!   buffer. The per-event trace path uses it directly, so it builds no
 //!   tree. Number formatting and string escaping live here and nowhere
 //!   else.
-//! * a dynamic [`Value`] tree with [`Serialize`]/[`Deserialize`] traits
-//!   over it, for offline consumers (trace replay, result files) that want
-//!   random access. [`json::to_string`] is [`json::Writer::value`];
-//!   [`json::from_str`] parses through a tokenizer private to [`json`],
-//!   with the nesting cap [`json::MAX_DEPTH`].
+//! * a dynamic [`Value`] tree, for offline consumers (trace replay, result
+//!   files) that want random access. [`json::to_string`] is
+//!   [`json::Writer::value`]; [`json::from_str`] parses through a
+//!   tokenizer private to [`json`], with the nesting cap
+//!   [`json::MAX_DEPTH`].
 //!
-//! It deliberately does **not** provide derive macros. Consumers hand-write
-//! their conversions instead, which keeps the shim to one auditable file
-//! with no dependencies.
+//! It deliberately has no typed `Serialize`/`Deserialize` traits and no
+//! derive macros: consumers convert to and from [`Value`] by hand, which
+//! keeps the shim to one auditable file with no dependencies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;
 
-/// A dynamically typed serialization tree, the meeting point between
-/// [`Serialize`]/[`Deserialize`] impls and the [`json`] text codec.
+/// A dynamically typed serialization tree, what the [`json`] text codec
+/// reads and writes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -142,135 +141,6 @@ impl fmt::Display for Error {
 }
 
 impl std::error::Error for Error {}
-
-/// Types that can render themselves into a [`Value`] tree.
-pub trait Serialize {
-    /// Converts `self` into a serialization tree.
-    fn to_value(&self) -> Value;
-}
-
-/// Types that can be rebuilt from a [`Value`] tree.
-pub trait Deserialize: Sized {
-    /// Rebuilds `Self` from a serialization tree.
-    fn from_value(value: &Value) -> Result<Self, Error>;
-}
-
-macro_rules! impl_uint {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::U64(u64::from(*self))
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, Error> {
-                let raw = value
-                    .as_u64()
-                    .ok_or_else(|| Error::msg(concat!("expected ", stringify!($t))))?;
-                <$t>::try_from(raw).map_err(Error::msg)
-            }
-        }
-    )*};
-}
-impl_uint!(u8, u16, u32, u64);
-
-impl Serialize for usize {
-    fn to_value(&self) -> Value {
-        Value::U64(*self as u64)
-    }
-}
-impl Deserialize for usize {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let raw = value.as_u64().ok_or_else(|| Error::msg("expected usize"))?;
-        usize::try_from(raw).map_err(Error::msg)
-    }
-}
-
-impl Serialize for i64 {
-    fn to_value(&self) -> Value {
-        Value::I64(*self)
-    }
-}
-impl Deserialize for i64 {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value.as_i64().ok_or_else(|| Error::msg("expected i64"))
-    }
-}
-
-impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::F64(*self)
-    }
-}
-impl Deserialize for f64 {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value.as_f64().ok_or_else(|| Error::msg("expected f64"))
-    }
-}
-
-impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
-    }
-}
-impl Deserialize for bool {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value.as_bool().ok_or_else(|| Error::msg("expected bool"))
-    }
-}
-
-impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
-    }
-}
-impl Deserialize for String {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value
-            .as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| Error::msg("expected string"))
-    }
-}
-
-impl Serialize for &str {
-    fn to_value(&self) -> Value {
-        Value::Str((*self).to_owned())
-    }
-}
-
-impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
-    }
-}
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value
-            .as_seq()
-            .ok_or_else(|| Error::msg("expected sequence"))?
-            .iter()
-            .map(T::from_value)
-            .collect()
-    }
-}
-
-impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            Some(inner) => inner.to_value(),
-            None => Value::Null,
-        }
-    }
-}
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-}
 
 /// Compact JSON text codec: a streaming [`Writer`](json::Writer) into a
 /// caller-owned byte buffer, with [`to_string`](json::to_string) /
@@ -925,17 +795,6 @@ mod tests {
         assert_eq!(text, "null");
         let back = json::from_str(&text).expect("parses");
         assert!(back.as_f64().expect("numeric").is_nan());
-    }
-
-    #[test]
-    fn typed_impls_round_trip() {
-        let xs: Vec<u32> = vec![1, 2, 3];
-        assert_eq!(Vec::<u32>::from_value(&xs.to_value()).expect("vec"), xs);
-        let opt: Option<String> = Some("x".to_string());
-        assert_eq!(Option::<String>::from_value(&opt.to_value()).expect("opt"), opt);
-        let none: Option<u64> = None;
-        assert_eq!(Option::<u64>::from_value(&none.to_value()).expect("none"), none);
-        assert!(u8::from_value(&Value::U64(300)).is_err());
     }
 
     #[test]

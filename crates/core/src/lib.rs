@@ -19,6 +19,8 @@
 //!   paths, with the conflict-node forced digit.
 //! * [`tier`] — the CAN-based inter-cell tier.
 //! * [`maintenance`] — duty states and the replacement rule.
+//! * [`roster`] — who holds which KID, per cell and per node; the
+//!   Kautz-overlay baseline keeps its rosters here too.
 //!
 //! ```
 //! use refer::{ReferConfig, ReferProtocol};
@@ -41,6 +43,7 @@ mod config;
 pub mod embedding;
 pub mod maintenance;
 pub mod protocol;
+pub mod roster;
 pub mod routing;
 pub mod tier;
 

@@ -27,13 +27,14 @@ use crate::config::{
 };
 use crate::embedding::EmbeddingPlan;
 use crate::maintenance::{battery_low, link_endangered, select_replacement};
+use crate::roster::Roster;
 use crate::routing::route_choices_indexed;
 use crate::tier::DhtTier;
 use kautz::{KautzId, RouteTable};
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use refer_proto::{AccuseOutcome, FailureView, ProtoCtx, SansIo};
+use refer_proto::{AccuseOutcome, FailureKnowledge, ProtoCtx, SansIo};
 use wsan_sim::{
     Ctx, DataId, DropReason, EnergyAccount, FaultModel, HopReason, Message, NodeId, NodeKind,
     Protocol, RoutingStrategy, SimDuration,
@@ -57,9 +58,6 @@ fn tag(kind: u64, arg: u64) -> u64 {
 fn untag(t: u64) -> (u64, u64) {
     (t >> TAG_SHIFT, t & ((1 << TAG_SHIFT) - 1))
 }
-
-#[cfg(debug_assertions)]
-const SHADOW_MISMATCH: &str = "REFER node rows and their shadow trees disagree";
 
 /// A data frame traveling through REFER.
 #[derive(Debug, Clone)]
@@ -137,29 +135,21 @@ pub enum ReferMsg {
     Data(DataFrame),
 }
 
-/// Per-cell construction and roster state.
+/// Per-cell construction state (the cell's roster is in [`Roster`]).
 #[derive(Debug, Clone)]
 struct CellState {
     /// Corner actuator nodes in KID order (012, 120, 201).
     corners: [NodeId; 3],
-    /// The cell's one roster: current owner by [`kautz::KautzId::to_index`].
-    /// The index is the mixed-radix rank of the digit word, so ascending
-    /// index order is ascending KID order — what a walk of the old
-    /// `BTreeMap<KautzId, NodeId>` visited.
-    roster: Vec<Option<NodeId>>,
     /// Construction finished.
     ready: bool,
 }
 
-/// What one node keeps — the whole of a REFER node's protocol state, and
-/// all of it local: its KID per cell, the members it last heard, the
-/// standby candidates that registered with it. [`ReferProtocol`] holds one
-/// row per node, indexed by [`NodeId::index`].
+/// What one node keeps besides its KIDs (those are in [`Roster`]), all of
+/// it local: the members it last heard, the standby candidates that
+/// registered with it. [`ReferProtocol`] holds one row per node, indexed by
+/// [`NodeId::index`].
 #[derive(Debug, Clone, Default)]
 struct NodeLocal {
-    /// `(cell, KID)` per cell the node is a member of, in assignment
-    /// order; empty for a sleeping sensor.
-    memberships: Vec<(usize, KautzId)>,
     /// Members whose beacons this (non-member) node heard, most recent
     /// first.
     heard: Vec<NodeId>,
@@ -170,18 +160,6 @@ struct NodeLocal {
     last_probe: Option<u64>,
     /// Whether the node's beacon (and maintenance) timers are running.
     beacon_started: bool,
-}
-
-/// The trees [`NodeLocal`] rows and the dense rosters replaced, kept by
-/// debug builds as the reference: every membership test, member scan and
-/// roster lookup asserts that the row and the tree agree — on content and,
-/// where a tree was iterated, on order — so each debug-profile REFER
-/// simulation is a layout ≡ trees proof. Release builds compile it out.
-#[cfg(debug_assertions)]
-#[derive(Debug, Default)]
-struct ShadowTrees {
-    member_cells: BTreeMap<NodeId, Vec<(usize, KautzId)>>,
-    rosters: Vec<BTreeMap<KautzId, NodeId>>,
 }
 
 /// In-flight path query state, held at the collector.
@@ -254,27 +232,21 @@ pub struct ReferProtocol {
     cells: Vec<CellState>,
     /// One row per node, sized at init.
     nodes: Vec<NodeLocal>,
-    /// The nodes with at least one membership, ascending: what every
-    /// "nearest member" scan walks, in the order the ties break in.
-    members: Vec<NodeId>,
-    #[cfg(debug_assertions)]
-    shadow: ShadowTrees,
+    /// Who holds which KID, sized once the cells are planned.
+    roster: Roster,
     queries: BTreeMap<u64, QueryState>,
     forwarded_queries: BTreeSet<(NodeId, u64)>,
     next_qid: u64,
-    /// Whether the run routes on local suspicion instead of the fault
-    /// oracle: `FaultModel::Discovered` or `Byzantine` (set at init).
-    discovered: bool,
     /// Whether the run is `FaultModel::Byzantine` (set at init): enables
     /// suspicion gossip and its reputation-weighted processing. Kept off
     /// under plain `Discovered` so those runs stay byte-identical to
     /// pre-adversary output.
     byzantine: bool,
-    /// Local failure suspicion (ACK timeouts + heartbeat silence) shared
-    /// across members — a stand-in for the per-node suspicion gossip of a
-    /// real deployment. Consulted instead of the fault oracle when
-    /// `discovered` is set.
-    view: FailureView,
+    /// The fault oracle, or (`FaultModel::Discovered` / `Byzantine`, set
+    /// at init) local failure suspicion — ACK timeouts and heartbeat
+    /// silence — shared across members, a stand-in for the per-node
+    /// suspicion gossip of a real deployment.
+    knowledge: FailureKnowledge,
     /// Observable counters.
     pub stats: ReferStats,
     /// Per-cell topology snapshots taken at construction completion.
@@ -291,21 +263,18 @@ impl ReferProtocol {
         ReferProtocol {
             rcfg,
             plan,
+            roster: Roster::new(Arc::clone(&route_table), 0, 0),
             route_table,
             layout: None,
             tier: None,
             actuator_nodes: Vec::new(),
             cells: Vec::new(),
             nodes: Vec::new(),
-            members: Vec::new(),
-            #[cfg(debug_assertions)]
-            shadow: ShadowTrees::default(),
             queries: BTreeMap::new(),
             forwarded_queries: BTreeSet::new(),
             next_qid: 0,
-            discovered: false,
             byzantine: false,
-            view: FailureView::new(SUSPICION_TTL),
+            knowledge: FailureKnowledge::Oracle,
             stats: ReferStats::default(),
             snapshots: Vec::new(),
         }
@@ -319,7 +288,7 @@ impl ReferProtocol {
 
     /// Current KID -> node roster of `cell`, as a map built on demand.
     pub fn roster(&self, cell: usize) -> Option<BTreeMap<KautzId, NodeId>> {
-        (cell < self.cells.len()).then(|| self.roster_entries(cell).collect())
+        (cell < self.cells.len()).then(|| self.roster.roster_entries(cell).collect())
     }
 
     /// The shared dense route table for the cell graph `K(degree, 3)`.
@@ -327,157 +296,8 @@ impl ReferProtocol {
         &self.route_table
     }
 
-    // ----- roster bookkeeping -------------------------------------------
-
-    /// Hands `kid` of `cell` to `node`, evicting the previous holder.
-    fn assign_kid(&mut self, cell: usize, kid: KautzId, node: NodeId) {
-        let Some(idx) = self.route_table.index_of(&kid) else {
-            debug_assert!(false, "{kid} does not label the cell graph");
-            return;
-        };
-        let prev = self.cells[cell].roster[idx].replace(node);
-        #[cfg(debug_assertions)]
-        {
-            if self.shadow.rosters.len() <= cell {
-                self.shadow.rosters.resize_with(cell + 1, BTreeMap::new);
-            }
-            assert_eq!(prev, self.shadow.rosters[cell].insert(kid, node), "{SHADOW_MISMATCH}");
-        }
-        if let Some(prev) = prev {
-            self.remove_membership(prev, cell, &kid);
-        }
-        let row = &mut self.nodes[node.index()];
-        if row.memberships.is_empty() {
-            let at = self.members.binary_search(&node).expect_err("no memberships, so not listed");
-            self.members.insert(at, node);
-        }
-        row.memberships.push((cell, kid));
-        #[cfg(debug_assertions)]
-        self.shadow.member_cells.entry(node).or_default().push((cell, kid));
-    }
-
-    fn remove_membership(&mut self, node: NodeId, cell: usize, kid: &KautzId) {
-        let row = &mut self.nodes[node.index()];
-        if row.memberships.is_empty() {
-            return;
-        }
-        row.memberships.retain(|(c, k)| !(*c == cell && k == kid));
-        if row.memberships.is_empty() {
-            let at = self.members.binary_search(&node).expect("a member is listed");
-            self.members.remove(at);
-        }
-        #[cfg(debug_assertions)]
-        if let Some(ms) = self.shadow.member_cells.get_mut(&node) {
-            ms.retain(|(c, k)| !(*c == cell && k == kid));
-            if ms.is_empty() {
-                self.shadow.member_cells.remove(&node);
-            }
-        }
-    }
-
-    /// `node`'s `(cell, KID)` memberships; empty for a non-member and for
-    /// an id outside the deployment (a peer's frame can name any id).
-    fn memberships(&self, node: NodeId) -> &[(usize, KautzId)] {
-        let found = self.nodes.get(node.index()).map_or(&[][..], |row| &row.memberships);
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            found,
-            self.shadow.member_cells.get(&node).map_or(&[][..], Vec::as_slice),
-            "{SHADOW_MISMATCH}"
-        );
-        found
-    }
-
-    fn is_member(&self, node: NodeId) -> bool {
-        !self.memberships(node).is_empty()
-    }
-
     fn is_assigned_sensor(&self, ctx: &impl ProtoCtx<ReferMsg>, node: NodeId) -> bool {
-        matches!(ctx.kind(node), NodeKind::Sensor) && self.is_member(node)
-    }
-
-    fn kid_in_cell(&self, node: NodeId, cell: usize) -> Option<KautzId> {
-        self.memberships(node).iter().find(|(c, _)| *c == cell).map(|(_, k)| *k)
-    }
-
-    /// Every member, ascending by id.
-    fn members(&self) -> &[NodeId] {
-        #[cfg(debug_assertions)]
-        assert!(self.members.iter().eq(self.shadow.member_cells.keys()), "{SHADOW_MISMATCH}");
-        &self.members
-    }
-
-    /// The member nearest `from` among those `from` would pick as a next
-    /// hop; the lowest id wins a distance tie.
-    fn nearest_member(&self, ctx: &impl ProtoCtx<ReferMsg>, from: NodeId) -> Option<NodeId> {
-        self.members()
-            .iter()
-            .filter(|&&m| self.usable(ctx, from, m))
-            .map(|&m| (ctx.distance(from, m), m))
-            .min_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"))
-            .map(|(_, m)| m)
-    }
-
-    /// Current owner of the KID with dense index `idx` in `cell`.
-    fn owner_at(&self, cell: usize, idx: usize) -> Option<NodeId> {
-        let found = self.cells[cell].roster[idx];
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            found,
-            self.shadow
-                .rosters
-                .get(cell)
-                .and_then(|r| r.get(&self.route_table.id_of(idx)))
-                .copied(),
-            "{SHADOW_MISMATCH}"
-        );
-        found
-    }
-
-    /// Current owner of `kid` in `cell`.
-    fn owner_of(&self, cell: usize, kid: &KautzId) -> Option<NodeId> {
-        self.owner_at(cell, self.route_table.index_of(kid)?)
-    }
-
-    /// `cell`'s roster as `(KID, owner)`, ascending by KID.
-    fn roster_entries(&self, cell: usize) -> impl Iterator<Item = (KautzId, NodeId)> + '_ {
-        let entries = move || {
-            let occupied = self.cells[cell].roster.iter().enumerate();
-            occupied.filter_map(|(idx, owner)| Some((self.route_table.id_of(idx), (*owner)?)))
-        };
-        #[cfg(debug_assertions)]
-        assert!(
-            entries().eq(self.shadow.rosters.get(cell).into_iter().flatten().map(|(k, n)| (*k, *n))),
-            "{SHADOW_MISMATCH}"
-        );
-        entries()
-    }
-
-    // ----- failure knowledge ---------------------------------------------
-
-    /// Whether `a` would pick `b` as a next hop: under the oracle model the
-    /// global link oracle; under `Discovered`, local knowledge only —
-    /// geometry (positions learned from beacons), own health, and the
-    /// suspicion view. The two agree whenever the view is accurate.
-    fn usable(&self, ctx: &impl ProtoCtx<ReferMsg>, a: NodeId, b: NodeId) -> bool {
-        if self.discovered {
-            a != b
-                && !ctx.self_faulty(a)
-                && !self.view.is_suspected(b, ctx.now())
-                && ctx.in_range(a, b)
-        } else {
-            ctx.link_ok(a, b)
-        }
-    }
-
-    /// Whether `node` is presumed alive: the fault oracle under `Oracle`,
-    /// the suspicion view under `Discovered`.
-    fn presumed_alive(&self, ctx: &impl ProtoCtx<ReferMsg>, node: NodeId) -> bool {
-        if self.discovered {
-            !self.view.is_suspected(node, ctx.now())
-        } else {
-            !ctx.is_faulty(node)
-        }
+        matches!(ctx.kind(node), NodeKind::Sensor) && self.roster.is_member(node)
     }
 
     /// Sends a data frame. Under `Discovered` the frame rides the
@@ -495,19 +315,11 @@ impl ReferProtocol {
         reason: HopReason,
     ) -> bool {
         ctx.trace_hop(frame.data, from, to, reason);
-        if self.discovered {
+        if self.knowledge.is_local() {
             ctx.send_acked(from, to, size, EnergyAccount::Communication, ReferMsg::Data(frame));
             true
         } else {
             ctx.send(from, to, size, EnergyAccount::Communication, ReferMsg::Data(frame))
-        }
-    }
-
-    /// Raises a suspicion against `peer`, recording the detection metric
-    /// only for fresh incidents.
-    fn suspect(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, peer: NodeId) {
-        if self.view.suspect(peer, ctx.now()) {
-            ctx.record_suspicion(peer);
         }
     }
 
@@ -563,14 +375,14 @@ impl ReferProtocol {
                     actuator_nodes[cell.corners[1]],
                     actuator_nodes[cell.corners[2]],
                 ];
-                let roster = vec![None; self.route_table.node_count()];
-                CellState { corners, roster, ready: false }
+                CellState { corners, ready: false }
             })
             .collect();
+        self.roster = Roster::new(Arc::clone(&self.route_table), self.cells.len(), ctx.node_count());
         for cell in 0..self.cells.len() {
             let corners = self.cells[cell].corners;
             for (corner, node) in corners.into_iter().enumerate() {
-                self.assign_kid(cell, self.plan.actuator_kids[corner], node);
+                self.roster.assign_kid(cell, self.plan.actuator_kids[corner], node);
             }
         }
         self.tier = Some(DhtTier::build(&layout, &ids, ctx.config().area));
@@ -660,8 +472,8 @@ impl ReferProtocol {
             .collect();
         self.fallback_assign(ctx, cell, &stage1_kids);
         let (Some(s_i), Some(s_j)) = (
-            self.owner_of(cell, &self.plan.stage2.from),
-            self.owner_of(cell, &self.plan.stage2.to),
+            self.roster.owner_of(cell, &self.plan.stage2.from),
+            self.roster.owner_of(cell, &self.plan.stage2.to),
         ) else {
             return;
         };
@@ -697,14 +509,14 @@ impl ReferProtocol {
     fn fallback_assign(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, cell: usize, kids: &[KautzId]) {
         let coordinator = self.cells[cell].corners[0];
         for kid in kids {
-            if self.owner_of(cell, kid).is_some() {
+            if self.roster.owner_of(cell, kid).is_some() {
                 continue;
             }
             let anchors: Vec<wsan_sim::Point> = kid
                 .successors()
                 .into_iter()
                 .chain(kid.predecessors())
-                .filter_map(|n| self.owner_of(cell, &n))
+                .filter_map(|n| self.roster.owner_of(cell, &n))
                 .map(|node| ctx.position(node))
                 .collect();
             let range = ctx.config().sensor_range;
@@ -717,7 +529,7 @@ impl ReferProtocol {
                 .sensor_ids()
                 .iter()
                 .copied()
-                .filter(|&s| self.presumed_alive(ctx, s) && !self.is_member(s))
+                .filter(|&s| self.knowledge.presumed_alive(ctx, s) && !self.roster.is_member(s))
                 .filter(|&s| anchors.iter().all(|p| ctx.position(s).distance(p) <= range))
                 .max_by(|&a, &b| {
                     ctx.battery(a).partial_cmp(&ctx.battery(b)).expect("finite")
@@ -726,7 +538,7 @@ impl ReferProtocol {
                     ctx.sensor_ids()
                         .iter()
                         .copied()
-                        .filter(|&s| self.presumed_alive(ctx, s) && !self.is_member(s))
+                        .filter(|&s| self.knowledge.presumed_alive(ctx, s) && !self.roster.is_member(s))
                         .min_by(|&a, &b| {
                             ctx.position(a)
                                 .distance(&centroid)
@@ -742,7 +554,7 @@ impl ReferProtocol {
                     EnergyAccount::Construction,
                     ReferMsg::Assignment,
                 );
-                self.assign_kid(cell, *kid, node);
+                self.roster.assign_kid(cell, *kid, node);
                 self.stats.fallback_assignments += 1;
             }
         }
@@ -756,6 +568,7 @@ impl ReferProtocol {
         self.snapshots.push(CellSnapshot {
             cell,
             members: self
+                .roster
                 .roster_entries(cell)
                 .map(|(kid, node)| {
                     (kid, node, ctx.position(node), matches!(ctx.kind(node), NodeKind::Actuator))
@@ -768,7 +581,7 @@ impl ReferProtocol {
                 .unwrap_or_default(),
         });
         // Start periodic timers for every member of this cell (once per node).
-        let members: Vec<NodeId> = self.roster_entries(cell).map(|(_, node)| node).collect();
+        let members: Vec<NodeId> = self.roster.roster_entries(cell).map(|(_, node)| node).collect();
         for node in members {
             if !std::mem::replace(&mut self.nodes[node.index()].beacon_started, true) {
                 let stagger = SimDuration::from_micros(ctx.rng().gen_range(0..1_000_000));
@@ -796,7 +609,7 @@ impl ReferProtocol {
             .into_iter()
             .filter(|p| {
                 p.len() == needed
-                    && p.iter().all(|(n, _)| !self.is_member(*n) && self.presumed_alive(ctx, *n))
+                    && p.iter().all(|(n, _)| !self.roster.is_member(*n) && self.knowledge.presumed_alive(ctx, *n))
                     && p[0].0 != p[needed - 1].0
             })
             .max_by(|a, b| {
@@ -815,7 +628,7 @@ impl ReferProtocol {
             .zip(query.interior_kids.iter().cloned())
             .collect();
         for (node, kid) in &assignments {
-            self.assign_kid(cell, *kid, *node);
+            self.roster.assign_kid(cell, *kid, *node);
         }
         // Assignment chain back along the path: collector -> s2 -> s1.
         let last = assignments.len() - 1;
@@ -831,15 +644,15 @@ impl ReferProtocol {
     // ----- steady state ---------------------------------------------------
 
     fn on_beacon_timer(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, node: NodeId) {
-        if !ctx.self_faulty(node) && self.is_member(node) {
+        if !ctx.self_faulty(node) && self.roster.is_member(node) {
             ctx.broadcast(node, CTRL_BITS, EnergyAccount::Communication, ReferMsg::Beacon);
-            if self.byzantine {
+            if let (true, FailureKnowledge::Local(view)) = (self.byzantine, &self.knowledge) {
                 // Suspicion gossip rides the beacon round: honest members
                 // share their genuine suspicion list; a compromised member
                 // may lace it with slander against a healthy Kautz-graph
                 // neighbor (the decision and victim come from the node's
                 // own simulator stream, so it is thread-invariant).
-                let mut accused = self.view.suspected_nodes(ctx.now());
+                let mut accused = view.suspected_nodes(ctx.now());
                 if ctx.self_compromised(node) {
                     let neighbors: Vec<NodeId> = self
                         .kautz_neighbor_owners(node)
@@ -861,7 +674,7 @@ impl ReferProtocol {
                 }
             }
         }
-        if self.is_member(node) {
+        if self.roster.is_member(node) {
             ctx.set_timer(node, BEACON_INTERVAL, tag(KIND_BEACON, 0));
         } else {
             self.nodes[node.index()].beacon_started = false;
@@ -872,9 +685,9 @@ impl ReferProtocol {
     /// Kautz graphs of every cell it belongs to.
     fn kautz_neighbor_owners(&self, node: NodeId) -> Vec<(usize, KautzId, NodeId)> {
         let mut out = Vec::new();
-        for &(cell, kid) in self.memberships(node) {
+        for &(cell, kid) in self.roster.memberships(node) {
             for nk in kid.successors().into_iter().chain(kid.predecessors()) {
-                if let Some(owner) = self.owner_of(cell, &nk).filter(|&owner| owner != node) {
+                if let Some(owner) = self.roster.owner_of(cell, &nk).filter(|&owner| owner != node) {
                     out.push((cell, nk, owner));
                 }
             }
@@ -895,7 +708,7 @@ impl ReferProtocol {
         kid.successors()
             .into_iter()
             .chain(kid.predecessors())
-            .filter_map(|n| self.owner_of(cell, &n))
+            .filter_map(|n| self.roster.owner_of(cell, &n))
             .filter(|&n| n != except)
             .map(|n| ctx.position(n))
             .collect()
@@ -908,9 +721,10 @@ impl ReferProtocol {
         let now = ctx.now();
         for (_, _, owner) in self.kautz_neighbor_owners(node) {
             if matches!(ctx.kind(owner), NodeKind::Sensor)
-                && self.view.stale(owner, now, HEARTBEAT_TIMEOUT)
+                && matches!(&self.knowledge, FailureKnowledge::Local(view)
+                    if view.stale(owner, now, HEARTBEAT_TIMEOUT))
             {
-                self.suspect(ctx, owner);
+                self.knowledge.suspect(ctx, owner);
             }
         }
     }
@@ -926,12 +740,7 @@ impl ReferProtocol {
             if !matches!(ctx.kind(owner), NodeKind::Sensor) {
                 continue;
             }
-            let down = if self.discovered {
-                self.view.is_suspected(owner, ctx.now())
-            } else {
-                ctx.is_faulty(owner)
-            };
-            if !down {
+            if self.knowledge.presumed_alive(ctx, owner) {
                 continue;
             }
             let neighbor_positions = self.neighbor_positions(ctx, cell, &nk, owner);
@@ -942,7 +751,7 @@ impl ReferProtocol {
                 .iter()
                 .chain(&self.nodes[node.index()].candidates)
                 .copied()
-                .filter(|&c| c != owner && self.presumed_alive(ctx, c) && !self.is_member(c))
+                .filter(|&c| c != owner && self.knowledge.presumed_alive(ctx, c) && !self.roster.is_member(c))
                 .collect();
             let scored: Vec<(wsan_sim::Point, f64)> =
                 pool.iter().map(|&c| (ctx.position(c), ctx.battery(c))).collect();
@@ -950,7 +759,7 @@ impl ReferProtocol {
                 continue;
             };
             let replacement = pool[i];
-            if !self.usable(ctx, node, replacement) {
+            if !self.knowledge.usable(ctx, node, replacement) {
                 continue;
             }
             if !ctx.send(
@@ -968,7 +777,7 @@ impl ReferProtocol {
                 EnergyAccount::Communication,
                 ReferMsg::ReplaceNotice,
             );
-            self.assign_kid(cell, nk, replacement);
+            self.roster.assign_kid(cell, nk, replacement);
             self.stats.replacements += 1;
             self.stats.heals += 1;
             ctx.record_handover();
@@ -989,7 +798,7 @@ impl ReferProtocol {
     }
 
     fn on_maintenance_timer(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, node: NodeId) {
-        if !self.is_member(node) {
+        if !self.roster.is_member(node) {
             self.nodes[node.index()].beacon_started = false;
             return;
         }
@@ -997,7 +806,7 @@ impl ReferProtocol {
         if !self.rcfg.maintenance_enabled || ctx.self_faulty(node) {
             return;
         }
-        if self.discovered {
+        if self.knowledge.is_local() {
             self.heartbeat_check(ctx, node);
         }
         self.heal_neighbors(ctx, node);
@@ -1005,7 +814,7 @@ impl ReferProtocol {
             return;
         }
         // A snapshot: a handover below edits the row being walked.
-        let memberships = self.memberships(node).to_vec();
+        let memberships = self.roster.memberships(node).to_vec();
         let range = ctx.config().sensor_range;
         for (cell, kid) in memberships {
             let neighbor_positions = self.neighbor_positions(ctx, cell, &kid, node);
@@ -1022,7 +831,7 @@ impl ReferProtocol {
                 .candidates
                 .iter()
                 .copied()
-                .filter(|&c| self.presumed_alive(ctx, c) && !self.is_member(c))
+                .filter(|&c| self.knowledge.presumed_alive(ctx, c) && !self.roster.is_member(c))
                 .collect();
             let scored: Vec<(wsan_sim::Point, f64)> =
                 pool.iter().map(|&c| (ctx.position(c), ctx.battery(c))).collect();
@@ -1043,8 +852,8 @@ impl ReferProtocol {
                     .copied()
                     .filter(|&c| {
                         c != node
-                            && self.presumed_alive(ctx, c)
-                            && !self.is_member(c)
+                            && self.knowledge.presumed_alive(ctx, c)
+                            && !self.roster.is_member(c)
                             && ctx.in_range(node, c)
                     })
                     .min_by(|&a, &b| {
@@ -1067,8 +876,8 @@ impl ReferProtocol {
                 continue;
             }
             ctx.broadcast(node, CTRL_BITS, EnergyAccount::Communication, ReferMsg::ReplaceNotice);
-            self.remove_membership(node, cell, &kid);
-            self.assign_kid(cell, kid, replacement);
+            self.roster.remove_membership(node, cell, &kid);
+            self.roster.assign_kid(cell, kid, replacement);
             self.stats.replacements += 1;
             ctx.record_handover();
             self.start_member_timers(ctx, replacement);
@@ -1083,7 +892,7 @@ impl ReferProtocol {
             return;
         }
         ctx.set_timer(node, PROBE_INTERVAL, tag(KIND_PROBE, 0));
-        if self.is_member(node) || ctx.self_faulty(node) {
+        if self.roster.is_member(node) || ctx.self_faulty(node) {
             return;
         }
         // Prefer a cached beacon source; fall back to the nearest member
@@ -1092,8 +901,8 @@ impl ReferProtocol {
             .heard
             .iter()
             .copied()
-            .find(|&m| self.is_member(m) && self.usable(ctx, node, m))
-            .or_else(|| self.nearest_member(ctx, node));
+            .find(|&m| self.roster.is_member(m) && self.knowledge.usable(ctx, node, m))
+            .or_else(|| self.roster.nearest_member(ctx, &self.knowledge, node));
         if let Some(m) = target {
             self.nodes[node.index()].last_probe = Some(ctx.now().as_micros());
             ctx.send(node, m, CTRL_BITS, EnergyAccount::Communication, ReferMsg::Probe);
@@ -1136,6 +945,7 @@ impl ReferProtocol {
         // The access member's cell; actuators belong to several — pick the
         // one whose centroid is nearest the source.
         let home_cell = self
+            .roster
             .memberships(access)
             .iter()
             .map(|(c, _)| *c)
@@ -1169,7 +979,7 @@ impl ReferProtocol {
                 .expect("tier built")
                 .owner(CellId(dest_cell as u32));
             let owner_node = self.actuator_nodes[owner];
-            self.kid_in_cell(owner_node, dest_cell)
+            self.roster.kid_in_cell(owner_node, dest_cell)
                 .expect("owner is a corner")
         } else {
             let corners = self.cells[dest_cell].corners;
@@ -1195,7 +1005,7 @@ impl ReferProtocol {
         }
         frame.hops += 1;
         let dest_cell = frame.dest_cell;
-        match self.kid_in_cell(node, dest_cell) {
+        match self.roster.kid_in_cell(node, dest_cell) {
             Some(kid) if kid == frame.dest_kid => {
                 // Arrived.
                 if matches!(ctx.kind(node), NodeKind::Actuator) {
@@ -1231,8 +1041,8 @@ impl ReferProtocol {
         // delay, which could be either a multi-hop path or direct path".
         // When the destination itself is in range and uncongested, the
         // direct path is the lowest-delay choice.
-        if let Some(dest) = self.owner_at(frame.dest_cell, dest_idx) {
-            if self.usable(ctx, node, dest) && !ctx.is_congested(dest) {
+        if let Some(dest) = self.roster.owner_at(frame.dest_cell, dest_idx) {
+            if self.knowledge.usable(ctx, node, dest) && !ctx.is_congested(dest) {
                 let size = ctx
                     .data_size_bits(frame.data)
                     .unwrap_or(ctx.config().traffic.packet_bits);
@@ -1250,9 +1060,9 @@ impl ReferProtocol {
             if let Some((succ_idx, appended)) =
                 self.route_table.regular_next(at_idx, dest_idx, frame.appended)
             {
-                let next = self.owner_at(frame.dest_cell, succ_idx);
+                let next = self.roster.owner_at(frame.dest_cell, succ_idx);
                 if let Some(next) = next.filter(|&n| {
-                    n != node && self.usable(ctx, node, n) && !ctx.is_congested(n)
+                    n != node && self.knowledge.usable(ctx, node, n) && !ctx.is_congested(n)
                 }) {
                     let size = ctx
                         .data_size_bits(frame.data)
@@ -1282,14 +1092,14 @@ impl ReferProtocol {
             .iter()
             .enumerate()
             .find_map(|(idx, c)| {
-                let n = self.owner_at(frame.dest_cell, c.successor as usize)?;
-                (n != node && self.usable(ctx, node, n) && !ctx.is_congested(n))
+                let n = self.roster.owner_at(frame.dest_cell, c.successor as usize)?;
+                (n != node && self.knowledge.usable(ctx, node, n) && !ctx.is_congested(n))
                     .then_some((idx, n, c.forced_digit))
             })
             .or_else(|| {
                 choices.iter().enumerate().find_map(|(idx, c)| {
-                    let n = self.owner_at(frame.dest_cell, c.successor as usize)?;
-                    (n != node && self.usable(ctx, node, n)).then_some((idx, n, c.forced_digit))
+                    let n = self.roster.owner_at(frame.dest_cell, c.successor as usize)?;
+                    (n != node && self.knowledge.usable(ctx, node, n)).then_some((idx, n, c.forced_digit))
                 })
             });
         let Some((idx, next, forced)) = pick else {
@@ -1297,7 +1107,7 @@ impl ReferProtocol {
             // destination itself is directly reachable, skip the broken
             // overlay hop and deliver straight.
             let direct =
-                self.owner_at(frame.dest_cell, dest_idx).filter(|&d| self.usable(ctx, node, d));
+                self.roster.owner_at(frame.dest_cell, dest_idx).filter(|&d| self.knowledge.usable(ctx, node, d));
             if let Some(dest) = direct {
                 let size = ctx
                     .data_size_bits(frame.data)
@@ -1330,7 +1140,7 @@ impl ReferProtocol {
             self.stats.drop_no_successor += 1;
             return;
         };
-        let memberships = self.memberships(node);
+        let memberships = self.roster.memberships(node);
         let Some(&(home_cell, _)) = memberships.first() else {
             ctx.drop_data_reason(frame.data, DropReason::NoRoute);
             self.stats.drop_no_successor += 1;
@@ -1343,11 +1153,11 @@ impl ReferProtocol {
             // frame one Kautz hop closer to its own cell's owner.
             let owner = tier.owner(CellId(home_cell as u32));
             let owner_node = self.actuator_nodes[owner];
-            let Some(owner_kid) = self.kid_in_cell(owner_node, home_cell) else {
+            let Some(owner_kid) = self.roster.kid_in_cell(owner_node, home_cell) else {
                 ctx.drop_data_reason(frame.data, DropReason::NoRoute);
                 return;
             };
-            let my_kid = self.kid_in_cell(node, home_cell).expect("sensor membership");
+            let my_kid = self.roster.kid_in_cell(node, home_cell).expect("sensor membership");
             let (Some(at_idx), Some(owner_idx)) =
                 (self.route_table.index_of(&my_kid), self.route_table.index_of(&owner_kid))
             else {
@@ -1368,8 +1178,8 @@ impl ReferProtocol {
                 }
             };
             let pick = choices.iter().find_map(|c| {
-                self.owner_at(home_cell, c.successor as usize)
-                    .filter(|&n| n != node && self.usable(ctx, node, n))
+                self.roster.owner_at(home_cell, c.successor as usize)
+                    .filter(|&n| n != node && self.knowledge.usable(ctx, node, n))
             });
             let Some(next) = pick else {
                 ctx.drop_data_reason(frame.data, DropReason::NoRoute);
@@ -1404,13 +1214,13 @@ impl ReferProtocol {
             self.forward(ctx, node, frame);
             return;
         }
-        if self.usable(ctx, node, next_owner) {
+        if self.knowledge.usable(ctx, node, next_owner) {
             self.send_data(ctx, node, next_owner, size, frame, HopReason::CellRelay);
             return;
         }
         // Relay through any actuator in range of both.
         let relay = self.actuator_nodes.iter().copied().find(|&r| {
-            r != node && self.usable(ctx, node, r) && ctx.in_range(r, next_owner)
+            r != node && self.knowledge.usable(ctx, node, r) && ctx.in_range(r, next_owner)
         });
         match relay {
             Some(r) => {
@@ -1439,20 +1249,14 @@ impl SansIo for ReferProtocol {
     }
 
     fn on_init<C: ProtoCtx<ReferMsg>>(&mut self, ctx: &mut C) {
-        self.discovered = matches!(
-            ctx.config().faults.model,
-            FaultModel::Discovered | FaultModel::Byzantine
-        );
+        self.knowledge = FailureKnowledge::for_model(ctx.config().faults.model, SUSPICION_TTL);
         self.byzantine = matches!(ctx.config().faults.model, FaultModel::Byzantine);
-        self.view = FailureView::new(SUSPICION_TTL);
         self.nodes = vec![NodeLocal::default(); ctx.node_count()];
         self.start_construction(ctx);
     }
 
     fn on_ack<C: ProtoCtx<ReferMsg>>(&mut self, ctx: &mut C, _at: NodeId, peer: NodeId) {
-        if self.discovered {
-            self.view.contact(peer, ctx.now());
-        }
+        self.knowledge.contact(ctx, peer);
     }
 
     fn on_send_expired<C: ProtoCtx<ReferMsg>>(
@@ -1466,9 +1270,7 @@ impl SansIo for ReferProtocol {
         // All retries toward `peer` went unacknowledged: suspect it and, if
         // the frame carried data, divert around the suspect while the hop
         // budget allows.
-        if self.discovered {
-            self.suspect(ctx, peer);
-        }
+        self.knowledge.suspect(ctx, peer);
         let ReferMsg::Data(frame) = payload else {
             return;
         };
@@ -1477,12 +1279,12 @@ impl SansIo for ReferProtocol {
             return;
         }
         self.stats.expiry_diversions += 1;
-        if self.is_member(at) {
+        if self.roster.is_member(at) {
             self.forward(ctx, at, frame);
         } else {
             // Non-member (source or access relay): re-enter via the nearest
             // member still presumed reachable.
-            match self.nearest_member(ctx, at) {
+            match self.roster.nearest_member(ctx, &self.knowledge, at) {
                 Some(m) => {
                     let size = ctx
                         .data_size_bits(frame.data)
@@ -1504,7 +1306,7 @@ impl SansIo for ReferProtocol {
             return;
         }
         // Find the backbone entry point.
-        let access = if self.is_member(src) {
+        let access = if self.roster.is_member(src) {
             Some(src)
         } else {
             // Prefer the beacon cache; fall back to the nearest live member
@@ -1513,15 +1315,15 @@ impl SansIo for ReferProtocol {
                 .heard
                 .iter()
                 .copied()
-                .find(|&m| self.is_member(m) && self.usable(ctx, src, m));
-            cached.or_else(|| self.nearest_member(ctx, src))
+                .find(|&m| self.roster.is_member(m) && self.knowledge.usable(ctx, src, m));
+            cached.or_else(|| self.roster.nearest_member(ctx, &self.knowledge, src))
         };
         // Two-hop access: no member in range, but a neighbor has one (the
         // neighbor learned it from beacons). Hand the packet to that relay;
         // it enters the backbone on arrival. Under `Discovered` the
         // neighborhood comes from beacon-learned geometry, not the oracle.
         if access.is_none() {
-            let pool: Vec<NodeId> = if self.discovered {
+            let pool: Vec<NodeId> = if self.knowledge.is_local() {
                 ctx.sensor_ids()
                     .iter()
                     .copied()
@@ -1534,15 +1336,17 @@ impl SansIo for ReferProtocol {
                 .into_iter()
                 .filter(|&n| {
                     matches!(ctx.kind(n), NodeKind::Sensor)
-                        && !self.is_member(n)
-                        && self.members().iter().any(|&m| self.usable(ctx, n, m))
+                        && !self.roster.is_member(n)
+                        && self.roster.members().iter().any(|&m| self.knowledge.usable(ctx, n, m))
                 })
                 .min_by(|&a, &b| {
                     ctx.distance(src, a).partial_cmp(&ctx.distance(src, b)).expect("finite")
                 });
             if let Some(relay) = relay {
-                let home =
-                    self.nearest_member(ctx, relay).expect("relay has a member in range");
+                let home = self
+                    .roster
+                    .nearest_member(ctx, &self.knowledge, relay)
+                    .expect("relay has a member in range");
                 let (dest_cell, dest_kid) = self.choose_destination(ctx, src, home, data);
                 let size =
                     ctx.data_size_bits(data).unwrap_or(ctx.config().traffic.packet_bits);
@@ -1563,8 +1367,8 @@ impl SansIo for ReferProtocol {
         let (dest_cell, dest_kid) = self.choose_destination(ctx, src, access, data);
         // Lowest-delay rule at the source too: a sensor standing next to
         // the destination actuator reports directly.
-        if let Some(dest) = self.owner_of(dest_cell, &dest_kid) {
-            if self.usable(ctx, src, dest) && !ctx.is_congested(dest) {
+        if let Some(dest) = self.roster.owner_of(dest_cell, &dest_kid) {
+            if self.knowledge.usable(ctx, src, dest) && !ctx.is_congested(dest) {
                 let size =
                     ctx.data_size_bits(data).unwrap_or(ctx.config().traffic.packet_bits);
                 let frame = DataFrame {
@@ -1593,11 +1397,9 @@ impl SansIo for ReferProtocol {
     }
 
     fn on_message<C: ProtoCtx<ReferMsg>>(&mut self, ctx: &mut C, at: NodeId, msg: Message<ReferMsg>) {
-        if self.discovered {
-            // Any received frame is proof of life: refresh the sender's
-            // heartbeat and clear a standing suspicion.
-            self.view.contact(msg.from, ctx.now());
-        }
+        // Any received frame is proof of life: refresh the sender's
+        // heartbeat and clear a standing suspicion.
+        self.knowledge.contact(ctx, msg.from);
         match msg.payload {
             ReferMsg::Ctrl | ReferMsg::Assignment | ReferMsg::CellReady | ReferMsg::Replace
             | ReferMsg::ReplaceNotice => {
@@ -1651,7 +1453,7 @@ impl SansIo for ReferProtocol {
                 // instruction frame was accepted; nothing further here.
             }
             ReferMsg::Beacon => {
-                if self.is_member(at) {
+                if self.roster.is_member(at) {
                     return;
                 }
                 let row = &mut self.nodes[at.index()];
@@ -1675,12 +1477,12 @@ impl SansIo for ReferProtocol {
                 }
             }
             ReferMsg::Gossip { accused } => {
-                if self.byzantine {
+                if let (true, FailureKnowledge::Local(view)) = (self.byzantine, &mut self.knowledge) {
                     for &suspect in &accused {
                         if suspect == at {
                             continue; // a node knows its own health; no rumor needed
                         }
-                        if self.view.accuse(msg.from, suspect, ctx.now())
+                        if view.accuse(msg.from, suspect, ctx.now())
                             == AccuseOutcome::Suspected
                         {
                             ctx.record_suspicion(suspect);
@@ -1695,12 +1497,12 @@ impl SansIo for ReferProtocol {
                 cands.truncate(8);
             }
             ReferMsg::Data(frame) => {
-                if self.is_member(at) {
+                if self.roster.is_member(at) {
                     self.forward(ctx, at, frame);
                 } else {
                     // Access relay (or a stale handoff): push the frame to
                     // the nearest member in range, or give up.
-                    match self.nearest_member(ctx, at) {
+                    match self.roster.nearest_member(ctx, &self.knowledge, at) {
                         Some(m) => {
                             self.send_data(ctx, at, m, msg.size_bits, frame, HopReason::Access);
                         }
@@ -1792,7 +1594,6 @@ impl Default for ReferProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn timer_tags_round_trip() {
@@ -1809,117 +1610,6 @@ mod tests {
         assert!(p.layout().is_none());
         assert!(p.roster(0).is_none());
         assert_eq!(p.stats.cells_ready, 0);
-    }
-
-    #[test]
-    fn assign_kid_moves_ownership() {
-        let mut p = blank(1, 9);
-        let kid = KautzId::parse("010", 2).expect("valid");
-        p.assign_kid(0, kid, NodeId(7));
-        assert!(p.is_member(NodeId(7)));
-        assert_eq!(p.kid_in_cell(NodeId(7), 0), Some(kid));
-        // Reassignment evicts the previous holder.
-        p.assign_kid(0, kid, NodeId(8));
-        assert!(!p.is_member(NodeId(7)));
-        assert_eq!(p.roster(0).expect("cell").get(&kid), Some(&NodeId(8)));
-        assert_eq!(p.members(), [NodeId(8)]);
-    }
-
-    /// A protocol with `cells` empty cells and `nodes` rows, as `on_init`
-    /// leaves it before any KID is handed out.
-    fn blank(cells: usize, nodes: usize) -> ReferProtocol {
-        let mut p = ReferProtocol::default();
-        for _ in 0..cells {
-            p.cells.push(CellState {
-                corners: [NodeId(0); 3],
-                roster: vec![None; p.route_table.node_count()],
-                ready: false,
-            });
-        }
-        p.nodes = vec![NodeLocal::default(); nodes];
-        p
-    }
-
-    /// The shadow trees must notice a row that answers differently from
-    /// the tree it replaced (here: a membership lost from the row).
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "REFER node rows and their shadow trees disagree")]
-    fn shadow_catches_a_planted_disagreement() {
-        let mut p = blank(1, 4);
-        p.assign_kid(0, KautzId::parse("010", 2).expect("valid"), NodeId(3));
-        p.nodes[3].memberships.clear();
-        p.is_member(NodeId(3));
-    }
-
-    #[test]
-    fn ids_outside_the_deployment_are_not_members() {
-        // A peer's frame can name any id; the trees answered "unknown".
-        let p = blank(1, 4);
-        assert!(!p.is_member(NodeId(4)));
-        assert!(!p.is_member(NodeId(u32::MAX)));
-        assert_eq!(p.kid_in_cell(NodeId(u32::MAX), 0), None);
-    }
-
-    // Random assignment / removal / handover scripts against the trees the
-    // rows replaced, held explicitly so the comparison also runs in release
-    // test builds (where the shadow is compiled out): the member list must
-    // be the membership tree's keys in order, each roster the KID tree's
-    // entries in order, each row the tree's value.
-    proptest! {
-        #[test]
-        fn rows_match_the_trees_they_replaced(
-            script in prop::collection::vec((0u8..3, 0usize..3, 0usize..12, 0u32..10), 0..120)
-        ) {
-            let mut p = blank(3, 10);
-            let mut member_cells: BTreeMap<NodeId, Vec<(usize, KautzId)>> = BTreeMap::new();
-            let mut rosters: Vec<BTreeMap<KautzId, NodeId>> = vec![BTreeMap::new(); 3];
-            let forget = |tree: &mut BTreeMap<NodeId, Vec<(usize, KautzId)>>, node, cell, kid| {
-                if let Some(ms) = tree.get_mut(&node) {
-                    ms.retain(|&(c, k)| (c, k) != (cell, kid));
-                    if ms.is_empty() {
-                        tree.remove(&node);
-                    }
-                }
-            };
-            for (op, cell, idx, node) in script {
-                let (kid, node) = (p.route_table.id_of(idx), NodeId(node));
-                match op {
-                    // Assignment (and healing: the previous holder is evicted).
-                    0 => {
-                        p.assign_kid(cell, kid, node);
-                        if let Some(prev) = rosters[cell].insert(kid, node) {
-                            forget(&mut member_cells, prev, cell, kid);
-                        }
-                        member_cells.entry(node).or_default().push((cell, kid));
-                    }
-                    1 => {
-                        p.remove_membership(node, cell, &kid);
-                        forget(&mut member_cells, node, cell, kid);
-                    }
-                    // Handover: the current holder resigns, then hands on.
-                    _ => {
-                        if let Some(&holder) = rosters[cell].get(&kid) {
-                            p.remove_membership(holder, cell, &kid);
-                            forget(&mut member_cells, holder, cell, kid);
-                            p.assign_kid(cell, kid, node);
-                            rosters[cell].insert(kid, node);
-                            member_cells.entry(node).or_default().push((cell, kid));
-                        }
-                    }
-                }
-                prop_assert!(p.members().iter().eq(member_cells.keys()));
-            }
-            for (cell, tree) in rosters.iter().enumerate() {
-                prop_assert_eq!(&p.roster(cell).expect("cell"), tree);
-                prop_assert!(p.roster_entries(cell).eq(tree.iter().map(|(k, n)| (*k, *n))));
-            }
-            for node in (0..10).map(NodeId) {
-                let expected = member_cells.get(&node).map_or(&[][..], Vec::as_slice);
-                prop_assert_eq!(p.memberships(node), expected);
-                prop_assert_eq!(p.is_member(node), !expected.is_empty());
-            }
-        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ USAGE:
     refer-node run --node ID [scenario flags] [--trace FILE]
                    [--base-port P] [--epoch-micros T]
     refer-node cluster [scenario flags] [--out DIR] [--json FILE]
-                       [--base-port P] [--tolerance F]
+                       [--base-port P]
 
 Scenario flags (must match across every process of one cluster):
     --seed S            scenario seed            [default: 1]
@@ -54,9 +54,12 @@ Scenario flags (must match across every process of one cluster):
 
 `cluster` spawns sensors + 3 actuator processes, waits for them, merges
 their traces, prints the sim-predicted vs. measured comparison, and
-exits 1 when |measured - predicted| delivery exceeds the tolerance
-(default 0.10).
+exits 1 when |measured - predicted| delivery exceeds 0.10.
 ";
+
+/// How far the cluster's measured delivery ratio may stray from the
+/// simulator's prediction for the same topology and seed.
+const DELIVERY_TOLERANCE: f64 = 0.10;
 
 fn usage(err: &str) -> ExitCode {
     eprintln!("error: {err}\n\n{USAGE}");
@@ -597,7 +600,6 @@ fn cmd_cluster(args: impl Iterator<Item = String>) -> ExitCode {
     let mut base_port: u16 = 45700;
     let mut out_dir = PathBuf::from("cluster-traces");
     let mut json_path: Option<PathBuf> = None;
-    let mut tolerance = 0.10;
 
     let mut it = args;
     while let Some(a) = it.next() {
@@ -613,13 +615,6 @@ fn cmd_cluster(args: impl Iterator<Item = String>) -> ExitCode {
             }),
             "--out" => value("out").map(|v| out_dir = PathBuf::from(v)),
             "--json" => value("json").map(|v| json_path = Some(PathBuf::from(v))),
-            "--tolerance" => value("tolerance").and_then(|v| match v.parse::<f64>() {
-                Ok(t) if t.is_finite() && t >= 0.0 => {
-                    tolerance = t;
-                    Ok(())
-                }
-                _ => Err(format!("--tolerance needs a non-negative number, got {v}")),
-            }),
             other => Err(format!("unknown flag {other:?}")),
         };
         if let Err(e) = r {
@@ -776,15 +771,17 @@ fn cmd_cluster(args: impl Iterator<Item = String>) -> ExitCode {
         return ExitCode::FAILURE;
     }
     let divergence = (measured.delivery - sim.delivery).abs();
-    if divergence > tolerance {
+    if divergence > DELIVERY_TOLERANCE {
         eprintln!(
             "cluster: FAILED — measured delivery {:.4} diverges from predicted {:.4} \
-             by {divergence:.4} (> {tolerance})",
+             by {divergence:.4} (> {DELIVERY_TOLERANCE})",
             measured.delivery, sim.delivery
         );
         return ExitCode::FAILURE;
     }
-    println!("cluster: PASSED — delivery divergence {divergence:.4} within tolerance {tolerance}");
+    println!(
+        "cluster: PASSED — delivery divergence {divergence:.4} within tolerance {DELIVERY_TOLERANCE}"
+    );
     ExitCode::SUCCESS
 }
 

@@ -71,6 +71,9 @@ pub struct PacketRecord {
     pub hops: Vec<HopRecord>,
     /// How the story ended.
     pub outcome: Outcome,
+    /// `Delivered` events folded for the packet: more than one means it
+    /// was delivered twice.
+    pub deliveries: u32,
 }
 
 impl PacketRecord {
@@ -83,6 +86,7 @@ impl PacketRecord {
             measured: false,
             hops: Vec::new(),
             outcome: Outcome::InFlight,
+            deliveries: 0,
         }
     }
 
@@ -245,7 +249,10 @@ impl PacketLedger {
         self.records.entry(packet.0).or_insert_with(|| PacketRecord::new(packet))
     }
 
-    /// Folds one event into the ledger.
+    /// Folds one event into the ledger. A `Dropped` never replaces a
+    /// `Delivered` — the simulator traces nothing after a delivery, and
+    /// merged live files fold in file order, not time order, so a drop
+    /// folded later may well have happened earlier.
     pub fn fold(&mut self, event: TraceEvent) {
         match event {
             TraceEvent::PacketOrigin { at, packet, origin, measured } => {
@@ -261,10 +268,15 @@ impl PacketLedger {
                 self.entry(packet).hops.push(HopRecord { at, from, to, reason, queue_s });
             }
             TraceEvent::Delivered { at, packet, node, delay_s, hops } => {
-                self.entry(packet).outcome = Outcome::Delivered { at, node, delay_s, hops };
+                let rec = self.entry(packet);
+                rec.deliveries += 1;
+                rec.outcome = Outcome::Delivered { at, node, delay_s, hops };
             }
             TraceEvent::Dropped { at, packet, reason } => {
-                self.entry(packet).outcome = Outcome::Dropped { at, reason };
+                let rec = self.entry(packet);
+                if !matches!(rec.outcome, Outcome::Delivered { .. }) {
+                    rec.outcome = Outcome::Dropped { at, reason };
+                }
             }
             _ => {}
         }

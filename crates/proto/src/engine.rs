@@ -369,7 +369,7 @@ impl<P: Clone + Debug> ProtoCtx<P> for IoCtx<P> {
     }
     fn service_time(&self, size_bits: u32) -> SimDuration {
         SimDuration::from_secs_f64(f64::from(size_bits) / self.world.cfg.radio.bitrate_bps)
-            + self.world.cfg.radio.mac_overhead
+            + wsan_sim::config::MAC_OVERHEAD
     }
     fn send(
         &mut self,

@@ -20,8 +20,10 @@
 //! back. Everything here is deterministic and derives only from
 //! information a deployed node could really have.
 
+use crate::ProtoCtx;
 use std::collections::BTreeMap;
-use wsan_sim::{NodeId, SimDuration, SimTime};
+use std::fmt::Debug;
+use wsan_sim::{FaultModel, NodeId, SimDuration, SimTime};
 
 /// Weighted accusation mass at which rumor alone creates a suspicion: a
 /// single full-weight accuser can never evict on their own.
@@ -207,6 +209,82 @@ impl FailureView {
         self.last_contact.clear();
         self.accusations.clear();
         self.accuser_weights.clear();
+    }
+}
+
+/// A protocol's failure-knowledge policy, fixed by the run's
+/// [`FaultModel`]: the simulator's oracles, or local knowledge only. Every
+/// "is this peer up?" decision of a protocol goes through one of these, so
+/// the rule lives here and nowhere else.
+#[derive(Debug)]
+pub enum FailureKnowledge {
+    /// [`FaultModel::Oracle`]: the link and fault oracles answer (and the
+    /// simulator counts each consultation).
+    Oracle,
+    /// [`FaultModel::Discovered`] and [`FaultModel::Byzantine`]: geometry,
+    /// the node's own health, and this suspicion view.
+    Local(FailureView),
+}
+
+impl FailureKnowledge {
+    /// The policy `model` prescribes; a local view forgets suspicions after
+    /// `ttl`.
+    pub fn for_model(model: FaultModel, ttl: SimDuration) -> Self {
+        match model {
+            FaultModel::Oracle => FailureKnowledge::Oracle,
+            FaultModel::Discovered | FaultModel::Byzantine => {
+                FailureKnowledge::Local(FailureView::new(ttl))
+            }
+        }
+    }
+
+    /// Whether the policy is local knowledge (frames then ride the
+    /// link-layer ACK machinery, and failures surface as expiries).
+    pub fn is_local(&self) -> bool {
+        matches!(self, FailureKnowledge::Local(_))
+    }
+
+    /// Whether `a` would pick `b` as a next hop: the link oracle, or local
+    /// knowledge only — `a`'s own health, the suspicion view and geometry.
+    /// The two agree whenever the view is accurate.
+    pub fn usable<P: Clone + Debug>(&self, ctx: &impl ProtoCtx<P>, a: NodeId, b: NodeId) -> bool {
+        match self {
+            FailureKnowledge::Oracle => ctx.link_ok(a, b),
+            FailureKnowledge::Local(view) => {
+                a != b
+                    && !ctx.self_faulty(a)
+                    && !view.is_suspected(b, ctx.now())
+                    && ctx.in_range(a, b)
+            }
+        }
+    }
+
+    /// Whether `node` is presumed alive: the fault oracle, or the
+    /// suspicion view.
+    pub fn presumed_alive<P: Clone + Debug>(&self, ctx: &impl ProtoCtx<P>, node: NodeId) -> bool {
+        match self {
+            FailureKnowledge::Oracle => !ctx.is_faulty(node),
+            FailureKnowledge::Local(view) => !view.is_suspected(node, ctx.now()),
+        }
+    }
+
+    /// Raises a suspicion against `peer` (an ACK timeout, a missed
+    /// heartbeat), recording the detection metric only for a fresh
+    /// incident. The oracle needs no suspicions: a no-op.
+    pub fn suspect<P: Clone + Debug>(&mut self, ctx: &mut impl ProtoCtx<P>, peer: NodeId) {
+        if let FailureKnowledge::Local(view) = self {
+            if view.suspect(peer, ctx.now()) {
+                ctx.record_suspicion(peer);
+            }
+        }
+    }
+
+    /// Evidence that `peer` is alive right now (an ACK, any received
+    /// frame). A no-op under the oracle.
+    pub fn contact<P: Clone + Debug>(&mut self, ctx: &impl ProtoCtx<P>, peer: NodeId) {
+        if let FailureKnowledge::Local(view) = self {
+            view.contact(peer, ctx.now());
+        }
     }
 }
 

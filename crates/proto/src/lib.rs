@@ -1,11 +1,11 @@
 //! # refer-proto — the sans-io protocol layer of the REFER reproduction
 //!
-//! The protocol implementations in this workspace (REFER itself, the
-//! Kautz overlay baseline) are pure state machines: they react to frames,
-//! timers and application packets, and they act only through a narrow
-//! driver surface — send a frame, arm a timer, report a delivery. This
-//! crate names that surface so the *same* protocol code can run under two
-//! very different drivers with zero duplicated logic:
+//! The protocol implementation written against this crate (REFER only) is
+//! a pure state machine: it reacts to frames, timers and application
+//! packets, and it acts only through a narrow driver surface — send a
+//! frame, arm a timer, report a delivery. This crate names that surface so
+//! the *same* protocol code can run under two very different drivers with
+//! zero duplicated logic:
 //!
 //! * the discrete-event simulator ([`wsan_sim::Ctx`] implements
 //!   [`ProtoCtx`] directly, so simulator behavior — and its traces — are
@@ -16,8 +16,9 @@
 //!
 //! Protocols implement [`SansIo`] (the generic-driver twin of
 //! [`wsan_sim::Protocol`]); drivers implement [`ProtoCtx`]. The crate
-//! also hosts [`FailureView`], the failure-suspicion/reputation state
-//! protocols embed — plain data, no I/O, equally at home in either
+//! also hosts [`FailureKnowledge`], the one oracle-or-local failure policy
+//! every protocol asks "is this peer up?", and the [`FailureView`] its
+//! local variant holds — plain data, no I/O, equally at home in either
 //! driver.
 //!
 //! Determinism rules (the contract both drivers honor):
@@ -34,7 +35,7 @@ mod engine;
 pub mod failure;
 
 pub use engine::{EngineCore, Input, IoCtx, Output, PacketMeta, WorldView};
-pub use failure::{AccuseOutcome, FailureView, ACCUSATION_THRESHOLD, MIN_WEIGHT, WEIGHT_DECAY};
+pub use failure::{AccuseOutcome, FailureKnowledge, FailureView, ACCUSATION_THRESHOLD, MIN_WEIGHT, WEIGHT_DECAY};
 
 use rand::rngs::StdRng;
 use std::fmt::Debug;

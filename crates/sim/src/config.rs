@@ -252,29 +252,38 @@ pub struct ShardedConfig {
     /// every value is capped at the shard count.
     pub threads: usize,
     /// Synchronization window length, microseconds. Must not exceed the
-    /// minimum cross-node event latency (`radio.mac_overhead`) or the
+    /// minimum cross-node event latency ([`MAC_OVERHEAD`]) or the
     /// conservative lookahead argument breaks — validated at run start.
-    /// 0 uses `mac_overhead` itself, the largest safe window.
+    /// 0 uses [`MAC_OVERHEAD`] itself, the largest safe window.
     pub window_micros: u64,
 }
 
 /// Upper bound of the uniform random contention jitter per hop.
 pub const MAX_JITTER: SimDuration = SimDuration::from_micros(1_500);
 
+/// Fixed per-frame MAC overhead added to the service time. Every
+/// cross-node event lands at least this far ahead, so it is also the
+/// sharded engine's lookahead.
+pub const MAC_OVERHEAD: SimDuration = SimDuration::from_micros(500);
+
+/// Maximum radio backlog: a frame offered to a node whose transmit queue
+/// already exceeds this horizon is tail-dropped (bounded MAC buffers). The
+/// sender is not notified — the loss is silent, as with a real
+/// interface-queue overflow.
+pub const MAX_QUEUE: SimDuration = SimDuration::from_millis(1_500);
+
 /// Packets count toward QoS throughput only if delivered within this
 /// deadline (Section IV: 0.6 s).
 pub const QOS_DEADLINE: SimDuration = SimDuration::from_millis(600);
 
-/// Radio/MAC timing model: per-hop service time plus a uniformly random
-/// contention jitter of at most [`MAX_JITTER`]. Transmissions queue
-/// behind the sender's (and the receiver's) earlier traffic, which is
-/// what congests hot relays.
+/// Radio/MAC timing model: per-hop service time (with [`MAC_OVERHEAD`])
+/// plus a uniformly random contention jitter of at most [`MAX_JITTER`].
+/// Transmissions queue behind the sender's (and the receiver's) earlier
+/// traffic, up to [`MAX_QUEUE`], which is what congests hot relays.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RadioConfig {
     /// Channel bitrate, bits/second (802.11b default: 11 Mb/s).
     pub bitrate_bps: f64,
-    /// Fixed per-frame MAC overhead added to the service time.
-    pub mac_overhead: SimDuration,
     /// Receiver occupancy, on (any positive value) or off (zero); the
     /// magnitude is not read. On, a frame reserves its *receiver*'s radio
     /// from the moment it is queued at the sender until it arrives, so a
@@ -284,11 +293,6 @@ pub struct RadioConfig {
     /// 4–8 (EXPERIMENTS.md). Serial engine only: the sharded engine models
     /// no receiver occupancy and ignores this field (DESIGN.md §13).
     pub receiver_occupancy: f64,
-    /// Maximum radio backlog: a frame offered to a node whose transmit
-    /// queue already exceeds this horizon is tail-dropped (bounded MAC
-    /// buffers). The sender is not notified — the loss is silent, as with
-    /// a real interface-queue overflow.
-    pub max_queue: SimDuration,
     /// Residual per-link packet-drop rate in `[0, 1]`: every frame
     /// (unicast, ACK, broadcast leg) is additionally lost with this
     /// probability, independent of distance and of any attacker. Lossy
@@ -313,9 +317,7 @@ impl Default for RadioConfig {
     fn default() -> Self {
         RadioConfig {
             bitrate_bps: 11_000_000.0,
-            mac_overhead: SimDuration::from_micros(500),
             receiver_occupancy: 1.0,
-            max_queue: SimDuration::from_millis(1_500),
             link_pdr: 0.0,
             ack_timeout: SimDuration::from_millis(10),
             max_retries: 3,
@@ -478,17 +480,11 @@ impl SimConfig {
             // Incompatible-knob rejections name the offending field and the
             // supported fallback so a failed run is actionable from the
             // panic message alone (wording pinned by tests below).
-            let lookahead = self.radio.mac_overhead.as_micros();
-            assert!(
-                lookahead > 0,
-                "`engine = Engine::Sharded` requires `radio.mac_overhead` > 0 us (it is \
-                 the conservative cross-shard lookahead); raise `radio.mac_overhead` or \
-                 fall back to `engine = Engine::Serial`"
-            );
+            let lookahead = MAC_OVERHEAD.as_micros();
             assert!(
                 sharded.window_micros <= lookahead,
                 "`engine.window_micros` ({} us) exceeds the minimum cross-node event \
-                 latency `radio.mac_overhead` ({} us); lower `engine.window_micros` to \
+                 latency `MAC_OVERHEAD` ({} us); lower `engine.window_micros` to \
                  at most {} or fall back to `engine = Engine::Serial`",
                 sharded.window_micros,
                 lookahead,
@@ -629,14 +625,7 @@ mod tests {
         assert!(msg.contains("fall back to `engine = Engine::Serial`"), "fallback missing: {msg}");
 
         let mut cfg = SimConfig::smoke();
-        cfg.engine = Engine::Sharded(ShardedConfig::default());
-        cfg.radio.mac_overhead = SimDuration::ZERO;
-        let msg = message(cfg);
-        assert!(msg.contains("`radio.mac_overhead`"), "field missing: {msg}");
-        assert!(msg.contains("fall back to `engine = Engine::Serial`"), "fallback missing: {msg}");
-
-        let mut cfg = SimConfig::smoke();
-        let too_wide = cfg.radio.mac_overhead.as_micros() + 1;
+        let too_wide = MAC_OVERHEAD.as_micros() + 1;
         cfg.engine =
             Engine::Sharded(ShardedConfig { shards: 0, threads: 1, window_micros: too_wide });
         let msg = message(cfg);

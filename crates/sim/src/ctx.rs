@@ -2,7 +2,8 @@
 
 use crate::acks::AckTable;
 use crate::config::{
-    SimConfig, BYZ_DROP_PROB, BYZ_MISROUTE_PROB, BYZ_SLANDER_PROB, MAX_JITTER, QOS_DEADLINE,
+    SimConfig, BYZ_DROP_PROB, BYZ_MISROUTE_PROB, BYZ_SLANDER_PROB, MAC_OVERHEAD, MAX_JITTER,
+    MAX_QUEUE, QOS_DEADLINE,
 };
 use crate::energy::{EnergyAccount, EnergyModel};
 use crate::geometry::Point;
@@ -742,7 +743,7 @@ impl<P> Ctx<P> {
         account: EnergyAccount,
         payload: P,
     ) -> bool {
-        if !self.unbounded_queue && self.queue_delay(from) > self.cfg.radio.max_queue {
+        if !self.unbounded_queue && self.queue_delay(from) > MAX_QUEUE {
             // Interface-queue overflow: the frame is tail-dropped before
             // transmission. The sender's MAC accepted it, so the caller
             // sees success — the loss is silent, costs no energy, and the
@@ -836,7 +837,7 @@ impl<P> Ctx<P> {
         // believes the hop it meant succeeded when an ACK comes back.
         let to = self.byz_misroute(from, to);
         let timeout = self.ack_wait(attempt);
-        if !self.unbounded_queue && self.queue_delay(from) > self.cfg.radio.max_queue {
+        if !self.unbounded_queue && self.queue_delay(from) > MAX_QUEUE {
             // Interface-queue overflow: this attempt is tail-dropped before
             // transmission, but the ACK timeout still runs so the retry
             // re-offers the frame once the queue (hopefully) drains.
@@ -905,7 +906,7 @@ impl<P> Ctx<P> {
         if !received {
             return;
         }
-        let arrival = self.now + self.cfg.radio.mac_overhead + self.sample_jitter();
+        let arrival = self.now + MAC_OVERHEAD + self.sample_jitter();
         self.push(arrival, EventKind::AckArrive { id });
     }
 
@@ -922,7 +923,7 @@ impl<P> Ctx<P> {
     where
         P: Clone,
     {
-        if !self.unbounded_queue && self.queue_delay(from) > self.cfg.radio.max_queue {
+        if !self.unbounded_queue && self.queue_delay(from) > MAX_QUEUE {
             self.metrics.frames_queue_dropped += 1;
             return 0;
         }
@@ -1361,7 +1362,7 @@ impl<P> Ctx<P> {
     /// plus fixed MAC overhead.
     pub fn service_time(&self, size_bits: u32) -> SimDuration {
         let ser = SimDuration::from_secs_f64(f64::from(size_bits) / self.cfg.radio.bitrate_bps);
-        ser + self.cfg.radio.mac_overhead
+        ser + MAC_OVERHEAD
     }
 
     fn sample_jitter(&mut self) -> SimDuration {

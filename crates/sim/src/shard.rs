@@ -12,7 +12,7 @@
 //! pending ACKs, data records for packets they originated, radio busy
 //! horizons and energy meters.
 //!
-//! Execution proceeds in **windows** of at most `W = radio.mac_overhead`
+//! Execution proceeds in **windows** of at most `W = MAC_OVERHEAD`
 //! microseconds. Within a window every shard processes its own heap
 //! independently, on whichever thread holds its stripe; events destined
 //! for another shard's nodes accumulate in per-destination outboxes and
@@ -20,8 +20,8 @@
 //! (Chandy–Misra-style) synchronization with `W` as the lookahead:
 //!
 //! * every cross-node event the simulator schedules — a frame delivery
-//!   (`service ≥ mac_overhead`), a link-layer ACK (`mac_overhead +
-//!   jitter`) — lands at least `mac_overhead ≥ W` after the moment it is
+//!   (`service ≥ MAC_OVERHEAD`), a link-layer ACK (`MAC_OVERHEAD +
+//!   jitter`) — lands at least `MAC_OVERHEAD ≥ W` after the moment it is
 //!   sent, so an event emitted inside window `[t0, t1)` always fires at or
 //!   after `t1`: no shard can ever receive an event for a time it has
 //!   already simulated past;
@@ -93,7 +93,7 @@
 //! has no receiver-occupancy model (see `Ctx::bump_receiver`), so a
 //! figure must state which engine drew it.
 
-use crate::config::{Engine, ShardedConfig, SimConfig};
+use crate::config::{Engine, ShardedConfig, SimConfig, MAC_OVERHEAD};
 use crate::ctx::{Ctx, EventKind, Scheduled};
 use crate::metrics::RunSummary;
 use crate::node::NodeId;
@@ -309,7 +309,7 @@ where
         Engine::Serial => ShardedConfig::default(),
     };
     let window = if scfg.window_micros == 0 {
-        master.cfg.radio.mac_overhead.as_micros()
+        MAC_OVERHEAD.as_micros()
     } else {
         scfg.window_micros
     };

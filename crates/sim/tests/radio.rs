@@ -1,6 +1,7 @@
 //! Radio/MAC model tests: service time, broadcast semantics, interface
 //! queue tail-drop and congestion detection.
 
+use wsan_sim::config::MAX_QUEUE;
 use wsan_sim::{
     runner, ActuatorPlacement, Ctx, DataId, EnergyAccount, Message, NodeId, Point, Protocol,
     SensorPlacement, SimConfig, SimDuration,
@@ -52,8 +53,7 @@ impl Protocol for RadioProbe {
         for i in 0..10_000u32 {
             ctx.send(s, a, 8_000, EnergyAccount::Communication, i);
         }
-        let max_queue = ctx.config().radio.max_queue;
-        self.queue_drop_worked = ctx.queue_delay(s) <= max_queue + ctx.service_time(8_000);
+        self.queue_drop_worked = ctx.queue_delay(s) <= MAX_QUEUE + ctx.service_time(8_000);
         self.congested_after_burst = ctx.is_congested(s);
     }
     fn on_app_data(&mut self, ctx: &mut Ctx<u32>, _: NodeId, data: DataId) {
