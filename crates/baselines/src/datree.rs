@@ -68,11 +68,6 @@ pub struct DaTreeProtocol {
 }
 
 impl DaTreeProtocol {
-    /// The current parent of `sensor`, if attached.
-    pub fn parent_of(&self, sensor: NodeId) -> Option<NodeId> {
-        self.parent.get(&sensor).copied()
-    }
-
     /// Multi-source BFS tree build: every sensor joins the first wave that
     /// reaches it; one construction broadcast per expanding node.
     fn build_trees(&mut self, ctx: &mut Ctx<DaTreeMsg>) {

@@ -55,7 +55,7 @@ pub struct Discovery {
 ///
 /// The BFS expands alive nodes only and uses each expander's own
 /// transmission range (directional links). Every frame is a
-/// [`CTRL_BITS`] control frame.
+/// `CTRL_BITS` control frame.
 pub fn discover<P: ControlPayload>(
     ctx: &mut Ctx<P>,
     from: NodeId,

@@ -58,7 +58,7 @@ pub fn run_system(cfg: &SimConfig, system: System) -> RunSummary {
 
 /// [`run_system`] with streaming trace sinks attached for the run; the
 /// sinks come back flushed (see
-/// [`runner::run_with_sinks`](wsan_sim::runner::run_with_sinks)).
+/// [`runner::run_with_sinks`]).
 pub fn run_system_with_sinks(
     cfg: &SimConfig,
     system: System,
@@ -367,7 +367,7 @@ fn point_config(sweep: Sweep, scale: f64, flags: &ScenarioFlags, x: f64) -> SimC
 
 /// Runs a full sweep: every x value, every column, every seed.
 ///
-/// Each point runs its [`point_config`] scenario. The columns are the four
+/// Each point runs its `point_config` scenario. The columns are the four
 /// [`SYSTEMS`]; a [`Sweep::Load`] point instead runs REFER once per
 /// [`LOAD_ROUTINGS`] strategy, which overrides the flags' routing.
 ///

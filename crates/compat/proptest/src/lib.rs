@@ -1,7 +1,7 @@
 //! Offline drop-in subset of the `proptest` API.
 //!
 //! The build environment has no access to crates.io, so the workspace
-//! vendors the slice of `proptest` its test suites use: the [`Strategy`]
+//! vendors the slice of `proptest` its test suites use: the [`Strategy`](strategy::Strategy)
 //! trait with range/tuple/vec/map/union strategies, the `proptest!`,
 //! `prop_assert*`, `prop_assume!` and `prop_oneof!` macros, and a
 //! deterministic test runner.

@@ -1,5 +1,4 @@
-//! Topology maintenance (Section III-B4): duty states and the node
-//! replacement rule.
+//! Topology maintenance (Section III-B4): the node replacement rule.
 //!
 //! REFER keeps most sensors asleep. Sleeping nodes periodically wake and
 //! probe nearby Kautz members to register as *candidates*; a candidate must
@@ -9,17 +8,6 @@
 //! threshold, it hands its KID to one of its candidates.
 
 use wsan_sim::Point;
-
-/// The functional state of a sensor (Section III-B4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DutyState {
-    /// A Kautz member: holds a KID, forwards traffic.
-    Active,
-    /// A registered replacement candidate for one or more members.
-    Wait,
-    /// Dormant; wakes periodically to probe.
-    Sleep,
-}
 
 /// Whether a candidate at `candidate` could take over a member whose
 /// Kautz-graph neighbors sit at `neighbor_positions`: it must be able to

@@ -9,7 +9,7 @@
 //! visited — and every scan below visits entries in the order the trees
 //! it replaced did.
 //!
-//! Debug builds carry those trees ([`ShadowTrees`]) as the reference:
+//! Debug builds carry those trees (`ShadowTrees`) as the reference:
 //! every membership test, member scan and roster lookup asserts that the
 //! rows and the trees agree — on content and, where a tree was iterated,
 //! on order — so each debug-profile simulation of either protocol is a

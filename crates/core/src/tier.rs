@@ -12,14 +12,13 @@ use wsan_sim::Area;
 #[derive(Debug, Clone)]
 pub struct DhtTier {
     can: CanNetwork,
-    members: Vec<CanId>,
     coords: Vec<Coord>,
     owners: Vec<usize>,
 }
 
 impl DhtTier {
     /// Builds the tier from a cell layout: cells join the CAN in CID order
-    /// at their normalized centroids.
+    /// at their normalized centroids, so cell `i` is CAN member `i`.
     ///
     /// # Panics
     ///
@@ -27,15 +26,11 @@ impl DhtTier {
     pub fn build(layout: &CellLayout, actuator_ids: &[u64], area: Area) -> Self {
         assert!(!layout.cells.is_empty(), "cannot build a tier over zero cells");
         let mut can = CanNetwork::new();
-        let mut members = Vec::with_capacity(layout.cells.len());
         let mut coords = Vec::with_capacity(layout.cells.len());
         let mut owners = Vec::with_capacity(layout.cells.len());
         for cell in &layout.cells {
             let coord = Coord::new(cell.centroid.x / area.width, cell.centroid.y / area.height);
-            let member = can
-                .join(coord)
-                .expect("cell centroids are distinct enough to split zones");
-            members.push(member);
+            can.join(coord).expect("cell centroids are distinct enough to split zones");
             coords.push(coord);
             let owner = cell
                 .corners
@@ -45,17 +40,17 @@ impl DhtTier {
                 .expect("three corners");
             owners.push(owner);
         }
-        DhtTier { can, members, coords, owners }
+        DhtTier { can, coords, owners }
     }
 
     /// Number of cells in the tier.
     pub fn len(&self) -> usize {
-        self.members.len()
+        self.can.len()
     }
 
     /// Whether the tier is empty (never true for a built tier).
     pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+        self.can.is_empty()
     }
 
     /// The actuator (index into the layout's actuator list) that speaks for
@@ -77,21 +72,9 @@ impl DhtTier {
         if from == to {
             return Some(vec![from]);
         }
-        let start = *self.members.get(from.index())?;
-        let end = *self.members.get(to.index())?;
-        let path = self.can.route_to_member(start, end)?;
-        Some(
-            path.into_iter()
-                .map(|member| {
-                    let idx = self
-                        .members
-                        .iter()
-                        .position(|&m| m == member)
-                        .expect("every CAN member is a cell");
-                    CellId(idx as u32)
-                })
-                .collect(),
-        )
+        let member = |cell: CellId| CanId(u64::from(cell.0));
+        let path = self.can.route_to_member(member(from), member(to))?;
+        Some(path.into_iter().map(|member| CellId(member.0 as u32)).collect())
     }
 
     /// The underlying CAN (e.g. for invariant checks in tests).

@@ -1,11 +1,10 @@
-//! Error types for CAN membership operations.
+//! The error a CAN join can return.
 
-use crate::network::CanId;
 use crate::space::Zone;
 use std::error::Error;
 use std::fmt;
 
-/// Error produced by [`CanNetwork`](crate::CanNetwork) membership changes.
+/// Error produced by [`CanNetwork::join`](crate::CanNetwork::join).
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum CanError {
@@ -15,13 +14,6 @@ pub enum CanError {
         /// The unsplittable zone.
         zone: Zone,
     },
-    /// The member is not part of the network.
-    UnknownNode {
-        /// The offending identifier.
-        id: CanId,
-    },
-    /// The last member cannot leave: the coordinate space must stay owned.
-    LastNode,
 }
 
 impl fmt::Display for CanError {
@@ -30,8 +22,6 @@ impl fmt::Display for CanError {
             CanError::ZoneTooSmall { zone } => {
                 write!(f, "zone {zone} is too small to split")
             }
-            CanError::UnknownNode { id } => write!(f, "unknown CAN member {id}"),
-            CanError::LastNode => write!(f, "the last CAN member cannot leave"),
         }
     }
 }

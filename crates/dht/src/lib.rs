@@ -2,8 +2,10 @@
 //!
 //! A from-scratch implementation of the CAN structured overlay (Ratnasamy
 //! et al., SIGCOMM 2001) over the 2-dimensional unit square: zone
-//! partitioning with halving splits, join/leave with merge-or-takeover, CAN
-//! neighbor sets and greedy coordinate routing.
+//! partitioning with halving splits on join, CAN neighbor sets and greedy
+//! coordinate routing. Members only join: REFER builds its tier once, and
+//! the reproduction's actuators never fail (the paper's fault sweeps fail
+//! sensors only), so each member owns exactly one zone.
 //!
 //! REFER (Li & Shen, ICDCS 2012, Section III-B3) builds its upper tier by
 //! placing every actuator into a CAN keyed by cell ID: "REFER builds

@@ -1,9 +1,8 @@
-//! The CAN network: membership (join / leave with zone takeover), neighbor
-//! sets, and greedy coordinate routing.
+//! The CAN network: membership by join, neighbor sets, and greedy
+//! coordinate routing.
 
 use crate::error::CanError;
 use crate::space::{Coord, Zone};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of a CAN member node.
@@ -16,37 +15,16 @@ impl fmt::Display for CanId {
     }
 }
 
-/// One CAN member: the zones it owns (more than one after takeovers) and
-/// its current neighbor set.
+/// One CAN member: the zone it owns and its current neighbor set.
 #[derive(Debug, Clone)]
 pub struct CanNode {
-    /// The coordinate the member joined at. Always inside one of `zones`
-    /// (the join protocol assigns halves so owners keep their own point).
+    /// The coordinate the member joined at. Usually inside `zone`; see
+    /// [`CanNetwork::join`] for when it is not.
     pub coord: Coord,
-    /// Zones currently owned. Non-empty.
-    pub zones: Vec<Zone>,
-    /// Members owning zones adjacent to any of this node's zones.
+    /// The zone this member owns.
+    pub zone: Zone,
+    /// Members owning zones adjacent to this node's zone.
     pub neighbors: Vec<CanId>,
-}
-
-impl CanNode {
-    /// Whether any owned zone contains `c`.
-    pub fn owns(&self, c: &Coord) -> bool {
-        self.zones.iter().any(|z| z.contains(c))
-    }
-
-    /// Distance from the closest owned zone to `c`.
-    pub fn distance_to(&self, c: &Coord) -> f64 {
-        self.zones
-            .iter()
-            .map(|z| z.distance_to(c))
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Total owned area.
-    pub fn area(&self) -> f64 {
-        self.zones.iter().map(Zone::area).sum()
-    }
 }
 
 /// A Content-Addressable Network over the unit square.
@@ -54,7 +32,8 @@ impl CanNode {
 /// This is a *logical* structure: it tracks who owns which zone and who
 /// neighbors whom, exactly as the distributed protocol would converge to.
 /// REFER drives it with actuator CIDs; the simulator charges energy for the
-/// messages separately.
+/// messages separately. Members only join, so each owns exactly one zone
+/// and member `CanId(i)` is the `i`-th successful join.
 ///
 /// # Examples
 ///
@@ -69,8 +48,8 @@ impl CanNode {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CanNetwork {
-    nodes: BTreeMap<CanId, CanNode>,
-    next_id: u64,
+    /// Members, indexed by `CanId.0`.
+    nodes: Vec<CanNode>,
 }
 
 impl CanNetwork {
@@ -89,124 +68,62 @@ impl CanNetwork {
         self.nodes.is_empty()
     }
 
-    /// Iterates over members and their state.
+    /// Iterates over members and their state, in ascending id order.
     pub fn nodes(&self) -> impl Iterator<Item = (CanId, &CanNode)> {
-        self.nodes.iter().map(|(&id, n)| (id, n))
+        self.nodes.iter().enumerate().map(|(i, n)| (CanId(i as u64), n))
     }
 
     /// The member state for `id`.
     pub fn node(&self, id: CanId) -> Option<&CanNode> {
-        self.nodes.get(&id)
+        self.nodes.get(usize::try_from(id.0).ok()?)
     }
 
     /// The member whose zone contains `c`.
     pub fn owner_of(&self, c: &Coord) -> Option<CanId> {
-        self.nodes.iter().find(|(_, n)| n.owns(c)).map(|(&id, _)| id)
+        self.nodes().find(|(_, n)| n.zone.contains(c)).map(|(id, _)| id)
     }
 
-    /// Joins a new member at coordinate `c`: the current owner's zone
-    /// containing `c` is split in half and one half handed over (the CAN
-    /// join protocol). The first join takes the whole space.
+    /// Joins a new member at coordinate `c`: the current owner's zone is
+    /// split in half and one half handed over (the CAN join protocol). The
+    /// first join takes the whole space.
     ///
     /// # Errors
     ///
     /// Returns [`CanError::ZoneTooSmall`] if the zone containing `c` has
     /// been split below the resolution floor (guards pathological inputs).
+    /// A refused join changes nothing: the next join gets the id this one
+    /// would have had.
     pub fn join(&mut self, c: Coord) -> Result<CanId, CanError> {
-        let id = CanId(self.next_id);
-        self.next_id += 1;
+        let id = CanId(self.nodes.len() as u64);
         if self.nodes.is_empty() {
-            self.nodes.insert(
-                id,
-                CanNode { coord: c, zones: vec![Zone::UNIT], neighbors: Vec::new() },
-            );
+            self.nodes.push(CanNode { coord: c, zone: Zone::UNIT, neighbors: Vec::new() });
             return Ok(id);
         }
         let owner = self.owner_of(&c).expect("zones tile the space");
-        let owner_coord = self.nodes[&owner].coord;
-        let owner_node = self.nodes.get_mut(&owner).expect("owner exists");
-        let zone_idx = owner_node
-            .zones
-            .iter()
-            .position(|z| z.contains(&c))
-            .expect("owner owns c");
-        let zone = owner_node.zones[zone_idx];
+        let owner = &mut self.nodes[owner.0 as usize];
+        let zone = owner.zone;
         if zone.area() < 1e-12 {
             return Err(CanError::ZoneTooSmall { zone });
         }
         let (half_a, half_b) = zone.split();
-        // Preserve the invariant that every member's own coordinate stays
-        // inside its zones: the owner keeps the half containing its
-        // coordinate; the joiner takes the other. When the owner's
-        // coordinate is not in this zone at all (a takeover zone), the
-        // joiner takes the half containing *its* coordinate.
-        let owner_keeps_a = if half_a.contains(&owner_coord) {
+        // The owner keeps the half containing its own coordinate and the
+        // joiner takes the other, even when that other half misses the
+        // joiner's coordinate (both points fell in one half). Such a joiner
+        // later owns a zone without its coordinate; when that zone splits,
+        // the joiner there takes the half containing *its* coordinate.
+        let owner_keeps_a = if half_a.contains(&owner.coord) {
             true
-        } else if half_b.contains(&owner_coord) {
+        } else if half_b.contains(&owner.coord) {
             false
         } else {
             !half_a.contains(&c)
         };
         let (kept, given) =
             if owner_keeps_a { (half_a, half_b) } else { (half_b, half_a) };
-        owner_node.zones[zone_idx] = kept;
-        self.nodes.insert(id, CanNode { coord: c, zones: vec![given], neighbors: Vec::new() });
+        owner.zone = kept;
+        self.nodes.push(CanNode { coord: c, zone: given, neighbors: Vec::new() });
         self.rebuild_neighbors();
         Ok(id)
-    }
-
-    /// Removes a member. Its zones are taken over by, for each zone, the
-    /// neighbor that can merge with it into a rectangle if one exists,
-    /// otherwise the smallest-area adjacent member (CAN's takeover rule).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CanError::UnknownNode`] for a non-member and
-    /// [`CanError::LastNode`] when removing the only member (the space must
-    /// stay owned).
-    pub fn leave(&mut self, id: CanId) -> Result<(), CanError> {
-        if !self.nodes.contains_key(&id) {
-            return Err(CanError::UnknownNode { id });
-        }
-        if self.nodes.len() == 1 {
-            return Err(CanError::LastNode);
-        }
-        let leaving = self.nodes.remove(&id).expect("checked above");
-        for zone in leaving.zones {
-            // Prefer a perfect merge partner.
-            let merge_partner = self
-                .nodes
-                .iter()
-                .find_map(|(&other, n)| {
-                    n.zones
-                        .iter()
-                        .position(|z| z.merges_with(&zone).is_some())
-                        .map(|zi| (other, zi))
-                });
-            if let Some((other, zi)) = merge_partner {
-                let n = self.nodes.get_mut(&other).expect("exists");
-                let merged = n.zones[zi].merges_with(&zone).expect("found above");
-                n.zones[zi] = merged;
-                continue;
-            }
-            // Otherwise the smallest adjacent member babysits the zone.
-            let taker = self
-                .nodes
-                .iter()
-                .filter(|(_, n)| n.zones.iter().any(|z| z.is_neighbor(&zone)))
-                .min_by(|(_, a), (_, b)| {
-                    a.area().partial_cmp(&b.area()).expect("finite areas")
-                })
-                .map(|(&other, _)| other)
-                .expect("the remaining zones tile the space, so one abuts");
-            self.nodes
-                .get_mut(&taker)
-                .expect("exists")
-                .zones
-                .push(zone);
-        }
-        self.rebuild_neighbors();
-        Ok(())
     }
 
     /// Greedy CAN routing from member `from` toward coordinate `target`:
@@ -215,15 +132,14 @@ impl CanNetwork {
     /// is not a member or the route stalls (cannot happen while zones tile
     /// the space, but the API stays total).
     pub fn route(&self, from: CanId, target: &Coord) -> Option<Vec<CanId>> {
-        self.route_until(from, target, |id| self.nodes[&id].owns(target))
+        self.route_until(from, target, |id| self.nodes[id.0 as usize].zone.contains(target))
     }
 
     /// Routes from member `from` to member `to`, targeting the center of
-    /// `to`'s first zone (always inside `to`'s territory). This is the
-    /// inter-cell primitive REFER uses: the destination is a *member*
-    /// (cell), not an abstract coordinate.
+    /// `to`'s zone. This is the inter-cell primitive REFER uses: the
+    /// destination is a *member* (cell), not an abstract coordinate.
     pub fn route_to_member(&self, from: CanId, to: CanId) -> Option<Vec<CanId>> {
-        let target = self.nodes.get(&to)?.zones.first()?.center();
+        let target = self.node(to)?.zone.center();
         self.route_until(from, &target, |id| id == to)
     }
 
@@ -236,24 +152,18 @@ impl CanNetwork {
         done: impl Fn(CanId) -> bool,
     ) -> Option<Vec<CanId>> {
         let mut at = from;
-        self.nodes.get(&at)?;
+        self.node(at)?;
         let mut path = vec![at];
-        let mut visited = std::collections::BTreeSet::new();
-        visited.insert(at);
         while !done(at) {
-            let next = self.nodes[&at]
+            let distance = |id: CanId| self.nodes[id.0 as usize].zone.distance_to(target);
+            at = self.nodes[at.0 as usize]
                 .neighbors
                 .iter()
                 .copied()
-                .filter(|n| !visited.contains(n))
+                .filter(|n| !path.contains(n))
                 .min_by(|&a, &b| {
-                    self.nodes[&a]
-                        .distance_to(target)
-                        .partial_cmp(&self.nodes[&b].distance_to(target))
-                        .expect("finite distances")
+                    distance(a).partial_cmp(&distance(b)).expect("finite distances")
                 })?;
-            at = next;
-            visited.insert(at);
             path.push(at);
         }
         Some(path)
@@ -262,27 +172,14 @@ impl CanNetwork {
     /// Recomputes every member's neighbor set from zone adjacency. The
     /// distributed protocol maintains these incrementally through UPDATE
     /// messages; the logical structure recomputes for simplicity (member
-    /// counts here are small — REFER runs one member per actuator).
+    /// counts here are small — REFER runs one member per cell).
     fn rebuild_neighbors(&mut self) {
-        let ids: Vec<CanId> = self.nodes.keys().copied().collect();
-        let mut sets: BTreeMap<CanId, Vec<CanId>> = BTreeMap::new();
-        for &a in &ids {
-            let mut ns = Vec::new();
-            for &b in &ids {
-                if a == b {
-                    continue;
-                }
-                let adjacent = self.nodes[&a].zones.iter().any(|za| {
-                    self.nodes[&b].zones.iter().any(|zb| za.is_neighbor(zb))
-                });
-                if adjacent {
-                    ns.push(b);
-                }
-            }
-            sets.insert(a, ns);
-        }
-        for (id, ns) in sets {
-            self.nodes.get_mut(&id).expect("exists").neighbors = ns;
+        let zones: Vec<Zone> = self.nodes.iter().map(|n| n.zone).collect();
+        for (a, node) in self.nodes.iter_mut().enumerate() {
+            node.neighbors = (0..zones.len())
+                .filter(|&b| b != a && zones[a].is_neighbor(&zones[b]))
+                .map(|b| CanId(b as u64))
+                .collect();
         }
     }
 
@@ -290,20 +187,16 @@ impl CanNetwork {
     /// (areas sum to 1 and no two zones overlap) and neighbor sets are
     /// symmetric. Used by tests; cheap enough to call in debug assertions.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let total: f64 = self.nodes.values().map(CanNode::area).sum();
         if self.is_empty() {
             return Ok(());
         }
+        let total: f64 = self.nodes.iter().map(|n| n.zone.area()).sum();
         if (total - 1.0).abs() > 1e-9 {
             return Err(format!("zone areas sum to {total}, not 1"));
         }
-        let zones: Vec<(CanId, Zone)> = self
-            .nodes
-            .iter()
-            .flat_map(|(&id, n)| n.zones.iter().map(move |&z| (id, z)))
-            .collect();
-        for (i, (ida, za)) in zones.iter().enumerate() {
-            for (idb, zb) in &zones[i + 1..] {
+        for (ida, a) in self.nodes() {
+            for (idb, b) in self.nodes().skip(ida.0 as usize + 1) {
+                let (za, zb) = (a.zone, b.zone);
                 let x_overlap = (za.hi_x.min(zb.hi_x) - za.lo_x.max(zb.lo_x)).max(0.0);
                 let y_overlap = (za.hi_y.min(zb.hi_y) - za.lo_y.max(zb.lo_y)).max(0.0);
                 if x_overlap > 1e-12 && y_overlap > 1e-12 {
@@ -311,9 +204,9 @@ impl CanNetwork {
                 }
             }
         }
-        for (&a, node) in &self.nodes {
+        for (a, node) in self.nodes() {
             for &b in &node.neighbors {
-                let Some(other) = self.nodes.get(&b) else {
+                let Some(other) = self.node(b) else {
                     return Err(format!("{a} lists unknown neighbor {b}"));
                 };
                 if !other.neighbors.contains(&a) {
@@ -366,41 +259,35 @@ mod tests {
     }
 
     #[test]
-    fn leave_with_merge_partner_restores_rectangle() {
+    fn a_refused_join_uses_up_no_id() {
         let mut net = CanNetwork::new();
-        let a = net.join(coord(0.1, 0.5)).expect("bootstrap");
-        let b = net.join(coord(0.9, 0.5)).expect("join");
-        net.leave(b).expect("leave");
-        assert_eq!(net.len(), 1);
-        assert_eq!(net.node(a).expect("a").zones, vec![Zone::UNIT]);
+        let c = coord(0.3, 0.3);
+        // Every join at one point halves the zone holding it, until that
+        // zone is below the split floor.
+        let zone = loop {
+            if let Err(CanError::ZoneTooSmall { zone }) = net.join(c) {
+                break zone;
+            }
+        };
+        assert!(zone.contains(&c));
+        let len = net.len();
+        assert_eq!(net.join(coord(0.9, 0.9)), Ok(CanId(len as u64)));
+        assert_eq!(net.len(), len + 1);
         net.check_invariants().expect("invariants");
     }
 
     #[test]
-    fn leave_without_merge_partner_hands_zone_to_smallest_neighbor() {
+    fn a_joiner_outside_its_zone_hands_over_the_half_with_the_new_point() {
         let mut net = CanNetwork::new();
-        let _a = net.join(coord(0.1, 0.1)).expect("bootstrap");
-        let _b = net.join(coord(0.9, 0.1)).expect("join b");
-        let c = net.join(coord(0.9, 0.9)).expect("join c");
-        let _d = net.join(coord(0.6, 0.6)).expect("join d");
-        net.leave(c).expect("leave");
+        net.join(coord(0.1, 0.1)).expect("bootstrap");
+        // Both points lie in the left half: the bootstrap keeps it, and the
+        // joiner gets the right half without its own coordinate.
+        let b = net.join(coord(0.12, 0.1)).expect("join b");
+        assert!(!net.node(b).expect("b").zone.contains(&coord(0.12, 0.1)));
+        // b's zone splits with b's coordinate in neither half.
+        let c = net.join(coord(0.7, 0.3)).expect("join c");
+        assert_eq!(net.owner_of(&coord(0.7, 0.3)), Some(c));
         net.check_invariants().expect("invariants");
-        // Every coordinate is still owned.
-        assert!(net.owner_of(&coord(0.9, 0.9)).is_some());
-    }
-
-    #[test]
-    fn last_member_cannot_leave() {
-        let mut net = CanNetwork::new();
-        let a = net.join(coord(0.5, 0.5)).expect("bootstrap");
-        assert_eq!(net.leave(a), Err(CanError::LastNode));
-    }
-
-    #[test]
-    fn unknown_member_leave_errors() {
-        let mut net = CanNetwork::new();
-        net.join(coord(0.5, 0.5)).expect("bootstrap");
-        assert!(matches!(net.leave(CanId(999)), Err(CanError::UnknownNode { .. })));
     }
 
     #[test]

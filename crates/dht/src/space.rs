@@ -18,19 +18,6 @@ impl Coord {
         Coord { x: x.clamp(0.0, TOP), y: y.clamp(0.0, TOP) }
     }
 
-    /// Euclidean distance on the unit torus (CAN's coordinate space wraps).
-    pub fn torus_distance(&self, other: &Coord) -> f64 {
-        fn axis(a: f64, b: f64) -> f64 {
-            let d = (a - b).abs();
-            d.min(1.0 - d)
-        }
-        (axis(self.x, other.x).powi(2) + axis(self.y, other.y).powi(2)).sqrt()
-    }
-
-    /// Plain Euclidean distance (no wrap).
-    pub fn distance(&self, other: &Coord) -> f64 {
-        ((self.x - other.x).powi(2) + (self.y - other.y).powi(2)).sqrt()
-    }
 }
 
 impl fmt::Display for Coord {
@@ -94,30 +81,6 @@ impl Zone {
         let x_abut = self.hi_x == other.lo_x || other.hi_x == self.lo_x;
         let y_abut = self.hi_y == other.lo_y || other.hi_y == self.lo_y;
         (x_abut && y_overlap > 0.0) || (y_abut && x_overlap > 0.0)
-    }
-
-    /// Whether `other` is the sibling this zone split off from (they merge
-    /// back into a rectangle).
-    pub fn merges_with(&self, other: &Zone) -> Option<Zone> {
-        // Merge along x?
-        if self.lo_y == other.lo_y && self.hi_y == other.hi_y {
-            if self.hi_x == other.lo_x {
-                return Some(Zone { lo_x: self.lo_x, hi_x: other.hi_x, ..*self });
-            }
-            if other.hi_x == self.lo_x {
-                return Some(Zone { lo_x: other.lo_x, hi_x: self.hi_x, ..*self });
-            }
-        }
-        // Merge along y?
-        if self.lo_x == other.lo_x && self.hi_x == other.hi_x {
-            if self.hi_y == other.lo_y {
-                return Some(Zone { lo_y: self.lo_y, hi_y: other.hi_y, ..*self });
-            }
-            if other.hi_y == self.lo_y {
-                return Some(Zone { lo_y: other.lo_y, hi_y: self.hi_y, ..*self });
-            }
-        }
-        None
     }
 
     /// Distance from this zone to a coordinate: zero if contained,
@@ -203,14 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_recovers_parent() {
-        let (a, b) = Zone::UNIT.split();
-        assert_eq!(a.merges_with(&b), Some(Zone::UNIT));
-        let (c, _d) = a.split();
-        assert_eq!(c.merges_with(&b), None, "different heights cannot merge");
-    }
-
-    #[test]
     fn distance_to_is_zero_inside_and_positive_outside() {
         let (a, b) = Zone::UNIT.split();
         let p = Coord::new(0.75, 0.5);
@@ -219,11 +174,4 @@ mod tests {
         assert!((a.distance_to(&Coord::new(0.75, 0.5)) - 0.25).abs() < 1e-12);
     }
 
-    #[test]
-    fn torus_distance_wraps() {
-        let a = Coord::new(0.05, 0.5);
-        let b = Coord::new(0.95, 0.5);
-        assert!((a.torus_distance(&b) - 0.1).abs() < 1e-9);
-        assert!((a.distance(&b) - 0.9).abs() < 1e-9);
-    }
 }

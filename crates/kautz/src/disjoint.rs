@@ -254,23 +254,18 @@ pub fn plan_route(plan: &PathPlan, u: &KautzId, v: &KautzId) -> Result<Vec<Kautz
     Ok(walk(u, v, &plan.successor, plan.forced_digit))
 }
 
-/// The in-digit (Definition 3) of a materialized path: the first digit of
-/// `V`'s predecessor on the path. Returns `None` for a path that is the
-/// bare arc `U -> V` with no intermediate predecessor distinct from `U`
-/// (the in-digit is then `u_1` itself).
-pub fn in_digit(path: &[KautzId]) -> Option<u8> {
-    if path.len() < 2 {
-        return None;
-    }
-    Some(path[path.len() - 2].first())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn id(s: &str, d: u8) -> KautzId {
         KautzId::parse(s, d).expect("valid id in test")
+    }
+
+    /// The in-digit (Definition 3) of a materialized path: the first digit
+    /// of `V`'s predecessor on the path.
+    fn in_digit(path: &[KautzId]) -> Option<u8> {
+        (path.len() >= 2).then(|| path[path.len() - 2].first())
     }
 
     #[test]

@@ -1,8 +1,7 @@
-//! The Kautz digraph `K(d, k)` as a whole: enumeration, counting, structural
-//! properties (Section III-A of the paper) and Hamiltonian cycles.
+//! The Kautz digraph `K(d, k)` as a whole: enumeration, counting and
+//! structural properties (Section III-A of the paper).
 
 use crate::id::KautzId;
-use std::collections::HashSet;
 
 /// A handle describing the Kautz digraph `K(d, k)` with degree `d >= 1` and
 /// diameter `k >= 1`.
@@ -61,13 +60,6 @@ impl KautzGraph {
         (d + 1) * d.pow(self.diameter as u32)
     }
 
-    /// Whether `|E(G)| = N(G) * delta_min(G)` — the equality that Lemma 3.1
-    /// uses to show `K(d, k)` solves the graph connection optimization
-    /// problem with minimum connectivity `d`.
-    pub fn satisfies_euler_degree_sum_equality(&self) -> bool {
-        self.edge_count() == self.node_count() * self.degree as usize
-    }
-
     /// The Moore bound `1 + d + d^2 + ... + d^k` on the number of vertices of
     /// any digraph with max out-degree `d` and diameter `k`. Kautz graphs
     /// approach this bound as `k` decreases, which is why the paper picks a
@@ -103,76 +95,6 @@ impl KautzGraph {
             .flat_map(|u| u.successors().into_iter().map(move |v| (u, v)))
     }
 
-    /// Computes a Hamiltonian cycle of this graph: a closed walk visiting
-    /// every vertex exactly once (Section III-A relies on Kautz graphs being
-    /// Hamiltonian to embed them onto a physical cycle of nodes).
-    ///
-    /// For `k >= 2` the cycle is obtained from an Eulerian circuit of
-    /// `K(d, k-1)` — `K(d, k)` is the line digraph of `K(d, k-1)`, so each
-    /// arc of the smaller graph is a vertex of the larger one. For `k == 1`
-    /// (the complete digraph on `d + 1` vertices) the rotation
-    /// `0, 1, ..., d` is returned.
-    ///
-    /// The returned vector lists each vertex once; the cycle closes from the
-    /// last vertex back to the first.
-    pub fn hamiltonian_cycle(&self) -> Vec<KautzId> {
-        if self.diameter == 1 {
-            return (0..=self.degree)
-                .map(|digit| KautzId::new([digit], self.degree).expect("single digit"))
-                .collect();
-        }
-        let base = KautzGraph::new(self.degree, self.diameter - 1)
-            .expect("diameter >= 2 so base graph is valid");
-        let circuit = base.eulerian_circuit();
-        debug_assert_eq!(circuit.len(), base.edge_count() + 1);
-        // Each consecutive pair of base vertices (w_i, w_{i+1}) is an arc of
-        // K(d, k-1); overlapping the words by k-1 digits yields the K(d, k)
-        // vertex that arc corresponds to.
-        let mut cycle = Vec::with_capacity(self.node_count());
-        for pair in circuit.windows(2) {
-            let (u, v) = (&pair[0], &pair[1]);
-            let mut digits = Vec::with_capacity(self.diameter);
-            digits.extend_from_slice(u.digits());
-            digits.push(v.last());
-            cycle.push(
-                KautzId::new(digits, self.degree)
-                    .expect("arc of K(d, k-1) concatenates to a K(d, k) vertex"),
-            );
-        }
-        cycle
-    }
-
-    /// Computes an Eulerian circuit via Hierholzer's algorithm. Every Kautz
-    /// digraph is Eulerian: it is strongly connected with in-degree equal to
-    /// out-degree (`d`) at every vertex.
-    ///
-    /// The returned walk starts and ends at the same vertex and traverses
-    /// every arc exactly once, so its length is `edge_count() + 1`.
-    pub fn eulerian_circuit(&self) -> Vec<KautzId> {
-        let start = self.nodes().next().expect("graph is non-empty");
-        // Remaining out-arcs per vertex, keyed by index.
-        let mut next_arc: Vec<Vec<KautzId>> = self
-            .nodes()
-            .map(|u| {
-                let mut succ = u.successors();
-                succ.reverse(); // pop() then yields increasing digit order
-                succ
-            })
-            .collect();
-        let mut stack = vec![start];
-        let mut circuit = Vec::with_capacity(self.edge_count() + 1);
-        while let Some(top) = stack.last().cloned() {
-            if let Some(next) = next_arc[top.to_index()].pop() {
-                stack.push(next);
-            } else {
-                circuit.push(top);
-                stack.pop();
-            }
-        }
-        circuit.reverse();
-        circuit
-    }
-
     /// Computes the graph's true diameter by exhaustive BFS from every
     /// vertex (expensive; intended for tests and small graphs). For a
     /// valid Kautz graph this equals `diameter()` — the label length `k`.
@@ -202,23 +124,6 @@ impl KautzGraph {
         worst
     }
 
-    /// Verifies that `cycle` is a Hamiltonian cycle of this graph: it has
-    /// exactly `node_count()` distinct vertices, consecutive vertices are
-    /// joined by arcs, and the last vertex has an arc back to the first.
-    pub fn is_hamiltonian_cycle(&self, cycle: &[KautzId]) -> bool {
-        if cycle.len() != self.node_count() {
-            return false;
-        }
-        let distinct: HashSet<&KautzId> = cycle.iter().collect();
-        if distinct.len() != cycle.len() || !cycle.iter().all(|v| self.contains(v)) {
-            return false;
-        }
-        let closed = cycle
-            .last()
-            .map(|last| last.is_arc_to(&cycle[0]))
-            .unwrap_or(false);
-        closed && cycle.windows(2).all(|w| w[0].is_arc_to(&w[1]))
-    }
 }
 
 /// Iterator over the vertices of a [`KautzGraph`], produced by
@@ -270,7 +175,66 @@ mod tests {
             let g = KautzGraph::new(d, k).expect("valid");
             assert_eq!(g.node_count(), n, "K({d},{k}) nodes");
             assert_eq!(g.edge_count(), e, "K({d},{k}) edges");
-            assert!(g.satisfies_euler_degree_sum_equality());
+            // |E| = N * delta_min: every vertex has out-degree exactly d.
+            assert_eq!(g.edge_count(), g.node_count() * d as usize);
+        }
+    }
+
+    /// The smallest diameter at which a family of size `count(k)` holds
+    /// `required` vertices.
+    fn diameter_for(required: usize, count: impl Fn(usize) -> usize) -> usize {
+        (1..).find(|&k| count(k) >= required).expect("sizes grow without bound")
+    }
+
+    /// The smallest `(Kautz, de Bruijn)` diameters that hold `n` vertices at
+    /// degree `d`.
+    fn diameters_for_size(d: u8, n: usize) -> (usize, usize) {
+        let kautz = diameter_for(n, |k| KautzGraph::new(d, k).expect("valid").node_count());
+        let debruijn = diameter_for(n, |k| (d as usize).pow(k as u32));
+        (kautz, debruijn)
+    }
+
+    #[test]
+    fn kautz_beats_de_bruijn_at_equal_parameters() {
+        // Proposition 3.1: K(d,k) has (d+1)d^(k-1) > d^k = |B(d,k)| vertices,
+        // a strictly better degree/diameter trade-off than de Bruijn's.
+        for d in 1..=5u8 {
+            for k in 1..=5usize {
+                let kautz = KautzGraph::new(d, k).expect("valid").node_count();
+                let debruijn = (d as usize).pow(k as u32);
+                assert!(kautz > debruijn, "K({d},{k})={kautz} vs B={debruijn}");
+            }
+        }
+    }
+
+    #[test]
+    fn kautz_needs_no_larger_diameter_anywhere() {
+        // The same trade-off at equal size: the smallest Kautz diameter
+        // holding n vertices never exceeds the smallest de Bruijn one.
+        for d in 2..=5u8 {
+            for n in [10usize, 50, 100, 500, 1000] {
+                let (kautz, debruijn) = diameters_for_size(d, n);
+                assert!(kautz <= debruijn, "degree {d}, {n} nodes: {kautz} vs {debruijn}");
+            }
+        }
+    }
+
+    #[test]
+    fn kautz_strictly_wins_at_the_boundary() {
+        // 9 nodes at degree 2: B(2, k) needs k = 4 (16 >= 9), K(2, k) only
+        // k = 3 (12 >= 9).
+        assert_eq!(diameters_for_size(2, 9), (3, 4));
+    }
+
+    #[test]
+    fn kautz_beats_hypercube_diameter() {
+        // A hypercube with 2^k nodes has degree and diameter k; a Kautz
+        // graph with at least as many nodes and the same degree has a
+        // smaller diameter for k >= 4.
+        for k in 4..=8usize {
+            let diameter =
+                diameter_for(1 << k, |m| KautzGraph::new(k as u8, m).expect("valid").node_count());
+            assert!(diameter < k, "Kautz diameter {diameter} vs hypercube {k}");
         }
     }
 
@@ -279,7 +243,7 @@ mod tests {
         let g = KautzGraph::new(3, 3).expect("valid");
         let all: Vec<KautzId> = g.nodes().collect();
         assert_eq!(all.len(), g.node_count());
-        let distinct: HashSet<&KautzId> = all.iter().collect();
+        let distinct: std::collections::HashSet<&KautzId> = all.iter().collect();
         assert_eq!(distinct.len(), all.len(), "no duplicate vertices");
         for v in &all {
             assert!(g.contains(v));
@@ -316,43 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn eulerian_circuit_covers_every_arc_once() {
-        let g = KautzGraph::new(2, 2).expect("valid");
-        let circuit = g.eulerian_circuit();
-        assert_eq!(circuit.len(), g.edge_count() + 1);
-        assert_eq!(circuit.first(), circuit.last());
-        let mut seen = HashSet::new();
-        for w in circuit.windows(2) {
-            assert!(w[0].is_arc_to(&w[1]), "walk follows arcs");
-            assert!(seen.insert((w[0], w[1])), "arc repeated");
-        }
-        assert_eq!(seen.len(), g.edge_count());
-    }
-
-    #[test]
-    fn hamiltonian_cycle_in_k23() {
-        let g = KautzGraph::new(2, 3).expect("valid");
-        let cycle = g.hamiltonian_cycle();
-        assert!(g.is_hamiltonian_cycle(&cycle), "cycle: {cycle:?}");
-    }
-
-    #[test]
-    fn hamiltonian_cycle_across_parameters() {
-        for (d, k) in [(2u8, 2usize), (2, 4), (3, 2), (3, 3), (4, 2), (4, 3)] {
-            let g = KautzGraph::new(d, k).expect("valid");
-            let cycle = g.hamiltonian_cycle();
-            assert!(g.is_hamiltonian_cycle(&cycle), "K({d},{k})");
-        }
-    }
-
-    #[test]
-    fn hamiltonian_cycle_for_diameter_one() {
-        let g = KautzGraph::new(3, 1).expect("valid");
-        let cycle = g.hamiltonian_cycle();
-        assert!(g.is_hamiltonian_cycle(&cycle));
-    }
-
-    #[test]
     fn declared_diameter_is_the_true_diameter() {
         // The routing-distance formula k - L(U, V) promises eccentricity
         // exactly k; check it against exhaustive BFS.
@@ -360,16 +287,5 @@ mod tests {
             let g = KautzGraph::new(d, k).expect("valid");
             assert_eq!(g.measured_diameter(), k, "K({d},{k})");
         }
-    }
-
-    #[test]
-    fn is_hamiltonian_cycle_rejects_bad_walks() {
-        let g = KautzGraph::new(2, 3).expect("valid");
-        let mut cycle = g.hamiltonian_cycle();
-        assert!(g.is_hamiltonian_cycle(&cycle));
-        cycle.swap(0, 1);
-        assert!(!g.is_hamiltonian_cycle(&cycle), "swap breaks arc sequence");
-        let short: Vec<_> = g.hamiltonian_cycle().into_iter().take(5).collect();
-        assert!(!g.is_hamiltonian_cycle(&short));
     }
 }

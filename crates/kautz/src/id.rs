@@ -254,12 +254,6 @@ impl KautzId {
             && self.digits()[1..] == other.digits()[..other.k() - 1]
     }
 
-    /// Whether the two vertices are connected by an arc in either direction
-    /// (the undirected adjacency used for physical link checks).
-    pub fn is_adjacent(&self, other: &KautzId) -> bool {
-        self.is_arc_to(other) || other.is_arc_to(self)
-    }
-
     /// Left rotation `u_2 u_3 ... u_k u_1`, written `kid_l` in the paper; the
     /// embedding protocol defines the *successor actuator* of actuator `kid`
     /// as the actuator labelled `rotate_left(kid)`.
@@ -603,7 +597,6 @@ mod tests {
         let s = id("120", 2);
         assert!(u.is_arc_to(&s));
         assert!(!s.is_arc_to(&u));
-        assert!(u.is_adjacent(&s) && s.is_adjacent(&u));
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //!   protocols are built from (`L(U, V)` overlap, shift-append successors,
 //!   left rotation).
 //! * [`KautzGraph`] — the digraph `K(d, k)` as a whole: enumeration, node
-//!   and arc counts (Lemma 3.1), the Moore bound, Eulerian circuits and
-//!   Hamiltonian cycles (the basis of the physical embedding, Section
-//!   III-A/B).
+//!   and arc counts (Lemma 3.1), the Moore bound and the measured diameter.
+//!   Its tests check Proposition 3.1's comparisons against de Bruijn
+//!   graphs and hypercubes over their closed-form sizes. The physical
+//!   embedding (`refer::embedding`) lays each cell out by stage paths, so
+//!   nothing here builds Hamiltonian cycles.
 //! * [`routing`] — the greedy shortest protocol (next hop and full path
 //!   from IDs alone) and the Faber–Streib *regular* protocol, which trades
 //!   up to one extra hop for uniform per-arc load under all-to-all traffic.
@@ -23,8 +25,6 @@
 //!   hot paths.
 //! * [`brute`] — brute-force reference algorithms (BFS, DFTR-style route
 //!   generation) used to verify the theorem and as the ablation baseline.
-//! * [`props`] — Section III-A's feasibility results: degree/diameter
-//!   trade-off and Proposition 3.2's `r >= 0.8 b` embedding condition.
 //!
 //! # Quick example
 //!
@@ -47,12 +47,10 @@
 #![warn(missing_docs)]
 
 pub mod brute;
-pub mod debruijn;
 pub mod disjoint;
 mod error;
 mod graph;
 mod id;
-pub mod props;
 pub mod routing;
 pub mod table;
 

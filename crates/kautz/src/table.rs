@@ -19,7 +19,7 @@
 //!
 //! Correctness is anchored by exhaustive equivalence tests against
 //! [`greedy_next_hop`](crate::routing::greedy_next_hop),
-//! [`disjoint_paths`](crate::disjoint::disjoint_paths) and the BFS
+//! [`disjoint_paths`] and the BFS
 //! reference in [`brute`](crate::brute).
 
 use crate::disjoint::{disjoint_paths, PathClass};
@@ -67,7 +67,7 @@ impl Default for TablePlan {
 
 /// The `d` disjoint path plans for one ordered pair, sorted by
 /// `(length, out_digit)` exactly like
-/// [`disjoint_paths`](crate::disjoint::disjoint_paths). Stack-allocated;
+/// [`disjoint_paths`]. Stack-allocated;
 /// dereferences to a slice of [`TablePlan`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PlanSet {
@@ -146,7 +146,7 @@ pub struct RouteTable {
     next: Vec<u32>,
     /// Sparse corrected plan sets for the degenerate periodic pairs whose
     /// standard Theorem 3.8 plans are diverted by
-    /// [`disjoint_paths`](crate::disjoint::disjoint_paths) (see the
+    /// [`disjoint_paths`] (see the
     /// erratum in [`crate::disjoint`]); keyed by `u * n + v`.
     corrections: HashMap<u64, PlanSet>,
 }
@@ -231,7 +231,7 @@ impl RouteTable {
     }
 
     /// Finds every ordered pair whose standard plans
-    /// [`disjoint_paths`](crate::disjoint::disjoint_paths) diverts (the
+    /// [`disjoint_paths`] diverts (the
     /// degenerate-periodic-pair erratum in [`crate::disjoint`]) and
     /// computes the corrected [`PlanSet`] through that reference
     /// implementation, so the two APIs stay equivalent by construction.
@@ -322,15 +322,6 @@ impl RouteTable {
     #[inline]
     pub fn node_count(&self) -> usize {
         self.n
-    }
-
-    /// Total heap memory held by the table's arrays, in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.digits.capacity()
-            + self.succ.capacity() * std::mem::size_of::<u32>()
-            + self.overlap.capacity()
-            + self.next.capacity() * std::mem::size_of::<u32>()
-            + self.corrections.len() * std::mem::size_of::<(u64, PlanSet)>()
     }
 
     /// Dense index of `id`, or `None` when `id` labels a different graph.
@@ -428,7 +419,7 @@ impl RouteTable {
 
     /// The `d` disjoint path plans of Theorem 3.8 for `u -> v`, classified
     /// and sorted identically to
-    /// [`disjoint_paths`](crate::disjoint::disjoint_paths) — including its
+    /// [`disjoint_paths`] — including its
     /// diverted plans for degenerate periodic pairs, served from a sparse
     /// precomputed map — with `O(d)` work and no allocation. Returns an
     /// empty set when `u == v` (the allocating API reports
@@ -710,14 +701,5 @@ mod tests {
             let got = table.plan_path(table_plan, u.to_index(), v.to_index());
             assert_eq!(got, expected);
         }
-    }
-
-    #[test]
-    fn memory_accounting_is_plausible() {
-        let table = RouteTable::new(4, 4).expect("valid");
-        let n = table.node_count();
-        // digits + succ + overlap + next at minimum.
-        let floor = n * 4 + n * 4 * 4 + n * n + n * n * 4;
-        assert!(table.memory_bytes() >= floor);
     }
 }

@@ -11,13 +11,19 @@
 //! trace node    <id> --in trace.jsonl      # packets that crossed a node
 //! trace summary --in trace.jsonl           # counts, drops by reason, digest
 //! trace diff    <a.jsonl> <b.jsonl>        # compare two traces
-//! trace verify  [--system refer] [--scale 0.05] [--seeds 3] [--faults N]
+//! trace verify  [--system refer] [--scale 0.05] [--seeds 3] [--sensors N]
+//!               [--faults N] [--mobility F]
 //!               [--fault-model oracle|discovered|byzantine]
 //!               [--attacker-fraction F] [--link-pdr P]
+//!               [--workload W] [--offered-load PPS] [--routing R]
 //! trace verify  --sharded [--scale 0.05] [--seeds 3] [--sensors N]
-//!               [--threads N] [--workload W] [--offered-load PPS]
+//!               [--faults N] [--mobility F] [--threads N]
+//!               [--workload W] [--offered-load PPS]
 //! trace verify  --live node-*.jsonl
 //! ```
+//!
+//! Every subcommand rejects a flag it does not read with exit status 2
+//! (`verify --seed 3` is an error, not a run of the default seeds).
 //!
 //! `verify` proves determinism twice over: the multiset digest of all
 //! events from serial per-seed runs must equal the digest from the same
@@ -40,7 +46,7 @@
 //! the open-loop injector and its `PacketDest` events.
 
 use refer_bench::{
-    base_config, or_dash, run_system_with_sinks, ScenarioFlags, System,
+    base_config, or_dash, run_system_with_sinks, ScenarioFlags, System, SCENARIO_FLAGS,
 };
 use refer_obs::{
     from_jsonl_line, fnv1a64, EventHash, HashingSink, JsonlSink, PacketLedger, SharedBuf,
@@ -83,11 +89,12 @@ fn usage(error: &str) -> ExitCode {
          trace node    <id> --in FILE\n  \
          trace summary --in FILE\n  \
          trace diff    <a> <b>\n  \
-         trace verify  [--system S] [--scale F] [--seeds N] [--faults N]\n                \
-         [--fault-model oracle|discovered|byzantine] [--attacker-fraction F]\n                \
-         [--link-pdr P] [--workload W] [--offered-load PPS] [--routing R]\n  \
-         trace verify  --sharded [--scale F] [--seeds N] [--sensors N] [--threads N]\n                \
-         [--workload W] [--offered-load PPS]\n  \
+         trace verify  [--system S] [--scale F] [--seeds N] [--sensors N] [--faults N]\n                \
+         [--mobility F] [--fault-model oracle|discovered|byzantine]\n                \
+         [--attacker-fraction F] [--link-pdr P] [--workload W]\n                \
+         [--offered-load PPS] [--routing R]\n  \
+         trace verify  --sharded [--scale F] [--seeds N] [--sensors N] [--faults N]\n                \
+         [--mobility F] [--threads N] [--workload W] [--offered-load PPS]\n  \
          trace verify  --live FILE...\n\
          systems: refer (default), datree, ddear, kautz\n\
          workloads: paper (default), all2all, hotspot"
@@ -95,13 +102,25 @@ fn usage(error: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Splits raw args into positionals and `--flag value` pairs.
-fn parse_args(args: &[String]) -> Result<(Vec<String>, BTreeMap<String, String>), String> {
+/// The flags [`scenario`] reads besides the shared [`SCENARIO_FLAGS`] (and
+/// `--seed`, which `record` takes and `verify` replaces by `--seeds`).
+const SCENARIO: [&str; 5] = ["system", "scale", "sensors", "faults", "mobility"];
+
+/// Splits raw args into positionals and `--flag value` pairs, rejecting a
+/// flag `cmd` does not read (a misspelt one would silently run defaults).
+fn parse_args(
+    args: &[String],
+    cmd: &str,
+    known: &[&str],
+) -> Result<(Vec<String>, BTreeMap<String, String>), String> {
     let mut positional = Vec::new();
     let mut flags = BTreeMap::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         if let Some(name) = arg.strip_prefix("--") {
+            if !known.contains(&name) {
+                return Err(format!("{cmd} takes no --{name}"));
+            }
             let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
             flags.insert(name.to_string(), value.clone());
         } else {
@@ -162,7 +181,8 @@ fn traffic_flags(cfg: &mut SimConfig, flags: &BTreeMap<String, String>) -> Resul
 }
 
 fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
-    let (positional, flags) = parse_args(args)?;
+    let known = [&["out", "seed"][..], &SCENARIO, &SCENARIO_FLAGS].concat();
+    let (positional, flags) = parse_args(args, "record", &known)?;
     if !positional.is_empty() {
         return Err(format!("unexpected argument `{}`", positional[0]));
     }
@@ -214,7 +234,7 @@ fn load(path: &str) -> Result<(Vec<String>, Vec<TraceEvent>), String> {
 }
 
 fn cmd_packet(args: &[String]) -> Result<ExitCode, String> {
-    let (positional, flags) = parse_args(args)?;
+    let (positional, flags) = parse_args(args, "packet", &["in"])?;
     let [id] = positional.as_slice() else {
         return Err("packet needs exactly one <id>".to_string());
     };
@@ -235,7 +255,7 @@ fn cmd_packet(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_node(args: &[String]) -> Result<ExitCode, String> {
-    let (positional, flags) = parse_args(args)?;
+    let (positional, flags) = parse_args(args, "node", &["in"])?;
     let [id] = positional.as_slice() else {
         return Err("node needs exactly one <id>".to_string());
     };
@@ -285,7 +305,7 @@ fn report(path: &str) -> Result<TraceReport, String> {
 }
 
 fn cmd_summary(args: &[String]) -> Result<ExitCode, String> {
-    let (positional, flags) = parse_args(args)?;
+    let (positional, flags) = parse_args(args, "summary", &["in"])?;
     if !positional.is_empty() {
         return Err(format!("unexpected argument `{}`", positional[0]));
     }
@@ -310,10 +330,7 @@ fn cmd_summary(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
-    let (positional, flags) = parse_args(args)?;
-    if let Some((name, _)) = flags.first_key_value() {
-        return Err(format!("diff takes no --{name}"));
-    }
+    let (positional, _) = parse_args(args, "diff", &[])?;
     let [a, b] = positional.as_slice() else {
         return Err("diff needs exactly two files".to_string());
     };
@@ -361,19 +378,23 @@ fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
     if sharded && live {
         return Err("--sharded and --live are mutually exclusive".to_string());
     }
-    let (positional, flags) = parse_args(&args)?;
     if live {
-        return cmd_verify_live(&positional, &flags);
+        let (paths, _) = parse_args(&args, "verify --live", &[])?;
+        return cmd_verify_live(&paths);
     }
+    // `--sharded` verifies the engine itself and always runs the flooding
+    // protocol, so it takes no `--system` and no fault model.
+    let (positional, flags) = if sharded {
+        let known =
+            ["scale", "seeds", "sensors", "faults", "mobility", "threads", "workload", "offered-load"];
+        parse_args(&args, "verify --sharded", &known)?
+    } else {
+        parse_args(&args, "verify", &[&["seeds"][..], &SCENARIO, &SCENARIO_FLAGS].concat())?
+    };
     if !positional.is_empty() {
         return Err(format!("unexpected argument `{}`", positional[0]));
     }
     if sharded {
-        if flags.contains_key("system") {
-            return Err("--sharded verifies the engine itself and always runs the \
-                        flooding protocol; --system does not apply"
-                .to_string());
-        }
         return cmd_verify_sharded(&flags);
     }
     let (cfg, system) = scenario(&flags)?;
@@ -456,15 +477,9 @@ fn record_bytes(cfg: &SimConfig, system: System) -> Vec<u8> {
 /// an origin, every hop chain is connected, nothing was delivered twice.
 /// The delivery gate against the simulator's prediction is `refer-node
 /// cluster`'s, on the same merged ledger.
-fn cmd_verify_live(
-    paths: &[String],
-    flags: &BTreeMap<String, String>,
-) -> Result<ExitCode, String> {
+fn cmd_verify_live(paths: &[String]) -> Result<ExitCode, String> {
     if paths.is_empty() {
         return Err("verify --live needs at least one trace file".to_string());
-    }
-    if let Some(name) = flags.keys().next() {
-        return Err(format!("verify --live takes no --{name}"));
     }
 
     let mut events = Vec::new();

@@ -4,7 +4,7 @@
 //! Feed any iterator of [`TraceEvent`]s (from a [`VecSink`](crate::sink::VecSink),
 //! a parsed JSONL file, whatever) into [`PacketLedger::from_events`] and
 //! query the result: what happened to packet X, which packets crossed
-//! node Y, what was in flight during a time window. Each record tells the
+//! node Y. Each record tells the
 //! packet's whole story — origin, every forwarding decision with its
 //! queueing delay and routing reason, and how it ended.
 
@@ -123,32 +123,6 @@ impl PacketRecord {
             push(node, &mut out);
         }
         out
-    }
-
-    /// Earliest known event time for the packet.
-    pub fn first_at(&self) -> Option<SimTime> {
-        self.created
-            .into_iter()
-            .chain(self.hops.first().map(|h| h.at))
-            .chain(self.end_at())
-            .min()
-    }
-
-    /// When the packet's story ended, if it did.
-    pub fn end_at(&self) -> Option<SimTime> {
-        match self.outcome {
-            Outcome::Delivered { at, .. } | Outcome::Dropped { at, .. } => Some(at),
-            Outcome::InFlight => None,
-        }
-    }
-
-    /// Latest known event time for the packet.
-    pub fn last_at(&self) -> Option<SimTime> {
-        self.end_at()
-            .into_iter()
-            .chain(self.hops.last().map(|h| h.at))
-            .chain(self.created)
-            .max()
     }
 
     /// A human-readable rendering of the chain, one line per step, used
@@ -308,17 +282,6 @@ impl PacketLedger {
         self.packets().filter(|r| r.nodes().contains(&node)).collect()
     }
 
-    /// Packets alive during `[from, to]` — any known event inside the
-    /// window, or a chain spanning it.
-    pub fn in_window(&self, from: SimTime, to: SimTime) -> Vec<&PacketRecord> {
-        self.packets()
-            .filter(|r| match (r.first_at(), r.last_at()) {
-                (Some(first), Some(last)) => first <= to && last >= from,
-                _ => false,
-            })
-            .collect()
-    }
-
     /// Dropped packets, with their drop reason.
     pub fn dropped(&self) -> impl Iterator<Item = (&PacketRecord, DropReason)> {
         self.packets().filter_map(|r| match r.outcome {
@@ -350,20 +313,6 @@ impl PacketLedger {
         out
     }
 
-    /// Queue-delay attribution: per forwarding node, how many frames it
-    /// forwarded and the total queueing delay it imposed on them, seconds.
-    /// Sorting by the delay column names the congested nodes directly.
-    pub fn queue_by_node(&self) -> BTreeMap<NodeId, (usize, f64)> {
-        let mut out: BTreeMap<NodeId, (usize, f64)> = BTreeMap::new();
-        for r in self.packets() {
-            for h in &r.hops {
-                let slot = out.entry(h.from).or_insert((0, 0.0));
-                slot.0 += 1;
-                slot.1 += h.queue_s;
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -452,11 +401,6 @@ mod tests {
         assert_eq!(via_8, vec![1]);
         let via_6: Vec<u64> = ledger.visiting(NodeId(6)).iter().map(|r| r.packet.0).collect();
         assert_eq!(via_6, vec![2]);
-
-        // Window [600, 1000]us: packet 1 spans it, packet 2 ends inside
-        // it, packet 3 starts after it.
-        let ids: Vec<u64> = ledger.in_window(t(600), t(1000)).iter().map(|r| r.packet.0).collect();
-        assert_eq!(ids, vec![1, 2]);
     }
 
     #[test]
@@ -482,11 +426,5 @@ mod tests {
         let rec = ledger.packet(DataId(1)).expect("packet 1");
         assert!((rec.total_queue_s() - 0.002).abs() < 1e-12);
         assert_eq!(rec.worst_queue_hop().expect("has hops").from, NodeId(8));
-
-        let by_node = ledger.queue_by_node();
-        assert_eq!(by_node.get(&NodeId(5)), Some(&(1, 0.0)));
-        let (count, total) = by_node.get(&NodeId(8)).expect("node 8 forwarded");
-        assert_eq!(*count, 1);
-        assert!((total - 0.002).abs() < 1e-12);
     }
 }

@@ -8,16 +8,16 @@
 //! * [`codec`] — a JSONL codec for trace events (one externally-tagged
 //!   JSON object per line), so traces survive on disk and across tools;
 //! * [`frame`] — u32-LE length-prefixed binary framing with an
-//!   incremental [`FrameDecoder`](frame::FrameDecoder); only the
+//!   incremental [`FrameDecoder`]; only the
 //!   benchmark's `obs.frame.*` rows call it, on trace lines;
-//! * [`sink`] — streaming sinks: [`JsonlSink`](sink::JsonlSink) to any
-//!   writer, [`CountingSink`](sink::CountingSink) for per-kind tallies,
-//!   [`HashingSink`](sink::HashingSink) for order-independent stream
-//!   digests, [`VecSink`](sink::VecSink) for in-memory capture;
-//! * [`ledger`] — [`PacketLedger`](ledger::PacketLedger), folding a trace
+//! * [`sink`] — streaming sinks: [`JsonlSink`] to any
+//!   writer, [`CountingSink`] for per-kind tallies,
+//!   [`HashingSink`] for order-independent stream
+//!   digests, [`VecSink`] for in-memory capture;
+//! * [`ledger`] — [`PacketLedger`], folding a trace
 //!   into per-packet causal chains (origin → hops with routing reasons →
-//!   delivered/dropped) queryable by packet, node or time window;
-//! * [`hash`] — [`EventHash`](hash::EventHash), the commutative multiset
+//!   delivered/dropped) queryable by packet or node;
+//! * [`hash`] — [`EventHash`], the commutative multiset
 //!   digest behind `trace verify`'s serial/parallel identity proof.
 //!
 //! The `trace` binary in this crate wires them into a forensics CLI:

@@ -9,9 +9,9 @@
 //! forever, and any later contact clears the suspicion immediately.
 //!
 //! Under [`FaultModel::Byzantine`](wsan_sim::FaultModel) the view also
-//! accepts *remote accusations* (suspicion gossip) through [`accuse`]
-//! (FailureView::accuse). Remote evidence is reputation-weighted per
-//! accuser and audited against direct contact: an accusation against a
+//! accepts *remote accusations* (suspicion gossip) through
+//! [`accuse`](FailureView::accuse). Remote evidence is reputation-weighted
+//! per accuser and audited against direct contact: an accusation against a
 //! node we have just heard from contradicts first-hand evidence, so it is
 //! rejected and the accuser's weight is halved. A node becomes suspected
 //! on rumor alone only once the *weighted* accusation mass crosses a
@@ -184,12 +184,6 @@ impl FailureView {
             Some(&at) => now.saturating_since(at) > timeout,
             None => false,
         }
-    }
-
-    /// Number of currently suspected nodes (including any whose TTL has
-    /// lapsed but which were never touched since).
-    pub fn suspected_len(&self) -> usize {
-        self.suspected.len()
     }
 
     /// The nodes suspected right `now` (TTL-unexpired), in ascending id

@@ -224,12 +224,12 @@ pub enum RoutingStrategy {
 /// See `shard` module docs for the full determinism argument.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Engine {
-    /// The single-threaded discrete-event loop ([`runner::run`]
-    /// (crate::runner::run)): one global event heap, one master RNG.
+    /// The single-threaded discrete-event loop
+    /// ([`runner::run`](crate::runner::run)): one global event heap, one master RNG.
     #[default]
     Serial,
-    /// The sharded windowed engine ([`shard::run_sharded`]
-    /// (crate::shard::run_sharded)): grid-cell shards stepped in
+    /// The sharded windowed engine
+    /// ([`shard::run_sharded`](crate::shard::run_sharded)): grid-cell shards stepped in
     /// conservative time windows by `threads` threads, the caller among
     /// them. Output is a pure function of the config — independent of
     /// `threads`.

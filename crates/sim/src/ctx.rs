@@ -597,11 +597,6 @@ impl<P> Ctx<P> {
         self.nodes[id.index()].battery
     }
 
-    /// Total radio energy `id` has consumed so far, Joules.
-    pub fn consumed_energy(&self, id: NodeId) -> f64 {
-        self.nodes[id.index()].consumed
-    }
-
     /// Distance between two nodes, meters.
     pub fn distance(&self, a: NodeId, b: NodeId) -> f64 {
         self.position(a).distance(&self.position(b))

@@ -22,11 +22,6 @@ impl Point {
         ((self.x - other.x).powi(2) + (self.y - other.y).powi(2)).sqrt()
     }
 
-    /// Midpoint of the segment to `other`.
-    pub fn midpoint(&self, other: &Point) -> Point {
-        Point::new((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
-    }
-
     /// Moves `step` meters from `self` toward `target`, stopping at the
     /// target if it is closer than `step`.
     pub fn step_toward(&self, target: &Point, step: f64) -> Point {

@@ -1,58 +1,8 @@
-//! Multi-seed trial harness: run the same scenario over independent seeds
-//! and aggregate metrics with 95% confidence intervals.
+//! Multi-seed aggregation: the metrics of independent runs of one scenario
+//! with 95% confidence intervals.
 
-use crate::config::SimConfig;
 use crate::metrics::RunSummary;
-use crate::protocol::Protocol;
-use crate::runner::run;
 use crate::stats::{ci95, CiStat};
-
-/// Runs `factory()`-built protocols over each seed and collects summaries.
-///
-/// Each trial gets an identical configuration except for the seed, so node
-/// placement, mobility, traffic and faults are independently redrawn.
-pub fn run_trials<P, F>(cfg: &SimConfig, seeds: &[u64], factory: F) -> Vec<RunSummary>
-where
-    P: Protocol,
-    F: Fn() -> P,
-{
-    seeds
-        .iter()
-        .map(|&seed| {
-            let mut cfg = cfg.clone();
-            cfg.seed = seed;
-            let mut protocol = factory();
-            run(cfg, &mut protocol)
-        })
-        .collect()
-}
-
-/// [`run_trials`] with one OS thread per seed (`std::thread::scope`).
-///
-/// Every trial is an isolated simulation with its own deterministic RNG
-/// seeded from `cfg.seed`, so running them concurrently cannot change any
-/// per-seed result: the returned summaries are bit-identical to the serial
-/// ones and come back in seed order. Seed lists are figure-sized (tens of
-/// entries), so plain scoped threads beat a pool here.
-pub fn run_trials_parallel<P, F>(cfg: &SimConfig, seeds: &[u64], factory: F) -> Vec<RunSummary>
-where
-    P: Protocol,
-    F: Fn() -> P + Sync,
-{
-    let mut results: Vec<Option<RunSummary>> = (0..seeds.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (slot, &seed) in results.iter_mut().zip(seeds) {
-            let factory = &factory;
-            let mut cfg = cfg.clone();
-            scope.spawn(move || {
-                cfg.seed = seed;
-                let mut protocol = factory();
-                *slot = Some(run(cfg, &mut protocol));
-            });
-        }
-    });
-    results.into_iter().map(|r| r.expect("every trial completes")).collect()
-}
 
 /// Aggregated metrics over a set of independent runs.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -182,17 +132,6 @@ pub fn aggregate(runs: &[RunSummary]) -> AggregateSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flood::FloodProtocol;
-
-    #[test]
-    fn parallel_trials_match_serial_bit_for_bit() {
-        let mut cfg = SimConfig::smoke();
-        cfg.duration = crate::SimDuration::from_secs(2);
-        let seeds = [11u64, 12, 13];
-        let serial = run_trials(&cfg, &seeds, || FloodProtocol::new(4));
-        let parallel = run_trials_parallel(&cfg, &seeds, || FloodProtocol::new(4));
-        assert_eq!(serial, parallel);
-    }
 
     #[test]
     fn aggregate_of_identical_runs_has_zero_ci() {

@@ -15,8 +15,8 @@
 //! * per-packet energy metering at the paper's prices (2 J tx / 0.75 J rx)
 //!   split into *construction* and *communication* ledgers;
 //! * application traffic generation (5 random sources every 10 s at
-//!   1 Mb/s), QoS-deadline throughput and delay metrics, and a multi-seed
-//!   trial harness with 95% confidence intervals.
+//!   1 Mb/s), QoS-deadline throughput and delay metrics, and their
+//!   multi-seed aggregation with 95% confidence intervals.
 //!
 //! Systems implement [`Protocol`] and are driven by [`runner::run`]:
 //!

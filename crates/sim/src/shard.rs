@@ -31,7 +31,7 @@
 //! The one deliberate exception is *claims*: when a shard delivers (or
 //! drops) a packet whose origin lives elsewhere, the bookkeeping against
 //! the origin's [`DataRecord`](crate::DataRecord) travels as a
-//! [`DeliverClaim`](crate::ctx::EventKind)/`DropClaim` carrying the true
+//! `DeliverClaim`/`DropClaim` event carrying the true
 //! event time. Claims may arrive "in the past"; they only settle metrics
 //! (first-delivery wins, a pure function of the claim set, not of arrival
 //! order within a timestamp) and never spawn further events, so the
@@ -519,8 +519,8 @@ where
     crate::runner::finish(&mut master)
 }
 
-/// Dispatches on `cfg.engine`: the serial loop ([`runner::run`]
-/// (crate::runner::run)) or [`run_sharded`].
+/// Dispatches on `cfg.engine`: the serial loop
+/// ([`runner::run`](crate::runner::run)) or [`run_sharded`].
 pub fn run_engine<P>(cfg: SimConfig, protocol: &mut P) -> RunSummary
 where
     P: ShardableProtocol,

@@ -197,8 +197,8 @@ pub enum TraceEvent {
         node: NodeId,
     },
     /// A compromised sender redirected a unicast frame away from its
-    /// intended next hop ([`FaultModel::Byzantine`]
-    /// (crate::config::FaultModel)).
+    /// intended next hop
+    /// ([`FaultModel::Byzantine`](crate::config::FaultModel::Byzantine)).
     Misroute {
         /// When.
         at: SimTime,

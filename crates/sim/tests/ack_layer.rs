@@ -3,7 +3,6 @@
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
-use wsan_sim::flood::FloodProtocol;
 use wsan_sim::trace::{TraceEvent, TraceLog};
 use wsan_sim::{
     runner, Ctx, DataId, EnergyAccount, EnergyModel, Message, NodeId, Protocol, SimConfig,
@@ -212,17 +211,6 @@ fn fault_rotations_are_traced() {
         "trace and protocol hook must agree on every rotation"
     );
     assert!(traced.iter().all(|(failed, _)| failed.len() == 6));
-}
-
-#[test]
-fn parallel_trials_match_serial_trials_under_faults() {
-    let mut cfg = tiny_cfg();
-    cfg.faults.count = 8;
-    cfg.faults.rotation = SimDuration::from_secs(10);
-    let seeds = [1u64, 2, 3];
-    let serial = wsan_sim::harness::run_trials(&cfg, &seeds, || FloodProtocol::new(5));
-    let parallel = wsan_sim::harness::run_trials_parallel(&cfg, &seeds, || FloodProtocol::new(5));
-    assert_eq!(serial, parallel, "fault draws must not depend on scheduling");
 }
 
 /// Regression for the two `expect("pending present")` panics in the ACK

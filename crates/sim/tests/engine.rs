@@ -283,7 +283,10 @@ fn explicit_placement_positions_are_respected() {
 #[test]
 fn harness_aggregates_over_seeds() {
     let cfg = tiny_cfg();
-    let runs = wsan_sim::harness::run_trials(&cfg, &[1, 2, 3], || FloodProtocol::new(5));
+    let runs: Vec<_> = [1, 2, 3]
+        .into_iter()
+        .map(|seed| runner::run(SimConfig { seed, ..cfg.clone() }, &mut FloodProtocol::new(5)))
+        .collect();
     assert_eq!(runs.len(), 3);
     let agg = wsan_sim::harness::aggregate(&runs);
     assert_eq!(agg.throughput_bps.n, 3);
