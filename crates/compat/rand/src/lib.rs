@@ -51,8 +51,10 @@ fn unit_f32<R: RngCore + ?Sized>(rng: &mut R) -> f32 {
     (rng.next_u32() >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
 }
 
-/// Unbiased uniform integer in `[0, bound]` via rejection sampling on the
-/// top bits (Lemire-style masking).
+/// Unbiased uniform integer in `[0, bound]` by bitmask rejection: keep a
+/// draw's low bits up to the smallest power of two above `bound` and redraw
+/// until the result is in range (under two draws on average). This is
+/// plain mask-and-reject, not Lemire's multiply-and-shift method.
 #[inline]
 fn below_inclusive<R: RngCore + ?Sized>(rng: &mut R, bound: u64) -> u64 {
     if bound == u64::MAX {
@@ -178,7 +180,13 @@ pub trait Rng: RngCore {
         range.sample(self)
     }
 
-    /// Bernoulli draw: `true` with probability `p` (clamped to `[0, 1]`).
+    /// Bernoulli draw: `true` with probability `p`.
+    ///
+    /// # Panics
+    ///
+    /// If `p` is not in `[0, 1]` (NaN included). Nothing is clamped here:
+    /// a caller with a computed probability clamps it first, as
+    /// `Ctx::broadcast` does with its per-link loss probability.
     #[inline]
     fn gen_bool(&mut self, p: f64) -> bool {
         assert!((0.0..=1.0).contains(&p), "gen_bool probability out of range");

@@ -674,14 +674,14 @@ impl<P> Ctx<P> {
         if self.grid.block_covers_most() {
             buf.extend(self.node_ids().filter(|&other| in_my_range(other)));
         } else {
-            // Filtering while visiting the 3×3 block and then sorting
+            // Filtering while visiting the cells in range and then sorting
             // by id reproduces the scan's iteration order (the range
             // filter is pointwise, so the two commute) while only ever
             // materializing and sorting the survivors. The distance
             // check runs on the grid's inline position copy (kept
             // exact by `move_node`); only in-range candidates touch
             // the node table for the liveness bit.
-            self.grid.for_each_candidate(me.position, |other, pos| {
+            self.grid.for_each_within(me.position, my_range, |other, pos| {
                 if other != id
                     && my_pos.distance(&pos) <= my_range
                     && !self.nodes[other.index()].faulty

@@ -10,6 +10,7 @@ use crate::message::{DataId, Message};
 use crate::node::{NodeId, NodeKind};
 use crate::protocol::Protocol;
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Payload of a flooded data frame.
 #[derive(Debug, Clone)]
@@ -26,13 +27,50 @@ pub struct FloodPayload {
 pub struct FloodProtocol {
     /// Initial TTL for each packet's flood.
     pub ttl: u8,
-    seen: HashSet<(NodeId, DataId)>,
+    seen: HashSet<(NodeId, DataId), BuildHasherDefault<IdHasher>>,
 }
 
 impl FloodProtocol {
     /// Creates a flooding protocol with the given hop budget.
     pub fn new(ttl: u8) -> Self {
-        FloodProtocol { ttl, seen: HashSet::new() }
+        FloodProtocol { ttl, seen: HashSet::default() }
+    }
+}
+
+/// The dedup set's hasher: one multiply-rotate step per word (the Fx
+/// scheme), then a final rotation that brings the product's well-mixed
+/// high bits down to the low bits the table indexes by.
+///
+/// SipHash's keyed, flood-resistant hashing buys nothing here: the keys
+/// are simulator-internal node and packet ids, not input an adversary
+/// picks, and the set is never iterated, so its hash order cannot reach
+/// a trace. The set holds the same entries and grows by the same steps
+/// under either hasher.
+#[derive(Debug, Clone, Copy, Default)]
+struct IdHasher(u64);
+
+impl IdHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.add(u64::from(b)));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
     }
 }
 

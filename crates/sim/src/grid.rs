@@ -5,11 +5,16 @@
 //! discovery, the baselines' construction passes. A linear scan over the
 //! node table makes each of those O(n); the standard fix in network
 //! simulators (ns-2's grid channel, cell lists in mobile-network
-//! simulation) is a uniform grid whose cell side is at least the maximum
-//! usable radio range. Then every node within range of a query point lies
-//! in the 3×3 block of cells around it, so a query touches O(candidates)
-//! nodes instead of O(n), and a mobility tick migrates a node between
-//! cells only when it crosses a cell boundary.
+//! simulation) is a uniform grid of cells. A query of radius `r` around
+//! `p` reads only the cells that overlap the square `[p − r, p + r]²`, so
+//! it touches O(candidates) nodes instead of O(n), and a mobility tick
+//! migrates a node between cells only when it crosses a cell boundary.
+//!
+//! The cell side is the largest radio range. A query is correct for any
+//! radius; the side is what keeps a 100 m sensor's square within about
+//! (1 + 200/250)² ≈ 3.2 cells of 250 m and an actuator's within 3×3, and
+//! it is also the tiling the sharded engine cuts into shards
+//! (`dims()`), so changing it would change sharded runs.
 //!
 //! The index is *only* an acceleration structure: it answers "which nodes
 //! might be in range" and the caller re-applies the exact range predicate.
@@ -30,7 +35,7 @@ use crate::node::NodeId;
 
 /// Upper bound on grid columns/rows: caps memory when ranges are tiny
 /// relative to the area. Enlarging cells beyond the radio range is always
-/// safe — the 3×3 coverage argument only needs `cell side ≥ query radius`.
+/// safe — a radius query reads whatever cells its square overlaps.
 const MAX_CELLS_PER_AXIS: usize = 4096;
 
 /// One node's entry in a cell: its id plus a copy of its position, kept
@@ -50,8 +55,9 @@ struct Member {
 ///   and its stored coordinates equal its current position;
 /// * `cell_w ≥ side` and `cell_h ≥ side` whenever there are at least two
 ///   columns/rows, where `side` is the maximum usable radio range given at
-///   construction — so a query of radius ≤ `side` never needs to look
-///   beyond the 3×3 block around the query point's cell.
+///   construction — so every node within `side` of a point lies in the
+///   3×3 block around the point's cell, which [`SpatialGrid::candidates_into`]
+///   relies on (radius queries do not).
 #[derive(Debug, Clone)]
 pub struct SpatialGrid {
     cols: usize,
@@ -154,8 +160,8 @@ impl SpatialGrid {
 
     /// `(column, row)` of the cell holding `p`, hardened as described on
     /// [`SpatialGrid::cell_index`]. Every position→cell mapping (construction,
-    /// relocate, 3×3 block queries) funnels through here so they cannot
-    /// disagree about edge cases.
+    /// relocate, both queries' corner cells) funnels through here so they
+    /// cannot disagree about edge cases.
     #[inline]
     fn cell_coords(&self, p: Point) -> (usize, usize) {
         debug_assert!(
@@ -192,18 +198,10 @@ impl SpatialGrid {
 
     /// Appends to `buf` every node in the 3×3 cell block around `p` — a
     /// superset of the nodes within `side` of `p` (and of any smaller
-    /// radius). Candidates come in cell order; callers that need the
-    /// linear scan's ascending-id order filter and then sort.
+    /// radius). Candidates come in cell order. The engine queries through
+    /// [`SpatialGrid::for_each_within`]; this fixed block is what the
+    /// benchmark's `sim.grid.*` micro times, its only reader outside tests.
     pub fn candidates_into(&self, p: Point, buf: &mut Vec<NodeId>) {
-        self.for_each_candidate(p, |id, _| buf.push(id));
-    }
-
-    /// Visits every node in the 3×3 cell block around `p` (see
-    /// [`SpatialGrid::candidates_into`]) without materializing the
-    /// superset, yielding each candidate's id and position — hot paths
-    /// run the distance filter on the inline position (a sequential read)
-    /// and only touch the node table for survivors.
-    pub fn for_each_candidate(&self, p: Point, mut f: impl FnMut(NodeId, Point)) {
         let (cx, cy) = self.cell_coords(p);
         let x0 = cx.saturating_sub(1);
         let x1 = (cx + 1).min(self.cols - 1);
@@ -213,7 +211,37 @@ impl SpatialGrid {
             let row = y * self.cols;
             for x in x0..=x1 {
                 for m in &self.cells[row + x] {
-                    f(NodeId(m.id), m.pos);
+                    buf.push(NodeId(m.id));
+                }
+            }
+        }
+    }
+
+    /// Visits every node within distance `r` of `p`, yielding its id and
+    /// position, in cell order. Only the cells overlapping the square
+    /// `[p − r′, p + r′]²` are read, and only members with
+    /// `dx² + dy² ≤ r²·(1 + 1e-9)` are yielded.
+    ///
+    /// Both bounds are padded by a relative 1e-9, far above the few ulps
+    /// by which a rounded `p.x − r` or sum of squares can err, so every
+    /// node that [`Point::distance`] puts within `r` is yielded: this is
+    /// a conservative prefilter, and the caller re-applies its exact
+    /// range predicate to what it gets. Any `r` is correct, including one
+    /// larger than the cell side.
+    pub fn for_each_within(&self, p: Point, r: f64, mut f: impl FnMut(NodeId, Point)) {
+        const PAD: f64 = 1.0 + 1e-9;
+        let reach = r * PAD;
+        let reach_sq = r * r * PAD;
+        let (x0, y0) = self.cell_coords(Point::new(p.x - reach, p.y - reach));
+        let (x1, y1) = self.cell_coords(Point::new(p.x + reach, p.y + reach));
+        for y in y0..=y1 {
+            let row = y * self.cols;
+            for x in x0..=x1 {
+                for m in &self.cells[row + x] {
+                    let (dx, dy) = (m.pos.x - p.x, m.pos.y - p.y);
+                    if dx * dx + dy * dy <= reach_sq {
+                        f(NodeId(m.id), m.pos);
+                    }
                 }
             }
         }
@@ -244,6 +272,41 @@ mod tests {
         let got = ids(buf);
         assert!(got.contains(&0) && got.contains(&1) && got.contains(&2));
         assert!(!got.contains(&3), "far node is outside the 3x3 block");
+    }
+
+    #[test]
+    fn radius_query_covers_radii_beyond_the_cell_side() {
+        // 100 m cells on a 1000 m square; radii up to four cell sides
+        // and squares that run off every edge.
+        let area = Area::new(1000.0, 1000.0);
+        let pts: Vec<Point> = (0..400u32)
+            .map(|i| {
+                let (a, b) = (i.wrapping_mul(2_654_435_761), i.wrapping_mul(40_503));
+                Point::new(f64::from(a % 100_001) / 100.0, f64::from(b % 100_001) / 100.0)
+            })
+            .collect();
+        let grid = SpatialGrid::new(area, 100.0, pts.iter().copied());
+        for (q, r) in [
+            (Point::new(500.0, 500.0), 350.0),
+            (Point::new(0.0, 0.0), 250.0),
+            (Point::new(1000.0, 430.0), 180.0),
+            (Point::new(321.0, 987.0), 99.0),
+            (Point::new(-50.0, 1100.0), 400.0),
+        ] {
+            let mut got = Vec::new();
+            grid.for_each_within(q, r, |id, pos| {
+                assert_eq!(pos, pts[id.index()], "yielded a stale position");
+                got.push(id);
+            });
+            let got = ids(got);
+            let brute: Vec<u32> =
+                (0..pts.len() as u32).filter(|&i| q.distance(&pts[i as usize]) <= r).collect();
+            // A superset of the exact answer, and only by the prefilter's
+            // 1e-9 of slack.
+            assert!(brute.iter().all(|i| got.contains(i)), "missed a node within {r} of {q:?}");
+            assert!(got.iter().all(|&i| q.distance(&pts[i as usize]) <= r * (1.0 + 1e-9)));
+            assert!(!brute.is_empty() && brute.len() < pts.len());
+        }
     }
 
     #[test]

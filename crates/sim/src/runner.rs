@@ -302,8 +302,9 @@ pub(crate) fn build_ctx<Pl>(cfg: SimConfig) -> Ctx<Pl> {
         }
     }
 
-    // Cell side: the largest radio range (the unit disk's reach), so the
-    // 3×3 grid query can never miss a reachable pair.
+    // Cell side: the largest radio range (the unit disk's reach). Radius
+    // queries are correct for any side; the shard tiling and the 3×3
+    // `candidates_into` probe are what fix it.
     let side = nodes.iter().map(|n| n.range).fold(0.0, f64::max);
     let grid = crate::grid::SpatialGrid::new(cfg.area, side, nodes.iter().map(|n| n.position));
 
