@@ -49,8 +49,6 @@ pub struct DaTreeStats {
     pub retransmissions: usize,
     /// Packets dropped after exhausting retransmissions.
     pub drop_exhausted: usize,
-    /// Packets dropped because no repair route existed.
-    pub drop_unreachable: usize,
 }
 
 /// The DaTree protocol.
@@ -143,10 +141,7 @@ impl DaTreeProtocol {
                 self.stats.repairs += 1;
                 self.schedule_retx(ctx, data, attempts, outcome.latency);
             }
-            _ => {
-                ctx.drop_data(data);
-                self.stats.drop_unreachable += 1;
-            }
+            _ => ctx.drop_data(data),
         }
     }
 

@@ -59,8 +59,6 @@ pub struct DdearStats {
     pub head_reselects: usize,
     /// Source retransmissions scheduled.
     pub retransmissions: usize,
-    /// Packets dropped (no head / no route / retx exhausted).
-    pub drops: usize,
 }
 
 /// The D-DEAR protocol.
@@ -278,10 +276,7 @@ impl DdearProtocol {
             self.stats.path_repairs += 1;
             match self.rebuild_head_path(ctx, head, EnergyAccount::Communication) {
                 Some(latency) => self.schedule_retx(ctx, node, data, attempts, latency, hops),
-                None => {
-                    ctx.drop_data(data);
-                    self.stats.drops += 1;
-                }
+                None => ctx.drop_data(data),
             }
             return;
         }
@@ -316,10 +311,7 @@ impl DdearProtocol {
                     };
                     self.schedule_retx(ctx, src, data, attempts, latency, 0);
                 }
-                None => {
-                    ctx.drop_data(data);
-                    self.stats.drops += 1;
-                }
+                None => ctx.drop_data(data),
             }
             return;
         }
@@ -333,7 +325,6 @@ impl DdearProtocol {
                 }
                 None => {
                     ctx.drop_data(data);
-                    self.stats.drops += 1;
                     return;
                 }
             },
@@ -361,13 +352,9 @@ impl DdearProtocol {
                     ctx.send(node, next, size, EnergyAccount::Communication, frame(h, None, attempts));
                 } else {
                     ctx.drop_data(data);
-                    self.stats.drops += 1;
                 }
             }
-            None => {
-                ctx.drop_data(data);
-                self.stats.drops += 1;
-            }
+            None => ctx.drop_data(data),
         }
     }
 
@@ -382,7 +369,6 @@ impl DdearProtocol {
     ) {
         if attempts >= MAX_RETX {
             ctx.drop_data(data);
-            self.stats.drops += 1;
             return;
         }
         let id = self.next_pending;
@@ -414,7 +400,6 @@ impl Protocol for DdearProtocol {
                 Some((h, _)) => h,
                 None => {
                     ctx.drop_data(data);
-                    self.stats.drops += 1;
                     return;
                 }
             }

@@ -88,10 +88,6 @@ pub struct OverlayStats {
     pub arcs_built: usize,
     /// Physical path re-discoveries during data forwarding.
     pub path_repairs: usize,
-    /// Relays that diverted to a non-shortest overlay path.
-    pub overlay_alt_switches: usize,
-    /// Packets dropped.
-    pub drops: usize,
 }
 
 const MAX_OVERLAY_HOPS: u8 = 16;
@@ -143,27 +139,6 @@ impl Default for KautzOverlayProtocol {
 }
 
 impl KautzOverlayProtocol {
-    /// Sends a data frame; under `Discovered` it rides the link-layer
-    /// ACK/retransmit machinery and failures surface in `on_send_expired`.
-    fn send_data(
-        &mut self,
-        ctx: &mut Ctx<OvMsg>,
-        from: NodeId,
-        to: NodeId,
-        size: u32,
-        mut frame: OvFrame,
-        reason: HopReason,
-    ) -> bool {
-        frame.tx += 1;
-        ctx.trace_hop(frame.data, from, to, reason);
-        if self.knowledge.is_local() {
-            ctx.send_acked(from, to, size, EnergyAccount::Communication, OvMsg::Data(frame));
-            true
-        } else {
-            ctx.send(from, to, size, EnergyAccount::Communication, OvMsg::Data(frame))
-        }
-    }
-
     fn build_overlay(&mut self, ctx: &mut Ctx<OvMsg>) {
         let actuators: Vec<NodeId> = ctx.actuator_ids().to_vec();
         let positions: Vec<Point> = actuators.iter().map(|&a| ctx.position(a)).collect();
@@ -226,13 +201,11 @@ impl KautzOverlayProtocol {
     fn overlay_step(&mut self, ctx: &mut Ctx<OvMsg>, node: NodeId, mut frame: OvFrame) {
         if frame.hops >= MAX_OVERLAY_HOPS {
             ctx.drop_data(frame.data);
-            self.stats.drops += 1;
             return;
         }
         frame.hops += 1;
         let Some(kid) = self.roster.kid_in_cell(node, frame.cell) else {
             ctx.drop_data(frame.data);
-            self.stats.drops += 1;
             return;
         };
         if kid == frame.dest_kid {
@@ -247,7 +220,6 @@ impl KautzOverlayProtocol {
             (self.route_table.index_of(&kid), self.route_table.index_of(&frame.dest_kid))
         else {
             ctx.drop_data(frame.data);
-            self.stats.drops += 1;
             return;
         };
         // Faber–Streib regular routing: the overlay successor comes from
@@ -255,49 +227,28 @@ impl KautzOverlayProtocol {
         // planner; a dead regular successor falls back to the planner with
         // the digit progress restarted.
         let regular_pick = if matches!(ctx.config().routing, RoutingStrategy::Regular) {
-            self.route_table.regular_next(at_idx, dest_idx, frame.appended).and_then(
-                |(succ_idx, appended)| {
-                    self.roster
-                        .owner_at(frame.cell, succ_idx)
-                        .filter(|&n| n != node && self.knowledge.presumed_alive(ctx, n))
-                        .map(|n| (n, appended))
-                },
-            )
+            self.roster.regular_owner(frame.cell, node, at_idx, dest_idx, frame.appended, |n| {
+                self.knowledge.presumed_alive(ctx, n)
+            })
         } else {
             None
         };
         let (target, forced, appended) = if let Some((n, appended)) = regular_pick {
             (n, None, appended)
         } else {
-            let choices = match route_choices_indexed(
-                &self.route_table,
-                at_idx,
-                dest_idx,
-                frame.forced,
-                ctx.rng(),
-            ) {
-                Ok(c) => c,
-                Err(_) => {
-                    ctx.drop_data(frame.data);
-                    self.stats.drops += 1;
-                    return;
-                }
-            };
-            let pick = choices.iter().enumerate().find_map(|(i, c)| {
-                let n = self.roster.owner_at(frame.cell, c.successor as usize)?;
-                if n == node || !self.knowledge.presumed_alive(ctx, n) {
-                    return None;
-                }
-                Some((i, n, c.forced_digit))
-            });
-            let Some((idx, target, forced)) = pick else {
+            let Ok(choices) =
+                route_choices_indexed(&self.route_table, at_idx, dest_idx, frame.forced, ctx.rng())
+            else {
                 ctx.drop_data(frame.data);
-                self.stats.drops += 1;
                 return;
             };
-            if idx > 0 {
-                self.stats.overlay_alt_switches += 1;
-            }
+            let pick = self.roster.first_owner(frame.cell, node, &choices, |n| {
+                self.knowledge.presumed_alive(ctx, n)
+            });
+            let Some((_, target, forced)) = pick else {
+                ctx.drop_data(frame.data);
+                return;
+            };
             (target, forced, 0)
         };
         frame.forced = forced;
@@ -325,7 +276,6 @@ impl KautzOverlayProtocol {
                 None => {
                     let Some(&target) = frame.path.last() else {
                         ctx.drop_data(frame.data);
-                        self.stats.drops += 1;
                         return;
                     };
                     self.repair_and_resume(ctx, node, target, frame);
@@ -339,12 +289,11 @@ impl KautzOverlayProtocol {
             return;
         }
         let next = frame.path[frame.pos + 1];
-        let size = ctx
-            .data_size_bits(frame.data)
-            .unwrap_or(ctx.config().traffic.packet_bits);
         if self.knowledge.usable(ctx, node, next) {
             frame.pos += 1;
-            self.send_data(ctx, node, next, size, frame, HopReason::PathWalk);
+            frame.tx += 1;
+            let (data, out) = (frame.data, OvMsg::Data(frame));
+            self.knowledge.send_data(ctx, node, next, data, HopReason::PathWalk, out);
             return;
         }
         // Physical hop broken: re-flood toward the overlay target and
@@ -367,7 +316,6 @@ impl KautzOverlayProtocol {
         }
         if frame.repairs >= MAX_REPAIRS {
             ctx.drop_data(frame.data);
-            self.stats.drops += 1;
             return;
         }
         frame.repairs += 1;
@@ -415,10 +363,7 @@ impl KautzOverlayProtocol {
                 self.pending.insert(id, (node, frame));
                 ctx.set_timer(node, outcome.latency, id);
             }
-            None => {
-                ctx.drop_data(frame.data);
-                self.stats.drops += 1;
-            }
+            None => ctx.drop_data(frame.data),
         }
     }
 }
@@ -459,22 +404,17 @@ impl Protocol for KautzOverlayProtocol {
         };
         if ctx.self_faulty(at) {
             ctx.drop_data(frame.data);
-            self.stats.drops += 1;
             return;
         }
         match frame.path.last().copied() {
             Some(target) => self.repair_and_resume(ctx, at, target, frame),
-            None => {
-                ctx.drop_data(frame.data);
-                self.stats.drops += 1;
-            }
+            None => ctx.drop_data(frame.data),
         }
     }
 
     fn on_app_data(&mut self, ctx: &mut Ctx<OvMsg>, src: NodeId, data: DataId) {
         if self.corners.is_empty() {
             ctx.drop_data(data);
-            self.stats.drops += 1;
             return;
         }
         let access = if self.roster.is_member(src) {
@@ -484,7 +424,6 @@ impl Protocol for KautzOverlayProtocol {
         };
         let Some(access) = access else {
             ctx.drop_data(data);
-            self.stats.drops += 1;
             return;
         };
         let (cell, _) = self.roster.memberships(access)[0];
@@ -498,7 +437,7 @@ impl Protocol for KautzOverlayProtocol {
             .map(|(i, _)| i)
             .expect("three corners");
         let dest_kid = self.plan.actuator_kids[nearest];
-        let frame = OvFrame {
+        let mut frame = OvFrame {
             data,
             cell,
             dest_kid,
@@ -514,10 +453,10 @@ impl Protocol for KautzOverlayProtocol {
             self.overlay_step(ctx, src, frame);
             return;
         }
-        let size = ctx.data_size_bits(data).unwrap_or(ctx.config().traffic.packet_bits);
-        if !self.send_data(ctx, src, access, size, frame, HopReason::Access) {
+        frame.tx += 1;
+        let out = OvMsg::Data(frame);
+        if !self.knowledge.send_data(ctx, src, access, data, HopReason::Access, out) {
             ctx.drop_data(data);
-            self.stats.drops += 1;
         }
     }
 
@@ -532,7 +471,6 @@ impl Protocol for KautzOverlayProtocol {
                         self.overlay_step(ctx, at, frame);
                     } else {
                         ctx.drop_data(frame.data);
-                        self.stats.drops += 1;
                     }
                 } else {
                     self.walk(ctx, at, frame);
@@ -546,7 +484,6 @@ impl Protocol for KautzOverlayProtocol {
             debug_assert_eq!(node, at);
             if ctx.self_faulty(node) {
                 ctx.drop_data(frame.data);
-                self.stats.drops += 1;
                 return;
             }
             self.walk(ctx, node, frame);

@@ -14,10 +14,14 @@
 //! protocol state directly once the corresponding frames have been charged,
 //! rather than re-deriving each node's view from its inbox. Where a query
 //! stage fails to discover a physical path (sparse corner of a random
-//! deployment), the cell coordinator falls back to the logical embedding of
-//! [`crate::embedding::logical_embed`], charging one assignment frame per
-//! sensor — keeping cells complete so routing never faces a half-built
-//! graph, exactly as the paper assumes.
+//! deployment), the cell coordinator fills each empty KID by a rule of its
+//! own — the highest-battery free sensor in range of the KID's placed
+//! Kautz neighbors, else the free sensor nearest the cell centroid —
+//! charging one assignment frame per sensor, which keeps cells complete so
+//! routing never faces a half-built graph, exactly as the paper assumes.
+//!
+//! Drops and handovers are counted by the engine (`RunSummary`), not
+//! here: [`ReferStats`] holds only what no engine counter sees.
 
 use crate::addr::CellId;
 use crate::cells::{plan_cells, CellLayout};
@@ -135,15 +139,6 @@ pub enum ReferMsg {
     Data(DataFrame),
 }
 
-/// Per-cell construction state (the cell's roster is in [`Roster`]).
-#[derive(Debug, Clone)]
-struct CellState {
-    /// Corner actuator nodes in KID order (012, 120, 201).
-    corners: [NodeId; 3],
-    /// Construction finished.
-    ready: bool,
-}
-
 /// What one node keeps besides its KIDs (those are in [`Roster`]), all of
 /// it local: the members it last heard, the standby candidates that
 /// registered with it. [`ReferProtocol`] holds one row per node, indexed by
@@ -187,28 +182,14 @@ pub struct CellSnapshot {
     pub centroid: wsan_sim::Point,
 }
 
-/// Observable protocol counters (inspected by tests and the bench harness).
+/// Protocol counters no engine counter sees (drops and handovers are in
+/// `RunSummary`).
 #[derive(Debug, Clone, Default)]
 pub struct ReferStats {
     /// Cells that completed construction.
     pub cells_ready: usize,
-    /// Stage paths filled by the logical fallback instead of a query.
-    pub fallback_assignments: usize,
-    /// Data drops: no access member reachable from the source.
-    pub drop_no_access: usize,
-    /// Data drops: no live successor on any disjoint path.
-    pub drop_no_successor: usize,
-    /// Data drops: hop-count guard tripped.
-    pub drop_hops: usize,
     /// Times a relay diverted to a non-shortest disjoint path.
     pub alt_path_switches: usize,
-    /// Successful node replacements (Section III-B4).
-    pub replacements: usize,
-    /// Replacements performed *for* a failed neighbor by a live member
-    /// (cell healing), a subset of `replacements`.
-    pub heals: usize,
-    /// Packets delivered by this protocol's own accounting.
-    pub delivered: u64,
     /// Inter-cell frames carried over the CAN tier.
     pub inter_cell_hops: u64,
     /// Data frames diverted after an ACK-timeout expiry
@@ -229,7 +210,8 @@ pub struct ReferProtocol {
     tier: Option<DhtTier>,
     /// Actuator node per layout index.
     actuator_nodes: Vec<NodeId>,
-    cells: Vec<CellState>,
+    /// Each cell's corner actuators, in KID order (012, 120, 201).
+    cells: Vec<[NodeId; 3]>,
     /// One row per node, sized at init.
     nodes: Vec<NodeLocal>,
     /// Who holds which KID, sized once the cells are planned.
@@ -300,29 +282,6 @@ impl ReferProtocol {
         matches!(ctx.kind(node), NodeKind::Sensor) && self.roster.is_member(node)
     }
 
-    /// Sends a data frame. Under `Discovered` the frame rides the
-    /// link-layer ACK/retransmit machinery and failures surface
-    /// asynchronously in [`Protocol::on_send_expired`]; the call always
-    /// "succeeds" from the caller's perspective. Under `Oracle` this is a
-    /// plain [`Ctx::send`] whose boolean is the MAC-oracle outcome.
-    fn send_data(
-        &mut self,
-        ctx: &mut impl ProtoCtx<ReferMsg>,
-        from: NodeId,
-        to: NodeId,
-        size: u32,
-        frame: DataFrame,
-        reason: HopReason,
-    ) -> bool {
-        ctx.trace_hop(frame.data, from, to, reason);
-        if self.knowledge.is_local() {
-            ctx.send_acked(from, to, size, EnergyAccount::Communication, ReferMsg::Data(frame));
-            true
-        } else {
-            ctx.send(from, to, size, EnergyAccount::Communication, ReferMsg::Data(frame))
-        }
-    }
-
     // ----- construction --------------------------------------------------
 
     fn start_construction(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>) {
@@ -369,19 +328,11 @@ impl ReferProtocol {
         self.cells = layout
             .cells
             .iter()
-            .map(|cell| {
-                let corners = [
-                    actuator_nodes[cell.corners[0]],
-                    actuator_nodes[cell.corners[1]],
-                    actuator_nodes[cell.corners[2]],
-                ];
-                CellState { corners, ready: false }
-            })
+            .map(|cell| cell.corners.map(|c| actuator_nodes[c]))
             .collect();
         self.roster = Roster::new(Arc::clone(&self.route_table), self.cells.len(), ctx.node_count());
         for cell in 0..self.cells.len() {
-            let corners = self.cells[cell].corners;
-            for (corner, node) in corners.into_iter().enumerate() {
+            for (corner, node) in self.cells[cell].into_iter().enumerate() {
                 self.roster.assign_kid(cell, self.plan.actuator_kids[corner], node);
             }
         }
@@ -392,14 +343,14 @@ impl ReferProtocol {
         for cell in 0..self.cells.len() {
             let base = SimDuration::from_millis(1_000 + 40 * cell as u64);
             for corner in 0..3u64 {
-                let at = self.cells[cell].corners[corner as usize];
+                let at = self.cells[cell][corner as usize];
                 ctx.set_timer(
                     at,
                     base + SimDuration::from_millis(120 * corner),
                     tag(KIND_STAGE1, (cell as u64) << 2 | corner),
                 );
             }
-            let coordinator = self.cells[cell].corners[0];
+            let coordinator = self.cells[cell][0];
             ctx.set_timer(coordinator, SimDuration::from_millis(2_500), tag(KIND_STAGE2, cell as u64));
             ctx.set_timer(coordinator, SimDuration::from_millis(4_000), tag(KIND_STAGE3, cell as u64));
             ctx.set_timer(coordinator, SimDuration::from_millis(5_000), tag(KIND_READY, cell as u64));
@@ -451,14 +402,14 @@ impl ReferProtocol {
             .find(|p| p.from == from_kid)
             .expect("every corner has a stage-1 path")
             .clone();
-        let origin = self.cells[cell].corners[corner];
+        let origin = self.cells[cell][corner];
         let to_corner = self
             .plan
             .actuator_kids
             .iter()
             .position(|k| *k == stage.to)
             .expect("stage targets a corner");
-        let target = self.cells[cell].corners[to_corner];
+        let target = self.cells[cell][to_corner];
         self.launch_query(ctx, origin, target, cell, stage.interior);
     }
 
@@ -478,7 +429,7 @@ impl ReferProtocol {
             return;
         };
         let qid = self.next_qid; // reserved by launch below
-        let coordinator = self.cells[cell].corners[0];
+        let coordinator = self.cells[cell][0];
         // The coordinator instructs S_i; if unreachable, fall back at stage 3.
         if ctx.send(
             coordinator,
@@ -496,18 +447,19 @@ impl ReferProtocol {
         // common physical neighbor of its placed Kautz neighbors.
         let stage2_kids = self.plan.stage2.interior.clone();
         self.fallback_assign(ctx, cell, &stage2_kids);
-        let coordinator = self.cells[cell].corners[0];
+        let coordinator = self.cells[cell][0];
         // One solicitation broadcast for the completion stage.
         ctx.broadcast(coordinator, CTRL_BITS, EnergyAccount::Construction, ReferMsg::Ctrl);
         let stage3 = self.plan.stage3.clone();
         self.fallback_assign(ctx, cell, &stage3);
     }
 
-    /// Assigns any of `kids` not yet in the roster using the logical
-    /// embedding rule (highest-battery sensor in range of the placed Kautz
-    /// neighbors), charging one assignment frame per pick.
+    /// Assigns any of `kids` not yet in the roster to the highest-battery
+    /// free sensor in range of the KID's placed Kautz neighbors, else to the
+    /// free sensor nearest the cell centroid, charging one assignment frame
+    /// per pick.
     fn fallback_assign(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, cell: usize, kids: &[KautzId]) {
-        let coordinator = self.cells[cell].corners[0];
+        let coordinator = self.cells[cell][0];
         for kid in kids {
             if self.roster.owner_of(cell, kid).is_some() {
                 continue;
@@ -555,15 +507,13 @@ impl ReferProtocol {
                     ReferMsg::Assignment,
                 );
                 self.roster.assign_kid(cell, *kid, node);
-                self.stats.fallback_assignments += 1;
             }
         }
     }
 
     fn on_ready_timer(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, cell: usize) {
-        let coordinator = self.cells[cell].corners[0];
+        let coordinator = self.cells[cell][0];
         ctx.broadcast(coordinator, CTRL_BITS, EnergyAccount::Construction, ReferMsg::CellReady);
-        self.cells[cell].ready = true;
         self.stats.cells_ready += 1;
         self.snapshots.push(CellSnapshot {
             cell,
@@ -778,8 +728,6 @@ impl ReferProtocol {
                 ReferMsg::ReplaceNotice,
             );
             self.roster.assign_kid(cell, nk, replacement);
-            self.stats.replacements += 1;
-            self.stats.heals += 1;
             ctx.record_handover();
             // The owner just lost its KID on failure belief alone: graded
             // as wrongful when it was actually alive and honest.
@@ -878,7 +826,6 @@ impl ReferProtocol {
             ctx.broadcast(node, CTRL_BITS, EnergyAccount::Communication, ReferMsg::ReplaceNotice);
             self.roster.remove_membership(node, cell, &kid);
             self.roster.assign_kid(cell, kid, replacement);
-            self.stats.replacements += 1;
             ctx.record_handover();
             self.start_member_timers(ctx, replacement);
         }
@@ -909,6 +856,35 @@ impl ReferProtocol {
         }
     }
 
+    /// The cell among `cells` whose centroid is nearest `p`; the first
+    /// listed wins a tie.
+    fn nearest_cell(
+        &self,
+        p: wsan_sim::Point,
+        cells: impl Iterator<Item = usize>,
+    ) -> Option<usize> {
+        let layout = self.layout.as_ref().expect("cells exist");
+        cells.min_by(|&a, &b| {
+            p.distance(&layout.cells[a].centroid)
+                .partial_cmp(&p.distance(&layout.cells[b].centroid))
+                .expect("finite")
+        })
+    }
+
+    /// The KID of `cell`'s corner actuator nearest `node`; the first
+    /// corner wins a tie.
+    fn nearest_corner(&self, ctx: &impl ProtoCtx<ReferMsg>, node: NodeId, cell: usize) -> KautzId {
+        let corners = self.cells[cell];
+        let nearest = (0..3)
+            .min_by(|&a, &b| {
+                ctx.distance(node, corners[a])
+                    .partial_cmp(&ctx.distance(node, corners[b]))
+                    .expect("finite")
+            })
+            .expect("three corners");
+        self.plan.actuator_kids[nearest]
+    }
+
     /// Chooses the destination (cell, actuator corner) for a packet from
     /// `src` entering the backbone at `access`.
     fn choose_destination(
@@ -923,76 +899,30 @@ impl ReferProtocol {
         // nearest the sensor, bypassing the cross-cell draw below — the
         // paper trickle (no destination) keeps its exact draw sequence.
         if let Some(dest) = ctx.data_dest(data) {
-            let layout = self.layout.as_ref().expect("cells exist");
-            let dest_cell = (0..self.cells.len())
-                .min_by(|&a, &b| {
-                    ctx.position(dest)
-                        .distance(&layout.cells[a].centroid)
-                        .partial_cmp(&ctx.position(dest).distance(&layout.cells[b].centroid))
-                        .expect("finite")
-                })
-                .expect("cells non-empty");
-            let corners = self.cells[dest_cell].corners;
-            let nearest = (0..3)
-                .min_by(|&a, &b| {
-                    ctx.distance(dest, corners[a])
-                        .partial_cmp(&ctx.distance(dest, corners[b]))
-                        .expect("finite")
-                })
-                .expect("three corners");
-            return (dest_cell, self.plan.actuator_kids[nearest]);
+            let all = 0..self.cells.len();
+            let dest_cell = self.nearest_cell(ctx.position(dest), all).expect("cells non-empty");
+            return (dest_cell, self.nearest_corner(ctx, dest, dest_cell));
         }
         // The access member's cell; actuators belong to several — pick the
         // one whose centroid is nearest the source.
-        let home_cell = self
-            .roster
-            .memberships(access)
-            .iter()
-            .map(|(c, _)| *c)
-            .min_by(|&a, &b| {
-                let la = self.layout.as_ref().expect("cells exist");
-                ctx.position(src)
-                    .distance(&la.cells[a].centroid)
-                    .partial_cmp(&ctx.position(src).distance(&la.cells[b].centroid))
-                    .expect("finite")
-            })
-            .expect("access is a member");
+        let cells = self.roster.memberships(access).iter().map(|(c, _)| *c);
+        let home_cell = self.nearest_cell(ctx.position(src), cells).expect("access is a member");
         let cross = self.rcfg.cross_cell_fraction > 0.0
             && self.cells.len() > 1
             && ctx.rng().gen_bool(self.rcfg.cross_cell_fraction);
-        let dest_cell = if cross {
-            let mut c = ctx.rng().gen_range(0..self.cells.len());
-            if c == home_cell {
-                c = (c + 1) % self.cells.len();
-            }
-            c
-        } else {
-            home_cell
-        };
-        // Nearest corner actuator of the destination cell (to the source
-        // for the home cell; any corner for a remote cell — pick corner 0's
-        // KID owner deterministically via tier ownership).
-        let kid = if cross {
-            let owner = self
-                .tier
-                .as_ref()
-                .expect("tier built")
-                .owner(CellId(dest_cell as u32));
-            let owner_node = self.actuator_nodes[owner];
-            self.roster.kid_in_cell(owner_node, dest_cell)
-                .expect("owner is a corner")
-        } else {
-            let corners = self.cells[dest_cell].corners;
-            let nearest = (0..3)
-                .min_by(|&a, &b| {
-                    ctx.distance(src, corners[a])
-                        .partial_cmp(&ctx.distance(src, corners[b]))
-                        .expect("finite")
-                })
-                .expect("three corners");
-            self.plan.actuator_kids[nearest]
-        };
-        (dest_cell, kid)
+        if !cross {
+            // Nearest corner actuator of the home cell to the source.
+            return (home_cell, self.nearest_corner(ctx, src, home_cell));
+        }
+        let mut dest_cell = ctx.rng().gen_range(0..self.cells.len());
+        if dest_cell == home_cell {
+            dest_cell = (dest_cell + 1) % self.cells.len();
+        }
+        // Any corner of a remote cell: corner 0's KID owner, picked
+        // deterministically via tier ownership.
+        let owner = self.tier.as_ref().expect("tier built").owner(CellId(dest_cell as u32));
+        let kid = self.roster.kid_in_cell(self.actuator_nodes[owner], dest_cell);
+        (dest_cell, kid.expect("owner is a corner"))
     }
 
     /// Forwards a data frame from member `node`. Delivers, intra-cell
@@ -1000,17 +930,19 @@ impl ReferProtocol {
     fn forward(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, node: NodeId, mut frame: DataFrame) {
         if frame.hops >= MAX_HOPS {
             ctx.drop_data_reason(frame.data, DropReason::HopLimit);
-            self.stats.drop_hops += 1;
+            return;
+        }
+        // A peer's frame can name any cell; only a planned one routes.
+        if frame.dest_cell >= self.cells.len() {
+            ctx.drop_data_reason(frame.data, DropReason::NoRoute);
             return;
         }
         frame.hops += 1;
-        let dest_cell = frame.dest_cell;
-        match self.roster.kid_in_cell(node, dest_cell) {
+        match self.roster.kid_in_cell(node, frame.dest_cell) {
             Some(kid) if kid == frame.dest_kid => {
                 // Arrived.
                 if matches!(ctx.kind(node), NodeKind::Actuator) {
                     ctx.deliver_data_with_hops(frame.data, node, u32::from(frame.hops));
-                    self.stats.delivered += 1;
                 } else {
                     ctx.drop_data_reason(frame.data, DropReason::Other);
                 }
@@ -1028,26 +960,25 @@ impl ReferProtocol {
         kid: KautzId,
         frame: DataFrame,
     ) {
+        let (cell, data) = (frame.dest_cell, frame.data);
         // Both endpoints live in the cell graph the table was built for;
         // a frame that does not (foreign degree) is undeliverable.
         let (Some(at_idx), Some(dest_idx)) =
             (self.route_table.index_of(&kid), self.route_table.index_of(&frame.dest_kid))
         else {
-            ctx.drop_data_reason(frame.data, DropReason::NoRoute);
-            self.stats.drop_no_successor += 1;
+            ctx.drop_data_reason(data, DropReason::NoRoute);
             return;
         };
+        let knowledge = &self.knowledge;
         // Section III-C2: a node forwards over "a path with the lowest
         // delay, which could be either a multi-hop path or direct path".
         // When the destination itself is in range and uncongested, the
         // direct path is the lowest-delay choice.
-        if let Some(dest) = self.roster.owner_at(frame.dest_cell, dest_idx) {
-            if self.knowledge.usable(ctx, node, dest) && !ctx.is_congested(dest) {
-                let size = ctx
-                    .data_size_bits(frame.data)
-                    .unwrap_or(ctx.config().traffic.packet_bits);
-                let out = DataFrame { forced: None, ..frame };
-                self.send_data(ctx, node, dest, size, out, HopReason::Direct);
+        let dest = self.roster.owner_at(cell, dest_idx);
+        if let Some(dest) = dest {
+            if knowledge.usable(ctx, node, dest) && !ctx.is_congested(dest) {
+                let out = ReferMsg::Data(DataFrame { forced: None, ..frame });
+                knowledge.send_data(ctx, node, dest, data, HopReason::Direct, out);
                 return;
             }
         }
@@ -1057,79 +988,49 @@ impl ReferProtocol {
         // path; a dead or congested regular successor falls back to the
         // Theorem 3.8 planner below with the digit progress restarted.
         if matches!(ctx.config().routing, RoutingStrategy::Regular) {
-            if let Some((succ_idx, appended)) =
-                self.route_table.regular_next(at_idx, dest_idx, frame.appended)
-            {
-                let next = self.roster.owner_at(frame.dest_cell, succ_idx);
-                if let Some(next) = next.filter(|&n| {
-                    n != node && self.knowledge.usable(ctx, node, n) && !ctx.is_congested(n)
-                }) {
-                    let size = ctx
-                        .data_size_bits(frame.data)
-                        .unwrap_or(ctx.config().traffic.packet_bits);
-                    let out = DataFrame { forced: None, appended, ..frame };
-                    self.send_data(ctx, node, next, size, out, HopReason::KautzNext);
-                    return;
-                }
-            }
-        }
-        let choices = match route_choices_indexed(
-            &self.route_table,
-            at_idx,
-            dest_idx,
-            frame.forced,
-            ctx.rng(),
-        ) {
-            Ok(c) => c,
-            Err(_) => {
-                ctx.drop_data_reason(frame.data, DropReason::NoRoute);
-                self.stats.drop_no_successor += 1;
+            let pick = self.roster.regular_owner(cell, node, at_idx, dest_idx, frame.appended, |n| {
+                knowledge.usable(ctx, node, n) && !ctx.is_congested(n)
+            });
+            if let Some((next, appended)) = pick {
+                let out = ReferMsg::Data(DataFrame { forced: None, appended, ..frame });
+                knowledge.send_data(ctx, node, next, data, HopReason::KautzNext, out);
                 return;
             }
+        }
+        let Ok(choices) =
+            route_choices_indexed(&self.route_table, at_idx, dest_idx, frame.forced, ctx.rng())
+        else {
+            ctx.drop_data_reason(data, DropReason::NoRoute);
+            return;
         };
         // First pass: live and uncongested; second pass: live.
-        let pick = choices
-            .iter()
-            .enumerate()
-            .find_map(|(idx, c)| {
-                let n = self.roster.owner_at(frame.dest_cell, c.successor as usize)?;
-                (n != node && self.knowledge.usable(ctx, node, n) && !ctx.is_congested(n))
-                    .then_some((idx, n, c.forced_digit))
-            })
-            .or_else(|| {
-                choices.iter().enumerate().find_map(|(idx, c)| {
-                    let n = self.roster.owner_at(frame.dest_cell, c.successor as usize)?;
-                    (n != node && self.knowledge.usable(ctx, node, n)).then_some((idx, n, c.forced_digit))
-                })
-            });
+        let usable = |n| knowledge.usable(ctx, node, n);
+        let pick = self
+            .roster
+            .first_owner(cell, node, &choices, |n| usable(n) && !ctx.is_congested(n))
+            .or_else(|| self.roster.first_owner(cell, node, &choices, usable));
         let Some((idx, next, forced)) = pick else {
             // Last resort, per Section III-C2's lowest-delay rule: if the
             // destination itself is directly reachable, skip the broken
             // overlay hop and deliver straight.
-            let direct =
-                self.roster.owner_at(frame.dest_cell, dest_idx).filter(|&d| self.knowledge.usable(ctx, node, d));
-            if let Some(dest) = direct {
-                let size = ctx
-                    .data_size_bits(frame.data)
-                    .unwrap_or(ctx.config().traffic.packet_bits);
-                let out = DataFrame { forced: None, ..frame };
-                self.send_data(ctx, node, dest, size, out, HopReason::Detour);
-                self.stats.alt_path_switches += 1;
-                return;
+            match dest.filter(|&d| knowledge.usable(ctx, node, d)) {
+                Some(dest) => {
+                    let out = ReferMsg::Data(DataFrame { forced: None, ..frame });
+                    knowledge.send_data(ctx, node, dest, data, HopReason::Detour, out);
+                    self.stats.alt_path_switches += 1;
+                }
+                None => ctx.drop_data_reason(data, DropReason::NoRoute),
             }
-            ctx.drop_data_reason(frame.data, DropReason::NoRoute);
-            self.stats.drop_no_successor += 1;
             return;
         };
-        if idx > 0 {
+        let reason = if idx > 0 {
             self.stats.alt_path_switches += 1;
-        }
-        let size = ctx
-            .data_size_bits(frame.data)
-            .unwrap_or(ctx.config().traffic.packet_bits);
-        let out = DataFrame { forced, appended: 0, ..frame };
-        let reason = if idx > 0 { HopReason::Detour } else { HopReason::KautzNext };
-        self.send_data(ctx, node, next, size, out, reason);
+            HopReason::Detour
+        } else {
+            HopReason::KautzNext
+        };
+        let out = ReferMsg::Data(DataFrame { forced, appended: 0, ..frame });
+        knowledge.send_data(ctx, node, next, data, reason, out);
     }
 
     /// Routing toward a different cell: first to this cell's tier owner,
@@ -1137,22 +1038,20 @@ impl ReferProtocol {
     fn forward_toward_cell(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, node: NodeId, frame: DataFrame) {
         let Some(tier) = self.tier.as_ref() else {
             ctx.drop_data_reason(frame.data, DropReason::NoRoute);
-            self.stats.drop_no_successor += 1;
             return;
         };
         let memberships = self.roster.memberships(node);
         let Some(&(home_cell, _)) = memberships.first() else {
             ctx.drop_data_reason(frame.data, DropReason::NoRoute);
-            self.stats.drop_no_successor += 1;
             return;
         };
         if matches!(ctx.kind(node), NodeKind::Sensor) {
+            let knowledge = &self.knowledge;
             // Leg 1: hop-by-hop intra-cell routing toward the home cell's
             // owner actuator, keeping the remote cell as the frame's true
             // destination. Each sensor relay lands back here and pushes the
             // frame one Kautz hop closer to its own cell's owner.
-            let owner = tier.owner(CellId(home_cell as u32));
-            let owner_node = self.actuator_nodes[owner];
+            let owner_node = self.actuator_nodes[tier.owner(CellId(home_cell as u32))];
             let Some(owner_kid) = self.roster.kid_in_cell(owner_node, home_cell) else {
                 ctx.drop_data_reason(frame.data, DropReason::NoRoute);
                 return;
@@ -1164,32 +1063,20 @@ impl ReferProtocol {
                 ctx.drop_data_reason(frame.data, DropReason::NoRoute);
                 return;
             };
-            let choices = match route_choices_indexed(
-                &self.route_table,
-                at_idx,
-                owner_idx,
-                None,
-                ctx.rng(),
-            ) {
-                Ok(c) => c,
-                Err(_) => {
-                    ctx.drop_data_reason(frame.data, DropReason::NoRoute);
-                    return;
-                }
-            };
-            let pick = choices.iter().find_map(|c| {
-                self.roster.owner_at(home_cell, c.successor as usize)
-                    .filter(|&n| n != node && self.knowledge.usable(ctx, node, n))
-            });
-            let Some(next) = pick else {
+            let Ok(choices) =
+                route_choices_indexed(&self.route_table, at_idx, owner_idx, None, ctx.rng())
+            else {
                 ctx.drop_data_reason(frame.data, DropReason::NoRoute);
-                self.stats.drop_no_successor += 1;
                 return;
             };
-            let size = ctx
-                .data_size_bits(frame.data)
-                .unwrap_or(ctx.config().traffic.packet_bits);
-            self.send_data(ctx, node, next, size, frame, HopReason::KautzNext);
+            let usable = |n| knowledge.usable(ctx, node, n);
+            match self.roster.first_owner(home_cell, node, &choices, usable) {
+                Some((_, next, _)) => {
+                    let (data, out) = (frame.data, ReferMsg::Data(frame));
+                    knowledge.send_data(ctx, node, next, data, HopReason::KautzNext, out);
+                }
+                None => ctx.drop_data_reason(frame.data, DropReason::NoRoute),
+            }
             return;
         }
         // Actuator: hop along the CAN cell path.
@@ -1206,30 +1093,27 @@ impl ReferProtocol {
         let next_cell = if path.len() >= 2 { path[1] } else { CellId(frame.dest_cell as u32) };
         let next_owner = self.actuator_nodes[tier.owner(next_cell)];
         self.stats.inter_cell_hops += 1;
-        let size = ctx
-            .data_size_bits(frame.data)
-            .unwrap_or(ctx.config().traffic.packet_bits);
         if next_owner == node {
             // This actuator also owns the next cell: continue directly.
             self.forward(ctx, node, frame);
             return;
         }
-        if self.knowledge.usable(ctx, node, next_owner) {
-            self.send_data(ctx, node, next_owner, size, frame, HopReason::CellRelay);
-            return;
-        }
-        // Relay through any actuator in range of both.
-        let relay = self.actuator_nodes.iter().copied().find(|&r| {
-            r != node && self.knowledge.usable(ctx, node, r) && ctx.in_range(r, next_owner)
-        });
+        // Straight to the next owner, or through any actuator in range of
+        // both.
+        let knowledge = &self.knowledge;
+        let relay = if knowledge.usable(ctx, node, next_owner) {
+            Some(next_owner)
+        } else {
+            self.actuator_nodes.iter().copied().find(|&r| {
+                r != node && knowledge.usable(ctx, node, r) && ctx.in_range(r, next_owner)
+            })
+        };
         match relay {
             Some(r) => {
-                self.send_data(ctx, node, r, size, frame, HopReason::CellRelay);
+                let (data, out) = (frame.data, ReferMsg::Data(frame));
+                knowledge.send_data(ctx, node, r, data, HopReason::CellRelay, out);
             }
-            None => {
-                ctx.drop_data_reason(frame.data, DropReason::NoRoute);
-                self.stats.drop_no_successor += 1;
-            }
+            None => ctx.drop_data_reason(frame.data, DropReason::NoRoute),
         }
     }
 
@@ -1286,15 +1170,10 @@ impl SansIo for ReferProtocol {
             // member still presumed reachable.
             match self.roster.nearest_member(ctx, &self.knowledge, at) {
                 Some(m) => {
-                    let size = ctx
-                        .data_size_bits(frame.data)
-                        .unwrap_or(ctx.config().traffic.packet_bits);
-                    self.send_data(ctx, at, m, size, frame, HopReason::Recovery);
+                    let (data, out) = (frame.data, ReferMsg::Data(frame));
+                    self.knowledge.send_data(ctx, at, m, data, HopReason::Recovery, out);
                 }
-                None => {
-                    ctx.drop_data_reason(frame.data, DropReason::NoRoute);
-                    self.stats.drop_no_successor += 1;
-                }
+                None => ctx.drop_data_reason(frame.data, DropReason::NoRoute),
             }
         }
     }
@@ -1302,7 +1181,6 @@ impl SansIo for ReferProtocol {
     fn on_app_data<C: ProtoCtx<ReferMsg>>(&mut self, ctx: &mut C, src: NodeId, data: DataId) {
         if self.layout.is_none() {
             ctx.drop_data_reason(data, DropReason::NoAccess);
-            self.stats.drop_no_access += 1;
             return;
         }
         // Find the backbone entry point.
@@ -1348,51 +1226,38 @@ impl SansIo for ReferProtocol {
                     .nearest_member(ctx, &self.knowledge, relay)
                     .expect("relay has a member in range");
                 let (dest_cell, dest_kid) = self.choose_destination(ctx, src, home, data);
-                let size =
-                    ctx.data_size_bits(data).unwrap_or(ctx.config().traffic.packet_bits);
                 let frame =
                     DataFrame { data, dest_cell, dest_kid, forced: None, appended: 0, hops: 0 };
-                if !self.send_data(ctx, src, relay, size, frame, HopReason::Access) {
+                let out = ReferMsg::Data(frame);
+                if !self.knowledge.send_data(ctx, src, relay, data, HopReason::Access, out) {
                     ctx.drop_data_reason(data, DropReason::NoAccess);
-                    self.stats.drop_no_access += 1;
                 }
                 return;
             }
         }
         let Some(access) = access else {
             ctx.drop_data_reason(data, DropReason::NoAccess);
-            self.stats.drop_no_access += 1;
             return;
         };
         let (dest_cell, dest_kid) = self.choose_destination(ctx, src, access, data);
+        let frame = DataFrame { data, dest_cell, dest_kid, forced: None, appended: 0, hops: 0 };
         // Lowest-delay rule at the source too: a sensor standing next to
         // the destination actuator reports directly.
         if let Some(dest) = self.roster.owner_of(dest_cell, &dest_kid) {
             if self.knowledge.usable(ctx, src, dest) && !ctx.is_congested(dest) {
-                let size =
-                    ctx.data_size_bits(data).unwrap_or(ctx.config().traffic.packet_bits);
-                let frame = DataFrame {
-                    data,
-                    dest_cell,
-                    dest_kid,
-                    forced: None,
-                    appended: 0,
-                    hops: 0,
-                };
-                if self.send_data(ctx, src, dest, size, frame, HopReason::Direct) {
+                let out = ReferMsg::Data(frame.clone());
+                if self.knowledge.send_data(ctx, src, dest, data, HopReason::Direct, out) {
                     return;
                 }
             }
         }
-        let frame = DataFrame { data, dest_cell, dest_kid, forced: None, appended: 0, hops: 0 };
         if access == src {
             self.forward(ctx, src, frame);
             return;
         }
-        let size = ctx.data_size_bits(data).unwrap_or(ctx.config().traffic.packet_bits);
-        if !self.send_data(ctx, src, access, size, frame, HopReason::Access) {
+        let out = ReferMsg::Data(frame);
+        if !self.knowledge.send_data(ctx, src, access, data, HopReason::Access, out) {
             ctx.drop_data_reason(data, DropReason::NoAccess);
-            self.stats.drop_no_access += 1;
         }
     }
 
@@ -1436,9 +1301,10 @@ impl SansIo for ReferProtocol {
                 );
             }
             ReferMsg::PathAssign { assignments, hop } => {
-                // Pass the chain down toward the origin end.
-                if hop > 0 {
-                    let next = assignments[hop - 1].0;
+                // Pass the chain down toward the origin end; a hop with no
+                // entry (a peer's frame can carry any index) ends it.
+                let next = hop.checked_sub(1).and_then(|h| assignments.get(h));
+                if let Some(&(next, _)) = next {
                     ctx.send(
                         at,
                         next,
@@ -1504,12 +1370,10 @@ impl SansIo for ReferProtocol {
                     // the nearest member in range, or give up.
                     match self.roster.nearest_member(ctx, &self.knowledge, at) {
                         Some(m) => {
-                            self.send_data(ctx, at, m, msg.size_bits, frame, HopReason::Access);
+                            let (data, out) = (frame.data, ReferMsg::Data(frame));
+                            self.knowledge.send_data(ctx, at, m, data, HopReason::Access, out);
                         }
-                        None => {
-                            ctx.drop_data_reason(frame.data, DropReason::NoRoute);
-                            self.stats.drop_no_successor += 1;
-                        }
+                        None => ctx.drop_data_reason(frame.data, DropReason::NoRoute),
                     }
                 }
             }

@@ -1,5 +1,7 @@
 //! Who holds which KID: the cell rosters and per-node memberships that
-//! REFER and the Kautz-overlay baseline both route over.
+//! REFER and the Kautz-overlay baseline both route over, and the one
+//! successor walk both route by ([`Roster::first_owner`],
+//! [`Roster::regular_owner`]).
 //!
 //! A [`Roster`] keeps one dense roster per cell (owner by
 //! [`kautz::KautzId::to_index`]), one membership row per node, and the
@@ -15,6 +17,7 @@
 //! on order — so each debug-profile simulation of either protocol is a
 //! layout ≡ trees proof. Release builds compile them out.
 
+use crate::routing::IndexedHop;
 use kautz::{KautzId, RouteTable};
 use refer_proto::{FailureKnowledge, ProtoCtx};
 #[cfg(debug_assertions)]
@@ -168,6 +171,41 @@ impl Roster {
             "{SHADOW_MISMATCH}"
         );
         found
+    }
+
+    /// The successor walk of Section III-C2: the first of `choices` (the
+    /// Theorem 3.8 plans, in preference order) whose owner in `cell` is
+    /// not `node` and passes `accept`, as `(index into choices, owner,
+    /// forced digit)`.
+    pub fn first_owner(
+        &self,
+        cell: usize,
+        node: NodeId,
+        choices: &[IndexedHop],
+        mut accept: impl FnMut(NodeId) -> bool,
+    ) -> Option<(usize, NodeId, Option<u8>)> {
+        choices.iter().enumerate().find_map(|(idx, c)| {
+            let n = self.owner_at(cell, c.successor as usize)?;
+            (n != node && accept(n)).then_some((idx, n, c.forced_digit))
+        })
+    }
+
+    /// The Faber–Streib regular successor from dense index `at` toward
+    /// `dest` with `appended` of its digits already carried: its owner in
+    /// `cell` and the new digit progress, when that owner is not `node`
+    /// and passes `accept`.
+    pub fn regular_owner(
+        &self,
+        cell: usize,
+        node: NodeId,
+        at: usize,
+        dest: usize,
+        appended: u8,
+        accept: impl FnOnce(NodeId) -> bool,
+    ) -> Option<(NodeId, u8)> {
+        let (succ, appended) = self.table.regular_next(at, dest, appended)?;
+        let next = self.owner_at(cell, succ)?;
+        (next != node && accept(next)).then_some((next, appended))
     }
 
     /// Current owner of `kid` in `cell`.

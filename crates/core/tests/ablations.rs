@@ -20,14 +20,14 @@ fn maintenance_keeps_the_topology_alive_under_mobility() {
     let with = {
         let cfg = mobile_cfg(21);
         let (s, p) = runner::run_owned(cfg, ReferProtocol::new(ReferConfig::default()));
-        assert!(p.stats.replacements > 0, "maintenance must fire: {:?}", p.stats);
+        assert!(s.handovers > 0, "maintenance must fire: {:?}", p.stats);
         s
     };
     let without = {
         let cfg = mobile_cfg(21);
         let rcfg = ReferConfig { maintenance_enabled: false, ..Default::default() };
-        let (s, p) = runner::run_owned(cfg, ReferProtocol::new(rcfg));
-        assert_eq!(p.stats.replacements, 0, "ablated runs must not replace");
+        let (s, _) = runner::run_owned(cfg, ReferProtocol::new(rcfg));
+        assert_eq!(s.handovers, 0, "ablated runs must not replace");
         s
     };
     assert!(

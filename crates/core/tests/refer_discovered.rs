@@ -82,7 +82,6 @@ fn maintenance_hands_over_kids_as_batteries_drain() {
         "draining members must hand their KIDs to fresh candidates: {:?}",
         refer.stats
     );
-    assert_eq!(summary.handovers, refer.stats.replacements as u64);
 }
 
 #[test]

@@ -213,7 +213,8 @@ struct Tally {
     received: u64,
     received_bytes: u64,
     delivered: u64,
-    /// Datagrams that did not decode.
+    /// Datagrams that did not decode, or name a sender outside the
+    /// cluster.
     rejects: u64,
     /// Datagrams that decoded but name another node as receiver.
     misaddressed: u64,
@@ -311,6 +312,12 @@ impl Daemon {
         };
         if to != self.me {
             self.tally.misaddressed += 1;
+            return;
+        }
+        // A sender with no row in the world view: its id would enter the
+        // protocol's beacon and candidate lists, which later index it.
+        if msg.from.index() >= self.engine.ctx().world().node_count() {
+            self.tally.rejects += 1;
             return;
         }
         if let ReferMsg::Data(frame) = &msg.payload {
@@ -790,7 +797,7 @@ mod tests {
     use super::*;
     use kautz::KautzId;
     use refer::DataFrame;
-    use wsan_sim::EnergyAccount;
+    use wsan_sim::{DropReason, EnergyAccount};
 
     /// The cluster scenario must be one the simulator predicts well for:
     /// the comparison (and the CI gate on it) is only meaningful if the
@@ -1067,6 +1074,93 @@ mod tests {
         let t = &daemon.tally;
         assert_eq!((t.received, t.received_bytes), (2, 2 * other.len() as u64));
         assert_eq!((t.misaddressed, t.rejects), (1, 0));
+    }
+
+    /// What `daemon` traced, once its sink is [`Captured`].
+    fn traced(daemon: &mut Daemon, captured: &Captured) -> Vec<TraceEvent> {
+        daemon.trace.flush().expect("in memory");
+        let bytes = captured.0.lock().expect("not poisoned");
+        let text = std::str::from_utf8(&bytes).expect("JSONL");
+        text.lines().map(|line| from_jsonl_line(line).expect("a trace line")).collect()
+    }
+
+    /// A trace sink the test keeps a handle on.
+    #[derive(Clone, Default)]
+    struct Captured(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl std::io::Write for Captured {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().expect("not poisoned").extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A peer's frame can carry any `PathAssign` index and any destination
+    /// cell. An index with no entry ends the chain; it used to index the
+    /// list and panic. A cell that was never planned is a `NoRoute` drop;
+    /// it used to be cast to `u32` and could land in another cell.
+    #[test]
+    fn hostile_indices_and_cells_are_dropped_not_followed() {
+        let mut daemon = offline_daemon();
+        let captured = Captured::default();
+        daemon.trace = BufWriter::new(Box::new(captured.clone()));
+        for hop in [1, 7, usize::MAX] {
+            let assign = ReferMsg::PathAssign { assignments: vec![], hop };
+            daemon.on_datagram(1, &wire::encode_datagram(NodeId(3), 0, &from_7(assign)));
+        }
+        assert!(traced(&mut daemon, &captured).is_empty(), "no chain to pass on");
+        // The frame must reach `forward`, so the daemon plays a sensor member.
+        let roster = daemon.engine.protocol().roster(0).expect("one cell");
+        let sensors = daemon.engine.ctx().world().sensor_ids();
+        let member = roster.values().copied().find(|n| sensors.contains(n)).expect("a sensor");
+        daemon.me = member;
+        let kid = *roster.keys().next().expect("a KID");
+        for (n, dest_cell) in [1 << 32, usize::MAX].into_iter().enumerate() {
+            let frame = DataFrame {
+                data: DataId(n as u64),
+                dest_cell,
+                dest_kid: kid,
+                forced: None,
+                appended: 0,
+                hops: 0,
+            };
+            let msg = from_7(ReferMsg::Data(frame));
+            daemon.on_datagram(2, &wire::encode_datagram(member, 0, &msg));
+        }
+        let events = traced(&mut daemon, &captured);
+        assert_eq!(events.len(), 2, "{events:?}");
+        for (n, ev) in events.iter().enumerate() {
+            assert!(
+                matches!(ev, TraceEvent::Dropped { packet, reason: DropReason::NoRoute, .. }
+                    if *packet == DataId(n as u64)),
+                "{ev:?}"
+            );
+        }
+        assert_eq!(daemon.tally.rejects, 0, "well-formed frames, hostile values");
+    }
+
+    /// A datagram naming a sender outside the cluster is a counted reject:
+    /// the sender never becomes a beacon source or a replacement
+    /// candidate, whose ids maintenance later looks up in the world view.
+    #[test]
+    fn senders_outside_the_cluster_are_counted_rejects() {
+        let mut daemon = offline_daemon();
+        let stranger = NodeId(4_000_000);
+        for payload in [ReferMsg::Probe, ReferMsg::Beacon] {
+            let msg = Message { from: stranger, ..from_7(payload) };
+            daemon.on_datagram(1, &wire::encode_datagram(NodeId(3), 0, &msg));
+        }
+        let t = &daemon.tally;
+        assert_eq!((t.received, t.rejects, t.misaddressed), (2, 2, 0));
+        let state = format!("{:?}", daemon.engine.protocol());
+        assert!(!state.contains(&format!("{stranger:?}")), "the stranger was recorded");
+        // A sender inside the cluster still registers.
+        daemon.on_datagram(2, &wire::encode_datagram(NodeId(3), 0, &from_7(ReferMsg::Probe)));
+        assert_eq!(daemon.tally.rejects, 2);
     }
 
     /// The launcher must satisfy the cluster's floor: at least 12 real

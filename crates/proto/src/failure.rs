@@ -23,7 +23,7 @@
 use crate::ProtoCtx;
 use std::collections::BTreeMap;
 use std::fmt::Debug;
-use wsan_sim::{FaultModel, NodeId, SimDuration, SimTime};
+use wsan_sim::{DataId, EnergyAccount, FaultModel, HopReason, NodeId, SimDuration, SimTime};
 
 /// Weighted accusation mass at which rumor alone creates a suspicion: a
 /// single full-weight accuser can never evict on their own.
@@ -236,6 +236,30 @@ impl FailureKnowledge {
     /// link-layer ACK machinery, and failures surface as expiries).
     pub fn is_local(&self) -> bool {
         matches!(self, FailureKnowledge::Local(_))
+    }
+
+    /// Sends `payload`, a data frame of packet `data`, from `from` to `to`
+    /// as a `reason` hop, sized from the packet record. Under local
+    /// knowledge it rides the link-layer ACK machinery, failures surface
+    /// in `on_send_expired` and the call always succeeds; under the oracle
+    /// it is a plain send whose boolean is the MAC outcome.
+    pub fn send_data<P: Clone + Debug>(
+        &self,
+        ctx: &mut impl ProtoCtx<P>,
+        from: NodeId,
+        to: NodeId,
+        data: DataId,
+        reason: HopReason,
+        payload: P,
+    ) -> bool {
+        ctx.trace_hop(data, from, to, reason);
+        let size = ctx.data_size_bits(data).unwrap_or(ctx.config().traffic.packet_bits);
+        if self.is_local() {
+            ctx.send_acked(from, to, size, EnergyAccount::Communication, payload);
+            true
+        } else {
+            ctx.send(from, to, size, EnergyAccount::Communication, payload)
+        }
     }
 
     /// Whether `a` would pick `b` as a next hop: the link oracle, or local

@@ -48,7 +48,7 @@ fn main() {
             r.qos_delivery_ratio * 100.0,
             r.mean_delay_s * 1e3,
             refer.stats.alt_path_switches,
-            refer.stats.replacements,
+            r.handovers,
             d.qos_delivery_ratio * 100.0,
             d.mean_delay_s * 1e3,
             datree.stats.repairs,

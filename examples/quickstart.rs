@@ -55,6 +55,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  energy (comm):      {:.0} J", summary.energy_communication_j);
     println!("  energy (construct): {:.0} J", summary.energy_construction_j);
     println!("  alternate paths:    {}", protocol.stats.alt_path_switches);
-    println!("  node replacements:  {}", protocol.stats.replacements);
+    println!("  node replacements:  {}", summary.handovers);
     Ok(())
 }
