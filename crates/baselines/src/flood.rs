@@ -89,7 +89,7 @@ pub fn discover<P: ControlPayload>(
             continue;
         }
         // The receivers of that charged broadcast — the medium's outcome,
-        // not an oracle lookup (see [`Ctx::physical_neighbors`]).
+        // not an oracle lookup (see [`Ctx::physical_neighbors_into`]).
         ctx.physical_neighbors_into(cur, &mut frontier);
         for &n in &frontier {
             if seen.insert(n) {

@@ -1,6 +1,5 @@
 //! The Kautz graph embedding plan (Section III-B2): which KIDs exist in a
-//! `K(d, 3)` cell, in what order they are assigned, and the logical
-//! assignment of KIDs to physical sensors.
+//! `K(d, 3)` cell and in what order they are assigned.
 //!
 //! The paper builds a cell in three stages:
 //!
@@ -16,15 +15,16 @@
 //!    common physical neighbor of its already-assigned Kautz neighbors with
 //!    the highest battery.
 //!
-//! [`EmbeddingPlan`] computes the KID structure once per degree;
-//! [`logical_embed`] maps it onto concrete sensors (used directly by
-//! examples and the general-`d` path, and as the reference the
-//! message-driven protocol in [`crate::protocol`] converges to).
+//! [`EmbeddingPlan`] computes the KID structure once per degree. The
+//! plan assigns no sensor: the message-driven protocol in
+//! [`crate::protocol`] does, running the stage-1 and stage-2 paths as
+//! TTL=2 path queries and filling stage 3 (and any KID a query could not
+//! place) by its coordinator's fallback rule. The Kautz-overlay baseline
+//! walks [`EmbeddingPlan::assignment_order`].
 
 use crate::cells::corner_kids;
 use kautz::{KautzGraph, KautzId};
-use std::collections::{HashMap, HashSet};
-use wsan_sim::Point;
+use std::collections::HashSet;
 
 /// A planned assignment path: `from` and `to` are already-assigned vertices
 /// and `interior` lists the KIDs handed to the sensors discovered between
@@ -149,12 +149,6 @@ impl EmbeddingPlan {
         order.extend(self.stage3.iter().cloned());
         order
     }
-
-    /// Number of sensor KIDs (total vertices minus the three actuators).
-    pub fn sensor_kid_count(&self) -> usize {
-        let graph = KautzGraph::new(self.degree, 3).expect("valid parameters");
-        graph.node_count() - 3
-    }
 }
 
 /// Finds the lexicographically-smallest length-3 walk `from -> a -> b ->
@@ -179,123 +173,6 @@ fn walk_interior(
         }
     }
     None
-}
-
-/// A candidate sensor for the logical embedding.
-#[derive(Debug, Clone, Copy)]
-pub struct SensorCandidate {
-    /// Caller-side handle (e.g. simulator node index).
-    pub handle: usize,
-    /// Current physical position.
-    pub position: Point,
-    /// Remaining battery, Joules (higher is preferred, per the paper's
-    /// accumulated-energy path selection).
-    pub energy: f64,
-}
-
-/// Maps the plan's sensor KIDs onto concrete sensors.
-///
-/// For each KID in assignment order the highest-energy unassigned candidate
-/// that is within `sensor_range` of every already-placed Kautz-graph
-/// neighbor is chosen; if no candidate satisfies all neighbors, the
-/// constraint relaxes to "within range of at least one placed neighbor",
-/// then to "closest to the cell centroid". This mirrors what the TTL=2
-/// query discovers physically: query paths only traverse links that exist.
-///
-/// Returns `None` if there are fewer candidates than sensor KIDs.
-pub fn logical_embed(
-    plan: &EmbeddingPlan,
-    actuators: &[(usize, Point); 3],
-    candidates: &[SensorCandidate],
-    sensor_range: f64,
-) -> Option<HashMap<KautzId, usize>> {
-    if candidates.len() < plan.sensor_kid_count() {
-        return None;
-    }
-    let centroid = wsan_sim::centroid(&[actuators[0].1, actuators[1].1, actuators[2].1]);
-    let mut placed: HashMap<KautzId, Point> = HashMap::new();
-    let mut assignment: HashMap<KautzId, usize> = HashMap::new();
-    for (kid, (handle, pos)) in plan.actuator_kids.iter().zip(actuators.iter()) {
-        placed.insert(*kid, *pos);
-        assignment.insert(*kid, *handle);
-    }
-    let mut free: Vec<SensorCandidate> = candidates.to_vec();
-
-    for kid in plan.assignment_order() {
-        if assignment.contains_key(&kid) {
-            continue;
-        }
-        let neighbor_positions: Vec<Point> = kid
-            .successors()
-            .into_iter()
-            .chain(kid.predecessors())
-            .filter_map(|n| placed.get(&n).copied())
-            .collect();
-        let within_all = |c: &SensorCandidate| {
-            neighbor_positions.iter().all(|p| c.position.distance(p) <= sensor_range)
-        };
-        let within_any = |c: &SensorCandidate| {
-            neighbor_positions.iter().any(|p| c.position.distance(p) <= sensor_range)
-        };
-        let pick = free
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| within_all(c))
-            .max_by(|(_, a), (_, b)| a.energy.partial_cmp(&b.energy).expect("finite"))
-            .map(|(i, _)| i)
-            .or_else(|| {
-                free.iter()
-                    .enumerate()
-                    .filter(|(_, c)| within_any(c))
-                    .max_by(|(_, a), (_, b)| a.energy.partial_cmp(&b.energy).expect("finite"))
-                    .map(|(i, _)| i)
-            })
-            .or_else(|| {
-                free.iter()
-                    .enumerate()
-                    .min_by(|(_, a), (_, b)| {
-                        a.position
-                            .distance(&centroid)
-                            .partial_cmp(&b.position.distance(&centroid))
-                            .expect("finite")
-                    })
-                    .map(|(i, _)| i)
-            })?;
-        let chosen = free.swap_remove(pick);
-        placed.insert(kid, chosen.position);
-        assignment.insert(kid, chosen.handle);
-    }
-    Some(assignment)
-}
-
-/// Fraction of Kautz arcs whose two endpoint nodes are within `range` of
-/// each other under `positions` — the embedding's physical consistency
-/// score (1.0 = every overlay arc is a physical link).
-pub fn physical_consistency(
-    plan: &EmbeddingPlan,
-    assignment: &HashMap<KautzId, usize>,
-    positions: &HashMap<usize, Point>,
-    range: f64,
-) -> f64 {
-    let graph = KautzGraph::new(plan.degree, 3).expect("valid parameters");
-    let mut total = 0usize;
-    let mut ok = 0usize;
-    for (u, v) in graph.arcs() {
-        let (Some(&hu), Some(&hv)) = (assignment.get(&u), assignment.get(&v)) else {
-            continue;
-        };
-        let (Some(pu), Some(pv)) = (positions.get(&hu), positions.get(&hv)) else {
-            continue;
-        };
-        total += 1;
-        if pu.distance(pv) <= range {
-            ok += 1;
-        }
-    }
-    if total == 0 {
-        return 0.0;
-    }
-    ok as f64 / total as f64
 }
 
 #[cfg(test)]
@@ -357,99 +234,5 @@ mod tests {
     #[should_panic(expected = "degree >= 2")]
     fn degree_one_is_rejected() {
         let _ = EmbeddingPlan::for_degree(1);
-    }
-
-    #[test]
-    fn logical_embed_assigns_all_kids() {
-        let plan = EmbeddingPlan::for_degree(2);
-        let actuators = [
-            (1000, Point::new(0.0, 0.0)),
-            (1001, Point::new(80.0, 0.0)),
-            (1002, Point::new(40.0, 70.0)),
-        ];
-        // A dense cluster of candidates around the triangle.
-        let candidates: Vec<SensorCandidate> = (0..20)
-            .map(|i| SensorCandidate {
-                handle: i,
-                position: Point::new(10.0 + 3.0 * i as f64, 10.0 + 2.0 * i as f64),
-                energy: 100.0 + i as f64,
-            })
-            .collect();
-        let got = logical_embed(&plan, &actuators, &candidates, 100.0)
-            .expect("enough candidates");
-        assert_eq!(got.len(), 12, "3 actuators + 9 sensors");
-        let sensors: HashSet<usize> =
-            got.values().copied().filter(|&h| h < 1000).collect();
-        assert_eq!(sensors.len(), 9, "9 distinct sensors");
-    }
-
-    #[test]
-    fn logical_embed_prefers_high_energy() {
-        let plan = EmbeddingPlan::for_degree(2);
-        let actuators = [
-            (1000, Point::new(0.0, 0.0)),
-            (1001, Point::new(50.0, 0.0)),
-            (1002, Point::new(25.0, 40.0)),
-        ];
-        // All candidates co-located; only energy differentiates them.
-        let candidates: Vec<SensorCandidate> = (0..15)
-            .map(|i| SensorCandidate {
-                handle: i,
-                position: Point::new(25.0, 15.0),
-                energy: i as f64,
-            })
-            .collect();
-        let got = logical_embed(&plan, &actuators, &candidates, 100.0)
-            .expect("enough candidates");
-        // The 9 picked sensors are the 9 highest-energy ones (6..=14).
-        let picked: HashSet<usize> =
-            got.values().copied().filter(|&h| h < 1000).collect();
-        assert_eq!(picked, (6..15).collect::<HashSet<_>>());
-    }
-
-    #[test]
-    fn logical_embed_needs_enough_candidates() {
-        let plan = EmbeddingPlan::for_degree(2);
-        let actuators = [
-            (1000, Point::new(0.0, 0.0)),
-            (1001, Point::new(50.0, 0.0)),
-            (1002, Point::new(25.0, 40.0)),
-        ];
-        let few: Vec<SensorCandidate> = (0..5)
-            .map(|i| SensorCandidate {
-                handle: i,
-                position: Point::new(25.0, 15.0),
-                energy: 1.0,
-            })
-            .collect();
-        assert!(logical_embed(&plan, &actuators, &few, 100.0).is_none());
-    }
-
-    #[test]
-    fn tight_cluster_is_fully_physically_consistent() {
-        let plan = EmbeddingPlan::for_degree(2);
-        let actuators = [
-            (1000, Point::new(10.0, 10.0)),
-            (1001, Point::new(60.0, 10.0)),
-            (1002, Point::new(35.0, 50.0)),
-        ];
-        let candidates: Vec<SensorCandidate> = (0..12)
-            .map(|i| SensorCandidate {
-                handle: i,
-                position: Point::new(30.0 + (i % 4) as f64 * 5.0, 20.0 + (i / 4) as f64 * 5.0),
-                energy: 10.0,
-            })
-            .collect();
-        let got = logical_embed(&plan, &actuators, &candidates, 100.0)
-            .expect("enough candidates");
-        let mut positions: HashMap<usize, Point> = candidates
-            .iter()
-            .map(|c| (c.handle, c.position))
-            .collect();
-        for (h, p) in actuators {
-            positions.insert(h, p);
-        }
-        let score = physical_consistency(&plan, &got, &positions, 100.0);
-        assert_eq!(score, 1.0, "a 50 m cluster with 100 m range is fully linked");
     }
 }

@@ -13,8 +13,8 @@
 //!   it into [`wsan_sim::runner::run`] to simulate.
 //! * [`cells`] — the starting server's cell partitioning (triangles, CIDs,
 //!   vertex coloring).
-//! * [`embedding`] — the `K(d, 3)` embedding plan and the logical
-//!   KID-to-sensor assignment.
+//! * [`embedding`] — the `K(d, 3)` embedding plan: which KIDs each stage
+//!   assigns, in what order.
 //! * [`routing`] — per-relay next-hop selection over the `d` disjoint
 //!   paths, with the conflict-node forced digit.
 //! * [`tier`] — the CAN-based inter-cell tier.

@@ -273,11 +273,6 @@ impl ReferProtocol {
         (cell < self.cells.len()).then(|| self.roster.roster_entries(cell).collect())
     }
 
-    /// The shared dense route table for the cell graph `K(degree, 3)`.
-    pub fn route_table(&self) -> &Arc<RouteTable> {
-        &self.route_table
-    }
-
     fn is_assigned_sensor(&self, ctx: &impl ProtoCtx<ReferMsg>, node: NodeId) -> bool {
         matches!(ctx.kind(node), NodeKind::Sensor) && self.roster.is_member(node)
     }

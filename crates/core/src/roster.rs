@@ -9,25 +9,16 @@
 //! is the mixed-radix rank of the digit word, so ascending index order is
 //! ascending KID order — what a walk of a `BTreeMap<KautzId, NodeId>`
 //! visited — and every scan below visits entries in the order the trees
-//! it replaced did.
-//!
-//! Debug builds carry those trees (`ShadowTrees`) as the reference:
-//! every membership test, member scan and roster lookup asserts that the
-//! rows and the trees agree — on content and, where a tree was iterated,
-//! on order — so each debug-profile simulation of either protocol is a
-//! layout ≡ trees proof. Release builds compile them out.
+//! it replaced did. The proptest `rows_match_the_trees_they_replaced`
+//! holds those trees as the reference and checks the rows against them
+//! under random assignment, removal and handover scripts.
 
 use crate::routing::IndexedHop;
 use kautz::{KautzId, RouteTable};
 use refer_proto::{FailureKnowledge, ProtoCtx};
-#[cfg(debug_assertions)]
-use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::sync::Arc;
 use wsan_sim::NodeId;
-
-#[cfg(debug_assertions)]
-const SHADOW_MISMATCH: &str = "roster rows and their shadow trees disagree";
 
 /// The KID assignment of every cell (see the module docs).
 #[derive(Debug)]
@@ -42,17 +33,6 @@ pub struct Roster {
     /// The nodes with at least one membership, ascending: what every
     /// "nearest member" scan walks, in the order the ties break in.
     members: Vec<NodeId>,
-    #[cfg(debug_assertions)]
-    shadow: ShadowTrees,
-}
-
-/// The trees the dense rosters and membership rows replaced, kept by debug
-/// builds as the reference (see the module docs).
-#[cfg(debug_assertions)]
-#[derive(Debug)]
-struct ShadowTrees {
-    member_cells: BTreeMap<NodeId, Vec<(usize, KautzId)>>,
-    rosters: Vec<BTreeMap<KautzId, NodeId>>,
 }
 
 impl Roster {
@@ -64,11 +44,6 @@ impl Roster {
             table,
             rows: vec![Vec::new(); nodes],
             members: Vec::new(),
-            #[cfg(debug_assertions)]
-            shadow: ShadowTrees {
-                member_cells: BTreeMap::new(),
-                rosters: vec![BTreeMap::new(); cells],
-            },
         }
     }
 
@@ -79,8 +54,6 @@ impl Roster {
             return;
         };
         let prev = self.cells[cell][idx].replace(node);
-        #[cfg(debug_assertions)]
-        assert_eq!(prev, self.shadow.rosters[cell].insert(kid, node), "{SHADOW_MISMATCH}");
         if let Some(prev) = prev {
             self.remove_membership(prev, cell, &kid);
         }
@@ -90,8 +63,6 @@ impl Roster {
             self.members.insert(at, node);
         }
         row.push((cell, kid));
-        #[cfg(debug_assertions)]
-        self.shadow.member_cells.entry(node).or_default().push((cell, kid));
     }
 
     /// Drops `node`'s membership `(cell, kid)`, if it has it. The roster
@@ -106,26 +77,12 @@ impl Roster {
             let at = self.members.binary_search(&node).expect("a member is listed");
             self.members.remove(at);
         }
-        #[cfg(debug_assertions)]
-        if let Some(ms) = self.shadow.member_cells.get_mut(&node) {
-            ms.retain(|(c, k)| !(*c == cell && k == kid));
-            if ms.is_empty() {
-                self.shadow.member_cells.remove(&node);
-            }
-        }
     }
 
     /// `node`'s `(cell, KID)` memberships; empty for a non-member and for
     /// an id outside the deployment (a peer's frame can name any id).
     pub fn memberships(&self, node: NodeId) -> &[(usize, KautzId)] {
-        let found = self.rows.get(node.index()).map_or(&[][..], Vec::as_slice);
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            found,
-            self.shadow.member_cells.get(&node).map_or(&[][..], Vec::as_slice),
-            "{SHADOW_MISMATCH}"
-        );
-        found
+        self.rows.get(node.index()).map_or(&[][..], Vec::as_slice)
     }
 
     /// Whether `node` holds a KID in any cell.
@@ -140,8 +97,6 @@ impl Roster {
 
     /// Every member, ascending by id.
     pub fn members(&self) -> &[NodeId] {
-        #[cfg(debug_assertions)]
-        assert!(self.members.iter().eq(self.shadow.member_cells.keys()), "{SHADOW_MISMATCH}");
         &self.members
     }
 
@@ -163,14 +118,7 @@ impl Roster {
 
     /// Current owner of the KID with dense index `idx` in `cell`.
     pub fn owner_at(&self, cell: usize, idx: usize) -> Option<NodeId> {
-        let found = self.cells[cell][idx];
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            found,
-            self.shadow.rosters[cell].get(&self.table.id_of(idx)).copied(),
-            "{SHADOW_MISMATCH}"
-        );
-        found
+        self.cells[cell][idx]
     }
 
     /// The successor walk of Section III-C2: the first of `choices` (the
@@ -215,16 +163,8 @@ impl Roster {
 
     /// `cell`'s roster as `(KID, owner)`, ascending by KID.
     pub fn roster_entries(&self, cell: usize) -> impl Iterator<Item = (KautzId, NodeId)> + '_ {
-        let entries = move || {
-            let occupied = self.cells[cell].iter().enumerate();
-            occupied.filter_map(|(idx, owner)| Some((self.table.id_of(idx), (*owner)?)))
-        };
-        #[cfg(debug_assertions)]
-        assert!(
-            entries().eq(self.shadow.rosters[cell].iter().map(|(k, n)| (*k, *n))),
-            "{SHADOW_MISMATCH}"
-        );
-        entries()
+        let occupied = self.cells[cell].iter().enumerate();
+        occupied.filter_map(|(idx, owner)| Some((self.table.id_of(idx), (*owner)?)))
     }
 }
 
@@ -253,18 +193,6 @@ mod tests {
         assert_eq!(r.members(), [NodeId(8)]);
     }
 
-    /// The shadow trees must notice a row that answers differently from
-    /// the tree it replaced (here: a membership lost from the row).
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "roster rows and their shadow trees disagree")]
-    fn shadow_catches_a_planted_disagreement() {
-        let mut r = blank(1, 4);
-        r.assign_kid(0, KautzId::parse("010", 2).expect("valid"), NodeId(3));
-        r.rows[3].clear();
-        r.is_member(NodeId(3));
-    }
-
     #[test]
     fn ids_outside_the_deployment_are_not_members() {
         // A peer's frame can name any id; the trees answered "unknown".
@@ -275,10 +203,9 @@ mod tests {
     }
 
     // Random assignment / removal / handover scripts against the trees the
-    // rows replaced, held explicitly so the comparison also runs in release
-    // test builds (where the shadow is compiled out): the member list must
-    // be the membership tree's keys in order, each roster the KID tree's
-    // entries in order, each row the tree's value.
+    // rows replaced: the member list must be the membership tree's keys in
+    // order, each roster the KID tree's entries in order, each row the
+    // tree's value.
     proptest! {
         #[test]
         fn rows_match_the_trees_they_replaced(

@@ -1,81 +1,18 @@
-//! Property-based tests for REFER's pure components: the embedding, cell
-//! planning, routing decisions and the Section III-B4 maintenance
-//! predicates.
+//! Property-based tests for REFER's pure components: cell planning,
+//! routing decisions and the Section III-B4 maintenance predicates.
 
 use proptest::prelude::*;
 use refer::cells::{plan_cells, quincunx};
-use refer::embedding::{logical_embed, physical_consistency, EmbeddingPlan, SensorCandidate};
 use refer::maintenance::{can_replace, link_endangered, select_replacement};
 use refer::routing::{route_choices, RouteHeader};
 use kautz::KautzId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use wsan_sim::Point;
-
-fn candidates(seed: &[(f64, f64, f64)]) -> Vec<SensorCandidate> {
-    seed.iter()
-        .enumerate()
-        .map(|(i, &(x, y, e))| SensorCandidate {
-            handle: i,
-            position: Point::new(x, y),
-            energy: e,
-        })
-        .collect()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn logical_embed_is_total_and_injective(
-        field in prop::collection::vec((0.0..120.0f64, 0.0..120.0f64, 1.0..1e3f64), 12..40),
-        degree in 2u8..=3,
-    ) {
-        let plan = EmbeddingPlan::for_degree(degree);
-        prop_assume!(field.len() >= plan.sensor_kid_count());
-        let actuators = [
-            (9000, Point::new(0.0, 0.0)),
-            (9001, Point::new(90.0, 0.0)),
-            (9002, Point::new(45.0, 80.0)),
-        ];
-        let cands = candidates(&field);
-        let got = logical_embed(&plan, &actuators, &cands, 100.0)
-            .expect("enough candidates");
-        // Total: every vertex assigned; injective: no node holds two KIDs.
-        let graph = kautz::KautzGraph::new(degree, 3).expect("valid");
-        prop_assert_eq!(got.len(), graph.node_count());
-        let handles: HashSet<usize> = got.values().copied().collect();
-        prop_assert_eq!(handles.len(), got.len());
-    }
-
-    #[test]
-    fn tight_fields_embed_consistently(
-        jitter in prop::collection::vec((-20.0..20.0f64, -20.0..20.0f64), 9..20),
-    ) {
-        // All candidates within a 40 m blob and 100 m range: every Kautz
-        // arc must be physically realizable.
-        let plan = EmbeddingPlan::for_degree(2);
-        prop_assume!(jitter.len() >= plan.sensor_kid_count());
-        let actuators = [
-            (9000, Point::new(30.0, 10.0)),
-            (9001, Point::new(70.0, 10.0)),
-            (9002, Point::new(50.0, 50.0)),
-        ];
-        let field: Vec<(f64, f64, f64)> = jitter
-            .iter()
-            .map(|&(dx, dy)| (50.0 + dx, 30.0 + dy, 10.0))
-            .collect();
-        let cands = candidates(&field);
-        let got = logical_embed(&plan, &actuators, &cands, 100.0)
-            .expect("enough candidates");
-        let mut positions: HashMap<usize, Point> =
-            cands.iter().map(|c| (c.handle, c.position)).collect();
-        for (h, p) in actuators {
-            positions.insert(h, p);
-        }
-        prop_assert_eq!(physical_consistency(&plan, &got, &positions, 100.0), 1.0);
-    }
 
     #[test]
     fn route_choices_cover_all_successors(a in 0usize..320, b in 0usize..320, seed in 0u64..1000) {

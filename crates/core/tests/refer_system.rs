@@ -1,7 +1,11 @@
 //! System-level tests of the full REFER protocol on the simulator.
 
+use kautz::KautzId;
+use refer::cells::corner_kids;
 use refer::{ReferConfig, ReferProtocol};
-use wsan_sim::{runner, SimConfig, SimDuration};
+use std::collections::{BTreeMap, HashMap};
+use wsan_sim::config::in_unit_disk;
+use wsan_sim::{runner, NodeId, Point, SimConfig, SimDuration};
 
 fn smoke_cfg(seed: u64) -> SimConfig {
     let mut cfg = SimConfig::smoke();
@@ -35,6 +39,76 @@ fn rosters_cover_the_whole_kautz_graph() {
             assert!(roster.contains_key(&v), "cell {cell} missing {v}");
         }
     }
+}
+
+/// The message-driven embedding places every node at most once: a sensor
+/// holds at most one `(cell, KID)`, and an actuator holds exactly the
+/// corner KID of its color in each cell it is a corner of, as each cell
+/// stood at its `CellReady`.
+#[test]
+fn construction_embeds_each_node_at_most_once() {
+    for seed in 1..=3 {
+        let cfg = smoke_cfg(seed);
+        let (_, refer) = run_refer(cfg.clone());
+        let layout = refer.layout().expect("quincunx forms cells");
+        assert_eq!(refer.snapshots.len(), layout.cells.len(), "seed {seed}");
+        let mut held: BTreeMap<NodeId, Vec<(usize, KautzId)>> = BTreeMap::new();
+        for snap in &refer.snapshots {
+            for &(kid, node, _, is_actuator) in &snap.members {
+                // The runner numbers the sensors first, then the actuators.
+                assert_eq!(is_actuator, node.index() >= cfg.sensors, "seed {seed}: {node:?}");
+                held.entry(node).or_default().push((snap.cell, kid));
+            }
+        }
+        for (node, places) in held.range(..NodeId(cfg.sensors as u32)) {
+            assert!(places.len() <= 1, "seed {seed}: sensor {node:?} holds {places:?}");
+        }
+        let corners = corner_kids(2);
+        for (a, color) in layout.colors.iter().enumerate() {
+            let node = NodeId((cfg.sensors + a) as u32);
+            let expected: Vec<(usize, KautzId)> = layout
+                .cells
+                .iter()
+                .enumerate()
+                .filter(|(_, cell)| cell.corners.contains(&a))
+                .map(|(c, _)| (c, corners[usize::from(color.expect("a corner has a color"))]))
+                .collect();
+            let mut got = held.get(&node).cloned().unwrap_or_default();
+            got.sort();
+            assert_eq!(got, expected, "seed {seed}: actuator {node:?}");
+        }
+    }
+}
+
+/// How many of each cell's 24 Kautz arcs `u -> v` were physical links at
+/// the cell's `CellReady`: `v`'s owner within the radio range of `u`'s
+/// owner (actuator or sensor range). Pinned per seed and cell; the
+/// TTL=2 queries and the coordinator's fallback link 17–22 of the 24.
+#[test]
+fn embedded_arcs_that_are_physical_links_are_pinned() {
+    const LINKED: [[usize; 4]; 3] = [[19, 22, 19, 21], [18, 22, 17, 18], [19, 18, 21, 17]];
+    let graph = kautz::KautzGraph::new(2, 3).expect("valid");
+    let arcs: Vec<(KautzId, KautzId)> = graph.arcs().collect();
+    assert_eq!(arcs.len(), 24);
+    let mut got = [[0; 4]; 3];
+    for (seed, row) in (1..=3).zip(got.iter_mut()) {
+        let cfg = smoke_cfg(seed);
+        let (_, refer) = run_refer(cfg.clone());
+        assert_eq!(refer.snapshots.len(), 4, "seed {seed}");
+        for snap in &refer.snapshots {
+            let at: HashMap<KautzId, (Point, bool)> =
+                snap.members.iter().map(|&(kid, _, pos, act)| (kid, (pos, act))).collect();
+            row[snap.cell] = arcs
+                .iter()
+                .filter(|(u, v)| {
+                    let ((pu, actuator), (pv, _)) = (at[u], at[v]);
+                    let range = if actuator { cfg.actuator_range } else { cfg.sensor_range };
+                    in_unit_disk(pu.distance(&pv), range)
+                })
+                .count();
+        }
+    }
+    assert_eq!(got, LINKED);
 }
 
 #[test]

@@ -167,12 +167,6 @@ pub enum Input<P> {
         /// Workload-assigned destination, if any.
         dest: Option<NodeId>,
     },
-    /// Clock advance with nothing else to report (keeps `now` honest for
-    /// drivers that batch).
-    Tick {
-        /// The driver's current time.
-        at: SimTime,
-    },
 }
 
 impl<P> Input<P> {
@@ -181,8 +175,7 @@ impl<P> Input<P> {
         match self {
             Input::Frame { at, .. }
             | Input::TimerFired { at, .. }
-            | Input::AppData { at, .. }
-            | Input::Tick { at } => *at,
+            | Input::AppData { at, .. } => *at,
         }
     }
 }
@@ -357,7 +350,8 @@ impl<P: Clone + Debug> ProtoCtx<P> for IoCtx<P> {
             (0..self.world.kinds.len() as u32)
                 .map(NodeId)
                 .filter(|&other| {
-                    other != id && my_pos.distance(&self.world.positions[other.index()]) <= my_range
+                    other != id
+                        && wsan_sim::config::in_unit_disk(my_pos.distance(&self.world.positions[other.index()]), my_range)
                 }),
         );
     }
@@ -498,7 +492,6 @@ impl<T: SansIo> EngineCore<T> {
                 );
                 self.proto.on_app_data(&mut self.ctx, node, packet);
             }
-            Input::Tick { .. } => {}
         }
         self.ctx.take_outputs().into_iter()
     }

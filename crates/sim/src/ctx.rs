@@ -2,8 +2,8 @@
 
 use crate::acks::AckTable;
 use crate::config::{
-    SimConfig, BYZ_DROP_PROB, BYZ_MISROUTE_PROB, BYZ_SLANDER_PROB, MAC_OVERHEAD, MAX_JITTER,
-    MAX_QUEUE, QOS_DEADLINE,
+    in_unit_disk, SimConfig, BYZ_DROP_PROB, BYZ_MISROUTE_PROB, BYZ_SLANDER_PROB, MAC_OVERHEAD,
+    MAX_JITTER, MAX_QUEUE, QOS_DEADLINE,
 };
 use crate::energy::{EnergyAccount, EnergyModel};
 use crate::geometry::Point;
@@ -603,9 +603,9 @@ impl<P> Ctx<P> {
     }
 
     /// Whether `b` is inside `a`'s transmission range (the unit disk,
-    /// [`in_unit_disk`](crate::config::in_unit_disk)).
+    /// [`in_unit_disk`]).
     pub fn in_range(&self, a: NodeId, b: NodeId) -> bool {
-        crate::config::in_unit_disk(self.distance(a, b), self.range(a))
+        in_unit_disk(self.distance(a, b), self.range(a))
     }
 
     /// Whether a frame from `a` would currently reach `b`: both alive and
@@ -643,20 +643,16 @@ impl<P> Ctx<P> {
     }
 
     /// The nodes a broadcast from `id` physically reaches right now: alive
-    /// and in range. This is the medium's behavior, not protocol knowledge
-    /// — a flood cannot traverse a dead node whether or not the sender
-    /// knows it is dead — so it is *not* counted as an oracle consultation.
-    /// Protocols may use it only to model physically-propagating control
-    /// waves (floods, discovery storms), never to pick unicast next hops.
-    pub fn physical_neighbors(&self, id: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.physical_neighbors_into(id, &mut out);
-        out
-    }
-
-    /// [`Ctx::physical_neighbors`] into a caller-owned buffer: `buf` is
-    /// cleared and refilled in ascending `NodeId` order (the same order the
-    /// linear scan produces, whichever index resolves the candidates).
+    /// and in range ([`in_unit_disk`]). This is the medium's behavior, not
+    /// protocol knowledge — a flood cannot traverse a dead node whether or
+    /// not the sender knows it is dead — so it is *not* counted as an
+    /// oracle consultation. Protocols may use it only to model
+    /// physically-propagating control waves (floods, discovery storms),
+    /// never to pick unicast next hops.
+    ///
+    /// `buf` is cleared and refilled in ascending `NodeId` order (the same
+    /// order the linear scan produces, whichever index resolves the
+    /// candidates), so hot paths can reuse one allocation across queries.
     pub fn physical_neighbors_into(&self, id: NodeId, buf: &mut Vec<NodeId>) {
         buf.clear();
         let me = &self.nodes[id.index()];
@@ -666,7 +662,7 @@ impl<P> Ctx<P> {
                 return false;
             }
             let node = &self.nodes[other.index()];
-            !node.faulty && my_pos.distance(&node.position) <= my_range
+            !node.faulty && in_unit_disk(my_pos.distance(&node.position), my_range)
         };
         // When the cell block spans all or most of the grid the index
         // cannot prune enough to pay for itself; the plain scan gives
@@ -683,7 +679,7 @@ impl<P> Ctx<P> {
             // the node table for the liveness bit.
             self.grid.for_each_within(me.position, my_range, |other, pos| {
                 if other != id
-                    && my_pos.distance(&pos) <= my_range
+                    && in_unit_disk(my_pos.distance(&pos), my_range)
                     && !self.nodes[other.index()].faulty
                 {
                     buf.push(other);
@@ -870,7 +866,7 @@ impl<P> Ctx<P> {
     /// Probability that one frame from `from` reaches `to`: the unit disk
     /// times the residual per-link loss `radio.link_pdr`.
     fn frame_prob(&self, from: NodeId, to: NodeId) -> f64 {
-        if crate::config::in_unit_disk(self.distance(from, to), self.range(from)) {
+        if in_unit_disk(self.distance(from, to), self.range(from)) {
             1.0 - self.cfg.radio.link_pdr.clamp(0.0, 1.0)
         } else {
             0.0

@@ -1,5 +1,5 @@
 //! Uniform spatial grid over the deployment area — the cell-list neighbor
-//! index behind [`Ctx::physical_neighbors`](crate::Ctx::physical_neighbors).
+//! index behind [`Ctx::physical_neighbors_into`](crate::Ctx::physical_neighbors_into).
 //!
 //! Every radio operation resolves a neighborhood: broadcast fanout, flood
 //! discovery, the baselines' construction passes. A linear scan over the

@@ -1,6 +1,6 @@
 //! The spatial grid neighbor index must be invisible: every query answers
 //! exactly what a brute-force scan over the public getters answers, at
-//! every instant of a run. `physical_neighbors`
+//! every instant of a run. `physical_neighbors_into`
 //! has one read site for the index, so per-query identity at every tick
 //! is run identity.
 //!
@@ -17,7 +17,7 @@ use wsan_sim::{
 
 /// A protocol that audits the engine from inside: at every mobility-tick
 /// boundary it recomputes each node's neighborhood by brute force through
-/// the public getters and compares it to `physical_neighbors`.
+/// the public getters and compares it to `physical_neighbors_into`.
 struct GridAudit {
     ticks: u64,
     checks: u64,
@@ -80,7 +80,7 @@ impl Protocol for GridAudit {
     }
 }
 
-/// Whether `physical_neighbors` answers `cfg`'s queries from the grid
+/// Whether `physical_neighbors_into` answers `cfg`'s queries from the grid
 /// (`true`) or falls back to the scan: the engine's own rule, on a grid
 /// built with the engine's cell side (the largest radio range).
 fn runs_on_grid(cfg: &SimConfig) -> bool {

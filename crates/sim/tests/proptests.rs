@@ -77,7 +77,7 @@ proptest! {
 }
 
 /// Recomputes every node's neighborhood by brute force at each mobility
-/// tick and compares it against `physical_neighbors`, recording any
+/// tick and compares it against `physical_neighbors_into`, recording any
 /// divergence.
 struct NeighborOracle {
     ticks: u64,
