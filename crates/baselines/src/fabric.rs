@@ -12,20 +12,18 @@
 //! queue-delay tail and the hot-link utilization.
 //!
 //! The per-hop state is three bytes carried in the frame (destination,
-//! regular-routing digit counter, hop count); the per-node tables are the
-//! digit words (`n·k` bytes) and the successor-by-digit map
-//! (`n·(d+1)` u32s), so the fabric scales to the `n ≥ 10⁴` graphs the
-//! sharded engine targets without the `O(n²)` tables of the per-cell
-//! [`RouteTable`](kautz::RouteTable).
+//! regular-routing digit counter, hop count); the shared table is an
+//! [`ArcTable`]: the digit words (`n·k` bytes) and the successor rows
+//! (`n·d` u32s), built in two allocations whatever the graph's size. Both
+//! next hops are computed from the two digit words per hop, so the fabric
+//! scales to the `n ≥ 10⁴` graphs the sharded engine targets without the
+//! `O(n²)` tables of the per-cell [`RouteTable`](kautz::RouteTable).
 
-use kautz::KautzId;
+use kautz::ArcTable;
 use wsan_sim::{
     ActuatorPlacement, Ctx, DataId, DropReason, EnergyAccount, HopReason, Message, NodeId,
     Protocol, RoutingStrategy, SensorPlacement, SimConfig, TrafficPattern,
 };
-
-/// No successor along this digit (it equals the vertex's last letter).
-const NO_ARC: u32 = u32::MAX;
 
 /// A data frame walking the fabric.
 #[derive(Debug, Clone)]
@@ -49,14 +47,7 @@ pub struct FabricFrame {
 /// [`TrafficPattern`] matrix.
 #[derive(Debug, Clone)]
 pub struct KautzFabricProtocol {
-    degree: u8,
-    k: usize,
-    n: usize,
-    /// Digit words, row-major `n × k`.
-    digits: Vec<u8>,
-    /// Successor index by out-digit, row-major `n × (d+1)`; [`NO_ARC`]
-    /// where the digit equals the vertex's last letter.
-    succ: Vec<u32>,
+    arcs: ArcTable,
     /// Maximum transmissions per packet before giving up: `2(k+1)` leaves
     /// headroom over both strategies' worst case of `k` hops.
     hop_limit: u8,
@@ -64,75 +55,19 @@ pub struct KautzFabricProtocol {
 
 impl KautzFabricProtocol {
     /// Builds the fabric tables for `K(degree, k)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `K(degree, k)` is not a graph [`ArcTable::new`] builds.
     pub fn new(degree: u8, k: usize) -> Self {
-        let d = degree as usize;
-        let n = (d + 1) * d.pow((k - 1) as u32);
-        let mut digits = Vec::with_capacity(n * k);
-        for index in 0..n {
-            digits.extend_from_slice(KautzId::from_index(index, degree, k).digits());
-        }
-        let mut succ = vec![NO_ARC; n * (d + 1)];
-        for u in 0..n {
-            let last = digits[u * k + k - 1];
-            for alpha in 0..=degree {
-                if alpha == last {
-                    continue;
-                }
-                // Successor along `alpha` is the left shift with `alpha`
-                // appended: digits (u_2 .. u_k alpha).
-                let mut word: Vec<u8> = digits[u * k + 1..(u + 1) * k].to_vec();
-                word.push(alpha);
-                let id = KautzId::new(word, degree).expect("shift-append stays a Kautz word");
-                succ[u * (d + 1) + alpha as usize] = id.to_index() as u32;
-            }
-        }
+        let arcs = ArcTable::new(degree, k).expect("fabric graph parameters");
         let hop_limit = (2 * (k + 1)).min(u8::MAX as usize) as u8;
-        KautzFabricProtocol { degree, k, n, digits, succ, hop_limit }
+        KautzFabricProtocol { arcs, hop_limit }
     }
 
     /// Number of vertices / required sensor count.
     pub fn node_count(&self) -> usize {
-        self.n
-    }
-
-    fn digits_of(&self, u: usize) -> &[u8] {
-        &self.digits[u * self.k..(u + 1) * self.k]
-    }
-
-    fn succ_by_digit(&self, u: usize, alpha: u8) -> usize {
-        let next = self.succ[u * (self.degree as usize + 1) + alpha as usize];
-        debug_assert_ne!(next, NO_ARC, "no arc along the vertex's own last digit");
-        next as usize
-    }
-
-    /// Longest suffix of `u` matching a prefix of `v` (0 when `u != v`
-    /// share nothing; callers never ask about `u == v`).
-    fn overlap(&self, u: usize, v: usize) -> usize {
-        let (k, du, dv) = (self.k, self.digits_of(u), self.digits_of(v));
-        (1..k).rev().find(|&t| du[k - t..] == dv[..t]).unwrap_or(0)
-    }
-
-    /// The greedy shortest next hop: append the first destination digit
-    /// beyond the current overlap. Always a legal arc — with overlap `t`,
-    /// `v_{t+1}` differs from `u`'s last letter (`= v_t` for `t ≥ 1`; for
-    /// `t = 0` equality would make the overlap 1).
-    fn shortest_next(&self, u: usize, v: usize) -> usize {
-        self.succ_by_digit(u, self.digits_of(v)[self.overlap(u, v)])
-    }
-
-    /// One Faber–Streib regular hop: append destination digit
-    /// `v_{appended+1}` and advance the counter, starting from `v_2` when
-    /// `v_1` collides with `u`'s last digit (the overlap is then at least
-    /// 1, so no detour is needed). Mirrors
-    /// [`RouteTable::regular_next`](kautz::RouteTable::regular_next).
-    fn regular_next(&self, u: usize, v: usize, appended: u8) -> (usize, u8) {
-        let mut appended = if (appended as usize) < self.k { appended } else { 0 };
-        let u_last = self.digits_of(u)[self.k - 1];
-        if self.digits_of(v)[appended as usize] == u_last {
-            appended = u8::from(self.digits_of(v)[0] == u_last);
-        }
-        let next_digit = self.digits_of(v)[appended as usize];
-        (self.succ_by_digit(u, next_digit), appended + 1)
+        self.arcs.node_count()
     }
 
     /// Delivers, drops, or forwards `frame` one hop from `at`.
@@ -146,14 +81,14 @@ impl KautzFabricProtocol {
             ctx.drop_data_reason(frame.data, DropReason::HopLimit);
             return;
         }
-        let next = match ctx.config().routing {
-            RoutingStrategy::Shortest => self.shortest_next(u, v),
-            RoutingStrategy::Regular => {
-                let (next, appended) = self.regular_next(u, v, frame.appended);
-                frame.appended = appended;
-                next
+        let hop = match ctx.config().routing {
+            RoutingStrategy::Shortest => {
+                self.arcs.next_hop(u, v).map(|next| (next, frame.appended))
             }
+            RoutingStrategy::Regular => self.arcs.regular_next(u, v, frame.appended),
         };
+        let (next, appended) = hop.expect("u != v was handled above");
+        frame.appended = appended;
         frame.hops += 1;
         let next = NodeId(next as u32);
         let size = ctx.data_size_bits(frame.data).unwrap_or(ctx.config().traffic.packet_bits);
@@ -174,13 +109,14 @@ impl Protocol for KautzFabricProtocol {
     }
 
     fn on_init(&mut self, ctx: &mut Ctx<FabricFrame>) {
+        let arcs = &self.arcs;
         assert_eq!(
             ctx.config().sensors,
-            self.n,
+            arcs.node_count(),
             "the fabric maps sensor i to vertex i: sensors must equal K({}, {})'s {} vertices",
-            self.degree,
-            self.k,
-            self.n
+            arcs.degree(),
+            arcs.k(),
+            arcs.node_count()
         );
     }
 
@@ -248,68 +184,6 @@ pub fn fabric_config(degree: u8, k: usize, offered_pps: f64) -> SimConfig {
 mod tests {
     use super::*;
     use wsan_sim::{runner, SimDuration};
-
-    #[test]
-    fn successor_tables_match_the_id_arithmetic() {
-        for (d, k) in [(2u8, 3usize), (3, 4)] {
-            let fabric = KautzFabricProtocol::new(d, k);
-            for u in 0..fabric.node_count() {
-                let id = KautzId::from_index(u, d, k);
-                let mut from_table: Vec<usize> = (0..=d)
-                    .filter(|&a| a != id.last())
-                    .map(|a| fabric.succ_by_digit(u, a))
-                    .collect();
-                from_table.sort_unstable();
-                let mut from_id: Vec<usize> =
-                    id.successors().iter().map(|s| s.to_index()).collect();
-                from_id.sort_unstable();
-                assert_eq!(from_table, from_id, "successors of {u} in K({d}, {k})");
-            }
-        }
-    }
-
-    #[test]
-    fn shortest_walk_reaches_every_pair_within_the_diameter() {
-        let (d, k) = (3u8, 4usize);
-        let fabric = KautzFabricProtocol::new(d, k);
-        let n = fabric.node_count();
-        for u in 0..n {
-            for v in 0..n {
-                if u == v {
-                    continue;
-                }
-                let mut at = u;
-                let mut hops = 0;
-                while at != v {
-                    at = fabric.shortest_next(at, v);
-                    hops += 1;
-                    assert!(hops <= k, "shortest {u} -> {v} exceeded the diameter");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn regular_walk_reaches_every_pair_within_the_diameter() {
-        let (d, k) = (3u8, 4usize);
-        let fabric = KautzFabricProtocol::new(d, k);
-        let n = fabric.node_count();
-        for u in 0..n {
-            for v in 0..n {
-                if u == v {
-                    continue;
-                }
-                let (mut at, mut appended, mut hops) = (u, 0u8, 0usize);
-                while at != v {
-                    let (next, a) = fabric.regular_next(at, v, appended);
-                    at = next;
-                    appended = a;
-                    hops += 1;
-                    assert!(hops <= k, "regular {u} -> {v} exceeded the diameter");
-                }
-            }
-        }
-    }
 
     /// The two workloads want different contention models; neither may
     /// change its own by accident (DESIGN.md §13, "Engine discipline").

@@ -172,14 +172,7 @@ impl KautzId {
     /// # }
     /// ```
     pub fn overlap(&self, other: &KautzId) -> usize {
-        let (mine, theirs) = (self.digits(), other.digits());
-        let k = mine.len().min(theirs.len());
-        for l in (1..=k).rev() {
-            if mine[mine.len() - l..] == theirs[..l] {
-                return l;
-            }
-        }
-        0
+        overlap_of(self.digits(), other.digits())
     }
 
     /// The Kautz routing distance `k - L(U, V)`: the length of the unique
@@ -280,16 +273,7 @@ impl KautzId {
     /// letters and each later digit one of the `d` letters differing from its
     /// predecessor.
     pub fn to_index(&self) -> usize {
-        let d = self.degree as usize;
-        let mut index = self.digits[0] as usize;
-        for w in self.digits().windows(2) {
-            let (prev, cur) = (w[0], w[1]);
-            // Rank of `cur` among letters != prev, i.e. cur adjusted down by
-            // one when it sorts after prev.
-            let rank = if cur > prev { cur as usize - 1 } else { cur as usize };
-            index = index * d + rank;
-        }
-        index
+        word_index(self.degree, self.digits().iter().copied())
     }
 
     /// Inverse of [`to_index`](Self::to_index).
@@ -338,6 +322,37 @@ const _: () = {
     assert!(std::mem::size_of::<KautzId>() <= 24);
     assert!(KautzId::MAX_K >= 16);
 };
+
+/// `L(U, V)` over digit words: the longest suffix of `u` that is a prefix
+/// of `v`. The one implementation behind [`KautzId::overlap`] and the
+/// tables' overlaps.
+pub(crate) fn overlap_of(u: &[u8], v: &[u8]) -> usize {
+    let k = u.len().min(v.len());
+    (1..=k).rev().find(|&l| u[u.len() - l..] == v[..l]).unwrap_or(0)
+}
+
+/// Rank of `cur` among the `d` letters differing from `prev`: `cur`
+/// adjusted down by one when it sorts after `prev`. It is each later
+/// digit's place value in [`KautzId::to_index`] and a successor's slot
+/// among a vertex's `d` out-arcs.
+#[inline]
+pub(crate) fn digit_rank(cur: u8, prev: u8) -> usize {
+    if cur > prev {
+        cur as usize - 1
+    } else {
+        cur as usize
+    }
+}
+
+/// The mixed-radix index of [`KautzId::to_index`] for a non-empty Kautz
+/// word of degree `degree` given letter by letter, so a caller can index
+/// a word it never builds.
+pub(crate) fn word_index(degree: u8, mut word: impl Iterator<Item = u8>) -> usize {
+    let d = degree as usize;
+    let first = word.next().expect("a Kautz word is non-empty");
+    let step = |(index, prev), cur| (index * d + digit_rank(cur, prev), cur);
+    word.fold((first as usize, first), step).0
+}
 
 /// Decimal digits of `s` into an inline word, diagnosing the first
 /// non-digit and a string past [`KautzId::MAX_K`].

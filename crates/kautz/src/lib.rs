@@ -20,9 +20,10 @@
 //! * [`disjoint`] — **Theorem 3.8**: the `d` vertex-disjoint `U -> V`
 //!   paths, their successors, lengths and the conflict-node rule
 //!   (Propositions 3.3–3.7), computed purely from the two identifiers.
-//! * [`table`] — [`RouteTable`]: dense precomputed successor / next-hop /
-//!   Theorem 3.8 tables giving allocation-free O(1) lookups for forwarding
-//!   hot paths.
+//! * [`table`] — [`ArcTable`]: every vertex's digits and successors, for
+//!   greedy and regular routing by index arithmetic on graphs of any size;
+//!   [`RouteTable`]: that plus pairwise next-hop / Theorem 3.8 tables
+//!   giving allocation-free O(1) lookups on the small cell graphs.
 //! * [`brute`] — brute-force reference algorithms (BFS, DFTR-style route
 //!   generation) used to verify the theorem and as the ablation baseline.
 //!
@@ -59,4 +60,4 @@ pub use error::{KautzIdError, RoutingError};
 pub use graph::{KautzGraph, Nodes};
 pub use id::KautzId;
 pub use routing::{greedy_next_hop, greedy_path, regular_next_hop, regular_path};
-pub use table::{PlanSet, RouteTable, TablePlan};
+pub use table::{ArcTable, PlanSet, RouteTable, TablePlan};

@@ -1,31 +1,226 @@
 //! Dense precomputed routing tables over `K(d, k)`.
 //!
 //! Every routine in [`routing`](crate::routing) and
-//! [`disjoint`](crate::disjoint) recomputes suffix/prefix overlaps and
-//! allocates fresh [`KautzId`] vectors per call — fine for protocol logic,
-//! wasteful on a forwarding hot path that takes the same decisions millions
-//! of times. [`RouteTable`] trades memory for that work: built once per
-//! graph, it stores every vertex's digits, its `d` successor indices and
-//! the pairwise overlaps `L(U, V)`, turning the greedy next hop into a
-//! single array read and the full Theorem 3.8 plan classification into
-//! `O(d)` arithmetic on prefetched digits — no allocation, no digit
-//! scanning, no `KautzId` construction.
+//! [`disjoint`](crate::disjoint) works on [`KautzId`] values: it reads
+//! digits out of identifiers and builds a new identifier for every
+//! successor — fine for protocol logic, wasteful on a forwarding hot path
+//! that takes the same decisions millions of times. The tables here
+//! address vertices by their dense [`KautzId::to_index`] mixed-radix
+//! index in `0..n`, `n = (d+1)·d^(k-1)`, and come in two sizes:
 //!
-//! Vertices are addressed by their dense [`KautzId::to_index`] mixed-radix
-//! index in `0..(d+1)·d^(k-1)`. Table sizes: the per-vertex arrays hold
-//! `(d+1)·d^(k-1)` rows; the pairwise overlap and next-hop arrays are
-//! quadratic in that count (`K(4, 4)`: 320 vertices, ≈ 0.5 MB total) —
-//! see the README's Performance section for the trade-off discussion.
+//! * [`ArcTable`] — `O(n·d)`: every vertex's digit word (`n·k` bytes) and
+//!   its `d` successor indices (`n·d` u32s), built by index arithmetic in
+//!   two allocations. The greedy next hop and the Faber–Streib regular
+//!   hop are computed from two digit words. It scales to the `n ≥ 10⁴` graphs
+//!   of the Kautz fabric.
+//! * [`RouteTable`] — an [`ArcTable`] plus the `O(n²)` pairwise overlaps
+//!   `L(U, V)` and greedy next hops, turning the next hop into a single
+//!   array read and the full Theorem 3.8 plan classification into `O(d)`
+//!   arithmetic — no allocation, no digit scanning, no `KautzId`
+//!   construction. Quadratic in `n` (`K(4, 4)`: 320 vertices, ≈ 0.5 MB),
+//!   so meant for the small per-cell graphs; see the README's Performance
+//!   section for the trade-off.
 //!
 //! Correctness is anchored by exhaustive equivalence tests against
 //! [`greedy_next_hop`](crate::routing::greedy_next_hop),
-//! [`disjoint_paths`] and the BFS
-//! reference in [`brute`](crate::brute).
+//! [`regular_next_hop`](crate::routing::regular_next_hop),
+//! [`disjoint_paths`] and the BFS reference in [`brute`](crate::brute).
 
 use crate::disjoint::{disjoint_paths, PathClass};
 use crate::error::KautzIdError;
-use crate::id::KautzId;
+use crate::id::{digit_rank, overlap_of, word_index, KautzId};
 use std::collections::HashMap;
+
+/// Every vertex's digit word and out-arcs in `K(d, k)`: the `O(n·d)`
+/// half of a [`RouteTable`], enough for greedy and regular
+/// routing on graphs too large for pairwise tables.
+///
+/// # Examples
+///
+/// ```
+/// # use kautz::{KautzId, table::ArcTable};
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let arcs = ArcTable::new(2, 10)?;
+/// assert_eq!(arcs.node_count(), 3 * 512);
+/// let u = KautzId::parse("0101010101", 2)?.to_index();
+/// let v = KautzId::parse("1010101012", 2)?.to_index();
+/// // Overlap 9, so one hop: append v's last digit.
+/// assert_eq!(arcs.next_hop(u, v), Some(v));
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct ArcTable {
+    degree: u8,
+    k: usize,
+    n: usize,
+    /// `n * k`: vertex digits, row per vertex.
+    digits: Vec<u8>,
+    /// `n * d`: successor indices, row per vertex, increasing out-digit.
+    succ: Vec<u32>,
+}
+
+impl ArcTable {
+    /// Builds the digit words and successor rows of `K(degree, k)` in
+    /// `O(n·d·k)` time and two allocations.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KautzIdError::ZeroDegree`] when `degree == 0`,
+    /// [`KautzIdError::Empty`] when `k == 0` and [`KautzIdError::TooLong`]
+    /// when `k` exceeds [`KautzId::MAX_K`] or the vertices of `K(degree, k)`
+    /// outnumber the `u32` successor indices (`max` is then the longest
+    /// label this degree allows).
+    pub fn new(degree: u8, k: usize) -> Result<Self, KautzIdError> {
+        if degree == 0 {
+            return Err(KautzIdError::ZeroDegree);
+        }
+        if k == 0 {
+            return Err(KautzIdError::Empty);
+        }
+        if k > KautzId::MAX_K {
+            return Err(KautzIdError::TooLong { len: k, max: KautzId::MAX_K });
+        }
+        let d = degree as usize;
+        let Some(n) = indexed_vertex_count(d, k) else {
+            // `k = 1` always fits: `d + 1 <= 256` vertices.
+            let max = (1..k).rev().find(|&k| indexed_vertex_count(d, k).is_some());
+            return Err(KautzIdError::TooLong { len: k, max: max.unwrap_or(1) });
+        };
+
+        let mut digits = Vec::with_capacity(n * k);
+        for index in 0..n {
+            digits.extend_from_slice(KautzId::from_index(index, degree, k).digits());
+        }
+
+        // The successor along `alpha` is the shift-append `u_2 … u_k alpha`.
+        let mut succ = Vec::with_capacity(n * d);
+        for row in digits.chunks_exact(k) {
+            for alpha in (0..=degree).filter(|&alpha| alpha != row[k - 1]) {
+                succ.push(word_index(degree, row[1..].iter().copied().chain([alpha])) as u32);
+            }
+        }
+        Ok(ArcTable { degree, k, n, digits, succ })
+    }
+
+    /// The graph degree `d`.
+    #[inline]
+    pub fn degree(&self) -> u8 {
+        self.degree
+    }
+
+    /// The label length / diameter `k`.
+    #[inline]
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Number of vertices `(d+1)·d^(k-1)`.
+    #[inline]
+    pub fn node_count(&self) -> usize {
+        self.n
+    }
+
+    /// Dense index of `id`, or `None` when `id` labels a different graph.
+    pub fn index_of(&self, id: &KautzId) -> Option<usize> {
+        (id.degree() == self.degree && id.k() == self.k).then(|| id.to_index())
+    }
+
+    /// Materializes the [`KautzId`] of a dense index (recomputes the digits
+    /// from the index; [`ArcTable::digits_of`] is the table read).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= node_count()`.
+    pub fn id_of(&self, index: usize) -> KautzId {
+        KautzId::from_index(index, self.degree, self.k)
+    }
+
+    /// The digit word `u_1 ... u_k` of a vertex, without allocating.
+    #[inline]
+    pub fn digits_of(&self, index: usize) -> &[u8] {
+        &self.digits[index * self.k..(index + 1) * self.k]
+    }
+
+    /// The `d` successor indices of a vertex, in increasing out-digit
+    /// order (matching [`KautzId::successors`]).
+    #[inline]
+    pub fn successors(&self, index: usize) -> &[u32] {
+        let d = self.degree as usize;
+        &self.succ[index * d..(index + 1) * d]
+    }
+
+    /// The successor of `u` along out-digit `alpha`.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if `alpha` exceeds the alphabet or equals
+    /// `u_k` — no such arc exists.
+    #[inline]
+    pub fn successor_by_digit(&self, u: usize, alpha: u8) -> usize {
+        let u_last = self.digits[u * self.k + self.k - 1];
+        debug_assert!(alpha <= self.degree && alpha != u_last);
+        self.succ[u * self.degree as usize + digit_rank(alpha, u_last)] as usize
+    }
+
+    /// `L(U, V)`, computed from the two digit words in `O(k²)`
+    /// ([`RouteTable::overlap`] reads it from a table).
+    #[inline]
+    pub(crate) fn overlap(&self, u: usize, v: usize) -> usize {
+        overlap_of(self.digits_of(u), self.digits_of(v))
+    }
+
+    /// The greedy shortest next hop from `u` toward `v`, computed from the
+    /// digit words; `None` when `u == v` ([`RouteTable::next_hop`] reads
+    /// it from a table).
+    #[inline]
+    pub fn next_hop(&self, u: usize, v: usize) -> Option<usize> {
+        (u != v).then(|| self.greedy_step(u, v, self.overlap(u, v)))
+    }
+
+    /// The greedy hop from `u` toward `v != u` given their overlap `l`:
+    /// append `v_{l+1}`. Always a legal arc — for `l ≥ 1`, `u`'s last
+    /// letter is `v_l ≠ v_{l+1}`; for `l = 0` equality would make the
+    /// overlap 1.
+    #[inline]
+    fn greedy_step(&self, u: usize, v: usize, l: usize) -> usize {
+        self.successor_by_digit(u, self.digits[v * self.k + l])
+    }
+
+    /// One hop of the Faber–Streib regular protocol from `u` toward `v` as
+    /// two array reads; `None` when `u == v`. Mirrors
+    /// [`regular_next_hop`](crate::routing::regular_next_hop): append
+    /// `v_{appended+1}` and advance the counter, starting from `v_2` when
+    /// `v_1` collides with `u`'s last digit (the overlap is then at least
+    /// 1, so no detour digit is needed). Returns the next index and the
+    /// updated counter; inconsistent counters restart the route.
+    #[inline]
+    pub fn regular_next(&self, u: usize, v: usize, appended: u8) -> Option<(usize, u8)> {
+        if u == v {
+            return None;
+        }
+        let mut appended = if (appended as usize) < self.k {
+            appended
+        } else {
+            0
+        };
+        let u_last = self.digits[u * self.k + self.k - 1];
+        if self.digits[v * self.k + appended as usize] == u_last {
+            appended = u8::from(self.digits[v * self.k] == u_last);
+        }
+        let next_digit = self.digits[v * self.k + appended as usize];
+        Some((self.successor_by_digit(u, next_digit), appended + 1))
+    }
+}
+
+/// `(d+1)·d^(k-1)`, the vertex count of `K(d, k)`, when every vertex has a
+/// `u32` index and the `n·k` digit and `n·d` successor arrays can be sized.
+fn indexed_vertex_count(d: usize, k: usize) -> Option<usize> {
+    let n = d.checked_pow((k - 1) as u32)?.checked_mul(d + 1)?;
+    u32::try_from(n - 1).ok()?;
+    n.checked_mul(k.max(d))?;
+    Some(n)
+}
 
 /// Largest supported degree; covers every `(d, k)` REFER deploys and keeps
 /// [`PlanSet`] a fixed-size, stack-allocated value.
@@ -132,13 +327,9 @@ impl<'a> IntoIterator for &'a PlanSet {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RouteTable {
-    degree: u8,
-    k: usize,
-    n: usize,
-    /// `n * k`: vertex digits, row per vertex.
-    digits: Vec<u8>,
-    /// `n * d`: successor indices, row per vertex, increasing out-digit.
-    succ: Vec<u32>,
+    /// The digit words and successor rows; [`RouteTable`] dereferences to
+    /// it for everything it does not cache.
+    arcs: ArcTable,
     /// `n * n`: `overlap[u * n + v] = L(U, V)`.
     overlap: Vec<u8>,
     /// `n * n`: shortest next hop from `u` toward `v`; [`NO_HOP`] on the
@@ -151,6 +342,17 @@ pub struct RouteTable {
     corrections: HashMap<u64, PlanSet>,
 }
 
+/// A [`RouteTable`] answers every [`ArcTable`] query; its own
+/// [`overlap`](RouteTable::overlap) and [`next_hop`](RouteTable::next_hop)
+/// give the same answers by one array read.
+impl std::ops::Deref for RouteTable {
+    type Target = ArcTable;
+
+    fn deref(&self) -> &ArcTable {
+        &self.arcs
+    }
+}
+
 impl RouteTable {
     /// Builds the full table for `K(degree, k)`.
     ///
@@ -161,21 +363,11 @@ impl RouteTable {
     ///
     /// # Errors
     ///
-    /// Returns [`KautzIdError::ZeroDegree`] when `degree == 0`,
-    /// [`KautzIdError::Empty`] when `k == 0` and [`KautzIdError::TooLong`]
-    /// when `k` exceeds [`KautzId::MAX_K`]. Degrees above [`MAX_DEGREE`]
-    /// are rejected as [`KautzIdError::DigitOutOfRange`] — the fixed-size
-    /// [`PlanSet`] (and any realistic radio fan-out) stops there.
+    /// Degrees above [`MAX_DEGREE`] are rejected first, as
+    /// [`KautzIdError::DigitOutOfRange`] — the fixed-size [`PlanSet`] (and
+    /// any realistic radio fan-out) stops there. Otherwise as
+    /// [`ArcTable::new`].
     pub fn new(degree: u8, k: usize) -> Result<Self, KautzIdError> {
-        if degree == 0 {
-            return Err(KautzIdError::ZeroDegree);
-        }
-        if k == 0 {
-            return Err(KautzIdError::Empty);
-        }
-        if k > KautzId::MAX_K {
-            return Err(KautzIdError::TooLong { len: k, max: KautzId::MAX_K });
-        }
         if degree > MAX_DEGREE {
             return Err(KautzIdError::DigitOutOfRange {
                 index: 0,
@@ -183,49 +375,21 @@ impl RouteTable {
                 degree: MAX_DEGREE,
             });
         }
-        let d = degree as usize;
-        let n = (d + 1) * d.pow((k - 1) as u32);
-
-        let mut digits = Vec::with_capacity(n * k);
-        for index in 0..n {
-            digits.extend_from_slice(KautzId::from_index(index, degree, k).digits());
-        }
-
-        let mut succ = Vec::with_capacity(n * d);
-        for u in 0..n {
-            let row = &digits[u * k..(u + 1) * k];
-            for alpha in 0..=degree {
-                if alpha == row[k - 1] {
-                    continue;
-                }
-                succ.push(index_after_shift(row, alpha, d) as u32);
-            }
-        }
-
+        let arcs = ArcTable::new(degree, k)?;
+        let n = arcs.n;
         let mut overlap = vec![0u8; n * n];
-        for u in 0..n {
-            let u_row = &digits[u * k..(u + 1) * k];
-            for v in 0..n {
-                let v_row = &digits[v * k..(v + 1) * k];
-                overlap[u * n + v] = overlap_of(u_row, v_row) as u8;
-            }
-        }
-
         let mut next = vec![NO_HOP; n * n];
         for u in 0..n {
-            let u_last = digits[u * k + k - 1];
             for v in 0..n {
-                if u == v {
-                    continue;
+                let l = arcs.overlap(u, v);
+                overlap[u * n + v] = l as u8;
+                if u != v {
+                    next[u * n + v] = arcs.greedy_step(u, v, l) as u32;
                 }
-                let l = overlap[u * n + v] as usize;
-                let digit = digits[v * k + l]; // v_{l+1}
-                next[u * n + v] = succ[u * d + succ_slot(digit, u_last)];
             }
         }
 
-        let mut table =
-            RouteTable { degree, k, n, digits, succ, overlap, next, corrections: HashMap::new() };
+        let mut table = RouteTable { arcs, overlap, next, corrections: HashMap::new() };
         table.corrections = table.degenerate_corrections();
         Ok(table)
     }
@@ -306,53 +470,6 @@ impl RouteTable {
         }
     }
 
-    /// The graph degree `d`.
-    #[inline]
-    pub fn degree(&self) -> u8 {
-        self.degree
-    }
-
-    /// The label length / diameter `k`.
-    #[inline]
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Number of vertices `(d+1)·d^(k-1)`.
-    #[inline]
-    pub fn node_count(&self) -> usize {
-        self.n
-    }
-
-    /// Dense index of `id`, or `None` when `id` labels a different graph.
-    pub fn index_of(&self, id: &KautzId) -> Option<usize> {
-        (id.degree() == self.degree && id.k() == self.k).then(|| id.to_index())
-    }
-
-    /// Materializes the [`KautzId`] of a dense index (recomputes the digits
-    /// from the index; [`RouteTable::digits_of`] is the table read).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= node_count()`.
-    pub fn id_of(&self, index: usize) -> KautzId {
-        KautzId::from_index(index, self.degree, self.k)
-    }
-
-    /// The digit word `u_1 ... u_k` of a vertex, without allocating.
-    #[inline]
-    pub fn digits_of(&self, index: usize) -> &[u8] {
-        &self.digits[index * self.k..(index + 1) * self.k]
-    }
-
-    /// The `d` successor indices of a vertex, in increasing out-digit
-    /// order (matching [`KautzId::successors`]).
-    #[inline]
-    pub fn successors(&self, index: usize) -> &[u32] {
-        let d = self.degree as usize;
-        &self.succ[index * d..(index + 1) * d]
-    }
-
     /// `L(U, V)` by table lookup.
     #[inline]
     pub fn overlap(&self, u: usize, v: usize) -> usize {
@@ -379,44 +496,6 @@ impl RouteTable {
         }
     }
 
-    /// The successor of `u` along out-digit `alpha`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `alpha` exceeds the alphabet or equals
-    /// `u_k` — no such arc exists.
-    #[inline]
-    pub fn successor_by_digit(&self, u: usize, alpha: u8) -> usize {
-        let u_last = self.digits[u * self.k + self.k - 1];
-        debug_assert!(alpha <= self.degree && alpha != u_last);
-        self.succ[u * self.degree as usize + succ_slot(alpha, u_last)] as usize
-    }
-
-    /// One hop of the Faber–Streib regular protocol from `u` toward `v` as
-    /// two array reads; `None` when `u == v`. Mirrors
-    /// [`regular_next_hop`](crate::routing::regular_next_hop): append
-    /// `v_{appended+1}` and advance the counter, starting from `v_2` when
-    /// `v_1` collides with `u`'s last digit (the overlap is then at least
-    /// 1, so no detour digit is needed). Returns the next index and the
-    /// updated counter; inconsistent counters restart the route.
-    #[inline]
-    pub fn regular_next(&self, u: usize, v: usize, appended: u8) -> Option<(usize, u8)> {
-        if u == v {
-            return None;
-        }
-        let mut appended = if (appended as usize) < self.k {
-            appended
-        } else {
-            0
-        };
-        let u_last = self.digits[u * self.k + self.k - 1];
-        if self.digits[v * self.k + appended as usize] == u_last {
-            appended = u8::from(self.digits[v * self.k] == u_last);
-        }
-        let next_digit = self.digits[v * self.k + appended as usize];
-        Some((self.successor_by_digit(u, next_digit), appended + 1))
-    }
-
     /// The `d` disjoint path plans of Theorem 3.8 for `u -> v`, classified
     /// and sorted identically to
     /// [`disjoint_paths`] — including its
@@ -439,8 +518,7 @@ impl RouteTable {
     fn standard_plans(&self, u: usize, v: usize) -> PlanSet {
         let mut set = PlanSet::default();
         let k = self.k;
-        let u_row = &self.digits[u * k..(u + 1) * k];
-        let v_row = &self.digits[v * k..(v + 1) * k];
+        let (u_row, v_row) = (self.digits_of(u), self.digits_of(v));
         let l = self.overlap[u * self.n + v] as usize;
         let v_next = v_row[l]; // v_{l+1}
         let v_first = v_row[0]; // v_1
@@ -461,7 +539,7 @@ impl RouteTable {
                 (PathClass::Other, k + 1, None)
             };
             set.insert(TablePlan {
-                successor: self.succ[u * self.degree as usize + succ_slot(alpha, u_last)],
+                successor: self.successor_by_digit(u, alpha) as u32,
                 out_digit: alpha,
                 length,
                 class,
@@ -499,36 +577,6 @@ impl RouteTable {
     }
 }
 
-/// Dense index of `digits[1..] ++ [alpha]` — [`KautzId::to_index`] applied
-/// to the shifted word, without building it.
-fn index_after_shift(digits: &[u8], alpha: u8, d: usize) -> usize {
-    let mut index = digits[1] as usize;
-    for w in digits[1..].windows(2) {
-        index = index * d + digit_rank(w[1], w[0]);
-    }
-    index * d + digit_rank(alpha, digits[digits.len() - 1])
-}
-
-/// Rank of `cur` among the `d` letters differing from `prev`.
-#[inline]
-fn digit_rank(cur: u8, prev: u8) -> usize {
-    if cur > prev {
-        cur as usize - 1
-    } else {
-        cur as usize
-    }
-}
-
-/// Position of out-digit `alpha` in a successor row (which skips `u_k`).
-#[inline]
-fn succ_slot(alpha: u8, u_last: u8) -> usize {
-    if alpha > u_last {
-        alpha as usize - 1
-    } else {
-        alpha as usize
-    }
-}
-
 /// Whether the walk never repeats a vertex.
 fn is_simple(walk: &[u32]) -> bool {
     walk.iter().enumerate().all(|(i, x)| !walk[..i].contains(x))
@@ -539,17 +587,6 @@ fn interiors_disjoint(a: &[u32], b: &[u32]) -> bool {
     a[1..a.len() - 1].iter().all(|x| !b[1..b.len() - 1].contains(x))
 }
 
-/// `L(U, V)` over raw digit slices, identical to [`KautzId::overlap`].
-fn overlap_of(u: &[u8], v: &[u8]) -> usize {
-    let k = u.len().min(v.len());
-    for l in (1..=k).rev() {
-        if u[u.len() - l..] == v[..l] {
-            return l;
-        }
-    }
-    0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -558,6 +595,15 @@ mod tests {
 
     #[test]
     fn rejects_degenerate_parameters() {
+        assert_eq!(ArcTable::new(0, 3).unwrap_err(), KautzIdError::ZeroDegree);
+        assert_eq!(ArcTable::new(2, 0).unwrap_err(), KautzIdError::Empty);
+        assert!(ArcTable::new(MAX_DEGREE + 1, 2).is_ok());
+        // 256·255^4 vertices outnumber the u32 indices; 256·255^3 do not.
+        assert_eq!(ArcTable::new(255, 5).unwrap_err(), KautzIdError::TooLong { len: 5, max: 4 });
+        assert_eq!(
+            ArcTable::new(255, 16).unwrap_err(),
+            KautzIdError::TooLong { len: 16, max: 4 }
+        );
         assert_eq!(RouteTable::new(0, 3).unwrap_err(), KautzIdError::ZeroDegree);
         assert_eq!(RouteTable::new(2, 0).unwrap_err(), KautzIdError::Empty);
         assert!(RouteTable::new(MAX_DEGREE + 1, 2).is_err());
@@ -600,20 +646,76 @@ mod tests {
     }
 
     #[test]
+    fn successor_tables_match_the_id_arithmetic() {
+        for (d, k) in [(2u8, 3usize), (3, 4), (2, 10)] {
+            let arcs = ArcTable::new(d, k).expect("valid");
+            for u in 0..arcs.node_count() {
+                let id = arcs.id_of(u);
+                for alpha in (0..=d).filter(|&alpha| alpha != id.last()) {
+                    let shifted = id.shift_append(alpha).expect("an arc");
+                    assert_eq!(arcs.successor_by_digit(u, alpha), shifted.to_index(), "{id}");
+                }
+            }
+        }
+    }
+
+    /// The arc table's computed hop is the greedy one, so every walk on it
+    /// ends within the diameter.
+    #[test]
+    fn shortest_walk_reaches_every_pair_within_the_diameter() {
+        let (d, k) = (3u8, 4usize);
+        let arcs = ArcTable::new(d, k).expect("valid");
+        for u in 0..arcs.node_count() {
+            assert_eq!(arcs.next_hop(u, u), None);
+            for v in (0..arcs.node_count()).filter(|&v| v != u) {
+                let (mut at, mut hops) = (u, 0);
+                while at != v {
+                    let expected = greedy_next_hop(&arcs.id_of(at), &arcs.id_of(v));
+                    at = arcs.next_hop(at, v).expect("distinct");
+                    assert_eq!(at, expected.expect("distinct").to_index(), "{u} -> {v}");
+                    hops += 1;
+                    assert!(hops <= k, "shortest {u} -> {v} exceeded the diameter");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn regular_walk_reaches_every_pair_within_the_diameter() {
+        let (d, k) = (3u8, 4usize);
+        let arcs = ArcTable::new(d, k).expect("valid");
+        for u in 0..arcs.node_count() {
+            for v in (0..arcs.node_count()).filter(|&v| v != u) {
+                let (mut at, mut appended, mut hops) = (u, 0u8, 0usize);
+                while at != v {
+                    (at, appended) = arcs.regular_next(at, v, appended).expect("distinct");
+                    hops += 1;
+                    assert!(hops <= k, "regular {u} -> {v} exceeded the diameter");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn next_hop_matches_greedy_exhaustively() {
         for (d, k) in [(2u8, 3usize), (3, 3), (4, 4)] {
             let table = RouteTable::new(d, k).expect("valid");
+            // The table's lookups and the arc table's computed answers.
+            let arcs: &ArcTable = &table;
             for u in 0..table.node_count() {
                 let uid = table.id_of(u);
                 for v in 0..table.node_count() {
                     if u == v {
                         assert_eq!(table.next_hop(u, v), None);
+                        assert_eq!(arcs.next_hop(u, v), None);
                         continue;
                     }
                     let vid = table.id_of(v);
                     let expected = greedy_next_hop(&uid, &vid).expect("distinct").to_index();
                     assert_eq!(table.next_hop(u, v), Some(expected), "K({d},{k}) {uid}->{vid}");
+                    assert_eq!(arcs.next_hop(u, v), Some(expected), "K({d},{k}) {uid}->{vid}");
                     assert_eq!(table.overlap(u, v), uid.overlap(&vid));
+                    assert_eq!(arcs.overlap(u, v), uid.overlap(&vid));
                     assert_eq!(table.distance(u, v), uid.routing_distance(&vid));
                 }
             }

@@ -79,6 +79,9 @@ fn run_until<P: Protocol>(ctx: &mut Ctx<P::Payload>, protocol: &mut P, end: SimT
     let mut faulty_set: Vec<NodeId> = Vec::new();
     while let Some(ev) = ctx.queue.pop() {
         if ev.at > end {
+            // Back to its old (at, seq) place, so the `Ctx` holds every
+            // pending event.
+            ctx.queue.push(ev);
             break;
         }
         debug_assert!(ev.at >= ctx.now, "event queue went backwards");
@@ -589,6 +592,8 @@ fn random_waypoint_tick<Pl>(ctx: &mut Ctx<Pl>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::{DataId, Message};
+    use crate::time::SimDuration;
     use rand::SeedableRng;
 
     #[test]
@@ -603,5 +608,41 @@ mod tests {
             assert_eq!(pts.len(), count);
             assert!(pts.contains(&center), "{count} actuators must include the center");
         }
+    }
+
+    /// Arms one timer at 1 s and one at 2 s on the first node, and counts
+    /// the timers that fire.
+    #[derive(Default)]
+    struct TwoTimers {
+        fired: Vec<u64>,
+    }
+
+    impl Protocol for TwoTimers {
+        type Payload = ();
+
+        fn name(&self) -> &'static str {
+            "TwoTimers"
+        }
+
+        fn on_init(&mut self, ctx: &mut Ctx<()>) {
+            ctx.set_timer(NodeId(0), SimDuration::from_secs(1), 1);
+            ctx.set_timer(NodeId(0), SimDuration::from_secs(2), 2);
+        }
+
+        fn on_message(&mut self, _: &mut Ctx<()>, _: NodeId, _: Message<()>) {}
+
+        fn on_timer(&mut self, _: &mut Ctx<()>, _: NodeId, tag: u64) {
+            self.fired.push(tag);
+        }
+
+        fn on_app_data(&mut self, _: &mut Ctx<()>, _: NodeId, _: DataId) {}
+    }
+
+    #[test]
+    fn construct_keeps_the_first_event_past_its_horizon() {
+        let mut proto = TwoTimers::default();
+        let mut ctx = construct(SimConfig::smoke(), &mut proto, SimDuration::from_millis(1_500));
+        assert_eq!(proto.fired, [1]);
+        assert_eq!(ctx.queue.next_at(), Some(SimTime::ZERO + SimDuration::from_secs(2)));
     }
 }
