@@ -10,7 +10,7 @@
 //! physical break triggers a re-flood (Figures 5 and 9's energy).
 
 use crate::flood::{discover, ControlPayload, FLOOD_SCOPE};
-use kautz::{KautzId, RouteTable};
+use kautz::RouteTable;
 use refer::cells::plan_cells;
 use refer::embedding::EmbeddingPlan;
 use refer::roster::Roster;
@@ -47,12 +47,12 @@ pub struct OvFrame {
     pub data: DataId,
     /// Destination cell index.
     pub cell: usize,
-    /// Destination KID (a corner actuator).
-    pub dest_kid: KautzId,
+    /// Destination vertex (a corner actuator's), by its arc-table index.
+    pub dest_vertex: u32,
     /// Conflict forced digit for the next overlay relay.
     pub forced: Option<u8>,
     /// Regular-routing progress ([`RoutingStrategy::Regular`]): digits of
-    /// `dest_kid` already appended. Always 0 under the shortest planner.
+    /// `dest_vertex` already appended. Always 0 under the shortest planner.
     pub appended: u8,
     /// Physical route of the current overlay hop.
     pub path: Vec<NodeId>,
@@ -97,11 +97,11 @@ const MAX_OVERLAY_HOPS: u8 = 16;
 pub struct KautzOverlayProtocol {
     plan: EmbeddingPlan,
     /// Dense Theorem 3.8 tables for the cell graph `K(degree, 3)`, shared
-    /// with REFER's routing layer.
+    /// with the roster, which names every vertex by its index in them.
     route_table: Arc<RouteTable>,
     /// Corner actuators per cell, in KID order.
     corners: Vec<Vec<NodeId>>,
-    /// Who holds which KID: REFER's roster, filled at random.
+    /// Who holds which vertex: REFER's roster, filled at random.
     roster: Roster,
     /// Physical route per overlay arc (from-node, to-node).
     paths: BTreeMap<(NodeId, NodeId), Vec<NodeId>>,
@@ -119,10 +119,10 @@ pub struct KautzOverlayProtocol {
 
 impl Default for KautzOverlayProtocol {
     fn default() -> Self {
-        let plan = EmbeddingPlan::for_degree(DEGREE);
         let route_table = Arc::new(
             RouteTable::new(DEGREE, 3).expect("cell graph degree within MAX_DEGREE"),
         );
+        let plan = EmbeddingPlan::new(&route_table);
         KautzOverlayProtocol {
             plan,
             roster: Roster::new(Arc::clone(&route_table), 0, 0),
@@ -150,33 +150,33 @@ impl KautzOverlayProtocol {
         // physical position entirely.
         let mut free: Vec<NodeId> = ctx.sensor_ids().to_vec();
         free.shuffle(ctx.rng());
-        let sensor_kids: Vec<KautzId> = self
+        let sensor_kids: Vec<u32> = self
             .plan
             .assignment_order()
             .into_iter()
-            .filter(|k| !self.plan.actuator_kids.contains(k))
+            .filter(|k| !self.plan.corners.contains(k))
             .collect();
         self.roster =
             Roster::new(Arc::clone(&self.route_table), layout.cells.len(), ctx.node_count());
         for (idx, cell) in layout.cells.iter().enumerate() {
             let corners: Vec<NodeId> =
                 cell.corners.iter().map(|&i| actuators[i]).collect();
-            for (kid, &node) in self.plan.actuator_kids.iter().zip(corners.iter()) {
-                self.roster.assign_kid(idx, *kid, node);
+            for (&kid, &node) in self.plan.corners.iter().zip(corners.iter()) {
+                self.roster.assign_kid(idx, kid, node);
             }
-            for kid in &sensor_kids {
+            for &kid in &sensor_kids {
                 if let Some(node) = free.pop() {
-                    self.roster.assign_kid(idx, *kid, node);
+                    self.roster.assign_kid(idx, kid, node);
                 }
             }
             self.corners.push(corners);
         }
         // Every overlay arc needs a flooding-built physical route.
         for cell_idx in 0..self.corners.len() {
-            let roster: Vec<(KautzId, NodeId)> = self.roster.roster_entries(cell_idx).collect();
-            for &(kid, from) in &roster {
-                for succ in kid.successors() {
-                    let Some(to) = self.roster.owner_of(cell_idx, &succ) else { continue };
+            for v in 0..self.route_table.node_count() {
+                let Some(from) = self.roster.owner_of(cell_idx, v as u32) else { continue };
+                for &succ in self.route_table.successors(v) {
+                    let Some(to) = self.roster.owner_of(cell_idx, succ) else { continue };
                     if from == to || self.paths.contains_key(&(from, to)) {
                         continue;
                     }
@@ -204,11 +204,12 @@ impl KautzOverlayProtocol {
             return;
         }
         frame.hops += 1;
-        let Some(kid) = self.roster.kid_in_cell(node, frame.cell) else {
+        let Some(at) = self.roster.kid_in_cell(node, frame.cell) else {
             ctx.drop_data(frame.data);
             return;
         };
-        if kid == frame.dest_kid {
+        let dest = frame.dest_vertex;
+        if at == dest {
             if matches!(ctx.kind(node), NodeKind::Actuator) {
                 ctx.deliver_data_with_hops(frame.data, node, frame.tx);
             } else {
@@ -216,18 +217,12 @@ impl KautzOverlayProtocol {
             }
             return;
         }
-        let (Some(at_idx), Some(dest_idx)) =
-            (self.route_table.index_of(&kid), self.route_table.index_of(&frame.dest_kid))
-        else {
-            ctx.drop_data(frame.data);
-            return;
-        };
         // Faber–Streib regular routing: the overlay successor comes from
         // the destination's digit sequence instead of the shortest-path
         // planner; a dead regular successor falls back to the planner with
         // the digit progress restarted.
         let regular_pick = if matches!(ctx.config().routing, RoutingStrategy::Regular) {
-            self.roster.regular_owner(frame.cell, node, at_idx, dest_idx, frame.appended, |n| {
+            self.roster.regular_owner(frame.cell, node, at, dest, frame.appended, |n| {
                 self.knowledge.presumed_alive(ctx, n)
             })
         } else {
@@ -236,8 +231,9 @@ impl KautzOverlayProtocol {
         let (target, forced, appended) = if let Some((n, appended)) = regular_pick {
             (n, None, appended)
         } else {
+            let (from, to) = (at as usize, dest as usize);
             let Ok(choices) =
-                route_choices_indexed(&self.route_table, at_idx, dest_idx, frame.forced, ctx.rng())
+                route_choices_indexed(&self.route_table, from, to, frame.forced, ctx.rng())
             else {
                 ctx.drop_data(frame.data);
                 return;
@@ -436,11 +432,10 @@ impl Protocol for KautzOverlayProtocol {
             })
             .map(|(i, _)| i)
             .expect("three corners");
-        let dest_kid = self.plan.actuator_kids[nearest];
         let mut frame = OvFrame {
             data,
             cell,
-            dest_kid,
+            dest_vertex: self.plan.corners[nearest],
             forced: None,
             appended: 0,
             path: Vec::new(),

@@ -1,7 +1,6 @@
-//! REFER addresses: `(CID, KID)` pairs, and the consistent hash used to
-//! elect the starting server.
+//! REFER cell ids, and the consistent hash used to elect the starting
+//! server.
 
-use kautz::KautzId;
 use std::fmt;
 
 /// A cell identifier. Cells are the triangular regions between neighboring
@@ -20,29 +19,6 @@ impl CellId {
 impl fmt::Display for CellId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "c{}", self.0)
-    }
-}
-
-/// A full REFER address: which cell, and which Kautz vertex inside it
-/// ("Each node in a cell with CID has ID=(CID, KID)").
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct NodeAddr {
-    /// The cell.
-    pub cid: CellId,
-    /// The Kautz vertex inside the cell's embedded graph.
-    pub kid: KautzId,
-}
-
-impl NodeAddr {
-    /// Creates an address.
-    pub fn new(cid: CellId, kid: KautzId) -> Self {
-        NodeAddr { cid, kid }
-    }
-}
-
-impl fmt::Display for NodeAddr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "({}, {})", self.cid, self.kid)
     }
 }
 
@@ -66,13 +42,6 @@ pub fn consistent_hash(id: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn addr_display() {
-        let kid = KautzId::parse("201", 2).expect("valid");
-        let addr = NodeAddr::new(CellId(5), kid);
-        assert_eq!(addr.to_string(), "(c5, 201)");
-    }
 
     #[test]
     fn consistent_hash_is_stable_and_spread() {

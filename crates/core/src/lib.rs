@@ -47,7 +47,7 @@ pub mod roster;
 pub mod routing;
 pub mod tier;
 
-pub use addr::{consistent_hash, CellId, NodeAddr};
+pub use addr::{consistent_hash, CellId};
 pub use config::ReferConfig;
 pub use protocol::{CellSnapshot, DataFrame, ReferMsg, ReferProtocol, ReferStats};
 pub use tier::DhtTier;

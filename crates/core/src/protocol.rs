@@ -70,12 +70,13 @@ pub struct DataFrame {
     pub data: DataId,
     /// Destination cell.
     pub dest_cell: usize,
-    /// Destination KID (an actuator's corner KID).
-    pub dest_kid: KautzId,
+    /// Destination vertex in the cell graph (an actuator's corner), by
+    /// its arc-table index.
+    pub dest_vertex: u32,
     /// Conflict-path forced digit for the next relay (Proposition 3.7).
     pub forced: Option<u8>,
     /// Regular-routing progress ([`RoutingStrategy::Regular`]): how many
-    /// digits of `dest_kid` the frame's current KID already carries.
+    /// digits of `dest_vertex` the frame's current vertex already carries.
     /// Always 0 under the shortest-path planner.
     pub appended: u8,
     /// Hop counter; frames exceeding [`MAX_HOPS`] are dropped.
@@ -106,8 +107,8 @@ pub enum ReferMsg {
     },
     /// Assignment sent back along a selected path.
     PathAssign {
-        /// The sensors being assigned, outermost first.
-        assignments: Vec<(NodeId, KautzId)>,
+        /// The sensors being assigned and their vertices, outermost first.
+        assignments: Vec<(NodeId, u32)>,
         /// Index into `assignments` of the next receiver.
         hop: usize,
     },
@@ -139,7 +140,7 @@ pub enum ReferMsg {
     Data(DataFrame),
 }
 
-/// What one node keeps besides its KIDs (those are in [`Roster`]), all of
+/// What one node keeps besides its vertices (those are in [`Roster`]), all of
 /// it local: the members it last heard, the standby candidates that
 /// registered with it. [`ReferProtocol`] holds one row per node, indexed by
 /// [`NodeId::index`].
@@ -161,8 +162,9 @@ struct NodeLocal {
 #[derive(Debug, Clone)]
 struct QueryState {
     cell: usize,
-    /// KIDs to hand to the two interior sensors, in hop order from origin.
-    interior_kids: Vec<KautzId>,
+    /// Vertices to hand to the two interior sensors, in hop order from
+    /// origin.
+    interior_kids: Vec<u32>,
     /// Collected candidate paths.
     paths: Vec<Vec<(NodeId, f64)>>,
     /// Whether the pick timer has been scheduled.
@@ -203,8 +205,8 @@ pub struct ReferProtocol {
     rcfg: ReferConfig,
     plan: EmbeddingPlan,
     /// Dense Theorem 3.8 tables for the cell graph `K(degree, 3)`, built
-    /// once at construction and shared with any consumer that routes over
-    /// the same graph (e.g. the bench harness or baseline overlays).
+    /// once at construction and shared with the roster, which names every
+    /// vertex by its index in them.
     route_table: Arc<RouteTable>,
     layout: Option<CellLayout>,
     tier: Option<DhtTier>,
@@ -214,7 +216,7 @@ pub struct ReferProtocol {
     cells: Vec<[NodeId; 3]>,
     /// One row per node, sized at init.
     nodes: Vec<NodeLocal>,
-    /// Who holds which KID, sized once the cells are planned.
+    /// Who holds which vertex, sized once the cells are planned.
     roster: Roster,
     queries: BTreeMap<u64, QueryState>,
     forwarded_queries: BTreeSet<(NodeId, u64)>,
@@ -238,10 +240,10 @@ pub struct ReferProtocol {
 impl ReferProtocol {
     /// Creates a REFER instance with the given parameters.
     pub fn new(rcfg: ReferConfig) -> Self {
-        let plan = EmbeddingPlan::for_degree(rcfg.degree);
         let route_table = Arc::new(
             RouteTable::new(rcfg.degree, 3).expect("cell graph degree within MAX_DEGREE"),
         );
+        let plan = EmbeddingPlan::new(&route_table);
         ReferProtocol {
             rcfg,
             plan,
@@ -328,7 +330,7 @@ impl ReferProtocol {
         self.roster = Roster::new(Arc::clone(&self.route_table), self.cells.len(), ctx.node_count());
         for cell in 0..self.cells.len() {
             for (corner, node) in self.cells[cell].into_iter().enumerate() {
-                self.roster.assign_kid(cell, self.plan.actuator_kids[corner], node);
+                self.roster.assign_kid(cell, self.plan.corners[corner], node);
             }
         }
         self.tier = Some(DhtTier::build(&layout, &ids, ctx.config().area));
@@ -370,7 +372,7 @@ impl ReferProtocol {
         origin: NodeId,
         target: NodeId,
         cell: usize,
-        interior_kids: Vec<KautzId>,
+        interior_kids: Vec<u32>,
     ) {
         let qid = self.next_qid;
         self.next_qid += 1;
@@ -389,18 +391,18 @@ impl ReferProtocol {
     fn on_stage1_timer(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, arg: u64) {
         let cell = (arg >> 2) as usize;
         let corner = (arg & 3) as usize;
-        let from_kid = self.plan.actuator_kids[corner];
+        let from = self.plan.corners[corner];
         let stage = self
             .plan
             .stage1
             .iter()
-            .find(|p| p.from == from_kid)
+            .find(|p| p.from == from)
             .expect("every corner has a stage-1 path")
             .clone();
         let origin = self.cells[cell][corner];
         let to_corner = self
             .plan
-            .actuator_kids
+            .corners
             .iter()
             .position(|k| *k == stage.to)
             .expect("stage targets a corner");
@@ -410,16 +412,12 @@ impl ReferProtocol {
 
     fn on_stage2_timer(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, cell: usize) {
         // Ensure stage 1 completed; fill any hole logically first.
-        let stage1_kids: Vec<KautzId> = self
-            .plan
-            .stage1
-            .iter()
-            .flat_map(|p| p.interior.iter().cloned())
-            .collect();
+        let stage1_kids: Vec<u32> =
+            self.plan.stage1.iter().flat_map(|p| p.interior.iter().copied()).collect();
         self.fallback_assign(ctx, cell, &stage1_kids);
         let (Some(s_i), Some(s_j)) = (
-            self.roster.owner_of(cell, &self.plan.stage2.from),
-            self.roster.owner_of(cell, &self.plan.stage2.to),
+            self.roster.owner_of(cell, self.plan.stage2.from),
+            self.roster.owner_of(cell, self.plan.stage2.to),
         ) else {
             return;
         };
@@ -450,21 +448,19 @@ impl ReferProtocol {
     }
 
     /// Assigns any of `kids` not yet in the roster to the highest-battery
-    /// free sensor in range of the KID's placed Kautz neighbors, else to the
-    /// free sensor nearest the cell centroid, charging one assignment frame
-    /// per pick.
-    fn fallback_assign(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, cell: usize, kids: &[KautzId]) {
+    /// free sensor in range of the vertex's placed Kautz neighbors, else to
+    /// the free sensor nearest the cell centroid, charging one assignment
+    /// frame per pick.
+    fn fallback_assign(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, cell: usize, kids: &[u32]) {
         let coordinator = self.cells[cell][0];
-        for kid in kids {
+        for &kid in kids {
             if self.roster.owner_of(cell, kid).is_some() {
                 continue;
             }
-            let anchors: Vec<wsan_sim::Point> = kid
-                .successors()
-                .into_iter()
-                .chain(kid.predecessors())
-                .filter_map(|n| self.roster.owner_of(cell, &n))
-                .map(|node| ctx.position(node))
+            let anchors: Vec<wsan_sim::Point> = self
+                .roster
+                .neighbor_owners(cell, kid)
+                .map(|(_, node)| ctx.position(node))
                 .collect();
             let range = ctx.config().sensor_range;
             let centroid = self
@@ -501,7 +497,7 @@ impl ReferProtocol {
                     EnergyAccount::Construction,
                     ReferMsg::Assignment,
                 );
-                self.roster.assign_kid(cell, *kid, node);
+                self.roster.assign_kid(cell, kid, node);
             }
         }
     }
@@ -567,10 +563,10 @@ impl ReferProtocol {
             // hole via the logical fallback.
             return;
         };
-        let assignments: Vec<(NodeId, KautzId)> = path
+        let assignments: Vec<(NodeId, u32)> = path
             .iter()
             .map(|(n, _)| *n)
-            .zip(query.interior_kids.iter().cloned())
+            .zip(query.interior_kids.iter().copied())
             .collect();
         for (node, kid) in &assignments {
             self.roster.assign_kid(cell, *kid, *node);
@@ -600,8 +596,8 @@ impl ReferProtocol {
                 let mut accused = view.suspected_nodes(ctx.now());
                 if ctx.self_compromised(node) {
                     let neighbors: Vec<NodeId> = self
+                        .roster
                         .kautz_neighbor_owners(node)
-                        .into_iter()
                         .map(|(_, _, owner)| owner)
                         .filter(|owner| !accused.contains(owner))
                         .collect();
@@ -626,20 +622,6 @@ impl ReferProtocol {
         }
     }
 
-    /// The `(cell, neighbor KID, owner)` triples adjacent to `node` in the
-    /// Kautz graphs of every cell it belongs to.
-    fn kautz_neighbor_owners(&self, node: NodeId) -> Vec<(usize, KautzId, NodeId)> {
-        let mut out = Vec::new();
-        for &(cell, kid) in self.roster.memberships(node) {
-            for nk in kid.successors().into_iter().chain(kid.predecessors()) {
-                if let Some(owner) = self.roster.owner_of(cell, &nk).filter(|&owner| owner != node) {
-                    out.push((cell, nk, owner));
-                }
-            }
-        }
-        out
-    }
-
     /// Positions of the current owners of `kid`'s Kautz-graph neighbors in
     /// `cell` (excluding `except`): the reachability constraint a
     /// replacement for `kid` must satisfy.
@@ -647,15 +629,13 @@ impl ReferProtocol {
         &self,
         ctx: &impl ProtoCtx<ReferMsg>,
         cell: usize,
-        kid: &KautzId,
+        kid: u32,
         except: NodeId,
     ) -> Vec<wsan_sim::Point> {
-        kid.successors()
-            .into_iter()
-            .chain(kid.predecessors())
-            .filter_map(|n| self.roster.owner_of(cell, &n))
-            .filter(|&n| n != except)
-            .map(|n| ctx.position(n))
+        self.roster
+            .neighbor_owners(cell, kid)
+            .filter(|&(_, n)| n != except)
+            .map(|(_, n)| ctx.position(n))
             .collect()
     }
 
@@ -664,7 +644,7 @@ impl ReferProtocol {
     /// timeout becomes suspected.
     fn heartbeat_check(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, node: NodeId) {
         let now = ctx.now();
-        for (_, _, owner) in self.kautz_neighbor_owners(node) {
+        for (_, _, owner) in self.roster.kautz_neighbor_owners(node) {
             if matches!(ctx.kind(owner), NodeKind::Sensor)
                 && matches!(&self.knowledge, FailureKnowledge::Local(view)
                     if view.stale(owner, now, HEARTBEAT_TIMEOUT))
@@ -681,14 +661,16 @@ impl ReferProtocol {
     /// `Oracle`, the suspicion view under `Discovered`.
     fn heal_neighbors(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, node: NodeId) {
         let range = ctx.config().sensor_range;
-        for (cell, nk, owner) in self.kautz_neighbor_owners(node) {
+        // A snapshot: a handover below edits the rosters being walked.
+        let neighbors: Vec<_> = self.roster.kautz_neighbor_owners(node).collect();
+        for (cell, nk, owner) in neighbors {
             if !matches!(ctx.kind(owner), NodeKind::Sensor) {
                 continue;
             }
             if self.knowledge.presumed_alive(ctx, owner) {
                 continue;
             }
-            let neighbor_positions = self.neighbor_positions(ctx, cell, &nk, owner);
+            let neighbor_positions = self.neighbor_positions(ctx, cell, nk, owner);
             // Candidates that registered with the dead member, then ours:
             // the healer heard both candidacies announced on the air.
             let pool: Vec<NodeId> = self.nodes[owner.index()]
@@ -760,7 +742,7 @@ impl ReferProtocol {
         let memberships = self.roster.memberships(node).to_vec();
         let range = ctx.config().sensor_range;
         for (cell, kid) in memberships {
-            let neighbor_positions = self.neighbor_positions(ctx, cell, &kid, node);
+            let neighbor_positions = self.neighbor_positions(ctx, cell, kid, node);
             let endangered = neighbor_positions
                 .iter()
                 .any(|&p| link_endangered(ctx.position(node), p, range, LINK_GUARD));
@@ -819,7 +801,7 @@ impl ReferProtocol {
                 continue;
             }
             ctx.broadcast(node, CTRL_BITS, EnergyAccount::Communication, ReferMsg::ReplaceNotice);
-            self.roster.remove_membership(node, cell, &kid);
+            self.roster.remove_membership(node, cell, kid);
             self.roster.assign_kid(cell, kid, replacement);
             ctx.record_handover();
             self.start_member_timers(ctx, replacement);
@@ -866,9 +848,9 @@ impl ReferProtocol {
         })
     }
 
-    /// The KID of `cell`'s corner actuator nearest `node`; the first
+    /// The vertex of `cell`'s corner actuator nearest `node`; the first
     /// corner wins a tie.
-    fn nearest_corner(&self, ctx: &impl ProtoCtx<ReferMsg>, node: NodeId, cell: usize) -> KautzId {
+    fn nearest_corner(&self, ctx: &impl ProtoCtx<ReferMsg>, node: NodeId, cell: usize) -> u32 {
         let corners = self.cells[cell];
         let nearest = (0..3)
             .min_by(|&a, &b| {
@@ -877,7 +859,7 @@ impl ReferProtocol {
                     .expect("finite")
             })
             .expect("three corners");
-        self.plan.actuator_kids[nearest]
+        self.plan.corners[nearest]
     }
 
     /// Chooses the destination (cell, actuator corner) for a packet from
@@ -888,7 +870,7 @@ impl ReferProtocol {
         src: NodeId,
         access: NodeId,
         data: DataId,
-    ) -> (usize, KautzId) {
+    ) -> (usize, u32) {
         // A traffic-matrix packet carries its destination sensor: route to
         // that sensor's cell (nearest centroid) and the corner actuator
         // nearest the sensor, bypassing the cross-cell draw below — the
@@ -927,14 +909,17 @@ impl ReferProtocol {
             ctx.drop_data_reason(frame.data, DropReason::HopLimit);
             return;
         }
-        // A peer's frame can name any cell; only a planned one routes.
-        if frame.dest_cell >= self.cells.len() {
+        // A peer's frame can name any cell and vertex; only a planned cell
+        // and a vertex of the cell graph route.
+        if frame.dest_cell >= self.cells.len()
+            || frame.dest_vertex as usize >= self.route_table.node_count()
+        {
             ctx.drop_data_reason(frame.data, DropReason::NoRoute);
             return;
         }
         frame.hops += 1;
         match self.roster.kid_in_cell(node, frame.dest_cell) {
-            Some(kid) if kid == frame.dest_kid => {
+            Some(at) if at == frame.dest_vertex => {
                 // Arrived.
                 if matches!(ctx.kind(node), NodeKind::Actuator) {
                     ctx.deliver_data_with_hops(frame.data, node, u32::from(frame.hops));
@@ -942,7 +927,7 @@ impl ReferProtocol {
                     ctx.drop_data_reason(frame.data, DropReason::Other);
                 }
             }
-            Some(kid) => self.forward_intra(ctx, node, kid, frame),
+            Some(at) => self.forward_intra(ctx, node, at, frame),
             None => self.forward_toward_cell(ctx, node, frame),
         }
     }
@@ -952,24 +937,16 @@ impl ReferProtocol {
         &mut self,
         ctx: &mut impl ProtoCtx<ReferMsg>,
         node: NodeId,
-        kid: KautzId,
+        at: u32,
         frame: DataFrame,
     ) {
-        let (cell, data) = (frame.dest_cell, frame.data);
-        // Both endpoints live in the cell graph the table was built for;
-        // a frame that does not (foreign degree) is undeliverable.
-        let (Some(at_idx), Some(dest_idx)) =
-            (self.route_table.index_of(&kid), self.route_table.index_of(&frame.dest_kid))
-        else {
-            ctx.drop_data_reason(data, DropReason::NoRoute);
-            return;
-        };
+        let (cell, data, dest_vertex) = (frame.dest_cell, frame.data, frame.dest_vertex);
         let knowledge = &self.knowledge;
         // Section III-C2: a node forwards over "a path with the lowest
         // delay, which could be either a multi-hop path or direct path".
         // When the destination itself is in range and uncongested, the
         // direct path is the lowest-delay choice.
-        let dest = self.roster.owner_at(cell, dest_idx);
+        let dest = self.roster.owner_of(cell, dest_vertex);
         if let Some(dest) = dest {
             if knowledge.usable(ctx, node, dest) && !ctx.is_congested(dest) {
                 let out = ReferMsg::Data(DataFrame { forced: None, ..frame });
@@ -983,7 +960,7 @@ impl ReferProtocol {
         // path; a dead or congested regular successor falls back to the
         // Theorem 3.8 planner below with the digit progress restarted.
         if matches!(ctx.config().routing, RoutingStrategy::Regular) {
-            let pick = self.roster.regular_owner(cell, node, at_idx, dest_idx, frame.appended, |n| {
+            let pick = self.roster.regular_owner(cell, node, at, dest_vertex, frame.appended, |n| {
                 knowledge.usable(ctx, node, n) && !ctx.is_congested(n)
             });
             if let Some((next, appended)) = pick {
@@ -992,8 +969,9 @@ impl ReferProtocol {
                 return;
             }
         }
+        let (from, to) = (at as usize, dest_vertex as usize);
         let Ok(choices) =
-            route_choices_indexed(&self.route_table, at_idx, dest_idx, frame.forced, ctx.rng())
+            route_choices_indexed(&self.route_table, from, to, frame.forced, ctx.rng())
         else {
             ctx.drop_data_reason(data, DropReason::NoRoute);
             return;
@@ -1052,14 +1030,8 @@ impl ReferProtocol {
                 return;
             };
             let my_kid = self.roster.kid_in_cell(node, home_cell).expect("sensor membership");
-            let (Some(at_idx), Some(owner_idx)) =
-                (self.route_table.index_of(&my_kid), self.route_table.index_of(&owner_kid))
-            else {
-                ctx.drop_data_reason(frame.data, DropReason::NoRoute);
-                return;
-            };
-            let Ok(choices) =
-                route_choices_indexed(&self.route_table, at_idx, owner_idx, None, ctx.rng())
+            let (from, to) = (my_kid as usize, owner_kid as usize);
+            let Ok(choices) = route_choices_indexed(&self.route_table, from, to, None, ctx.rng())
             else {
                 ctx.drop_data_reason(frame.data, DropReason::NoRoute);
                 return;
@@ -1220,9 +1192,9 @@ impl SansIo for ReferProtocol {
                     .roster
                     .nearest_member(ctx, &self.knowledge, relay)
                     .expect("relay has a member in range");
-                let (dest_cell, dest_kid) = self.choose_destination(ctx, src, home, data);
+                let (dest_cell, dest_vertex) = self.choose_destination(ctx, src, home, data);
                 let frame =
-                    DataFrame { data, dest_cell, dest_kid, forced: None, appended: 0, hops: 0 };
+                    DataFrame { data, dest_cell, dest_vertex, forced: None, appended: 0, hops: 0 };
                 let out = ReferMsg::Data(frame);
                 if !self.knowledge.send_data(ctx, src, relay, data, HopReason::Access, out) {
                     ctx.drop_data_reason(data, DropReason::NoAccess);
@@ -1234,11 +1206,11 @@ impl SansIo for ReferProtocol {
             ctx.drop_data_reason(data, DropReason::NoAccess);
             return;
         };
-        let (dest_cell, dest_kid) = self.choose_destination(ctx, src, access, data);
-        let frame = DataFrame { data, dest_cell, dest_kid, forced: None, appended: 0, hops: 0 };
+        let (dest_cell, dest_vertex) = self.choose_destination(ctx, src, access, data);
+        let frame = DataFrame { data, dest_cell, dest_vertex, forced: None, appended: 0, hops: 0 };
         // Lowest-delay rule at the source too: a sensor standing next to
         // the destination actuator reports directly.
-        if let Some(dest) = self.roster.owner_of(dest_cell, &dest_kid) {
+        if let Some(dest) = self.roster.owner_of(dest_cell, dest_vertex) {
             if self.knowledge.usable(ctx, src, dest) && !ctx.is_congested(dest) {
                 let out = ReferMsg::Data(frame.clone());
                 if self.knowledge.send_data(ctx, src, dest, data, HopReason::Direct, out) {

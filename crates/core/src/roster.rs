@@ -1,17 +1,24 @@
-//! Who holds which KID: the cell rosters and per-node memberships that
-//! REFER and the Kautz-overlay baseline both route over, and the one
+//! Who holds which vertex: the cell rosters and per-node memberships
+//! that REFER and the Kautz-overlay baseline both route over, and the one
 //! successor walk both route by ([`Roster::first_owner`],
 //! [`Roster::regular_owner`]).
 //!
-//! A [`Roster`] keeps one dense roster per cell (owner by
-//! [`kautz::KautzId::to_index`]), one membership row per node, and the
-//! ascending list of nodes with at least one membership. The dense index
-//! is the mixed-radix rank of the digit word, so ascending index order is
-//! ascending KID order — what a walk of a `BTreeMap<KautzId, NodeId>`
-//! visited — and every scan below visits entries in the order the trees
-//! it replaced did. The proptest `rows_match_the_trees_they_replaced`
-//! holds those trees as the reference and checks the rows against them
-//! under random assignment, removal and handover scripts.
+//! Inside a cell a vertex is named by its index in the cell graph's
+//! [`kautz::ArcTable`] (a `u32`, as the table's successor rows are), not
+//! by a [`kautz::KautzId`]: the table answers successors, predecessors
+//! and next hops by index, so no hop converts a label back. Labels are
+//! rendered only for the edges that print them
+//! ([`Roster::roster_entries`]).
+//!
+//! A [`Roster`] keeps one dense roster per cell (owner by vertex), one
+//! membership row per node, and the ascending list of nodes with at least
+//! one membership. The vertex index is the mixed-radix rank of the digit
+//! word, so ascending index order is ascending KID order — what a walk of
+//! a `BTreeMap<KautzId, NodeId>` visited — and every scan below visits
+//! entries in the order the trees it replaced did. The proptest
+//! `rows_match_the_trees_they_replaced` holds those trees as the
+//! reference and checks the rows against them under random assignment,
+//! removal and handover scripts.
 
 use crate::routing::IndexedHop;
 use kautz::{KautzId, RouteTable};
@@ -20,16 +27,16 @@ use std::fmt::Debug;
 use std::sync::Arc;
 use wsan_sim::NodeId;
 
-/// The KID assignment of every cell (see the module docs).
+/// The vertex assignment of every cell (see the module docs).
 #[derive(Debug)]
 pub struct Roster {
-    /// The cell graph `K(d, 3)` every cell embeds: dense index <-> KID.
+    /// The cell graph `K(d, 3)` every cell embeds.
     table: Arc<RouteTable>,
-    /// Per cell, the current owner of each KID by dense index.
+    /// Per cell, the current owner of each vertex.
     cells: Vec<Vec<Option<NodeId>>>,
-    /// Per node (by [`NodeId::index`]), its `(cell, KID)` memberships in
-    /// assignment order; empty for a non-member.
-    rows: Vec<Vec<(usize, KautzId)>>,
+    /// Per node (by [`NodeId::index`]), its `(cell, vertex)` memberships
+    /// in assignment order; empty for a non-member.
+    rows: Vec<Vec<(usize, u32)>>,
     /// The nodes with at least one membership, ascending: what every
     /// "nearest member" scan walks, in the order the ties break in.
     members: Vec<NodeId>,
@@ -47,52 +54,48 @@ impl Roster {
         }
     }
 
-    /// Hands `kid` of `cell` to `node`, evicting the previous holder.
-    pub fn assign_kid(&mut self, cell: usize, kid: KautzId, node: NodeId) {
-        let Some(idx) = self.table.index_of(&kid) else {
-            debug_assert!(false, "{kid} does not label the cell graph");
-            return;
-        };
-        let prev = self.cells[cell][idx].replace(node);
+    /// Hands `vertex` of `cell` to `node`, evicting the previous holder.
+    pub fn assign_kid(&mut self, cell: usize, vertex: u32, node: NodeId) {
+        let prev = self.cells[cell][vertex as usize].replace(node);
         if let Some(prev) = prev {
-            self.remove_membership(prev, cell, &kid);
+            self.remove_membership(prev, cell, vertex);
         }
         let row = &mut self.rows[node.index()];
         if row.is_empty() {
             let at = self.members.binary_search(&node).expect_err("no memberships, so not listed");
             self.members.insert(at, node);
         }
-        row.push((cell, kid));
+        row.push((cell, vertex));
     }
 
-    /// Drops `node`'s membership `(cell, kid)`, if it has it. The roster
-    /// entry is the caller's to hand on.
-    pub fn remove_membership(&mut self, node: NodeId, cell: usize, kid: &KautzId) {
+    /// Drops `node`'s membership `(cell, vertex)`, if it has it. The
+    /// roster entry is the caller's to hand on.
+    pub fn remove_membership(&mut self, node: NodeId, cell: usize, vertex: u32) {
         let row = &mut self.rows[node.index()];
         if row.is_empty() {
             return;
         }
-        row.retain(|(c, k)| !(*c == cell && k == kid));
+        row.retain(|&m| m != (cell, vertex));
         if row.is_empty() {
             let at = self.members.binary_search(&node).expect("a member is listed");
             self.members.remove(at);
         }
     }
 
-    /// `node`'s `(cell, KID)` memberships; empty for a non-member and for
-    /// an id outside the deployment (a peer's frame can name any id).
-    pub fn memberships(&self, node: NodeId) -> &[(usize, KautzId)] {
+    /// `node`'s `(cell, vertex)` memberships; empty for a non-member and
+    /// for an id outside the deployment (a peer's frame can name any id).
+    pub fn memberships(&self, node: NodeId) -> &[(usize, u32)] {
         self.rows.get(node.index()).map_or(&[][..], Vec::as_slice)
     }
 
-    /// Whether `node` holds a KID in any cell.
+    /// Whether `node` holds a vertex in any cell.
     pub fn is_member(&self, node: NodeId) -> bool {
         !self.memberships(node).is_empty()
     }
 
-    /// `node`'s KID in `cell`, if it is a member there.
-    pub fn kid_in_cell(&self, node: NodeId, cell: usize) -> Option<KautzId> {
-        self.memberships(node).iter().find(|(c, _)| *c == cell).map(|(_, k)| *k)
+    /// `node`'s vertex in `cell`, if it is a member there.
+    pub fn kid_in_cell(&self, node: NodeId, cell: usize) -> Option<u32> {
+        self.memberships(node).iter().find(|(c, _)| *c == cell).map(|&(_, v)| v)
     }
 
     /// Every member, ascending by id.
@@ -116,9 +119,39 @@ impl Roster {
             .map(|(_, m)| m)
     }
 
-    /// Current owner of the KID with dense index `idx` in `cell`.
-    pub fn owner_at(&self, cell: usize, idx: usize) -> Option<NodeId> {
-        self.cells[cell][idx]
+    /// Current owner of `vertex` in `cell`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vertex` is not a vertex of the cell graph.
+    pub fn owner_of(&self, cell: usize, vertex: u32) -> Option<NodeId> {
+        self.cells[cell][vertex as usize]
+    }
+
+    /// The owners of `vertex`'s Kautz-graph neighbours in `cell`, as
+    /// `(neighbour, owner)`: successors, then predecessors, each in
+    /// increasing digit order, so a vertex adjacent both ways is listed
+    /// twice.
+    pub fn neighbor_owners(
+        &self,
+        cell: usize,
+        vertex: u32,
+    ) -> impl Iterator<Item = (u32, NodeId)> + '_ {
+        let v = vertex as usize;
+        let around = self.table.successors(v).iter().copied().chain(self.table.predecessors(v));
+        around.filter_map(move |n| Some((n, self.owner_of(cell, n)?)))
+    }
+
+    /// The `(cell, neighbour, owner)` triples adjacent to `node` in the
+    /// Kautz graphs of every cell it belongs to, owners other than `node`.
+    pub fn kautz_neighbor_owners(
+        &self,
+        node: NodeId,
+    ) -> impl Iterator<Item = (usize, u32, NodeId)> + '_ {
+        self.memberships(node).iter().flat_map(move |&(cell, vertex)| {
+            let owners = self.neighbor_owners(cell, vertex).filter(move |&(_, o)| o != node);
+            owners.map(move |(n, owner)| (cell, n, owner))
+        })
     }
 
     /// The successor walk of Section III-C2: the first of `choices` (the
@@ -133,35 +166,31 @@ impl Roster {
         mut accept: impl FnMut(NodeId) -> bool,
     ) -> Option<(usize, NodeId, Option<u8>)> {
         choices.iter().enumerate().find_map(|(idx, c)| {
-            let n = self.owner_at(cell, c.successor as usize)?;
+            let n = self.owner_of(cell, c.successor)?;
             (n != node && accept(n)).then_some((idx, n, c.forced_digit))
         })
     }
 
-    /// The Faber–Streib regular successor from dense index `at` toward
-    /// `dest` with `appended` of its digits already carried: its owner in
-    /// `cell` and the new digit progress, when that owner is not `node`
-    /// and passes `accept`.
+    /// The Faber–Streib regular successor from vertex `at` toward `dest`
+    /// with `appended` of its digits already carried: its owner in `cell`
+    /// and the new digit progress, when that owner is not `node` and
+    /// passes `accept`.
     pub fn regular_owner(
         &self,
         cell: usize,
         node: NodeId,
-        at: usize,
-        dest: usize,
+        at: u32,
+        dest: u32,
         appended: u8,
         accept: impl FnOnce(NodeId) -> bool,
     ) -> Option<(NodeId, u8)> {
-        let (succ, appended) = self.table.regular_next(at, dest, appended)?;
-        let next = self.owner_at(cell, succ)?;
+        let (succ, appended) = self.table.regular_next(at as usize, dest as usize, appended)?;
+        let next = self.owner_of(cell, succ as u32)?;
         (next != node && accept(next)).then_some((next, appended))
     }
 
-    /// Current owner of `kid` in `cell`.
-    pub fn owner_of(&self, cell: usize, kid: &KautzId) -> Option<NodeId> {
-        self.owner_at(cell, self.table.index_of(kid)?)
-    }
-
-    /// `cell`'s roster as `(KID, owner)`, ascending by KID.
+    /// `cell`'s roster as `(KID, owner)`, ascending by KID: the labels
+    /// rendered for the edges that print them.
     pub fn roster_entries(&self, cell: usize) -> impl Iterator<Item = (KautzId, NodeId)> + '_ {
         let occupied = self.cells[cell].iter().enumerate();
         occupied.filter_map(|(idx, owner)| Some((self.table.id_of(idx), (*owner)?)))
@@ -182,14 +211,14 @@ mod tests {
     #[test]
     fn assign_kid_moves_ownership() {
         let mut r = blank(1, 9);
-        let kid = KautzId::parse("010", 2).expect("valid");
-        r.assign_kid(0, kid, NodeId(7));
+        let v = KautzId::parse("010", 2).expect("valid").to_index() as u32;
+        r.assign_kid(0, v, NodeId(7));
         assert!(r.is_member(NodeId(7)));
-        assert_eq!(r.kid_in_cell(NodeId(7), 0), Some(kid));
+        assert_eq!(r.kid_in_cell(NodeId(7), 0), Some(v));
         // Reassignment evicts the previous holder.
-        r.assign_kid(0, kid, NodeId(8));
+        r.assign_kid(0, v, NodeId(8));
         assert!(!r.is_member(NodeId(7)));
-        assert_eq!(r.owner_of(0, &kid), Some(NodeId(8)));
+        assert_eq!(r.owner_of(0, v), Some(NodeId(8)));
         assert_eq!(r.members(), [NodeId(8)]);
     }
 
@@ -209,42 +238,42 @@ mod tests {
     proptest! {
         #[test]
         fn rows_match_the_trees_they_replaced(
-            script in prop::collection::vec((0u8..3, 0usize..3, 0usize..12, 0u32..10), 0..120)
+            script in prop::collection::vec((0u8..3, 0usize..3, 0u32..12, 0u32..10), 0..120)
         ) {
             let mut r = blank(3, 10);
-            let mut member_cells: BTreeMap<NodeId, Vec<(usize, KautzId)>> = BTreeMap::new();
+            let mut member_cells: BTreeMap<NodeId, Vec<(usize, u32)>> = BTreeMap::new();
             let mut rosters: Vec<BTreeMap<KautzId, NodeId>> = vec![BTreeMap::new(); 3];
-            let forget = |tree: &mut BTreeMap<NodeId, Vec<(usize, KautzId)>>, node, cell, kid| {
+            let forget = |tree: &mut BTreeMap<NodeId, Vec<(usize, u32)>>, node, cell, v| {
                 if let Some(ms) = tree.get_mut(&node) {
-                    ms.retain(|&(c, k)| (c, k) != (cell, kid));
+                    ms.retain(|&m| m != (cell, v));
                     if ms.is_empty() {
                         tree.remove(&node);
                     }
                 }
             };
-            for (op, cell, idx, node) in script {
-                let (kid, node) = (r.table.id_of(idx), NodeId(node));
+            for (op, cell, v, node) in script {
+                let (kid, node) = (r.table.id_of(v as usize), NodeId(node));
                 match op {
                     // Assignment (and healing: the previous holder is evicted).
                     0 => {
-                        r.assign_kid(cell, kid, node);
+                        r.assign_kid(cell, v, node);
                         if let Some(prev) = rosters[cell].insert(kid, node) {
-                            forget(&mut member_cells, prev, cell, kid);
+                            forget(&mut member_cells, prev, cell, v);
                         }
-                        member_cells.entry(node).or_default().push((cell, kid));
+                        member_cells.entry(node).or_default().push((cell, v));
                     }
                     1 => {
-                        r.remove_membership(node, cell, &kid);
-                        forget(&mut member_cells, node, cell, kid);
+                        r.remove_membership(node, cell, v);
+                        forget(&mut member_cells, node, cell, v);
                     }
                     // Handover: the current holder resigns, then hands on.
                     _ => {
                         if let Some(&holder) = rosters[cell].get(&kid) {
-                            r.remove_membership(holder, cell, &kid);
-                            forget(&mut member_cells, holder, cell, kid);
-                            r.assign_kid(cell, kid, node);
+                            r.remove_membership(holder, cell, v);
+                            forget(&mut member_cells, holder, cell, v);
+                            r.assign_kid(cell, v, node);
                             rosters[cell].insert(kid, node);
-                            member_cells.entry(node).or_default().push((cell, kid));
+                            member_cells.entry(node).or_default().push((cell, v));
                         }
                     }
                 }
@@ -253,7 +282,7 @@ mod tests {
             for (cell, tree) in rosters.iter().enumerate() {
                 prop_assert!(r.roster_entries(cell).eq(tree.iter().map(|(k, n)| (*k, *n))));
                 for (&kid, &node) in tree {
-                    prop_assert_eq!(r.owner_of(cell, &kid), Some(node));
+                    prop_assert_eq!(r.owner_of(cell, kid.to_index() as u32), Some(node));
                 }
             }
             for node in (0..10).map(NodeId) {

@@ -150,6 +150,16 @@ impl ArcTable {
         &self.succ[index * d..(index + 1) * d]
     }
 
+    /// The `d` predecessor indices of a vertex, in increasing in-digit
+    /// order (matching [`KautzId::predecessors`]): each `beta u_1 … u_{k-1}`
+    /// with `beta ≠ u_1`, ranked from the digit word without a table.
+    pub fn predecessors(&self, index: usize) -> impl Iterator<Item = u32> + '_ {
+        let word = self.digits_of(index);
+        let head = &word[..self.k - 1];
+        let rank = move |beta| word_index(self.degree, [beta].into_iter().chain(head.iter().copied()));
+        (0..=self.degree).filter(move |&beta| beta != word[0]).map(move |beta| rank(beta) as u32)
+    }
+
     /// The successor of `u` along out-digit `alpha`.
     ///
     /// # Panics
@@ -638,9 +648,12 @@ mod tests {
             let table = RouteTable::new(d, k).expect("valid");
             for u in 0..table.node_count() {
                 let id = table.id_of(u);
-                let expected: Vec<u32> =
-                    id.successors().iter().map(|s| s.to_index() as u32).collect();
-                assert_eq!(table.successors(u), &expected[..], "K({d},{k}) {id}");
+                let ranks = |ids: Vec<KautzId>| -> Vec<u32> {
+                    ids.iter().map(|s| s.to_index() as u32).collect()
+                };
+                assert_eq!(table.successors(u), &ranks(id.successors())[..], "K({d},{k}) {id}");
+                let predecessors: Vec<u32> = table.predecessors(u).collect();
+                assert_eq!(predecessors, ranks(id.predecessors()), "K({d},{k}) {id}");
             }
         }
     }

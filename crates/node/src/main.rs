@@ -795,7 +795,6 @@ fn cmd_cluster(args: impl Iterator<Item = String>) -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kautz::KautzId;
     use refer::DataFrame;
     use wsan_sim::{DropReason, EnergyAccount};
 
@@ -864,14 +863,13 @@ mod tests {
         }
     }
 
-    /// A `Data` datagram for node 3 carrying packet `data` and a
-    /// `digits`-long destination KID.
-    fn data_datagram(data: u64, digits: usize, created_us: u64) -> Vec<u8> {
-        let digits: Vec<u8> = (0..digits).map(|i| (i % 2) as u8).collect();
+    /// A `Data` datagram for node 3 carrying packet `data` toward
+    /// `dest_vertex` of cell 0.
+    fn data_datagram(data: u64, dest_vertex: u32, created_us: u64) -> Vec<u8> {
         let frame = DataFrame {
             data: DataId(data),
             dest_cell: 0,
-            dest_kid: KautzId::new(digits, 2).expect("a KID"),
+            dest_vertex,
             forced: None,
             appended: 0,
             hops: 0,
@@ -910,7 +908,7 @@ mod tests {
         let id = |n: u64| ((n % 19) << 32) | (n / 19);
         const FLOOD: u64 = 100_000;
         for n in 0..FLOOD {
-            daemon.on_datagram(n, &data_datagram(id(n), 3, n));
+            daemon.on_datagram(n, &data_datagram(id(n), 1, n));
             assert_eq!(daemon.created_us(DataId(id(n))), Some(n), "just registered");
         }
         assert_eq!(daemon.tally.rejects, 0);
@@ -919,31 +917,31 @@ mod tests {
         assert!(daemon.timers.is_empty(), "data frames arm nothing");
     }
 
-    /// A `Data` datagram whose KID length byte exceeds `KautzId::MAX_K` is
-    /// a counted reject at that byte, before any digit is read — it used
-    /// to build a heap id as long as the sender liked and hand it to
-    /// routing.
+    /// A `Data` datagram whose destination vertex does not fit a `u32`
+    /// is a counted reject at that varint. The largest that fits decodes
+    /// and reaches the protocol, whose `forward` drops what the cell graph
+    /// does not hold (`hostile_indices_and_cells_are_dropped_not_followed`).
     #[test]
-    fn hostile_length_kids_are_counted_rejects() {
+    fn oversized_vertices_are_counted_rejects() {
         let mut daemon = offline_daemon();
-        for len in [KautzId::MAX_K as u8 + 1, 255] {
-            let mut bytes = data_datagram(1, 3, 1);
-            // The tail is `len, 3 digits, forced, appended, hops`.
-            let at = bytes.len() - 7;
-            assert_eq!(bytes[at], 3);
-            bytes[at] = len;
+        // 2^32 and u64::MAX.
+        let too_wide = [vec![0x80, 0x80, 0x80, 0x80, 0x10], [vec![0xff; 9], vec![0x01]].concat()];
+        for varint in too_wide {
+            let mut bytes = data_datagram(1, 0, 1);
+            // The tail is `vertex, forced, appended, hops`.
+            let at = bytes.len() - 4;
+            assert_eq!(bytes[at], 0);
+            bytes.splice(at..=at, varint);
             let err = counted_reject(&mut daemon, &bytes);
-            assert!(err.to_string().contains("KID longer than"), "{err}");
-            assert_eq!(err.at, at);
+            assert_eq!((err.at, err.reason), (at, wire::Reason::OutOfRange("dest_vertex")));
         }
-        // The longest KID that fits decodes and reaches the protocol.
-        let longest = data_datagram(1, KautzId::MAX_K, 1);
-        assert!(wire::decode_datagram(&longest).is_ok());
-        daemon.on_datagram(2, &longest);
+        let largest = data_datagram(1, u32::MAX, 1);
+        assert!(wire::decode_datagram(&largest).is_ok());
+        daemon.on_datagram(2, &largest);
         assert_eq!(daemon.tally.rejects, 2);
         assert_eq!(daemon.created_us(DataId(1)), Some(1));
         // A later copy of the packet does not move its creation time.
-        daemon.on_datagram(3, &data_datagram(1, 3, 99));
+        daemon.on_datagram(3, &data_datagram(1, 1, 99));
         assert_eq!(daemon.created_us(DataId(1)), Some(1));
     }
 
@@ -977,7 +975,6 @@ mod tests {
     #[test]
     fn a_bad_item_after_a_fitting_count_allocates_only_its_sequence() {
         let mut daemon = offline_daemon();
-        let kid = KautzId::new(vec![0, 1, 0], 2).expect("a KID");
         // The second item's node id (2) sits this far from the end.
         let cases = [
             (ReferMsg::Gossip { accused: vec![NodeId(1), NodeId(2)] }, 1),
@@ -992,10 +989,10 @@ mod tests {
             ),
             (
                 ReferMsg::PathAssign {
-                    assignments: vec![(NodeId(1), kid), (NodeId(2), kid)],
+                    assignments: vec![(NodeId(1), 5), (NodeId(2), 5)],
                     hop: 0,
                 },
-                1 + 5 + 1,
+                1 + 1 + 1,
             ),
         ];
         for (payload, from_end) in cases {
@@ -1037,6 +1034,8 @@ mod tests {
             (patched(6, 0x05), Reason::Unknown("flag bits", 0x05)),
             (patched(6, 0x81), Reason::Unknown("flag bits", 0x81)),
             (patched(0, wire::FORMAT + 1), Reason::Unknown("format byte", wire::FORMAT + 1)),
+            // A version-1 datagram, which carried KIDs as digit strings.
+            (patched(0, 0xB1), Reason::Unknown("format byte", 0xB1)),
             (patched(0, b'{'), Reason::Unknown("format byte", b'{')),
         ];
         for (bytes, reason) in cases {
@@ -1100,9 +1099,11 @@ mod tests {
     }
 
     /// A peer's frame can carry any `PathAssign` index and any destination
-    /// cell. An index with no entry ends the chain; it used to index the
-    /// list and panic. A cell that was never planned is a `NoRoute` drop;
-    /// it used to be cast to `u32` and could land in another cell.
+    /// cell and vertex. An index with no entry ends the chain; it used to
+    /// index the list and panic. A cell that was never planned is a
+    /// `NoRoute` drop; it used to be cast to `u32` and could land in
+    /// another cell. So is a vertex the cell graph does not hold, which
+    /// would index past the cell's roster.
     #[test]
     fn hostile_indices_and_cells_are_dropped_not_followed() {
         let mut daemon = offline_daemon();
@@ -1118,12 +1119,12 @@ mod tests {
         let sensors = daemon.engine.ctx().world().sensor_ids();
         let member = roster.values().copied().find(|n| sensors.contains(n)).expect("a sensor");
         daemon.me = member;
-        let kid = *roster.keys().next().expect("a KID");
-        for (n, dest_cell) in [1 << 32, usize::MAX].into_iter().enumerate() {
+        let hostile = [(1 << 32, 0), (usize::MAX, 0), (0, 12), (0, u32::MAX)];
+        for (n, (dest_cell, dest_vertex)) in hostile.into_iter().enumerate() {
             let frame = DataFrame {
                 data: DataId(n as u64),
                 dest_cell,
-                dest_kid: kid,
+                dest_vertex,
                 forced: None,
                 appended: 0,
                 hops: 0,
@@ -1132,7 +1133,7 @@ mod tests {
             daemon.on_datagram(2, &wire::encode_datagram(member, 0, &msg));
         }
         let events = traced(&mut daemon, &captured);
-        assert_eq!(events.len(), 2, "{events:?}");
+        assert_eq!(events.len(), hostile.len(), "{events:?}");
         for (n, ev) in events.iter().enumerate() {
             assert!(
                 matches!(ev, TraceEvent::Dropped { packet, reason: DropReason::NoRoute, .. }

@@ -18,11 +18,13 @@
 //! | payload tag | one byte: the variant's index in `ReferMsg` declaration order |
 //! | payload | the variant's fields in declaration order |
 //!
-//! Inside a payload a `u8` is one byte and every wider integer a varint;
-//! a KID is `degree, len, digits`; `forced` is `0` or `1, digit`; a
-//! sequence is a varint count and then its items; a battery is its
-//! 8 little-endian bytes, so every `f64` — NaN, ±inf, −0.0 — arrives as
-//! the bits that left.
+//! Inside a payload a `u8` is one byte and every wider integer a varint.
+//! A cell vertex is its arc-table index, a `u32` varint: one byte for
+//! every vertex of `K(2, 3)` and `K(3, 3)`, at most two for any degree a
+//! cell graph can have. `forced` is `0` or `1, digit`; a sequence is a
+//! varint count and then its items; a battery is its 8 little-endian
+//! bytes, so every `f64` — NaN, ±inf, −0.0 — arrives as the bits that
+//! left.
 //!
 //! The datagram is the frame, so there is no length prefix: the decoder
 //! must consume every byte, with none missing and none trailing. Every
@@ -34,15 +36,15 @@
 
 use std::fmt;
 
-use kautz::{KautzId, KautzIdError};
 use refer::{DataFrame, ReferMsg};
 use wsan_sim::{DataId, EnergyAccount, Message, NodeId};
 
-/// The first byte of every datagram: this layout, version 1. A datagram
-/// of the earlier JSON wire fails here (`{`, or its length prefix's low
-/// byte) or, should that byte be `0xB1`, no later than the flags byte,
-/// where the JSON's `"` sets reserved bits.
-pub const FORMAT: u8 = 0xB1;
+/// The first byte of every datagram: this layout, version 2 (cell
+/// vertices by index). A datagram of version 1, which carried KIDs as
+/// digit strings, fails here. So does one of the earlier JSON wire (`{`,
+/// or its length prefix's low byte) or, should that byte be `0xB2`, no
+/// later than the flags byte, where the JSON's `"` sets reserved bits.
+pub const FORMAT: u8 = 0xB2;
 
 const FLAG_COMMUNICATION: u8 = 1;
 const FLAG_BROADCAST: u8 = 2;
@@ -50,10 +52,6 @@ const FLAG_BROADCAST: u8 = 2;
 /// Longest varints of the integer widths the layout carries.
 const VARINT_U64: usize = 10;
 const VARINT_U32: usize = 5;
-/// Longest encoded KID: degree, length, digits.
-const KID_MAX: usize = 2 + KautzId::MAX_K;
-/// Fewest bytes an encoded KID can occupy (one digit).
-const KID_MIN: usize = 3;
 /// Longest envelope: format, four varints, flags, payload tag.
 const ENVELOPE_MAX: usize = 1 + VARINT_U32 + VARINT_U64 + VARINT_U32 + VARINT_U32 + 1 + 1;
 
@@ -75,10 +73,6 @@ pub enum Reason {
     OutOfRange(&'static str),
     /// A sequence count the rest of the datagram cannot hold.
     Count(u64),
-    /// A KID length past [`KautzId::MAX_K`].
-    KidTooLong(u8),
-    /// A KID whose digits break the Kautz constraints.
-    Kid(KautzIdError),
 }
 
 /// A refused datagram: the reason and the offset of the byte that decided it.
@@ -100,10 +94,6 @@ impl fmt::Display for WireError {
             Reason::LongVarint => write!(f, "varint longer than 64 bits")?,
             Reason::OutOfRange(what) => write!(f, "{what} out of range")?,
             Reason::Count(n) => write!(f, "sequence of {n} items overruns the datagram")?,
-            Reason::KidTooLong(len) => {
-                write!(f, "KID longer than {} digits ({len})", KautzId::MAX_K)?;
-            }
-            Reason::Kid(e) => write!(f, "invalid KID on the wire: {e}")?,
         }
         write!(f, " at byte {}", self.at)
     }
@@ -117,12 +107,6 @@ fn put_varint(out: &mut Vec<u8>, mut x: u64) {
         x >>= 7;
     }
     out.push(x as u8);
-}
-
-fn put_kid(out: &mut Vec<u8>, kid: &KautzId) {
-    let digits = kid.digits();
-    out.extend_from_slice(&[kid.degree(), digits.len() as u8]);
-    out.extend_from_slice(digits);
 }
 
 /// The variant's index in `ReferMsg` declaration order.
@@ -151,11 +135,11 @@ fn payload_max(msg: &ReferMsg) -> usize {
             VARINT_U64 + 1 + VARINT_U32 + VARINT_U64 + path.len() * (VARINT_U32 + 8)
         }
         ReferMsg::PathAssign { assignments, .. } => {
-            VARINT_U64 + assignments.len() * (VARINT_U32 + KID_MAX) + VARINT_U64
+            VARINT_U64 + assignments.len() * 2 * VARINT_U32 + VARINT_U64
         }
         ReferMsg::StartStage2 { .. } => VARINT_U64 + VARINT_U32,
         ReferMsg::Gossip { accused } => VARINT_U64 + accused.len() * VARINT_U32,
-        ReferMsg::Data(_) => 2 * VARINT_U64 + KID_MAX + 2 + 2,
+        ReferMsg::Data(_) => 2 * VARINT_U64 + VARINT_U32 + 2 + 2,
         _ => 0,
     }
 }
@@ -175,9 +159,9 @@ fn put_payload(out: &mut Vec<u8>, msg: &ReferMsg) {
         }
         ReferMsg::PathAssign { assignments, hop } => {
             put_varint(out, assignments.len() as u64);
-            for (n, kid) in assignments {
+            for &(n, vertex) in assignments {
                 put_varint(out, u64::from(n.0));
-                put_kid(out, kid);
+                put_varint(out, u64::from(vertex));
             }
             put_varint(out, *hop as u64);
         }
@@ -194,7 +178,7 @@ fn put_payload(out: &mut Vec<u8>, msg: &ReferMsg) {
         ReferMsg::Data(frame) => {
             put_varint(out, frame.data.0);
             put_varint(out, frame.dest_cell as u64);
-            put_kid(out, &frame.dest_kid);
+            put_varint(out, u64::from(frame.dest_vertex));
             match frame.forced {
                 None => out.push(0),
                 Some(digit) => out.extend_from_slice(&[1, digit]),
@@ -319,17 +303,6 @@ impl<'a> Reader<'a> {
         Ok(n as usize)
     }
 
-    fn kid(&mut self) -> Result<KautzId, WireError> {
-        let degree = self.byte()?;
-        let at = self.pos;
-        let len = self.byte()?;
-        if usize::from(len) > KautzId::MAX_K {
-            return fail(at, Reason::KidTooLong(len));
-        }
-        let digits = self.take(usize::from(len))?;
-        KautzId::from_slice(digits, degree).or_else(|e| fail(at, Reason::Kid(e)))
-    }
-
     fn forced(&mut self) -> Result<Option<u8>, WireError> {
         let at = self.pos;
         match self.byte()? {
@@ -356,10 +329,10 @@ impl<'a> Reader<'a> {
                 ReferMsg::PathQuery { qid, ttl, target, path }
             }
             3 => {
-                let n = self.count(1 + KID_MIN)?;
+                let n = self.count(1 + 1)?;
                 let mut assignments = Vec::with_capacity(n);
                 for _ in 0..n {
-                    assignments.push((self.node("assignment node")?, self.kid()?));
+                    assignments.push((self.node("assignment node")?, self.int("vertex")?));
                 }
                 ReferMsg::PathAssign { assignments, hop: self.int("PathAssign hop")? }
             }
@@ -383,7 +356,7 @@ impl<'a> Reader<'a> {
             11 => ReferMsg::Data(DataFrame {
                 data: DataId(self.varint()?),
                 dest_cell: self.int("dest_cell")?,
-                dest_kid: self.kid()?,
+                dest_vertex: self.int("dest_vertex")?,
                 forced: self.forced()?,
                 appended: self.byte()?,
                 hops: self.byte()?,
@@ -447,7 +420,7 @@ mod tests {
         let frame = DataFrame {
             data: DataId(0x0000_0005_0000_002a),
             dest_cell: 2,
-            dest_kid: KautzId::new(vec![0, 1, 2], 2).unwrap(),
+            dest_vertex: 1,
             forced: Some(1),
             appended: 3,
             hops: 9,
@@ -463,7 +436,7 @@ mod tests {
             ReferMsg::Data(d) => {
                 assert_eq!(d.data, frame.data);
                 assert_eq!(d.dest_cell, frame.dest_cell);
-                assert_eq!(d.dest_kid, frame.dest_kid);
+                assert_eq!(d.dest_vertex, frame.dest_vertex);
                 assert_eq!(d.forced, frame.forced);
                 assert_eq!(d.appended, frame.appended);
                 assert_eq!(d.hops, frame.hops);
@@ -474,7 +447,6 @@ mod tests {
 
     #[test]
     fn every_control_variant_round_trips() {
-        let kid = |digits: Vec<u8>| KautzId::new(digits, 2).unwrap();
         let variants = vec![
             ReferMsg::Ctrl,
             ReferMsg::Assignment,
@@ -485,7 +457,7 @@ mod tests {
                 path: vec![(NodeId(1), 95.5), (NodeId(2), 80.25)],
             },
             ReferMsg::PathAssign {
-                assignments: vec![(NodeId(4), kid(vec![0, 1])), (NodeId(5), kid(vec![1, 2]))],
+                assignments: vec![(NodeId(4), 2), (NodeId(5), 200)],
                 hop: 1,
             },
             ReferMsg::StartStage2 { qid: 7, target: NodeId(11) },

@@ -8,7 +8,6 @@
 //! many allocations a call made.
 
 use crate::wire::{decode_datagram, encode_datagram, Reason, FORMAT};
-use kautz::KautzId;
 use proptest::prelude::*;
 use proptest::strategy::Just;
 use refer::{DataFrame, ReferMsg};
@@ -70,19 +69,14 @@ pub(crate) fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
 
 type Datagram = (NodeId, u64, Message<ReferMsg>);
 
-fn kid(digits: &[u8], degree: u8) -> KautzId {
-    KautzId::new(digits.to_vec(), degree).expect("valid KID")
-}
-
-fn data(data: u64, dest_kid: KautzId, forced: Option<u8>) -> ReferMsg {
-    ReferMsg::Data(DataFrame { data: DataId(data), dest_cell: 2, dest_kid, forced, appended: 3, hops: 9 })
+fn data(data: u64, dest_vertex: u32, forced: Option<u8>) -> ReferMsg {
+    ReferMsg::Data(DataFrame { data: DataId(data), dest_cell: 2, dest_vertex, forced, appended: 3, hops: 9 })
 }
 
 /// Every variant, and within the variants that carry data the edges:
 /// empty vectors, `forced` absent and present, ids at `u64::MAX` and
-/// `u32::MAX`, a `MAX_K`-digit KID, batteries that are not plain numbers.
+/// `u32::MAX`, a two-byte vertex, batteries that are not plain numbers.
 fn samples() -> Vec<Datagram> {
-    let longest: Vec<u8> = (0..KautzId::MAX_K).map(|i| (i % 3) as u8).collect();
     let payloads = vec![
         ReferMsg::Ctrl,
         ReferMsg::Assignment,
@@ -107,7 +101,7 @@ fn samples() -> Vec<Datagram> {
         },
         ReferMsg::PathQuery { qid: 0, ttl: 0, target: NodeId(0), path: vec![] },
         ReferMsg::PathAssign {
-            assignments: vec![(NodeId(4), kid(&[0, 1], 2)), (NodeId(5), kid(&[1, 2], 2))],
+            assignments: vec![(NodeId(4), 3), (NodeId(5), 300)],
             hop: 1,
         },
         ReferMsg::PathAssign { assignments: vec![], hop: usize::MAX },
@@ -119,13 +113,14 @@ fn samples() -> Vec<Datagram> {
         ReferMsg::Probe,
         ReferMsg::Replace,
         ReferMsg::ReplaceNotice,
-        data(0x0000_0005_0000_002a, kid(&[0, 1, 2], 2), Some(1)),
-        data(0x0000_0005_0000_002a, kid(&[0, 1, 2], 2), None),
-        data(u64::MAX, kid(&longest, 2), Some(0)),
+        data(0x0000_0005_0000_002a, 1, Some(1)),
+        data(0x0000_0005_0000_002a, 1, None),
+        // The last vertex of `K(8, 3)`, the widest cell graph.
+        data(u64::MAX, 575, Some(0)),
         ReferMsg::Data(DataFrame {
             data: DataId(u64::MAX),
             dest_cell: usize::MAX,
-            dest_kid: kid(&[255, 254, 255, 0], 255),
+            dest_vertex: u32::MAX,
             forced: Some(u8::MAX),
             appended: u8::MAX,
             hops: u8::MAX,
@@ -154,50 +149,47 @@ fn samples() -> Vec<Datagram> {
 /// it.
 const GOLDEN: &[&str] = &[
     // Ctrl
-    "b103b9600780080100",
+    "b203b9600780080100",
     // Assignment
-    "b1ffffffff0fffffffffffffffffff0100ffffffff0f0201",
+    "b2ffffffff0fffffffffffffffffff0100ffffffff0f0201",
     // PathQuery
-    "b103b96007800801022a030902010000000000e05740020000000000105440",
+    "b203b96007800801022a030902010000000000e05740020000000000105440",
     // PathQuery, edges and odd batteries
     concat!(
-        "b1ffffffff0fffffffffffffffffff0100ffffffff0f0202ffffffffffffffffff01ffffffffff0f",
+        "b2ffffffff0fffffffffffffffffff0100ffffffff0f0202ffffffffffffffffff01ffffffffff0f",
         "0600000000000000f87f0148afbc9af2d77a3e02000000000000f0ff030000000000000080040000",
         "00000000f07fffffffff0f0000000000005940",
     ),
     // PathQuery, empty
-    "b103b960078008010200000000",
+    "b203b960078008010200000000",
     // PathAssign
-    "b1ffffffff0fffffffffffffffffff0100ffffffff0f0203020402020001050202010201",
+    "b2ffffffff0fffffffffffffffffff0100ffffffff0f020302040305ac0201",
     // PathAssign, empty
-    "b103b960078008010300ffffffffffffffffff01",
+    "b203b960078008010300ffffffffffffffffff01",
     // StartStage2
-    "b1ffffffff0fffffffffffffffffff0100ffffffff0f0204070b",
+    "b2ffffffff0fffffffffffffffffff0100ffffffff0f0204070b",
     // CellReady
-    "b103b9600780080105",
+    "b203b9600780080105",
     // Beacon
-    "b1ffffffff0fffffffffffffffffff0100ffffffff0f0206",
+    "b2ffffffff0fffffffffffffffffff0100ffffffff0f0206",
     // Gossip
-    "b103b960078008010703038001ffffffff0f",
+    "b203b960078008010703038001ffffffff0f",
     // Gossip, empty
-    "b1ffffffff0fffffffffffffffffff0100ffffffff0f020700",
+    "b2ffffffff0fffffffffffffffffff0100ffffffff0f020700",
     // Probe
-    "b103b9600780080108",
+    "b203b9600780080108",
     // Replace
-    "b1ffffffff0fffffffffffffffffff0100ffffffff0f0209",
+    "b2ffffffff0fffffffffffffffffff0100ffffffff0f0209",
     // ReplaceNotice
-    "b103b960078008010a",
+    "b203b960078008010a",
     // Data, forced
-    "b1ffffffff0fffffffffffffffffff0100ffffffff0f020baa8080805002020300010201010309",
+    "b2ffffffff0fffffffffffffffffff0100ffffffff0f020baa80808050020101010309",
     // Data, unforced
-    "b103b960078008010baa80808050020203000102000309",
-    // Data, MAX_K-digit KID
-    concat!(
-        "b1ffffffff0fffffffffffffffffff0100ffffffff0f020bffffffffffffffffff01020216000102",
-        "0001020001020001020001020001020001020001000309",
-    ),
+    "b203b960078008010baa808080500201000309",
+    // Data, two-byte vertex
+    "b2ffffffff0fffffffffffffffffff0100ffffffff0f020bffffffffffffffffff0102bf0401000309",
     // Data, every field at its maximum
-    "b103b960078008010bffffffffffffffffff01ffffffffffffffffff01ff04fffeff0001ffffff",
+    "b203b960078008010bffffffffffffffffff01ffffffffffffffffff01ffffffff0f01ffffff",
 ];
 
 fn hex(bytes: &[u8]) -> String {
@@ -292,34 +284,20 @@ fn battery() -> impl Strategy<Value = f64> {
     (0u64..=u64::MAX).prop_map(f64::from_bits)
 }
 
-/// A valid KID of any degree and length: each raw digit folded into the
-/// alphabet and bumped off its predecessor.
-fn any_kid() -> impl Strategy<Value = KautzId> {
-    (1u8..=u8::MAX, prop::collection::vec(0u8..=u8::MAX, 1..=KautzId::MAX_K)).prop_map(
-        |(degree, raw)| {
-            let alphabet = u16::from(degree) + 1;
-            let mut digits: Vec<u8> = Vec::with_capacity(raw.len());
-            for r in raw {
-                let mut digit = u16::from(r) % alphabet;
-                if digits.last().map(|&d| u16::from(d)) == Some(digit) {
-                    digit = (digit + 1) % alphabet;
-                }
-                digits.push(digit as u8);
-            }
-            KautzId::new(digits, degree).expect("valid by construction")
-        },
-    )
+/// A cell vertex: mostly one of `K(2, 3)`'s, sometimes any `u32`.
+fn vertex() -> impl Strategy<Value = u32> {
+    prop_oneof![0u32..12, 0u32..=u32::MAX]
 }
 
 fn payload() -> impl Strategy<Value = ReferMsg> {
     use prop::collection::vec;
-    let frame = (u64s(), 0usize..=usize::MAX, any_kid(), (0u8..2, 0u8..=u8::MAX), 0u8..=u8::MAX, 0u8..=u8::MAX);
+    let frame = (u64s(), 0usize..=usize::MAX, vertex(), (0u8..2, 0u8..=u8::MAX), 0u8..=u8::MAX, 0u8..=u8::MAX);
     prop_oneof![
         Just(ReferMsg::Ctrl),
         Just(ReferMsg::Assignment),
         (u64s(), 0u8..=u8::MAX, node(), vec((node(), battery()), 0..8))
             .prop_map(|(qid, ttl, target, path)| ReferMsg::PathQuery { qid, ttl, target, path }),
-        (vec((node(), any_kid()), 0..5), 0usize..=usize::MAX)
+        (vec((node(), vertex()), 0..5), 0usize..=usize::MAX)
             .prop_map(|(assignments, hop)| ReferMsg::PathAssign { assignments, hop }),
         (u64s(), node()).prop_map(|(qid, target)| ReferMsg::StartStage2 { qid, target }),
         Just(ReferMsg::CellReady),
@@ -328,9 +306,9 @@ fn payload() -> impl Strategy<Value = ReferMsg> {
         Just(ReferMsg::Probe),
         Just(ReferMsg::Replace),
         Just(ReferMsg::ReplaceNotice),
-        frame.prop_map(|(data, dest_cell, dest_kid, (some, digit), appended, hops)| {
+        frame.prop_map(|(data, dest_cell, dest_vertex, (some, digit), appended, hops)| {
             let forced = (some == 1).then_some(digit);
-            ReferMsg::Data(DataFrame { data: DataId(data), dest_cell, dest_kid, forced, appended, hops })
+            ReferMsg::Data(DataFrame { data: DataId(data), dest_cell, dest_vertex, forced, appended, hops })
         }),
     ]
 }
