@@ -17,7 +17,8 @@
 //! (`n·d` u32s), built in two allocations whatever the graph's size. Both
 //! next hops are computed from the two digit words per hop, so the fabric
 //! scales to the `n ≥ 10⁴` graphs the sharded engine targets without the
-//! `O(n²)` tables of the per-cell [`RouteTable`](kautz::RouteTable).
+//! `O(n²)` build of the per-cell [`RouteTable`](kautz::RouteTable), which
+//! asks the Theorem 3.8 diversion search about every ordered pair.
 
 use kautz::ArcTable;
 use wsan_sim::{

@@ -34,18 +34,23 @@
 //!
 //! [`disjoint_paths`] repairs both defects: it materializes all `d` walks,
 //! keeps the provably simple shortest path untouched, and diverts every
-//! offending plan with an alternative [`PathPlan::forced_digit`] — the
+//! offending plan with an alternative [`Plan::forced_digit`] — the
 //! smallest digit whose continuation is a simple walk clear of the sibling
 //! paths — claiming the conflict bound `k + 2`. This restores pairwise
-//! internally-vertex-disjoint simple paths for every ordered pair of
-//! `K(2, 3)`, `K(3, 3)`, `K(3, 4)` and `K(4, 4)` (verified exhaustively in
-//! tests). Sole known exception: six `K(2, 4)` pairs (periodic sources
-//! such as `0120 -> 1202`) where all three alphabet digits re-fold, so no
-//! single-forced-digit detour exists and the first-digit walk still
-//! revisits its source.
+//! internally-vertex-disjoint simple paths for every ordered pair of every
+//! graph the tests enumerate (`K(2, 3)` through `K(4, 4)`, with `K(3, 4)`).
+//! Sole known exception: six `K(2, 4)` pairs (periodic sources such as
+//! `0120 -> 1202` and its relabelings) where all three alphabet digits
+//! re-fold, so no single-forced-digit detour exists and the first-digit
+//! walk still revisits its source.
+//!
+//! The classification and the diversion search are one function each,
+//! generic over how a vertex is named: [`disjoint_paths`] runs them on
+//! [`KautzId`]s and [`RouteTable`](crate::RouteTable) on dense indices, so
+//! the two APIs agree by construction.
 
 use crate::error::RoutingError;
-use crate::id::KautzId;
+use crate::id::{overlap_of, KautzId};
 use crate::routing::{check_pair, greedy_next_hop};
 
 /// Which of the `d` disjoint paths a successor begins (Theorem 3.8).
@@ -59,18 +64,21 @@ pub enum PathClass {
     /// Case (1): the conflict node with out-digit `u_{k-l}` (requires
     /// `u_{k-l} != v_{l+1}`); length `k + 2`. The successor must forward to
     /// `u_3 ... u_k u_{k-l} v_{l+1}` (Proposition 3.7) rather than follow
-    /// the greedy protocol, which [`PathPlan::forced_digit`] records.
+    /// the greedy protocol, which [`Plan::forced_digit`] records.
     Conflict,
     /// Case (4): any other out-digit; length `k + 1`.
     Other,
 }
 
 /// One of the `d` disjoint `U -> V` paths: its first hop, its class, and
-/// its total length as given by Theorem 3.8.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PathPlan {
+/// its total length as given by Theorem 3.8. The successor is a
+/// [`KautzId`] in a [`PathPlan`] and a dense table index in a
+/// [`TablePlan`](crate::TablePlan); both come from the same classification
+/// and the same diversion search.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Plan<V> {
     /// `U`'s successor on this path: `u_2 ... u_k alpha`.
-    pub successor: KautzId,
+    pub successor: V,
     /// The out-digit `alpha` appended to reach the successor (Definition 3).
     pub out_digit: u8,
     /// The path length claimed by Theorem 3.8 (hops from `U` to `V`).
@@ -85,6 +93,10 @@ pub struct PathPlan {
     /// plain greedy protocol.
     pub forced_digit: Option<u8>,
 }
+
+/// A [`Plan`] whose successor is a [`KautzId`], as [`disjoint_paths`]
+/// returns it.
+pub type PathPlan = Plan<KautzId>;
 
 /// Computes the `d` disjoint `U -> V` path plans of Theorem 3.8, sorted by
 /// ascending path length (shortest first). Ties keep increasing out-digit
@@ -126,22 +138,37 @@ pub struct PathPlan {
 /// ```
 pub fn disjoint_paths(u: &KautzId, v: &KautzId) -> Result<Vec<PathPlan>, RoutingError> {
     check_pair(u, v)?;
-    let k = u.k();
-    let l = u.overlap(v);
-    debug_assert!(l < k);
-    let v_next = v.digits()[l]; // v_{l+1}
-    let v_first = v.first(); // v_1
-    let u_last = u.last(); // u_k
-    let u_conflict = u.digits()[k - l - 1]; // u_{k-l}
+    let shift = |x: KautzId, digit| {
+        x.shift_append(digit).expect("a plan appends only digits that leave an arc")
+    };
+    let mut plans: Vec<PathPlan> =
+        classify(u.digits(), v.digits(), u.degree(), |alpha| shift(*u, alpha)).collect();
+    plans.sort_by_key(|p| (p.length, p.out_digit));
+    let mut walks = vec![Walk::new(*u); plans.len()];
+    let greedy = |x: KautzId| greedy_next_hop(&x, v).expect("same-graph distinct pair");
+    if divert(&mut plans, &mut walks, (*u, *v), (u.degree(), u.k()), shift, greedy) {
+        plans.sort_by_key(|p| (p.length, p.out_digit));
+    }
+    Ok(plans)
+}
 
-    let mut plans = Vec::with_capacity(u.degree() as usize);
-    for alpha in 0..=u.degree() {
-        if alpha == u_last {
-            continue;
-        }
-        let successor = u
-            .shift_append(alpha)
-            .expect("alpha != u_k and within alphabet");
+/// The standard plans of Propositions 3.3–3.7 for the digit words of
+/// `U != V` in `K(degree, k)`, one per out-digit in increasing out-digit
+/// order; `successor(alpha)` names `U`'s successor along `alpha`.
+pub(crate) fn classify<V>(
+    u: &[u8],
+    v: &[u8],
+    degree: u8,
+    successor: impl Fn(u8) -> V,
+) -> impl Iterator<Item = Plan<V>> {
+    let k = u.len();
+    let l = overlap_of(u, v);
+    debug_assert!(l < k, "distinct words overlap strictly less than k");
+    let v_next = v[l]; // v_{l+1}
+    let v_first = v[0]; // v_1
+    let u_last = u[k - 1]; // u_k
+    let u_conflict = u[k - l - 1]; // u_{k-l}
+    (0..=degree).filter(move |&alpha| alpha != u_last).map(move |alpha| {
         let (class, length, forced_digit) = if alpha == v_next {
             (PathClass::Shortest, k - l, None)
         } else if alpha == v_first {
@@ -151,95 +178,145 @@ pub fn disjoint_paths(u: &KautzId, v: &KautzId) -> Result<Vec<PathPlan>, Routing
         } else {
             (PathClass::Other, k + 1, None)
         };
-        plans.push(PathPlan { successor, out_digit: alpha, length, class, forced_digit });
+        Plan { successor: successor(alpha), out_digit: alpha, length, class, forced_digit }
+    })
+}
+
+/// Vertices a plan's walk can hold: `U`, its successor, one forced hop and
+/// at most `k` greedy hops, since each greedy hop lengthens the overlap
+/// with `V`.
+const WALK_CAP: usize = KautzId::MAX_K + 3;
+
+/// A plan's walk as REFER's relays execute it on the wire, endpoints
+/// included, in a fixed buffer so that materializing one never allocates.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Walk<V> {
+    hops: [V; WALK_CAP],
+    len: usize,
+}
+
+impl<V: Copy + PartialEq> Walk<V> {
+    /// An empty walk; `fill` is only a placeholder for the unused slots.
+    pub(crate) fn new(fill: V) -> Self {
+        Walk { hops: [fill; WALK_CAP], len: 0 }
     }
 
-    // Degenerate periodic pairs (module-level erratum): the standard
-    // continuation can fold back through U itself, and greedy shortcuts
-    // can merge one path into a sibling's relay corridor. Process plans
-    // shortest-first (the unique shortest path is provably simple and is
-    // never diverted); divert each offender with the smallest forced digit
-    // whose walk is simple — preferring one clear of every sibling — for a
-    // detour within the conflict bound k + 2.
-    let mut walks: Vec<Vec<KautzId>> =
-        plans.iter().map(|p| walk(u, v, &p.successor, p.forced_digit)).collect();
-    let mut order: Vec<usize> = (0..plans.len()).collect();
-    order.sort_by_key(|&i| (plans[i].length, plans[i].out_digit));
-    for rank in 0..order.len() {
-        let i = order[rank];
-        let settled = is_simple(&walks[i])
-            && order[..rank].iter().all(|&j| interiors_disjoint(&walks[i], &walks[j]));
-        if settled {
+    /// Rewrites this walk as `U -> successor -> (forced hop?) -> greedy ...
+    /// -> V`: `step(x, digit)` is `x`'s successor along `digit` and
+    /// `greedy(x)` the greedy hop from `x != V` toward `V`.
+    fn trace(
+        &mut self,
+        (u, v): (V, V),
+        successor: V,
+        forced_digit: Option<u8>,
+        step: impl Fn(V, u8) -> V,
+        greedy: impl Fn(V) -> V,
+    ) {
+        self.hops[0] = u;
+        self.hops[1] = successor;
+        self.len = 2;
+        if let Some(digit) = forced_digit.filter(|_| successor != v) {
+            self.hops[2] = step(successor, digit);
+            self.len = 3;
+        }
+        while self.hops[self.len - 1] != v {
+            self.hops[self.len] = greedy(self.hops[self.len - 1]);
+            self.len += 1;
+        }
+    }
+
+    fn vertices(&self) -> &[V] {
+        &self.hops[..self.len]
+    }
+
+    /// Whether the walk never repeats a vertex (the paths of Theorem 3.8
+    /// are claimed to be simple; degenerate periodic pairs violate this).
+    fn is_simple(&self) -> bool {
+        let walk = self.vertices();
+        walk.iter().enumerate().all(|(i, x)| !walk[..i].contains(x))
+    }
+
+    /// Whether no interior (non-endpoint) vertex of this walk is an
+    /// interior of `other`.
+    fn interiors_disjoint(&self, other: &Self) -> bool {
+        let (mine, theirs) = (self.vertices(), other.vertices());
+        let theirs = &theirs[1..theirs.len() - 1];
+        mine[1..mine.len() - 1].iter().all(|x| !theirs.contains(x))
+    }
+}
+
+/// The degenerate-pair diversion (module-level erratum) of `plans`, which
+/// must be sorted by `(length, out_digit)`, in `K(degree, k)` under any
+/// vertex naming: `step` and `greedy` move as in [`Walk::trace`], and
+/// `walks` is working space with a slot per plan.
+///
+/// Plans are settled in that priority order (the unique shortest path is
+/// provably simple and is never diverted). An offender — a walk that
+/// repeats a vertex or meets a higher-priority sibling's interior — takes
+/// the smallest forced digit whose walk is simple and clear of every
+/// sibling, else of the higher-priority ones, and claims the conflict
+/// bound `k + 2`. Returns whether any plan changed; the caller then
+/// restores the sort.
+pub(crate) fn divert<V: Copy + PartialEq>(
+    plans: &mut [Plan<V>],
+    walks: &mut [Walk<V>],
+    (u, v): (V, V),
+    (degree, k): (u8, usize),
+    step: impl Fn(V, u8) -> V + Copy,
+    greedy: impl Fn(V) -> V + Copy,
+) -> bool {
+    let walks = &mut walks[..plans.len()];
+    for (walk, plan) in walks.iter_mut().zip(&*plans) {
+        walk.trace((u, v), plan.successor, plan.forced_digit, step, greedy);
+    }
+    let (mut candidate, mut fallback) = (Walk::new(u), Walk::new(u));
+    let mut changed = false;
+    for rank in 0..plans.len() {
+        let (earlier, rest) = walks.split_at(rank);
+        let clear_of_earlier = |w: &Walk<V>| earlier.iter().all(|e| w.interiors_disjoint(e));
+        if rest[0].is_simple() && clear_of_earlier(&rest[0]) {
             continue;
         }
-        let candidates: Vec<(u8, Vec<KautzId>)> = (0..=u.degree())
-            .filter(|&b| b != plans[i].successor.last())
-            .map(|b| (b, walk(u, v, &plans[i].successor, Some(b))))
-            .filter(|(_, w)| is_simple(w))
-            .collect();
-        let found = candidates
-            .iter()
-            .find(|(_, w)| {
-                walks
-                    .iter()
-                    .enumerate()
-                    .all(|(j, other)| j == i || interiors_disjoint(w, other))
-            })
-            .or_else(|| {
-                // Settle for clearing only the higher-priority siblings (a
-                // self-loop or a collision with a shorter path is strictly
-                // worse than sharing a relay with a longer one).
-                candidates.iter().find(|(_, w)| {
-                    order[..rank].iter().all(|&j| interiors_disjoint(w, &walks[j]))
-                })
-            })
-            .cloned();
-        if let Some((beta, w)) = found {
-            plans[i].forced_digit = Some(beta);
-            plans[i].length = k + 2;
-            walks[i] = w;
+        let plan = &plans[rank];
+        let mut found = None;
+        let mut settle_for = None;
+        for beta in (0..=degree).filter(|&beta| beta != plan.out_digit) {
+            candidate.trace((u, v), plan.successor, Some(beta), step, greedy);
+            if !candidate.is_simple() {
+                continue;
+            }
+            let clear_of_all = walks
+                .iter()
+                .enumerate()
+                .all(|(j, other)| j == rank || candidate.interiors_disjoint(other));
+            if clear_of_all {
+                found = Some(beta);
+                break;
+            }
+            // Settle for clearing only the higher-priority siblings (a
+            // self-loop or a collision with a shorter path is strictly
+            // worse than sharing a relay with a longer one).
+            if settle_for.is_none() && clear_of_earlier(&candidate) {
+                settle_for = Some(beta);
+                fallback = candidate;
+            }
         }
+        let (beta, walk) = match (found, settle_for) {
+            (Some(beta), _) => (beta, candidate),
+            (None, Some(beta)) => (beta, fallback),
+            (None, None) => continue,
+        };
+        plans[rank].forced_digit = Some(beta);
+        plans[rank].length = k + 2;
+        walks[rank] = walk;
+        changed = true;
     }
-
-    plans.sort_by_key(|p| (p.length, p.out_digit));
-    Ok(plans)
-}
-
-/// Whether no interior (non-endpoint) vertex of `a` is an interior of `b`.
-fn interiors_disjoint(a: &[KautzId], b: &[KautzId]) -> bool {
-    a[1..a.len() - 1].iter().all(|x| !b[1..b.len() - 1].contains(x))
-}
-
-/// Materializes the walk `U -> successor -> (forced hop?) -> greedy ... -> V`
-/// exactly as REFER's relays execute it on the wire.
-fn walk(u: &KautzId, v: &KautzId, successor: &KautzId, forced_digit: Option<u8>) -> Vec<KautzId> {
-    let mut path = vec![*u, *successor];
-    if let Some(digit) = forced_digit {
-        if path.last().expect("non-empty") != v {
-            let forced = successor
-                .shift_append(digit)
-                .expect("forced digit differs from the successor's last digit");
-            path.push(forced);
-        }
-    }
-    while path.last().expect("non-empty") != v {
-        let next = greedy_next_hop(path.last().expect("non-empty"), v)
-            .expect("same-graph distinct pair");
-        path.push(next);
-        debug_assert!(path.len() <= 2 * v.k() + 4, "planned route diverged: {path:?} toward {v}");
-    }
-    path
-}
-
-/// Whether the walk never repeats a vertex (the paths of Theorem 3.8 are
-/// claimed to be simple; degenerate periodic pairs violate this).
-fn is_simple(path: &[KautzId]) -> bool {
-    path.iter().enumerate().all(|(i, p)| !path[..i].contains(p))
+    changed
 }
 
 /// Materializes the full vertex sequence of a planned path: the first hop is
 /// `plan.successor`; if the plan is a conflict path the successor applies
-/// [`PathPlan::forced_digit`]; every later relay runs the greedy shortest
+/// [`Plan::forced_digit`]; every later relay runs the greedy shortest
 /// protocol. Endpoints are included.
 ///
 /// This mirrors exactly what REFER's relays do on the wire, so tests use it
@@ -251,7 +328,15 @@ fn is_simple(path: &[KautzId]) -> bool {
 /// are equal.
 pub fn plan_route(plan: &PathPlan, u: &KautzId, v: &KautzId) -> Result<Vec<KautzId>, RoutingError> {
     check_pair(u, v)?;
-    Ok(walk(u, v, &plan.successor, plan.forced_digit))
+    let mut walk = Walk::new(*u);
+    walk.trace(
+        (*u, *v),
+        plan.successor,
+        plan.forced_digit,
+        |x, digit| x.shift_append(digit).expect("forced digit differs from the successor's last digit"),
+        |x| greedy_next_hop(&x, v).expect("same-graph distinct pair"),
+    );
+    Ok(walk.vertices().to_vec())
 }
 
 #[cfg(test)]

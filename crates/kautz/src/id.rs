@@ -328,7 +328,10 @@ const _: () = {
 /// tables' overlaps.
 pub(crate) fn overlap_of(u: &[u8], v: &[u8]) -> usize {
     let k = u.len().min(v.len());
-    (1..=k).rev().find(|&l| u[u.len() - l..] == v[..l]).unwrap_or(0)
+    let tail = &u[u.len() - k..];
+    // A byte loop, not slice `==`: on cell-sized words a `memcmp` call per
+    // candidate length costs more than the comparison itself.
+    (1..=k).rev().find(|&l| tail[k - l..].iter().zip(v).all(|(a, b)| a == b)).unwrap_or(0)
 }
 
 /// Rank of `cur` among the `d` letters differing from `prev`: `cur`

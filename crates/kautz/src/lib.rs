@@ -22,8 +22,10 @@
 //!   (Propositions 3.3–3.7), computed purely from the two identifiers.
 //! * [`table`] — [`ArcTable`]: every vertex's digits and successors, for
 //!   greedy and regular routing by index arithmetic on graphs of any size;
-//!   [`RouteTable`]: that plus pairwise next-hop / Theorem 3.8 tables
-//!   giving allocation-free O(1) lookups on the small cell graphs.
+//!   [`RouteTable`]: that plus the few pairs whose Theorem 3.8 plans the
+//!   degenerate-pair diversion changes, giving allocation-free plans by
+//!   dense index on the small cell graphs. Both APIs classify and divert
+//!   through the same functions in [`disjoint`].
 //! * [`brute`] — brute-force reference algorithms (BFS, DFTR-style route
 //!   generation) used to verify the theorem and as the ablation baseline.
 //!

@@ -1,4 +1,4 @@
-//! Dense precomputed routing tables over `K(d, k)`.
+//! Dense routing tables over `K(d, k)`.
 //!
 //! Every routine in [`routing`](crate::routing) and
 //! [`disjoint`](crate::disjoint) works on [`KautzId`] values: it reads
@@ -6,30 +6,30 @@
 //! successor — fine for protocol logic, wasteful on a forwarding hot path
 //! that takes the same decisions millions of times. The tables here
 //! address vertices by their dense [`KautzId::to_index`] mixed-radix
-//! index in `0..n`, `n = (d+1)·d^(k-1)`, and come in two sizes:
+//! index in `0..n`, `n = (d+1)·d^(k-1)`:
 //!
 //! * [`ArcTable`] — `O(n·d)`: every vertex's digit word (`n·k` bytes) and
 //!   its `d` successor indices (`n·d` u32s), built by index arithmetic in
 //!   two allocations. The greedy next hop and the Faber–Streib regular
 //!   hop are computed from two digit words. It scales to the `n ≥ 10⁴` graphs
 //!   of the Kautz fabric.
-//! * [`RouteTable`] — an [`ArcTable`] plus the `O(n²)` pairwise overlaps
-//!   `L(U, V)` and greedy next hops, turning the next hop into a single
-//!   array read and the full Theorem 3.8 plan classification into `O(d)`
-//!   arithmetic — no allocation, no digit scanning, no `KautzId`
-//!   construction. Quadratic in `n` (`K(4, 4)`: 320 vertices, ≈ 0.5 MB),
-//!   so meant for the small per-cell graphs; see the README's Performance
-//!   section for the trade-off.
+//! * [`RouteTable`] — an [`ArcTable`] plus the few ordered pairs whose
+//!   Theorem 3.8 plans the degenerate-pair diversion changes (the erratum
+//!   in [`crate::disjoint`]). Every other pair's plans are classified from
+//!   the two digit words by the function [`disjoint_paths`] uses, in
+//!   `O(d + k²)` with no allocation. Building one asks the diversion search
+//!   about all `n²` pairs, so it is meant for the small per-cell graphs.
 //!
 //! Correctness is anchored by exhaustive equivalence tests against
 //! [`greedy_next_hop`](crate::routing::greedy_next_hop),
 //! [`regular_next_hop`](crate::routing::regular_next_hop),
 //! [`disjoint_paths`] and the BFS reference in [`brute`](crate::brute).
+//!
+//! [`disjoint_paths`]: crate::disjoint_paths
 
-use crate::disjoint::{disjoint_paths, PathClass};
+use crate::disjoint::{classify, divert, PathClass, Plan, Walk};
 use crate::error::KautzIdError;
 use crate::id::{digit_rank, overlap_of, word_index, KautzId};
-use std::collections::HashMap;
 
 /// Every vertex's digit word and out-arcs in `K(d, k)`: the `O(n·d)`
 /// half of a [`RouteTable`], enough for greedy and regular
@@ -121,11 +121,6 @@ impl ArcTable {
         self.n
     }
 
-    /// Dense index of `id`, or `None` when `id` labels a different graph.
-    pub fn index_of(&self, id: &KautzId) -> Option<usize> {
-        (id.degree() == self.degree && id.k() == self.k).then(|| id.to_index())
-    }
-
     /// Materializes the [`KautzId`] of a dense index (recomputes the digits
     /// from the index; [`ArcTable::digits_of`] is the table read).
     ///
@@ -173,16 +168,14 @@ impl ArcTable {
         self.succ[u * self.degree as usize + digit_rank(alpha, u_last)] as usize
     }
 
-    /// `L(U, V)`, computed from the two digit words in `O(k²)`
-    /// ([`RouteTable::overlap`] reads it from a table).
+    /// `L(U, V)`, computed from the two digit words in `O(k²)`.
     #[inline]
     pub(crate) fn overlap(&self, u: usize, v: usize) -> usize {
         overlap_of(self.digits_of(u), self.digits_of(v))
     }
 
     /// The greedy shortest next hop from `u` toward `v`, computed from the
-    /// digit words; `None` when `u == v` ([`RouteTable::next_hop`] reads
-    /// it from a table).
+    /// digit words; `None` when `u == v`.
     #[inline]
     pub fn next_hop(&self, u: usize, v: usize) -> Option<usize> {
         (u != v).then(|| self.greedy_step(u, v, self.overlap(u, v)))
@@ -236,32 +229,13 @@ fn indexed_vertex_count(d: usize, k: usize) -> Option<usize> {
 /// [`PlanSet`] a fixed-size, stack-allocated value.
 pub const MAX_DEGREE: u8 = 8;
 
-/// Sentinel in the next-hop array for the diagonal `u == v`.
-const NO_HOP: u32 = u32::MAX;
-
-/// One row of a [`PlanSet`]: a Theorem 3.8 path plan with the successor as
-/// a dense index instead of a materialized [`KautzId`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TablePlan {
-    /// Dense index of `U`'s successor on this path.
-    pub successor: u32,
-    /// The out-digit `alpha` appended to reach the successor.
-    pub out_digit: u8,
-    /// The path length claimed by Theorem 3.8 (hops from `U` to `V`).
-    pub length: usize,
-    /// Which case of Theorem 3.8 this path falls under.
-    pub class: PathClass,
-    /// The digit the successor must append on its next hop instead of
-    /// following the greedy protocol: set for every [`PathClass::Conflict`]
-    /// plan (normally `v_{l+1}`) and for plans diverted around degenerate
-    /// periodic pairs (the erratum in [`crate::disjoint`]).
-    pub forced_digit: Option<u8>,
-}
+/// A [`Plan`] whose successor is a dense index, as a [`PlanSet`] holds it.
+pub type TablePlan = Plan<u32>;
 
 impl Default for TablePlan {
     fn default() -> Self {
         TablePlan {
-            successor: NO_HOP,
+            successor: u32::MAX,
             out_digit: 0,
             length: 0,
             class: PathClass::Other,
@@ -272,7 +246,7 @@ impl Default for TablePlan {
 
 /// The `d` disjoint path plans for one ordered pair, sorted by
 /// `(length, out_digit)` exactly like
-/// [`disjoint_paths`]. Stack-allocated;
+/// [`disjoint_paths`](crate::disjoint_paths). Stack-allocated;
 /// dereferences to a slice of [`TablePlan`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PlanSet {
@@ -281,20 +255,20 @@ pub struct PlanSet {
 }
 
 impl PlanSet {
-    /// Inserts keeping `(length, out_digit)` order.
-    fn insert(&mut self, plan: TablePlan) {
-        debug_assert!(self.len < self.plans.len());
-        let mut at = self.len;
-        while at > 0 {
-            let prev = &self.plans[at - 1];
-            if (prev.length, prev.out_digit) <= (plan.length, plan.out_digit) {
-                break;
+    /// Collects `plans` in `(length, out_digit)` order, by insertion.
+    fn sorted(plans: impl IntoIterator<Item = TablePlan>) -> Self {
+        let mut set = PlanSet::default();
+        let key = |p: &TablePlan| (p.length, p.out_digit);
+        for plan in plans {
+            let mut at = set.len;
+            while at > 0 && key(&set.plans[at - 1]) > key(&plan) {
+                set.plans[at] = set.plans[at - 1];
+                at -= 1;
             }
-            self.plans[at] = self.plans[at - 1];
-            at -= 1;
+            set.plans[at] = plan;
+            set.len += 1;
         }
-        self.plans[at] = plan;
-        self.len += 1;
+        set
     }
 }
 
@@ -315,7 +289,7 @@ impl<'a> IntoIterator for &'a PlanSet {
     }
 }
 
-/// Precomputed O(1)/O(d) routing over every ordered pair of `K(d, k)`.
+/// Allocation-free Theorem 3.8 plans for every ordered pair of `K(d, k)`.
 ///
 /// # Examples
 ///
@@ -338,23 +312,14 @@ impl<'a> IntoIterator for &'a PlanSet {
 #[derive(Debug, Clone)]
 pub struct RouteTable {
     /// The digit words and successor rows; [`RouteTable`] dereferences to
-    /// it for everything it does not cache.
+    /// it for every query but [`disjoint_plans`](RouteTable::disjoint_plans).
     arcs: ArcTable,
-    /// `n * n`: `overlap[u * n + v] = L(U, V)`.
-    overlap: Vec<u8>,
-    /// `n * n`: shortest next hop from `u` toward `v`; [`NO_HOP`] on the
-    /// diagonal.
-    next: Vec<u32>,
-    /// Sparse corrected plan sets for the degenerate periodic pairs whose
-    /// standard Theorem 3.8 plans are diverted by
-    /// [`disjoint_paths`] (see the
-    /// erratum in [`crate::disjoint`]); keyed by `u * n + v`.
-    corrections: HashMap<u64, PlanSet>,
+    /// The pairs `(u, v)` whose plans the diversion search changes, with
+    /// those plans, in increasing `(u, v)` order.
+    diverted: Vec<((u32, u32), PlanSet)>,
 }
 
-/// A [`RouteTable`] answers every [`ArcTable`] query; its own
-/// [`overlap`](RouteTable::overlap) and [`next_hop`](RouteTable::next_hop)
-/// give the same answers by one array read.
+/// A [`RouteTable`] answers every [`ArcTable`] query.
 impl std::ops::Deref for RouteTable {
     type Target = ArcTable;
 
@@ -364,12 +329,12 @@ impl std::ops::Deref for RouteTable {
 }
 
 impl RouteTable {
-    /// Builds the full table for `K(degree, k)`.
+    /// Builds the table for `K(degree, k)`: the [`ArcTable`], then the
+    /// diversion search of [`crate::disjoint`] over every ordered pair.
     ///
-    /// Build cost is `O(n² d k)` time (pairwise arrays plus the degenerate
-    /// pair scan) and `O(n²)` memory — intended for the small per-cell
-    /// graphs REFER routes in (`K(4, 4)` builds in a few tens of
-    /// milliseconds).
+    /// Build cost is one diversion search per ordered pair (`n²` of them)
+    /// in a handful of allocations — intended for the small per-cell
+    /// graphs REFER routes in.
     ///
     /// # Errors
     ///
@@ -386,215 +351,46 @@ impl RouteTable {
             });
         }
         let arcs = ArcTable::new(degree, k)?;
-        let n = arcs.n;
-        let mut overlap = vec![0u8; n * n];
-        let mut next = vec![NO_HOP; n * n];
-        for u in 0..n {
-            for v in 0..n {
-                let l = arcs.overlap(u, v);
-                overlap[u * n + v] = l as u8;
-                if u != v {
-                    next[u * n + v] = arcs.greedy_step(u, v, l) as u32;
+        let mut walks = [Walk::new(0); MAX_DEGREE as usize];
+        let mut diverted = Vec::new();
+        let step = |x: u32, digit| arcs.successor_by_digit(x as usize, digit) as u32;
+        for u in 0..arcs.n {
+            for v in (0..arcs.n).filter(|&v| v != u) {
+                let mut plans = standard_plans(&arcs, u, v);
+                let greedy = |x: u32| arcs.next_hop(x as usize, v).expect("x != v") as u32;
+                let pair = (u as u32, v as u32);
+                let len = plans.len;
+                if divert(&mut plans.plans[..len], &mut walks, pair, (degree, k), step, greedy) {
+                    diverted.push((pair, PlanSet::sorted(plans.iter().copied())));
                 }
             }
         }
-
-        let mut table = RouteTable { arcs, overlap, next, corrections: HashMap::new() };
-        table.corrections = table.degenerate_corrections();
-        Ok(table)
-    }
-
-    /// Finds every ordered pair whose standard plans
-    /// [`disjoint_paths`] diverts (the
-    /// degenerate-periodic-pair erratum in [`crate::disjoint`]) and
-    /// computes the corrected [`PlanSet`] through that reference
-    /// implementation, so the two APIs stay equivalent by construction.
-    ///
-    /// Detection mirrors the reference's trigger: walk each standard plan
-    /// in `(length, out_digit)` priority order and flag the pair as soon
-    /// as one walk repeats a vertex or enters the relay corridor of a
-    /// higher-priority sibling.
-    fn degenerate_corrections(&self) -> HashMap<u64, PlanSet> {
-        let mut corrections = HashMap::new();
-        let mut walks: Vec<Vec<u32>> = vec![Vec::new(); self.degree as usize];
-        for u in 0..self.n {
-            for v in 0..self.n {
-                if u == v {
-                    continue;
-                }
-                let plans = self.standard_plans(u, v);
-                let mut flagged = false;
-                'plans: for (rank, plan) in plans.iter().enumerate() {
-                    let (head, tail) = walks.split_at_mut(rank);
-                    self.walk_into(u, v, plan, &mut tail[0]);
-                    let walk = &tail[0];
-                    if !is_simple(walk) {
-                        flagged = true;
-                        break;
-                    }
-                    for earlier in head.iter() {
-                        if !interiors_disjoint(walk, earlier) {
-                            flagged = true;
-                            break 'plans;
-                        }
-                    }
-                }
-                if flagged {
-                    let uid = self.id_of(u);
-                    let vid = self.id_of(v);
-                    let corrected =
-                        disjoint_paths(&uid, &vid).expect("distinct same-graph pair");
-                    let mut set = PlanSet::default();
-                    for plan in &corrected {
-                        set.insert(TablePlan {
-                            successor: plan.successor.to_index() as u32,
-                            out_digit: plan.out_digit,
-                            length: plan.length,
-                            class: plan.class,
-                            forced_digit: plan.forced_digit,
-                        });
-                    }
-                    corrections.insert((u * self.n + v) as u64, set);
-                }
-            }
-        }
-        corrections
-    }
-
-    /// Materializes a plan's walk as dense indices into `out` (reused
-    /// scratch): successor, optional forced hop, then greedy next hops.
-    fn walk_into(&self, u: usize, v: usize, plan: &TablePlan, out: &mut Vec<u32>) {
-        out.clear();
-        out.push(u as u32);
-        out.push(plan.successor);
-        if let Some(digit) = plan.forced_digit {
-            let at = plan.successor as usize;
-            if at != v {
-                out.push(self.successor_by_digit(at, digit) as u32);
-            }
-        }
-        while *out.last().expect("non-empty") != v as u32 {
-            let at = *out.last().expect("non-empty") as usize;
-            out.push(self.next[at * self.n + v]);
-            debug_assert!(out.len() <= 2 * self.k + 4, "planned route diverged");
-        }
-    }
-
-    /// `L(U, V)` by table lookup.
-    #[inline]
-    pub fn overlap(&self, u: usize, v: usize) -> usize {
-        self.overlap[u * self.n + v] as usize
-    }
-
-    /// Routing distance `k - L(U, V)`; zero on the diagonal.
-    #[inline]
-    pub fn distance(&self, u: usize, v: usize) -> usize {
-        if u == v {
-            0
-        } else {
-            self.k - self.overlap(u, v)
-        }
-    }
-
-    /// The greedy shortest next hop from `u` toward `v` as a single array
-    /// read; `None` when `u == v`.
-    #[inline]
-    pub fn next_hop(&self, u: usize, v: usize) -> Option<usize> {
-        match self.next[u * self.n + v] {
-            NO_HOP => None,
-            hop => Some(hop as usize),
-        }
+        Ok(RouteTable { arcs, diverted })
     }
 
     /// The `d` disjoint path plans of Theorem 3.8 for `u -> v`, classified
     /// and sorted identically to
-    /// [`disjoint_paths`] — including its
-    /// diverted plans for degenerate periodic pairs, served from a sparse
-    /// precomputed map — with `O(d)` work and no allocation. Returns an
+    /// [`disjoint_paths`](crate::disjoint_paths) — including its
+    /// diverted plans for degenerate periodic pairs, found by binary search
+    /// among the few stored — with no allocation. Returns an
     /// empty set when `u == v` (the allocating API reports
     /// `RoutingError::SameNode` instead).
     pub fn disjoint_plans(&self, u: usize, v: usize) -> PlanSet {
         if u == v {
             return PlanSet::default();
         }
-        if let Some(corrected) = self.corrections.get(&((u * self.n + v) as u64)) {
-            return *corrected;
+        match self.diverted.binary_search_by_key(&(u as u32, v as u32), |&(pair, _)| pair) {
+            Ok(at) => self.diverted[at].1,
+            Err(_) => standard_plans(self, u, v),
         }
-        self.standard_plans(u, v)
-    }
-
-    /// The uncorrected Theorem 3.8 classification (Propositions 3.3–3.7)
-    /// straight from the digit tables; `u != v` required.
-    fn standard_plans(&self, u: usize, v: usize) -> PlanSet {
-        let mut set = PlanSet::default();
-        let k = self.k;
-        let (u_row, v_row) = (self.digits_of(u), self.digits_of(v));
-        let l = self.overlap[u * self.n + v] as usize;
-        let v_next = v_row[l]; // v_{l+1}
-        let v_first = v_row[0]; // v_1
-        let u_last = u_row[k - 1]; // u_k
-        let u_conflict = u_row[k - l - 1]; // u_{k-l}
-
-        for alpha in 0..=self.degree {
-            if alpha == u_last {
-                continue;
-            }
-            let (class, length, forced_digit) = if alpha == v_next {
-                (PathClass::Shortest, k - l, None)
-            } else if alpha == v_first {
-                (PathClass::FirstDigit, k, None)
-            } else if alpha == u_conflict {
-                (PathClass::Conflict, k + 2, Some(v_next))
-            } else {
-                (PathClass::Other, k + 1, None)
-            };
-            set.insert(TablePlan {
-                successor: self.successor_by_digit(u, alpha) as u32,
-                out_digit: alpha,
-                length,
-                class,
-                forced_digit,
-            });
-        }
-        set
-    }
-
-    /// Materializes a planned path as dense indices, mirroring
-    /// [`plan_route`](crate::disjoint::plan_route): first hop is the
-    /// plan's successor, a plan carrying a forced digit applies it, every
-    /// later relay follows [`next_hop`](Self::next_hop). Endpoints
-    /// included.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u == v`.
-    pub fn plan_path(&self, plan: &TablePlan, u: usize, v: usize) -> Vec<usize> {
-        assert_ne!(u, v, "no path plans exist for a vertex to itself");
-        let mut path = vec![u, plan.successor as usize];
-        if let Some(digit) = plan.forced_digit {
-            let at = *path.last().expect("non-empty");
-            if at != v {
-                path.push(self.successor_by_digit(at, digit));
-            }
-        }
-        while *path.last().expect("non-empty") != v {
-            let at = *path.last().expect("non-empty");
-            let hop = self.next_hop(at, v).expect("at != v inside the loop");
-            path.push(hop);
-            debug_assert!(path.len() <= 2 * self.k + 4, "planned route diverged");
-        }
-        path
     }
 }
 
-/// Whether the walk never repeats a vertex.
-fn is_simple(walk: &[u32]) -> bool {
-    walk.iter().enumerate().all(|(i, x)| !walk[..i].contains(x))
-}
-
-/// Whether no interior (non-endpoint) vertex of `a` is an interior of `b`.
-fn interiors_disjoint(a: &[u32], b: &[u32]) -> bool {
-    a[1..a.len() - 1].iter().all(|x| !b[1..b.len() - 1].contains(x))
+/// The standard Theorem 3.8 plans of `u != v` (Propositions 3.3–3.7),
+/// classified from the two digit words.
+fn standard_plans(arcs: &ArcTable, u: usize, v: usize) -> PlanSet {
+    let successor = |alpha| arcs.successor_by_digit(u, alpha) as u32;
+    PlanSet::sorted(classify(arcs.digits_of(u), arcs.digits_of(v), arcs.degree, successor))
 }
 
 #[cfg(test)]
@@ -631,15 +427,7 @@ mod tests {
             let id = KautzId::from_index(index, 3, 3);
             assert_eq!(table.digits_of(index), id.digits());
             assert_eq!(table.id_of(index), id);
-            assert_eq!(table.index_of(&id), Some(index));
         }
-    }
-
-    #[test]
-    fn index_of_rejects_foreign_graphs() {
-        let table = RouteTable::new(2, 3).expect("valid");
-        let other = KautzId::parse("0123", 4).expect("valid");
-        assert_eq!(table.index_of(&other), None);
     }
 
     #[test]
@@ -712,24 +500,18 @@ mod tests {
     #[test]
     fn next_hop_matches_greedy_exhaustively() {
         for (d, k) in [(2u8, 3usize), (3, 3), (4, 4)] {
-            let table = RouteTable::new(d, k).expect("valid");
-            // The table's lookups and the arc table's computed answers.
-            let arcs: &ArcTable = &table;
-            for u in 0..table.node_count() {
-                let uid = table.id_of(u);
-                for v in 0..table.node_count() {
+            let arcs = ArcTable::new(d, k).expect("valid");
+            for u in 0..arcs.node_count() {
+                let uid = arcs.id_of(u);
+                for v in 0..arcs.node_count() {
                     if u == v {
-                        assert_eq!(table.next_hop(u, v), None);
                         assert_eq!(arcs.next_hop(u, v), None);
                         continue;
                     }
-                    let vid = table.id_of(v);
+                    let vid = arcs.id_of(v);
                     let expected = greedy_next_hop(&uid, &vid).expect("distinct").to_index();
-                    assert_eq!(table.next_hop(u, v), Some(expected), "K({d},{k}) {uid}->{vid}");
                     assert_eq!(arcs.next_hop(u, v), Some(expected), "K({d},{k}) {uid}->{vid}");
-                    assert_eq!(table.overlap(u, v), uid.overlap(&vid));
                     assert_eq!(arcs.overlap(u, v), uid.overlap(&vid));
-                    assert_eq!(table.distance(u, v), uid.routing_distance(&vid));
                 }
             }
         }
@@ -796,25 +578,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn plan_path_matches_plan_route() {
-        use crate::disjoint::plan_route;
-        let table = RouteTable::new(4, 4).expect("valid");
-        let u = KautzId::parse("0123", 4).expect("valid");
-        let v = KautzId::parse("2301", 4).expect("valid");
-        let plans = disjoint_paths(&u, &v).expect("distinct");
-        let table_plans = table.disjoint_plans(u.to_index(), v.to_index());
-        for (plan, table_plan) in plans.iter().zip(&table_plans) {
-            let expected: Vec<usize> = plan_route(plan, &u, &v)
-                .expect("distinct")
-                .iter()
-                .map(KautzId::to_index)
-                .collect();
-            let got = table.plan_path(table_plan, u.to_index(), v.to_index());
-            assert_eq!(got, expected);
         }
     }
 }

@@ -1,11 +1,12 @@
 //! Exhaustive verification of Theorem 3.8 over every ordered pair of
 //! `K(2,3)` and `K(3,3)`: the `d` materialized `plan_route` paths are
 //! pairwise internally-vertex-disjoint and exactly match the theorem's
-//! claimed lengths — and the dense `RouteTable` lookups agree with both.
+//! claimed lengths. `RouteTable::disjoint_plans` equals `disjoint_paths`
+//! on every pair (`table::tests`), so these routes are the table's too.
 
 use kautz::brute::internally_disjoint;
 use kautz::disjoint::{disjoint_paths, plan_route, PathClass};
-use kautz::{KautzGraph, KautzId, RouteTable};
+use kautz::KautzGraph;
 
 /// The theorem's claimed length for a plan, independent of the
 /// implementation under test: `k - l` / `k` / `k + 2` / `k + 1` by class.
@@ -63,52 +64,6 @@ fn planned_paths_are_disjoint_with_theorem_lengths_on_small_graphs() {
                 assert!(
                     internally_disjoint(&paths),
                     "K({d},{k}) {u}->{v} paths share an interior vertex: {paths:?}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn route_table_paths_are_disjoint_with_theorem_lengths_on_small_graphs() {
-    for (d, k) in [(2u8, 3usize), (3, 3)] {
-        let table = RouteTable::new(d, k).expect("valid graph");
-        for u in 0..table.node_count() {
-            for v in 0..table.node_count() {
-                if u == v {
-                    continue;
-                }
-                let l = table.overlap(u, v);
-                let plans = table.disjoint_plans(u, v);
-                assert_eq!(plans.len(), d as usize, "K({d},{k}) {u}->{v}");
-
-                let mut paths = Vec::with_capacity(plans.len());
-                for plan in &plans {
-                    assert_eq!(
-                        plan.length,
-                        claimed_length(plan.class, plan.forced_digit.is_some(), k, l),
-                        "K({d},{k}) {u}->{v} plan {plan:?}"
-                    );
-                    let path = table.plan_path(plan, u, v);
-                    assert!(path.len() - 1 <= plan.length);
-                    if plan.class == PathClass::Shortest {
-                        assert_eq!(path.len() - 1, plan.length, "shortest is exact");
-                    }
-                    assert_eq!(path.first(), Some(&u));
-                    assert_eq!(path.last(), Some(&v));
-                    // Materialize to KautzIds so the arc and disjointness
-                    // checks run through the same reference checker as the
-                    // allocating API.
-                    let ids: Vec<KautzId> =
-                        path.iter().map(|&i| table.id_of(i)).collect();
-                    for w in ids.windows(2) {
-                        assert!(w[0].is_arc_to(&w[1]), "non-arc step in {ids:?}");
-                    }
-                    paths.push(ids);
-                }
-                assert!(
-                    internally_disjoint(&paths),
-                    "K({d},{k}) {u}->{v} table paths share an interior vertex: {paths:?}"
                 );
             }
         }
