@@ -14,7 +14,7 @@ use kautz::RouteTable;
 use refer::cells::plan_cells;
 use refer::embedding::EmbeddingPlan;
 use refer::roster::Roster;
-use refer::routing::route_choices_indexed;
+use refer::routing::route_choices;
 use rand::seq::SliceRandom;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -232,8 +232,7 @@ impl KautzOverlayProtocol {
             (n, None, appended)
         } else {
             let (from, to) = (at as usize, dest as usize);
-            let Ok(choices) =
-                route_choices_indexed(&self.route_table, from, to, frame.forced, ctx.rng())
+            let Ok(choices) = route_choices(&self.route_table, from, to, frame.forced, ctx.rng())
             else {
                 ctx.drop_data(frame.data);
                 return;

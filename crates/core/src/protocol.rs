@@ -32,7 +32,7 @@ use crate::config::{
 use crate::embedding::EmbeddingPlan;
 use crate::maintenance::{battery_low, link_endangered, select_replacement};
 use crate::roster::Roster;
-use crate::routing::route_choices_indexed;
+use crate::routing::route_choices;
 use crate::tier::DhtTier;
 use kautz::{KautzId, RouteTable};
 use rand::Rng;
@@ -660,57 +660,102 @@ impl ReferProtocol {
     /// death. "Believes" is mode-appropriate: the fault oracle under
     /// `Oracle`, the suspicion view under `Discovered`.
     fn heal_neighbors(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, node: NodeId) {
-        let range = ctx.config().sensor_range;
-        // A snapshot: a handover below edits the rosters being walked.
+        // A snapshot: a handover below edits the rosters being walked. A
+        // vertex adjacent both ways is listed twice, and its second entry
+        // still names the dead owner, so it can be handed over twice in one
+        // tick; the pinned traces include that.
         let neighbors: Vec<_> = self.roster.kautz_neighbor_owners(node).collect();
         for (cell, nk, owner) in neighbors {
-            if !matches!(ctx.kind(owner), NodeKind::Sensor) {
-                continue;
+            let dead = matches!(ctx.kind(owner), NodeKind::Sensor)
+                && !self.knowledge.presumed_alive(ctx, owner);
+            if dead {
+                let neighbor_positions = self.neighbor_positions(ctx, cell, nk, owner);
+                self.hand_over(ctx, node, cell, nk, owner, &neighbor_positions);
             }
-            if self.knowledge.presumed_alive(ctx, owner) {
-                continue;
-            }
-            let neighbor_positions = self.neighbor_positions(ctx, cell, nk, owner);
-            // Candidates that registered with the dead member, then ours:
-            // the healer heard both candidacies announced on the air.
-            let pool: Vec<NodeId> = self.nodes[owner.index()]
-                .candidates
-                .iter()
-                .chain(&self.nodes[node.index()].candidates)
-                .copied()
-                .filter(|&c| c != owner && self.knowledge.presumed_alive(ctx, c) && !self.roster.is_member(c))
-                .collect();
-            let scored: Vec<(wsan_sim::Point, f64)> =
-                pool.iter().map(|&c| (ctx.position(c), ctx.battery(c))).collect();
-            let Some(i) = select_replacement(&scored, &neighbor_positions, range) else {
-                continue;
-            };
-            let replacement = pool[i];
-            if !self.knowledge.usable(ctx, node, replacement) {
-                continue;
-            }
-            if !ctx.send(
-                node,
-                replacement,
-                CTRL_BITS,
-                EnergyAccount::Communication,
-                ReferMsg::Replace,
-            ) {
-                continue;
-            }
-            ctx.broadcast(
-                node,
-                CTRL_BITS,
-                EnergyAccount::Communication,
-                ReferMsg::ReplaceNotice,
-            );
-            self.roster.assign_kid(cell, nk, replacement);
-            ctx.record_handover();
-            // The owner just lost its KID on failure belief alone: graded
-            // as wrongful when it was actually alive and honest.
-            ctx.record_eviction(owner);
-            self.start_member_timers(ctx, replacement);
         }
+    }
+
+    /// Section III-B4's handover: `node` gives `kid` of `cell`, held by
+    /// `holder`, to the best live standby able to reach every position in
+    /// `neighbor_positions` (the other owners of the KID's Kautz
+    /// neighbors), and announces it.
+    ///
+    /// * `holder == node`: a member resigns its own KID (endangered link or
+    ///   low battery). Its own candidates compete; failing them, the
+    ///   reachable sensor that best re-centers the KID among its neighbors
+    ///   takes it, provided it improves on `node`.
+    /// * Otherwise `node` heals a neighbor it believes down. The dead
+    ///   member's candidates, then `node`'s, compete; the pick must be
+    ///   usable from `node`, and the holder's eviction is graded (wrongful
+    ///   when it was actually alive and honest).
+    fn hand_over(
+        &mut self,
+        ctx: &mut impl ProtoCtx<ReferMsg>,
+        node: NodeId,
+        cell: usize,
+        kid: u32,
+        holder: NodeId,
+        neighbor_positions: &[wsan_sim::Point],
+    ) {
+        let heal = holder != node;
+        let range = ctx.config().sensor_range;
+        // A healer heard the dead member's candidacies announced on the air.
+        let theirs: &[NodeId] = if heal { &self.nodes[holder.index()].candidates } else { &[] };
+        let pool: Vec<NodeId> = theirs
+            .iter()
+            .chain(&self.nodes[node.index()].candidates)
+            .copied()
+            .filter(|&c| {
+                c != holder && self.knowledge.presumed_alive(ctx, c) && !self.roster.is_member(c)
+            })
+            .collect();
+        let scored: Vec<(wsan_sim::Point, f64)> =
+            pool.iter().map(|&c| (ctx.position(c), ctx.battery(c))).collect();
+        let strict = select_replacement(&scored, neighbor_positions, range).map(|i| pool[i]);
+        let pick = if heal {
+            strict.filter(|&r| self.knowledge.usable(ctx, node, r))
+        } else {
+            let max_dist = |p: wsan_sim::Point| {
+                neighbor_positions.iter().map(|q| p.distance(q)).fold(0.0f64, f64::max)
+            };
+            strict.or_else(|| {
+                let own = max_dist(ctx.position(node));
+                ctx.sensor_ids()
+                    .iter()
+                    .copied()
+                    .filter(|&c| {
+                        c != node
+                            && self.knowledge.presumed_alive(ctx, c)
+                            && !self.roster.is_member(c)
+                            && ctx.in_range(node, c)
+                    })
+                    .min_by(|&a, &b| {
+                        max_dist(ctx.position(a))
+                            .partial_cmp(&max_dist(ctx.position(b)))
+                            .expect("finite")
+                    })
+                    .filter(|&c| max_dist(ctx.position(c)) + 1.0 < own)
+            })
+        };
+        let Some(replacement) = pick else {
+            return;
+        };
+        if !ctx.send(
+            node,
+            replacement,
+            CTRL_BITS,
+            EnergyAccount::Communication,
+            ReferMsg::Replace,
+        ) {
+            return;
+        }
+        ctx.broadcast(node, CTRL_BITS, EnergyAccount::Communication, ReferMsg::ReplaceNotice);
+        self.roster.assign_kid(cell, kid, replacement);
+        ctx.record_handover();
+        if heal {
+            ctx.record_eviction(holder);
+        }
+        self.start_member_timers(ctx, replacement);
     }
 
     /// Arms a replacement's beacon and maintenance timers unless they are
@@ -747,64 +792,9 @@ impl ReferProtocol {
                 .iter()
                 .any(|&p| link_endangered(ctx.position(node), p, range, LINK_GUARD));
             let weak = battery_low(ctx.battery(node), BATTERY_THRESHOLD);
-            if !endangered && !weak {
-                continue;
+            if endangered || weak {
+                self.hand_over(ctx, node, cell, kid, node, &neighbor_positions);
             }
-            // Pick the best live candidate able to reach all neighbors
-            // (Section III-B4's replacement rule).
-            let pool: Vec<NodeId> = self.nodes[node.index()]
-                .candidates
-                .iter()
-                .copied()
-                .filter(|&c| self.knowledge.presumed_alive(ctx, c) && !self.roster.is_member(c))
-                .collect();
-            let scored: Vec<(wsan_sim::Point, f64)> =
-                pool.iter().map(|&c| (ctx.position(c), ctx.battery(c))).collect();
-            let strict = select_replacement(&scored, &neighbor_positions, range).map(|i| pool[i]);
-            // Best effort when no registered candidate qualifies: hand off
-            // to the reachable sensor that best re-centers the KID among
-            // its neighbors, provided it actually improves on us.
-            let max_dist = |p: wsan_sim::Point| {
-                neighbor_positions
-                    .iter()
-                    .map(|q| p.distance(q))
-                    .fold(0.0f64, f64::max)
-            };
-            let cand = strict.or_else(|| {
-                let own = max_dist(ctx.position(node));
-                ctx.sensor_ids()
-                    .iter()
-                    .copied()
-                    .filter(|&c| {
-                        c != node
-                            && self.knowledge.presumed_alive(ctx, c)
-                            && !self.roster.is_member(c)
-                            && ctx.in_range(node, c)
-                    })
-                    .min_by(|&a, &b| {
-                        max_dist(ctx.position(a))
-                            .partial_cmp(&max_dist(ctx.position(b)))
-                            .expect("finite")
-                    })
-                    .filter(|&c| max_dist(ctx.position(c)) + 1.0 < own)
-            });
-            let Some(replacement) = cand else {
-                continue;
-            };
-            if !ctx.send(
-                node,
-                replacement,
-                CTRL_BITS,
-                EnergyAccount::Communication,
-                ReferMsg::Replace,
-            ) {
-                continue;
-            }
-            ctx.broadcast(node, CTRL_BITS, EnergyAccount::Communication, ReferMsg::ReplaceNotice);
-            self.roster.remove_membership(node, cell, kid);
-            self.roster.assign_kid(cell, kid, replacement);
-            ctx.record_handover();
-            self.start_member_timers(ctx, replacement);
         }
     }
 
@@ -819,18 +809,20 @@ impl ReferProtocol {
         if self.roster.is_member(node) || ctx.self_faulty(node) {
             return;
         }
-        // Prefer a cached beacon source; fall back to the nearest member
-        // believed reachable.
-        let target = self.nodes[node.index()]
-            .heard
-            .iter()
-            .copied()
-            .find(|&m| self.roster.is_member(m) && self.knowledge.usable(ctx, node, m))
-            .or_else(|| self.roster.nearest_member(ctx, &self.knowledge, node));
-        if let Some(m) = target {
+        if let Some(m) = self.known_member(ctx, node) {
             self.nodes[node.index()].last_probe = Some(ctx.now().as_micros());
             ctx.send(node, m, CTRL_BITS, EnergyAccount::Communication, ReferMsg::Probe);
         }
+    }
+
+    /// The member a non-member `node` turns to: its most recent beacon
+    /// source that is still a member and usable, else the nearest member
+    /// it presumes reachable (what a fresh beacon round would tell it).
+    fn known_member(&self, ctx: &impl ProtoCtx<ReferMsg>, node: NodeId) -> Option<NodeId> {
+        let mut heard = self.nodes[node.index()].heard.iter().copied();
+        heard
+            .find(|&m| self.roster.is_member(m) && self.knowledge.usable(ctx, node, m))
+            .or_else(|| self.roster.nearest_member(ctx, &self.knowledge, node))
     }
 
     /// The cell among `cells` whose centroid is nearest `p`; the first
@@ -902,6 +894,30 @@ impl ReferProtocol {
         (dest_cell, kid.expect("owner is a corner"))
     }
 
+    /// A data frame at `at`: a member forwards it; a non-member (an access
+    /// relay, a stale handoff, or a source whose hop went unacknowledged)
+    /// re-enters the backbone via the nearest member it presumes
+    /// reachable, hopping for `reason`, or drops the frame.
+    fn carry(
+        &mut self,
+        ctx: &mut impl ProtoCtx<ReferMsg>,
+        at: NodeId,
+        frame: DataFrame,
+        reason: HopReason,
+    ) {
+        if self.roster.is_member(at) {
+            self.forward(ctx, at, frame);
+            return;
+        }
+        match self.roster.nearest_member(ctx, &self.knowledge, at) {
+            Some(m) => {
+                let (data, out) = (frame.data, ReferMsg::Data(frame));
+                self.knowledge.send_data(ctx, at, m, data, reason, out);
+            }
+            None => ctx.drop_data_reason(frame.data, DropReason::NoRoute),
+        }
+    }
+
     /// Forwards a data frame from member `node`. Delivers, intra-cell
     /// routes, or crosses cells via the CAN tier.
     fn forward(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, node: NodeId, mut frame: DataFrame) {
@@ -970,8 +986,7 @@ impl ReferProtocol {
             }
         }
         let (from, to) = (at as usize, dest_vertex as usize);
-        let Ok(choices) =
-            route_choices_indexed(&self.route_table, from, to, frame.forced, ctx.rng())
+        let Ok(choices) = route_choices(&self.route_table, from, to, frame.forced, ctx.rng())
         else {
             ctx.drop_data_reason(data, DropReason::NoRoute);
             return;
@@ -1031,8 +1046,7 @@ impl ReferProtocol {
             };
             let my_kid = self.roster.kid_in_cell(node, home_cell).expect("sensor membership");
             let (from, to) = (my_kid as usize, owner_kid as usize);
-            let Ok(choices) = route_choices_indexed(&self.route_table, from, to, None, ctx.rng())
-            else {
+            let Ok(choices) = route_choices(&self.route_table, from, to, None, ctx.rng()) else {
                 ctx.drop_data_reason(frame.data, DropReason::NoRoute);
                 return;
             };
@@ -1130,19 +1144,7 @@ impl SansIo for ReferProtocol {
             return;
         }
         self.stats.expiry_diversions += 1;
-        if self.roster.is_member(at) {
-            self.forward(ctx, at, frame);
-        } else {
-            // Non-member (source or access relay): re-enter via the nearest
-            // member still presumed reachable.
-            match self.roster.nearest_member(ctx, &self.knowledge, at) {
-                Some(m) => {
-                    let (data, out) = (frame.data, ReferMsg::Data(frame));
-                    self.knowledge.send_data(ctx, at, m, data, HopReason::Recovery, out);
-                }
-                None => ctx.drop_data_reason(frame.data, DropReason::NoRoute),
-            }
-        }
+        self.carry(ctx, at, frame, HopReason::Recovery);
     }
 
     fn on_app_data<C: ProtoCtx<ReferMsg>>(&mut self, ctx: &mut C, src: NodeId, data: DataId) {
@@ -1151,18 +1153,8 @@ impl SansIo for ReferProtocol {
             return;
         }
         // Find the backbone entry point.
-        let access = if self.roster.is_member(src) {
-            Some(src)
-        } else {
-            // Prefer the beacon cache; fall back to the nearest live member
-            // in range (what a fresh beacon round would tell us).
-            let cached = self.nodes[src.index()]
-                .heard
-                .iter()
-                .copied()
-                .find(|&m| self.roster.is_member(m) && self.knowledge.usable(ctx, src, m));
-            cached.or_else(|| self.roster.nearest_member(ctx, &self.knowledge, src))
-        };
+        let access =
+            if self.roster.is_member(src) { Some(src) } else { self.known_member(ctx, src) };
         // Two-hop access: no member in range, but a neighbor has one (the
         // neighbor learned it from beacons). Hand the packet to that relay;
         // it enters the backbone on arrival. Under `Discovered` the
@@ -1329,21 +1321,7 @@ impl SansIo for ReferProtocol {
                 cands.insert(0, msg.from);
                 cands.truncate(8);
             }
-            ReferMsg::Data(frame) => {
-                if self.roster.is_member(at) {
-                    self.forward(ctx, at, frame);
-                } else {
-                    // Access relay (or a stale handoff): push the frame to
-                    // the nearest member in range, or give up.
-                    match self.roster.nearest_member(ctx, &self.knowledge, at) {
-                        Some(m) => {
-                            let (data, out) = (frame.data, ReferMsg::Data(frame));
-                            self.knowledge.send_data(ctx, at, m, data, HopReason::Access, out);
-                        }
-                        None => ctx.drop_data_reason(frame.data, DropReason::NoRoute),
-                    }
-                }
-            }
+            ReferMsg::Data(frame) => self.carry(ctx, at, frame, HopReason::Access),
         }
     }
 

@@ -1,7 +1,9 @@
 //! Who holds which vertex: the cell rosters and per-node memberships
 //! that REFER and the Kautz-overlay baseline both route over, and the one
-//! successor walk both route by ([`Roster::first_owner`],
-//! [`Roster::regular_owner`]).
+//! successor walk both route by ([`Roster::first_owner`] over the
+//! [`kautz::PlanSet`] that [`crate::routing::route_choices`] orders,
+//! [`Roster::regular_owner`]). A vertex changes hands only by
+//! [`Roster::assign_kid`], which evicts the previous holder.
 //!
 //! Inside a cell a vertex is named by its index in the cell graph's
 //! [`kautz::ArcTable`] (a `u32`, as the table's successor rows are), not
@@ -20,8 +22,7 @@
 //! reference and checks the rows against them under random assignment,
 //! removal and handover scripts.
 
-use crate::routing::IndexedHop;
-use kautz::{KautzId, RouteTable};
+use kautz::{KautzId, RouteTable, TablePlan};
 use refer_proto::{FailureKnowledge, ProtoCtx};
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -68,9 +69,9 @@ impl Roster {
         row.push((cell, vertex));
     }
 
-    /// Drops `node`'s membership `(cell, vertex)`, if it has it. The
-    /// roster entry is the caller's to hand on.
-    pub fn remove_membership(&mut self, node: NodeId, cell: usize, vertex: u32) {
+    /// Drops `node`'s membership `(cell, vertex)`, if it has it: the
+    /// other half of [`Roster::assign_kid`]'s eviction.
+    fn remove_membership(&mut self, node: NodeId, cell: usize, vertex: u32) {
         let row = &mut self.rows[node.index()];
         if row.is_empty() {
             return;
@@ -162,7 +163,7 @@ impl Roster {
         &self,
         cell: usize,
         node: NodeId,
-        choices: &[IndexedHop],
+        choices: &[TablePlan],
         mut accept: impl FnMut(NodeId) -> bool,
     ) -> Option<(usize, NodeId, Option<u8>)> {
         choices.iter().enumerate().find_map(|(idx, c)| {

@@ -10,7 +10,14 @@
 //! data hop, and a per-tick neighbour list one per maintenance tick, so
 //! tier-1 catches either without the benchmark. The count is per thread,
 //! so the test harness's own threads do not disturb it.
+//!
+//! The relay's route choice itself allocates nothing: a second case
+//! counts `route_choices` over every ordered pair of two cell graphs.
 
+use kautz::RouteTable;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use refer::routing::route_choices;
 use refer::{ReferConfig, ReferMsg, ReferProtocol};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -141,4 +148,22 @@ fn steady_state_stays_under_0_10_allocations_per_event() {
         per_event < 0.10,
         "{allocs} allocations over {events} handler events = {per_event:.3} per event"
     );
+}
+
+#[test]
+fn route_choices_never_allocates() {
+    for (d, k) in [(2u8, 3usize), (3, 3)] {
+        let table = RouteTable::new(d, k).expect("valid");
+        let n = table.node_count();
+        let mut rng = StdRng::seed_from_u64(1);
+        let forced = std::iter::once(None).chain((0..=d).map(Some));
+        let before = ALLOCS.with(Cell::get);
+        for digit in forced {
+            for (u, v) in (0..n).flat_map(|u| (0..n).map(move |v| (u, v))) {
+                std::hint::black_box(route_choices(&table, u, v, digit, &mut rng).ok());
+            }
+        }
+        let allocs = ALLOCS.with(Cell::get) - before;
+        assert_eq!(allocs, 0, "K({d},{k}): route_choices allocated {allocs} times");
+    }
 }

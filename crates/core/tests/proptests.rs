@@ -4,44 +4,47 @@
 use proptest::prelude::*;
 use refer::cells::{plan_cells, quincunx};
 use refer::maintenance::{can_replace, link_endangered, select_replacement};
-use refer::routing::{route_choices, RouteHeader};
-use kautz::KautzId;
+use refer::routing::route_choices;
+use kautz::{KautzId, RouteTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
+use std::sync::OnceLock;
 use wsan_sim::Point;
+
+/// `K(4, 4)`, built once for every case.
+fn k44() -> &'static RouteTable {
+    static TABLE: OnceLock<RouteTable> = OnceLock::new();
+    TABLE.get_or_init(|| RouteTable::new(4, 4).expect("K(4,4)"))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn route_choices_cover_all_successors(a in 0usize..320, b in 0usize..320, seed in 0u64..1000) {
-        let u = KautzId::from_index(a % 320, 4, 4);
-        let v = KautzId::from_index(b % 320, 4, 4);
-        prop_assume!(u != v);
+        prop_assume!(a != b);
         let mut rng = StdRng::seed_from_u64(seed);
-        let header = RouteHeader { dest_kid: v, forced_digit: None };
-        let hops = route_choices(&u, &header, &mut rng).expect("valid pair");
+        let hops = route_choices(k44(), a, b, None, &mut rng).expect("valid pair");
         prop_assert_eq!(hops.len(), 4);
-        let succ: HashSet<&KautzId> = hops.iter().map(|h| &h.successor).collect();
-        for s in u.successors() {
+        let succ: HashSet<KautzId> =
+            hops.iter().map(|h| k44().id_of(h.successor as usize)).collect();
+        for s in k44().id_of(a).successors() {
             prop_assert!(succ.contains(&s), "missing successor {s}");
         }
     }
 
     #[test]
     fn forced_header_always_yields_a_first_choice(a in 0usize..320, b in 0usize..320, digit in 0u8..=4, seed in 0u64..1000) {
-        let u = KautzId::from_index(a % 320, 4, 4);
-        let v = KautzId::from_index(b % 320, 4, 4);
-        prop_assume!(u != v);
+        prop_assume!(a != b);
         let mut rng = StdRng::seed_from_u64(seed);
-        let header = RouteHeader { dest_kid: v, forced_digit: Some(digit) };
-        let hops = route_choices(&u, &header, &mut rng).expect("valid pair");
+        let hops = route_choices(k44(), a, b, Some(digit), &mut rng).expect("valid pair");
         prop_assert!(!hops.is_empty());
+        let u = k44().id_of(a);
         if digit != u.last() {
             // The forced successor leads the list.
             let forced = u.shift_append(digit).expect("valid digit");
-            prop_assert_eq!(&hops[0].successor, &forced);
+            prop_assert_eq!(hops[0].successor as usize, forced.to_index());
         }
     }
 

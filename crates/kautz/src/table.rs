@@ -244,10 +244,12 @@ impl Default for TablePlan {
     }
 }
 
-/// The `d` disjoint path plans for one ordered pair, sorted by
+/// The `d` disjoint path plans for one ordered pair, one per out-arc.
+/// [`RouteTable::disjoint_plans`] returns them sorted by
 /// `(length, out_digit)` exactly like
-/// [`disjoint_paths`](crate::disjoint_paths). Stack-allocated;
-/// dereferences to a slice of [`TablePlan`].
+/// [`disjoint_paths`](crate::disjoint_paths); a relay's route choice
+/// reorders its copy in place (ties shuffled, a forced arc first).
+/// Stack-allocated; dereferences to a slice of [`TablePlan`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PlanSet {
     plans: [TablePlan; MAX_DEGREE as usize],
@@ -277,6 +279,12 @@ impl std::ops::Deref for PlanSet {
 
     fn deref(&self) -> &[TablePlan] {
         &self.plans[..self.len]
+    }
+}
+
+impl std::ops::DerefMut for PlanSet {
+    fn deref_mut(&mut self) -> &mut [TablePlan] {
+        &mut self.plans[..self.len]
     }
 }
 
@@ -578,6 +586,20 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn diverted_pair_counts_are_pinned() {
+        // How many ordered pairs the diversion search changes. ROADMAP
+        // 7(a) is to derive these from Faber's ρ_k(d, D), the number of
+        // arcs whose shortest cycle has length k + 1 ("Number of edges
+        // with shortest cycle k in a Kautz graph"): a source lies on a
+        // short cycle exactly when its digit word is periodic.
+        let pinned = [(2u8, 3usize, 12), (3, 3, 48), (2, 4, 54), (3, 4, 528), (4, 4, 2_280)];
+        for (d, k, diverted) in pinned {
+            let table = RouteTable::new(d, k).expect("valid");
+            assert_eq!(table.diverted.len(), diverted, "K({d},{k})");
         }
     }
 }
