@@ -11,7 +11,7 @@
 
 use crate::flood::{discover, ControlPayload, FLOOD_SCOPE};
 use kautz::RouteTable;
-use refer::cells::plan_cells;
+use refer::cells::{nearest_corner, plan_cells};
 use refer::embedding::EmbeddingPlan;
 use refer::roster::Roster;
 use refer::routing::route_choices;
@@ -100,7 +100,7 @@ pub struct KautzOverlayProtocol {
     /// with the roster, which names every vertex by its index in them.
     route_table: Arc<RouteTable>,
     /// Corner actuators per cell, in KID order.
-    corners: Vec<Vec<NodeId>>,
+    corners: Vec<[NodeId; 3]>,
     /// Who holds which vertex: REFER's roster, filled at random.
     roster: Roster,
     /// Physical route per overlay arc (from-node, to-node).
@@ -159,8 +159,7 @@ impl KautzOverlayProtocol {
         self.roster =
             Roster::new(Arc::clone(&self.route_table), layout.cells.len(), ctx.node_count());
         for (idx, cell) in layout.cells.iter().enumerate() {
-            let corners: Vec<NodeId> =
-                cell.corners.iter().map(|&i| actuators[i]).collect();
+            let corners = cell.corners.map(|i| actuators[i]);
             for (&kid, &node) in self.plan.corners.iter().zip(corners.iter()) {
                 self.roster.assign_kid(idx, kid, node);
             }
@@ -422,15 +421,7 @@ impl Protocol for KautzOverlayProtocol {
             return;
         };
         let (cell, _) = self.roster.memberships(access)[0];
-        let corners = &self.corners[cell];
-        let nearest = corners
-            .iter()
-            .enumerate()
-            .min_by(|(_, &a), (_, &b)| {
-                ctx.distance(src, a).partial_cmp(&ctx.distance(src, b)).expect("finite")
-            })
-            .map(|(i, _)| i)
-            .expect("three corners");
+        let nearest = nearest_corner(&self.corners[cell], |c| ctx.distance(src, c));
         let mut frame = OvFrame {
             data,
             cell,

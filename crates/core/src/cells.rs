@@ -8,7 +8,7 @@
 
 use crate::addr::{consistent_hash, CellId};
 use kautz::KautzId;
-use wsan_sim::Point;
+use wsan_sim::{NodeId, Point};
 
 /// The three corner KIDs of a `K(d, 3)` cell, in rotation order
 /// `012 -> 120 -> 201 -> 012` (each actuator's *successor actuator* carries
@@ -19,6 +19,13 @@ pub fn corner_kids(degree: u8) -> [KautzId; 3] {
         KautzId::new([1, 2, 0], degree).expect("120 valid for d >= 2"),
         KautzId::new([2, 0, 1], degree).expect("201 valid for d >= 2"),
     ]
+}
+
+/// The index of the nearest of a cell's corner actuators, given each one's
+/// `distance`; the first corner wins a tie.
+pub fn nearest_corner(corners: &[NodeId; 3], distance: impl Fn(NodeId) -> f64) -> usize {
+    let d = corners.map(distance);
+    (1..3).fold(0, |best, c| if d[c].total_cmp(&d[best]).is_lt() { c } else { best })
 }
 
 /// One planned cell: a triangle of mutually-adjacent actuators.

@@ -47,7 +47,8 @@ pub struct EmbeddingPlan {
     /// order: each corner's successor actuator carries the next one.
     pub corners: [u32; 3],
     /// Stage-1 paths between consecutive actuators, in rotation order
-    /// (`012 -> 120`, `120 -> 201`, `201 -> 012`).
+    /// (`012 -> 120`, `120 -> 201`, `201 -> 012`): `stage1[i]` runs from
+    /// `corners[i]` to `corners[(i + 1) % 3]`.
     pub stage1: Vec<StagePath>,
     /// The stage-2 sensor-to-sensor path (`S_i -> S_j`).
     pub stage2: StagePath,
@@ -198,6 +199,18 @@ mod tests {
         assert_eq!(plan.stage2.to, id("020"), "S_j = u1 u3 u1 of 012");
         assert_eq!(plan.stage2.interior, vec![id("210"), id("102")]);
         assert_eq!(plan.stage3, vec![id("021")], "u1 u3 u2 completes the cell");
+    }
+
+    #[test]
+    fn stage1_is_indexed_by_corner() {
+        for d in 2..=5u8 {
+            let plan = plan(d);
+            assert_eq!(plan.stage1.len(), 3, "K({d},3)");
+            for (i, p) in plan.stage1.iter().enumerate() {
+                assert_eq!(p.from, plan.corners[i], "K({d},3) stage1[{i}]");
+                assert_eq!(p.to, plan.corners[(i + 1) % 3], "K({d},3) stage1[{i}]");
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! Main entry points:
 //!
 //! * [`ReferProtocol`] — the full system as a [`wsan_sim::Protocol`]: plug
-//!   it into [`wsan_sim::runner::run`] to simulate.
+//!   it into [`wsan_sim::runner::run`] to simulate. Each node's own state
+//!   is a private `NodeLocal` row whose methods are its local handlers.
 //! * [`cells`] — the starting server's cell partitioning (triangles, CIDs,
 //!   vertex coloring).
 //! * [`embedding`] — the `K(d, 3)` embedding plan: which KIDs each stage
@@ -41,6 +42,7 @@ mod addr;
 pub mod cells;
 mod config;
 pub mod embedding;
+mod local;
 pub mod maintenance;
 pub mod protocol;
 pub mod roster;

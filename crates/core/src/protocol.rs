@@ -20,23 +20,30 @@
 //! charging one assignment frame per sensor, which keeps cells complete so
 //! routing never faces a half-built graph, exactly as the paper assumes.
 //!
+//! Each node's own state is a `NodeLocal` row (the private `local`
+//! module), and the handlers that touch only that node are its methods.
+//! [`ReferProtocol`] holds the rows beside the shared [`Roster`] and
+//! failure knowledge, and keeps what spans nodes: construction,
+//! maintenance, the data path, gossip receipt and dispatch.
+//!
 //! Drops and handovers are counted by the engine (`RunSummary`), not
 //! here: [`ReferStats`] holds only what no engine counter sees.
 
 use crate::addr::CellId;
-use crate::cells::{plan_cells, CellLayout};
+use crate::cells::{nearest_corner, plan_cells, CellLayout};
 use crate::config::{
-    ReferConfig, BATTERY_THRESHOLD, BEACON_INTERVAL, CTRL_BITS, HEARTBEAT_TIMEOUT, LINK_GUARD,
-    MAINTENANCE_INTERVAL, PROBE_INTERVAL, QUERY_WINDOW, SUSPICION_TTL,
+    ReferConfig, BATTERY_THRESHOLD, CTRL_BITS, HEARTBEAT_TIMEOUT, LINK_GUARD, MAINTENANCE_INTERVAL,
+    PROBE_INTERVAL, SUSPICION_TTL,
 };
 use crate::embedding::EmbeddingPlan;
+use crate::local::NodeLocal;
 use crate::maintenance::{battery_low, link_endangered, select_replacement};
 use crate::roster::Roster;
 use crate::routing::route_choices;
 use crate::tier::DhtTier;
 use kautz::{KautzId, RouteTable};
 use rand::Rng;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use refer_proto::{AccuseOutcome, FailureKnowledge, ProtoCtx, SansIo};
 use wsan_sim::{
@@ -50,12 +57,12 @@ const KIND_STAGE1: u64 = 1; // arg = cell << 2 | corner
 const KIND_STAGE2: u64 = 2; // arg = cell
 const KIND_STAGE3: u64 = 3; // arg = cell
 const KIND_READY: u64 = 4; // arg = cell
-const KIND_QPICK: u64 = 5; // arg = qid
-const KIND_BEACON: u64 = 6;
-const KIND_MAINT: u64 = 7;
-const KIND_PROBE: u64 = 8;
+pub(crate) const KIND_QPICK: u64 = 5; // arg = qid
+pub(crate) const KIND_BEACON: u64 = 6;
+pub(crate) const KIND_MAINT: u64 = 7;
+pub(crate) const KIND_PROBE: u64 = 8;
 
-fn tag(kind: u64, arg: u64) -> u64 {
+pub(crate) fn tag(kind: u64, arg: u64) -> u64 {
     (kind << TAG_SHIFT) | arg
 }
 
@@ -140,37 +147,6 @@ pub enum ReferMsg {
     Data(DataFrame),
 }
 
-/// What one node keeps besides its vertices (those are in [`Roster`]), all of
-/// it local: the members it last heard, the standby candidates that
-/// registered with it. [`ReferProtocol`] holds one row per node, indexed by
-/// [`NodeId::index`].
-#[derive(Debug, Clone, Default)]
-struct NodeLocal {
-    /// Members whose beacons this (non-member) node heard, most recent
-    /// first.
-    heard: Vec<NodeId>,
-    /// Sleepers that registered with this member as replacement
-    /// candidates, most recent first.
-    candidates: Vec<NodeId>,
-    /// When this sleeper last probed a member (micros).
-    last_probe: Option<u64>,
-    /// Whether the node's beacon (and maintenance) timers are running.
-    beacon_started: bool,
-}
-
-/// In-flight path query state, held at the collector.
-#[derive(Debug, Clone)]
-struct QueryState {
-    cell: usize,
-    /// Vertices to hand to the two interior sensors, in hop order from
-    /// origin.
-    interior_kids: Vec<u32>,
-    /// Collected candidate paths.
-    paths: Vec<Vec<(NodeId, f64)>>,
-    /// Whether the pick timer has been scheduled.
-    timer_set: bool,
-}
-
 /// A snapshot of one cell's embedded topology, captured when the cell
 /// finishes construction (used by visualization and debugging tools).
 #[derive(Debug, Clone)]
@@ -214,18 +190,11 @@ pub struct ReferProtocol {
     actuator_nodes: Vec<NodeId>,
     /// Each cell's corner actuators, in KID order (012, 120, 201).
     cells: Vec<[NodeId; 3]>,
-    /// One row per node, sized at init.
+    /// One row per node, sized at init: each node's own state.
     nodes: Vec<NodeLocal>,
     /// Who holds which vertex, sized once the cells are planned.
     roster: Roster,
-    queries: BTreeMap<u64, QueryState>,
-    forwarded_queries: BTreeSet<(NodeId, u64)>,
     next_qid: u64,
-    /// Whether the run is `FaultModel::Byzantine` (set at init): enables
-    /// suspicion gossip and its reputation-weighted processing. Kept off
-    /// under plain `Discovered` so those runs stay byte-identical to
-    /// pre-adversary output.
-    byzantine: bool,
     /// The fault oracle, or (`FaultModel::Discovered` / `Byzantine`, set
     /// at init) local failure suspicion — ACK timeouts and heartbeat
     /// silence — shared across members, a stand-in for the per-node
@@ -254,10 +223,7 @@ impl ReferProtocol {
             actuator_nodes: Vec::new(),
             cells: Vec::new(),
             nodes: Vec::new(),
-            queries: BTreeMap::new(),
-            forwarded_queries: BTreeSet::new(),
             next_qid: 0,
-            byzantine: false,
             knowledge: FailureKnowledge::Oracle,
             stats: ReferStats::default(),
             snapshots: Vec::new(),
@@ -275,22 +241,18 @@ impl ReferProtocol {
         (cell < self.cells.len()).then(|| self.roster.roster_entries(cell).collect())
     }
 
-    fn is_assigned_sensor(&self, ctx: &impl ProtoCtx<ReferMsg>, node: NodeId) -> bool {
-        matches!(ctx.kind(node), NodeKind::Sensor) && self.roster.is_member(node)
-    }
-
     // ----- construction --------------------------------------------------
 
     fn start_construction(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>) {
-        let actuator_nodes: Vec<NodeId> = ctx.actuator_ids().to_vec();
+        self.actuator_nodes = ctx.actuator_ids().to_vec();
+        let actuator_nodes = &self.actuator_nodes;
         let positions: Vec<wsan_sim::Point> =
             actuator_nodes.iter().map(|&a| ctx.position(a)).collect();
         let ids: Vec<u64> = actuator_nodes.iter().map(|a| u64::from(a.0)).collect();
-        self.actuator_nodes = actuator_nodes.clone();
 
         // Topology learning: two rounds of actuator broadcasts (hello +
         // neighbor-list exchange), billed to construction.
-        for &a in &actuator_nodes {
+        for &a in actuator_nodes {
             ctx.broadcast(a, CTRL_BITS, EnergyAccount::Construction, ReferMsg::Ctrl);
             ctx.broadcast(a, CTRL_BITS, EnergyAccount::Construction, ReferMsg::Ctrl);
         }
@@ -376,10 +338,7 @@ impl ReferProtocol {
     ) {
         let qid = self.next_qid;
         self.next_qid += 1;
-        self.queries.insert(
-            qid,
-            QueryState { cell, interior_kids, paths: Vec::new(), timer_set: false },
-        );
+        self.nodes[target.index()].open_query(qid, cell, interior_kids);
         ctx.broadcast(
             origin,
             CTRL_BITS,
@@ -389,25 +348,11 @@ impl ReferProtocol {
     }
 
     fn on_stage1_timer(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, arg: u64) {
-        let cell = (arg >> 2) as usize;
-        let corner = (arg & 3) as usize;
-        let from = self.plan.corners[corner];
-        let stage = self
-            .plan
-            .stage1
-            .iter()
-            .find(|p| p.from == from)
-            .expect("every corner has a stage-1 path")
-            .clone();
-        let origin = self.cells[cell][corner];
-        let to_corner = self
-            .plan
-            .corners
-            .iter()
-            .position(|k| *k == stage.to)
-            .expect("stage targets a corner");
-        let target = self.cells[cell][to_corner];
-        self.launch_query(ctx, origin, target, cell, stage.interior);
+        // Stage 1 runs in rotation order: corner i queries toward i + 1.
+        let (cell, corner) = ((arg >> 2) as usize, (arg & 3) as usize);
+        let (origin, target) = (self.cells[cell][corner], self.cells[cell][(corner + 1) % 3]);
+        let interior = self.plan.stage1[corner].interior.clone();
+        self.launch_query(ctx, origin, target, cell, interior);
     }
 
     fn on_stage2_timer(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, cell: usize) {
@@ -462,32 +407,20 @@ impl ReferProtocol {
                 .neighbor_owners(cell, kid)
                 .map(|(_, node)| ctx.position(node))
                 .collect();
-            let range = ctx.config().sensor_range;
-            let centroid = self
-                .layout
-                .as_ref()
-                .map(|l| l.cells[cell].centroid)
-                .unwrap_or_default();
+            let (range, centroid) = (ctx.config().sensor_range, self.centroid(cell));
+            let free =
+                |&s: &NodeId| self.knowledge.presumed_alive(ctx, s) && !self.roster.is_member(s);
             let pick = ctx
                 .sensor_ids()
                 .iter()
                 .copied()
-                .filter(|&s| self.knowledge.presumed_alive(ctx, s) && !self.roster.is_member(s))
+                .filter(free)
                 .filter(|&s| anchors.iter().all(|p| ctx.position(s).distance(p) <= range))
-                .max_by(|&a, &b| {
-                    ctx.battery(a).partial_cmp(&ctx.battery(b)).expect("finite")
-                })
+                .max_by(|&a, &b| ctx.battery(a).total_cmp(&ctx.battery(b)))
                 .or_else(|| {
-                    ctx.sensor_ids()
-                        .iter()
-                        .copied()
-                        .filter(|&s| self.knowledge.presumed_alive(ctx, s) && !self.roster.is_member(s))
-                        .min_by(|&a, &b| {
-                            ctx.position(a)
-                                .distance(&centroid)
-                                .partial_cmp(&ctx.position(b).distance(&centroid))
-                                .expect("finite")
-                        })
+                    let d = |s| ctx.position(s).distance(&centroid);
+                    let candidates = ctx.sensor_ids().iter().copied().filter(free);
+                    candidates.min_by(|&a, &b| d(a).total_cmp(&d(b)))
                 });
             if let Some(node) = pick {
                 ctx.send(
@@ -515,31 +448,16 @@ impl ReferProtocol {
                     (kid, node, ctx.position(node), matches!(ctx.kind(node), NodeKind::Actuator))
                 })
                 .collect(),
-            centroid: self
-                .layout
-                .as_ref()
-                .map(|l| l.cells[cell].centroid)
-                .unwrap_or_default(),
+            centroid: self.centroid(cell),
         });
         // Start periodic timers for every member of this cell (once per node).
-        let members: Vec<NodeId> = self.roster.roster_entries(cell).map(|(_, node)| node).collect();
-        for node in members {
-            if !std::mem::replace(&mut self.nodes[node.index()].beacon_started, true) {
-                let stagger = SimDuration::from_micros(ctx.rng().gen_range(0..1_000_000));
-                ctx.set_timer(node, BEACON_INTERVAL + stagger, tag(KIND_BEACON, 0));
-                if matches!(ctx.kind(node), NodeKind::Sensor) {
-                    ctx.set_timer(
-                        node,
-                        MAINTENANCE_INTERVAL + stagger,
-                        tag(KIND_MAINT, 0),
-                    );
-                }
-            }
+        for (_, node) in self.roster.roster_entries(cell) {
+            self.nodes[node.index()].start_member_timers(ctx, true);
         }
     }
 
     fn on_query_pick(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, qid: u64, collector: NodeId) {
-        let Some(query) = self.queries.remove(&qid) else {
+        let Some(query) = self.nodes[collector.index()].take_query(qid) else {
             return;
         };
         let cell = query.cell;
@@ -554,9 +472,8 @@ impl ReferProtocol {
                     && p[0].0 != p[needed - 1].0
             })
             .max_by(|a, b| {
-                let ea: f64 = a.iter().map(|(_, e)| e).sum();
-                let eb: f64 = b.iter().map(|(_, e)| e).sum();
-                ea.partial_cmp(&eb).expect("finite energies")
+                let energy = |p: &[(NodeId, f64)]| p.iter().map(|(_, e)| e).sum::<f64>();
+                energy(a).total_cmp(&energy(b))
             });
         let Some(path) = best else {
             // No physical path discovered: the stage-2/3 timers fill the
@@ -568,59 +485,16 @@ impl ReferProtocol {
             .map(|(n, _)| *n)
             .zip(query.interior_kids.iter().copied())
             .collect();
-        for (node, kid) in &assignments {
-            self.roster.assign_kid(cell, *kid, *node);
+        for &(node, kid) in &assignments {
+            self.roster.assign_kid(cell, kid, node);
         }
         // Assignment chain back along the path: collector -> s2 -> s1.
-        let last = assignments.len() - 1;
-        ctx.send(
-            collector,
-            assignments[last].0,
-            CTRL_BITS,
-            EnergyAccount::Construction,
-            ReferMsg::PathAssign { assignments: assignments.clone(), hop: last },
-        );
+        let hop = assignments.len() - 1;
+        let (to, chain) = (assignments[hop].0, ReferMsg::PathAssign { assignments, hop });
+        ctx.send(collector, to, CTRL_BITS, EnergyAccount::Construction, chain);
     }
 
     // ----- steady state ---------------------------------------------------
-
-    fn on_beacon_timer(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, node: NodeId) {
-        if !ctx.self_faulty(node) && self.roster.is_member(node) {
-            ctx.broadcast(node, CTRL_BITS, EnergyAccount::Communication, ReferMsg::Beacon);
-            if let (true, FailureKnowledge::Local(view)) = (self.byzantine, &self.knowledge) {
-                // Suspicion gossip rides the beacon round: honest members
-                // share their genuine suspicion list; a compromised member
-                // may lace it with slander against a healthy Kautz-graph
-                // neighbor (the decision and victim come from the node's
-                // own simulator stream, so it is thread-invariant).
-                let mut accused = view.suspected_nodes(ctx.now());
-                if ctx.self_compromised(node) {
-                    let neighbors: Vec<NodeId> = self
-                        .roster
-                        .kautz_neighbor_owners(node)
-                        .map(|(_, _, owner)| owner)
-                        .filter(|owner| !accused.contains(owner))
-                        .collect();
-                    if let Some(victim) = ctx.byz_slander(node, &neighbors) {
-                        accused.push(victim);
-                    }
-                }
-                if !accused.is_empty() {
-                    ctx.broadcast(
-                        node,
-                        CTRL_BITS,
-                        EnergyAccount::Communication,
-                        ReferMsg::Gossip { accused },
-                    );
-                }
-            }
-        }
-        if self.roster.is_member(node) {
-            ctx.set_timer(node, BEACON_INTERVAL, tag(KIND_BEACON, 0));
-        } else {
-            self.nodes[node.index()].beacon_started = false;
-        }
-    }
 
     /// Positions of the current owners of `kid`'s Kautz-graph neighbors in
     /// `cell` (excluding `except`): the reachability constraint a
@@ -700,10 +574,10 @@ impl ReferProtocol {
         let heal = holder != node;
         let range = ctx.config().sensor_range;
         // A healer heard the dead member's candidacies announced on the air.
-        let theirs: &[NodeId] = if heal { &self.nodes[holder.index()].candidates } else { &[] };
+        let theirs: &[NodeId] = if heal { self.nodes[holder.index()].candidates() } else { &[] };
         let pool: Vec<NodeId> = theirs
             .iter()
-            .chain(&self.nodes[node.index()].candidates)
+            .chain(self.nodes[node.index()].candidates())
             .copied()
             .filter(|&c| {
                 c != holder && self.knowledge.presumed_alive(ctx, c) && !self.roster.is_member(c)
@@ -730,9 +604,7 @@ impl ReferProtocol {
                             && ctx.in_range(node, c)
                     })
                     .min_by(|&a, &b| {
-                        max_dist(ctx.position(a))
-                            .partial_cmp(&max_dist(ctx.position(b)))
-                            .expect("finite")
+                        max_dist(ctx.position(a)).total_cmp(&max_dist(ctx.position(b)))
                     })
                     .filter(|&c| max_dist(ctx.position(c)) + 1.0 < own)
             })
@@ -755,24 +627,13 @@ impl ReferProtocol {
         if heal {
             ctx.record_eviction(holder);
         }
-        self.start_member_timers(ctx, replacement);
-    }
-
-    /// Arms a replacement's beacon and maintenance timers unless they are
-    /// already running from an earlier membership.
-    fn start_member_timers(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, node: NodeId) {
-        if !std::mem::replace(&mut self.nodes[node.index()].beacon_started, true) {
-            ctx.set_timer(node, BEACON_INTERVAL, tag(KIND_BEACON, 0));
-            ctx.set_timer(node, MAINTENANCE_INTERVAL, tag(KIND_MAINT, 0));
-        }
+        self.nodes[replacement.index()].start_member_timers(ctx, false);
     }
 
     fn on_maintenance_timer(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, node: NodeId) {
-        if !self.roster.is_member(node) {
-            self.nodes[node.index()].beacon_started = false;
+        if !self.nodes[node.index()].rearm(ctx, &self.roster, MAINTENANCE_INTERVAL, KIND_MAINT) {
             return;
         }
-        ctx.set_timer(node, MAINTENANCE_INTERVAL, tag(KIND_MAINT, 0));
         if !self.rcfg.maintenance_enabled || ctx.self_faulty(node) {
             return;
         }
@@ -798,33 +659,6 @@ impl ReferProtocol {
         }
     }
 
-    /// A sleeping sensor's wake-up: probe the best-known member to (re-)
-    /// register as a replacement candidate, then go back to sleep until the
-    /// next probe interval (Section III-B4's sleep/wait duty cycle).
-    fn on_probe_timer(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, node: NodeId) {
-        if !self.rcfg.maintenance_enabled {
-            return;
-        }
-        ctx.set_timer(node, PROBE_INTERVAL, tag(KIND_PROBE, 0));
-        if self.roster.is_member(node) || ctx.self_faulty(node) {
-            return;
-        }
-        if let Some(m) = self.known_member(ctx, node) {
-            self.nodes[node.index()].last_probe = Some(ctx.now().as_micros());
-            ctx.send(node, m, CTRL_BITS, EnergyAccount::Communication, ReferMsg::Probe);
-        }
-    }
-
-    /// The member a non-member `node` turns to: its most recent beacon
-    /// source that is still a member and usable, else the nearest member
-    /// it presumes reachable (what a fresh beacon round would tell it).
-    fn known_member(&self, ctx: &impl ProtoCtx<ReferMsg>, node: NodeId) -> Option<NodeId> {
-        let mut heard = self.nodes[node.index()].heard.iter().copied();
-        heard
-            .find(|&m| self.roster.is_member(m) && self.knowledge.usable(ctx, node, m))
-            .or_else(|| self.roster.nearest_member(ctx, &self.knowledge, node))
-    }
-
     /// The cell among `cells` whose centroid is nearest `p`; the first
     /// listed wins a tie.
     fn nearest_cell(
@@ -832,26 +666,18 @@ impl ReferProtocol {
         p: wsan_sim::Point,
         cells: impl Iterator<Item = usize>,
     ) -> Option<usize> {
-        let layout = self.layout.as_ref().expect("cells exist");
-        cells.min_by(|&a, &b| {
-            p.distance(&layout.cells[a].centroid)
-                .partial_cmp(&p.distance(&layout.cells[b].centroid))
-                .expect("finite")
-        })
+        let d = |c: usize| p.distance(&self.centroid(c));
+        cells.min_by(|&a, &b| d(a).total_cmp(&d(b)))
     }
 
-    /// The vertex of `cell`'s corner actuator nearest `node`; the first
-    /// corner wins a tie.
+    /// The centroid of planned `cell`.
+    fn centroid(&self, cell: usize) -> wsan_sim::Point {
+        self.layout.as_ref().map_or_else(Default::default, |l| l.cells[cell].centroid)
+    }
+
+    /// The vertex of `cell`'s corner actuator nearest `node`.
     fn nearest_corner(&self, ctx: &impl ProtoCtx<ReferMsg>, node: NodeId, cell: usize) -> u32 {
-        let corners = self.cells[cell];
-        let nearest = (0..3)
-            .min_by(|&a, &b| {
-                ctx.distance(node, corners[a])
-                    .partial_cmp(&ctx.distance(node, corners[b]))
-                    .expect("finite")
-            })
-            .expect("three corners");
-        self.plan.corners[nearest]
+        self.plan.corners[nearest_corner(&self.cells[cell], |c| ctx.distance(node, c))]
     }
 
     /// Chooses the destination (cell, actuator corner) for a packet from
@@ -1024,85 +850,62 @@ impl ReferProtocol {
     /// Routing toward a different cell: first to this cell's tier owner,
     /// then actuator-to-actuator along the CAN path.
     fn forward_toward_cell(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, node: NodeId, frame: DataFrame) {
-        let Some(tier) = self.tier.as_ref() else {
-            ctx.drop_data_reason(frame.data, DropReason::NoRoute);
-            return;
-        };
-        let memberships = self.roster.memberships(node);
-        let Some(&(home_cell, _)) = memberships.first() else {
-            ctx.drop_data_reason(frame.data, DropReason::NoRoute);
-            return;
-        };
-        if matches!(ctx.kind(node), NodeKind::Sensor) {
-            let knowledge = &self.knowledge;
-            // Leg 1: hop-by-hop intra-cell routing toward the home cell's
-            // owner actuator, keeping the remote cell as the frame's true
-            // destination. Each sensor relay lands back here and pushes the
-            // frame one Kautz hop closer to its own cell's owner.
-            let owner_node = self.actuator_nodes[tier.owner(CellId(home_cell as u32))];
-            let Some(owner_kid) = self.roster.kid_in_cell(owner_node, home_cell) else {
-                ctx.drop_data_reason(frame.data, DropReason::NoRoute);
-                return;
-            };
-            let my_kid = self.roster.kid_in_cell(node, home_cell).expect("sensor membership");
-            let (from, to) = (my_kid as usize, owner_kid as usize);
-            let Ok(choices) = route_choices(&self.route_table, from, to, None, ctx.rng()) else {
-                ctx.drop_data_reason(frame.data, DropReason::NoRoute);
-                return;
-            };
-            let usable = |n| knowledge.usable(ctx, node, n);
-            match self.roster.first_owner(home_cell, node, &choices, usable) {
-                Some((_, next, _)) => {
-                    let (data, out) = (frame.data, ReferMsg::Data(frame));
-                    knowledge.send_data(ctx, node, next, data, HopReason::KautzNext, out);
-                }
-                None => ctx.drop_data_reason(frame.data, DropReason::NoRoute),
-            }
-            return;
-        }
-        // Actuator: hop along the CAN cell path.
-        let from_cell = memberships
-            .iter()
-            .map(|(c, _)| *c)
-            .find(|&c| tier.owner(CellId(c as u32)) == self.actuator_index(node))
-            .unwrap_or(home_cell);
-        let Some(path) = tier.route_cells(CellId(from_cell as u32), CellId(frame.dest_cell as u32))
-        else {
-            ctx.drop_data_reason(frame.data, DropReason::NoRoute);
-            return;
-        };
-        let next_cell = if path.len() >= 2 { path[1] } else { CellId(frame.dest_cell as u32) };
-        let next_owner = self.actuator_nodes[tier.owner(next_cell)];
-        self.stats.inter_cell_hops += 1;
-        if next_owner == node {
+        match self.toward_cell(ctx, node, frame.dest_cell) {
             // This actuator also owns the next cell: continue directly.
-            self.forward(ctx, node, frame);
-            return;
-        }
-        // Straight to the next owner, or through any actuator in range of
-        // both.
-        let knowledge = &self.knowledge;
-        let relay = if knowledge.usable(ctx, node, next_owner) {
-            Some(next_owner)
-        } else {
-            self.actuator_nodes.iter().copied().find(|&r| {
-                r != node && knowledge.usable(ctx, node, r) && ctx.in_range(r, next_owner)
-            })
-        };
-        match relay {
-            Some(r) => {
+            Some((next, _)) if next == node => self.forward(ctx, node, frame),
+            Some((next, reason)) => {
                 let (data, out) = (frame.data, ReferMsg::Data(frame));
-                knowledge.send_data(ctx, node, r, data, HopReason::CellRelay, out);
+                self.knowledge.send_data(ctx, node, next, data, reason, out);
             }
             None => ctx.drop_data_reason(frame.data, DropReason::NoRoute),
         }
     }
 
-    fn actuator_index(&self, node: NodeId) -> usize {
-        self.actuator_nodes
+    /// The next hop from member `node` toward `dest_cell` and why, `node`
+    /// itself when it owns the next cell too, or `None` without a route.
+    fn toward_cell(
+        &mut self,
+        ctx: &mut impl ProtoCtx<ReferMsg>,
+        node: NodeId,
+        dest_cell: usize,
+    ) -> Option<(NodeId, HopReason)> {
+        let tier = self.tier.as_ref()?;
+        let memberships = self.roster.memberships(node);
+        let &(home_cell, _) = memberships.first()?;
+        let knowledge = &self.knowledge;
+        if matches!(ctx.kind(node), NodeKind::Sensor) {
+            // Leg 1: hop-by-hop intra-cell routing toward the home cell's
+            // owner actuator, keeping the remote cell as the frame's true
+            // destination. Each sensor relay lands back here and pushes the
+            // frame one Kautz hop closer to its own cell's owner.
+            let owner_node = self.actuator_nodes[tier.owner(CellId(home_cell as u32))];
+            let owner_kid = self.roster.kid_in_cell(owner_node, home_cell)?;
+            let my_kid = self.roster.kid_in_cell(node, home_cell)?;
+            let (from, to) = (my_kid as usize, owner_kid as usize);
+            let choices = route_choices(&self.route_table, from, to, None, ctx.rng()).ok()?;
+            let usable = |n| knowledge.usable(ctx, node, n);
+            let (_, next, _) = self.roster.first_owner(home_cell, node, &choices, usable)?;
+            return Some((next, HopReason::KautzNext));
+        }
+        // Actuator: hop along the CAN cell path.
+        let from_cell = memberships
             .iter()
-            .position(|&a| a == node)
-            .expect("node is an actuator")
+            .map(|(c, _)| *c)
+            .find(|&c| self.actuator_nodes[tier.owner(CellId(c as u32))] == node)
+            .unwrap_or(home_cell);
+        let path = tier.route_cells(CellId(from_cell as u32), CellId(dest_cell as u32))?;
+        let next_cell = if path.len() >= 2 { path[1] } else { CellId(dest_cell as u32) };
+        let next_owner = self.actuator_nodes[tier.owner(next_cell)];
+        self.stats.inter_cell_hops += 1;
+        // Straight to the next owner, or through any actuator in range of
+        // both.
+        if next_owner == node || knowledge.usable(ctx, node, next_owner) {
+            return Some((next_owner, HopReason::CellRelay));
+        }
+        let relay = self.actuator_nodes.iter().copied().find(|&r| {
+            r != node && knowledge.usable(ctx, node, r) && ctx.in_range(r, next_owner)
+        });
+        relay.map(|r| (r, HopReason::CellRelay))
     }
 }
 
@@ -1115,8 +918,7 @@ impl SansIo for ReferProtocol {
 
     fn on_init<C: ProtoCtx<ReferMsg>>(&mut self, ctx: &mut C) {
         self.knowledge = FailureKnowledge::for_model(ctx.config().faults.model, SUSPICION_TTL);
-        self.byzantine = matches!(ctx.config().faults.model, FaultModel::Byzantine);
-        self.nodes = vec![NodeLocal::default(); ctx.node_count()];
+        self.nodes = (0..ctx.node_count() as u32).map(|i| NodeLocal::new(NodeId(i))).collect();
         self.start_construction(ctx);
     }
 
@@ -1153,8 +955,7 @@ impl SansIo for ReferProtocol {
             return;
         }
         // Find the backbone entry point.
-        let access =
-            if self.roster.is_member(src) { Some(src) } else { self.known_member(ctx, src) };
+        let access = self.nodes[src.index()].known_member(ctx, &self.roster, &self.knowledge);
         // Two-hop access: no member in range, but a neighbor has one (the
         // neighbor learned it from beacons). Hand the packet to that relay;
         // it enters the backbone on arrival. Under `Discovered` the
@@ -1176,9 +977,7 @@ impl SansIo for ReferProtocol {
                         && !self.roster.is_member(n)
                         && self.roster.members().iter().any(|&m| self.knowledge.usable(ctx, n, m))
                 })
-                .min_by(|&a, &b| {
-                    ctx.distance(src, a).partial_cmp(&ctx.distance(src, b)).expect("finite")
-                });
+                .min_by(|&a, &b| ctx.distance(src, a).total_cmp(&ctx.distance(src, b)));
             if let Some(relay) = relay {
                 let home = self
                     .roster
@@ -1226,38 +1025,13 @@ impl SansIo for ReferProtocol {
         self.knowledge.contact(ctx, msg.from);
         match msg.payload {
             ReferMsg::Ctrl | ReferMsg::Assignment | ReferMsg::CellReady | ReferMsg::Replace
-            | ReferMsg::ReplaceNotice => {
+            | ReferMsg::ReplaceNotice | ReferMsg::StartStage2 { .. } => {
                 // State transitions for these are applied by the initiator
-                // when the frame is charged; receivers have nothing to add.
+                // when the frame is charged (the coordinator launches a
+                // stage-2 query itself); receivers have nothing to add.
             }
-            ReferMsg::PathQuery { qid, ttl, target, mut path } => {
-                if at == target {
-                    if let Some(q) = self.queries.get_mut(&qid) {
-                        if path.len() == q.interior_kids.len() {
-                            q.paths.push(path);
-                        }
-                        if !q.timer_set {
-                            q.timer_set = true;
-                            ctx.set_timer(at, QUERY_WINDOW, tag(KIND_QPICK, qid));
-                        }
-                    }
-                    return;
-                }
-                if ttl == 0
-                    || !matches!(ctx.kind(at), NodeKind::Sensor)
-                    || self.is_assigned_sensor(ctx, at)
-                    || path.iter().any(|(n, _)| *n == at)
-                    || !self.forwarded_queries.insert((at, qid))
-                {
-                    return;
-                }
-                path.push((at, ctx.battery(at)));
-                ctx.broadcast(
-                    at,
-                    CTRL_BITS,
-                    EnergyAccount::Construction,
-                    ReferMsg::PathQuery { qid, ttl: ttl - 1, target, path },
-                );
+            ReferMsg::PathQuery { qid, ttl, target, path } => {
+                self.nodes[at.index()].on_path_query(ctx, &self.roster, qid, ttl, target, path);
             }
             ReferMsg::PathAssign { assignments, hop } => {
                 // Pass the chain down toward the origin end; a hop with no
@@ -1273,36 +1047,13 @@ impl SansIo for ReferProtocol {
                     );
                 }
             }
-            ReferMsg::StartStage2 { .. } => {
-                // The coordinator launched the query on our behalf when the
-                // instruction frame was accepted; nothing further here.
-            }
             ReferMsg::Beacon => {
-                if self.roster.is_member(at) {
-                    return;
-                }
-                let row = &mut self.nodes[at.index()];
-                row.heard.retain(|&m| m != msg.from);
-                row.heard.insert(0, msg.from);
-                row.heard.truncate(4);
-                // Sleeping nodes probe the member to register as candidates.
-                let now = ctx.now().as_micros();
-                let due = row
-                    .last_probe
-                    .is_none_or(|t| now.saturating_sub(t) >= PROBE_INTERVAL.as_micros());
-                if due && self.rcfg.maintenance_enabled && !ctx.self_faulty(at) {
-                    row.last_probe = Some(now);
-                    ctx.send(
-                        at,
-                        msg.from,
-                        CTRL_BITS,
-                        EnergyAccount::Communication,
-                        ReferMsg::Probe,
-                    );
-                }
+                let maintain = self.rcfg.maintenance_enabled;
+                self.nodes[at.index()].on_beacon(ctx, &self.roster, msg.from, maintain);
             }
             ReferMsg::Gossip { accused } => {
-                if let (true, FailureKnowledge::Local(view)) = (self.byzantine, &mut self.knowledge) {
+                let byzantine = matches!(ctx.config().faults.model, FaultModel::Byzantine);
+                if let (true, FailureKnowledge::Local(view)) = (byzantine, &mut self.knowledge) {
                     for &suspect in &accused {
                         if suspect == at {
                             continue; // a node knows its own health; no rumor needed
@@ -1315,12 +1066,7 @@ impl SansIo for ReferProtocol {
                     }
                 }
             }
-            ReferMsg::Probe => {
-                let cands = &mut self.nodes[at.index()].candidates;
-                cands.retain(|&c| c != msg.from);
-                cands.insert(0, msg.from);
-                cands.truncate(8);
-            }
+            ReferMsg::Probe => self.nodes[at.index()].on_probe(msg.from),
             ReferMsg::Data(frame) => self.carry(ctx, at, frame, HopReason::Access),
         }
     }
@@ -1333,9 +1079,13 @@ impl SansIo for ReferProtocol {
             KIND_STAGE3 => self.on_stage3_timer(ctx, arg as usize),
             KIND_READY => self.on_ready_timer(ctx, arg as usize),
             KIND_QPICK => self.on_query_pick(ctx, arg, at),
-            KIND_BEACON => self.on_beacon_timer(ctx, at),
+            KIND_BEACON => {
+                self.nodes[at.index()].on_beacon_timer(ctx, &self.roster, &self.knowledge);
+            }
             KIND_MAINT => self.on_maintenance_timer(ctx, at),
-            KIND_PROBE => self.on_probe_timer(ctx, at),
+            KIND_PROBE if self.rcfg.maintenance_enabled => {
+                self.nodes[at.index()].on_probe_timer(ctx, &self.roster, &self.knowledge);
+            }
             _ => {}
         }
     }

@@ -116,7 +116,7 @@ impl Roster {
             .iter()
             .filter(|&&m| knowledge.usable(ctx, from, m))
             .map(|&m| (ctx.distance(from, m), m))
-            .min_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"))
+            .min_by(|a, b| a.0.total_cmp(&b.0))
             .map(|(_, m)| m)
     }
 

@@ -12,7 +12,6 @@ use wsan_sim::Area;
 #[derive(Debug, Clone)]
 pub struct DhtTier {
     can: CanNetwork,
-    coords: Vec<Coord>,
     owners: Vec<usize>,
 }
 
@@ -26,12 +25,10 @@ impl DhtTier {
     pub fn build(layout: &CellLayout, actuator_ids: &[u64], area: Area) -> Self {
         assert!(!layout.cells.is_empty(), "cannot build a tier over zero cells");
         let mut can = CanNetwork::new();
-        let mut coords = Vec::with_capacity(layout.cells.len());
         let mut owners = Vec::with_capacity(layout.cells.len());
         for cell in &layout.cells {
             let coord = Coord::new(cell.centroid.x / area.width, cell.centroid.y / area.height);
             can.join(coord).expect("cell centroids are distinct enough to split zones");
-            coords.push(coord);
             let owner = cell
                 .corners
                 .iter()
@@ -40,28 +37,13 @@ impl DhtTier {
                 .expect("three corners");
             owners.push(owner);
         }
-        DhtTier { can, coords, owners }
-    }
-
-    /// Number of cells in the tier.
-    pub fn len(&self) -> usize {
-        self.can.len()
-    }
-
-    /// Whether the tier is empty (never true for a built tier).
-    pub fn is_empty(&self) -> bool {
-        self.can.is_empty()
+        DhtTier { can, owners }
     }
 
     /// The actuator (index into the layout's actuator list) that speaks for
     /// `cell` in the upper tier.
     pub fn owner(&self, cell: CellId) -> usize {
         self.owners[cell.index()]
-    }
-
-    /// The CAN coordinate of `cell`.
-    pub fn coord(&self, cell: CellId) -> Coord {
-        self.coords[cell.index()]
     }
 
     /// Routes from `from` to `to` through the CAN: returns the sequence of
@@ -98,7 +80,7 @@ mod tests {
     #[test]
     fn tier_has_one_member_per_cell() {
         let t = tier();
-        assert_eq!(t.len(), 4);
+        assert_eq!(t.can().len(), 4);
         t.can().check_invariants().expect("CAN invariants");
     }
 

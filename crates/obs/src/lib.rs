@@ -11,8 +11,7 @@
 //!   incremental [`FrameDecoder`]; only the
 //!   benchmark's `obs.frame.*` rows call it, on trace lines;
 //! * [`sink`] — streaming sinks: [`JsonlSink`] to any
-//!   writer, [`CountingSink`] for per-kind tallies,
-//!   [`HashingSink`] for order-independent stream
+//!   writer, [`HashingSink`] for order-independent stream
 //!   digests, [`VecSink`] for in-memory capture;
 //! * [`ledger`] — [`PacketLedger`], folding a trace
 //!   into per-packet causal chains (origin → hops with routing reasons →
@@ -40,7 +39,4 @@ pub use codec::{
 pub use frame::{encode_frame, write_frame, FrameDecoder, FrameError, MAX_FRAME_LEN};
 pub use hash::{fnv1a64, EventHash};
 pub use ledger::{HopRecord, LedgerStats, Outcome, PacketLedger, PacketRecord};
-pub use sink::{
-    CountingSink, CountsHandle, EventCounts, EventsHandle, HashHandle, HashingSink, JsonlSink,
-    SharedBuf, VecSink,
-};
+pub use sink::{EventsHandle, HashHandle, HashingSink, JsonlSink, SharedBuf, VecSink};

@@ -2,14 +2,13 @@
 //!
 //! A sink is handed to the runner by value (`Box<dyn TraceSink>`), runs on
 //! whatever thread executes the simulation, and is returned flushed when
-//! the run completes. Sinks that produce a *result* (counts, a hash, a
+//! the run completes. Sinks that produce a *result* (a hash, a
 //! captured event list) publish it into a shared handle at
 //! [`TraceSink::flush`] time, so the caller keeps a cheap clone of the
 //! handle and never needs to downcast the returned box.
 
 use crate::codec::{to_jsonl_line, write_jsonl_line};
 use crate::hash::EventHash;
-use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 use wsan_sim::trace::{TraceEvent, TraceSink};
@@ -80,54 +79,6 @@ impl Write for SharedBuf {
 
     fn flush(&mut self) -> io::Result<()> {
         Ok(())
-    }
-}
-
-/// Per-kind event counts published by a [`CountingSink`].
-#[derive(Debug, Clone, Default)]
-pub struct EventCounts {
-    /// Event kind name -> occurrences.
-    pub by_kind: BTreeMap<&'static str, u64>,
-    /// Total events observed.
-    pub total: u64,
-}
-
-/// Caller-side handle to a [`CountingSink`]'s result.
-#[derive(Debug, Clone, Default)]
-pub struct CountsHandle(Arc<Mutex<EventCounts>>);
-
-impl CountsHandle {
-    /// The counts published at flush time.
-    pub fn get(&self) -> EventCounts {
-        self.0.lock().expect("counts lock").clone()
-    }
-}
-
-/// Counts events by kind; constant memory, no serialization cost.
-#[derive(Debug, Default)]
-pub struct CountingSink {
-    counts: EventCounts,
-    handle: CountsHandle,
-}
-
-impl CountingSink {
-    /// Creates a sink and returns it with the handle its result will be
-    /// published through.
-    pub fn new() -> (Self, CountsHandle) {
-        let sink = CountingSink::default();
-        let handle = sink.handle.clone();
-        (sink, handle)
-    }
-}
-
-impl TraceSink for CountingSink {
-    fn on_event(&mut self, event: &TraceEvent) {
-        *self.counts.by_kind.entry(event.kind()).or_insert(0) += 1;
-        self.counts.total += 1;
-    }
-
-    fn flush(&mut self) {
-        *self.handle.0.lock().expect("counts lock") = self.counts.clone();
     }
 }
 
@@ -232,18 +183,6 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with(r#"{"Dropped":"#));
         assert_eq!(sink.written, 2);
-    }
-
-    #[test]
-    fn counting_sink_publishes_on_flush() {
-        let (mut sink, handle) = CountingSink::new();
-        sink.on_event(&ev(1));
-        sink.on_event(&ev(2));
-        assert_eq!(handle.get().total, 0, "published only at flush");
-        sink.flush();
-        let counts = handle.get();
-        assert_eq!(counts.total, 2);
-        assert_eq!(counts.by_kind.get("Dropped"), Some(&2));
     }
 
     #[test]
