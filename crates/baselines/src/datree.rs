@@ -173,9 +173,7 @@ fn nearest_actuator<P>(ctx: &Ctx<P>, node: NodeId) -> NodeId {
     ctx.actuator_ids()
         .iter()
         .copied()
-        .min_by(|&a, &b| {
-            ctx.distance(node, a).partial_cmp(&ctx.distance(node, b)).expect("finite")
-        })
+        .min_by(|&a, &b| ctx.distance(node, a).total_cmp(&ctx.distance(node, b)))
         .expect("actuators exist")
 }
 

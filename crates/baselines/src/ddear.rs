@@ -103,12 +103,7 @@ impl DdearProtocol {
         // Greedy election: highest-battery first, skip anything already
         // within two hops of a head.
         let mut order = sensors.clone();
-        order.sort_by(|&a, &b| {
-            ctx.battery(b)
-                .partial_cmp(&ctx.battery(a))
-                .expect("finite")
-                .then(a.cmp(&b))
-        });
+        order.sort_by(|&a, &b| ctx.battery(b).total_cmp(&ctx.battery(a)).then(a.cmp(&b)));
         // 1-hop domination: every sensor ends up adjacent to a head, so the
         // member leg is a single transmission (clusters are "physically
         // close sensors"); the 2-hop hellos above pay for the election.
@@ -167,9 +162,7 @@ impl DdearProtocol {
             .iter()
             .copied()
             .filter(|n| self.heads.contains(n))
-            .min_by(|&a, &b| {
-                ctx.distance(s, a).partial_cmp(&ctx.distance(s, b)).expect("finite")
-            });
+            .min_by(|&a, &b| ctx.distance(s, a).total_cmp(&ctx.distance(s, b)));
         if let Some(h) = direct {
             self.head_of.insert(s, (h, None));
             return Some((h, None));
@@ -188,9 +181,7 @@ impl DdearProtocol {
                 .iter()
                 .copied()
                 .filter(|n| self.heads.contains(n))
-                .min_by(|&a, &b| {
-                    ctx.distance(s, a).partial_cmp(&ctx.distance(s, b)).expect("finite")
-                });
+                .min_by(|&a, &b| ctx.distance(s, a).total_cmp(&ctx.distance(s, b)));
             if let Some(h) = via {
                 self.head_of.insert(s, (h, Some(*g)));
                 return Some((h, Some(*g)));
@@ -222,9 +213,7 @@ impl DdearProtocol {
             .actuator_ids()
             .iter()
             .copied()
-            .min_by(|&a, &b| {
-                ctx.distance(head, a).partial_cmp(&ctx.distance(head, b)).expect("finite")
-            })?;
+            .min_by(|&a, &b| ctx.distance(head, a).total_cmp(&ctx.distance(head, b)))?;
         let outcome = discover(ctx, head, actuator, FLOOD_SCOPE, account);
         match outcome.route {
             Some(route) => {

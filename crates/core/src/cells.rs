@@ -146,9 +146,7 @@ pub fn plan_cells(ids: &[u64], positions: &[Point], range: f64) -> Option<CellLa
             (t, c)
         })
         .collect();
-    tris.sort_by(|(_, a), (_, b)| {
-        (a.y, a.x).partial_cmp(&(b.y, b.x)).expect("finite coordinates")
-    });
+    tris.sort_by(|(_, a), (_, b)| a.y.total_cmp(&b.y).then(a.x.total_cmp(&b.x)));
 
     let cells: Vec<CellPlan> = tris
         .into_iter()

@@ -161,9 +161,7 @@ impl CanNetwork {
                 .iter()
                 .copied()
                 .filter(|n| !path.contains(n))
-                .min_by(|&a, &b| {
-                    distance(a).partial_cmp(&distance(b)).expect("finite distances")
-                })?;
+                .min_by(|&a, &b| distance(a).total_cmp(&distance(b)))?;
             path.push(at);
         }
         Some(path)
