@@ -109,7 +109,7 @@ pub struct RunSummary {
     /// QoS throughput, bytes per second of measured time (Figures 4, 7).
     pub throughput_bps: f64,
     /// Mean end-to-end delay of QoS-compliant packets, seconds
-    /// (Figures 6, 8).
+    /// (Figures 6, 8); NaN when no packet met the deadline.
     pub mean_delay_s: f64,
     /// Energy consumed in communication, Joules (Figures 5, 9).
     pub energy_communication_j: f64,
@@ -119,7 +119,8 @@ pub struct RunSummary {
     pub qos_delivery_ratio: f64,
     /// Fraction of offered packets delivered at all.
     pub delivery_ratio: f64,
-    /// Mean delay over all deliveries (not just QoS-compliant), seconds.
+    /// Mean delay over all deliveries (not just QoS-compliant), seconds;
+    /// NaN when nothing was delivered.
     pub mean_delay_all_s: f64,
     /// Unicast frames sent during the whole run.
     pub frames_sent: u64,
@@ -319,26 +320,19 @@ impl Metrics {
     /// When no traffic was offered in the measured window, the delivery
     /// ratios are undefined and reported as [`f64::NAN`] — a run that
     /// delivered 0 of 0 packets must not masquerade as a 0% (or any other)
-    /// delivery ratio when aggregated across seeds.
+    /// delivery ratio when aggregated across seeds. A mean delay over no
+    /// packets is NaN for the same reason: it is not the best delay.
     pub fn summarize(&self, measured: SimDuration) -> RunSummary {
         let secs = measured.as_secs_f64().max(f64::EPSILON);
         let offered = self.offered_packets as f64;
         RunSummary {
             throughput_bps: self.qos_bytes as f64 / secs,
-            mean_delay_s: if self.qos_packets > 0 {
-                self.qos_delay_sum / self.qos_packets as f64
-            } else {
-                0.0
-            },
+            mean_delay_s: self.qos_delay_sum / self.qos_packets as f64,
             energy_communication_j: self.energy.communication_total(),
             energy_construction_j: self.energy.construction_total(),
             qos_delivery_ratio: self.qos_packets as f64 / offered,
             delivery_ratio: self.delivered_packets as f64 / offered,
-            mean_delay_all_s: if self.delivered_packets > 0 {
-                self.delivered_delay_sum / self.delivered_packets as f64
-            } else {
-                0.0
-            },
+            mean_delay_all_s: self.delivered_delay_sum / self.delivered_packets as f64,
             frames_sent: self.frames_sent,
             broadcasts_sent: self.broadcasts_sent,
             hotspot_energy_j: 0.0,
@@ -475,7 +469,9 @@ mod tests {
     fn summary_handles_empty_run() {
         let s = Metrics::default().summarize(SimDuration::from_secs(10));
         assert_eq!(s.throughput_bps, 0.0);
-        assert_eq!(s.mean_delay_s, 0.0);
+        // A mean over no packets is undefined, not the best delay.
+        assert!(s.mean_delay_s.is_nan());
+        assert!(s.mean_delay_all_s.is_nan());
         // 0 delivered of 0 offered is undefined, not a 0% delivery ratio.
         assert!(s.qos_delivery_ratio.is_nan());
         assert!(s.delivery_ratio.is_nan());
