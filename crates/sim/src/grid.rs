@@ -25,6 +25,10 @@
 //! it (proven by the brute-force audits and the proptest in
 //! `crates/sim/tests`, on geometries larger than 3×3 cells).
 //!
+//! The members live in one cell-sorted array (compressed sparse rows), so
+//! a row of cells is one contiguous slice, building costs three
+//! allocations whatever the cell count, and moving a node never allocates.
+//!
 //! Liveness is deliberately *not* stored here: fault rotation flips
 //! `NodeState::faulty` without touching positions, so queries filter dead
 //! nodes at lookup time and the grid stays coherent across rotations for
@@ -48,11 +52,13 @@ struct Member {
     pos: Point,
 }
 
-/// A uniform spatial grid of node indices.
+/// A uniform spatial grid of node indices, stored as one array of members
+/// sorted by cell: cell `c` holds `members[starts[c]..starts[c + 1]]`.
 ///
 /// Invariants:
 /// * every node is in exactly one cell, the one containing its position,
 ///   and its stored coordinates equal its current position;
+/// * `starts` is nondecreasing, starts at 0 and ends at the node count;
 /// * `cell_w ≥ side` and `cell_h ≥ side` whenever there are at least two
 ///   columns/rows, where `side` is the maximum usable radio range given at
 ///   construction — so every node within `side` of a point lies in the
@@ -64,8 +70,10 @@ pub struct SpatialGrid {
     rows: usize,
     cell_w: f64,
     cell_h: f64,
-    /// Members per cell, row-major, unsorted within a cell.
-    cells: Vec<Vec<Member>>,
+    /// `cols·rows + 1` offsets into `members`, one per row-major cell.
+    starts: Vec<u32>,
+    /// Every member, sorted by cell, unsorted within a cell.
+    members: Vec<Member>,
     /// Node index -> flat cell index, for O(1) migration.
     cell_of: Vec<u32>,
 }
@@ -89,24 +97,32 @@ impl SpatialGrid {
             rows,
             cell_w: area.width / cols as f64,
             cell_h: area.height / rows as f64,
-            cells: Vec::new(),
+            starts: vec![0; cols * rows + 1],
+            members: Vec::new(),
             cell_of: Vec::new(),
         };
-        // Counting build: size every cell exactly before filling it, so a
-        // cell costs one allocation instead of a doubling sequence. Filling
-        // in node order keeps the member order of push-as-you-go.
-        let mut counts = vec![0usize; cols * rows];
+        // Counting sort without a cursor array: cell `c` is counted in
+        // `starts[c + 1]`, an exclusive prefix sum turns that into cell
+        // `c`'s first slot, and filling in node order advances it to the
+        // cell's end, which is cell `c + 1`'s first slot.
         grid.cell_of = positions
             .clone()
             .map(|p| {
                 let cell = grid.cell_index(p);
-                counts[cell] += 1;
+                grid.starts[cell + 1] += 1;
                 cell as u32
             })
             .collect();
-        grid.cells = counts.into_iter().map(Vec::with_capacity).collect();
+        let mut first = 0;
+        for slot in &mut grid.starts[1..] {
+            (first, *slot) = (first + *slot, first);
+        }
+        let vacant = Member { id: u32::MAX, pos: Point::new(0.0, 0.0) };
+        grid.members = vec![vacant; grid.cell_of.len()];
         for (node, (pos, &cell)) in positions.zip(&grid.cell_of).enumerate() {
-            grid.cells[cell as usize].push(Member { id: node as u32, pos });
+            let slot = &mut grid.starts[cell as usize + 1];
+            grid.members[*slot as usize] = Member { id: node as u32, pos };
+            *slot += 1;
         }
         grid
     }
@@ -176,23 +192,39 @@ impl SpatialGrid {
         (cx, cy)
     }
 
+    /// The members of cells `first..=last`, one contiguous slice: the
+    /// cells of one grid row between two columns, or a single cell.
+    #[inline]
+    fn span(&self, first: usize, last: usize) -> &[Member] {
+        &self.members[self.starts[first] as usize..self.starts[last + 1] as usize]
+    }
+
     /// Moves `node` to `p`: its stored coordinates are refreshed in place,
     /// and it migrates between cells only when it crossed a cell boundary.
+    /// A migration swaps the node across each boundary between the two
+    /// cells and moves that boundary's offset by one: it never allocates.
     pub fn relocate(&mut self, node: NodeId, p: Point) {
         let idx = node.index();
         let old = self.cell_of[idx] as usize;
         let new = self.cell_index(p);
-        let members = &mut self.cells[old];
-        let at = members
-            .iter()
-            .position(|m| m.id == node.0)
-            .expect("node is in its recorded cell");
-        if old == new {
-            members[at].pos = p;
-            return;
+        let found = self.span(old, old).iter().position(|m| m.id == node.0);
+        let mut at = self.starts[old] as usize + found.expect("node is in its recorded cell");
+        self.members[at].pos = p;
+        // Forward: swap into cell `c`'s last slot, which becomes cell
+        // `c + 1`'s first. Backward: swap into cell `c`'s first slot, which
+        // becomes cell `c - 1`'s last.
+        for c in old..new {
+            let last = self.starts[c + 1] as usize - 1;
+            self.members.swap(at, last);
+            self.starts[c + 1] -= 1;
+            at = last;
         }
-        members.swap_remove(at);
-        self.cells[new].push(Member { id: node.0, pos: p });
+        for c in (new + 1..=old).rev() {
+            let first = self.starts[c] as usize;
+            self.members.swap(at, first);
+            self.starts[c] += 1;
+            at = first;
+        }
         self.cell_of[idx] = new as u32;
     }
 
@@ -209,11 +241,7 @@ impl SpatialGrid {
         let y1 = (cy + 1).min(self.rows - 1);
         for y in y0..=y1 {
             let row = y * self.cols;
-            for x in x0..=x1 {
-                for m in &self.cells[row + x] {
-                    buf.push(NodeId(m.id));
-                }
-            }
+            buf.extend(self.span(row + x0, row + x1).iter().map(|m| NodeId(m.id)));
         }
     }
 
@@ -236,12 +264,10 @@ impl SpatialGrid {
         let (x1, y1) = self.cell_coords(Point::new(p.x + reach, p.y + reach));
         for y in y0..=y1 {
             let row = y * self.cols;
-            for x in x0..=x1 {
-                for m in &self.cells[row + x] {
-                    let (dx, dy) = (m.pos.x - p.x, m.pos.y - p.y);
-                    if dx * dx + dy * dy <= reach_sq {
-                        f(NodeId(m.id), m.pos);
-                    }
+            for m in self.span(row + x0, row + x1) {
+                let (dx, dy) = (m.pos.x - p.x, m.pos.y - p.y);
+                if dx * dx + dy * dy <= reach_sq {
+                    f(NodeId(m.id), m.pos);
                 }
             }
         }
@@ -251,6 +277,7 @@ impl SpatialGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ids(mut v: Vec<NodeId>) -> Vec<u32> {
         v.sort_unstable();
@@ -309,41 +336,57 @@ mod tests {
         }
     }
 
+    /// Each cell's member ids, in stored order.
+    fn memberships(grid: &SpatialGrid) -> Vec<Vec<u32>> {
+        (0..grid.cols * grid.rows)
+            .map(|c| grid.span(c, c).iter().map(|m| m.id).collect())
+            .collect()
+    }
+
     #[test]
     fn construction_sizes_each_cell_exactly_and_fills_it_in_node_order() {
-        let area = Area::new(300.0, 100.0);
+        let area = Area::new(400.0, 100.0);
         let xs = [250.0, 50.0, 60.0, 260.0, 150.0, 55.0, 270.0];
         let grid = SpatialGrid::new(area, 100.0, xs.iter().map(|&x| Point::new(x, 50.0)));
-        let members: Vec<Vec<u32>> =
-            grid.cells.iter().map(|c| c.iter().map(|m| m.id).collect()).collect();
-        assert_eq!(members, [vec![1, 2, 5], vec![4], vec![0, 3, 6]]);
+        assert_eq!(memberships(&grid), [vec![1, 2, 5], vec![4], vec![0, 3, 6], vec![]]);
+        assert_eq!(grid.starts, [0, 3, 4, 7, 7]);
         assert_eq!(grid.cell_of, [2, 0, 0, 2, 1, 0, 2]);
-        for cell in &grid.cells {
-            assert_eq!(cell.capacity(), cell.len(), "one exact allocation per cell");
-        }
+        assert_eq!(grid.members.capacity(), xs.len(), "one exact allocation for every member");
     }
 
     #[test]
     fn relocate_migrates_only_across_boundaries() {
-        let area = Area::new(500.0, 500.0);
-        let grid0 = SpatialGrid::new(area, 100.0, [Point::new(50.0, 50.0)].into_iter());
+        // Five 100 m cells in a row; node 0 starts alone in cell 0.
+        let area = Area::new(500.0, 100.0);
+        let xs = [50.0, 150.0, 160.0, 450.0];
+        let grid0 = SpatialGrid::new(area, 100.0, xs.iter().map(|&x| Point::new(x, 50.0)));
         let mut grid = grid0.clone();
         // Move within the same cell: memberships untouched, only the
         // node's stored coordinates refresh.
         grid.relocate(NodeId(0), Point::new(60.0, 60.0));
-        let memberships =
-            |g: &SpatialGrid| g.cells.iter().map(|c| c.iter().map(|m| m.id).collect()).collect();
-        let (a, b): (Vec<Vec<u32>>, Vec<Vec<u32>>) = (memberships(&grid), memberships(&grid0));
-        assert_eq!(a, b);
-        assert_eq!(grid.cells[grid.cell_of[0] as usize][0].pos, Point::new(60.0, 60.0));
-        // Cross a boundary: the node shows up around its new position and
-        // no longer around the old one.
-        grid.relocate(NodeId(0), Point::new(450.0, 450.0));
+        assert_eq!(memberships(&grid), memberships(&grid0));
+        assert_eq!(grid.starts, grid0.starts);
+        assert_eq!(grid.span(0, 0)[0].pos, Point::new(60.0, 60.0));
+        // Forward across cells 1 (full), 2 and 3 (empty) into cell 4:
+        // only the offsets of the four boundaries crossed move.
+        grid.relocate(NodeId(0), Point::new(480.0, 20.0));
+        assert_eq!(grid.starts, [0, 0, 2, 2, 2, 4]);
+        // It swapped places with cell 1's last member and entered cell 4
+        // at its first slot.
+        assert_eq!(memberships(&grid)[1], [2, 1]);
+        assert_eq!(memberships(&grid)[4], [0, 3]);
+        assert_eq!(grid.cell_of[0], 4);
+        // Back into cell 1: the node joins cell 1 at its last slot.
+        grid.relocate(NodeId(0), Point::new(101.0, 99.0));
+        assert_eq!(grid.starts, [0, 0, 3, 3, 3, 4]);
+        assert_eq!(memberships(&grid)[1], [2, 1, 0]);
+        assert_eq!(memberships(&grid)[4], [3]);
+        // The node shows up around its new position, not its old one.
         let mut near_new = Vec::new();
-        grid.candidates_into(Point::new(450.0, 450.0), &mut near_new);
+        grid.for_each_within(Point::new(101.0, 99.0), 1.0, |id, _| near_new.push(id));
         assert_eq!(ids(near_new), vec![0]);
         let mut near_old = Vec::new();
-        grid.candidates_into(Point::new(50.0, 50.0), &mut near_old);
+        grid.for_each_within(Point::new(480.0, 20.0), 20.0, |id, _| near_old.push(id));
         assert!(near_old.is_empty());
     }
 
@@ -400,5 +443,83 @@ mod tests {
         let mut buf = Vec::new();
         grid.candidates_into(Point::new(0.0, 499.0), &mut buf);
         assert_eq!(ids(buf), vec![0]);
+    }
+
+    /// Checks every invariant of `grid` against the positions it should
+    /// hold, then one radius query against brute force.
+    fn assert_coherent(grid: &SpatialGrid, area: Area, pos: &[Point], q: Point, r: f64) {
+        let fresh = SpatialGrid::new(area, 100.0, pos.iter().copied());
+        let sets = |g: &SpatialGrid| -> Vec<Vec<u32>> {
+            let mut cells = memberships(g);
+            cells.iter_mut().for_each(|c| c.sort_unstable());
+            cells
+        };
+        assert_eq!(sets(grid), sets(&fresh), "cell member sets differ from a fresh build");
+        assert_eq!(grid.starts[0], 0);
+        assert_eq!(*grid.starts.last().unwrap() as usize, pos.len());
+        assert!(grid.starts.windows(2).all(|w| w[0] <= w[1]), "{:?}", grid.starts);
+        for cell in 0..grid.cols * grid.rows {
+            for m in grid.span(cell, cell) {
+                assert_eq!(grid.cell_of[m.id as usize] as usize, cell);
+                assert_eq!(grid.cell_index(m.pos), cell);
+                assert_eq!(m.pos, pos[m.id as usize]);
+            }
+        }
+        let mut got = Vec::new();
+        grid.for_each_within(q, r, |id, _| got.push(id.0));
+        assert!(
+            (0..pos.len() as u32).all(|i| q.distance(&pos[i as usize]) > r || got.contains(&i)),
+            "missed a node within {r} of {q:?}"
+        );
+        assert!(got.iter().all(|&i| q.distance(&pos[i as usize]) <= r * (1.0 + 1e-9)));
+    }
+
+    // Random relocation scripts on 5×5 to 8×8 grids of 100 m cells keep
+    // the cell-sorted array equal, cell by cell, to a fresh build. Every
+    // script opens with node 0 in the first cell, a forward crossing to the
+    // last cell over at least one empty cell, a same-cell move and a
+    // backward crossing home; its random steps land anywhere, in the first
+    // or last cell, or on a boundary.
+    proptest! {
+        #[test]
+        fn relocation_scripts_match_a_fresh_build(
+            cols in 5usize..=8,
+            rows in 5usize..=8,
+            start in prop::collection::vec((0u8..4, 0.0..=1.0f64, 0.0..=1.0f64), 1..20),
+            script in prop::collection::vec(
+                (0usize..64, (0u8..4, 0.0..=1.0f64, 0.0..=1.0f64), (0.0..=1.0f64, 0.0..=1.0f64, 0.0..=250.0f64)),
+                1..60,
+            ),
+        ) {
+            let (w, h) = (cols as f64 * 100.0, rows as f64 * 100.0);
+            let area = Area::new(w, h);
+            let place = |(kind, fx, fy): (u8, f64, f64)| match kind {
+                0 => Point::new(fx * w, fy * h),
+                1 => Point::new(fx * 99.0, fy * 99.0),
+                2 => Point::new(w - fx * 99.0, h - fy * 99.0),
+                _ => Point::new((fx * cols as f64).round() * 100.0, (fy * rows as f64).round() * 100.0),
+            };
+            let mut pos: Vec<Point> = start.into_iter().map(place).collect();
+            let mut grid = SpatialGrid::new(area, 100.0, pos.iter().copied());
+            prop_assert_eq!(grid.dims(), (cols, rows));
+            let last = cols * rows - 1;
+            let opening = [(0, 0.0, 0.0), (last, w, h), (last, w - 1.0, h - 1.0), (0, 1.0, 1.0)];
+            for (step, &(cell, x, y)) in opening.iter().enumerate() {
+                if step == 1 {
+                    let empty = (1..last).any(|c| grid.starts[c] == grid.starts[c + 1]);
+                    prop_assert!(empty, "fewer nodes than cells, so one is empty");
+                }
+                pos[0] = Point::new(x, y);
+                grid.relocate(NodeId(0), pos[0]);
+                prop_assert_eq!(grid.cell_of_node(NodeId(0)), cell);
+                assert_coherent(&grid, area, &pos, pos[0], 150.0);
+            }
+            for (node, to, (qx, qy, r)) in script {
+                let node = node % pos.len();
+                pos[node] = place(to);
+                grid.relocate(NodeId(node as u32), pos[node]);
+                assert_coherent(&grid, area, &pos, Point::new(qx * w, qy * h), r);
+            }
+        }
     }
 }

@@ -56,8 +56,12 @@ pub(crate) fn boot<P: Protocol>(
     protocol.on_init(&mut ctx);
     ctx.unbounded_queue = false;
     // Construction bursts through at t=0; radios start steady state clear.
-    for node in &mut ctx.nodes {
-        node.busy_until_micros = 0;
+    // Only a frame or broadcast that was sent sets a radio busy, so a
+    // construction that sent nothing leaves every radio clear already.
+    if ctx.metrics.frames_sent + ctx.metrics.broadcasts_sent > 0 {
+        for node in &mut ctx.nodes {
+            node.busy_until_micros = 0;
+        }
     }
     ctx
 }
@@ -305,10 +309,13 @@ pub(crate) fn build_ctx<Pl>(cfg: SimConfig) -> Ctx<Pl> {
         }
     }
 
-    // Cell side: the largest radio range (the unit disk's reach). Radius
-    // queries are correct for any side; the shard tiling and the 3×3
-    // `candidates_into` probe are what fix it.
-    let side = nodes.iter().map(|n| n.range).fold(0.0, f64::max);
+    // Cell side: the largest radio range of the node kinds present (the
+    // unit disk's reach). Radius queries are correct for any side; the
+    // shard tiling and the 3×3 `candidates_into` probe are what fix it.
+    let side = f64::max(
+        if sensors.is_empty() { 0.0 } else { cfg.sensor_range },
+        if actuators.is_empty() { 0.0 } else { cfg.actuator_range },
+    );
     let grid = crate::grid::SpatialGrid::new(cfg.area, side, nodes.iter().map(|n| n.position));
 
     Ctx::new(cfg, nodes, sensors, actuators, grid, rng, None)
