@@ -1,14 +1,11 @@
 //! Quick side-by-side comparison of the four systems on one scenario.
 //!
 //! ```text
-//! cargo run -p refer-bench --release --bin compare -- \
-//!     [--scale 0.2] [--seed 17] [--mobility 3] [--faults 0] [--sensors 200] \
-//!     [--fault-model oracle|discovered|byzantine] \
-//!     [--attacker-fraction F] [--link-pdr P] \
-//!     [--workload paper|all2all|hotspot] \
-//!     [--routing shortest|regular] [--offered-load PPS] \
-//!     [--fabric D,K] [--threads T]
+//! cargo run -p refer-bench --release --bin compare -- --faults 4 --mobility 3
 //! ```
+//!
+//! Its flags are `FLAGS` below; a usage error prints them and exits 2.
+//! The defaults are the paper scenario at `--scale 0.2 --seed 17`.
 //!
 //! Prints one row per system with throughput, delay, energy split,
 //! delivery ratio and load-balance metrics, plus the robustness counters
@@ -27,84 +24,64 @@
 //! scenario where Faber–Streib regular routing beats greedy shortest
 //! routing on the queue-delay tail under all-to-all load.
 
-use refer_bench::{base_config, or_dash, run_system, ScenarioFlags, LOAD_ROUTINGS, SYSTEMS};
+use kautz::{KautzGraph, KautzId};
+use refer_bench::cli::{exit_usage, Args, Command, MAX_SENSORS, SHARED, SIZE};
+use refer_bench::{or_dash, run_system, ScenarioFlags, LOAD_ROUTINGS, SYSTEMS};
 use refer_baselines::{fabric_config, KautzFabricProtocol};
-use wsan_sim::{run_engine, Engine, FaultModel, ShardedConfig, SimDuration};
+use wsan_sim::{run_engine, Engine, FaultModel, ShardedConfig};
 
-/// Exits with the CLI's usage error code for a malformed flag value.
-fn bail(message: String) -> ! {
-    eprintln!("error: {message}");
-    std::process::exit(2);
-}
+const FLAGS: Command = Command {
+    name: "compare",
+    positional: "",
+    flags: &[&["--seed N"], SIZE, SHARED, &["--fabric D,K", "--threads T"]],
+};
 
-struct Args {
-    scale: f64,
-    seed: u64,
-    mobility: f64,
-    faults: usize,
-    sensors: usize,
+/// What one `compare` run does, read from its flags.
+struct Run {
     scenario: ScenarioFlags,
     fabric: Option<(u8, usize)>,
     threads: usize,
 }
 
-/// Parses one flag value, bailing with the flag's name when it is malformed.
-fn parse<T: std::str::FromStr>(flag: &str, v: &str) -> T {
-    v.parse().unwrap_or_else(|_| bail(format!("{flag}: cannot parse {v:?}")))
+impl Run {
+    fn read(args: &Args) -> Result<Run, String> {
+        Ok(Run {
+            scenario: ScenarioFlags::read(args, 0.2, 17)?,
+            fabric: args.value("fabric", fabric_shape)?,
+            threads: args.get("threads")?.unwrap_or(2),
+        })
+    }
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        scale: 0.2,
-        seed: 17,
-        mobility: 3.0,
-        faults: 0,
-        sensors: 200,
-        scenario: ScenarioFlags::default(),
-        fabric: None,
-        threads: 2,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        // The scenario knobs shared by every CLI live in one parser.
-        if args.scenario.accept(&a, &mut it).unwrap_or_else(|e| bail(e)) {
-            continue;
-        }
-        let mut next = || it.next().unwrap_or_else(|| bail(format!("{a} needs a value")));
-        match a.as_str() {
-            "--scale" => args.scale = parse(&a, &next()),
-            "--seed" => args.seed = parse(&a, &next()),
-            "--mobility" => args.mobility = parse(&a, &next()),
-            "--faults" => args.faults = parse(&a, &next()),
-            "--sensors" => args.sensors = parse(&a, &next()),
-            "--threads" => args.threads = parse(&a, &next()),
-            "--fabric" => {
-                let v = next();
-                let parsed = v.split_once(',').and_then(|(d, k)| {
-                    Some((d.trim().parse().ok()?, k.trim().parse().ok()?))
-                });
-                args.fabric = Some(parsed.unwrap_or_else(|| {
-                    bail(format!("--fabric expects D,K (e.g. 4,7), got {v:?}"))
-                }));
-            }
-            other => bail(format!("unknown argument {other:?}")),
-        }
+/// Reads `--fabric D,K`: a Kautz graph `K(D, K)` that `ArcTable::new`
+/// builds, of at most [`MAX_SENSORS`] vertices, checked before anything
+/// is allocated.
+fn fabric_shape(v: &str) -> Result<(u8, usize), String> {
+    let shape = v.split_once(',').and_then(|(d, k)| {
+        Some((d.trim().parse::<u8>().ok()?, k.trim().parse::<usize>().ok()?))
+    });
+    let (d, k) = shape.ok_or_else(|| format!("--fabric expects D,K (e.g. 4,7), got {v:?}"))?;
+    // `KautzGraph::node_count`, `(D + 1)·D^(K-1)`, with every step checked.
+    let vertices = KautzGraph::new(d, k)
+        .and_then(|_| usize::from(d).checked_pow(k as u32 - 1)?.checked_mul(usize::from(d) + 1));
+    if vertices.is_some_and(|n| n <= MAX_SENSORS) {
+        Ok((d, k))
+    } else {
+        Err(format!(
+            "--fabric {v}: K(D, K) needs D >= 1, 1 <= K <= {} and at most \
+             {MAX_SENSORS} vertices",
+            KautzId::MAX_K
+        ))
     }
-    args
 }
 
 fn main() {
-    let args = parse_args();
-    if args.fabric.is_some() {
-        run_fabric(&args);
-        return;
+    let run = FLAGS.parse(std::env::args().skip(1)).and_then(|args| Run::read(&args));
+    let run = run.unwrap_or_else(|e| exit_usage(&e, &[&FLAGS]));
+    if let Some((d, k)) = run.fabric {
+        return run_fabric(&run, d, k);
     }
-    let mut cfg = base_config(args.scale);
-    cfg.mobility.max_speed = args.mobility;
-    cfg.faults.count = args.faults;
-    cfg.sensors = args.sensors;
-    cfg.seed = args.seed;
-    args.scenario.apply(&mut cfg);
+    let cfg = &run.scenario.config;
     let byzantine = cfg.faults.model == FaultModel::Byzantine;
     let matrix = cfg.traffic.pattern.is_matrix();
 
@@ -120,7 +97,7 @@ fn main() {
         cfg.traffic.pattern.name(),
         cfg.routing,
         cfg.traffic.offered_pps,
-        args.scale,
+        run.scenario.scale,
         cfg.seed
     );
     print!(
@@ -142,7 +119,7 @@ fn main() {
     }
     println!();
     for system in SYSTEMS {
-        let s = run_system(&cfg, system);
+        let s = run_system(cfg, system);
         print!(
             "{:>15} {:>13.0} {:>9} {:>8} {:>8} {:>8} {:>6} {:>12.0} {:>12.0} {:>7} {:>8.0}J {:>9.2} {:>7} {:>6} {:>8} {:>7}",
             system.name(),
@@ -192,25 +169,25 @@ fn main() {
 /// `--threads` workers; the summaries must be bit-identical (the sharded
 /// engine's output is a pure function of the config), and the 1-thread row
 /// is printed.
-fn run_fabric(args: &Args) {
-    let (d, k) = args.fabric.expect("checked by caller");
-    let scenario = &args.scenario;
-    let offered = if scenario.offered_pps > 0.0 { scenario.offered_pps } else { 20_000.0 };
+fn run_fabric(run: &Run, d: u8, k: usize) {
+    let scenario = &run.scenario.config;
+    let offered = scenario.traffic.offered_pps;
+    let offered = if offered > 0.0 { offered } else { 20_000.0 };
     let mut cfg = fabric_config(d, k, offered);
-    if scenario.workload.is_matrix() {
-        cfg.traffic.pattern = scenario.workload;
+    if scenario.traffic.pattern.is_matrix() {
+        cfg.traffic.pattern = scenario.traffic.pattern;
     }
-    cfg.duration = SimDuration::from_secs_f64((1000.0 * args.scale).max(20.0));
-    cfg.warmup = SimDuration::from_secs_f64((100.0 * args.scale).max(10.0));
-    cfg.seed = args.seed;
+    cfg.duration = scenario.duration;
+    cfg.warmup = scenario.warmup;
+    cfg.seed = scenario.seed;
     println!(
         "fabric: K({d}, {k}) = {} sensors, workload {} at {offered} pps, \
          sharded engine (1 vs {} threads), scale {}, seed {}\n",
         cfg.sensors,
         cfg.traffic.pattern.name(),
-        args.threads,
-        args.scale,
-        args.seed
+        run.threads,
+        run.scenario.scale,
+        scenario.seed
     );
     println!(
         "{:>16} {:>8} {:>9} {:>9} {:>9} {:>9} {:>8} {:>6} {:>8} {:>9}",
@@ -223,14 +200,14 @@ fn run_fabric(args: &Args) {
         let s1 = run_engine(cfg.clone(), &mut KautzFabricProtocol::new(d, k));
         cfg.engine = Engine::Sharded(ShardedConfig {
             shards: 0,
-            threads: args.threads,
+            threads: run.threads,
             window_micros: 0,
         });
         let st = run_engine(cfg.clone(), &mut KautzFabricProtocol::new(d, k));
         assert_eq!(
             s1, st,
             "sharded summaries diverged between 1 and {} threads",
-            args.threads
+            run.threads
         );
         println!(
             "{:>16} {:>8} {:>9} {:>9} {:>9} {:>9} {:>8} {:>6} {:>8} {:>9}",
@@ -243,7 +220,25 @@ fn run_fabric(args: &Args) {
             or_dash(s1.hot_link_utilization, 3, ""),
             or_dash(s1.deadline_miss_ratio * 100.0, 1, "%"),
             s1.congestion_drops,
-            format!("1≡{}", args.threads),
+            format!("1≡{}", run.threads),
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The bound is checked on the parsed shape alone: no graph is built.
+    #[test]
+    fn fabric_shape_rejects_graphs_arc_table_refuses_or_too_large() {
+        assert_eq!(fabric_shape("2,10"), Ok((2, 10)));
+        // K(2, 19): 786 432 vertices, the largest binary fabric allowed.
+        assert_eq!(fabric_shape("2,19"), Ok((2, 19)));
+        for shape in ["2,0", "0,3", "2,20", "4,10", "9,9", "255,22", "2,23"] {
+            let err = fabric_shape(shape).expect_err(shape);
+            assert!(err.starts_with("--fabric"), "{err}");
+        }
+        assert!(fabric_shape("2").expect_err("no K").contains("D,K"));
     }
 }

@@ -1,13 +1,12 @@
 //! Regenerates the paper's evaluation figures (4-11).
 //!
 //! ```text
-//! cargo run -p refer-bench --release --bin figures -- [--fig N|all] \
-//!     [--seeds 1,2,3] [--scale 0.25] [--out results/] \
-//!     [--fault-model oracle|discovered|byzantine] \
-//!     [--attacker-fraction F] [--link-pdr P] [--degradation] \
-//!     [--load] [--workload paper|all2all|hotspot] \
-//!     [--routing shortest|regular] [--offered-load PPS]
+//! cargo run -p refer-bench --release --bin figures -- --fig all --seeds 1,2,3
 //! ```
+//!
+//! Its flags are `FLAGS` below; a usage error prints them and exits 2.
+//! The defaults are every figure, seeds 1,2,3, `--scale 0.25` and
+//! `--out results`.
 //!
 //! Figures sharing a sweep (4-5 mobility, 6-7 faults, 8-11 size) reuse the
 //! same simulations. Output: one aligned text table per figure on stdout,
@@ -24,15 +23,26 @@
 //! regular Kautz routing; `--workload`/`--routing`/`--offered-load` also
 //! apply to the paper figures for heavy-traffic variants.
 
+use refer_bench::cli::{exit_usage, Args, Command, SHARED};
 use refer_bench::{
     figure, render_degradation, render_figure, render_load, run_sweep, Figure, ScenarioFlags,
     Sweep, FIGURES,
 };
 
-struct Args {
+const FLAGS: Command = Command {
+    name: "figures",
+    positional: "",
+    flags: &[
+        &["--fig N|all", "--seeds 1,2,3", "--scale F", "--out DIR", "--no-out", "--quiet"],
+        &["--degradation", "--load"],
+        SHARED,
+    ],
+};
+
+/// What one `figures` run does, read from its flags.
+struct Run {
     figs: Vec<u32>,
     seeds: Vec<u64>,
-    scale: f64,
     out: Option<String>,
     quiet: bool,
     scenario: ScenarioFlags,
@@ -40,85 +50,51 @@ struct Args {
     load: bool,
 }
 
-/// Exits with the CLI's usage error code for a malformed flag value.
-fn bail(message: String) -> ! {
-    eprintln!("error: {message}");
-    std::process::exit(2);
-}
-
-/// Parses one flag value, bailing with the flag's name when it is malformed.
-fn parse<T: std::str::FromStr>(flag: &str, v: &str) -> T {
-    v.parse().unwrap_or_else(|_| bail(format!("{flag}: cannot parse {v:?}")))
-}
-
-/// Parses one comma-separated list, bailing on the first malformed item.
-fn parse_list<T: std::str::FromStr>(flag: &str, v: &str) -> Vec<T> {
-    v.split(',').map(|s| parse(flag, s)).collect()
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        figs: (4..=11).collect(),
-        seeds: vec![1, 2, 3],
-        scale: 0.25,
-        out: Some("results".to_string()),
-        quiet: false,
-        scenario: ScenarioFlags::default(),
-        degradation: false,
-        load: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        // The scenario knobs shared by every CLI live in one parser.
-        if args.scenario.accept(&a, &mut it).unwrap_or_else(|e| bail(e)) {
-            continue;
+impl Run {
+    fn read(args: &Args) -> Result<Run, String> {
+        let figs = match args.get::<String>("fig")?.as_deref() {
+            None | Some("all") => (4..=11).collect(),
+            Some(_) => args.list("fig")?.unwrap_or_default(),
+        };
+        if let Some(id) = figs.iter().find(|&&id| figure(id).is_none()) {
+            return Err(format!("no figure {id}; the paper has 4..=11"));
         }
-        let mut value = || it.next().unwrap_or_else(|| bail(format!("{a} needs a value")));
-        match a.as_str() {
-            "--fig" => {
-                let v = value();
-                if v != "all" {
-                    args.figs = parse_list("--fig", &v);
-                    if let Some(id) = args.figs.iter().find(|&&id| figure(id).is_none()) {
-                        bail(format!("no figure {id}; the paper has 4..=11"));
-                    }
-                }
-            }
-            "--seeds" => args.seeds = parse_list("--seeds", &value()),
-            "--scale" => args.scale = parse("--scale", &value()),
-            "--out" => args.out = Some(value()),
-            "--no-out" => args.out = None,
-            "--quiet" => args.quiet = true,
-            "--degradation" => args.degradation = true,
-            "--load" => args.load = true,
-            other => bail(format!("unknown argument {other:?}")),
-        }
+        let out = args.get("out")?.unwrap_or_else(|| "results".to_string());
+        Ok(Run {
+            figs,
+            seeds: args.list("seeds")?.unwrap_or_else(|| vec![1, 2, 3]),
+            out: (!args.has("no-out")).then_some(out),
+            quiet: args.has("quiet"),
+            scenario: ScenarioFlags::read(args, 0.25, 1)?,
+            degradation: args.has("degradation"),
+            load: args.has("load"),
+        })
     }
-    args
 }
 
 fn main() {
-    let args = parse_args();
+    let run = FLAGS.parse(std::env::args().skip(1)).and_then(|args| Run::read(&args));
+    let run = run.unwrap_or_else(|e| exit_usage(&e, &[&FLAGS]));
     // Each mode is a list of sweeps; all three then share one
     // run → print → write loop.
-    let sweeps: Vec<Sweep> = if args.degradation {
+    let sweeps: Vec<Sweep> = if run.degradation {
         eprintln!(
             "Byzantine degradation sweep over {} seed(s) at scale {}",
-            args.seeds.len(),
-            args.scale
+            run.seeds.len(),
+            run.scenario.scale
         );
         vec![Sweep::Attackers]
-    } else if args.load {
+    } else if run.load {
         eprintln!(
             "Heavy-traffic load sweep ({} workload) over {} seed(s) at scale {}",
-            args.scenario.workload.name(),
-            args.seeds.len(),
-            args.scale
+            run.scenario.config.traffic.pattern.name(),
+            run.seeds.len(),
+            run.scenario.scale
         );
         vec![Sweep::Load]
     } else {
         // Every id was checked against `figure` while parsing.
-        let figs: Vec<Figure> = args.figs.iter().filter_map(|&id| figure(id)).collect();
+        let figs: Vec<Figure> = run.figs.iter().filter_map(|&id| figure(id)).collect();
         let sweeps: Vec<Sweep> = [Sweep::Mobility, Sweep::Faults, Sweep::Size]
             .into_iter()
             .filter(|&sweep| figs.iter().any(|f| f.sweep == sweep))
@@ -126,14 +102,14 @@ fn main() {
         eprintln!(
             "Reproducing {} figure(s) over {} seed(s) at scale {} ({} sweeps)",
             figs.len(),
-            args.seeds.len(),
-            args.scale,
+            run.seeds.len(),
+            run.scenario.scale,
             sweeps.len()
         );
         sweeps
     };
     // The requested paper figures a sweep feeds, in the paper's order.
-    let wanted = &args.figs;
+    let wanted = &run.figs;
     let figures_of = |sweep: Sweep| {
         FIGURES
             .iter()
@@ -144,8 +120,8 @@ fn main() {
         .into_iter()
         .map(|sweep| {
             let t = std::time::Instant::now();
-            let result = run_sweep(sweep, &args.seeds, args.scale, &args.scenario, |label| {
-                if !args.quiet {
+            let result = run_sweep(sweep, &run.seeds, &run.scenario, |label| {
+                if !run.quiet {
                     eprintln!("  done: {label}");
                 }
             });
@@ -166,7 +142,7 @@ fn main() {
         }
     }
 
-    if let Some(out) = &args.out {
+    if let Some(out) = &run.out {
         std::fs::create_dir_all(out).expect("create output directory");
         for result in &results {
             let path = format!("{out}/sweep_{}.json", format!("{:?}", result.sweep).to_lowercase());

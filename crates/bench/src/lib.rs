@@ -13,7 +13,7 @@ pub mod cli;
 pub mod json;
 pub mod svgplot;
 
-pub use cli::{ScenarioFlags, SCENARIO_FLAGS};
+pub use cli::ScenarioFlags;
 
 use refer::{ReferConfig, ReferProtocol};
 use refer_baselines::{DaTreeProtocol, DdearProtocol, KautzOverlayProtocol};
@@ -285,62 +285,6 @@ pub fn git_commit() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Parses a `--fault-model` CLI value; the error lists the accepted names.
-pub fn parse_fault_model(s: &str) -> Result<FaultModel, String> {
-    match s {
-        "oracle" => Ok(FaultModel::Oracle),
-        "discovered" => Ok(FaultModel::Discovered),
-        "byzantine" => Ok(FaultModel::Byzantine),
-        other => Err(format!(
-            "unknown fault model {other:?} (expected oracle|discovered|byzantine)"
-        )),
-    }
-}
-
-/// Parses a `--workload` CLI value; the error lists the accepted names.
-pub fn parse_workload(s: &str) -> Result<TrafficPattern, String> {
-    TrafficPattern::parse(s).ok_or_else(|| {
-        format!("unknown workload {s:?} (expected paper|all2all|hotspot)")
-    })
-}
-
-/// Parses a `--routing` CLI value; the error lists the accepted names.
-pub fn parse_routing(s: &str) -> Result<RoutingStrategy, String> {
-    match s {
-        "shortest" => Ok(RoutingStrategy::Shortest),
-        "regular" => Ok(RoutingStrategy::Regular),
-        other => Err(format!(
-            "unknown routing strategy {other:?} (expected shortest|regular)"
-        )),
-    }
-}
-
-/// Parses an `--offered-load` CLI value: a finite, non-negative
-/// packets/second rate.
-pub fn parse_offered_load(s: &str) -> Result<f64, String> {
-    let x: f64 = s
-        .parse()
-        .map_err(|_| format!("--offered-load expects packets/second, got {s:?}"))?;
-    if x.is_finite() && x >= 0.0 {
-        Ok(x)
-    } else {
-        Err(format!("--offered-load must be finite and non-negative, got {x}"))
-    }
-}
-
-/// Parses a probability/fraction CLI value, rejecting anything outside
-/// `[0, 1]` with a message naming the flag.
-pub fn parse_unit_interval(flag: &str, s: &str) -> Result<f64, String> {
-    let x: f64 = s
-        .parse()
-        .map_err(|_| format!("{flag} expects a number in [0, 1], got {s:?}"))?;
-    if (0.0..=1.0).contains(&x) {
-        Ok(x)
-    } else {
-        Err(format!("{flag} must be in [0, 1], got {x}"))
-    }
-}
-
 /// `x` with `digits` decimals and a `unit` suffix, or `—` when `x` is
 /// undefined (NaN: nothing delivered to take a percentile of, 0 of 0
 /// offered, an aggregate no seed defined). Every CLI table formats such
@@ -353,19 +297,18 @@ pub fn or_dash(x: f64, digits: usize, unit: &str) -> String {
     }
 }
 
-/// The scenario of one sweep point, before its column and seed:
-/// [`base_config`]`(scale)`, then the explicitly given `flags`
-/// ([`ScenarioFlags::apply`]), then the sweep parameter
+/// The scenario of one sweep point, before its column and seed: the
+/// flags' [`config`](ScenarioFlags::config), then the sweep parameter
 /// ([`Sweep::configure`] — so [`Sweep::Attackers`] overrides the fault
 /// model and compromised fraction per point).
-fn point_config(sweep: Sweep, scale: f64, flags: &ScenarioFlags, x: f64) -> SimConfig {
-    let mut cfg = base_config(scale);
-    flags.apply(&mut cfg);
+fn point_config(sweep: Sweep, flags: &ScenarioFlags, x: f64) -> SimConfig {
+    let mut cfg = flags.config.clone();
     sweep.configure(&mut cfg, x);
     cfg
 }
 
-/// Runs a full sweep: every x value, every column, every seed.
+/// Runs a full sweep at the flags' scale: every x value, every column,
+/// every seed.
 ///
 /// Each point runs its `point_config` scenario. The columns are the four
 /// [`SYSTEMS`]; a [`Sweep::Load`] point instead runs REFER once per
@@ -381,7 +324,6 @@ fn point_config(sweep: Sweep, scale: f64, flags: &ScenarioFlags, x: f64) -> SimC
 pub fn run_sweep(
     sweep: Sweep,
     seeds: &[u64],
-    scale: f64,
     flags: &ScenarioFlags,
     mut progress: impl FnMut(&str),
 ) -> SweepResult {
@@ -396,7 +338,7 @@ pub fn run_sweep(
     let mut fault_model = FaultModel::default();
     let mut points = Vec::new();
     for x in sweep.x_values() {
-        let cfg = point_config(sweep, scale, flags, x);
+        let cfg = point_config(sweep, flags, x);
         fault_model = cfg.faults.model;
         let mut systems = Vec::with_capacity(columns.len());
         for &(system, routing) in &columns {
@@ -430,7 +372,7 @@ pub fn run_sweep(
         sweep,
         points,
         seeds: seeds.to_vec(),
-        scale,
+        scale: flags.scale,
         fault_model,
         git_commit: git_commit(),
     }
@@ -583,15 +525,16 @@ mod tests {
 
     #[test]
     fn fault_model_and_fraction_flags_parse_with_clean_errors() {
-        assert_eq!(parse_fault_model("byzantine"), Ok(FaultModel::Byzantine));
-        assert_eq!(parse_fault_model("oracle"), Ok(FaultModel::Oracle));
-        let err = parse_fault_model("bogus").expect_err("rejects");
+        let model = |name| flags(&["--fault-model", name]).config.faults.model;
+        assert_eq!(model("byzantine"), FaultModel::Byzantine);
+        assert_eq!(model("oracle"), FaultModel::Oracle);
+        let err = read(&["--fault-model", "bogus"]).expect_err("rejects");
         assert!(err.contains("bogus") && err.contains("byzantine"), "{err}");
 
-        assert_eq!(parse_unit_interval("--link-pdr", "0.25"), Ok(0.25));
-        let err = parse_unit_interval("--attacker-fraction", "1.5").expect_err("rejects");
+        assert_eq!(flags(&["--link-pdr", "0.25"]).config.radio.link_pdr, 0.25);
+        let err = read(&["--attacker-fraction", "1.5"]).expect_err("rejects");
         assert!(err.contains("--attacker-fraction") && err.contains("[0, 1]"), "{err}");
-        let err = parse_unit_interval("--link-pdr", "lossy").expect_err("rejects");
+        let err = read(&["--link-pdr", "lossy"]).expect_err("rejects");
         assert!(err.contains("--link-pdr"), "{err}");
     }
 
@@ -612,16 +555,17 @@ mod tests {
 
     #[test]
     fn workload_and_routing_flags_parse_with_clean_errors() {
-        assert_eq!(parse_workload("all2all"), Ok(TrafficPattern::All2All));
-        let err = parse_workload("bursty").expect_err("rejects");
+        let pattern = flags(&["--workload", "all2all"]).config.traffic.pattern;
+        assert_eq!(pattern, TrafficPattern::All2All);
+        let err = read(&["--workload", "bursty"]).expect_err("rejects");
         assert!(err.contains("bursty") && err.contains("all2all"), "{err}");
-        assert_eq!(parse_routing("regular"), Ok(RoutingStrategy::Regular));
-        assert_eq!(parse_routing("shortest"), Ok(RoutingStrategy::Shortest));
-        let err = parse_routing("fastest").expect_err("rejects");
+        assert_eq!(flags(&["--routing", "regular"]).config.routing, RoutingStrategy::Regular);
+        assert_eq!(flags(&["--routing", "shortest"]).config.routing, RoutingStrategy::Shortest);
+        let err = read(&["--routing", "fastest"]).expect_err("rejects");
         assert!(err.contains("fastest") && err.contains("regular"), "{err}");
-        assert_eq!(parse_offered_load("2500"), Ok(2500.0));
-        assert!(parse_offered_load("-1").is_err());
-        assert!(parse_offered_load("many").is_err());
+        assert_eq!(flags(&["--offered-load", "2500"]).config.traffic.offered_pps, 2500.0);
+        assert!(read(&["--offered-load", "-1"]).is_err());
+        assert!(read(&["--offered-load", "many"]).is_err());
     }
 
     #[test]
@@ -635,13 +579,15 @@ mod tests {
         }
     }
 
+    /// The scenario flags of `args` at scale 0.02, as `figures` reads them.
+    fn read(args: &[&str]) -> Result<ScenarioFlags, String> {
+        const FLAGS: cli::Command =
+            cli::Command { name: "figures", positional: "", flags: &[&["--scale F"], cli::SHARED] };
+        ScenarioFlags::read(&FLAGS.parse(args.iter().copied())?, 0.02, 1)
+    }
+
     fn flags(args: &[&str]) -> ScenarioFlags {
-        let mut flags = ScenarioFlags::default();
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            assert_eq!(flags.accept(arg, &mut it), Ok(true), "{arg}");
-        }
-        flags
+        read(args).unwrap_or_else(|e| panic!("{args:?}: {e}"))
     }
 
     /// A point's scenario is `base_config`, then the given flags, then the
@@ -658,11 +604,11 @@ mod tests {
                 want.faults.count = x as usize;
                 want.faults.model = model;
                 want.radio.link_pdr = link_pdr;
-                assert_eq!(point_config(Sweep::Faults, 0.02, &flags, x), want, "{args:?} x={x}");
+                assert_eq!(point_config(Sweep::Faults, &flags, x), want, "{args:?} x={x}");
             }
         }
         // The sweep parameter wins over a flag that sets the same knob.
-        let cfg = point_config(Sweep::Attackers, 0.02, &flags(&["--fault-model", "oracle"]), 0.2);
+        let cfg = point_config(Sweep::Attackers, &flags(&["--fault-model", "oracle"]), 0.2);
         assert_eq!(cfg.faults.model, FaultModel::Byzantine);
     }
 
@@ -674,7 +620,7 @@ mod tests {
     fn run_sweep_aggregates_hand_built_runs() {
         let (seeds, scale) = ([1, 2], 0.02);
         let flags = flags(&["--routing", "regular", "--link-pdr", "0.02"]);
-        let result = run_sweep(Sweep::Faults, &seeds, scale, &flags, |_| {});
+        let result = run_sweep(Sweep::Faults, &seeds, &flags, |_| {});
         assert_eq!(result.fault_model, FaultModel::Oracle);
         let xs: Vec<f64> = result.points.iter().map(|p| p.x).collect();
         assert_eq!(xs, Sweep::Faults.x_values());

@@ -84,8 +84,8 @@ impl Default for Scenario {
 }
 
 impl Scenario {
-    /// Consumes one shared flag if `arg` is one; mirrors the
-    /// `ScenarioFlags::accept` shape used by the bench CLIs.
+    /// Consumes one scenario flag if `arg` is one: `Ok(false)` hands it
+    /// back to the caller's own loop.
     fn accept<I>(&mut self, arg: &str, rest: &mut I) -> Result<bool, String>
     where
         I: Iterator<Item = String>,

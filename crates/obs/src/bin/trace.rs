@@ -1,29 +1,22 @@
 //! `trace` — forensics CLI over simulator trace streams.
 //!
 //! ```text
-//! trace record  --out trace.jsonl [--system refer] [--scale 0.05] [--seed 1]
-//!               [--sensors N] [--faults N] [--mobility F]
-//!               [--fault-model oracle|discovered|byzantine]
-//!               [--attacker-fraction F] [--link-pdr P]
-//!               [--workload paper|all2all|hotspot]
-//!               [--offered-load PPS] [--routing shortest|regular]
+//! trace record  --out trace.jsonl [scenario]  # one run's JSONL and digest
 //! trace packet  <id> --in trace.jsonl      # one packet's full causal chain
 //! trace node    <id> --in trace.jsonl      # packets that crossed a node
 //! trace summary --in trace.jsonl           # counts, drops by reason, digest
 //! trace diff    <a.jsonl> <b.jsonl>        # compare two traces
-//! trace verify  [--system refer] [--scale 0.05] [--seeds 3] [--sensors N]
-//!               [--faults N] [--mobility F]
-//!               [--fault-model oracle|discovered|byzantine]
-//!               [--attacker-fraction F] [--link-pdr P]
-//!               [--workload W] [--offered-load PPS] [--routing R]
-//! trace verify  --sharded [--scale 0.05] [--seeds 3] [--sensors N]
-//!               [--faults N] [--mobility F] [--threads N]
-//!               [--workload W] [--offered-load PPS]
+//! trace verify  [scenario] [--seeds 3]     # serial ≡ parallel, record ≡ replay
+//! trace verify  --sharded [scenario] [--threads 2]
 //! trace verify  --live node-*.jsonl
 //! ```
 //!
-//! Every subcommand rejects a flag it does not read with exit status 2
-//! (`verify --seed 3` is an error, not a run of the default seeds).
+//! The flags each subcommand reads are its table below (`RECORD` …
+//! `LIVE`); a usage error prints them all and exits 2, so a flag a
+//! subcommand does not read is rejected (`verify --seed 3` is an error,
+//! not a run of the default seeds). The scenario defaults to `--scale
+//! 0.05 --seed 1` and the `--system refer`. A malformed trace file exits 2
+//! with `file:line: reason` alone.
 //!
 //! `verify` proves determinism twice over: the multiset digest of all
 //! events from serial per-seed runs must equal the digest from the same
@@ -45,152 +38,125 @@
 //! paper trickle for a traffic matrix, so the invariance check also covers
 //! the open-loop injector and its `PacketDest` events.
 
-use refer_bench::{
-    base_config, or_dash, run_system_with_sinks, ScenarioFlags, System, SCENARIO_FLAGS,
-};
+use refer_bench::cli::{exit_usage, Args, Command, SHARED, SIZE};
+use refer_bench::{or_dash, run_system_with_sinks, ScenarioFlags, System};
 use refer_obs::{
     from_jsonl_line, fnv1a64, EventHash, HashingSink, JsonlSink, PacketLedger, SharedBuf,
 };
 use std::collections::BTreeMap;
 use std::process::ExitCode;
+use std::str::FromStr;
 use wsan_sim::flood::FloodProtocol;
 use wsan_sim::trace::TraceEvent;
 use wsan_sim::{DataId, Engine, NodeId, ShardedConfig, SimConfig};
 
+/// The systems `--system` names, as [`SYSTEM`] lists them.
+const SYSTEMS: [(&str, System); 5] = [
+    ("refer", System::Refer),
+    ("datree", System::DaTree),
+    ("ddear", System::Ddear),
+    ("kautz", System::KautzOverlay),
+    ("kautz-overlay", System::KautzOverlay),
+];
+
+// One table per subcommand: what its usage line shows and what it accepts.
+const SYSTEM: &str = "--system refer|datree|ddear|kautz|kautz-overlay";
+const IN: &[&str] = &["--in FILE"];
+const RECORD: Command = Command {
+    name: "trace record",
+    positional: "",
+    flags: &[&["--out FILE", SYSTEM, "--seed N"], SIZE, SHARED],
+};
+const PACKET: Command = Command { name: "trace packet", positional: "<id>", flags: &[IN] };
+const NODE: Command = Command { name: "trace node", positional: "<id>", flags: &[IN] };
+const SUMMARY: Command = Command { name: "trace summary", positional: "", flags: &[IN] };
+const DIFF: Command = Command { name: "trace diff", positional: "<a> <b>", flags: &[] };
+const VERIFY: Command = Command {
+    name: "trace verify",
+    positional: "",
+    flags: &[&[SYSTEM, "--seeds N"], SIZE, SHARED],
+};
+const SHARDED: Command = Command {
+    name: "trace verify --sharded",
+    positional: "",
+    flags: &[
+        &["--sharded", "--seeds N", "--threads N"],
+        SIZE,
+        // `--workload` and `--offered-load`.
+        &[SHARED[3], SHARED[5]],
+    ],
+};
+const LIVE: Command =
+    Command { name: "trace verify --live", positional: "FILE...", flags: &[&["--live"]] };
+const COMMANDS: [&Command; 8] =
+    [&RECORD, &PACKET, &NODE, &SUMMARY, &DIFF, &VERIFY, &SHARDED, &LIVE];
+
+/// Why a subcommand failed: its arguments, or the data they named.
+enum Failure {
+    /// A malformed command line: printed with the usage.
+    Usage(String),
+    /// An unreadable or malformed input file: printed alone.
+    Data(String),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Usage(message)
+    }
+}
+
+/// What a subcommand runs once its arguments have parsed.
+type Subcommand = fn(&Args) -> Result<ExitCode, Failure>;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
-        return usage("missing subcommand");
+        exit_usage("missing subcommand", &COMMANDS)
     };
-    let result = match cmd.as_str() {
-        "record" => cmd_record(rest),
-        "packet" => cmd_packet(rest),
-        "node" => cmd_node(rest),
-        "summary" => cmd_summary(rest),
-        "diff" => cmd_diff(rest),
-        "verify" => cmd_verify(rest),
-        other => return usage(&format!("unknown subcommand `{other}`")),
+    let mode = |switch: &str| rest.iter().any(|a| a == switch);
+    let (command, run): (&Command, Subcommand) = match cmd.as_str() {
+        "record" => (&RECORD, cmd_record),
+        "packet" => (&PACKET, cmd_packet),
+        "node" => (&NODE, cmd_node),
+        "summary" => (&SUMMARY, cmd_summary),
+        "diff" => (&DIFF, cmd_diff),
+        "verify" if mode("--live") => (&LIVE, cmd_verify_live),
+        "verify" if mode("--sharded") => (&SHARDED, cmd_verify_sharded),
+        "verify" => (&VERIFY, cmd_verify),
+        other => exit_usage(&format!("unknown subcommand `{other}`"), &COMMANDS),
     };
-    match result {
+    match command.parse(rest.iter().cloned()).map_err(Failure::Usage).and_then(|args| run(&args)) {
         Ok(code) => code,
-        Err(msg) => usage(&msg),
-    }
-}
-
-fn usage(error: &str) -> ExitCode {
-    eprintln!("error: {error}");
-    eprintln!(
-        "usage:\n  \
-         trace record  --out FILE [--system S] [--scale F] [--seed N] [--sensors N]\n                \
-         [--faults N] [--mobility F] [--fault-model oracle|discovered|byzantine]\n                \
-         [--attacker-fraction F] [--link-pdr P] [--workload W]\n                \
-         [--offered-load PPS] [--routing shortest|regular]\n  \
-         trace packet  <id> --in FILE\n  \
-         trace node    <id> --in FILE\n  \
-         trace summary --in FILE\n  \
-         trace diff    <a> <b>\n  \
-         trace verify  [--system S] [--scale F] [--seeds N] [--sensors N] [--faults N]\n                \
-         [--mobility F] [--fault-model oracle|discovered|byzantine]\n                \
-         [--attacker-fraction F] [--link-pdr P] [--workload W]\n                \
-         [--offered-load PPS] [--routing R]\n  \
-         trace verify  --sharded [--scale F] [--seeds N] [--sensors N] [--faults N]\n                \
-         [--mobility F] [--threads N] [--workload W] [--offered-load PPS]\n  \
-         trace verify  --live FILE...\n\
-         systems: refer (default), datree, ddear, kautz\n\
-         workloads: paper (default), all2all, hotspot"
-    );
-    ExitCode::from(2)
-}
-
-/// The flags [`scenario`] reads besides the shared [`SCENARIO_FLAGS`] (and
-/// `--seed`, which `record` takes and `verify` replaces by `--seeds`).
-const SCENARIO: [&str; 5] = ["system", "scale", "sensors", "faults", "mobility"];
-
-/// Splits raw args into positionals and `--flag value` pairs, rejecting a
-/// flag `cmd` does not read (a misspelt one would silently run defaults).
-fn parse_args(
-    args: &[String],
-    cmd: &str,
-    known: &[&str],
-) -> Result<(Vec<String>, BTreeMap<String, String>), String> {
-    let mut positional = Vec::new();
-    let mut flags = BTreeMap::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if let Some(name) = arg.strip_prefix("--") {
-            if !known.contains(&name) {
-                return Err(format!("{cmd} takes no --{name}"));
-            }
-            let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
-            flags.insert(name.to_string(), value.clone());
-        } else {
-            positional.push(arg.clone());
+        Err(Failure::Usage(message)) => exit_usage(&message, &COMMANDS),
+        Err(Failure::Data(message)) => {
+            eprintln!("error: {message}");
+            ExitCode::from(2)
         }
     }
-    Ok((positional, flags))
 }
 
-fn parse_system(name: &str) -> Result<System, String> {
-    match name {
-        "refer" => Ok(System::Refer),
-        "datree" => Ok(System::DaTree),
-        "ddear" => Ok(System::Ddear),
-        "kautz" | "kautz-overlay" => Ok(System::KautzOverlay),
-        other => Err(format!("unknown system `{other}` (refer, datree, ddear, kautz)")),
-    }
+/// The scenario `record` and `verify` run, from their flags.
+fn scenario(args: &Args) -> Result<(SimConfig, System), String> {
+    let system = args.choice("system", "system", &SYSTEMS)?.unwrap_or(System::Refer);
+    Ok((ScenarioFlags::read(args, 0.05, 1)?.config, system))
 }
 
-fn flag<T: std::str::FromStr>(
-    flags: &BTreeMap<String, String>,
-    name: &str,
-    default: T,
-) -> Result<T, String> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(raw) => raw.parse().map_err(|_| format!("--{name}: cannot parse `{raw}`")),
-    }
+/// The `<id>` and the `--in FILE` ledger that `packet` and `node` read.
+fn id_and_ledger<T: FromStr>(args: &Args, cmd: &str) -> Result<(T, PacketLedger), Failure> {
+    let [id] = args.positional.as_slice() else {
+        return Err(format!("{cmd} needs exactly one <id>").into());
+    };
+    let id = id.parse().map_err(|_| format!("bad {cmd} id `{id}`"))?;
+    let path: String = args.get("in")?.ok_or(format!("{cmd} needs --in FILE"))?;
+    Ok((id, PacketLedger::from_events(load(&path)?.1)))
 }
 
-/// The scenario shared by `record` and `verify`, from the common flags.
-fn scenario(flags: &BTreeMap<String, String>) -> Result<(SimConfig, System), String> {
-    let system = parse_system(flags.get("system").map_or("refer", String::as_str))?;
-    let scale = flag(flags, "scale", 0.05)?;
-    let mut cfg = base_config(scale);
-    cfg.seed = flag(flags, "seed", 1u64)?;
-    cfg.sensors = flag(flags, "sensors", cfg.sensors)?;
-    cfg.faults.count = flag(flags, "faults", cfg.faults.count)?;
-    cfg.mobility.max_speed = flag(flags, "mobility", cfg.mobility.max_speed)?;
-    // The scenario knobs shared by every CLI live in one parser.
-    let mut shared = ScenarioFlags::default();
-    shared.apply_map(|name| flags.get(name).map(String::as_str))?;
-    shared.apply(&mut cfg);
-    Ok((cfg, system))
-}
+fn cmd_record(args: &Args) -> Result<ExitCode, Failure> {
+    let (cfg, system) = scenario(args)?;
+    let out: String = args.get("out")?.ok_or("record needs --out FILE".to_string())?;
 
-/// Applies the shared `--workload`/`--offered-load` traffic flags to `cfg`
-/// (the sharded verify scenario takes no routing or fault flags).
-fn traffic_flags(cfg: &mut SimConfig, flags: &BTreeMap<String, String>) -> Result<(), String> {
-    let mut shared = ScenarioFlags::default();
-    shared.apply_map(|name| {
-        matches!(name, "workload" | "offered-load")
-            .then(|| flags.get(name).map(String::as_str))
-            .flatten()
-    })?;
-    shared.apply(cfg);
-    Ok(())
-}
-
-fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
-    let known = [&["out", "seed"][..], &SCENARIO, &SCENARIO_FLAGS].concat();
-    let (positional, flags) = parse_args(args, "record", &known)?;
-    if !positional.is_empty() {
-        return Err(format!("unexpected argument `{}`", positional[0]));
-    }
-    let out = flags.get("out").ok_or("record needs --out FILE")?;
-    let (cfg, system) = scenario(&flags)?;
-
-    let sink = JsonlSink::create(std::path::Path::new(out))
-        .map_err(|e| format!("cannot create {out}: {e}"))?;
+    let sink = JsonlSink::create(std::path::Path::new(&out))
+        .map_err(|e| Failure::Data(format!("cannot create {out}: {e}")))?;
     let (hasher, hash) = HashingSink::new();
     let (summary, _sinks) =
         run_system_with_sinks(&cfg, system, vec![Box::new(sink), Box::new(hasher)]);
@@ -217,31 +183,25 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
 }
 
 /// Loads a JSONL trace: the raw lines and their parsed events.
-fn load(path: &str) -> Result<(Vec<String>, Vec<TraceEvent>), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+fn load(path: &str) -> Result<(Vec<String>, Vec<TraceEvent>), Failure> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| Failure::Data(format!("cannot read {path}: {e}")))?;
     let mut lines = Vec::new();
     let mut events = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.is_empty() {
             continue;
         }
-        let event =
-            from_jsonl_line(line).map_err(|e| format!("{path}:{}: {}", i + 1, e.0))?;
+        let event = from_jsonl_line(line)
+            .map_err(|e| Failure::Data(format!("{path}:{}: {}", i + 1, e.0)))?;
         lines.push(line.to_string());
         events.push(event);
     }
     Ok((lines, events))
 }
 
-fn cmd_packet(args: &[String]) -> Result<ExitCode, String> {
-    let (positional, flags) = parse_args(args, "packet", &["in"])?;
-    let [id] = positional.as_slice() else {
-        return Err("packet needs exactly one <id>".to_string());
-    };
-    let id: u64 = id.parse().map_err(|_| format!("bad packet id `{id}`"))?;
-    let path = flags.get("in").ok_or("packet needs --in FILE")?;
-    let (_, events) = load(path)?;
-    let ledger = PacketLedger::from_events(events);
+fn cmd_packet(args: &Args) -> Result<ExitCode, Failure> {
+    let (id, ledger) = id_and_ledger::<u64>(args, "packet")?;
     match ledger.packet(DataId(id)) {
         Some(record) => {
             print!("{}", record.describe());
@@ -254,15 +214,8 @@ fn cmd_packet(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-fn cmd_node(args: &[String]) -> Result<ExitCode, String> {
-    let (positional, flags) = parse_args(args, "node", &["in"])?;
-    let [id] = positional.as_slice() else {
-        return Err("node needs exactly one <id>".to_string());
-    };
-    let id: u32 = id.parse().map_err(|_| format!("bad node id `{id}`"))?;
-    let path = flags.get("in").ok_or("node needs --in FILE")?;
-    let (_, events) = load(path)?;
-    let ledger = PacketLedger::from_events(events);
+fn cmd_node(args: &Args) -> Result<ExitCode, Failure> {
+    let (id, ledger) = id_and_ledger::<u32>(args, "node")?;
     let visiting = ledger.visiting(NodeId(id));
     println!("node {id}: {} packets crossed it", visiting.len());
     for record in visiting {
@@ -291,7 +244,7 @@ struct TraceReport {
     ledger: PacketLedger,
 }
 
-fn report(path: &str) -> Result<TraceReport, String> {
+fn report(path: &str) -> Result<TraceReport, Failure> {
     let (lines, events) = load(path)?;
     let mut by_kind = BTreeMap::new();
     for event in &events {
@@ -304,13 +257,9 @@ fn report(path: &str) -> Result<TraceReport, String> {
     Ok(TraceReport { by_kind, hash, ledger: PacketLedger::from_events(events) })
 }
 
-fn cmd_summary(args: &[String]) -> Result<ExitCode, String> {
-    let (positional, flags) = parse_args(args, "summary", &["in"])?;
-    if !positional.is_empty() {
-        return Err(format!("unexpected argument `{}`", positional[0]));
-    }
-    let path = flags.get("in").ok_or("summary needs --in FILE")?;
-    let r = report(path)?;
+fn cmd_summary(args: &Args) -> Result<ExitCode, Failure> {
+    let path: String = args.get("in")?.ok_or("summary needs --in FILE".to_string())?;
+    let r = report(&path)?;
     println!("{path}: {} events, digest {}", r.hash.count, r.hash.digest());
     for (kind, n) in &r.by_kind {
         println!("  {kind:<14} {n}");
@@ -329,10 +278,9 @@ fn cmd_summary(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
-    let (positional, _) = parse_args(args, "diff", &[])?;
-    let [a, b] = positional.as_slice() else {
-        return Err("diff needs exactly two files".to_string());
+fn cmd_diff(args: &Args) -> Result<ExitCode, Failure> {
+    let [a, b] = args.positional.as_slice() else {
+        return Err("diff needs exactly two files".to_string().into());
     };
     let ra = report(a)?;
     let rb = report(b)?;
@@ -362,44 +310,9 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::FAILURE)
 }
 
-fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
-    // `--sharded` and `--live` are bare mode switches, not `--flag value`
-    // pairs.
-    let mut args: Vec<String> = args.to_vec();
-    let mut mode_switch = |name: &str| match args.iter().position(|a| a == name) {
-        Some(i) => {
-            args.remove(i);
-            true
-        }
-        None => false,
-    };
-    let sharded = mode_switch("--sharded");
-    let live = mode_switch("--live");
-    if sharded && live {
-        return Err("--sharded and --live are mutually exclusive".to_string());
-    }
-    if live {
-        let (paths, _) = parse_args(&args, "verify --live", &[])?;
-        return cmd_verify_live(&paths);
-    }
-    // `--sharded` verifies the engine itself and always runs the flooding
-    // protocol, so it takes no `--system` and no fault model.
-    let (positional, flags) = if sharded {
-        let known =
-            ["scale", "seeds", "sensors", "faults", "mobility", "threads", "workload", "offered-load"];
-        parse_args(&args, "verify --sharded", &known)?
-    } else {
-        parse_args(&args, "verify", &[&["seeds"][..], &SCENARIO, &SCENARIO_FLAGS].concat())?
-    };
-    if !positional.is_empty() {
-        return Err(format!("unexpected argument `{}`", positional[0]));
-    }
-    if sharded {
-        return cmd_verify_sharded(&flags);
-    }
-    let (cfg, system) = scenario(&flags)?;
-    let seeds: u64 = flag(&flags, "seeds", 3)?;
-    let seeds: Vec<u64> = (1..=seeds).collect();
+fn cmd_verify(args: &Args) -> Result<ExitCode, Failure> {
+    let (cfg, system) = scenario(args)?;
+    let seeds: Vec<u64> = (1..=args.get("seeds")?.unwrap_or(3)).collect();
 
     // Serial pass: one traced run per seed, digests merged.
     let mut serial = EventHash::new();
@@ -477,9 +390,10 @@ fn record_bytes(cfg: &SimConfig, system: System) -> Vec<u8> {
 /// an origin, every hop chain is connected, nothing was delivered twice.
 /// The delivery gate against the simulator's prediction is `refer-node
 /// cluster`'s, on the same merged ledger.
-fn cmd_verify_live(paths: &[String]) -> Result<ExitCode, String> {
+fn cmd_verify_live(args: &Args) -> Result<ExitCode, Failure> {
+    let paths = &args.positional;
     if paths.is_empty() {
-        return Err("verify --live needs at least one trace file".to_string());
+        return Err("verify --live needs at least one trace file".to_string().into());
     }
 
     let mut events = Vec::new();
@@ -556,21 +470,14 @@ fn cmd_verify_live(paths: &[String]) -> Result<ExitCode, String> {
 /// digests per seed and byte-identical JSONL. The flooding protocol
 /// exercises broadcast, delivery claims, mobility replication and fault
 /// rotation across every shard boundary.
-fn cmd_verify_sharded(flags: &BTreeMap<String, String>) -> Result<ExitCode, String> {
-    let scale = flag(flags, "scale", 0.05)?;
-    let mut cfg = base_config(scale);
-    cfg.sensors = flag(flags, "sensors", cfg.sensors)?;
-    cfg.faults.count = flag(flags, "faults", cfg.faults.count)?;
-    cfg.mobility.max_speed = flag(flags, "mobility", cfg.mobility.max_speed)?;
-    traffic_flags(&mut cfg, flags)?;
-    let threads: usize = flag(flags, "threads", 2)?;
+fn cmd_verify_sharded(args: &Args) -> Result<ExitCode, Failure> {
+    let mut cfg = ScenarioFlags::read(args, 0.05, 1)?.config;
+    let threads: usize = args.get("threads")?.unwrap_or(2);
     if threads < 2 {
-        return Err("--threads must be ≥ 2: comparing the 1-thread reference to itself \
-                    proves nothing"
-            .to_string());
+        let why = "comparing the 1-thread reference to itself proves nothing";
+        return Err(format!("--threads must be ≥ 2: {why}").into());
     }
-    let seeds: u64 = flag(flags, "seeds", 3)?;
-    let seeds: Vec<u64> = (1..=seeds).collect();
+    let seeds: Vec<u64> = (1..=args.get("seeds")?.unwrap_or(3)).collect();
     let engine =
         |threads| Engine::Sharded(ShardedConfig { shards: 0, threads, window_micros: 0 });
 

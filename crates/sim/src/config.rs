@@ -424,44 +424,64 @@ impl SimConfig {
         SimDuration::from_secs_f64(self.traffic.packet_bits as f64 / self.traffic.rate_bps)
     }
 
-    /// Validates internal consistency.
+    /// Checks internal consistency: `Err` names the field at fault.
     ///
-    /// # Panics
-    ///
-    /// Panics on nonsensical configurations (no nodes, zero bitrate, zero
-    /// packet size) — configurations are code, not user input.
-    pub fn validate(&self) {
-        assert!(self.sensors > 0, "need at least one sensor");
-        assert!(self.actuators > 0, "need at least one actuator");
-        assert!(self.radio.bitrate_bps > 0.0, "bitrate must be positive");
-        assert!(self.traffic.packet_bits > 0, "packets must be non-empty");
-        assert!(self.sensor_range > 0.0 && self.actuator_range > 0.0);
+    /// This is the boundary between user input and a run. The CLIs build
+    /// a configuration from their flags and exit with a usage error on
+    /// `Err`; [`validate`](Self::validate) is the same check as a panic.
+    pub fn check(&self) -> Result<(), String> {
+        fn ensure(ok: bool, message: impl FnOnce() -> String) -> Result<(), String> {
+            if ok {
+                Ok(())
+            } else {
+                Err(message())
+            }
+        }
+        ensure(self.sensors > 0, || "`sensors` must be at least 1".into())?;
+        ensure(self.actuators > 0, || "`actuators` must be at least 1".into())?;
+        ensure(self.radio.bitrate_bps > 0.0, || {
+            format!("`radio.bitrate_bps` must be positive, got {}", self.radio.bitrate_bps)
+        })?;
+        ensure(self.traffic.packet_bits > 0, || "`traffic.packet_bits` must be positive".into())?;
+        ensure(self.sensor_range > 0.0 && self.actuator_range > 0.0, || {
+            "`sensor_range` and `actuator_range` must be positive".into()
+        })?;
         if let ActuatorPlacement::Explicit(points) = &self.placement {
-            assert_eq!(points.len(), self.actuators, "explicit placement count mismatch");
+            ensure(points.len() == self.actuators, || {
+                format!(
+                    "explicit placement count mismatch: `placement` lists {} points for {} \
+                     `actuators`",
+                    points.len(),
+                    self.actuators
+                )
+            })?;
         }
-        assert!(
-            (0.0..=1.0).contains(&self.radio.link_pdr),
-            "link_pdr must be within [0, 1], got {}",
-            self.radio.link_pdr
-        );
-        assert!(
-            self.traffic.offered_pps.is_finite() && self.traffic.offered_pps >= 0.0,
-            "offered_pps must be finite and non-negative, got {}",
-            self.traffic.offered_pps
-        );
+        ensure((0.0..=1.0).contains(&self.radio.link_pdr), || {
+            format!("`radio.link_pdr` must be within [0, 1], got {}", self.radio.link_pdr)
+        })?;
+        let offered = self.traffic.offered_pps;
+        ensure(offered.is_finite() && offered >= 0.0, || {
+            format!("`traffic.offered_pps` must be finite and non-negative, got {offered}")
+        })?;
         if let TrafficPattern::Hotspot { targets, skew } = self.traffic.pattern {
-            assert!(targets > 0, "hotspot needs at least one target");
-            assert!(
-                (0.0..=1.0).contains(&skew),
-                "hotspot skew must be within [0, 1], got {skew}"
-            );
+            ensure(targets > 0, || "`traffic.pattern`: hotspot needs at least one target".into())?;
+            ensure((0.0..=1.0).contains(&skew), || {
+                format!("`traffic.pattern`: hotspot skew must be within [0, 1], got {skew}")
+            })?;
         }
-        let byz = &self.faults.byzantine;
-        assert!(
-            (0.0..=1.0).contains(&byz.attacker_fraction),
-            "attacker_fraction must be within [0, 1], got {}",
-            byz.attacker_fraction
-        );
+        let speeds = [
+            ("mobility.min_speed", self.mobility.min_speed),
+            ("mobility.max_speed", self.mobility.max_speed),
+        ];
+        for (name, speed) in speeds {
+            ensure(speed.is_finite() && speed >= 0.0, || {
+                format!("`{name}` must be finite and non-negative, got {speed}")
+            })?;
+        }
+        let fraction = self.faults.byzantine.attacker_fraction;
+        ensure((0.0..=1.0).contains(&fraction), || {
+            format!("`faults.byzantine.attacker_fraction` must be within [0, 1], got {fraction}")
+        })?;
         // Each periodic driver re-arms itself one period after it fires;
         // a zero period would re-arm it at the same instant forever. The
         // rotation driver only runs when there are faults to rotate.
@@ -470,33 +490,45 @@ impl SimConfig {
             ("mobility.tick", self.mobility.tick, true),
             ("faults.rotation", self.faults.rotation, self.faults.count > 0),
         ] {
-            assert!(
-                !armed || period > SimDuration::ZERO,
-                "`{name}` must be positive: its driver re-arms itself one period after \
-                 it fires, so a zero period never lets simulated time advance"
-            );
+            ensure(!armed || period > SimDuration::ZERO, || {
+                format!(
+                    "`{name}` must be positive: its driver re-arms itself one period after \
+                     it fires, so a zero period never lets simulated time advance"
+                )
+            })?;
         }
         if let Engine::Sharded(sharded) = self.engine {
             // Incompatible-knob rejections name the offending field and the
             // supported fallback so a failed run is actionable from the
-            // panic message alone (wording pinned by tests below).
+            // message alone (wording pinned by tests below).
             let lookahead = MAC_OVERHEAD.as_micros();
-            assert!(
-                sharded.window_micros <= lookahead,
-                "`engine.window_micros` ({} us) exceeds the minimum cross-node event \
-                 latency `MAC_OVERHEAD` ({} us); lower `engine.window_micros` to \
-                 at most {} or fall back to `engine = Engine::Serial`",
-                sharded.window_micros,
-                lookahead,
-                lookahead
-            );
-            assert!(
-                !self.faults.battery_death,
+            ensure(sharded.window_micros <= lookahead, || {
+                format!(
+                    "`engine.window_micros` ({} us) exceeds the minimum cross-node event \
+                     latency `MAC_OVERHEAD` ({lookahead} us); lower `engine.window_micros` to \
+                     at most {lookahead} or fall back to `engine = Engine::Serial`",
+                    sharded.window_micros
+                )
+            })?;
+            ensure(!self.faults.battery_death, || {
                 "`faults.battery_death = true` is not supported by `engine = \
                  Engine::Sharded`: fault rotation runs centrally and cannot observe \
                  per-shard battery depletion; set `faults.battery_death = false` or \
                  fall back to `engine = Engine::Serial`"
-            );
+                    .into()
+            })?;
+        }
+        Ok(())
+    }
+
+    /// [`check`](Self::check) for a run about to start.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `check`'s message on any configuration it rejects.
+    pub fn validate(&self) {
+        if let Err(message) = self.check() {
+            panic!("{message}");
         }
     }
 }
@@ -535,14 +567,7 @@ mod tests {
     /// validation names the field instead of letting the run hang.
     #[test]
     fn zero_driver_periods_are_rejected_by_name() {
-        let message = |cfg: SimConfig| -> String {
-            let err = std::panic::catch_unwind(move || cfg.validate())
-                .expect_err("config must be rejected");
-            err.downcast_ref::<String>()
-                .cloned()
-                .or_else(|| err.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .expect("panic payload must be a string")
-        };
+        let message = |cfg: SimConfig| cfg.check().expect_err("config must be rejected");
         let zeroed = |edit: fn(&mut SimConfig)| {
             let mut cfg = SimConfig::smoke();
             edit(&mut cfg);
@@ -608,14 +633,7 @@ mod tests {
     /// the offending field AND the supported fallback (`Engine::Serial`).
     #[test]
     fn sharded_rejections_name_field_and_fallback() {
-        let message = |cfg: SimConfig| -> String {
-            let err = std::panic::catch_unwind(move || cfg.validate())
-                .expect_err("config must be rejected");
-            err.downcast_ref::<String>()
-                .cloned()
-                .or_else(|| err.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .expect("panic payload must be a string")
-        };
+        let message = |cfg: SimConfig| cfg.check().expect_err("config must be rejected");
 
         let mut cfg = SimConfig::smoke();
         cfg.engine = Engine::Sharded(ShardedConfig::default());
