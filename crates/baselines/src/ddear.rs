@@ -75,6 +75,9 @@ pub struct DdearProtocol {
     next_pending: u64,
     /// Last rebuild time per head, for the cooldown.
     last_rebuild: BTreeMap<NodeId, wsan_sim::SimTime>,
+    /// The two neighbour lists a live re-attachment queries (the member's
+    /// and one gateway's), kept across calls.
+    neighbor_bufs: [Vec<NodeId>; 2],
     /// Observable counters.
     pub stats: DdearStats,
 }
@@ -149,12 +152,12 @@ impl DdearProtocol {
         s: NodeId,
         table: Option<&[Vec<NodeId>]>,
     ) -> Option<(NodeId, Option<NodeId>)> {
-        let fresh;
+        let [fresh, fresh_g] = &mut self.neighbor_bufs;
         let neighbors: &[NodeId] = match table {
             Some(t) => &t[s.index()],
             None => {
-                fresh = ctx.neighbors(s);
-                &fresh
+                ctx.neighbors_into(s, fresh);
+                fresh
             }
         };
         // Direct head?
@@ -168,13 +171,12 @@ impl DdearProtocol {
             return Some((h, None));
         }
         // Head two hops away through a gateway.
-        let mut fresh_g = Vec::new();
         for g in neighbors {
             let g_neighbors: &[NodeId] = match table {
                 Some(t) => &t[g.index()],
                 None => {
-                    ctx.neighbors_into(*g, &mut fresh_g);
-                    &fresh_g
+                    ctx.neighbors_into(*g, fresh_g);
+                    fresh_g
                 }
             };
             let via = g_neighbors

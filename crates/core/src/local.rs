@@ -21,6 +21,7 @@ use crate::protocol::{tag, ReferMsg, KIND_BEACON, KIND_MAINT, KIND_PROBE, KIND_Q
 use crate::roster::Roster;
 use rand::Rng;
 use refer_proto::{FailureKnowledge, ProtoCtx};
+use std::sync::Arc;
 use wsan_sim::{EnergyAccount, FaultModel, NodeId, NodeKind, SimDuration};
 
 /// A path query open at its collector until the pick timer takes it.
@@ -30,8 +31,8 @@ pub(crate) struct QueryState {
     /// Vertices to hand to the two interior sensors, in hop order from
     /// origin.
     pub(crate) interior_kids: Vec<u32>,
-    /// Collected candidate paths.
-    pub(crate) paths: Vec<Vec<(NodeId, f64)>>,
+    /// Collected candidate paths, as they arrived.
+    pub(crate) paths: Vec<Arc<[(NodeId, f64)]>>,
     /// Whether the pick timer has been scheduled.
     timer_set: bool,
 }
@@ -100,7 +101,8 @@ impl NodeLocal {
     /// right length while the query is open, and arms the pick timer on
     /// the first arrival. A free sensor relays each query once while TTL
     /// is left, appending itself and its battery, unless it is already on
-    /// the path.
+    /// the path. The path arrives shared: only a relay copies it, once, into
+    /// the one longer path it sends.
     pub(crate) fn on_path_query(
         &mut self,
         ctx: &mut impl ProtoCtx<ReferMsg>,
@@ -108,7 +110,7 @@ impl NodeLocal {
         qid: u64,
         ttl: u8,
         target: NodeId,
-        mut path: Vec<(NodeId, f64)>,
+        path: Arc<[(NodeId, f64)]>,
     ) {
         let me = self.id;
         if me == target {
@@ -131,7 +133,7 @@ impl NodeLocal {
             return;
         }
         self.relayed.push(qid);
-        path.push((me, ctx.battery(me)));
+        let path = path.iter().copied().chain([(me, ctx.battery(me))]).collect();
         let relay = ReferMsg::PathQuery { qid, ttl: ttl - 1, target, path };
         ctx.broadcast(me, CTRL_BITS, EnergyAccount::Construction, relay);
     }
@@ -201,6 +203,37 @@ impl NodeLocal {
             .or_else(|| roster.nearest_member(ctx, knowledge, self.id))
     }
 
+    /// Two-hop access for a node with no member in range: the nearest
+    /// neighbouring free sensor that has a usable member in range (it
+    /// learned one from beacons), or `None`. Under local failure knowledge
+    /// the neighbourhood is every other sensor in range, not the oracle's.
+    /// `pool` is the caller's buffer, cleared and refilled here, so the
+    /// search allocates only while the buffer grows.
+    pub(crate) fn two_hop_relay(
+        &self,
+        ctx: &impl ProtoCtx<ReferMsg>,
+        roster: &Roster,
+        knowledge: &FailureKnowledge,
+        pool: &mut Vec<NodeId>,
+    ) -> Option<NodeId> {
+        let src = self.id;
+        if knowledge.is_local() {
+            pool.clear();
+            let in_range = |&n: &NodeId| n != src && ctx.in_range(src, n);
+            pool.extend(ctx.sensor_ids().iter().copied().filter(in_range));
+        } else {
+            ctx.neighbors_into(src, pool);
+        }
+        pool.iter()
+            .copied()
+            .filter(|&n| {
+                matches!(ctx.kind(n), NodeKind::Sensor)
+                    && !roster.is_member(n)
+                    && roster.members().iter().any(|&m| knowledge.usable(ctx, n, m))
+            })
+            .min_by(|&a, &b| ctx.distance(src, a).total_cmp(&ctx.distance(src, b)))
+    }
+
     /// A member beacons; under `FaultModel::Byzantine` its suspicion
     /// gossip rides the round. A node that is no longer a member lets the
     /// timer lapse.
@@ -232,7 +265,7 @@ impl NodeLocal {
                     }
                 }
                 if !accused.is_empty() {
-                    let gossip = ReferMsg::Gossip { accused };
+                    let gossip = ReferMsg::Gossip { accused: accused.into() };
                     ctx.broadcast(me, CTRL_BITS, EnergyAccount::Communication, gossip);
                 }
             }
@@ -289,7 +322,6 @@ mod tests {
     use crate::ReferProtocol;
     use kautz::RouteTable;
     use refer_proto::{IoCtx, Output, WorldView};
-    use std::sync::Arc;
     use wsan_sim::{runner, SimConfig};
 
     /// The smoke deployment as a buffering driver, an empty one-cell
@@ -320,7 +352,7 @@ mod tests {
     fn relay(io: &mut IoCtx<ReferMsg>) -> Option<(u64, u8, Vec<NodeId>)> {
         io.take_outputs().into_iter().find_map(|out| match out {
             Output::Send { payload: ReferMsg::PathQuery { qid, ttl, path, .. }, .. } => {
-                Some((qid, ttl, path.into_iter().map(|(n, _)| n).collect()))
+                Some((qid, ttl, path.iter().map(|&(n, _)| n).collect()))
             }
             _ => None,
         })
@@ -331,15 +363,15 @@ mod tests {
         let (mut io, roster, sensors) = world();
         let target = io.actuator_ids()[0];
         let mut row = NodeLocal::new(sensors[0]);
-        row.on_path_query(&mut io, &roster, 7, 2, target, Vec::new());
+        row.on_path_query(&mut io, &roster, 7, 2, target, Arc::default());
         let (qid, ttl, path) = relay(&mut io).expect("the first copy is relayed");
         assert_eq!((qid, ttl, path), (7, 1, vec![sensors[0]]));
-        row.on_path_query(&mut io, &roster, 7, 2, target, Vec::new());
+        row.on_path_query(&mut io, &roster, 7, 2, target, Arc::default());
         assert!(relay(&mut io).is_none(), "a second copy of qid 7 is not");
-        row.on_path_query(&mut io, &roster, 8, 1, target, Vec::new());
+        row.on_path_query(&mut io, &roster, 8, 1, target, Arc::default());
         assert_eq!(relay(&mut io).map(|(qid, ..)| qid), Some(8), "another qid is");
         let mut other = NodeLocal::new(sensors[1]);
-        other.on_path_query(&mut io, &roster, 7, 2, target, Vec::new());
+        other.on_path_query(&mut io, &roster, 7, 2, target, Arc::default());
         assert!(relay(&mut io).is_some(), "each node relays qid 7 once");
     }
 
@@ -348,17 +380,17 @@ mod tests {
         let (mut io, mut roster, sensors) = world();
         let (actuator, target) = (io.actuator_ids()[1], io.actuator_ids()[0]);
         let mut row = NodeLocal::new(sensors[0]);
-        row.on_path_query(&mut io, &roster, 1, 0, target, Vec::new());
+        row.on_path_query(&mut io, &roster, 1, 0, target, Arc::default());
         assert!(relay(&mut io).is_none(), "no TTL left");
-        row.on_path_query(&mut io, &roster, 1, 2, target, vec![(sensors[0], 1.0)]);
+        row.on_path_query(&mut io, &roster, 1, 2, target, Arc::new([(sensors[0], 1.0)]));
         assert!(relay(&mut io).is_none(), "already on the path");
-        row.on_path_query(&mut io, &roster, 1, 2, target, vec![(sensors[2], 1.0)]);
+        row.on_path_query(&mut io, &roster, 1, 2, target, Arc::new([(sensors[2], 1.0)]));
         let (_, ttl, path) = relay(&mut io).expect("a refused copy does not use up the qid");
         assert_eq!((ttl, path), (1, vec![sensors[2], sensors[0]]));
-        NodeLocal::new(actuator).on_path_query(&mut io, &roster, 2, 2, target, Vec::new());
+        NodeLocal::new(actuator).on_path_query(&mut io, &roster, 2, 2, target, Arc::default());
         assert!(relay(&mut io).is_none(), "an actuator does not relay");
         roster.assign_kid(0, 5, sensors[1]);
-        NodeLocal::new(sensors[1]).on_path_query(&mut io, &roster, 3, 2, target, Vec::new());
+        NodeLocal::new(sensors[1]).on_path_query(&mut io, &roster, 3, 2, target, Arc::default());
         assert!(relay(&mut io).is_none(), "a member sensor does not relay");
     }
 
@@ -366,7 +398,7 @@ mod tests {
     fn paths_are_collected_only_at_the_target_while_its_query_is_open() {
         let (mut io, roster, sensors) = world();
         let collector = io.actuator_ids()[0];
-        let path = |n: usize| sensors[..n].iter().map(|&s| (s, 1.0)).collect::<Vec<_>>();
+        let path = |n: usize| sensors[..n].iter().map(|&s| (s, 1.0)).collect::<Arc<[_]>>();
         let mut row = NodeLocal::new(collector);
         row.on_path_query(&mut io, &roster, 4, 0, collector, path(2));
         assert!(io.take_outputs().is_empty(), "no open query: nothing armed or relayed");

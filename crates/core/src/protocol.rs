@@ -110,7 +110,9 @@ pub enum ReferMsg {
         /// The collecting node.
         target: NodeId,
         /// Accumulated path: `(sensor, battery at forwarding time)`.
-        path: Vec<(NodeId, f64)>,
+        /// Shared, so a broadcast hands each receiver a reference, not a
+        /// copy; a relay sends a new, one-longer path.
+        path: Arc<[(NodeId, f64)]>,
     },
     /// Assignment sent back along a selected path.
     PathAssign {
@@ -134,8 +136,8 @@ pub enum ReferMsg {
     /// only): the sender's current suspicion list — honest members share
     /// genuine suspicions, compromised members lace the list with slander.
     Gossip {
-        /// Nodes the sender claims to suspect.
-        accused: Vec<NodeId>,
+        /// Nodes the sender claims to suspect (shared across receivers).
+        accused: Arc<[NodeId]>,
     },
     /// A sleeping sensor registers as replacement candidate.
     Probe,
@@ -194,6 +196,8 @@ pub struct ReferProtocol {
     nodes: Vec<NodeLocal>,
     /// Who holds which vertex, sized once the cells are planned.
     roster: Roster,
+    /// The buffer the two-hop access search fills, kept across packets.
+    access_pool: Vec<NodeId>,
     next_qid: u64,
     /// The fault oracle, or (`FaultModel::Discovered` / `Byzantine`, set
     /// at init) local failure suspicion — ACK timeouts and heartbeat
@@ -223,6 +227,7 @@ impl ReferProtocol {
             actuator_nodes: Vec::new(),
             cells: Vec::new(),
             nodes: Vec::new(),
+            access_pool: Vec::new(),
             next_qid: 0,
             knowledge: FailureKnowledge::Oracle,
             stats: ReferStats::default(),
@@ -239,6 +244,14 @@ impl ReferProtocol {
     /// Current KID -> node roster of `cell`, as a map built on demand.
     pub fn roster(&self, cell: usize) -> Option<BTreeMap<KautzId, NodeId>> {
         (cell < self.cells.len()).then(|| self.roster.roster_entries(cell).collect())
+    }
+
+    /// The neighbour a sensor with no member in range hands a packet to:
+    /// the nearest free sensor with a usable member in range. Reuses one
+    /// buffer across calls, so it allocates only while that buffer grows.
+    pub fn access_relay(&mut self, ctx: &impl ProtoCtx<ReferMsg>, src: NodeId) -> Option<NodeId> {
+        let (roster, knowledge) = (&self.roster, &self.knowledge);
+        self.nodes[src.index()].two_hop_relay(ctx, roster, knowledge, &mut self.access_pool)
     }
 
     // ----- construction --------------------------------------------------
@@ -343,7 +356,7 @@ impl ReferProtocol {
             origin,
             CTRL_BITS,
             EnergyAccount::Construction,
-            ReferMsg::PathQuery { qid, ttl: 2, target, path: Vec::new() },
+            ReferMsg::PathQuery { qid, ttl: 2, target, path: Arc::default() },
         );
     }
 
@@ -954,31 +967,12 @@ impl SansIo for ReferProtocol {
             ctx.drop_data_reason(data, DropReason::NoAccess);
             return;
         }
-        // Find the backbone entry point.
+        // Find the backbone entry point; failing one in range, hand the
+        // packet to a neighbour that has one. The relay enters the backbone
+        // on arrival.
         let access = self.nodes[src.index()].known_member(ctx, &self.roster, &self.knowledge);
-        // Two-hop access: no member in range, but a neighbor has one (the
-        // neighbor learned it from beacons). Hand the packet to that relay;
-        // it enters the backbone on arrival. Under `Discovered` the
-        // neighborhood comes from beacon-learned geometry, not the oracle.
         if access.is_none() {
-            let pool: Vec<NodeId> = if self.knowledge.is_local() {
-                ctx.sensor_ids()
-                    .iter()
-                    .copied()
-                    .filter(|&n| n != src && ctx.in_range(src, n))
-                    .collect()
-            } else {
-                ctx.neighbors(src)
-            };
-            let relay = pool
-                .into_iter()
-                .filter(|&n| {
-                    matches!(ctx.kind(n), NodeKind::Sensor)
-                        && !self.roster.is_member(n)
-                        && self.roster.members().iter().any(|&m| self.knowledge.usable(ctx, n, m))
-                })
-                .min_by(|&a, &b| ctx.distance(src, a).total_cmp(&ctx.distance(src, b)));
-            if let Some(relay) = relay {
+            if let Some(relay) = self.access_relay(ctx, src) {
                 let home = self
                     .roster
                     .nearest_member(ctx, &self.knowledge, relay)
@@ -1054,7 +1048,7 @@ impl SansIo for ReferProtocol {
             ReferMsg::Gossip { accused } => {
                 let byzantine = matches!(ctx.config().faults.model, FaultModel::Byzantine);
                 if let (true, FailureKnowledge::Local(view)) = (byzantine, &mut self.knowledge) {
-                    for &suspect in &accused {
+                    for &suspect in accused.iter() {
                         if suspect == at {
                             continue; // a node knows its own health; no rumor needed
                         }

@@ -44,6 +44,17 @@
 //! re-fold, so no single-forced-digit detour exists and the first-digit
 //! walk still revisits its source.
 //!
+//! Every pair the search diverts has overlap `L(U, V) ≥ 2`:
+//! `table::tests::every_diverted_pair_has_overlap_at_least_two` checks it
+//! on the graphs whose diverted-pair counts are pinned and on every
+//! `K(d, 3)` with `d ≤ MAX_DEGREE`, and a one-off run found the same on
+//! `K(2, 5)`, `K(2, 6)`, `K(3, 5)` and `K(4, 5)`. That is an observation,
+//! not a theorem: ROADMAP 7(a) is to prove it. Once proven, a table build
+//! may search only the pairs with `L ≥ 2`. A trial build that did so
+//! rebuilt every one of those tables identically, in 5.6 µs instead of
+//! 22 µs for `K(2, 3)` and 33 µs instead of 285 µs for `K(3, 3)`
+//! (release, 2-vCPU host); it waits for the proof.
+//!
 //! The classification and the diversion search are one function each,
 //! generic over how a vertex is named: [`disjoint_paths`] runs them on
 //! [`KautzId`]s and [`RouteTable`](crate::RouteTable) on dense indices, so

@@ -602,4 +602,20 @@ mod tests {
             assert_eq!(table.diverted.len(), diverted, "K({d},{k})");
         }
     }
+
+    #[test]
+    fn every_diverted_pair_has_overlap_at_least_two() {
+        // The observation ROADMAP 7(a) is to prove (see the erratum in
+        // `disjoint`): the search never changes a pair with `L(U, V) <= 1`.
+        let pinned = [(2u8, 3usize), (3, 3), (2, 4), (3, 4), (4, 4)];
+        let cells = (1..=MAX_DEGREE).map(|d| (d, 3));
+        for (d, k) in pinned.into_iter().chain(cells) {
+            let table = RouteTable::new(d, k).expect("valid");
+            for &((u, v), _) in &table.diverted {
+                let (u, v) = (u as usize, v as usize);
+                let l = table.overlap(u, v);
+                assert!(l >= 2, "K({d},{k}) {}->{}: L = {l}", table.id_of(u), table.id_of(v));
+            }
+        }
+    }
 }

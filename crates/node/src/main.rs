@@ -796,6 +796,7 @@ fn cmd_cluster(args: impl Iterator<Item = String>) -> ExitCode {
 mod tests {
     use super::*;
     use refer::DataFrame;
+    use std::sync::Arc;
     use wsan_sim::{DropReason, EnergyAccount};
 
     /// The cluster scenario must be one the simulator predicts well for:
@@ -952,8 +953,8 @@ mod tests {
     fn hostile_sequence_counts_are_counted_rejects() {
         let mut daemon = offline_daemon();
         let empty = [
-            ReferMsg::Gossip { accused: vec![] },
-            ReferMsg::PathQuery { qid: 0, ttl: 0, target: NodeId(0), path: vec![] },
+            ReferMsg::Gossip { accused: Arc::default() },
+            ReferMsg::PathQuery { qid: 0, ttl: 0, target: NodeId(0), path: Arc::default() },
             ReferMsg::PathAssign { assignments: vec![], hop: 0 },
         ];
         for payload in empty {
@@ -977,13 +978,13 @@ mod tests {
         let mut daemon = offline_daemon();
         // The second item's node id (2) sits this far from the end.
         let cases = [
-            (ReferMsg::Gossip { accused: vec![NodeId(1), NodeId(2)] }, 1),
+            (ReferMsg::Gossip { accused: Arc::new([NodeId(1), NodeId(2)]) }, 1),
             (
                 ReferMsg::PathQuery {
                     qid: 0,
                     ttl: 0,
                     target: NodeId(0),
-                    path: vec![(NodeId(1), 0.5), (NodeId(2), 0.5)],
+                    path: Arc::new([(NodeId(1), 0.5), (NodeId(2), 0.5)]),
                 },
                 1 + 8,
             ),

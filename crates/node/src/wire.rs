@@ -152,7 +152,7 @@ fn put_payload(out: &mut Vec<u8>, msg: &ReferMsg) {
             out.push(*ttl);
             put_varint(out, u64::from(target.0));
             put_varint(out, path.len() as u64);
-            for &(n, battery) in path {
+            for &(n, battery) in path.iter() {
                 put_varint(out, u64::from(n.0));
                 out.extend_from_slice(&battery.to_le_bytes());
             }
@@ -171,7 +171,7 @@ fn put_payload(out: &mut Vec<u8>, msg: &ReferMsg) {
         }
         ReferMsg::Gossip { accused } => {
             put_varint(out, accused.len() as u64);
-            for n in accused {
+            for n in accused.iter() {
                 put_varint(out, u64::from(n.0));
             }
         }
@@ -326,7 +326,7 @@ impl<'a> Reader<'a> {
                 for _ in 0..n {
                     path.push((self.node("path node")?, self.battery()?));
                 }
-                ReferMsg::PathQuery { qid, ttl, target, path }
+                ReferMsg::PathQuery { qid, ttl, target, path: path.into() }
             }
             3 => {
                 let n = self.count(1 + 1)?;
@@ -348,7 +348,7 @@ impl<'a> Reader<'a> {
                 for _ in 0..n {
                     accused.push(self.node("accused node")?);
                 }
-                ReferMsg::Gossip { accused }
+                ReferMsg::Gossip { accused: accused.into() }
             }
             8 => ReferMsg::Probe,
             9 => ReferMsg::Replace,
@@ -399,6 +399,7 @@ pub fn decode_datagram(bytes: &[u8]) -> Result<(NodeId, u64, Message<ReferMsg>),
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn msg(payload: ReferMsg) -> Message<ReferMsg> {
         Message {
@@ -454,7 +455,7 @@ mod tests {
                 qid: 42,
                 ttl: 3,
                 target: NodeId(9),
-                path: vec![(NodeId(1), 95.5), (NodeId(2), 80.25)],
+                path: Arc::new([(NodeId(1), 95.5), (NodeId(2), 80.25)]),
             },
             ReferMsg::PathAssign {
                 assignments: vec![(NodeId(4), 2), (NodeId(5), 200)],
@@ -463,7 +464,7 @@ mod tests {
             ReferMsg::StartStage2 { qid: 7, target: NodeId(11) },
             ReferMsg::CellReady,
             ReferMsg::Beacon,
-            ReferMsg::Gossip { accused: vec![NodeId(3), NodeId(8)] },
+            ReferMsg::Gossip { accused: Arc::new([NodeId(3), NodeId(8)]) },
             ReferMsg::Probe,
             ReferMsg::Replace,
             ReferMsg::ReplaceNotice,

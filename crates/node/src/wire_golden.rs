@@ -13,6 +13,7 @@ use proptest::strategy::Just;
 use refer::{DataFrame, ReferMsg};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 use wsan_sim::{DataId, EnergyAccount, Message, NodeId};
 
 struct CountingAlloc;
@@ -84,22 +85,22 @@ fn samples() -> Vec<Datagram> {
             qid: 42,
             ttl: 3,
             target: NodeId(9),
-            path: vec![(NodeId(1), 95.5), (NodeId(2), 80.25)],
+            path: Arc::new([(NodeId(1), 95.5), (NodeId(2), 80.25)]),
         },
         ReferMsg::PathQuery {
             qid: u64::MAX,
             ttl: u8::MAX,
             target: NodeId(u32::MAX),
-            path: vec![
+            path: Arc::new([
                 (NodeId(0), f64::NAN),
                 (NodeId(1), 1e-7),
                 (NodeId(2), f64::NEG_INFINITY),
                 (NodeId(3), -0.0),
                 (NodeId(4), f64::INFINITY),
                 (NodeId(u32::MAX), 100.0),
-            ],
+            ]),
         },
-        ReferMsg::PathQuery { qid: 0, ttl: 0, target: NodeId(0), path: vec![] },
+        ReferMsg::PathQuery { qid: 0, ttl: 0, target: NodeId(0), path: Arc::default() },
         ReferMsg::PathAssign {
             assignments: vec![(NodeId(4), 3), (NodeId(5), 300)],
             hop: 1,
@@ -108,8 +109,8 @@ fn samples() -> Vec<Datagram> {
         ReferMsg::StartStage2 { qid: 7, target: NodeId(11) },
         ReferMsg::CellReady,
         ReferMsg::Beacon,
-        ReferMsg::Gossip { accused: vec![NodeId(3), NodeId(128), NodeId(u32::MAX)] },
-        ReferMsg::Gossip { accused: vec![] },
+        ReferMsg::Gossip { accused: Arc::new([NodeId(3), NodeId(128), NodeId(u32::MAX)]) },
+        ReferMsg::Gossip { accused: Arc::default() },
         ReferMsg::Probe,
         ReferMsg::Replace,
         ReferMsg::ReplaceNotice,
@@ -296,13 +297,13 @@ fn payload() -> impl Strategy<Value = ReferMsg> {
         Just(ReferMsg::Ctrl),
         Just(ReferMsg::Assignment),
         (u64s(), 0u8..=u8::MAX, node(), vec((node(), battery()), 0..8))
-            .prop_map(|(qid, ttl, target, path)| ReferMsg::PathQuery { qid, ttl, target, path }),
+            .prop_map(|(qid, ttl, target, path)| ReferMsg::PathQuery { qid, ttl, target, path: path.into() }),
         (vec((node(), vertex()), 0..5), 0usize..=usize::MAX)
             .prop_map(|(assignments, hop)| ReferMsg::PathAssign { assignments, hop }),
         (u64s(), node()).prop_map(|(qid, target)| ReferMsg::StartStage2 { qid, target }),
         Just(ReferMsg::CellReady),
         Just(ReferMsg::Beacon),
-        vec(node(), 0..8).prop_map(|accused| ReferMsg::Gossip { accused }),
+        vec(node(), 0..8).prop_map(|accused| ReferMsg::Gossip { accused: accused.into() }),
         Just(ReferMsg::Probe),
         Just(ReferMsg::Replace),
         Just(ReferMsg::ReplaceNotice),

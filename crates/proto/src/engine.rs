@@ -340,8 +340,11 @@ impl<P: Clone + Debug> ProtoCtx<P> for IoCtx<P> {
     }
     fn neighbors(&self, id: NodeId) -> Vec<NodeId> {
         let mut out = Vec::new();
-        self.physical_neighbors_into(id, &mut out);
+        self.neighbors_into(id, &mut out);
         out
+    }
+    fn neighbors_into(&self, id: NodeId, buf: &mut Vec<NodeId>) {
+        self.physical_neighbors_into(id, buf);
     }
     fn physical_neighbors_into(&self, id: NodeId, buf: &mut Vec<NodeId>) {
         buf.clear();

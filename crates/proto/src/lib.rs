@@ -101,6 +101,14 @@ pub trait ProtoCtx<P: Clone + Debug> {
     fn link_ok(&self, a: NodeId, b: NodeId) -> bool;
     /// Alive nodes currently within `id`'s range (oracle).
     fn neighbors(&self, id: NodeId) -> Vec<NodeId>;
+    /// [`neighbors`](ProtoCtx::neighbors) into a caller-owned buffer,
+    /// cleared and refilled, so a hot path can reuse one allocation across
+    /// queries. The default assigns `neighbors`' answer; a driver that can
+    /// fill the buffer in place overrides it (the simulator's still counts
+    /// one oracle consultation).
+    fn neighbors_into(&self, id: NodeId, buf: &mut Vec<NodeId>) {
+        *buf = self.neighbors(id);
+    }
     /// The nodes a broadcast from `id` physically reaches right now, into
     /// a caller-owned buffer (cleared and refilled in ascending id order).
     fn physical_neighbors_into(&self, id: NodeId, buf: &mut Vec<NodeId>);
@@ -253,6 +261,10 @@ impl<P: Clone + Debug> ProtoCtx<P> for Ctx<P> {
     #[inline]
     fn neighbors(&self, id: NodeId) -> Vec<NodeId> {
         Ctx::neighbors(self, id)
+    }
+    #[inline]
+    fn neighbors_into(&self, id: NodeId, buf: &mut Vec<NodeId>) {
+        Ctx::neighbors_into(self, id, buf)
     }
     #[inline]
     fn physical_neighbors_into(&self, id: NodeId, buf: &mut Vec<NodeId>) {
