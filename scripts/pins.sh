@@ -68,6 +68,13 @@ sharded=("$bin/trace" verify --sharded --scale 0.02 --sensors 80 --seeds 2 --thr
 # figures_smoke.txt: every table of the paper's Figures 4-11, two seeds.
 "$bin/figures" --fig all --seeds 1,2 --scale 0.1 --no-out --quiet | pin figures_smoke.txt
 
+# sweep_dump_smoke.txt: the faulty sweep's JSON dump, two seeds: every
+# dumped statistic (mean, ci95 and n of all 33 columns, `null` where no
+# seed defined one), not only the five the figure tables print. The
+# `git_commit` line is cut, since it names the tree that wrote the dump.
+"$bin/figures" --fig 6,7 --seeds 1,2 --scale 0.02 --quiet --out "$tmp/fig" >/dev/null
+grep -v '"git_commit":' "$tmp/fig/sweep_faults.json" | pin sweep_dump_smoke.txt
+
 # sweeps_smoke.txt: the faulty sweep under both failure knowledges, the
 # Byzantine degradation table and the load sweep on both traffic matrices,
 # one seed each, under the command that printed them.
