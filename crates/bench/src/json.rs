@@ -5,13 +5,12 @@
 //! workspace reads a dump back. The layout is what `serde_json` produced
 //! for the derived types (unit enum variants as strings, structs as
 //! objects), so external scripts written against earlier dumps keep
-//! working. Non-finite floats — an aggregate no seed defined — are written
-//! as `null`, since JSON has no NaN.
+//! working. Non-finite floats — a column no seed defined — are written as
+//! `null`, since JSON has no NaN.
 
+use crate::stats::{column, Column};
 use crate::SweepResult;
 use std::fmt::Write as _;
-use wsan_sim::harness::AggregateSummary;
-use wsan_sim::stats::CiStat;
 
 /// Version of the dump layout written by [`to_json`]. Bumped to 2 when the
 /// per-system delay/hop percentile stats were added, to 3 when the
@@ -21,44 +20,43 @@ use wsan_sim::stats::CiStat;
 /// and to 5 for an optional `daemon_latency` section, since removed.
 pub const SCHEMA_VERSION: u64 = 5;
 
-/// Every per-system stat of a dump, by its JSON key, in dump order.
-fn stats(agg: &AggregateSummary) -> [(&'static str, CiStat); 33] {
-    [
-        ("throughput_bps", agg.throughput_bps),
-        ("mean_delay_s", agg.mean_delay_s),
-        ("energy_communication_j", agg.energy_communication_j),
-        ("energy_construction_j", agg.energy_construction_j),
-        ("energy_total_j", agg.energy_total_j),
-        ("qos_delivery_ratio", agg.qos_delivery_ratio),
-        ("delivery_ratio", agg.delivery_ratio),
-        ("retransmissions", agg.retransmissions),
-        ("detections", agg.detections),
-        ("false_suspicions", agg.false_suspicions),
-        ("detection_latency_s", agg.detection_latency_s),
-        ("handovers", agg.handovers),
-        ("drop_no_access", agg.drop_no_access),
-        ("drop_no_route", agg.drop_no_route),
-        ("drop_hops", agg.drop_hops),
-        ("wrongful_evictions", agg.wrongful_evictions),
-        ("forged_acks", agg.forged_acks),
-        ("slander_events", agg.slander_events),
-        ("misroutes", agg.misroutes),
-        ("attackers_contained", agg.attackers_contained),
-        ("containment_time_s", agg.containment_time_s),
-        ("delay_p50_s", agg.delay_p50_s),
-        ("delay_p95_s", agg.delay_p95_s),
-        ("delay_p99_s", agg.delay_p99_s),
-        ("deadline_miss_ratio", agg.deadline_miss_ratio),
-        ("hop_p50", agg.hop_p50),
-        ("hop_p99", agg.hop_p99),
-        ("queue_delay_p50_s", agg.queue_delay_p50_s),
-        ("queue_delay_p95_s", agg.queue_delay_p95_s),
-        ("queue_delay_p99_s", agg.queue_delay_p99_s),
-        ("queue_max_s", agg.queue_max_s),
-        ("hot_link_utilization", agg.hot_link_utilization),
-        ("congestion_drops", agg.congestion_drops),
-    ]
-}
+/// Every per-system statistic of a dump: its JSON key and the per-run
+/// value its mean and confidence interval are taken over, in dump order.
+pub const STATS: [(&str, Column); 33] = [
+    ("throughput_bps", |r| r.throughput_bps),
+    ("mean_delay_s", |r| r.mean_delay_s),
+    ("energy_communication_j", |r| r.energy_communication_j),
+    ("energy_construction_j", |r| r.energy_construction_j),
+    ("energy_total_j", crate::energy_total_j),
+    ("qos_delivery_ratio", |r| r.qos_delivery_ratio),
+    ("delivery_ratio", |r| r.delivery_ratio),
+    ("retransmissions", |r| r.retransmissions as f64),
+    ("detections", |r| r.detections as f64),
+    ("false_suspicions", |r| r.false_suspicions as f64),
+    ("detection_latency_s", |r| r.mean_detection_latency_s),
+    ("handovers", |r| r.handovers as f64),
+    ("drop_no_access", |r| r.drop_no_access as f64),
+    ("drop_no_route", |r| r.drop_no_route as f64),
+    ("drop_hops", |r| r.drop_hops as f64),
+    ("wrongful_evictions", |r| r.wrongful_evictions as f64),
+    ("forged_acks", |r| r.forged_acks as f64),
+    ("slander_events", |r| r.slander_events as f64),
+    ("misroutes", |r| r.misroutes as f64),
+    ("attackers_contained", |r| r.attackers_contained as f64),
+    ("containment_time_s", |r| r.mean_containment_time_s),
+    ("delay_p50_s", |r| r.delay_p50_s),
+    ("delay_p95_s", |r| r.delay_p95_s),
+    ("delay_p99_s", |r| r.delay_p99_s),
+    ("deadline_miss_ratio", |r| r.deadline_miss_ratio),
+    ("hop_p50", |r| r.hop_p50),
+    ("hop_p99", |r| r.hop_p99),
+    ("queue_delay_p50_s", |r| r.queue_delay_p50_s),
+    ("queue_delay_p95_s", |r| r.queue_delay_p95_s),
+    ("queue_delay_p99_s", |r| r.queue_delay_p99_s),
+    ("queue_max_s", |r| r.queue_max_s),
+    ("hot_link_utilization", |r| r.hot_link_utilization),
+    ("congestion_drops", |r| r.congestion_drops as f64),
+];
 
 /// Serializes a sweep result as pretty-printed JSON.
 pub fn to_json(result: &SweepResult) -> String {
@@ -72,11 +70,11 @@ pub fn to_json(result: &SweepResult) -> String {
         let _ = writeln!(out, "      \"x\": {},", fmt_f64(point.x));
         let _ = writeln!(out, "      \"axis\": {},", fmt_f64(point.axis));
         out.push_str("      \"systems\": [\n");
-        for (j, agg) in point.systems.iter().enumerate() {
+        for (j, runs) in point.runs.iter().enumerate() {
             out.push_str("        {\n");
-            let stats = stats(agg);
-            for (s, (name, stat)) in stats.iter().enumerate() {
-                let comma = if s + 1 < stats.len() { "," } else { "" };
+            for (s, &(name, f)) in STATS.iter().enumerate() {
+                let stat = column(runs, f);
+                let comma = if s + 1 < STATS.len() { "," } else { "" };
                 let _ = writeln!(
                     out,
                     "          \"{name}\": {{ \"mean\": {}, \"ci95\": {}, \"n\": {} }}{comma}",
@@ -85,7 +83,7 @@ pub fn to_json(result: &SweepResult) -> String {
                     stat.n
                 );
             }
-            let comma = if j + 1 < point.systems.len() { "," } else { "" };
+            let comma = if j + 1 < point.runs.len() { "," } else { "" };
             let _ = writeln!(out, "        }}{comma}");
         }
         out.push_str("      ]\n");
@@ -117,8 +115,6 @@ mod tests {
     use super::*;
     use crate::{Sweep, SweepPoint, SYSTEMS};
     use serde::Value;
-    use std::mem::size_of;
-    use wsan_sim::harness::aggregate;
     use wsan_sim::{FaultModel, RunSummary};
 
     fn sample() -> SweepResult {
@@ -127,12 +123,12 @@ mod tests {
             mean_delay_s,
             ..RunSummary::default()
         };
-        let agg = aggregate(&[run(1234.5, 0.125), run(1300.25, 0.5)]);
+        let runs = vec![run(1234.5, 0.125), run(1300.25, 0.5)];
         SweepResult {
             sweep: Sweep::Faults,
             points: vec![
-                SweepPoint { x: 2.0, axis: 2.0, systems: vec![agg; SYSTEMS.len()] },
-                SweepPoint { x: 4.0, axis: 4.0, systems: vec![agg; SYSTEMS.len()] },
+                SweepPoint { x: 2.0, axis: 2.0, runs: vec![runs.clone(); SYSTEMS.len()] },
+                SweepPoint { x: 4.0, axis: 4.0, runs: vec![runs; SYSTEMS.len()] },
             ],
             seeds: vec![1, 2, 3],
             scale: 0.25,
@@ -161,22 +157,25 @@ mod tests {
             .filter_map(Value::as_u64)
             .collect();
         assert_eq!(seeds, original.seeds);
+        // Every key of `STATS` is dumped exactly once per system, in order.
+        let want_keys: Vec<&str> = STATS.iter().map(|&(k, _)| k).collect();
+        let mut unique = want_keys.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), want_keys.len(), "a key repeats in STATS");
         let points = dump.get("points").and_then(Value::as_seq).expect("points");
         assert_eq!(points.len(), original.points.len());
         for (point, want) in points.iter().zip(&original.points) {
             assert_eq!(point.get("x").and_then(Value::as_f64), Some(want.x));
             assert_eq!(point.get("axis").and_then(Value::as_f64), Some(want.axis));
             let systems = point.get("systems").and_then(Value::as_seq).expect("systems");
-            assert_eq!(systems.len(), want.systems.len());
-            for (system, agg) in systems.iter().zip(&want.systems) {
+            assert_eq!(systems.len(), want.runs.len());
+            for (system, runs) in systems.iter().zip(&want.runs) {
                 let fields = system.as_map().expect("a system is an object");
-                let want = stats(agg);
-                // Every `CiStat` field of the aggregate has a key.
-                assert_eq!(want.len(), size_of::<AggregateSummary>() / size_of::<CiStat>());
                 let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-                let want_keys: Vec<&str> = want.iter().map(|(k, _)| *k).collect();
                 assert_eq!(keys, want_keys);
-                for (name, stat) in want {
+                for (name, f) in STATS {
+                    let stat = column(runs, f);
                     let got = read_stat(system.get(name).expect("present"));
                     assert_eq!(got, (Some(stat.mean), Some(stat.ci95), Some(stat.n as u64)), "{name}");
                 }
@@ -187,8 +186,9 @@ mod tests {
     #[test]
     fn nan_serializes_as_null() {
         let mut result = sample();
-        result.points[0].systems[0].containment_time_s =
-            CiStat { mean: f64::NAN, ci95: f64::NAN, n: 0 };
+        for run in &mut result.points[0].runs[0] {
+            run.mean_containment_time_s = f64::NAN;
+        }
         let dump = serde::json::from_str(&to_json(&result)).expect("the dump is JSON");
         let stat = &dump.get("points").and_then(Value::as_seq).expect("points")[0]
             .get("systems")

@@ -11,13 +11,14 @@
 
 pub mod cli;
 pub mod json;
+pub mod stats;
 pub mod svgplot;
 
 pub use cli::ScenarioFlags;
 
 use refer::{ReferConfig, ReferProtocol};
 use refer_baselines::{DaTreeProtocol, DdearProtocol, KautzOverlayProtocol};
-use wsan_sim::harness::{aggregate, AggregateSummary};
+use stats::{column, CiStat};
 use wsan_sim::{
     runner, FaultModel, RoutingStrategy, RunSummary, SimConfig, SimDuration, TrafficPattern,
 };
@@ -176,15 +177,19 @@ pub enum Metric {
 }
 
 impl Metric {
-    /// Extracts the metric from an aggregated summary.
-    pub fn pick(self, agg: &AggregateSummary) -> wsan_sim::stats::CiStat {
-        match self {
-            Metric::Throughput => agg.throughput_bps,
-            Metric::Delay => agg.mean_delay_s,
-            Metric::EnergyCommunication => agg.energy_communication_j,
-            Metric::EnergyConstruction => agg.energy_construction_j,
-            Metric::EnergyTotal => agg.energy_total_j,
-        }
+    /// The metric's mean and confidence interval over a cell's per-seed
+    /// runs.
+    pub fn pick(self, runs: &[RunSummary]) -> CiStat {
+        column(
+            runs,
+            match self {
+                Metric::Throughput => |r| r.throughput_bps,
+                Metric::Delay => |r| r.mean_delay_s,
+                Metric::EnergyCommunication => |r| r.energy_communication_j,
+                Metric::EnergyConstruction => |r| r.energy_construction_j,
+                Metric::EnergyTotal => energy_total_j,
+            },
+        )
     }
 
     /// Unit label.
@@ -195,6 +200,11 @@ impl Metric {
             _ => "J",
         }
     }
+}
+
+/// Total energy of a run: communication plus construction, Joules.
+pub fn energy_total_j(run: &RunSummary) -> f64 {
+    run.energy_communication_j + run.energy_construction_j
 }
 
 /// One of the paper's evaluation figures.
@@ -241,15 +251,18 @@ pub fn base_config(scale: f64) -> SimConfig {
     cfg
 }
 
-/// One aggregated data point of a sweep.
+/// One data point of a sweep: the runs of every column at one x value.
 #[derive(Debug, Clone)]
 pub struct SweepPoint {
     /// The simulation parameter value.
     pub x: f64,
     /// The plotted x-axis value.
     pub axis: f64,
-    /// Aggregates per system, in [`SYSTEMS`] order.
-    pub systems: Vec<AggregateSummary>,
+    /// The runs of each column, one per seed in seed order; the columns
+    /// are the [`SYSTEMS`], or the [`LOAD_ROUTINGS`] of a
+    /// [`Sweep::Load`] point. A figure or dump takes each statistic's
+    /// confidence interval over them with [`stats::column`].
+    pub runs: Vec<Vec<RunSummary>>,
 }
 
 /// A full sweep result (feeds several figures).
@@ -287,7 +300,7 @@ pub fn git_commit() -> String {
 
 /// `x` with `digits` decimals and a `unit` suffix, or `—` when `x` is
 /// undefined (NaN: nothing delivered to take a percentile of, 0 of 0
-/// offered, an aggregate no seed defined). Every CLI table formats such
+/// offered, a column no seed defined). Every CLI table formats such
 /// cells through this.
 pub fn or_dash(x: f64, digits: usize, unit: &str) -> String {
     if x.is_finite() {
@@ -317,7 +330,7 @@ fn point_config(sweep: Sweep, flags: &ScenarioFlags, x: f64) -> SimConfig {
 /// The seeds of each (x, column) batch run concurrently on scoped threads;
 /// every trial is an isolated simulation deterministically seeded by
 /// `cfg.seed`, so the per-seed summaries are bit-identical to a serial
-/// sweep and aggregate in seed order.
+/// sweep and are kept in seed order.
 ///
 /// `progress` is invoked after each completed batch, once per simulation,
 /// with a human-readable label (the `figures` binary prints these).
@@ -340,7 +353,7 @@ pub fn run_sweep(
     for x in sweep.x_values() {
         let cfg = point_config(sweep, flags, x);
         fault_model = cfg.faults.model;
-        let mut systems = Vec::with_capacity(columns.len());
+        let mut point_runs = Vec::with_capacity(columns.len());
         for &(system, routing) in &columns {
             let mut cfg = cfg.clone();
             let tag = match routing {
@@ -364,9 +377,9 @@ pub fn run_sweep(
             for &seed in seeds {
                 progress(&format!("{sweep:?} x={x} {tag} seed={seed}"));
             }
-            systems.push(aggregate(&runs));
+            point_runs.push(runs);
         }
-        points.push(SweepPoint { x, axis: sweep.axis_value(x), systems });
+        points.push(SweepPoint { x, axis: sweep.axis_value(x), runs: point_runs });
     }
     SweepResult {
         sweep,
@@ -381,7 +394,7 @@ pub fn run_sweep(
 /// Renders one figure's series from a sweep result as an aligned text
 /// table (one row per x value, one mean±ci column per system; a space
 /// separates every pair of columns, however wide a cell). A cell no
-/// seed defined (a NaN aggregate, e.g. the delay of a system that
+/// seed defined (a NaN column, e.g. the delay of a system that
 /// delivered nothing in time) prints as `—`.
 pub fn render_figure(fig: &Figure, sweep: &SweepResult) -> String {
     use std::fmt::Write;
@@ -394,8 +407,8 @@ pub fn render_figure(fig: &Figure, sweep: &SweepResult) -> String {
     writeln!(out).expect("write to string");
     for point in &sweep.points {
         write!(out, "{:>24}", format!("{:.1}", point.axis)).expect("write to string");
-        for agg in &point.systems {
-            let stat = fig.metric.pick(agg);
+        for runs in &point.runs {
+            let stat = fig.metric.pick(runs);
             let cell = if stat.mean.is_finite() {
                 format!("{:.3} ± {:.3} {}", stat.mean, stat.ci95, fig.metric.unit())
             } else {
@@ -410,8 +423,9 @@ pub fn render_figure(fig: &Figure, sweep: &SweepResult) -> String {
 
 /// Renders the Byzantine degradation table from an [`Sweep::Attackers`]
 /// result: delivery, wrongful evictions and attacker containment per
-/// system at each compromised fraction. Undefined cells (a NaN aggregate:
-/// nothing delivered, or no attacker ever contained) print as `—`.
+/// system at each compromised fraction. Undefined cells (a column no seed
+/// defined: nothing delivered, or no attacker ever contained) print as
+/// `—`.
 pub fn render_degradation(sweep: &SweepResult) -> String {
     use std::fmt::Write;
     let mut out = String::new();
@@ -424,18 +438,19 @@ pub fn render_degradation(sweep: &SweepResult) -> String {
     )
     .expect("write to string");
     for point in &sweep.points {
-        for (system, agg) in SYSTEMS.iter().zip(&point.systems) {
+        for (system, runs) in SYSTEMS.iter().zip(&point.runs) {
+            let mean = |f| column(runs, f).mean;
             writeln!(
                 out,
                 "{:>10} {:>15} {:>9} {:>9} {:>9} {:>9} {:>10} {:>11}",
                 format!("{:.2}", point.x),
                 system.name(),
-                or_dash(agg.delivery_ratio.mean, 3, ""),
-                or_dash(agg.throughput_bps.mean, 0, ""),
-                or_dash(agg.wrongful_evictions.mean, 1, ""),
-                or_dash(agg.slander_events.mean, 1, ""),
-                or_dash(agg.attackers_contained.mean, 1, ""),
-                or_dash(agg.containment_time_s.mean, 1, ""),
+                or_dash(mean(|r| r.delivery_ratio), 3, ""),
+                or_dash(mean(|r| r.throughput_bps), 0, ""),
+                or_dash(mean(|r| r.wrongful_evictions as f64), 1, ""),
+                or_dash(mean(|r| r.slander_events as f64), 1, ""),
+                or_dash(mean(|r| r.attackers_contained as f64), 1, ""),
+                or_dash(mean(|r| r.mean_containment_time_s), 1, ""),
             )
             .expect("write to string");
         }
@@ -445,8 +460,8 @@ pub fn render_degradation(sweep: &SweepResult) -> String {
 
 /// Renders the heavy-traffic load table from a [`Sweep::Load`] result:
 /// congestion metrics per routing strategy at each offered load. Undefined
-/// cells (a NaN aggregate: nothing delivered, or no queueing observed)
-/// print as `—`.
+/// cells (a column no seed defined: nothing delivered, or no queueing
+/// observed) print as `—`.
 pub fn render_load(sweep: &SweepResult) -> String {
     use std::fmt::Write;
     let mut out = String::new();
@@ -459,19 +474,20 @@ pub fn render_load(sweep: &SweepResult) -> String {
     )
     .expect("write to string");
     for point in &sweep.points {
-        for (routing, agg) in LOAD_ROUTINGS.iter().zip(&point.systems) {
+        for (routing, runs) in LOAD_ROUTINGS.iter().zip(&point.runs) {
+            let mean = |f| column(runs, f).mean;
             writeln!(
                 out,
                 "{:>10} {:>16} {:>8} {:>10} {:>10} {:>10} {:>9} {:>9} {:>8}",
                 format!("{:.0}", point.x),
                 format!("REFER/{routing:?}"),
-                or_dash(agg.delivery_ratio.mean, 3, ""),
-                or_dash(agg.queue_delay_p50_s.mean * 1e3, 2, ""),
-                or_dash(agg.queue_delay_p99_s.mean * 1e3, 2, ""),
-                or_dash(agg.queue_max_s.mean * 1e3, 1, ""),
-                or_dash(agg.hot_link_utilization.mean, 3, ""),
-                or_dash(agg.deadline_miss_ratio.mean, 3, ""),
-                or_dash(agg.congestion_drops.mean, 0, ""),
+                or_dash(mean(|r| r.delivery_ratio), 3, ""),
+                or_dash(mean(|r| r.queue_delay_p50_s) * 1e3, 2, ""),
+                or_dash(mean(|r| r.queue_delay_p99_s) * 1e3, 2, ""),
+                or_dash(mean(|r| r.queue_max_s) * 1e3, 1, ""),
+                or_dash(mean(|r| r.hot_link_utilization), 3, ""),
+                or_dash(mean(|r| r.deadline_miss_ratio), 3, ""),
+                or_dash(mean(|r| r.congestion_drops as f64), 0, ""),
             )
             .expect("write to string");
         }
@@ -612,8 +628,8 @@ mod tests {
         assert_eq!(cfg.faults.model, FaultModel::Byzantine);
     }
 
-    /// Pins what `run_sweep` runs end to end: each (x, system) cell is the
-    /// aggregate of hand-built per-seed `run_system` runs. The flags are
+    /// Pins what `run_sweep` runs end to end: each (x, system) cell holds
+    /// the hand-built per-seed `run_system` runs, in seed order. The flags are
     /// ones that change every system's runs yet keep the debug build quick
     /// (any non-Oracle model costs the Kautz overlay ~7 s a run there).
     #[test]
@@ -625,7 +641,7 @@ mod tests {
         let xs: Vec<f64> = result.points.iter().map(|p| p.x).collect();
         assert_eq!(xs, Sweep::Faults.x_values());
         for point in &result.points {
-            for (&system, agg) in SYSTEMS.iter().zip(&point.systems) {
+            for (&system, got) in SYSTEMS.iter().zip(&point.runs) {
                 let runs: Vec<RunSummary> = std::thread::scope(|scope| {
                     let handles: Vec<_> = seeds
                         .iter()
@@ -640,10 +656,10 @@ mod tests {
                         .collect();
                     handles.into_iter().map(|h| h.join().expect("run completes")).collect()
                 });
-                // Debug text, so an undefined (NaN) column equals itself.
+                // Debug text, so an undefined (NaN) field equals itself.
                 assert_eq!(
-                    format!("{:?}", aggregate(&runs)),
-                    format!("{agg:?}"),
+                    format!("{runs:?}"),
+                    format!("{got:?}"),
                     "x={} {}",
                     point.x,
                     system.name()
@@ -662,7 +678,7 @@ mod tests {
         let point = |x: f64, run: &RunSummary| SweepPoint {
             x,
             axis: x,
-            systems: vec![aggregate(&[run.clone(), run.clone()]); SYSTEMS.len()],
+            runs: vec![vec![run.clone(), run.clone()]; SYSTEMS.len()],
         };
         let result = SweepResult {
             sweep: Sweep::Attackers,
@@ -692,10 +708,10 @@ mod tests {
             mean_delay_s: f64::NAN,
             ..RunSummary::default()
         };
-        let systems = vec![aggregate(&[run(1.0e6), run(2.0e5)]); SYSTEMS.len()];
+        let runs = vec![vec![run(1.0e6), run(2.0e5)]; SYSTEMS.len()];
         let result = SweepResult {
             sweep: Sweep::Mobility,
-            points: vec![SweepPoint { x: 1.0, axis: 0.5, systems }],
+            points: vec![SweepPoint { x: 1.0, axis: 0.5, runs }],
             seeds: vec![1, 2],
             scale: 0.02,
             fault_model: FaultModel::Oracle,

@@ -270,7 +270,7 @@ pub fn figure_svg(fig: &crate::Figure, sweep: &crate::SweepResult) -> String {
                 .points
                 .iter()
                 .map(|p| {
-                    let stat = fig.metric.pick(&p.systems[i]);
+                    let stat = fig.metric.pick(&p.runs[i]);
                     (p.axis, stat.mean, stat.ci95)
                 })
                 .collect(),

@@ -15,8 +15,8 @@
 //! * per-packet energy metering at the paper's prices (2 J tx / 0.75 J rx)
 //!   split into *construction* and *communication* ledgers;
 //! * application traffic generation (5 random sources every 10 s at
-//!   1 Mb/s), QoS-deadline throughput and delay metrics, and their
-//!   multi-seed aggregation with 95% confidence intervals.
+//!   1 Mb/s) and QoS-deadline throughput and delay metrics, one
+//!   [`RunSummary`] per run.
 //!
 //! Systems implement [`Protocol`] and are driven by [`runner::run`]:
 //!
@@ -43,7 +43,6 @@ mod energy;
 pub mod flood;
 mod geometry;
 pub mod grid;
-pub mod harness;
 pub mod hist;
 mod message;
 mod metrics;
@@ -51,7 +50,6 @@ mod node;
 mod protocol;
 pub mod runner;
 pub mod shard;
-pub mod stats;
 mod time;
 pub mod trace;
 pub mod traffic;

@@ -279,17 +279,3 @@ fn explicit_placement_positions_are_respected() {
     let (_, check) = runner::run_owned(cfg, PlacementCheck(false));
     assert!(check.0, "on_init ran");
 }
-
-#[test]
-fn harness_aggregates_over_seeds() {
-    let cfg = tiny_cfg();
-    let runs: Vec<_> = [1, 2, 3]
-        .into_iter()
-        .map(|seed| runner::run(SimConfig { seed, ..cfg.clone() }, &mut FloodProtocol::new(5)))
-        .collect();
-    assert_eq!(runs.len(), 3);
-    let agg = wsan_sim::harness::aggregate(&runs);
-    assert_eq!(agg.throughput_bps.n, 3);
-    assert!(agg.throughput_bps.mean > 0.0);
-    assert!(agg.energy_total_j.mean >= agg.energy_communication_j.mean);
-}
