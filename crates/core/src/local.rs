@@ -5,17 +5,22 @@
 //! it heard, the sleepers that registered with it, its last probe and
 //! whether its periodic timers run. Its fields are private: the container
 //! in [`crate::protocol`] reaches a row only through these methods, which
-//! borrow the shared [`Roster`] and [`FailureKnowledge`] read-only.
+//! borrow the shared [`Roster`] read-only, and the shared
+//! [`FailureKnowledge`] too except where a heartbeat check raises a
+//! suspicion.
 //!
 //! The container keeps what spans nodes: construction (a picked path writes
-//! the roster for every sensor on it), maintenance (a heal reads the dead
+//! the roster for every sensor on it), the maintenance tick after its
+//! heartbeat check (`ReferProtocol::maintain`: a handover reads the dead
 //! holder's [`candidates`](NodeLocal::candidates), writes the roster and
-//! arms the replacement's row), the data path (it reads every cell's
-//! roster, the tier and the layout), gossip receipt (it writes the shared
-//! knowledge) and dispatch.
+//! arms the replacement's row; the tick fills lists the container keeps
+//! across ticks instead of copying the roster each time), the data path (it
+//! reads every cell's roster, the tier and the layout), gossip receipt (it
+//! writes the shared knowledge) and dispatch.
 
 use crate::config::{
-    BEACON_INTERVAL, CTRL_BITS, MAINTENANCE_INTERVAL, PROBE_INTERVAL, QUERY_WINDOW,
+    BEACON_INTERVAL, CTRL_BITS, HEARTBEAT_TIMEOUT, MAINTENANCE_INTERVAL, PROBE_INTERVAL,
+    QUERY_WINDOW,
 };
 use crate::protocol::{tag, ReferMsg, KIND_BEACON, KIND_MAINT, KIND_PROBE, KIND_QPICK};
 use crate::roster::Roster;
@@ -271,6 +276,26 @@ impl NodeLocal {
             }
         }
         self.rearm(ctx, roster, BEACON_INTERVAL, KIND_BEACON);
+    }
+
+    /// Heartbeat detection (local failure knowledge only): a Kautz-graph
+    /// neighbor of this member that has beaconed before but has now been
+    /// silent past the heartbeat timeout becomes suspected.
+    pub(crate) fn heartbeat_check(
+        &self,
+        ctx: &mut impl ProtoCtx<ReferMsg>,
+        roster: &Roster,
+        knowledge: &mut FailureKnowledge,
+    ) {
+        let now = ctx.now();
+        for (_, _, owner) in roster.kautz_neighbor_owners(self.id) {
+            if matches!(ctx.kind(owner), NodeKind::Sensor)
+                && matches!(&*knowledge, FailureKnowledge::Local(view)
+                    if view.stale(owner, now, HEARTBEAT_TIMEOUT))
+            {
+                knowledge.suspect(ctx, owner);
+            }
+        }
     }
 
     /// A periodic timer of `kind` fired: a member re-arms it `after` from

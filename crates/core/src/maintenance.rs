@@ -29,17 +29,18 @@ pub fn battery_low(battery: f64, threshold: f64) -> bool {
     battery < threshold
 }
 
-/// Picks the best replacement among candidates: the highest-battery
-/// candidate that can reach all neighbor positions. Returns the index into
-/// `candidates`. Candidates reporting a non-finite battery (a corrupt or
-/// unreadable gauge) are ignored rather than trusted or panicked over.
+/// Picks the best replacement among candidates, given as `(position,
+/// battery)`: the highest-battery candidate that can reach all neighbor
+/// positions. Returns its index in `candidates`. Candidates reporting a
+/// non-finite battery (a corrupt or unreadable gauge) are ignored rather
+/// than trusted or panicked over.
 pub fn select_replacement(
-    candidates: &[(Point, f64)],
+    candidates: impl IntoIterator<Item = (Point, f64)>,
     neighbor_positions: &[Point],
     range: f64,
 ) -> Option<usize> {
     candidates
-        .iter()
+        .into_iter()
         .enumerate()
         .filter(|(_, (p, b))| b.is_finite() && can_replace(*p, neighbor_positions, range))
         .max_by(|(_, (_, a)), (_, (_, b))| a.total_cmp(b))
@@ -79,8 +80,8 @@ mod tests {
             (Point::new(60.0, 0.0), 90.0),  // feasible, high battery
             (Point::new(500.0, 0.0), 999.0), // infeasible
         ];
-        assert_eq!(select_replacement(&candidates, &neighbors, 100.0), Some(1));
-        assert_eq!(select_replacement(&[], &neighbors, 100.0), None);
+        assert_eq!(select_replacement(candidates, &neighbors, 100.0), Some(1));
+        assert_eq!(select_replacement([], &neighbors, 100.0), None);
     }
 
     #[test]
@@ -91,8 +92,8 @@ mod tests {
             (Point::new(60.0, 0.0), f64::INFINITY), // absurd reading
             (Point::new(70.0, 0.0), 5.0),           // honest, low
         ];
-        assert_eq!(select_replacement(&candidates, &neighbors, 100.0), Some(2));
+        assert_eq!(select_replacement(candidates, &neighbors, 100.0), Some(2));
         let all_bad = [(Point::new(50.0, 0.0), f64::NAN)];
-        assert_eq!(select_replacement(&all_bad, &neighbors, 100.0), None);
+        assert_eq!(select_replacement(all_bad, &neighbors, 100.0), None);
     }
 }

@@ -32,8 +32,8 @@
 use crate::addr::CellId;
 use crate::cells::{nearest_corner, plan_cells, CellLayout};
 use crate::config::{
-    ReferConfig, BATTERY_THRESHOLD, CTRL_BITS, HEARTBEAT_TIMEOUT, LINK_GUARD, MAINTENANCE_INTERVAL,
-    PROBE_INTERVAL, SUSPICION_TTL,
+    ReferConfig, BATTERY_THRESHOLD, CTRL_BITS, LINK_GUARD, MAINTENANCE_INTERVAL, PROBE_INTERVAL,
+    SUSPICION_TTL,
 };
 use crate::embedding::EmbeddingPlan;
 use crate::local::NodeLocal;
@@ -177,6 +177,18 @@ pub struct ReferStats {
     pub expiry_diversions: u64,
 }
 
+/// The lists a maintenance tick fills, kept across ticks so that no tick
+/// allocates them anew. They leave the protocol for the length of a tick,
+/// so that its handovers can borrow it whole.
+#[derive(Debug, Default)]
+struct TickLists {
+    /// `(cell, vertex, owner)`: the Kautz neighbors to heal, then the
+    /// vertices to resign, each copied before a handover edits the roster.
+    vertices: Vec<(usize, u32, NodeId)>,
+    /// The positions of one vertex's other neighbor owners.
+    positions: Vec<wsan_sim::Point>,
+}
+
 /// The REFER protocol (see module docs).
 #[derive(Debug)]
 pub struct ReferProtocol {
@@ -196,8 +208,11 @@ pub struct ReferProtocol {
     nodes: Vec<NodeLocal>,
     /// Who holds which vertex, sized once the cells are planned.
     roster: Roster,
-    /// The buffer the two-hop access search fills, kept across packets.
-    access_pool: Vec<NodeId>,
+    /// The candidate list the two-hop access search and a handover fill,
+    /// kept across calls.
+    pool: Vec<NodeId>,
+    /// The maintenance tick's lists, kept across ticks.
+    tick: TickLists,
     next_qid: u64,
     /// The fault oracle, or (`FaultModel::Discovered` / `Byzantine`, set
     /// at init) local failure suspicion — ACK timeouts and heartbeat
@@ -227,7 +242,8 @@ impl ReferProtocol {
             actuator_nodes: Vec::new(),
             cells: Vec::new(),
             nodes: Vec::new(),
-            access_pool: Vec::new(),
+            pool: Vec::new(),
+            tick: TickLists::default(),
             next_qid: 0,
             knowledge: FailureKnowledge::Oracle,
             stats: ReferStats::default(),
@@ -251,7 +267,7 @@ impl ReferProtocol {
     /// buffer across calls, so it allocates only while that buffer grows.
     pub fn access_relay(&mut self, ctx: &impl ProtoCtx<ReferMsg>, src: NodeId) -> Option<NodeId> {
         let (roster, knowledge) = (&self.roster, &self.knowledge);
-        self.nodes[src.index()].two_hop_relay(ctx, roster, knowledge, &mut self.access_pool)
+        self.nodes[src.index()].two_hop_relay(ctx, roster, knowledge, &mut self.pool)
     }
 
     // ----- construction --------------------------------------------------
@@ -509,57 +525,20 @@ impl ReferProtocol {
 
     // ----- steady state ---------------------------------------------------
 
-    /// Positions of the current owners of `kid`'s Kautz-graph neighbors in
-    /// `cell` (excluding `except`): the reachability constraint a
-    /// replacement for `kid` must satisfy.
+    /// Fills `out` with the positions of the current owners of `kid`'s
+    /// Kautz-graph neighbors in `cell` (excluding `except`): the
+    /// reachability constraint a replacement for `kid` must satisfy.
     fn neighbor_positions(
         &self,
         ctx: &impl ProtoCtx<ReferMsg>,
         cell: usize,
         kid: u32,
         except: NodeId,
-    ) -> Vec<wsan_sim::Point> {
-        self.roster
-            .neighbor_owners(cell, kid)
-            .filter(|&(_, n)| n != except)
-            .map(|(_, n)| ctx.position(n))
-            .collect()
-    }
-
-    /// Heartbeat detection (`Discovered` only): a Kautz-graph neighbor that
-    /// has beaconed before but has now been silent past the heartbeat
-    /// timeout becomes suspected.
-    fn heartbeat_check(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, node: NodeId) {
-        let now = ctx.now();
-        for (_, _, owner) in self.roster.kautz_neighbor_owners(node) {
-            if matches!(ctx.kind(owner), NodeKind::Sensor)
-                && matches!(&self.knowledge, FailureKnowledge::Local(view)
-                    if view.stale(owner, now, HEARTBEAT_TIMEOUT))
-            {
-                self.knowledge.suspect(ctx, owner);
-            }
-        }
-    }
-
-    /// Section III-B4 healing: a live member that believes a Kautz-graph
-    /// neighbor is down hands that neighbor's KID to the best replacement
-    /// candidate, restoring the cell after fault rotations and battery
-    /// death. "Believes" is mode-appropriate: the fault oracle under
-    /// `Oracle`, the suspicion view under `Discovered`.
-    fn heal_neighbors(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, node: NodeId) {
-        // A snapshot: a handover below edits the rosters being walked. A
-        // vertex adjacent both ways is listed twice, and its second entry
-        // still names the dead owner, so it can be handed over twice in one
-        // tick; the pinned traces include that.
-        let neighbors: Vec<_> = self.roster.kautz_neighbor_owners(node).collect();
-        for (cell, nk, owner) in neighbors {
-            let dead = matches!(ctx.kind(owner), NodeKind::Sensor)
-                && !self.knowledge.presumed_alive(ctx, owner);
-            if dead {
-                let neighbor_positions = self.neighbor_positions(ctx, cell, nk, owner);
-                self.hand_over(ctx, node, cell, nk, owner, &neighbor_positions);
-            }
-        }
+        out: &mut Vec<wsan_sim::Point>,
+    ) {
+        out.clear();
+        let others = self.roster.neighbor_owners(cell, kid).filter(|&(_, n)| n != except);
+        out.extend(others.map(|(_, n)| ctx.position(n)));
     }
 
     /// Section III-B4's handover: `node` gives `kid` of `cell`, held by
@@ -588,19 +567,16 @@ impl ReferProtocol {
         let range = ctx.config().sensor_range;
         // A healer heard the dead member's candidacies announced on the air.
         let theirs: &[NodeId] = if heal { self.nodes[holder.index()].candidates() } else { &[] };
-        let pool: Vec<NodeId> = theirs
-            .iter()
-            .chain(self.nodes[node.index()].candidates())
-            .copied()
-            .filter(|&c| {
-                c != holder && self.knowledge.presumed_alive(ctx, c) && !self.roster.is_member(c)
-            })
-            .collect();
-        let scored: Vec<(wsan_sim::Point, f64)> =
-            pool.iter().map(|&c| (ctx.position(c), ctx.battery(c))).collect();
-        let strict = select_replacement(&scored, neighbor_positions, range).map(|i| pool[i]);
+        let (knowledge, roster) = (&self.knowledge, &self.roster);
+        let pool = &mut self.pool;
+        pool.clear();
+        pool.extend(theirs.iter().chain(self.nodes[node.index()].candidates()).copied().filter(
+            |&c| c != holder && knowledge.presumed_alive(ctx, c) && !roster.is_member(c),
+        ));
+        let scored = pool.iter().map(|&c| (ctx.position(c), ctx.battery(c)));
+        let strict = select_replacement(scored, neighbor_positions, range).map(|i| pool[i]);
         let pick = if heal {
-            strict.filter(|&r| self.knowledge.usable(ctx, node, r))
+            strict.filter(|&r| knowledge.usable(ctx, node, r))
         } else {
             let max_dist = |p: wsan_sim::Point| {
                 neighbor_positions.iter().map(|q| p.distance(q)).fold(0.0f64, f64::max)
@@ -612,14 +588,14 @@ impl ReferProtocol {
                     .copied()
                     .filter(|&c| {
                         c != node
-                            && self.knowledge.presumed_alive(ctx, c)
-                            && !self.roster.is_member(c)
+                            && knowledge.presumed_alive(ctx, c)
+                            && !roster.is_member(c)
                             && ctx.in_range(node, c)
                     })
-                    .min_by(|&a, &b| {
-                        max_dist(ctx.position(a)).total_cmp(&max_dist(ctx.position(b)))
-                    })
-                    .filter(|&c| max_dist(ctx.position(c)) + 1.0 < own)
+                    .map(|c| (max_dist(ctx.position(c)), c))
+                    .min_by(|a, b| a.0.total_cmp(&b.0))
+                    .filter(|&(d, _)| d + 1.0 < own)
+                    .map(|(_, c)| c)
             })
         };
         let Some(replacement) = pick else {
@@ -643,7 +619,17 @@ impl ReferProtocol {
         self.nodes[replacement.index()].start_member_timers(ctx, false);
     }
 
-    fn on_maintenance_timer(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, node: NodeId) {
+    /// One Section III-B4 maintenance tick of `node`, which re-arms the
+    /// next (a node that lost its last vertex stands its timers down).
+    /// Under local knowledge a member first suspects its silent Kautz
+    /// neighbors. It then heals each neighbor it believes down (by the
+    /// fault oracle under `Oracle`, the suspicion view otherwise), which
+    /// restores the cell after fault rotations and battery death, and a
+    /// sensor resigns each vertex whose links are endangered, or every
+    /// vertex when its battery is low. The tick reuses its lists: one that
+    /// hands nothing over allocates only while a list grows, besides what
+    /// its frames cost `ctx`.
+    pub fn maintain(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, node: NodeId) {
         if !self.nodes[node.index()].rearm(ctx, &self.roster, MAINTENANCE_INTERVAL, KIND_MAINT) {
             return;
         }
@@ -651,25 +637,37 @@ impl ReferProtocol {
             return;
         }
         if self.knowledge.is_local() {
-            self.heartbeat_check(ctx, node);
+            self.nodes[node.index()].heartbeat_check(ctx, &self.roster, &mut self.knowledge);
         }
-        self.heal_neighbors(ctx, node);
-        if matches!(ctx.kind(node), NodeKind::Actuator) {
-            return;
-        }
-        // A snapshot: a handover below edits the row being walked.
-        let memberships = self.roster.memberships(node).to_vec();
-        let range = ctx.config().sensor_range;
-        for (cell, kid) in memberships {
-            let neighbor_positions = self.neighbor_positions(ctx, cell, kid, node);
-            let endangered = neighbor_positions
-                .iter()
-                .any(|&p| link_endangered(ctx.position(node), p, range, LINK_GUARD));
-            let weak = battery_low(ctx.battery(node), BATTERY_THRESHOLD);
-            if endangered || weak {
-                self.hand_over(ctx, node, cell, kid, node, &neighbor_positions);
+        let mut tick = std::mem::take(&mut self.tick);
+        // A vertex adjacent both ways is listed twice, and its second entry
+        // still names the dead owner, so it can be handed over twice in one
+        // tick; the pinned traces include that.
+        tick.vertices.clear();
+        tick.vertices.extend(self.roster.kautz_neighbor_owners(node));
+        for &(cell, nk, owner) in &tick.vertices {
+            let dead = matches!(ctx.kind(owner), NodeKind::Sensor)
+                && !self.knowledge.presumed_alive(ctx, owner);
+            if dead {
+                self.neighbor_positions(ctx, cell, nk, owner, &mut tick.positions);
+                self.hand_over(ctx, node, cell, nk, owner, &tick.positions);
             }
         }
+        if matches!(ctx.kind(node), NodeKind::Sensor) {
+            tick.vertices.clear();
+            tick.vertices.extend(self.roster.memberships(node).iter().map(|&(c, k)| (c, k, node)));
+            let (here, range) = (ctx.position(node), ctx.config().sensor_range);
+            for &(cell, kid, _) in &tick.vertices {
+                self.neighbor_positions(ctx, cell, kid, node, &mut tick.positions);
+                let endangered =
+                    tick.positions.iter().any(|&p| link_endangered(here, p, range, LINK_GUARD));
+                let weak = battery_low(ctx.battery(node), BATTERY_THRESHOLD);
+                if endangered || weak {
+                    self.hand_over(ctx, node, cell, kid, node, &tick.positions);
+                }
+            }
+        }
+        self.tick = tick;
     }
 
     /// The cell among `cells` whose centroid is nearest `p`; the first
@@ -1076,7 +1074,7 @@ impl SansIo for ReferProtocol {
             KIND_BEACON => {
                 self.nodes[at.index()].on_beacon_timer(ctx, &self.roster, &self.knowledge);
             }
-            KIND_MAINT => self.on_maintenance_timer(ctx, at),
+            KIND_MAINT => self.maintain(ctx, at),
             KIND_PROBE if self.rcfg.maintenance_enabled => {
                 self.nodes[at.index()].on_probe_timer(ctx, &self.roster, &self.knowledge);
             }

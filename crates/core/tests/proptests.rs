@@ -110,7 +110,7 @@ proptest! {
             })
             .collect();
         let ns: Vec<Point> = neighbors.iter().map(|&(x, y)| Point::new(x, y)).collect();
-        match select_replacement(&scored, &ns, range) {
+        match select_replacement(scored.iter().copied(), &ns, range) {
             Some(i) => {
                 let (p, e) = scored[i];
                 prop_assert!(e.is_finite());
