@@ -59,17 +59,20 @@ pub fn std_dev(xs: &[f64]) -> f64 {
 /// `n` counts the samples kept. With none kept the statistic is undefined
 /// too: NaN mean and half-width with `n == 0`, never a zero that reads as
 /// a measurement. With one the half-width is zero (no spread information),
-/// mirroring how single-seed smoke runs are reported.
+/// mirroring how single-seed smoke runs are reported. Equal samples give
+/// exactly their value and a zero half-width, so a flat column reads flat.
 pub fn ci95(xs: impl IntoIterator<Item = f64>) -> CiStat {
     let xs: Vec<f64> = xs.into_iter().filter(|x| x.is_finite()).collect();
     let n = xs.len();
     if n == 0 {
         return CiStat { mean: f64::NAN, ci95: f64::NAN, n };
     }
-    let m = mean(&xs);
-    if n < 2 {
-        return CiStat { mean: m, ci95: 0.0, n };
+    // Equal samples (one included) have no spread, and their mean is the
+    // sample itself: summing and dividing could miss it by a rounding.
+    if xs.iter().all(|&x| x == xs[0]) {
+        return CiStat { mean: xs[0], ci95: 0.0, n };
     }
+    let m = mean(&xs);
     let half = t_crit(n) * std_dev(&xs) / (n as f64).sqrt();
     CiStat { mean: m, ci95: half, n }
 }
@@ -168,10 +171,11 @@ mod tests {
             congestion_drops: 5,
             ..RunSummary::default()
         };
-        // Two runs, so the mean of every column is exact.
-        let runs = [run.clone(), run.clone()];
+        // Three runs: summing three 0.1s and dividing by three gives
+        // 0.10000000000000002, so only an exact flat case passes.
+        let runs = [run.clone(), run.clone(), run.clone()];
         for (name, f) in STATS {
-            assert_eq!(column(&runs, f), CiStat { mean: f(&run), ci95: 0.0, n: 2 }, "{name}");
+            assert_eq!(column(&runs, f), CiStat { mean: f(&run), ci95: 0.0, n: 3 }, "{name}");
         }
         assert_eq!(column(&runs, crate::energy_total_j).mean, 55.0);
         assert_eq!(column(&runs, |r| r.mean_containment_time_s).mean, 1.5);

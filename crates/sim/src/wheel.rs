@@ -28,6 +28,16 @@
 //! bucket with a handful of `trailing_zeros` scans instead of a 256-slot
 //! walk.
 //!
+//! The events themselves live in one pool of fixed [`BLOCK`]-event blocks
+//! shared by all eight levels. A bucket is a chain of blocks (its head and
+//! tail block indices), each block knows how many of its slots are filled
+//! and which block comes next, and a drained block goes back on the free
+//! list for any bucket of any level to take. So the pool holds at most the
+//! events in flight plus one partly filled block per occupied bucket, at
+//! the most-loaded moment of the run; how large a bucket once grew does
+//! not stay behind it. Inside a block the events are contiguous, so
+//! staging and cascading stream through memory a block at a time.
+//!
 //! # Exact heap equivalence
 //!
 //! The engines' canonical event order is `(at, seq)` — time, then the
@@ -75,27 +85,33 @@ const LEVELS: usize = (u64::BITS / SLOT_BITS) as usize;
 const WORDS: usize = SLOTS / 64;
 /// Bucket-index mask within a level.
 const SLOT_MASK: u64 = (SLOTS - 1) as u64;
+/// Events per pool block.
+const BLOCK: usize = 64;
+/// The end of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One pool block: a slice of some bucket's chain, or a free block (then
+/// `len == 0` and every slot is `None`).
+struct Block<P> {
+    /// Filled slots; they are the first `len` of `events`, in push order.
+    len: u32,
+    /// The next block of the bucket's chain, or of the free list.
+    next: u32,
+    events: [Option<Scheduled<P>>; BLOCK],
+}
 
 /// The event queue of one engine context: a hierarchical timing wheel
 /// keyed on microsecond [`SimTime`] that pops in exactly `(at, seq)`
 /// order; see the module docs for the layout and the equivalence argument.
 pub(crate) struct EventQueue<P> {
-    /// `LEVELS * SLOTS` buckets, row-major by level. A level-0 bucket
-    /// keeps its vector when it is staged; a bucket of a coarser level
-    /// gives its vector up to `spares` when it cascades and is left
-    /// without one (capacity 0) until its next first push.
-    slots: Vec<Vec<Scheduled<P>>>,
-    /// Per level, the vectors of cascaded buckets, empty but with their
-    /// capacity: the next bucket of that level to receive a first push
-    /// takes one. The steady state therefore allocates nothing, and a
-    /// level holds as many vectors as it ever had buckets occupied at
-    /// once — not one per bucket ever touched, which grows with the span
-    /// of simulated time (a level-1 bucket comes round again after 65 ms,
-    /// a level-2 bucket after 16.8 s). Per level because bucket sizes
-    /// differ by orders of magnitude between levels: a level-2 vector
-    /// behind a level-1 bucket would pin its capacity for a handful of
-    /// events.
-    spares: [Vec<Vec<Scheduled<P>>>; LEVELS],
+    /// The block pool: every bucket's events, and the free blocks.
+    blocks: Vec<Block<P>>,
+    /// Head of the free list, threaded through [`Block::next`].
+    free: u32,
+    /// `LEVELS * SLOTS` buckets, row-major by level, each the `(head,
+    /// tail)` of its block chain. An entry means something only while
+    /// the bucket's `occupied` bit is set.
+    chains: Box<[(u32, u32)]>,
     /// Per-level occupancy bitmaps.
     occupied: [[u64; WORDS]; LEVELS],
     /// The staged timestamp: every event with `at < cursor` has been
@@ -117,8 +133,9 @@ pub(crate) struct EventQueue<P> {
 impl<P> EventQueue<P> {
     pub(crate) fn new() -> Self {
         EventQueue {
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
-            spares: std::array::from_fn(|_| Vec::new()),
+            blocks: Vec::new(),
+            free: NIL,
+            chains: vec![(NIL, NIL); LEVELS * SLOTS].into_boxed_slice(),
             occupied: [[0; WORDS]; LEVELS],
             cursor: 0,
             current: VecDeque::new(),
@@ -195,20 +212,45 @@ impl<P> EventQueue<P> {
     }
 
     /// Files a future event into the lowest level whose bucketing
-    /// distinguishes `at` from the cursor.
+    /// distinguishes `at` from the cursor, at the tail of its bucket.
     fn place(&mut self, ev: Scheduled<P>, at: u64) {
         debug_assert!(at > self.cursor);
         let level = ((63 - (at ^ self.cursor).leading_zeros()) / SLOT_BITS) as usize;
         let slot = ((at >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
-        let bucket = &mut self.slots[level * SLOTS + slot];
-        if bucket.capacity() == 0 {
-            // First push since this bucket cascaded (or ever).
-            if let Some(spare) = self.spares[level].pop() {
-                *bucket = spare;
+        let bucket = level * SLOTS + slot;
+        let bit = 1u64 << (slot % 64);
+        let tail = if self.occupied[level][slot / 64] & bit == 0 {
+            self.occupied[level][slot / 64] |= bit;
+            let b = self.take_block();
+            self.chains[bucket] = (b, b);
+            b
+        } else {
+            let tail = self.chains[bucket].1;
+            if self.blocks[tail as usize].len as usize == BLOCK {
+                let b = self.take_block();
+                self.blocks[tail as usize].next = b;
+                self.chains[bucket].1 = b;
+                b
+            } else {
+                tail
             }
+        };
+        let block = &mut self.blocks[tail as usize];
+        block.events[block.len as usize] = Some(ev);
+        block.len += 1;
+    }
+
+    /// An empty block: the head of the free list, or a new one when the
+    /// list is empty.
+    fn take_block(&mut self) -> u32 {
+        if self.free == NIL {
+            let b = u32::try_from(self.blocks.len()).expect("fewer than 2^32 blocks");
+            self.blocks.push(Block { len: 0, next: NIL, events: std::array::from_fn(|_| None) });
+            return b;
         }
-        bucket.push(ev);
-        self.occupied[level][slot / 64] |= 1u64 << (slot % 64);
+        let b = self.free;
+        self.free = self.blocks[b as usize].next;
+        b
     }
 
     /// Ensures `current` holds the next timestamp's events, advancing the
@@ -237,30 +279,45 @@ impl<P> EventQueue<P> {
             let span = shift + SLOT_BITS;
             let high = if span >= u64::BITS { 0 } else { (self.cursor >> span) << span };
             self.cursor = high | ((slot as u64) << shift);
-            let mut batch = std::mem::take(&mut self.slots[level * SLOTS + slot]);
             self.occupied[level][slot / 64] &= !(1u64 << (slot % 64));
-            if level == 0 {
-                // A level-0 bucket holds exactly one timestamp: sort once
-                // by seq and it is the staged bucket.
-                batch.sort_unstable_by_key(|e| e.seq);
-                self.current.extend(batch.drain(..));
-                // All 256 level-0 buckets come round every 256 µs: handing
-                // the vector straight back is bounded and the cheapest.
-                self.slots[slot] = batch;
-            } else {
-                // Cascade: every event re-files at least one level lower
-                // (its high bits now match the cursor through this
-                // level's span), so the loop strictly descends.
-                for ev in batch.drain(..) {
-                    let at = ev.at.as_micros();
-                    debug_assert!(at >= self.cursor);
-                    if at == self.cursor {
-                        self.insert_current(ev);
-                    } else {
-                        self.place(ev, at);
+            // Empty the bucket's chain a block at a time, each block back
+            // on the free list as soon as it is drained (so a cascade can
+            // refill it at once).
+            let (mut b, tail) = self.chains[level * SLOTS + slot];
+            loop {
+                let block = &mut self.blocks[b as usize];
+                let (len, next) = (block.len as usize, block.next);
+                block.len = 0;
+                if level == 0 {
+                    // A level-0 bucket holds exactly one timestamp: it
+                    // becomes the staged bucket, sorted below.
+                    let events = block.events[..len].iter_mut();
+                    self.current.extend(events.map(|e| e.take().expect("a filled slot")));
+                } else {
+                    // Cascade: every event re-files at least one level
+                    // lower (its high bits now match the cursor through
+                    // this level's span), so the loop strictly descends
+                    // and never refills the chain it is emptying.
+                    for i in 0..len {
+                        let ev = self.blocks[b as usize].events[i].take().expect("a filled slot");
+                        let at = ev.at.as_micros();
+                        debug_assert!(at >= self.cursor);
+                        if at == self.cursor {
+                            self.insert_current(ev);
+                        } else {
+                            self.place(ev, at);
+                        }
                     }
                 }
-                self.spares[level].push(batch);
+                self.blocks[b as usize].next = self.free;
+                self.free = b;
+                if b == tail {
+                    break;
+                }
+                b = next;
+            }
+            if level == 0 {
+                self.current.make_contiguous().sort_unstable_by_key(|e| e.seq);
             }
         }
     }
@@ -440,34 +497,37 @@ mod tests {
         assert_identical(script);
     }
 
-    // The three tests below pin bucket recycling: the wheel's storage is
-    // bounded by the buckets occupied at once, not by the span of
-    // simulated time it has been turned through.
+    // The tests below pin the block pool: the wheel's storage is bounded
+    // by the events in flight and the buckets occupied at once, not by the
+    // span of simulated time it has been turned through nor by how large
+    // any bucket once grew.
 
-    /// Element capacity of every vector the wheel holds on to: buckets of
-    /// every level plus the per-level spares.
-    fn retained_capacity(q: &EventQueue<()>) -> usize {
-        q.slots.iter().chain(q.spares.iter().flatten()).map(Vec::capacity).sum()
+    /// Event slots the pool holds, free blocks included.
+    fn held_slots(q: &EventQueue<()>) -> usize {
+        q.blocks.len() * BLOCK
     }
 
-    /// Largest capacity among `level`'s buckets and spares.
-    fn widest_vector(q: &EventQueue<()>, level: usize) -> usize {
-        q.slots[level * SLOTS..(level + 1) * SLOTS]
-            .iter()
-            .chain(&q.spares[level])
-            .map(Vec::capacity)
-            .max()
-            .unwrap_or(0)
+    /// Events in flight plus one whole block per occupied bucket: what the
+    /// pool needs at this moment.
+    fn pool_bound(q: &EventQueue<()>, in_flight: usize) -> usize {
+        let occupied: u32 = q.occupied.iter().flatten().map(|w| w.count_ones()).sum();
+        in_flight + BLOCK * occupied as usize
     }
 
     #[test]
-    fn flood_bursts_reuse_the_first_bursts_vectors() {
+    fn a_block_slot_is_no_larger_than_an_event() {
+        // The pool's slots are `Option`s; the event kind's discriminant
+        // leaves a niche for `None`, so the bound above is in events.
+        assert_eq!(size_of::<Option<Scheduled<()>>>(), size_of::<Scheduled<()>>());
+    }
+
+    #[test]
+    fn flood_bursts_keep_the_first_bursts_blocks() {
         // The flood pattern: once a simulated second a tick fires and
         // ~10 k events land within the next 10 ms — straight into level 1,
         // whose buckets at 1 s, 2 s and 3 s are all different (a level-1
         // bucket repeats every 65 ms). Each burst fills 39 whole level-1
-        // buckets, one event per microsecond, so every vector ends in one
-        // capacity class and "no growth" is an equality, not a tolerance.
+        // buckets, one event per microsecond.
         const BUCKETS: u64 = 39;
         let mut q = EventQueue::<()>::new();
         let mut seq = 0u64;
@@ -486,25 +546,28 @@ mod tests {
             for _ in 0..BUCKETS * SLOTS as u64 {
                 assert!(q.pop().expect("the burst is queued").at.as_micros() < edge + 10_000);
             }
-            after.push(retained_capacity(&q));
+            after.push(held_slots(&q));
         }
-        assert!(after[0] >= (BUCKETS as usize) * SLOTS, "the burst was bucketed: {after:?}");
-        assert_eq!(after[2], after[0], "storage grew with simulated time: {after:?}");
+        assert!(after[0] >= (BUCKETS as usize) * SLOTS, "the burst was pooled: {after:?}");
+        assert_eq!(after[1..], [after[0]; 2], "the pool grew with simulated time: {after:?}");
+        assert!(q.free != NIL, "drained blocks go back on the free list");
     }
 
-    /// One timer per id with a 250 ms period, re-armed at every expiry,
-    /// for four simulated seconds (the `timers_1m` pattern). The phases
-    /// put exactly one expiry on every 16th microsecond, so a level-2
-    /// bucket holds 4 096 events, a level-1 bucket 16 and a level-0
-    /// bucket one. Returns the wheel and its retained capacity sampled at
-    /// the end of every period.
-    fn duty_cycle(ids: u64) -> (EventQueue<()>, Vec<usize>) {
+    #[test]
+    fn duty_cycle_storage_is_bounded_by_the_timers_in_flight() {
+        // One timer per id with a 250 ms period, re-armed at every expiry,
+        // for sixteen periods (the `timers_1m` pattern). The phases put
+        // exactly one expiry on every 16th microsecond, so a level-2
+        // bucket holds 4 096 events, a level-1 bucket 16 and a level-0
+        // bucket one.
         const PERIOD: u64 = 250_000;
+        let ids = 15_625u64;
         let stride = PERIOD / ids;
         let mut q = EventQueue::<()>::new();
         for id in 0..ids {
             q.push(ev(1 + id * stride, id));
         }
+        let mut bound = pool_bound(&q, ids as usize);
         let mut samples = Vec::new();
         let mut seq = ids;
         for period in 1..=16u64 {
@@ -512,38 +575,50 @@ mod tests {
                 let fired = q.pop().expect("peeked");
                 q.push(ev(fired.at.as_micros() + PERIOD, seq));
                 seq += 1;
+                bound = bound.max(pool_bound(&q, ids as usize));
             }
-            samples.push(retained_capacity(&q));
+            samples.push(held_slots(&q));
         }
-        (q, samples)
-    }
-
-    #[test]
-    fn duty_cycle_storage_is_bounded_by_the_timers_in_flight() {
-        let ids = 15_625;
-        let (_, samples) = duty_cycle(ids);
-        // Sixteen periods turn the wheel through 61 level-2 buckets of
-        // 4 096 events each; four are ever occupied at once.
         assert!(
-            samples.iter().all(|&cap| cap <= 2 * ids as usize),
-            "retained capacity exceeds twice the {ids} events in flight: {samples:?}"
+            samples.iter().all(|&held| held <= bound),
+            "the pool holds more than {bound} slots: {samples:?}"
         );
         // The allocation-free steady state: after the first period no
-        // vector is created and none grows.
+        // block is added.
         assert!(
-            samples[1..].iter().all(|&cap| cap == samples[1]),
-            "storage still moving after the first period: {samples:?}"
+            samples.iter().all(|&held| held == samples[0]),
+            "the pool still grows after the first period: {samples:?}"
         );
     }
 
     #[test]
-    fn spares_stay_on_their_own_level() {
-        let (q, _) = duty_cycle(15_625);
-        assert_eq!(widest_vector(&q, 2), 4_096, "level 2 buckets a quarter period each");
-        // One shared spare list would hand level 2's vectors to level-1
-        // buckets, where each would pin 4 096 slots for 16 events.
-        assert_eq!(widest_vector(&q, 1), 16, "a level-1 bucket took a level-2 vector");
-        assert!(q.spares[0].is_empty(), "level 0 hands its vectors straight back");
+    fn a_drained_giant_bucket_leaves_no_giant_behind() {
+        // One 100 k-event bucket, cascaded from level 2 to level 0 and
+        // drained; then 100 level-2 buckets of 1 000 events each in flight
+        // at once. Storage kept per bucket would hold the giant's room
+        // (131 072 slots) beside the hundred new buckets: some 230 k slots
+        // for 100 k events.
+        let mut q = EventQueue::<()>::new();
+        let mut seq = 0u64;
+        for _ in 0..100_000 {
+            q.push(ev((1 << 16) + 1, seq));
+            seq += 1;
+        }
+        while q.pop().is_some() {}
+        let giant = held_slots(&q);
+        assert!(giant >= 100_000, "the giant was pooled: {giant}");
+        let start = q.cursor + (1 << 16);
+        for bucket in 0..100u64 {
+            for i in 0..1_000u64 {
+                q.push(ev(start + (bucket << 16) + i, seq));
+                seq += 1;
+            }
+        }
+        let bound = pool_bound(&q, 100_000);
+        assert!(held_slots(&q) <= bound, "{} slots held for 100 000 events", held_slots(&q));
+        assert!(bound < 110_000, "the hundred buckets sit on level 2: bound {bound}");
+        let drained = std::iter::from_fn(|| q.pop()).count();
+        assert_eq!(drained, 100_000);
     }
 
     // Random interleavings of pushes (dense ties, far-future tails,
