@@ -40,14 +40,13 @@
 
 use refer_bench::cli::{exit_usage, Args, Command, SHARED, SIZE};
 use refer_bench::{or_dash, run_system_with_sinks, ScenarioFlags, System};
-use refer_obs::{
-    from_jsonl_line, fnv1a64, EventHash, HashingSink, JsonlSink, PacketLedger, SharedBuf,
-};
+use refer_obs::{fnv1a64, read_jsonl, EventHash, JsonlSink, PacketLedger, SharedBuf};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::str::FromStr;
+use std::sync::{Arc, Mutex};
 use wsan_sim::flood::FloodProtocol;
-use wsan_sim::trace::TraceEvent;
+use wsan_sim::trace::TraceSink;
 use wsan_sim::{DataId, Engine, NodeId, ShardedConfig, SimConfig};
 
 /// The systems `--system` names, as [`SYSTEM`] lists them.
@@ -148,7 +147,7 @@ fn id_and_ledger<T: FromStr>(args: &Args, cmd: &str) -> Result<(T, PacketLedger)
     };
     let id = id.parse().map_err(|_| format!("bad {cmd} id `{id}`"))?;
     let path: String = args.get("in")?.ok_or(format!("{cmd} needs --in FILE"))?;
-    Ok((id, PacketLedger::from_events(load(&path)?.1)))
+    Ok((id, PacketLedger::from_events(read_jsonl(&path).map_err(Failure::Data)?)))
 }
 
 fn cmd_record(args: &Args) -> Result<ExitCode, Failure> {
@@ -157,13 +156,12 @@ fn cmd_record(args: &Args) -> Result<ExitCode, Failure> {
 
     let sink = JsonlSink::create(std::path::Path::new(&out))
         .map_err(|e| Failure::Data(format!("cannot create {out}: {e}")))?;
-    let (hasher, hash) = HashingSink::new();
-    let (summary, _sinks) =
-        run_system_with_sinks(&cfg, system, vec![Box::new(sink), Box::new(hasher)]);
+    let ((summary, _sinks), hash) =
+        digest(|hasher| run_system_with_sinks(&cfg, system, vec![Box::new(sink), hasher]));
 
     println!(
         "recorded {} events from {} seed {} ({} sensors, {} faulty, {:.0}s simulated) to {out}",
-        hash.get().count,
+        hash.count,
         system.name(),
         cfg.seed,
         cfg.sensors,
@@ -178,26 +176,8 @@ fn cmd_record(args: &Args) -> Result<ExitCode, Failure> {
         or_dash(summary.delay_p99_s * 1e3, 1, "ms"),
         or_dash(summary.deadline_miss_ratio * 100.0, 1, "%"),
     );
-    println!("digest {}", hash.get().digest());
+    println!("digest {}", hash.digest());
     Ok(ExitCode::SUCCESS)
-}
-
-/// Loads a JSONL trace: the raw lines and their parsed events.
-fn load(path: &str) -> Result<(Vec<String>, Vec<TraceEvent>), Failure> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| Failure::Data(format!("cannot read {path}: {e}")))?;
-    let mut lines = Vec::new();
-    let mut events = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let event = from_jsonl_line(line)
-            .map_err(|e| Failure::Data(format!("{path}:{}: {}", i + 1, e.0)))?;
-        lines.push(line.to_string());
-        events.push(event);
-    }
-    Ok((lines, events))
 }
 
 fn cmd_packet(args: &Args) -> Result<ExitCode, Failure> {
@@ -244,15 +224,15 @@ struct TraceReport {
     ledger: PacketLedger,
 }
 
+/// The digest hashes each event's canonical line, as `record`'s does, so
+/// a recorded file reports the digest its recording printed.
 fn report(path: &str) -> Result<TraceReport, Failure> {
-    let (lines, events) = load(path)?;
+    let events = read_jsonl(path).map_err(Failure::Data)?;
     let mut by_kind = BTreeMap::new();
+    let mut hash = EventHash::new();
     for event in &events {
         *by_kind.entry(event.kind()).or_insert(0u64) += 1;
-    }
-    let mut hash = EventHash::new();
-    for line in &lines {
-        hash.update(line);
+        hash.on_event(event);
     }
     Ok(TraceReport { by_kind, hash, ledger: PacketLedger::from_events(events) })
 }
@@ -275,6 +255,19 @@ fn cmd_summary(args: &Args) -> Result<ExitCode, Failure> {
             drops.iter().map(|(reason, n)| format!("{reason} {n}")).collect();
         println!("drops by reason: {}", rendered.join(", "));
     }
+    let m = r.ledger.measured();
+    let ms = |s: f64| or_dash(s * 1e3, 2, "ms");
+    println!(
+        "measured: {} offered, {} delivered ({}), delay p50/p95/p99 {} {} {}, hops p50/p99 {} {}",
+        m.offered,
+        m.delivered,
+        or_dash(m.delivery_ratio * 100.0, 1, "%"),
+        ms(m.delay_p50_s),
+        ms(m.delay_p95_s),
+        ms(m.delay_p99_s),
+        or_dash(m.hop_p50, 0, ""),
+        or_dash(m.hop_p99, 0, ""),
+    );
     Ok(ExitCode::SUCCESS)
 }
 
@@ -314,31 +307,29 @@ fn cmd_verify(args: &Args) -> Result<ExitCode, Failure> {
     let (cfg, system) = scenario(args)?;
     let seeds: Vec<u64> = (1..=args.get("seeds")?.unwrap_or(3)).collect();
 
+    let seeded = |seed| SimConfig { seed, ..cfg.clone() };
+
     // Serial pass: one traced run per seed, digests merged.
     let mut serial = EventHash::new();
     for &seed in &seeds {
-        let mut cfg = cfg.clone();
-        cfg.seed = seed;
-        let (sink, hash) = HashingSink::new();
-        run_system_with_sinks(&cfg, system, vec![Box::new(sink)]);
-        serial.merge(&hash.get());
+        serial.merge(&digest(|sink| run_system_with_sinks(&seeded(seed), system, vec![sink])).1);
     }
 
     // Parallel pass: same runs on scoped threads.
-    let mut handles = Vec::new();
+    let mut parallel = EventHash::new();
     std::thread::scope(|scope| {
-        for &seed in &seeds {
-            let mut cfg = cfg.clone();
-            cfg.seed = seed;
-            let (sink, hash) = HashingSink::new();
-            handles.push(hash);
-            scope.spawn(move || run_system_with_sinks(&cfg, system, vec![Box::new(sink)]));
+        let runs: Vec<_> = seeds
+            .iter()
+            .map(|&seed| {
+                let cfg = seeded(seed);
+                let run = move || digest(|sink| run_system_with_sinks(&cfg, system, vec![sink])).1;
+                scope.spawn(run)
+            })
+            .collect();
+        for run in runs {
+            parallel.merge(&run.join().expect("a verify run panicked"));
         }
     });
-    let mut parallel = EventHash::new();
-    for hash in &handles {
-        parallel.merge(&hash.get());
-    }
 
     let order_ok = serial == parallel;
     println!(
@@ -372,6 +363,15 @@ fn cmd_verify(args: &Args) -> Result<ExitCode, Failure> {
     }
 }
 
+/// What `run` returns, and the digest of the events it streams into the
+/// sink it is handed.
+fn digest<R>(run: impl FnOnce(Box<dyn TraceSink>) -> R) -> (R, EventHash) {
+    let hash = Arc::new(Mutex::new(EventHash::new()));
+    let ran = run(Box::new(hash.clone()));
+    let hash = *hash.lock().expect("the run is over");
+    (ran, hash)
+}
+
 /// Runs the scenario once, streaming the trace to an in-memory buffer.
 fn record_bytes(cfg: &SimConfig, system: System) -> Vec<u8> {
     let buf = SharedBuf::new();
@@ -398,8 +398,7 @@ fn cmd_verify_live(args: &Args) -> Result<ExitCode, Failure> {
 
     let mut events = Vec::new();
     for path in paths {
-        let (_, mut parsed) = load(path)?;
-        events.append(&mut parsed);
+        events.append(&mut read_jsonl(path).map_err(Failure::Data)?);
     }
     let total_events = events.len();
     let ledger = PacketLedger::from_events(events);
@@ -487,13 +486,9 @@ fn cmd_verify_sharded(args: &Args) -> Result<ExitCode, Failure> {
         cfg.seed = seed;
         for (threads, hash) in [(1, &mut reference), (threads, &mut threaded)] {
             cfg.engine = engine(threads);
-            let (sink, h) = HashingSink::new();
-            wsan_sim::run_sharded_with_sinks(
-                cfg.clone(),
-                &mut FloodProtocol::new(6),
-                vec![Box::new(sink)],
-            );
-            hash.merge(&h.get());
+            let flood = &mut FloodProtocol::new(6);
+            let run = |sink| wsan_sim::run_sharded_with_sinks(cfg.clone(), flood, vec![sink]);
+            hash.merge(&digest(run).1);
         }
     }
     let multiset_ok = reference == threaded;

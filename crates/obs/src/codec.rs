@@ -9,6 +9,7 @@
 
 use serde::json::{self, Writer};
 use serde::{Error, Value};
+use std::path::Path;
 use wsan_sim::trace::TraceEvent;
 use wsan_sim::{DataId, DropReason, EnergyAccount, HopReason, NodeId, SimTime};
 
@@ -311,6 +312,21 @@ pub fn to_jsonl_line(event: &TraceEvent) -> String {
 /// Parses one JSONL line back into an event.
 pub fn from_jsonl_line(line: &str) -> Result<TraceEvent, Error> {
     event_from_value(&json::from_str(line.trim())?)
+}
+
+/// Reads a JSONL trace file: its events in file order. Blank lines are
+/// skipped; the first line that does not decode fails the whole file,
+/// named as `path:line`, so no tool folds a corrupt trace.
+pub fn read_jsonl(path: impl AsRef<Path>) -> Result<Vec<TraceEvent>, String> {
+    let path = path.as_ref();
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let path = path.display();
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| from_jsonl_line(line).map_err(|e| format!("{path}:{}: {}", i + 1, e.0)))
+        .collect()
 }
 
 #[cfg(test)]

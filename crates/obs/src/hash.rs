@@ -7,6 +7,12 @@
 //! operations, so the digest is independent of the order in which the
 //! lines were observed and two streams can be compared by their digests
 //! alone.
+//!
+//! An [`EventHash`] is itself a [`TraceSink`]: a run attaches it shared
+//! as `Arc<Mutex<EventHash>>` and reads the digest afterwards.
+
+use crate::codec::to_jsonl_line;
+use wsan_sim::trace::{TraceEvent, TraceSink};
 
 /// 64-bit FNV-1a of a byte string.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -61,6 +67,13 @@ impl EventHash {
     /// The digest as a compact printable form.
     pub fn digest(&self) -> String {
         format!("{:016x}-{:016x}-{:016x}x{}", self.sum, self.xor, self.sum_sq, self.count)
+    }
+}
+
+/// Folds every event's JSONL line into the digest; constant memory.
+impl TraceSink for EventHash {
+    fn on_event(&mut self, event: &TraceEvent) {
+        self.update(&to_jsonl_line(event));
     }
 }
 

@@ -11,7 +11,7 @@
 use crate::codec::drop_reason_str;
 use std::collections::BTreeMap;
 use wsan_sim::trace::{HopReason, TraceEvent};
-use wsan_sim::{DataId, DropReason, NodeId, SimTime};
+use wsan_sim::{DataId, DropReason, LogHistogram, NodeId, SimTime};
 
 /// One forwarding step in a packet's chain.
 #[derive(Debug, Clone, PartialEq)]
@@ -198,6 +198,33 @@ pub struct LedgerStats {
     pub hops: usize,
 }
 
+/// Delivery, delay and hop count of a ledger's measured packets, folded by
+/// the rule [`RunSummary`](wsan_sim::RunSummary) folds a run's: a delay
+/// goes into a [`LogHistogram`] as microseconds and is read back by
+/// [`LogHistogram::quantile_secs`]; a hop count is recorded only when the
+/// protocol reported one (> 0). So a simulated run's trace folds to the
+/// fields of its own summary, and a live cluster's to numbers comparable
+/// with them. Undefined values are NaN, as in the summary.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MeasuredStats {
+    /// Measured packets emitted.
+    pub offered: u64,
+    /// Measured packets delivered.
+    pub delivered: u64,
+    /// `delivered / offered`.
+    pub delivery_ratio: f64,
+    /// Median end-to-end delay, seconds.
+    pub delay_p50_s: f64,
+    /// 95th-percentile end-to-end delay, seconds.
+    pub delay_p95_s: f64,
+    /// 99th-percentile end-to-end delay, seconds.
+    pub delay_p99_s: f64,
+    /// Median transmissions end to end.
+    pub hop_p50: f64,
+    /// 99th-percentile transmissions end to end.
+    pub hop_p99: f64,
+}
+
 /// Per-packet causal chains folded from a trace event stream.
 #[derive(Debug, Clone, Default)]
 pub struct PacketLedger {
@@ -313,6 +340,31 @@ impl PacketLedger {
         out
     }
 
+    /// The measured packets folded by [`MeasuredStats`]'s rule.
+    pub fn measured(&self) -> MeasuredStats {
+        let mut offered = 0u64;
+        let (mut delays, mut hops) = (LogHistogram::new(), LogHistogram::new());
+        for record in self.packets().filter(|r| r.measured) {
+            offered += 1;
+            if let Outcome::Delivered { delay_s, hops: h, .. } = record.outcome {
+                delays.record((delay_s * 1e6).round() as u64);
+                if h > 0 {
+                    hops.record(u64::from(h));
+                }
+            }
+        }
+        let hop = |q| hops.quantile(q).map_or(f64::NAN, |h| h as f64);
+        MeasuredStats {
+            offered,
+            delivered: delays.count(),
+            delivery_ratio: delays.count() as f64 / offered as f64,
+            delay_p50_s: delays.quantile_secs(0.50),
+            delay_p95_s: delays.quantile_secs(0.95),
+            delay_p99_s: delays.quantile_secs(0.99),
+            hop_p50: hop(0.50),
+            hop_p99: hop(0.99),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -392,6 +444,20 @@ mod tests {
         assert_eq!(stats.in_flight, 1);
         assert_eq!(stats.hops, 2);
         assert_eq!(ledger.drops_by_reason().get("no-route"), Some(&1));
+    }
+
+    /// Only measured packets count; a delay is read back at its log
+    /// bucket's lower edge; a ledger with nothing measured is all NaN.
+    #[test]
+    fn measured_folds_measured_packets_by_the_summary_rule() {
+        let m = PacketLedger::from_events(sample_events()).measured();
+        assert_eq!((m.offered, m.delivered, m.delivery_ratio), (2, 1, 0.5));
+        // 1 900 µs falls in the bucket [1 856, 1 920).
+        assert_eq!((m.delay_p50_s, m.delay_p99_s, m.hop_p50), (0.001856, 0.001856, 3.0));
+        let empty = PacketLedger::default().measured();
+        assert_eq!((empty.offered, empty.delivered), (0, 0));
+        let undefined = [empty.delivery_ratio, empty.delay_p50_s, empty.hop_p50];
+        assert!(undefined.iter().all(|x| x.is_nan()), "{empty:?}");
     }
 
     #[test]

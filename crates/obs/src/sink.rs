@@ -2,13 +2,13 @@
 //!
 //! A sink is handed to the runner by value (`Box<dyn TraceSink>`), runs on
 //! whatever thread executes the simulation, and is returned flushed when
-//! the run completes. Sinks that produce a *result* (a hash, a
-//! captured event list) publish it into a shared handle at
-//! [`TraceSink::flush`] time, so the caller keeps a cheap clone of the
-//! handle and never needs to downcast the returned box.
+//! the run completes. A caller that wants a sink's state back attaches it
+//! shared, as `Arc<Mutex<S>>` (the digest of an
+//! [`EventHash`](crate::EventHash), say), so it never needs to downcast
+//! the returned box. [`VecSink`] publishes its events into its own
+//! handle instead.
 
-use crate::codec::{to_jsonl_line, write_jsonl_line};
-use crate::hash::EventHash;
+use crate::codec::write_jsonl_line;
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 use wsan_sim::trace::{TraceEvent, TraceSink};
@@ -82,44 +82,6 @@ impl Write for SharedBuf {
     }
 }
 
-/// Caller-side handle to a [`HashingSink`]'s digest.
-#[derive(Debug, Clone, Default)]
-pub struct HashHandle(Arc<Mutex<EventHash>>);
-
-impl HashHandle {
-    /// The digest published at flush time.
-    pub fn get(&self) -> EventHash {
-        *self.0.lock().expect("hash lock")
-    }
-}
-
-/// Folds every event's JSONL line into an order-independent
-/// [`EventHash`]; constant memory.
-#[derive(Debug, Default)]
-pub struct HashingSink {
-    hash: EventHash,
-    handle: HashHandle,
-}
-
-impl HashingSink {
-    /// Creates a sink and the handle its digest will be published through.
-    pub fn new() -> (Self, HashHandle) {
-        let sink = HashingSink::default();
-        let handle = sink.handle.clone();
-        (sink, handle)
-    }
-}
-
-impl TraceSink for HashingSink {
-    fn on_event(&mut self, event: &TraceEvent) {
-        self.hash.update(&to_jsonl_line(event));
-    }
-
-    fn flush(&mut self) {
-        *self.handle.0.lock().expect("hash lock") = self.hash;
-    }
-}
-
 /// Caller-side handle to a [`VecSink`]'s captured events.
 #[derive(Debug, Clone, Default)]
 pub struct EventsHandle(Arc<Mutex<Vec<TraceEvent>>>);
@@ -161,6 +123,7 @@ impl TraceSink for VecSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EventHash;
     use wsan_sim::{DataId, DropReason, SimTime};
 
     fn ev(us: u64) -> TraceEvent {
@@ -187,12 +150,13 @@ mod tests {
 
     #[test]
     fn hashing_sink_matches_manual_hash() {
-        let (mut sink, handle) = HashingSink::new();
+        let hash = Arc::new(Mutex::new(EventHash::new()));
+        let mut sink: Box<dyn TraceSink> = Box::new(hash.clone());
         sink.on_event(&ev(7));
         sink.flush();
         let mut manual = EventHash::new();
-        manual.update(&to_jsonl_line(&ev(7)));
-        assert_eq!(handle.get(), manual);
+        manual.update(&crate::to_jsonl_line(&ev(7)));
+        assert_eq!(*hash.lock().expect("sole user"), manual);
     }
 
     #[test]

@@ -5,10 +5,11 @@
 
 use refer_bench::{base_config, run_system_with_sinks, System};
 use refer_obs::{
-    from_jsonl_line, to_jsonl_line, HashingSink, JsonlSink, Outcome, PacketLedger, SharedBuf,
+    from_jsonl_line, to_jsonl_line, EventHash, JsonlSink, Outcome, PacketLedger, SharedBuf,
     VecSink,
 };
 use std::process::Command;
+use std::sync::{Arc, Mutex};
 use wsan_sim::trace::TraceEvent;
 use wsan_sim::{DataId, DropReason, FaultModel, NodeId, SimConfig, SimDuration, SimTime};
 
@@ -88,14 +89,15 @@ fn record_replay_streams_are_bit_identical() {
     let run = |sinks| run_system_with_sinks(&faulty_cfg(2), System::Refer, sinks);
 
     let (first_buf, second_buf) = (SharedBuf::new(), SharedBuf::new());
-    let (first_hash_sink, first_hash) = HashingSink::new();
-    let (second_hash_sink, second_hash) = HashingSink::new();
-    run(vec![Box::new(JsonlSink::new(first_buf.clone())), Box::new(first_hash_sink)]);
-    run(vec![Box::new(JsonlSink::new(second_buf.clone())), Box::new(second_hash_sink)]);
+    let first_hash = Arc::new(Mutex::new(EventHash::new()));
+    let second_hash = Arc::new(Mutex::new(EventHash::new()));
+    run(vec![Box::new(JsonlSink::new(first_buf.clone())), Box::new(first_hash.clone())]);
+    run(vec![Box::new(JsonlSink::new(second_buf.clone())), Box::new(second_hash.clone())]);
 
     assert!(!first_buf.bytes().is_empty());
     assert_eq!(first_buf.bytes(), second_buf.bytes(), "record/replay bytes");
-    assert_eq!(first_hash.get(), second_hash.get(), "record/replay digests");
+    let digest = |hash: &Mutex<EventHash>| *hash.lock().expect("the run is over");
+    assert_eq!(digest(&first_hash), digest(&second_hash), "record/replay digests");
 }
 
 fn ms(n: u64) -> SimTime {

@@ -478,14 +478,6 @@ impl<P> Ctx<P> {
         }
     }
 
-    /// Attaches a streaming trace sink for the rest of the run — typically
-    /// from `Protocol::on_init`. The sink observes every subsequent event
-    /// in simulation order; the runner flushes and returns it when the run
-    /// completes ([`runner::run_with_sinks`](crate::runner::run_with_sinks)).
-    pub fn add_trace_sink(&mut self, sink: Box<dyn crate::trace::TraceSink>) {
-        self.sinks.push(sink);
-    }
-
     /// Whether any trace sink is attached. Protocols can skip building
     /// expensive event payloads when this is false.
     #[inline]
@@ -1496,18 +1488,28 @@ mod tests {
         assert_eq!(ctx.metrics.delivered_packets, 2);
     }
 
+    /// Counts the events a run traces.
+    #[derive(Default)]
+    struct Traced(usize);
+
+    impl crate::trace::TraceSink for Traced {
+        fn on_event(&mut self, _: &crate::trace::TraceEvent) {
+            self.0 += 1;
+        }
+    }
+
     #[test]
     fn dropping_an_unknown_packet_is_a_no_op() {
         let mut ctx = crate::runner::build_ctx::<()>(SimConfig::smoke());
-        let log = std::sync::Arc::new(std::sync::Mutex::new(crate::trace::TraceLog::new(16)));
-        ctx.add_trace_sink(Box::new(log.clone()));
+        let traced = std::sync::Arc::new(std::sync::Mutex::new(Traced::default()));
+        ctx.sinks.push(Box::new(traced.clone()));
         for id in [DataId(0), DataId(999), tagged(7, 1)] {
             ctx.drop_data(id);
             ctx.deliver_data(id, ctx.actuator_ids()[0]);
         }
         assert_eq!(ctx.metrics.dropped_packets, 0);
         assert_eq!(ctx.metrics.delivered_packets, 0);
-        assert!(log.lock().expect("sole user").is_empty());
+        assert_eq!(traced.lock().expect("sole user").0, 0, "nothing was traced");
         assert_eq!(capacities(&ctx.data), [0; 3]);
     }
 

@@ -70,5 +70,5 @@ pub use node::{NodeId, NodeKind, NodeState};
 pub use protocol::Protocol;
 pub use shard::{run_engine, run_sharded, run_sharded_with_sinks, ShardableProtocol};
 pub use time::{SimDuration, SimTime};
-pub use trace::{HopReason, TraceEvent, TraceLog, TraceSink};
+pub use trace::{HopReason, TraceEvent, TraceSink};
 pub use traffic::TrafficPattern;

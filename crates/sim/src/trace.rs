@@ -2,12 +2,11 @@
 //! debugging protocols, building timelines and packet forensics.
 //!
 //! Tracing is off by default and costs nothing when disabled. There is
-//! one path: streaming [`TraceSink`]s, attached via
-//! [`runner::run_with_sinks`](crate::runner::run_with_sinks) or
-//! [`Ctx::add_trace_sink`](crate::Ctx::add_trace_sink), which see every
-//! event as it happens (no buffer, bounded memory at any event count) —
-//! the `refer-obs` crate builds JSONL, counting and hashing sinks on this
-//! trait, and the bounded in-memory [`TraceLog`] here is one too.
+//! one path: streaming [`TraceSink`]s, attached for a whole run by
+//! [`runner::run_with_sinks`](crate::runner::run_with_sinks), which see
+//! every event as it happens (no buffer, bounded memory at any event
+//! count). The `refer-obs` crate builds its JSONL, hashing and in-memory
+//! sinks on this trait.
 
 use crate::energy::EnergyAccount;
 use crate::message::DataId;
@@ -289,12 +288,6 @@ pub trait TraceSink: Send {
     fn flush(&mut self) {}
 }
 
-impl TraceSink for TraceLog {
-    fn on_event(&mut self, event: &TraceEvent) {
-        self.push(event.clone());
-    }
-}
-
 /// A shared handle to a sink is a sink: attach a clone, keep the original,
 /// and read what the run left in it (the engine hands sinks back only as
 /// `Box<dyn TraceSink>`).
@@ -305,103 +298,5 @@ impl<S: TraceSink> TraceSink for std::sync::Arc<std::sync::Mutex<S>> {
 
     fn flush(&mut self) {
         self.lock().expect("a sink panicked mid-event").flush();
-    }
-}
-
-/// A bounded trace buffer: keeps the most recent `capacity` events.
-#[derive(Debug, Clone, Default)]
-pub struct TraceLog {
-    events: std::collections::VecDeque<TraceEvent>,
-    capacity: usize,
-    /// Total events observed, including evicted ones.
-    pub observed: u64,
-}
-
-impl TraceLog {
-    /// Creates a log holding at most `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        TraceLog {
-            events: std::collections::VecDeque::with_capacity(capacity.min(4096)),
-            capacity,
-            observed: 0,
-        }
-    }
-
-    /// Appends an event, evicting the oldest if full.
-    pub fn push(&mut self, event: TraceEvent) {
-        self.observed += 1;
-        if self.capacity == 0 {
-            return;
-        }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-        }
-        self.events.push_back(event);
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Takes the retained events out, leaving the log empty (counters
-    /// keep running).
-    pub fn drain(&mut self) -> Vec<TraceEvent> {
-        self.events.drain(..).collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ev(us: u64) -> TraceEvent {
-        TraceEvent::Dropped {
-            at: SimTime::from_micros(us),
-            packet: DataId(0),
-            reason: DropReason::Other,
-        }
-    }
-
-    #[test]
-    fn bounded_eviction_keeps_most_recent() {
-        let mut log = TraceLog::new(3);
-        for i in 0..5 {
-            log.push(ev(i));
-        }
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.observed, 5);
-        let times: Vec<u64> = log.events().map(|e| e.at().as_micros()).collect();
-        assert_eq!(times, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn zero_capacity_counts_without_retaining() {
-        let mut log = TraceLog::new(0);
-        log.push(ev(1));
-        assert!(log.is_empty());
-        assert_eq!(log.observed, 1);
-    }
-
-    #[test]
-    fn drain_empties_but_keeps_counting() {
-        let mut log = TraceLog::new(8);
-        log.push(ev(1));
-        log.push(ev(2));
-        let drained = log.drain();
-        assert_eq!(drained.len(), 2);
-        assert!(log.is_empty());
-        log.push(ev(3));
-        assert_eq!(log.observed, 3);
     }
 }

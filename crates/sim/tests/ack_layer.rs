@@ -3,7 +3,7 @@
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
-use wsan_sim::trace::{TraceEvent, TraceLog};
+use wsan_sim::trace::{TraceEvent, TraceSink};
 use wsan_sim::{
     runner, Ctx, DataId, EnergyAccount, EnergyModel, Message, NodeId, Protocol, SimConfig,
     SimDuration,
@@ -137,16 +137,24 @@ fn retransmissions_are_charged_to_the_energy_ledger() {
     );
 }
 
-/// Records every fault rotation the engine reports, and the run's trace
-/// through a shared handle to the sink it attaches.
+/// Failed and recovered nodes, one entry per fault rotation.
+type Rotations = Vec<(Vec<NodeId>, Vec<NodeId>)>;
+
+/// Records every fault rotation the engine reports.
+#[derive(Default)]
 struct FaultWatcher {
-    rotations: Vec<(Vec<NodeId>, Vec<NodeId>)>,
-    trace: Arc<Mutex<TraceLog>>,
+    rotations: Rotations,
 }
 
-impl FaultWatcher {
-    fn new() -> Self {
-        Self { rotations: Vec::new(), trace: Arc::new(Mutex::new(TraceLog::new(usize::MAX))) }
+/// Records every fault rotation the run traces.
+#[derive(Default)]
+struct TracedRotations(Rotations);
+
+impl TraceSink for TracedRotations {
+    fn on_event(&mut self, event: &TraceEvent) {
+        if let TraceEvent::FaultRotation { failed, recovered, .. } = event {
+            self.0.push((failed.clone(), recovered.clone()));
+        }
     }
 }
 
@@ -155,9 +163,7 @@ impl Protocol for FaultWatcher {
     fn name(&self) -> &'static str {
         "FaultWatcher"
     }
-    fn on_init(&mut self, ctx: &mut Ctx<()>) {
-        ctx.add_trace_sink(Box::new(self.trace.clone()));
-    }
+    fn on_init(&mut self, _ctx: &mut Ctx<()>) {}
     fn on_message(&mut self, _ctx: &mut Ctx<()>, _at: NodeId, _msg: Message<()>) {}
     fn on_timer(&mut self, _ctx: &mut Ctx<()>, _at: NodeId, _tag: u64) {}
     fn on_app_data(&mut self, ctx: &mut Ctx<()>, _src: NodeId, data: DataId) {
@@ -173,7 +179,7 @@ fn every_failed_node_recovers_at_the_next_rotation() {
     let mut cfg = tiny_cfg();
     cfg.faults.count = 10;
     cfg.faults.rotation = SimDuration::from_secs(5);
-    let (_, watcher) = runner::run_owned(cfg, FaultWatcher::new());
+    let (_, watcher) = runner::run_owned(cfg, FaultWatcher::default());
     assert!(watcher.rotations.len() >= 3, "35 s run at 5 s rotation");
     for (k, window) in watcher.rotations.windows(2).enumerate() {
         let failed: BTreeSet<NodeId> = window[0].0.iter().copied().collect();
@@ -195,19 +201,12 @@ fn fault_rotations_are_traced() {
     let mut cfg = tiny_cfg();
     cfg.faults.count = 6;
     cfg.faults.rotation = SimDuration::from_secs(10);
-    let (_, watcher) = runner::run_owned(cfg, FaultWatcher::new());
-    let trace = watcher.trace.lock().unwrap();
-    let traced: Vec<_> = trace
-        .events()
-        .filter_map(|e| match e {
-            TraceEvent::FaultRotation { failed, recovered, .. } => {
-                Some((failed.clone(), recovered.clone()))
-            }
-            _ => None,
-        })
-        .collect();
+    let mut watcher = FaultWatcher::default();
+    let traced = Arc::new(Mutex::new(TracedRotations::default()));
+    runner::run_with_sinks(cfg, &mut watcher, vec![Box::new(traced.clone())]);
+    let traced = &traced.lock().expect("the run is over").0;
     assert_eq!(
-        traced, watcher.rotations,
+        *traced, watcher.rotations,
         "trace and protocol hook must agree on every rotation"
     );
     assert!(traced.iter().all(|(failed, _)| failed.len() == 6));

@@ -1,46 +1,17 @@
 //! Event tracing: record what happened on the air during a REFER run and
 //! print a condensed timeline.
 //!
-//! Demonstrates protocol composition: a thin wrapper attaches a trace
-//! sink at init and delegates everything to REFER.
+//! The run streams its events into an in-memory sink attached by
+//! `runner::run_with_sinks`, the one way a sink attaches.
 //!
 //! ```text
 //! cargo run --example trace_timeline --release
 //! ```
 
+use refer_obs::VecSink;
 use refer_wsan::refer::{ReferConfig, ReferProtocol};
-use refer_wsan::wsan_sim::trace::{TraceEvent, TraceLog};
-use refer_wsan::wsan_sim::{
-    runner, Ctx, DataId, Message, NodeId, Protocol, SimConfig, SimDuration,
-};
-use std::sync::{Arc, Mutex};
-
-/// Wraps any protocol and records the simulator's event trace: the sink
-/// goes to the engine, the shared handle stays here to be read afterwards.
-struct Traced<P> {
-    inner: P,
-    log: Arc<Mutex<TraceLog>>,
-}
-
-impl<P: Protocol> Protocol for Traced<P> {
-    type Payload = P::Payload;
-    fn name(&self) -> &'static str {
-        "Traced"
-    }
-    fn on_init(&mut self, ctx: &mut Ctx<P::Payload>) {
-        ctx.add_trace_sink(Box::new(self.log.clone()));
-        self.inner.on_init(ctx);
-    }
-    fn on_message(&mut self, ctx: &mut Ctx<P::Payload>, at: NodeId, msg: Message<P::Payload>) {
-        self.inner.on_message(ctx, at, msg);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<P::Payload>, at: NodeId, tag: u64) {
-        self.inner.on_timer(ctx, at, tag);
-    }
-    fn on_app_data(&mut self, ctx: &mut Ctx<P::Payload>, src: NodeId, data: DataId) {
-        self.inner.on_app_data(ctx, src, data);
-    }
-}
+use refer_wsan::wsan_sim::trace::TraceEvent;
+use refer_wsan::wsan_sim::{runner, SimConfig, SimDuration};
 
 fn main() {
     let mut cfg = SimConfig::smoke();
@@ -51,10 +22,10 @@ fn main() {
     cfg.seed = 9;
 
     // Unbounded: the whole run is read back below.
-    let log = Arc::new(Mutex::new(TraceLog::new(usize::MAX)));
-    let traced = Traced { inner: ReferProtocol::new(ReferConfig::default()), log: log.clone() };
-    let (summary, _) = runner::run_owned(cfg, traced);
-    let events = log.lock().expect("the run is over").drain();
+    let (sink, events) = VecSink::new();
+    let mut proto = ReferProtocol::new(ReferConfig::default());
+    let (summary, _) = runner::run_with_sinks(cfg, &mut proto, vec![Box::new(sink)]);
+    let events = events.take();
 
     let mut sends = 0u64;
     let mut failures = 0u64;
