@@ -135,27 +135,30 @@ impl From<&DataRecord> for Packet {
     }
 }
 
-/// One stored packet in 16 bytes (a [`DataRecord`] is 48). `size_bits` is
-/// not here: [`PacketStore`] holds it once.
+/// One stored packet in 12 bytes (a [`DataRecord`] is 48). `size_bits` is
+/// not here: [`PacketStore`] holds it once. Nor is `dest`: [`Slot::pack`]
+/// answers it beside the slot, for the lane to keep where it likes.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    /// Creation time in micros, shifted left past the two flag bits.
-    stamp: u64,
+    /// Creation time in micros shifted left past the two flag bits, as
+    /// two words, low first: a slot is 4-aligned, so three words are 12
+    /// bytes where a `u64` would pad them to 16.
+    stamp: [u32; 2],
     /// [`Slot::VACANT`] marks a slot no packet was stored in.
     origin: u32,
-    /// [`Slot::NO_DEST`] = the protocol picks the destination itself.
-    dest: u32,
 }
 
 impl Slot {
-    const MEASURED: u64 = 1;
-    const DELIVERED: u64 = 2;
+    const MEASURED: u32 = 1;
+    const DELIVERED: u32 = 2;
     const FLAG_BITS: u32 = 2;
     const VACANT: u32 = u32::MAX;
+    /// The destination word of a packet the protocol routes itself.
     const NO_DEST: u32 = u32::MAX;
-    const EMPTY: Slot = Slot { stamp: 0, origin: Slot::VACANT, dest: Slot::NO_DEST };
+    const EMPTY: Slot = Slot { stamp: [0; 2], origin: Slot::VACANT };
 
-    fn pack(r: &DataRecord) -> Slot {
+    /// `r`'s slot and its destination word ([`Slot::NO_DEST`] for none).
+    fn pack(r: &DataRecord) -> (Slot, u32) {
         let created = r.created.as_micros();
         // 2^62 µs is 146 000 simulated years; `u32::MAX` nodes do not fit
         // in memory. Both are bugs in the caller, not inputs.
@@ -165,44 +168,93 @@ impl Slot {
                 && r.dest != Some(NodeId(Slot::NO_DEST)),
             "packet record does not fit a slot: {r:?}"
         );
-        Slot {
-            stamp: created << Slot::FLAG_BITS
-                | if r.measured { Slot::MEASURED } else { 0 }
-                | if r.delivered.is_some() { Slot::DELIVERED } else { 0 },
-            origin: r.origin.0,
-            dest: r.dest.map_or(Slot::NO_DEST, |d| d.0),
-        }
+        let stamp = created << Slot::FLAG_BITS
+            | u64::from(if r.measured { Slot::MEASURED } else { 0 })
+            | u64::from(if r.delivered.is_some() { Slot::DELIVERED } else { 0 });
+        let slot = Slot { stamp: [stamp as u32, (stamp >> 32) as u32], origin: r.origin.0 };
+        (slot, r.dest.map_or(Slot::NO_DEST, |d| d.0))
     }
 
-    fn unpack(self, size_bits: u32) -> Option<Packet> {
+    fn unpack(self, dest: u32, size_bits: u32) -> Option<Packet> {
+        let stamp = u64::from(self.stamp[1]) << 32 | u64::from(self.stamp[0]);
         (self.origin != Slot::VACANT).then_some(Packet {
             origin: NodeId(self.origin),
-            created: SimTime::from_micros(self.stamp >> Slot::FLAG_BITS),
+            created: SimTime::from_micros(stamp >> Slot::FLAG_BITS),
             size_bits,
-            delivered: self.stamp & Slot::DELIVERED != 0,
-            measured: self.stamp & Slot::MEASURED != 0,
-            dest: (self.dest != Slot::NO_DEST).then_some(NodeId(self.dest)),
+            delivered: self.stamp[0] & Slot::DELIVERED != 0,
+            measured: self.stamp[0] & Slot::MEASURED != 0,
+            dest: (dest != Slot::NO_DEST).then_some(NodeId(dest)),
         })
+    }
+
+    /// Both flags live in the low word.
+    fn mark_delivered(&mut self) {
+        self.stamp[0] |= Slot::DELIVERED;
+    }
+}
+
+/// One page of the dense lane. Its vectors are allocated at the page's
+/// final capacity on first use and filled by `resize` within it, so a
+/// stored record never moves.
+#[derive(Debug, Default)]
+struct Page {
+    slots: Vec<Slot>,
+    /// `slots`' destinations, index for index — or no allocation at all
+    /// while no packet of the page has one (the paper's trickle).
+    dests: Vec<u32>,
+}
+
+impl Page {
+    fn get(&self, offset: usize) -> Option<(Slot, u32)> {
+        let slot = *self.slots.get(offset)?;
+        Some((slot, self.dests.get(offset).copied().unwrap_or(Slot::NO_DEST)))
+    }
+
+    fn store(&mut self, offset: usize, capacity: usize, slot: Slot, dest: u32) {
+        debug_assert!(offset < capacity);
+        if self.slots.capacity() == 0 {
+            self.slots = Vec::with_capacity(capacity);
+        }
+        if offset >= self.slots.len() {
+            // Ids are minted in sequence, so this pushes one slot.
+            self.slots.resize(offset + 1, Slot::EMPTY);
+        }
+        self.slots[offset] = slot;
+        if dest != Slot::NO_DEST && self.dests.capacity() == 0 {
+            // The column starts here: every earlier slot reads "none".
+            self.dests = Vec::with_capacity(capacity);
+        }
+        if self.dests.capacity() != 0 {
+            self.dests.resize(self.slots.len(), Slot::NO_DEST);
+            self.dests[offset] = dest;
+        }
     }
 }
 
 /// The records of the application packets a context originated, by
-/// [`DataId`], in 16-byte [`Slot`]s: one indexed read per lookup, where a
-/// hash table spent its time on memory traffic. `size_bits` is held once
-/// for the whole store — its one writer (`emit_packet`) gives every
-/// packet the configured size.
+/// [`DataId`]: one or two indexed reads per lookup, where a hash table
+/// spent its time on memory traffic. `size_bits` is held once for the
+/// whole store — its one writer (`emit_packet`) gives every packet the
+/// configured size.
 ///
 /// The id's own bits pick the lane — no engine flag. An id whose high 32
-/// bits are zero (the serial engine mints 0, 1, 2, …) indexes `dense`
-/// directly. An id that carries its origin in the high word
-/// (`origin << 32 | n`, the sharded engine's scheme) resolves through a
-/// page directory: origin `o`'s packets `n = 0, 1, 2, …` fill pages of
-/// `16, 32, 64, …` slots ([`PacketStore::PAGE0`]` << k`), each a run of
-/// `arena` whose first slot is `directory[k * origins + o]`. Pages are
-/// claimed on first use, so ten thousand origins minting a few packets
-/// each cost one 256-byte page apiece, and one origin minting a million
-/// costs 16 directory rows rather than `n / 16` — two amortised `Vec`s
-/// in all, where one lane per origin doubled the run's allocation count
+/// bits are zero (the serial engine mints 0, 1, 2, …) indexes `pages`:
+/// page `k` holds `1 024 << k` ids up to the 2^17 of page 7
+/// ([`PacketStore::DENSE0`], [`PacketStore::DENSE_MAX`]) and every later
+/// page holds 2^17. A page is a 12-byte [`Slot`] per id plus a `dest`
+/// column that only a page with a destination in it allocates, each
+/// vector allocated once at the page's size: the lane never copies a
+/// record, and a 500-packet run holds one 12 KiB page.
+///
+/// An id that carries its origin in the high word (`origin << 32 | n`,
+/// the sharded engine's scheme) resolves through a page directory:
+/// origin `o`'s packets `n = 0, 1, 2, …` fill pages of `16, 32, 64, …`
+/// slots ([`PacketStore::PAGE0`]` << k`), each a run of `arena` whose
+/// first slot is `directory[k * origins + o]`. Pages are claimed on first
+/// use, so ten thousand origins minting a few packets each cost one
+/// 256-byte page apiece, and one origin minting a million costs 16
+/// directory rows rather than `n / 16` — two amortised `Vec`s in all,
+/// where one lane per origin doubled the run's allocation count
 /// (DESIGN.md §14). An origin outside the deployment resolves to nothing.
 ///
 /// Debug builds carry a shadow `HashMap` and check every lookup against
@@ -210,7 +262,9 @@ impl Slot {
 /// simulation is a store ≡ map proof; release builds compile it out.
 #[derive(Debug)]
 pub(crate) struct PacketStore {
-    dense: Vec<Slot>,
+    /// The serial lane: page `k` holds the ids [`PacketStore::dense_page`]
+    /// maps to it. A page no id reached holds no allocation.
+    pages: Vec<Page>,
     /// The payload size of every stored packet.
     size_bits: u32,
     /// The deployment's node count: the width of a `directory` row.
@@ -218,12 +272,21 @@ pub(crate) struct PacketStore {
     /// Row `k` holds, per origin, where its page `k` starts in `arena`
     /// ([`PacketStore::NO_PAGE`] until claimed). Grows by whole rows.
     directory: Vec<u32>,
-    arena: Vec<Slot>,
+    /// The origin-tagged lane's slots, each beside its destination word.
+    arena: Vec<(Slot, u32)>,
     #[cfg(debug_assertions)]
     shadow: HashMap<DataId, DataRecord>,
 }
 
 impl PacketStore {
+    /// Ids in the dense lane's first page; page `k` holds `DENSE0 << k`
+    /// until that reaches [`PacketStore::DENSE_MAX`].
+    const DENSE0: usize = 1 << 10;
+    /// Ids in each dense page from the doubling's last on.
+    const DENSE_MAX: usize = 1 << 17;
+    /// The first dense page of `DENSE_MAX` ids, and the first id in it.
+    const DENSE_FIXED: usize = (Self::DENSE_MAX / Self::DENSE0).trailing_zeros() as usize;
+    const DENSE_FIXED_START: usize = Self::DENSE0 * ((1 << Self::DENSE_FIXED) - 1);
     /// Slots in an origin's first page; page `k` holds `PAGE0 << k`.
     const PAGE0: u64 = 16;
     const NO_PAGE: u32 = u32::MAX;
@@ -232,13 +295,31 @@ impl PacketStore {
     /// nothing until a packet is stored.
     pub(crate) fn new(origins: usize) -> Self {
         PacketStore {
-            dense: Vec::new(),
+            pages: Vec::new(),
             size_bits: 0,
             origins,
             directory: Vec::new(),
             arena: Vec::new(),
             #[cfg(debug_assertions)]
             shadow: HashMap::new(),
+        }
+    }
+
+    /// The ids dense page `page` holds.
+    fn dense_capacity(page: usize) -> usize {
+        Self::DENSE0 << page.min(Self::DENSE_FIXED)
+    }
+
+    /// Where serial id `n` lives: its dense page and its offset there.
+    #[inline]
+    fn dense_page(n: usize) -> (usize, usize) {
+        if n < Self::DENSE_FIXED_START {
+            // Pages 0..k hold DENSE0·(2^k − 1) ids between them.
+            let page = (n / Self::DENSE0 + 1).ilog2() as usize;
+            (page, n - Self::DENSE0 * ((1 << page) - 1))
+        } else {
+            let past = n - Self::DENSE_FIXED_START;
+            (Self::DENSE_FIXED + past / Self::DENSE_MAX, past % Self::DENSE_MAX)
         }
     }
 
@@ -258,10 +339,10 @@ impl PacketStore {
         Some((page, page as usize * self.origins + origin, (n - before) as usize))
     }
 
-    /// The `dense` index of `id`, or `None` for an origin-tagged id.
+    /// The dense page and offset of `id`, or `None` for an origin-tagged id.
     #[inline]
-    fn dense_index(id: DataId) -> Option<usize> {
-        (id.0 >> 32 == 0).then_some(id.0 as usize)
+    fn dense_index(id: DataId) -> Option<(usize, usize)> {
+        (id.0 >> 32 == 0).then(|| Self::dense_page(id.0 as usize))
     }
 
     /// The `arena` index of origin-tagged `id`, or `None` while its page
@@ -277,17 +358,16 @@ impl PacketStore {
         #[cfg(debug_assertions)]
         self.shadow.insert(id, record.clone());
         assert!(
-            (self.dense.is_empty() && self.arena.is_empty()) || self.size_bits == record.size_bits,
+            (self.pages.is_empty() && self.arena.is_empty()) || self.size_bits == record.size_bits,
             "packet ids share one payload size"
         );
         self.size_bits = record.size_bits;
-        let packed = Slot::pack(&record);
-        if let Some(slot) = Self::dense_index(id) {
-            if slot >= self.dense.len() {
-                // Ids are minted in sequence, so this grows by one, amortised.
-                self.dense.resize(slot + 1, Slot::EMPTY);
+        let (slot, dest) = Slot::pack(&record);
+        if let Some((page, offset)) = Self::dense_index(id) {
+            if page >= self.pages.len() {
+                self.pages.resize_with(page + 1, Page::default);
             }
-            self.dense[slot] = packed;
+            self.pages[page].store(offset, Self::dense_capacity(page), slot, dest);
             return;
         }
         let (page, cell, offset) = self
@@ -302,18 +382,18 @@ impl PacketStore {
                 .ok()
                 .filter(|&start| start != Self::NO_PAGE)
                 .expect("packet arena outgrew its 32-bit page offsets");
-            self.arena.resize(start + (Self::PAGE0 << page) as usize, Slot::EMPTY);
+            self.arena.resize(start + (Self::PAGE0 << page) as usize, (Slot::EMPTY, Slot::NO_DEST));
         }
-        self.arena[self.directory[cell] as usize + offset] = packed;
+        self.arena[self.directory[cell] as usize + offset] = (slot, dest);
     }
 
     #[inline]
     pub(crate) fn get(&self, id: DataId) -> Option<Packet> {
-        let slot = match Self::dense_index(id) {
-            Some(slot) => self.dense.get(slot),
-            None => self.paged_index(id).map(|slot| &self.arena[slot]),
+        let stored = match Self::dense_index(id) {
+            Some((page, offset)) => self.pages.get(page).and_then(|page| page.get(offset)),
+            None => self.paged_index(id).map(|slot| self.arena[slot]),
         };
-        let found = slot.and_then(|slot| slot.unpack(self.size_bits));
+        let found = stored.and_then(|(slot, dest)| slot.unpack(dest, self.size_bits));
         #[cfg(debug_assertions)]
         self.check_shadow(id, found);
         found
@@ -325,13 +405,13 @@ impl PacketStore {
     pub(crate) fn mark_delivered(&mut self, id: DataId) -> Option<Packet> {
         let packet = self.get(id).filter(|packet| !packet.delivered)?;
         let slot = match Self::dense_index(id) {
-            Some(slot) => &mut self.dense[slot],
+            Some((page, offset)) => &mut self.pages[page].slots[offset],
             None => {
                 let slot = self.paged_index(id)?;
-                &mut self.arena[slot]
+                &mut self.arena[slot].0
             }
         };
-        slot.stamp |= Slot::DELIVERED;
+        slot.mark_delivered();
         Some(packet)
     }
 
@@ -1417,10 +1497,12 @@ mod tests {
         DataId(u64::from(origin) << 32 | u64::from(n))
     }
 
-    /// Capacities of the store's three vectors: any (re)allocation changes
-    /// one of them.
-    fn capacities(store: &PacketStore) -> [usize; 3] {
-        [store.dense.capacity(), store.directory.capacity(), store.arena.capacity()]
+    /// The store's dense pages, the capacity they hold between them, and
+    /// the capacities of the tagged lane's two vectors: any allocation
+    /// changes one of them.
+    fn capacities(store: &PacketStore) -> [usize; 4] {
+        let held = store.pages.iter().map(|page| page.slots.capacity() + page.dests.capacity()).sum();
+        [store.pages.capacity(), held, store.directory.capacity(), store.arena.capacity()]
     }
 
     #[test]
@@ -1464,7 +1546,8 @@ mod tests {
         store.mark_delivered(DataId(1 << 32)).expect("first delivery");
         assert!(store.get(DataId(1 << 32)).expect("present").delivered);
         assert!(!store.get(DataId(0)).expect("present").delivered);
-        assert_eq!(store.dense.len(), 1, "tagged ids never size the dense lane");
+        assert_eq!(store.pages.len(), 1, "tagged ids never size the dense lane");
+        assert_eq!(store.pages[0].slots.len(), 1, "tagged ids never size the dense lane");
     }
 
     #[test]
@@ -1510,7 +1593,7 @@ mod tests {
         assert_eq!(ctx.metrics.dropped_packets, 0);
         assert_eq!(ctx.metrics.delivered_packets, 0);
         assert_eq!(traced.lock().expect("sole user").0, 0, "nothing was traced");
-        assert_eq!(capacities(&ctx.data), [0; 3]);
+        assert_eq!(capacities(&ctx.data), [0; 4]);
     }
 
     /// The shadow map must notice a store that resolves an id differently
@@ -1521,13 +1604,16 @@ mod tests {
     fn shadow_catches_a_planted_disagreement() {
         let mut store = PacketStore::new(1);
         store.insert(DataId(0), record(0));
-        store.dense[0] = Slot::EMPTY;
+        store.pages[0].slots[0] = Slot::EMPTY;
         store.get(DataId(0));
     }
 
+    /// No field's range shrank with the slot: the widest record round-trips
+    /// in both lanes.
     #[test]
-    fn a_dense_slot_is_sixteen_bytes_and_holds_every_field() {
-        assert_eq!(std::mem::size_of::<Slot>(), 16);
+    fn a_dense_slot_is_twelve_bytes_and_holds_every_field() {
+        assert_eq!(std::mem::size_of::<Slot>(), 12);
+        assert_eq!(std::mem::size_of::<(Slot, u32)>(), 16, "a tagged slot with its dest");
         let widest = DataRecord {
             origin: NodeId(u32::MAX - 1),
             created: SimTime::from_micros((1 << 62) - 1),
@@ -1543,6 +1629,78 @@ mod tests {
             let first = store.mark_delivered(id).expect("first delivery");
             assert_eq!(first, Packet::from(&widest));
             assert_eq!(store.get(id), Some(Packet { delivered: true, ..first }));
+        }
+    }
+
+    /// 300 000 serial ids fill dense pages 0–8 — the doubling pages 0–6
+    /// (130 048 ids), the first 2^17-id page and part of the next — and
+    /// each page is allocated once at its final size: its buffer never
+    /// moves, so no record is copied, and the lane holds 12 bytes per
+    /// record plus at most one page of room not yet used.
+    #[test]
+    fn serial_ids_fill_pages_that_never_move() {
+        const IDS: usize = 300_000;
+        // Both sides of every boundary the size rule draws.
+        let mut start = 0;
+        for page in 0..10 {
+            let size = (1_024 << page).min(1 << 17);
+            assert_eq!(PacketStore::dense_capacity(page), size);
+            assert_eq!(PacketStore::dense_page(start), (page, 0));
+            assert_eq!(PacketStore::dense_page(start + size - 1), (page, size - 1));
+            start += size;
+        }
+        let mut store = PacketStore::new(1);
+        let mut buffers: Vec<*const Slot> = Vec::new();
+        for n in 0..IDS {
+            store.insert(DataId(n as u64), record(0));
+            let (page, _) = PacketStore::dense_page(n);
+            let buffer = store.pages[page].slots.as_ptr();
+            if page == buffers.len() {
+                buffers.push(buffer);
+            }
+            assert_eq!(buffers[page], buffer, "page {page} moved at id {n}");
+        }
+        let now: Vec<_> = store.pages.iter().map(|page| page.slots.as_ptr()).collect();
+        assert_eq!(now, buffers);
+        assert_eq!(store.pages.len(), 9);
+        for (k, page) in store.pages.iter().enumerate() {
+            assert_eq!(page.slots.capacity(), PacketStore::dense_capacity(k), "page {k}");
+            assert_eq!(page.dests.capacity(), 0, "no packet has a destination");
+        }
+        let held: usize = store.pages.iter().map(|page| page.slots.capacity()).sum::<usize>()
+            * std::mem::size_of::<Slot>();
+        assert!(held >= 12 * IDS && held - 12 * IDS <= 12 * PacketStore::DENSE_MAX, "{held} bytes");
+        for n in [0, 1_023, 1_024, 130_047, 130_048, 261_119, 261_120, IDS - 1] {
+            assert_eq!(store.get(DataId(n as u64)), Some(Packet::from(&record(0))), "{n}");
+        }
+        assert_eq!(store.get(DataId(IDS as u64)), None);
+    }
+
+    /// A page's `dest` column starts with the first packet that has a
+    /// destination; every earlier packet of the page reads none, and a
+    /// page without one never allocates a column.
+    #[test]
+    fn a_destination_first_seen_mid_page_leaves_earlier_records_without_one() {
+        let mut store = PacketStore::new(8);
+        let with_dest = |n: u32, dest: Option<u32>| DataRecord { dest: dest.map(NodeId), ..record(n) };
+        for n in 0..1_500u32 {
+            store.insert(DataId(n.into()), with_dest(n, (n == 700).then_some(3)));
+        }
+        assert_eq!(store.pages[0].dests.capacity(), PacketStore::DENSE0);
+        assert_eq!(store.pages[1].dests.capacity(), 0, "page 1 has no destination");
+        for n in 0..1_500u32 {
+            let dest = store.get(DataId(n.into())).expect("stored").dest;
+            assert_eq!(dest, (n == 700).then_some(NodeId(3)), "{n}");
+        }
+        // Rewriting a record before the column's first entry, and one of a
+        // page without a column, keeps the rest as they were.
+        store.insert(DataId(5), with_dest(5, Some(6)));
+        store.insert(DataId(1_030), with_dest(1_030, Some(7)));
+        assert_eq!(store.pages[1].dests.len(), store.pages[1].slots.len());
+        for n in 0..1_500u32 {
+            let dest = store.get(DataId(n.into())).expect("stored").dest;
+            let expected = [(5, 6), (700, 3), (1_030, 7)].iter().find(|&&(id, _)| id == n);
+            assert_eq!(dest, expected.map(|&(_, d)| NodeId(d)), "{n}");
         }
     }
 
@@ -1572,7 +1730,7 @@ mod tests {
         }
         assert!(allocations < 64, "{allocations} allocations");
         let bytes = store.directory.capacity() * 4
-            + store.arena.capacity() * std::mem::size_of::<Slot>();
+            + store.arena.capacity() * std::mem::size_of::<(Slot, u32)>();
         assert!(bytes < 64 << 20, "{bytes} bytes");
         assert_eq!(store.get(tagged(7, PACKETS - 17)), Some(Packet::from(&record(7))));
         assert_eq!(store.get(tagged(7, PACKETS - 16)), None);
@@ -1590,6 +1748,8 @@ mod tests {
         fn store_matches_a_hash_map(
             hot in prop_oneof![20 => 0u32..64, 11 => 0u32..3_000, 1 => 100_000u32..100_001],
             ones in 0u32..4_000,
+            dense in 0u32..3_000,
+            first_dest in 0u32..3_000,
             script in prop::collection::vec(
                 (0u8..4, 0usize..64, 0u32..48, 0u64..1 << 62, 0u8..2, 0u32..10),
                 0..200,
@@ -1597,6 +1757,9 @@ mod tests {
         ) {
             const NODES: u32 = 5_000;
             const HOT: u32 = 1;
+            // Where dense pages 1–7 start, page 7 the first of 2^17 ids;
+            // 24 stands for page 0's start (ids 0–47).
+            const DENSE_EDGES: [u32; 8] = [24, 1_024, 3_072, 7_168, 15_360, 31_744, 64_512, 130_048];
             let mut store = PacketStore::new(NODES as usize);
             let mut map: HashMap<DataId, Packet> = HashMap::new();
             let mint = |store: &mut PacketStore, map: &mut HashMap<DataId, Packet>, id, record| {
@@ -1609,12 +1772,23 @@ mod tests {
             for origin in 0..ones {
                 mint(&mut store, &mut map, tagged(NODES - 1 - origin, 0), record(origin));
             }
+            // Serial ids whose destinations start at `first_dest`, every
+            // other packet from there: both kinds mixed within a page.
+            for n in 0..dense {
+                let dest = (n >= first_dest && n % 2 == 0).then_some(NodeId(n % NODES));
+                mint(&mut store, &mut map, DataId(n.into()), DataRecord { dest, ..record(n) });
+            }
             for (op, place, n, created, measured, dest) in script {
                 // Origin 0 is the serial layout, the rest origin-tagged: the
                 // hot one, quiet ones, and three the deployment lacks.
                 let origin = [0, HOT, 2, 3, NODES - 1, NODES, NODES + 7, u32::MAX][place % 8];
                 // Mostly the first pages; sometimes far up the hot range.
-                let n = n + [0, 0, 0, 0, 16, 997, 20_011, 99_990][place / 8];
+                // Serial ids straddle a dense page boundary.
+                let n = if origin == 0 {
+                    DENSE_EDGES[place / 8] - 24 + n
+                } else {
+                    n + [0, 0, 0, 0, 16, 997, 20_011, 99_990][place / 8]
+                };
                 let id = tagged(origin, n);
                 match op {
                     0 | 1 if origin < NODES => {
@@ -1650,7 +1824,8 @@ mod tests {
             // Ids no one minted: the neighbourhood of every page boundary
             // of every origin the script could name.
             for origin in [0, HOT, 2, 3, NODES - 1, NODES, NODES + 7, u32::MAX] {
-                for n in (0..48).chain(990..1_100).chain(20_000..20_100).chain(99_980..100_100) {
+                let edges = DENSE_EDGES.iter().flat_map(|&edge| edge - 24..edge + 24);
+                for n in (0..48).chain(990..1_100).chain(20_000..20_100).chain(99_980..100_100).chain(edges) {
                     let id = tagged(origin, n);
                     prop_assert_eq!(store.get(id), map.get(&id).copied());
                 }

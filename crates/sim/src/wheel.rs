@@ -89,6 +89,12 @@ const SLOT_MASK: u64 = (SLOTS - 1) as u64;
 const BLOCK: usize = 64;
 /// The end of the free list.
 const NIL: u32 = u32::MAX;
+/// Room the staged bucket keeps once it empties. An instant that held
+/// more gives the rest back, so one giant instant does not pin its
+/// storage for the rest of the run; the largest instant of the repo
+/// benchmark's workloads (1 538 events, `fabric_all2all`) stays under it
+/// and never reallocates.
+const STAGED_FLOOR: usize = 4_096;
 
 /// One pool block: a slice of some bucket's chain, or a free block (then
 /// `len == 0` and every slot is `None`).
@@ -260,6 +266,9 @@ impl<P> EventQueue<P> {
         loop {
             if !self.current.is_empty() {
                 return true;
+            }
+            if self.current.capacity() > STAGED_FLOOR {
+                self.current.shrink_to(STAGED_FLOOR);
             }
             // The lowest level with an occupied bucket *after* the
             // cursor's own index holds the next timestamp (buckets at or
@@ -597,7 +606,8 @@ mod tests {
         // drained; then 100 level-2 buckets of 1 000 events each in flight
         // at once. Storage kept per bucket would hold the giant's room
         // (131 072 slots) beside the hundred new buckets: some 230 k slots
-        // for 100 k events.
+        // for 100 k events. The staged bucket, outside the pool, gives its
+        // room back down to the floor once the giant has drained.
         let mut q = EventQueue::<()>::new();
         let mut seq = 0u64;
         for _ in 0..100_000 {
@@ -605,6 +615,7 @@ mod tests {
             seq += 1;
         }
         while q.pop().is_some() {}
+        assert!(q.current.capacity() <= STAGED_FLOOR, "the staged bucket kept {}", q.current.capacity());
         let giant = held_slots(&q);
         assert!(giant >= 100_000, "the giant was pooled: {giant}");
         let start = q.cursor + (1 << 16);
