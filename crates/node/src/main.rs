@@ -17,8 +17,10 @@
 //!   per-node traces, and prints a sim-predicted vs. measured
 //!   delivery/latency comparison for the same topology and seed —
 //!   exiting nonzero when measured delivery diverges from the
-//!   prediction by more than 0.10. Both sides fold their traces by one
-//!   rule, [`PacketLedger::measured`], the simulator's own summary rule.
+//!   prediction by more than 0.10, or when the merged ledger fails
+//!   [`PacketLedger::integrity_problems`]. Both sides fold their traces
+//!   by one rule, [`PacketLedger::measured`], the simulator's own
+//!   summary rule.
 //!
 //! Both read their flags through the workspace's one parser: [`RUN`] and
 //! [`CLUSTER`] are their tables, and a flag a subcommand does not read
@@ -640,8 +642,8 @@ fn cmd_cluster(args: &Args) -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let measured = match merge_traces(&out_dir, nodes) {
-        Ok(ledger) => ledger.measured(),
+    let (measured, problems) = match merge_traces(&out_dir, nodes) {
+        Ok(ledger) => (ledger.measured(), ledger.integrity_problems()),
         Err(e) => {
             eprintln!("cluster: {e}");
             return ExitCode::FAILURE;
@@ -662,6 +664,13 @@ fn cmd_cluster(args: &Args) -> ExitCode {
     ms("delay p95 (ms)", s.delay_p95_s, m.delay_p95_s);
     ms("delay p99 (ms)", s.delay_p99_s, m.delay_p99_s);
     println!("wall time: {wall_s:.1} s");
+    match problems.len() {
+        0 => println!("ledger integrity: OK"),
+        n => println!("ledger integrity: {n} problem(s)"),
+    }
+    for problem in problems.iter().take(20) {
+        println!("  {problem}");
+    }
 
     if let Some(path) = &json_path {
         let json = comparison_json(nodes as u64, &sim, &measured, wall_s);
@@ -672,23 +681,39 @@ fn cmd_cluster(args: &Args) -> ExitCode {
         println!("comparison artifact: {}", path.display());
     }
 
-    if measured.offered == 0 {
-        eprintln!("cluster: FAILED — no measured packets were offered");
-        return ExitCode::FAILURE;
+    match gate(&sim, &measured, &problems) {
+        Ok(divergence) => {
+            println!(
+                "cluster: PASSED — delivery divergence {divergence:.4} within tolerance \
+                 {DELIVERY_TOLERANCE}"
+            );
+            ExitCode::SUCCESS
+        }
+        Err(why) => {
+            eprintln!("cluster: FAILED — {why}");
+            ExitCode::FAILURE
+        }
     }
+}
+
+/// The cluster's verdict on its sim and measured columns and its merged
+/// ledger's integrity problems: the delivery divergence when the run
+/// passes, why it fails otherwise.
+fn gate(sim: &MeasuredStats, measured: &MeasuredStats, problems: &[String]) -> Result<f64, String> {
     let divergence = (measured.delivery_ratio - sim.delivery_ratio).abs();
-    if divergence > DELIVERY_TOLERANCE {
-        eprintln!(
-            "cluster: FAILED — measured delivery {:.4} diverges from predicted {:.4} \
-             by {divergence:.4} (> {DELIVERY_TOLERANCE})",
+    if !problems.is_empty() {
+        Err(format!("ledger integrity: {} problem(s)", problems.len()))
+    } else if measured.offered == 0 {
+        Err("no measured packets were offered".to_string())
+    } else if divergence > DELIVERY_TOLERANCE {
+        Err(format!(
+            "measured delivery {:.4} diverges from predicted {:.4} by {divergence:.4} \
+             (> {DELIVERY_TOLERANCE})",
             measured.delivery_ratio, sim.delivery_ratio
-        );
-        return ExitCode::FAILURE;
+        ))
+    } else {
+        Ok(divergence)
     }
-    println!(
-        "cluster: PASSED — delivery divergence {divergence:.4} within tolerance {DELIVERY_TOLERANCE}"
-    );
-    ExitCode::SUCCESS
 }
 
 #[cfg(test)]
@@ -792,6 +817,47 @@ mod tests {
         let err = truncated.expect_err("a truncated line fails the merge");
         let named = format!("{}:2: ", dir.join("node-1.jsonl").display());
         assert!(err.starts_with(&named), "{err}");
+    }
+
+    /// A column of `offered` measured packets, `delivered` of them
+    /// delivered: all the gate reads.
+    fn column(offered: u64, delivered: u64) -> MeasuredStats {
+        let delivery_ratio = delivered as f64 / offered as f64;
+        MeasuredStats { offered, delivered, delivery_ratio, ..PacketLedger::default().measured() }
+    }
+
+    #[test]
+    fn a_clean_ledger_within_tolerance_passes_the_gate() {
+        let divergence = gate(&column(100, 84), &column(80, 70), &[]).expect("passes");
+        assert!((divergence - 0.035).abs() < 1e-12, "{divergence}");
+    }
+
+    #[test]
+    fn a_delivery_divergence_past_the_tolerance_fails_the_gate() {
+        let why = gate(&column(100, 84), &column(100, 70), &[]).expect_err("fails");
+        assert_eq!(why, "measured delivery 0.7000 diverges from predicted 0.8400 by 0.1400 (> 0.1)");
+    }
+
+    #[test]
+    fn a_cluster_that_offered_nothing_fails_the_gate() {
+        let why = gate(&column(100, 84), &column(0, 0), &[]).expect_err("fails");
+        assert_eq!(why, "no measured packets were offered");
+    }
+
+    /// A packet two daemons both delivered, planted in otherwise clean
+    /// traces, fails a cluster whose delivery agrees with the sim.
+    #[test]
+    fn a_planted_duplicate_delivery_fails_the_gate() {
+        let at = SimTime::from_micros(1);
+        let packet = DataId(2);
+        let origin = TraceEvent::PacketOrigin { at, packet, origin: NodeId(5), measured: true };
+        let delivered =
+            |node| TraceEvent::Delivered { at, packet, node: NodeId(node), delay_s: 0.008, hops: 2 };
+        let ledger = PacketLedger::from_events([origin, delivered(0), delivered(1)]);
+        let problems = ledger.integrity_problems();
+        assert_eq!(problems, ["packet 2: delivered 2 times"]);
+        let why = gate(&ledger.measured(), &ledger.measured(), &problems).expect_err("fails");
+        assert_eq!(why, "ledger integrity: 1 problem(s)");
     }
 
     /// Every malformed flag is a usage error in the parser's wording,

@@ -8,11 +8,10 @@
 //! trace diff    <a.jsonl> <b.jsonl>        # compare two traces
 //! trace verify  [scenario] [--seeds 3]     # serial ≡ parallel, record ≡ replay
 //! trace verify  --sharded [scenario] [--threads 2]
-//! trace verify  --live node-*.jsonl
 //! ```
 //!
 //! The flags each subcommand reads are its table below (`RECORD` …
-//! `LIVE`); a usage error prints them all and exits 2, so a flag a
+//! `SHARDED`); a usage error prints them all and exits 2, so a flag a
 //! subcommand does not read is rejected (`verify --seed 3` is an error,
 //! not a run of the default seeds). The scenario defaults to `--scale
 //! 0.05 --seed 1` and the `--system refer`. A malformed trace file exits 2
@@ -22,12 +21,6 @@
 //! events from serial per-seed runs must equal the digest from the same
 //! runs on parallel threads, and recording the same seed twice must give
 //! byte-identical JSONL. A mismatch exits nonzero.
-//!
-//! `verify --live` ingests traces collected from real `refer-node`
-//! daemons: per-node JSONL files are merged into one [`PacketLedger`],
-//! structural integrity is checked (origins, connected hop chains, no
-//! packet delivered twice). The measured delivery ratio is gated against
-//! the sim's prediction by `refer-node cluster`, not here.
 //!
 //! `verify --sharded` proves the sharded engine's thread-invariance: its
 //! verified reference is its own 1-thread execution (the sharded schedule
@@ -85,10 +78,7 @@ const SHARDED: Command = Command {
         &[SHARED[3], SHARED[5]],
     ],
 };
-const LIVE: Command =
-    Command { name: "trace verify --live", positional: "FILE...", flags: &[&["--live"]] };
-const COMMANDS: [&Command; 8] =
-    [&RECORD, &PACKET, &NODE, &SUMMARY, &DIFF, &VERIFY, &SHARDED, &LIVE];
+const COMMANDS: [&Command; 7] = [&RECORD, &PACKET, &NODE, &SUMMARY, &DIFF, &VERIFY, &SHARDED];
 
 /// Why a subcommand failed: its arguments, or the data they named.
 enum Failure {
@@ -119,7 +109,6 @@ fn main() -> ExitCode {
         "node" => (&NODE, cmd_node),
         "summary" => (&SUMMARY, cmd_summary),
         "diff" => (&DIFF, cmd_diff),
-        "verify" if mode("--live") => (&LIVE, cmd_verify_live),
         "verify" if mode("--sharded") => (&SHARDED, cmd_verify_sharded),
         "verify" => (&VERIFY, cmd_verify),
         other => exit_usage(&format!("unknown subcommand `{other}`"), &COMMANDS),
@@ -203,9 +192,7 @@ fn cmd_node(args: &Args) -> Result<ExitCode, Failure> {
             refer_obs::Outcome::Delivered { delay_s, .. } => {
                 format!("delivered after {}", or_dash(*delay_s * 1e3, 1, "ms"))
             }
-            refer_obs::Outcome::Dropped { reason, .. } => {
-                format!("dropped ({})", refer_obs::codec::drop_reason_str(*reason))
-            }
+            refer_obs::Outcome::Dropped { reason, .. } => format!("dropped ({})", reason.as_str()),
             refer_obs::Outcome::InFlight => "in flight".to_string(),
         };
         println!(
@@ -307,60 +294,30 @@ fn cmd_verify(args: &Args) -> Result<ExitCode, Failure> {
     let (cfg, system) = scenario(args)?;
     let seeds: Vec<u64> = (1..=args.get("seeds")?.unwrap_or(3)).collect();
 
-    let seeded = |seed| SimConfig { seed, ..cfg.clone() };
+    let run = |seed, sink| {
+        run_system_with_sinks(&SimConfig { seed, ..cfg.clone() }, system, vec![sink])
+    };
+    let hash = |seed| digest(|sink| run(seed, sink)).1;
 
     // Serial pass: one traced run per seed, digests merged.
     let mut serial = EventHash::new();
     for &seed in &seeds {
-        serial.merge(&digest(|sink| run_system_with_sinks(&seeded(seed), system, vec![sink])).1);
+        serial.merge(&hash(seed));
     }
 
     // Parallel pass: same runs on scoped threads.
     let mut parallel = EventHash::new();
     std::thread::scope(|scope| {
-        let runs: Vec<_> = seeds
-            .iter()
-            .map(|&seed| {
-                let cfg = seeded(seed);
-                let run = move || digest(|sink| run_system_with_sinks(&cfg, system, vec![sink])).1;
-                scope.spawn(run)
-            })
-            .collect();
-        for run in runs {
-            parallel.merge(&run.join().expect("a verify run panicked"));
+        let runs: Vec<_> = seeds.iter().map(|&seed| scope.spawn(move || hash(seed))).collect();
+        for handle in runs {
+            parallel.merge(&handle.join().expect("a verify run panicked"));
         }
     });
 
-    let order_ok = serial == parallel;
-    println!(
-        "serial/parallel event multiset: {} ({} events, digest {})",
-        if order_ok { "IDENTICAL" } else { "MISMATCH" },
-        serial.count,
-        serial.digest()
-    );
-    if !order_ok {
-        println!("  serial   {}", serial.digest());
-        println!("  parallel {}", parallel.digest());
-    }
-
     // Record/replay pass: same seed twice must stream identical bytes.
-    let record = record_bytes(&cfg, system);
-    let replay = record_bytes(&cfg, system);
-    let replay_ok = record == replay;
-    println!(
-        "record/replay JSONL: {} ({} bytes, fnv1a {:016x})",
-        if replay_ok { "BIT-IDENTICAL" } else { "MISMATCH" },
-        record.len(),
-        fnv1a64(&record)
-    );
-
-    if order_ok && replay_ok {
-        println!("verify PASSED");
-        Ok(ExitCode::SUCCESS)
-    } else {
-        println!("verify FAILED");
-        Ok(ExitCode::FAILURE)
-    }
+    let record = || jsonl(|sink| run(cfg.seed, sink));
+    let streams = [record(), record()];
+    Ok(verdict("verify", ("serial/parallel", [serial, parallel]), ("record/replay", streams)))
 }
 
 /// What `run` returns, and the digest of the events it streams into the
@@ -372,96 +329,44 @@ fn digest<R>(run: impl FnOnce(Box<dyn TraceSink>) -> R) -> (R, EventHash) {
     (ran, hash)
 }
 
-/// Runs the scenario once, streaming the trace to an in-memory buffer.
-fn record_bytes(cfg: &SimConfig, system: System) -> Vec<u8> {
+/// The JSONL bytes `run` streams into the sink it is handed.
+fn jsonl<R>(run: impl FnOnce(Box<dyn TraceSink>) -> R) -> Vec<u8> {
     let buf = SharedBuf::new();
-    let sink = JsonlSink::new(buf.clone());
-    run_system_with_sinks(cfg, system, vec![Box::new(sink)]);
+    run(Box::new(JsonlSink::new(buf.clone())));
     buf.bytes()
 }
 
-/// `verify --live`: integrity-checks traces collected from running
-/// `refer-node` daemons instead of from a simulation run.
-///
-/// The per-node JSONL files are merged into one event stream (each daemon
-/// traces only what it observed locally; the union is the cluster's
-/// story) and folded through the same [`PacketLedger`] the forensics
-/// commands use. The checks are structural — every packet that moved has
-/// an origin, every hop chain is connected, nothing was delivered twice.
-/// The delivery gate against the simulator's prediction is `refer-node
-/// cluster`'s, on the same merged ledger.
-fn cmd_verify_live(args: &Args) -> Result<ExitCode, Failure> {
-    let paths = &args.positional;
-    if paths.is_empty() {
-        return Err("verify --live needs at least one trace file".to_string().into());
-    }
-
-    let mut events = Vec::new();
-    for path in paths {
-        events.append(&mut read_jsonl(path).map_err(Failure::Data)?);
-    }
-    let total_events = events.len();
-    let ledger = PacketLedger::from_events(events);
-    let stats = ledger.stats();
-
-    // Structural integrity of the merged story.
-    let mut problems = Vec::new();
-    for rec in ledger.packets() {
-        let id = rec.packet.0;
-        if rec.origin.is_none() {
-            problems.push(format!("packet {id}: traced without a PacketOrigin event"));
-        }
-        if rec.deliveries > 1 {
-            problems.push(format!("packet {id}: delivered {} times", rec.deliveries));
-        }
-        // Each packet's hops come from different processes' files, so
-        // their fold order is file order, and cross-process clock skew
-        // makes timestamps unreliable for sequencing. The chain is
-        // therefore verified structurally: walking from the origin, every
-        // hop must be consumable by matching its `from` to the walk's
-        // current node — order-independent, and exact for loop-free paths.
-        if let Some(origin) = rec.origin {
-            let mut remaining: Vec<(u32, u32)> =
-                rec.hops.iter().map(|h| (h.from.0, h.to.0)).collect();
-            let mut cur = origin.0;
-            while let Some(pos) = remaining.iter().position(|&(from, _)| from == cur) {
-                cur = remaining.remove(pos).1;
-            }
-            if let Some(&(from, to)) = remaining.first() {
-                problems.push(format!(
-                    "packet {id}: {} hop(s) disconnected from the origin walk \
-                     (e.g. node {from} -> node {to})",
-                    remaining.len()
-                ));
-            }
-        }
-    }
-    println!(
-        "live traces: {} file(s), {} events, {} packets ({} delivered, {} dropped, {} in flight)",
-        paths.len(),
-        total_events,
-        stats.packets,
-        stats.delivered,
-        stats.dropped,
-        stats.in_flight
-    );
-    let integrity_ok = problems.is_empty();
-    if integrity_ok {
-        println!("ledger integrity: OK");
+/// Prints `verify`'s verdict on a pair of event-multiset digests and a
+/// pair of JSONL byte streams, each pair labelled `a/b` by its sides, and
+/// exits 1 unless both pairs are equal.
+fn verdict(
+    command: &str,
+    (multiset, hashes): (&str, [EventHash; 2]),
+    (stream, bytes): (&str, [Vec<u8>; 2]),
+) -> ExitCode {
+    let digests = hashes.map(|h| format!("{} events, digest {}", h.count, h.digest()));
+    let streams = bytes.each_ref().map(|b| format!("{} bytes, fnv1a {:016x}", b.len(), fnv1a64(b)));
+    // `&`, not `&&`: the second line prints whatever the first found.
+    let ok = compare(multiset, "event multiset", "IDENTICAL", hashes[0] == hashes[1], digests)
+        & compare(stream, "JSONL", "BIT-IDENTICAL", bytes[0] == bytes[1], streams);
+    println!("{command} {}", if ok { "PASSED" } else { "FAILED" });
+    if ok {
+        ExitCode::SUCCESS
     } else {
-        println!("ledger integrity: {} problem(s)", problems.len());
-        for p in problems.iter().take(20) {
-            println!("  {p}");
+        ExitCode::FAILURE
+    }
+}
+
+/// Prints one comparison of `verify`: `a/b what: SAME (a's value)` when
+/// the sides are `equal`, else a `MISMATCH` line and each side's value.
+fn compare(pair: &str, what: &str, same: &str, equal: bool, shown: [String; 2]) -> bool {
+    println!("{pair} {what}: {} ({})", if equal { same } else { "MISMATCH" }, shown[0]);
+    if !equal {
+        for (side, value) in pair.split('/').zip(shown) {
+            println!("  {side:<8} {value}");
         }
     }
-
-    if integrity_ok {
-        println!("verify --live PASSED");
-        Ok(ExitCode::SUCCESS)
-    } else {
-        println!("verify --live FAILED");
-        Ok(ExitCode::FAILURE)
-    }
+    equal
 }
 
 /// `verify --sharded`: the sharded engine at `--threads` worker threads
@@ -470,66 +375,31 @@ fn cmd_verify_live(args: &Args) -> Result<ExitCode, Failure> {
 /// exercises broadcast, delivery claims, mobility replication and fault
 /// rotation across every shard boundary.
 fn cmd_verify_sharded(args: &Args) -> Result<ExitCode, Failure> {
-    let mut cfg = ScenarioFlags::read(args, 0.05, 1)?.config;
+    let cfg = ScenarioFlags::read(args, 0.05, 1)?.config;
     let threads: usize = args.get("threads")?.unwrap_or(2);
     if threads < 2 {
         let why = "comparing the 1-thread reference to itself proves nothing";
         return Err(format!("--threads must be ≥ 2: {why}").into());
     }
     let seeds: Vec<u64> = (1..=args.get("seeds")?.unwrap_or(3)).collect();
-    let engine =
-        |threads| Engine::Sharded(ShardedConfig { shards: 0, threads, window_micros: 0 });
+    let run = |seed, threads, sink| {
+        let engine = Engine::Sharded(ShardedConfig { shards: 0, threads, window_micros: 0 });
+        let cfg = SimConfig { seed, engine, ..cfg.clone() };
+        wsan_sim::run_sharded_with_sinks(cfg, &mut FloodProtocol::new(6), vec![sink])
+    };
 
-    let mut reference = EventHash::new();
-    let mut threaded = EventHash::new();
+    let mut hashes = [EventHash::new(); 2];
     for &seed in &seeds {
-        cfg.seed = seed;
-        for (threads, hash) in [(1, &mut reference), (threads, &mut threaded)] {
-            cfg.engine = engine(threads);
-            let flood = &mut FloodProtocol::new(6);
-            let run = |sink| wsan_sim::run_sharded_with_sinks(cfg.clone(), flood, vec![sink]);
-            hash.merge(&digest(run).1);
+        for (threads, hash) in [1, threads].into_iter().zip(&mut hashes) {
+            hash.merge(&digest(|sink| run(seed, threads, sink)).1);
         }
-    }
-    let multiset_ok = reference == threaded;
-    println!(
-        "sharded(1)/sharded({threads}) event multiset: {} ({} events, digest {})",
-        if multiset_ok { "IDENTICAL" } else { "MISMATCH" },
-        reference.count,
-        reference.digest()
-    );
-    if !multiset_ok {
-        println!("  sharded(1)        {}", reference.digest());
-        println!("  sharded({threads})        {}", threaded.digest());
     }
 
     // Byte pass on the first seed: the merged canonical stream must be
     // bit-for-bit reproducible across thread counts, not just as a
     // multiset.
-    cfg.seed = seeds.first().copied().unwrap_or(1);
-    let bytes = |cfg: &SimConfig, threads: usize| {
-        let mut cfg = cfg.clone();
-        cfg.engine = engine(threads);
-        let buf = SharedBuf::new();
-        let sink = JsonlSink::new(buf.clone());
-        wsan_sim::run_sharded_with_sinks(cfg, &mut FloodProtocol::new(6), vec![Box::new(sink)]);
-        buf.bytes()
-    };
-    let one = bytes(&cfg, 1);
-    let many = bytes(&cfg, threads);
-    let bytes_ok = one == many;
-    println!(
-        "sharded(1)/sharded({threads}) JSONL: {} ({} bytes, fnv1a {:016x})",
-        if bytes_ok { "BIT-IDENTICAL" } else { "MISMATCH" },
-        one.len(),
-        fnv1a64(&one)
-    );
-
-    if multiset_ok && bytes_ok {
-        println!("verify --sharded PASSED");
-        Ok(ExitCode::SUCCESS)
-    } else {
-        println!("verify --sharded FAILED");
-        Ok(ExitCode::FAILURE)
-    }
+    let first = seeds.first().copied().unwrap_or(1);
+    let streams = [1, threads].map(|threads| jsonl(|sink| run(first, threads, sink)));
+    let pair = format!("sharded(1)/sharded({threads})");
+    Ok(verdict("verify --sharded", (&pair, hashes), (&pair, streams)))
 }

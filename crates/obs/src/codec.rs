@@ -2,8 +2,9 @@
 //!
 //! Events are externally tagged — `{"Hop":{"at":12500,"packet":7,...}}` —
 //! one per line, matching what `serde_json` would produce for the enum.
-//! Times are serialized as integer microseconds (lossless u64), reason
-//! enums as their stable string names. The simulator's types live in
+//! Times are serialized as integer microseconds (lossless u64), the
+//! reason and account enums as the names their own `as_str` gives, read
+//! back by a lookup over their `ALL`. The simulator's types live in
 //! another crate, so the conversions are free functions here rather than
 //! trait impls.
 
@@ -12,60 +13,6 @@ use serde::{Error, Value};
 use std::path::Path;
 use wsan_sim::trace::TraceEvent;
 use wsan_sim::{DataId, DropReason, EnergyAccount, HopReason, NodeId, SimTime};
-
-/// Stable name of an [`EnergyAccount`].
-pub fn account_str(account: EnergyAccount) -> &'static str {
-    match account {
-        EnergyAccount::Construction => "construction",
-        EnergyAccount::Communication => "communication",
-    }
-}
-
-fn parse_account(s: &str) -> Result<EnergyAccount, Error> {
-    match s {
-        "construction" => Ok(EnergyAccount::Construction),
-        "communication" => Ok(EnergyAccount::Communication),
-        other => Err(Error::msg(format!("unknown energy account {other:?}"))),
-    }
-}
-
-/// Stable name of a [`DropReason`].
-pub fn drop_reason_str(reason: DropReason) -> &'static str {
-    match reason {
-        DropReason::NoAccess => "no-access",
-        DropReason::NoRoute => "no-route",
-        DropReason::HopLimit => "hop-limit",
-        DropReason::Other => "other",
-    }
-}
-
-fn parse_drop_reason(s: &str) -> Result<DropReason, Error> {
-    match s {
-        "no-access" => Ok(DropReason::NoAccess),
-        "no-route" => Ok(DropReason::NoRoute),
-        "hop-limit" => Ok(DropReason::HopLimit),
-        "other" => Ok(DropReason::Other),
-        other => Err(Error::msg(format!("unknown drop reason {other:?}"))),
-    }
-}
-
-fn parse_hop_reason(s: &str) -> Result<HopReason, Error> {
-    const ALL: [HopReason; 10] = [
-        HopReason::Access,
-        HopReason::KautzNext,
-        HopReason::Detour,
-        HopReason::Direct,
-        HopReason::CellRelay,
-        HopReason::Gateway,
-        HopReason::TreeParent,
-        HopReason::PathWalk,
-        HopReason::Recovery,
-        HopReason::Other,
-    ];
-    ALL.into_iter()
-        .find(|r| r.as_str() == s)
-        .ok_or_else(|| Error::msg(format!("unknown hop reason {s:?}")))
-}
 
 fn write_node(w: &mut Writer, key: &str, n: NodeId) {
     w.key(key).u64(u64::from(n.0));
@@ -108,7 +55,7 @@ pub fn write_jsonl_line(event: &TraceEvent, out: &mut Vec<u8>) {
             write_node(w, "from", from);
             write_node(w, "to", to);
             w.key("size_bits").u64(u64::from(size_bits));
-            w.key("account").str(account_str(account));
+            w.key("account").str(account.as_str());
         }
         TraceEvent::SendFailed { from, to, .. } => {
             write_node(w, "from", from);
@@ -118,7 +65,7 @@ pub fn write_jsonl_line(event: &TraceEvent, out: &mut Vec<u8>) {
         TraceEvent::Broadcast { from, receivers, account, .. } => {
             write_node(w, "from", from);
             w.key("receivers").u64(receivers as u64);
-            w.key("account").str(account_str(account));
+            w.key("account").str(account.as_str());
         }
         TraceEvent::Delivered { packet, node, delay_s, hops, .. } => {
             w.key("packet").u64(packet.0);
@@ -128,7 +75,7 @@ pub fn write_jsonl_line(event: &TraceEvent, out: &mut Vec<u8>) {
         }
         TraceEvent::Dropped { packet, reason, .. } => {
             w.key("packet").u64(packet.0);
-            w.key("reason").str(drop_reason_str(reason));
+            w.key("reason").str(reason.as_str());
         }
         TraceEvent::FaultRotation { ref failed, ref recovered, .. } => {
             write_nodes(w, "failed", failed);
@@ -196,6 +143,26 @@ fn get_str<'v>(body: &'v Value, key: &str) -> Result<&'v str, Error> {
         .ok_or_else(|| Error::msg(format!("{key}: expected string")))
 }
 
+/// The variant of `all` that the string field `key` names; `what` names
+/// the enum in the error.
+fn get_named<T: Copy>(
+    body: &Value,
+    key: &str,
+    all: &[T],
+    name: fn(T) -> &'static str,
+    what: &str,
+) -> Result<T, Error> {
+    let s = get_str(body, key)?;
+    all.iter()
+        .copied()
+        .find(|&v| name(v) == s)
+        .ok_or_else(|| Error::msg(format!("unknown {what} {s:?}")))
+}
+
+fn get_account(body: &Value) -> Result<EnergyAccount, Error> {
+    get_named(body, "account", &EnergyAccount::ALL, EnergyAccount::as_str, "energy account")
+}
+
 fn get_nodes(body: &Value, key: &str) -> Result<Vec<NodeId>, Error> {
     get(body, key)?
         .as_seq()
@@ -233,7 +200,7 @@ pub fn event_from_value(value: &Value) -> Result<TraceEvent, Error> {
             packet: get_packet(body)?,
             from: get_node(body, "from")?,
             to: get_node(body, "to")?,
-            reason: parse_hop_reason(get_str(body, "reason")?)?,
+            reason: get_named(body, "reason", &HopReason::ALL, HopReason::as_str, "hop reason")?,
             queue_s: get_f64(body, "queue_s")?,
         },
         "Send" => TraceEvent::Send {
@@ -241,7 +208,7 @@ pub fn event_from_value(value: &Value) -> Result<TraceEvent, Error> {
             from: get_node(body, "from")?,
             to: get_node(body, "to")?,
             size_bits: u32::try_from(get_u64(body, "size_bits")?).map_err(Error::msg)?,
-            account: parse_account(get_str(body, "account")?)?,
+            account: get_account(body)?,
         },
         "SendFailed" => TraceEvent::SendFailed {
             at: get_time(body)?,
@@ -255,7 +222,7 @@ pub fn event_from_value(value: &Value) -> Result<TraceEvent, Error> {
             at: get_time(body)?,
             from: get_node(body, "from")?,
             receivers: usize::try_from(get_u64(body, "receivers")?).map_err(Error::msg)?,
-            account: parse_account(get_str(body, "account")?)?,
+            account: get_account(body)?,
         },
         "Delivered" => TraceEvent::Delivered {
             at: get_time(body)?,
@@ -267,7 +234,7 @@ pub fn event_from_value(value: &Value) -> Result<TraceEvent, Error> {
         "Dropped" => TraceEvent::Dropped {
             at: get_time(body)?,
             packet: get_packet(body)?,
-            reason: parse_drop_reason(get_str(body, "reason")?)?,
+            reason: get_named(body, "reason", &DropReason::ALL, DropReason::as_str, "drop reason")?,
         },
         "FaultRotation" => TraceEvent::FaultRotation {
             at: get_time(body)?,
@@ -380,7 +347,7 @@ mod tests {
                 ("from", node(*from)),
                 ("to", node(*to)),
                 ("size_bits", Value::U64(u64::from(*size_bits))),
-                ("account", Value::Str(account_str(*account).to_string())),
+                ("account", Value::Str(account.as_str().to_string())),
             ]),
             TraceEvent::SendFailed { at, from, to } => {
                 map(vec![("at", time(*at)), ("from", node(*from)), ("to", node(*to))])
@@ -392,7 +359,7 @@ mod tests {
                 ("at", time(*at)),
                 ("from", node(*from)),
                 ("receivers", Value::U64(*receivers as u64)),
-                ("account", Value::Str(account_str(*account).to_string())),
+                ("account", Value::Str(account.as_str().to_string())),
             ]),
             TraceEvent::Delivered { at, packet: p, node: n, delay_s, hops } => map(vec![
                 ("at", time(*at)),
@@ -404,7 +371,7 @@ mod tests {
             TraceEvent::Dropped { at, packet: p, reason } => map(vec![
                 ("at", time(*at)),
                 ("packet", packet(*p)),
-                ("reason", Value::Str(drop_reason_str(*reason).to_string())),
+                ("reason", Value::Str(reason.as_str().to_string())),
             ]),
             TraceEvent::FaultRotation { at, failed, recovered } => map(vec![
                 ("at", time(*at)),
@@ -516,27 +483,29 @@ mod tests {
         }
     }
 
+    /// Every name of the three enums the codec writes reads back as its
+    /// variant, through the same fields a trace line carries.
     #[test]
-    fn every_hop_and_drop_reason_round_trips() {
-        for reason in [
-            HopReason::Access,
-            HopReason::KautzNext,
-            HopReason::Detour,
-            HopReason::Direct,
-            HopReason::CellRelay,
-            HopReason::Gateway,
-            HopReason::TreeParent,
-            HopReason::PathWalk,
-            HopReason::Recovery,
-            HopReason::Other,
-        ] {
-            assert_eq!(parse_hop_reason(reason.as_str()).expect("parses"), reason);
+    fn every_reason_and_account_round_trips() {
+        let (at, packet, from, to) = (t(1), DataId(1), NodeId(1), NodeId(2));
+        let mut events = Vec::new();
+        for reason in HopReason::ALL {
+            events.push(TraceEvent::Hop { at, packet, from, to, reason, queue_s: 0.0 });
         }
-        for reason in
-            [DropReason::NoAccess, DropReason::NoRoute, DropReason::HopLimit, DropReason::Other]
-        {
-            assert_eq!(parse_drop_reason(drop_reason_str(reason)).expect("parses"), reason);
+        for reason in DropReason::ALL {
+            events.push(TraceEvent::Dropped { at, packet, reason });
         }
+        for account in EnergyAccount::ALL {
+            events.push(TraceEvent::Send { at, from, to, size_bits: 8, account });
+            events.push(TraceEvent::Broadcast { at, from, receivers: 3, account });
+        }
+        for event in events {
+            let line = to_jsonl_line(&event);
+            assert_eq!(from_jsonl_line(&line).expect("parses"), event, "{line}");
+        }
+        let unknown = r#"{"Dropped":{"at":1,"packet":1,"reason":"lost"}}"#;
+        let err = from_jsonl_line(unknown).expect_err("an unknown name is an error");
+        assert_eq!(err.0, r#"unknown drop reason "lost""#);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! packet's whole story — origin, every forwarding decision with its
 //! queueing delay and routing reason, and how it ended.
 
-use crate::codec::drop_reason_str;
 use std::collections::BTreeMap;
 use wsan_sim::trace::{HopReason, TraceEvent};
 use wsan_sim::{DataId, DropReason, LogHistogram, NodeId, SimTime};
@@ -165,7 +164,7 @@ impl PacketRecord {
             Outcome::Dropped { at, reason } => out.push_str(&format!(
                 "  DROPPED at {}us: {}\n",
                 at.as_micros(),
-                drop_reason_str(*reason)
+                reason.as_str()
             )),
             Outcome::InFlight => out.push_str("  still in flight at end of trace\n"),
         }
@@ -309,14 +308,6 @@ impl PacketLedger {
         self.packets().filter(|r| r.nodes().contains(&node)).collect()
     }
 
-    /// Dropped packets, with their drop reason.
-    pub fn dropped(&self) -> impl Iterator<Item = (&PacketRecord, DropReason)> {
-        self.packets().filter_map(|r| match r.outcome {
-            Outcome::Dropped { reason, .. } => Some((r, reason)),
-            _ => None,
-        })
-    }
-
     /// Aggregate counts.
     pub fn stats(&self) -> LedgerStats {
         let mut stats = LedgerStats { packets: self.len(), ..LedgerStats::default() };
@@ -334,10 +325,49 @@ impl PacketLedger {
     /// Drop counts by reason name, for `trace summary`.
     pub fn drops_by_reason(&self) -> BTreeMap<&'static str, usize> {
         let mut out = BTreeMap::new();
-        for (_, reason) in self.dropped() {
-            *out.entry(drop_reason_str(reason)).or_insert(0) += 1;
+        for r in self.packets() {
+            if let Outcome::Dropped { reason, .. } = r.outcome {
+                *out.entry(reason.as_str()).or_insert(0) += 1;
+            }
         }
         out
+    }
+
+    /// What is structurally wrong with a live cluster's merged ledger, one
+    /// line per problem: a packet traced without its `PacketOrigin`, one
+    /// delivered more than once, hops the walk from the origin leaves over.
+    ///
+    /// Hops come from different daemons' files and clocks, so neither fold
+    /// order nor timestamps sequence them: the walk consumes, from the
+    /// origin on, any hop sent from where it stands. That is exact for
+    /// loop-free chains only (a simulated source's retransmission revisits
+    /// nodes), so this is the live gate's check, not a general one.
+    pub fn integrity_problems(&self) -> Vec<String> {
+        let mut problems = Vec::new();
+        for rec in self.packets() {
+            let id = rec.packet.0;
+            if rec.origin.is_none() {
+                problems.push(format!("packet {id}: traced without a PacketOrigin event"));
+            }
+            if rec.deliveries > 1 {
+                problems.push(format!("packet {id}: delivered {} times", rec.deliveries));
+            }
+            let Some(origin) = rec.origin else { continue };
+            let mut remaining: Vec<(u32, u32)> =
+                rec.hops.iter().map(|h| (h.from.0, h.to.0)).collect();
+            let mut cur = origin.0;
+            while let Some(pos) = remaining.iter().position(|&(from, _)| from == cur) {
+                cur = remaining.remove(pos).1;
+            }
+            if let Some(&(from, to)) = remaining.first() {
+                problems.push(format!(
+                    "packet {id}: {} hop(s) disconnected from the origin walk \
+                     (e.g. node {from} -> node {to})",
+                    remaining.len()
+                ));
+            }
+        }
+        problems
     }
 
     /// The measured packets folded by [`MeasuredStats`]'s rule.
@@ -492,5 +522,62 @@ mod tests {
         let rec = ledger.packet(DataId(1)).expect("packet 1");
         assert!((rec.total_queue_s() - 0.002).abs() < 1e-12);
         assert_eq!(rec.worst_queue_hop().expect("has hops").from, NodeId(8));
+    }
+
+    fn origin(packet: u64, node: u32) -> TraceEvent {
+        let (packet, origin) = (DataId(packet), NodeId(node));
+        TraceEvent::PacketOrigin { at: t(1), packet, origin, measured: true }
+    }
+
+    fn hop(packet: u64, from: u32, to: u32) -> TraceEvent {
+        let (packet, from, to) = (DataId(packet), NodeId(from), NodeId(to));
+        TraceEvent::Hop { at: t(2), packet, from, to, reason: HopReason::KautzNext, queue_s: 0.0 }
+    }
+
+    fn delivered(packet: u64, node: u32) -> TraceEvent {
+        let (packet, node) = (DataId(packet), NodeId(node));
+        TraceEvent::Delivered { at: t(9), packet, node, delay_s: 0.008, hops: 2 }
+    }
+
+    /// Two daemons that both deliver packet 2 are a problem named by the
+    /// packet; packet 1 beside it, delivered once, is not.
+    #[test]
+    fn a_packet_delivered_by_two_nodes_is_named() {
+        let events = [origin(1, 5), origin(2, 5), delivered(1, 0), delivered(2, 0), delivered(2, 1)];
+        let problems = PacketLedger::from_events(events).integrity_problems();
+        assert_eq!(problems, ["packet 2: delivered 2 times"]);
+    }
+
+    /// A hop whose sender the walk from the origin never reaches is left
+    /// over, and named with its endpoints.
+    #[test]
+    fn a_hop_the_origin_walk_cannot_reach_is_named() {
+        let events = [origin(3, 5), hop(3, 5, 8), hop(3, 4, 13), delivered(3, 13)];
+        let problems = PacketLedger::from_events(events).integrity_problems();
+        let named = "packet 3: 1 hop(s) disconnected from the origin walk (e.g. node 4 -> node 13)";
+        assert_eq!(problems, [named]);
+    }
+
+    #[test]
+    fn a_packet_with_hops_but_no_origin_is_named() {
+        let events = [hop(4, 5, 8), hop(4, 8, 13), delivered(4, 13)];
+        let problems = PacketLedger::from_events(events).integrity_problems();
+        assert_eq!(problems, ["packet 4: traced without a PacketOrigin event"]);
+    }
+
+    /// One loop-free chain 5 -> 8 -> 13, each node's share of it in that
+    /// node's file, passes in every order the files can fold in.
+    #[test]
+    fn a_chain_split_over_three_files_passes_in_any_fold_order() {
+        let files = [
+            vec![origin(6, 5), hop(6, 5, 8)],
+            vec![hop(6, 8, 13)],
+            vec![delivered(6, 13)],
+        ];
+        for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+            let events = order.iter().flat_map(|&i| files[i].clone());
+            let problems = PacketLedger::from_events(events).integrity_problems();
+            assert!(problems.is_empty(), "order {order:?}: {problems:?}");
+        }
     }
 }

@@ -15,8 +15,10 @@
 //!   writer, [`VecSink`] for in-memory capture;
 //! * [`ledger`] — [`PacketLedger`], folding a trace
 //!   into per-packet causal chains (origin → hops with routing reasons →
-//!   delivered/dropped) queryable by packet or node, and its measured
-//!   packets into [`MeasuredStats`] by the simulator's own summary rule;
+//!   delivered/dropped) queryable by packet or node, its measured
+//!   packets into [`MeasuredStats`] by the simulator's own summary rule,
+//!   and a live cluster's merged chains checked by
+//!   [`PacketLedger::integrity_problems`];
 //! * [`hash`] — [`EventHash`], the commutative multiset
 //!   digest behind `trace verify`'s serial/parallel identity proof, and a
 //!   sink itself.
@@ -35,9 +37,7 @@ pub mod hash;
 pub mod ledger;
 pub mod sink;
 
-pub use codec::{
-    account_str, event_from_value, from_jsonl_line, read_jsonl, to_jsonl_line, write_jsonl_line,
-};
+pub use codec::{event_from_value, from_jsonl_line, read_jsonl, to_jsonl_line, write_jsonl_line};
 pub use frame::{encode_frame, write_frame, FrameDecoder, FrameError, MAX_FRAME_LEN};
 pub use hash::{fnv1a64, EventHash};
 pub use ledger::{HopRecord, LedgerStats, MeasuredStats, Outcome, PacketLedger, PacketRecord};

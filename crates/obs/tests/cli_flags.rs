@@ -34,7 +34,8 @@ fn every_subcommand_rejects_a_flag_it_does_not_read() {
         // `--seed` is `record`'s; `verify` runs seeds 1..=--seeds.
         (&["verify", "--scale", "0.01", "--seeds", "1", "--seed", "3"], "--seed"),
         (&["verify", "--sharded", "--scale", "0.01", "--seeds", "1", "--system", "kautz"], "--system"),
-        (&["verify", "--live", empty, "--tolerance", "0.1"], "--tolerance"),
+        // No live mode: `refer-node cluster` checks its merged ledger.
+        (&["verify", "--live", empty], "--live"),
     ];
     let mut failures = Vec::new();
     for (args, flag) in cases {

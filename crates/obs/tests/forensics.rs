@@ -1,14 +1,13 @@
 //! End-to-end forensics: a traced faulty run streams to JSONL, the codec
 //! round-trips every line, and the ledger reconstructs a dropped packet's
-//! full hop chain with its drop reason. Planted live traces check the
-//! ledger's outcome rule and `trace verify --live`'s duplicate report.
+//! full hop chain with its drop reason. A planted live trace checks the
+//! ledger's outcome rule.
 
 use refer_bench::{base_config, run_system_with_sinks, System};
 use refer_obs::{
     from_jsonl_line, to_jsonl_line, EventHash, JsonlSink, Outcome, PacketLedger, SharedBuf,
     VecSink,
 };
-use std::process::Command;
 use std::sync::{Arc, Mutex};
 use wsan_sim::trace::TraceEvent;
 use wsan_sim::{DataId, DropReason, FaultModel, NodeId, SimConfig, SimDuration, SimTime};
@@ -124,37 +123,4 @@ fn delivered_folded_before_dropped_stays_delivered() {
     assert!(matches!(record.outcome, Outcome::Delivered { node: NodeId(0), .. }), "{record:?}");
     assert_eq!(record.deliveries, 1);
     assert_eq!((ledger.stats().delivered, ledger.stats().dropped), (1, 0));
-}
-
-/// A packet two daemons both delivered is an integrity problem that
-/// `trace verify --live` names; the clean file beside it passes.
-#[test]
-fn verify_live_reports_a_planted_duplicate_delivery() {
-    let dir = std::env::temp_dir().join(format!("refer-obs-live-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let write = |name: &str, events: &[TraceEvent]| {
-        let path = dir.join(name);
-        let text: String = events.iter().map(|e| to_jsonl_line(e) + "\n").collect();
-        std::fs::write(&path, text).expect("trace file");
-        path
-    };
-    let origin_file = write("node-5.jsonl", &[origin(1), origin(2)]);
-    let first = write("node-0.jsonl", &[delivered(1), delivered(2)]);
-    let second = write("node-1.jsonl", &[delivered(2)]);
-    let verify = |files: &[&std::path::PathBuf]| {
-        let out = Command::new(env!("CARGO_BIN_EXE_trace"))
-            .args(["verify", "--live"])
-            .args(files)
-            .output()
-            .expect("trace runs");
-        (out.status.success(), String::from_utf8(out.stdout).expect("UTF-8"))
-    };
-
-    let (ok, text) = verify(&[&origin_file, &first]);
-    assert!(ok && text.contains("ledger integrity: OK"), "{text}");
-    let (ok, text) = verify(&[&origin_file, &first, &second]);
-    std::fs::remove_dir_all(&dir).expect("clean up");
-    assert!(!ok, "a duplicate delivery fails the check: {text}");
-    assert!(text.contains("packet 2: delivered 2 times"), "{text}");
-    assert!(!text.contains("packet 1:"), "{text}");
 }

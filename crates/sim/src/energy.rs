@@ -19,6 +19,19 @@ pub enum EnergyAccount {
     Communication,
 }
 
+impl EnergyAccount {
+    /// Every variant, in declaration order.
+    pub const ALL: [EnergyAccount; 2] = [EnergyAccount::Construction, EnergyAccount::Communication];
+
+    /// Stable lowercase name used by trace codecs.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            EnergyAccount::Construction => "construction",
+            EnergyAccount::Communication => "communication",
+        }
+    }
+}
+
 /// Per-packet energy prices, in Joules.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {

@@ -20,6 +20,22 @@ pub enum DropReason {
     Other,
 }
 
+impl DropReason {
+    /// Every variant, in declaration order.
+    pub const ALL: [DropReason; 4] =
+        [DropReason::NoAccess, DropReason::NoRoute, DropReason::HopLimit, DropReason::Other];
+
+    /// Stable lowercase name used by trace codecs and reports.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            DropReason::NoAccess => "no-access",
+            DropReason::NoRoute => "no-route",
+            DropReason::HopLimit => "hop-limit",
+            DropReason::Other => "other",
+        }
+    }
+}
+
 /// Raw counters accumulated during a run.
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {

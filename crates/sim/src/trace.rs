@@ -45,6 +45,21 @@ pub enum HopReason {
 }
 
 impl HopReason {
+    /// Every variant, in declaration order: the codec parses a name by
+    /// finding it here.
+    pub const ALL: [HopReason; 10] = [
+        HopReason::Access,
+        HopReason::KautzNext,
+        HopReason::Detour,
+        HopReason::Direct,
+        HopReason::CellRelay,
+        HopReason::Gateway,
+        HopReason::TreeParent,
+        HopReason::PathWalk,
+        HopReason::Recovery,
+        HopReason::Other,
+    ];
+
     /// Stable lowercase name used by trace codecs and reports.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -298,5 +313,65 @@ impl<S: TraceSink> TraceSink for std::sync::Arc<std::sync::Mutex<S>> {
 
     fn flush(&mut self) {
         self.lock().expect("a sink panicked mid-event").flush();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Checks that `all` holds each variant once, at the position and
+    /// under the name `pinned` gives it, and that the names are distinct.
+    fn check<T: Copy + PartialEq + std::fmt::Debug>(
+        all: &[T],
+        name: fn(T) -> &'static str,
+        pinned: fn(T) -> (usize, &'static str),
+    ) {
+        for (i, &v) in all.iter().enumerate() {
+            assert_eq!(pinned(v), (i, name(v)), "{v:?}");
+        }
+        let mut names: Vec<&str> = all.iter().map(|&v| name(v)).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), all.len(), "duplicate names in {all:?}");
+    }
+
+    // Each match below is exhaustive, so a new variant fails the build
+    // here until it is given a position and a name; `ALL` must list it at
+    // that position. The names are the trace format's: a changed one
+    // changes every trace file.
+
+    #[test]
+    fn every_hop_reason_is_listed_once_under_its_pinned_name() {
+        check(&HopReason::ALL, HopReason::as_str, |r| match r {
+            HopReason::Access => (0, "access"),
+            HopReason::KautzNext => (1, "kautz-next"),
+            HopReason::Detour => (2, "detour"),
+            HopReason::Direct => (3, "direct"),
+            HopReason::CellRelay => (4, "cell-relay"),
+            HopReason::Gateway => (5, "gateway"),
+            HopReason::TreeParent => (6, "tree-parent"),
+            HopReason::PathWalk => (7, "path-walk"),
+            HopReason::Recovery => (8, "recovery"),
+            HopReason::Other => (9, "other"),
+        });
+    }
+
+    #[test]
+    fn every_drop_reason_is_listed_once_under_its_pinned_name() {
+        check(&DropReason::ALL, DropReason::as_str, |r| match r {
+            DropReason::NoAccess => (0, "no-access"),
+            DropReason::NoRoute => (1, "no-route"),
+            DropReason::HopLimit => (2, "hop-limit"),
+            DropReason::Other => (3, "other"),
+        });
+    }
+
+    #[test]
+    fn every_energy_account_is_listed_once_under_its_pinned_name() {
+        check(&EnergyAccount::ALL, EnergyAccount::as_str, |a| match a {
+            EnergyAccount::Construction => (0, "construction"),
+            EnergyAccount::Communication => (1, "communication"),
+        });
     }
 }
