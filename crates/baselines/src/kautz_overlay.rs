@@ -110,8 +110,8 @@ pub struct KautzOverlayProtocol {
     next_pending: u64,
     /// Last flood time per (node, target), for the cooldown.
     last_flood: BTreeMap<(NodeId, NodeId), wsan_sim::SimTime>,
-    /// The fault oracle, or (`Discovered` and `Byzantine` runs) failure
-    /// suspicions learned from unacknowledged frames.
+    /// The fault oracle, or (`Discovered` runs) failure suspicions learned
+    /// from unacknowledged frames.
     knowledge: FailureKnowledge,
     /// Observable counters.
     pub stats: OverlayStats,
@@ -370,10 +370,6 @@ impl Protocol for KautzOverlayProtocol {
     }
 
     fn on_init(&mut self, ctx: &mut Ctx<OvMsg>) {
-        // Byzantine runs use the discovered machinery too: suspicion from
-        // ACK expiry instead of the oracle. The overlay has no suspicion
-        // gossip, so compromised nodes hurt it through misrouting, silent
-        // drops and forged ACKs alone.
         self.knowledge = FailureKnowledge::for_model(ctx.config().faults.model, SUSPICION_TTL);
         self.build_overlay(ctx);
     }

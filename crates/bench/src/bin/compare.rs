@@ -9,9 +9,8 @@
 //!
 //! Prints one row per system with throughput, delay, energy split,
 //! delivery ratio and load-balance metrics, plus the robustness counters
-//! (retransmissions, detections, handovers, oracle consultations; under
-//! `byzantine` also misroutes, forged ACKs, slander, wrongful evictions
-//! and attacker containment). A matrix `--workload` appends the congestion
+//! (retransmissions, detections, handovers, oracle consultations). A
+//! matrix `--workload` appends the congestion
 //! columns (queue-delay percentiles, hot-link utilization, queue drops).
 //! Useful for eyeballing a configuration before committing to a full
 //! sweep.
@@ -28,7 +27,7 @@ use kautz::{KautzGraph, KautzId};
 use refer_bench::cli::{exit_usage, Args, Command, MAX_SENSORS, SHARED, SIZE};
 use refer_bench::{or_dash, run_system, ScenarioFlags, LOAD_ROUTINGS, SYSTEMS};
 use refer_baselines::{fabric_config, KautzFabricProtocol};
-use wsan_sim::{run_engine, Engine, FaultModel, ShardedConfig};
+use wsan_sim::{run_engine, Engine, ShardedConfig};
 
 const FLAGS: Command = Command {
     name: "compare",
@@ -82,17 +81,15 @@ fn main() {
         return run_fabric(&run, d, k);
     }
     let cfg = &run.scenario.config;
-    let byzantine = cfg.faults.model == FaultModel::Byzantine;
     let matrix = cfg.traffic.pattern.is_matrix();
 
     println!(
         "scenario: {} sensors, mobility [0,{}] m/s, {} faulty ({:?}), \
-         attacker fraction {}, link pdr {}, workload {} ({:?} routing, {} pps), scale {}, seed {}\n",
+         link pdr {}, workload {} ({:?} routing, {} pps), scale {}, seed {}\n",
         cfg.sensors,
         cfg.mobility.max_speed,
         cfg.faults.count,
         cfg.faults.model,
-        cfg.faults.byzantine.attacker_fraction,
         cfg.radio.link_pdr,
         cfg.traffic.pattern.name(),
         cfg.routing,
@@ -105,12 +102,6 @@ fn main() {
         "system", "QoS thr(B/s)", "delay", "p50(ms)", "p95(ms)", "p99(ms)", "miss", "comm(J)",
         "constr(J)", "deliv", "hotspot", "fairness", "retx", "detect", "handover", "oracle"
     );
-    if byzantine {
-        print!(
-            " {:>8} {:>7} {:>8} {:>9} {:>9} {:>10}",
-            "misroute", "forged", "slander", "wrongful", "contained", "contain(s)"
-        );
-    }
     if matrix {
         print!(
             " {:>9} {:>9} {:>9} {:>8} {:>7}",
@@ -139,17 +130,6 @@ fn main() {
             s.handovers,
             s.oracle_queries,
         );
-        if byzantine {
-            print!(
-                " {:>8} {:>7} {:>8} {:>9} {:>9} {:>10}",
-                s.misroutes,
-                s.forged_acks,
-                s.slander_events,
-                s.wrongful_evictions,
-                s.attackers_contained,
-                or_dash(s.mean_containment_time_s, 1, "")
-            );
-        }
         if matrix {
             print!(
                 " {:>9} {:>9} {:>9} {:>8} {:>7}",

@@ -13,11 +13,8 @@
 //! and under `--out` a JSON dump per sweep plus one SVG per figure, both
 //! from the same in-memory result. `--fault-model discovered` replaces
 //! the paper's idealized failure knowledge with link-layer
-//! ACK-based detection in every system; `byzantine` additionally
-//! compromises `--attacker-fraction` of the sensors. `--link-pdr` adds a
-//! uniform per-link loss probability. `--degradation` skips the paper
-//! figures and instead sweeps the compromised fraction 0..=0.3 under the
-//! Byzantine model, printing the robustness degradation table. `--load`
+//! ACK-based detection in every system. `--link-pdr` adds a uniform
+//! per-link loss probability. `--load` skips the paper figures and instead
 //! sweeps the offered load of a traffic matrix (`--workload`, default
 //! all-to-all) and prints REFER's congestion metrics under shortest vs.
 //! regular Kautz routing; `--workload`/`--routing`/`--offered-load` also
@@ -25,8 +22,7 @@
 
 use refer_bench::cli::{exit_usage, Args, Command, SHARED};
 use refer_bench::{
-    figure, render_degradation, render_figure, render_load, run_sweep, Figure, ScenarioFlags,
-    Sweep, FIGURES,
+    figure, render_figure, render_load, run_sweep, Figure, ScenarioFlags, Sweep, FIGURES,
 };
 
 const FLAGS: Command = Command {
@@ -34,7 +30,7 @@ const FLAGS: Command = Command {
     positional: "",
     flags: &[
         &["--fig N|all", "--seeds 1,2,3", "--scale F", "--out DIR", "--no-out", "--quiet"],
-        &["--degradation", "--load"],
+        &["--load"],
         SHARED,
     ],
 };
@@ -46,7 +42,6 @@ struct Run {
     out: Option<String>,
     quiet: bool,
     scenario: ScenarioFlags,
-    degradation: bool,
     load: bool,
 }
 
@@ -66,7 +61,6 @@ impl Run {
             out: (!args.has("no-out")).then_some(out),
             quiet: args.has("quiet"),
             scenario: ScenarioFlags::read(args, 0.25, 1)?,
-            degradation: args.has("degradation"),
             load: args.has("load"),
         })
     }
@@ -75,16 +69,9 @@ impl Run {
 fn main() {
     let run = FLAGS.parse(std::env::args().skip(1)).and_then(|args| Run::read(&args));
     let run = run.unwrap_or_else(|e| exit_usage(&e, &[&FLAGS]));
-    // Each mode is a list of sweeps; all three then share one
-    // run → print → write loop.
-    let sweeps: Vec<Sweep> = if run.degradation {
-        eprintln!(
-            "Byzantine degradation sweep over {} seed(s) at scale {}",
-            run.seeds.len(),
-            run.scenario.scale
-        );
-        vec![Sweep::Attackers]
-    } else if run.load {
+    // Each mode is a list of sweeps; both then share one run → print →
+    // write loop.
+    let sweeps: Vec<Sweep> = if run.load {
         eprintln!(
             "Heavy-traffic load sweep ({} workload) over {} seed(s) at scale {}",
             run.scenario.config.traffic.pattern.name(),
@@ -132,7 +119,6 @@ fn main() {
 
     for result in &results {
         match result.sweep {
-            Sweep::Attackers => println!("{}", render_degradation(result)),
             Sweep::Load => println!("{}", render_load(result)),
             sweep => {
                 for fig in figures_of(sweep) {

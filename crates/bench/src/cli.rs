@@ -24,8 +24,7 @@ pub const SIZE: &[&str] = &["--scale F", "--sensors N", "--faults N", "--mobilit
 /// The scenario knobs `figures`, `compare`, `trace record` and `trace
 /// verify` all read.
 pub const SHARED: &[&str] = &[
-    "--fault-model oracle|discovered|byzantine",
-    "--attacker-fraction F",
+    "--fault-model oracle|discovered",
     "--link-pdr P",
     "--workload paper|all2all|hotspot",
     "--routing shortest|regular",
@@ -183,8 +182,6 @@ impl ScenarioFlags {
         set(&mut cfg.mobility.max_speed, args.get("mobility")?);
         set(&mut cfg.faults.model, args.choice("fault-model", "fault model", &FAULT_MODELS)?);
         let unit = |x: &f64| (0.0..=1.0).contains(x);
-        let fraction = bounded(args, "attacker-fraction", "in [0, 1]", unit)?;
-        set(&mut cfg.faults.byzantine.attacker_fraction, fraction);
         set(&mut cfg.radio.link_pdr, bounded(args, "link-pdr", "in [0, 1]", unit)?);
         let workloads = ["paper", "all2all", "hotspot"]
             .map(|name| (name, TrafficPattern::parse(name).expect("a known workload")));
@@ -206,11 +203,8 @@ pub const MAX_SENSORS: usize = 1 << 20;
 /// `SimDuration`'s microseconds still hold.
 const MAX_SCALE: f64 = 1e6;
 
-const FAULT_MODELS: [(&str, FaultModel); 3] = [
-    ("oracle", FaultModel::Oracle),
-    ("discovered", FaultModel::Discovered),
-    ("byzantine", FaultModel::Byzantine),
-];
+const FAULT_MODELS: [(&str, FaultModel); 2] =
+    [("oracle", FaultModel::Oracle), ("discovered", FaultModel::Discovered)];
 
 const ROUTINGS: [(&str, RoutingStrategy); 2] =
     [("shortest", RoutingStrategy::Shortest), ("regular", RoutingStrategy::Regular)];
@@ -250,10 +244,10 @@ mod tests {
 
     #[test]
     fn owns_exactly_the_shared_flags() {
-        let args = ["--fault-model", "byzantine", "--routing", "regular", "--threads", "4"];
+        let args = ["--fault-model", "discovered", "--routing", "regular", "--threads", "4"];
         let args = TOOL.parse(args).expect("every flag is in the table");
         let sf = ScenarioFlags::read(&args, 0.05, 1).expect("a valid scenario");
-        assert_eq!(sf.config.faults.model, FaultModel::Byzantine);
+        assert_eq!(sf.config.faults.model, FaultModel::Discovered);
         assert_eq!(sf.config.routing, RoutingStrategy::Regular);
         // Tool-specific flags stay the tool's to read.
         assert_eq!(args.get::<usize>("threads"), Ok(Some(4)));
@@ -268,7 +262,7 @@ mod tests {
         let cases: [(&[&str], &str); 10] = [
             (
                 &["--fault-model", "nonsense"],
-                "unknown fault model \"nonsense\" (expected oracle|discovered|byzantine)",
+                "unknown fault model \"nonsense\" (expected oracle|discovered)",
             ),
             (
                 &["--workload", "nonsense"],
@@ -279,7 +273,7 @@ mod tests {
                 "unknown routing strategy \"nonsense\" (expected shortest|regular)",
             ),
             (&["--offered-load", "-1"], "--offered-load must be finite and non-negative, got -1"),
-            (&["--attacker-fraction", "2"], "--attacker-fraction must be in [0, 1], got 2"),
+            (&["--link-pdr", "2"], "--link-pdr must be in [0, 1], got 2"),
             (&["--link-pdr"], "--link-pdr needs a value"),
             (&["--seed", "1,a"], "--seed: cannot parse \"1,a\""),
             (&["--scale", "nan"], "--scale must be in (0, 1000000], got nan"),

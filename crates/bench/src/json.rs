@@ -17,12 +17,15 @@ use std::fmt::Write as _;
 /// Byzantine columns plus the `fault_model`/`git_commit` provenance fields
 /// arrived, to 4 when the congestion columns (queue-delay percentiles,
 /// hot-link utilization, congestion drops) and the `Load` sweep landed,
-/// and to 5 for an optional `daemon_latency` section, since removed.
-pub const SCHEMA_VERSION: u64 = 5;
+/// to 5 for an optional `daemon_latency` section, since removed, and to 6
+/// when the Byzantine fault model went and took its five columns
+/// (`forged_acks`, `slander_events`, `misroutes`, `attackers_contained`,
+/// `containment_time_s`) with it.
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// Every per-system statistic of a dump: its JSON key and the per-run
 /// value its mean and confidence interval are taken over, in dump order.
-pub const STATS: [(&str, Column); 33] = [
+pub const STATS: [(&str, Column); 28] = [
     ("throughput_bps", |r| r.throughput_bps),
     ("mean_delay_s", |r| r.mean_delay_s),
     ("energy_communication_j", |r| r.energy_communication_j),
@@ -39,11 +42,6 @@ pub const STATS: [(&str, Column); 33] = [
     ("drop_no_route", |r| r.drop_no_route as f64),
     ("drop_hops", |r| r.drop_hops as f64),
     ("wrongful_evictions", |r| r.wrongful_evictions as f64),
-    ("forged_acks", |r| r.forged_acks as f64),
-    ("slander_events", |r| r.slander_events as f64),
-    ("misroutes", |r| r.misroutes as f64),
-    ("attackers_contained", |r| r.attackers_contained as f64),
-    ("containment_time_s", |r| r.mean_containment_time_s),
     ("delay_p50_s", |r| r.delay_p50_s),
     ("delay_p95_s", |r| r.delay_p95_s),
     ("delay_p99_s", |r| r.delay_p99_s),
@@ -132,7 +130,7 @@ mod tests {
             ],
             seeds: vec![1, 2, 3],
             scale: 0.25,
-            fault_model: FaultModel::Byzantine,
+            fault_model: FaultModel::Discovered,
             git_commit: "deadbeef".to_string(),
         }
     }
@@ -148,7 +146,7 @@ mod tests {
         let dump = serde::json::from_str(&to_json(&original)).expect("the dump is JSON");
         assert_eq!(dump.get("sweep").and_then(Value::as_str), Some("Faults"));
         assert_eq!(dump.get("scale").and_then(Value::as_f64), Some(0.25));
-        assert_eq!(dump.get("fault_model").and_then(Value::as_str), Some("Byzantine"));
+        assert_eq!(dump.get("fault_model").and_then(Value::as_str), Some("Discovered"));
         let seeds: Vec<u64> = dump
             .get("seeds")
             .and_then(Value::as_seq)
@@ -187,14 +185,14 @@ mod tests {
     fn nan_serializes_as_null() {
         let mut result = sample();
         for run in &mut result.points[0].runs[0] {
-            run.mean_containment_time_s = f64::NAN;
+            run.delay_p50_s = f64::NAN;
         }
         let dump = serde::json::from_str(&to_json(&result)).expect("the dump is JSON");
         let stat = &dump.get("points").and_then(Value::as_seq).expect("points")[0]
             .get("systems")
             .and_then(Value::as_seq)
             .expect("systems")[0]
-            .get("containment_time_s")
+            .get("delay_p50_s")
             .cloned()
             .expect("present");
         assert_eq!(stat.get("mean"), Some(&Value::Null));
@@ -205,8 +203,8 @@ mod tests {
     #[test]
     fn dumps_carry_the_schema_version() {
         let json = to_json(&sample());
-        assert!(json.contains("\"schema_version\": 5"));
-        assert!(json.contains("\"fault_model\": \"Byzantine\""));
+        assert!(json.contains("\"schema_version\": 6"));
+        assert!(json.contains("\"fault_model\": \"Discovered\""));
         assert!(json.contains("\"git_commit\": \"deadbeef\""));
     }
 }

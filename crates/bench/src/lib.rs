@@ -88,10 +88,6 @@ pub enum Sweep {
     Faults,
     /// Figures 8-11: network size 100..=400 sensors.
     Size,
-    /// Byzantine degradation curve (not a paper figure): fraction of
-    /// compromised sensors 0..=0.3 under [`FaultModel::Byzantine`], all
-    /// other parameters at the paper's defaults.
-    Attackers,
     /// Heavy-traffic load curve (not a paper figure): aggregate offered
     /// load in packets/second under a traffic matrix (all-to-all unless
     /// the scenario flags pick another matrix), comparing REFER under
@@ -112,7 +108,6 @@ impl Sweep {
             Sweep::Mobility => vec![1.0, 2.0, 3.0, 4.0, 5.0],
             Sweep::Faults => vec![2.0, 4.0, 6.0, 8.0, 10.0],
             Sweep::Size => vec![100.0, 200.0, 300.0, 400.0],
-            Sweep::Attackers => vec![0.0, 0.1, 0.2, 0.3],
             Sweep::Load => vec![250.0, 500.0, 1000.0, 2000.0],
         }
     }
@@ -131,24 +126,18 @@ impl Sweep {
             Sweep::Mobility => "mean node speed (m/s)",
             Sweep::Faults => "number of faulty nodes",
             Sweep::Size => "number of sensors",
-            Sweep::Attackers => "fraction of compromised sensors",
             Sweep::Load => "offered load (packets/s)",
         }
     }
 
-    /// Applies the sweep parameter to a scenario. [`Sweep::Attackers`]
-    /// forces [`FaultModel::Byzantine`] (a compromised fraction is
-    /// meaningless under the other models), which is why [`run_sweep`]
-    /// applies the scenario flags *before* calling this.
+    /// Applies the sweep parameter to a scenario. It overrides whatever the
+    /// scenario flags set for the same knob, which is why [`run_sweep`]
+    /// applies the flags *before* calling this.
     pub fn configure(self, cfg: &mut SimConfig, x: f64) {
         match self {
             Sweep::Mobility => cfg.mobility.max_speed = x,
             Sweep::Faults => cfg.faults.count = x as usize,
             Sweep::Size => cfg.sensors = x as usize,
-            Sweep::Attackers => {
-                cfg.faults.model = FaultModel::Byzantine;
-                cfg.faults.byzantine.attacker_fraction = x;
-            }
             Sweep::Load => {
                 // A load point needs a matrix workload; if the flags left
                 // the paper trickle in place, all-to-all is the default.
@@ -276,8 +265,7 @@ pub struct SweepResult {
     pub seeds: Vec<u64>,
     /// The duration scale used.
     pub scale: f64,
-    /// The fault model the sweep's configured runs used
-    /// ([`Sweep::Attackers`] always forces `Byzantine`).
+    /// The fault model the sweep's configured runs used.
     pub fault_model: FaultModel,
     /// `git rev-parse HEAD` of the tree that produced the dump, or
     /// `"unknown"` outside a git checkout.
@@ -312,8 +300,7 @@ pub fn or_dash(x: f64, digits: usize, unit: &str) -> String {
 
 /// The scenario of one sweep point, before its column and seed: the
 /// flags' [`config`](ScenarioFlags::config), then the sweep parameter
-/// ([`Sweep::configure`] — so [`Sweep::Attackers`] overrides the fault
-/// model and compromised fraction per point).
+/// ([`Sweep::configure`], which wins over a flag that sets the same knob).
 fn point_config(sweep: Sweep, flags: &ScenarioFlags, x: f64) -> SimConfig {
     let mut cfg = flags.config.clone();
     sweep.configure(&mut cfg, x);
@@ -421,43 +408,6 @@ pub fn render_figure(fig: &Figure, sweep: &SweepResult) -> String {
     out
 }
 
-/// Renders the Byzantine degradation table from an [`Sweep::Attackers`]
-/// result: delivery, wrongful evictions and attacker containment per
-/// system at each compromised fraction. Undefined cells (a column no seed
-/// defined: nothing delivered, or no attacker ever contained) print as
-/// `—`.
-pub fn render_degradation(sweep: &SweepResult) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    writeln!(out, "Byzantine degradation (fault model {:?})", sweep.fault_model)
-        .expect("write to string");
-    writeln!(
-        out,
-        "{:>10} {:>15} {:>9} {:>9} {:>9} {:>9} {:>10} {:>11}",
-        "fraction", "system", "deliv", "thr(B/s)", "wrongful", "slander", "contained", "contain(s)"
-    )
-    .expect("write to string");
-    for point in &sweep.points {
-        for (system, runs) in SYSTEMS.iter().zip(&point.runs) {
-            let mean = |f| column(runs, f).mean;
-            writeln!(
-                out,
-                "{:>10} {:>15} {:>9} {:>9} {:>9} {:>9} {:>10} {:>11}",
-                format!("{:.2}", point.x),
-                system.name(),
-                or_dash(mean(|r| r.delivery_ratio), 3, ""),
-                or_dash(mean(|r| r.throughput_bps), 0, ""),
-                or_dash(mean(|r| r.wrongful_evictions as f64), 1, ""),
-                or_dash(mean(|r| r.slander_events as f64), 1, ""),
-                or_dash(mean(|r| r.attackers_contained as f64), 1, ""),
-                or_dash(mean(|r| r.mean_containment_time_s), 1, ""),
-            )
-            .expect("write to string");
-        }
-    }
-    out
-}
-
 /// Renders the heavy-traffic load table from a [`Sweep::Load`] result:
 /// congestion metrics per routing strategy at each offered load. Undefined
 /// cells (a column no seed defined: nothing delivered, or no queueing
@@ -534,22 +484,19 @@ mod tests {
         assert_eq!(cfg.faults.count, 8);
         Sweep::Mobility.configure(&mut cfg, 4.0);
         assert_eq!(cfg.mobility.max_speed, 4.0);
-        Sweep::Attackers.configure(&mut cfg, 0.2);
-        assert_eq!(cfg.faults.model, FaultModel::Byzantine);
-        assert_eq!(cfg.faults.byzantine.attacker_fraction, 0.2);
     }
 
     #[test]
     fn fault_model_and_fraction_flags_parse_with_clean_errors() {
         let model = |name| flags(&["--fault-model", name]).config.faults.model;
-        assert_eq!(model("byzantine"), FaultModel::Byzantine);
+        assert_eq!(model("discovered"), FaultModel::Discovered);
         assert_eq!(model("oracle"), FaultModel::Oracle);
         let err = read(&["--fault-model", "bogus"]).expect_err("rejects");
-        assert!(err.contains("bogus") && err.contains("byzantine"), "{err}");
+        assert!(err.contains("bogus") && err.contains("discovered"), "{err}");
 
         assert_eq!(flags(&["--link-pdr", "0.25"]).config.radio.link_pdr, 0.25);
-        let err = read(&["--attacker-fraction", "1.5"]).expect_err("rejects");
-        assert!(err.contains("--attacker-fraction") && err.contains("[0, 1]"), "{err}");
+        let err = read(&["--link-pdr", "1.5"]).expect_err("rejects");
+        assert!(err.contains("--link-pdr") && err.contains("[0, 1]"), "{err}");
         let err = read(&["--link-pdr", "lossy"]).expect_err("rejects");
         assert!(err.contains("--link-pdr"), "{err}");
     }
@@ -624,8 +571,8 @@ mod tests {
             }
         }
         // The sweep parameter wins over a flag that sets the same knob.
-        let cfg = point_config(Sweep::Attackers, &flags(&["--fault-model", "oracle"]), 0.2);
-        assert_eq!(cfg.faults.model, FaultModel::Byzantine);
+        let cfg = point_config(Sweep::Load, &flags(&["--offered-load", "100"]), 500.0);
+        assert_eq!(cfg.traffic.offered_pps, 500.0);
     }
 
     /// Pins what `run_sweep` runs end to end: each (x, system) cell holds
@@ -665,37 +612,6 @@ mod tests {
                     system.name()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn render_degradation_prints_an_aggregate_no_seed_defined_as_a_dash() {
-        // At fraction 0 nothing is compromised, so no seed contains anyone.
-        let uncontained =
-            RunSummary { mean_containment_time_s: f64::NAN, ..RunSummary::default() };
-        let contained =
-            RunSummary { mean_containment_time_s: 14.5, attackers_contained: 2, ..uncontained.clone() };
-        let point = |x: f64, run: &RunSummary| SweepPoint {
-            x,
-            axis: x,
-            runs: vec![vec![run.clone(), run.clone()]; SYSTEMS.len()],
-        };
-        let result = SweepResult {
-            sweep: Sweep::Attackers,
-            points: vec![point(0.0, &uncontained), point(0.1, &contained)],
-            seeds: vec![1, 2],
-            scale: 0.02,
-            fault_model: FaultModel::Byzantine,
-            git_commit: "test".to_string(),
-        };
-        let table = render_degradation(&result);
-        let rows: Vec<&str> = table.lines().skip(2).collect();
-        assert_eq!(rows.len(), 2 * SYSTEMS.len(), "{table}");
-        for row in &rows[..SYSTEMS.len()] {
-            assert!(row.trim_start().starts_with("0.00") && row.ends_with(" —"), "{row}");
-        }
-        for row in &rows[SYSTEMS.len()..] {
-            assert!(row.ends_with(" 2.0        14.5"), "{row}");
         }
     }
 

@@ -152,11 +152,6 @@ mod tests {
             handovers: 1,
             drop_no_route: 4,
             wrongful_evictions: 1,
-            forged_acks: 6,
-            slander_events: 2,
-            misroutes: 4,
-            attackers_contained: 2,
-            mean_containment_time_s: 1.5,
             delay_p50_s: 0.08,
             delay_p95_s: 0.2,
             delay_p99_s: 0.3,
@@ -178,7 +173,7 @@ mod tests {
             assert_eq!(column(&runs, f), CiStat { mean: f(&run), ci95: 0.0, n: 3 }, "{name}");
         }
         assert_eq!(column(&runs, crate::energy_total_j).mean, 55.0);
-        assert_eq!(column(&runs, |r| r.mean_containment_time_s).mean, 1.5);
+        assert_eq!(column(&runs, |r| r.mean_detection_latency_s).mean, 0.5);
         assert_eq!(column(&runs, |r| r.congestion_drops as f64).mean, 5.0);
     }
 
@@ -199,9 +194,9 @@ mod tests {
 
     #[test]
     fn a_column_no_seed_defined_is_nan_not_zero() {
-        let run = RunSummary { mean_containment_time_s: f64::NAN, ..RunSummary::default() };
+        let run = RunSummary { delay_p99_s: f64::NAN, ..RunSummary::default() };
         let runs = [run.clone(), run];
-        let stat = column(&runs, |r| r.mean_containment_time_s);
+        let stat = column(&runs, |r| r.delay_p99_s);
         assert_eq!(stat.n, 0);
         assert!(stat.mean.is_nan(), "{stat:?}");
         assert!(stat.ci95.is_nan(), "{stat:?}");

@@ -15,8 +15,7 @@
 //! holder's [`candidates`](NodeLocal::candidates), writes the roster and
 //! arms the replacement's row; the tick fills lists the container keeps
 //! across ticks instead of copying the roster each time), the data path (it
-//! reads every cell's roster, the tier and the layout), gossip receipt (it
-//! writes the shared knowledge) and dispatch.
+//! reads every cell's roster, the tier and the layout) and dispatch.
 
 use crate::config::{
     BEACON_INTERVAL, CTRL_BITS, HEARTBEAT_TIMEOUT, MAINTENANCE_INTERVAL, PROBE_INTERVAL,
@@ -27,7 +26,7 @@ use crate::roster::Roster;
 use rand::Rng;
 use refer_proto::{FailureKnowledge, ProtoCtx};
 use std::sync::Arc;
-use wsan_sim::{EnergyAccount, FaultModel, NodeId, NodeKind, SimDuration};
+use wsan_sim::{EnergyAccount, NodeId, NodeKind, SimDuration};
 
 /// A path query open at its collector until the pick timer takes it.
 #[derive(Debug)]
@@ -239,41 +238,12 @@ impl NodeLocal {
             .min_by(|&a, &b| ctx.distance(src, a).total_cmp(&ctx.distance(src, b)))
     }
 
-    /// A member beacons; under `FaultModel::Byzantine` its suspicion
-    /// gossip rides the round. A node that is no longer a member lets the
-    /// timer lapse.
-    pub(crate) fn on_beacon_timer(
-        &mut self,
-        ctx: &mut impl ProtoCtx<ReferMsg>,
-        roster: &Roster,
-        knowledge: &FailureKnowledge,
-    ) {
+    /// A member beacons. A node that is no longer a member lets the timer
+    /// lapse.
+    pub(crate) fn on_beacon_timer(&mut self, ctx: &mut impl ProtoCtx<ReferMsg>, roster: &Roster) {
         let me = self.id;
         if !ctx.self_faulty(me) && roster.is_member(me) {
             ctx.broadcast(me, CTRL_BITS, EnergyAccount::Communication, ReferMsg::Beacon);
-            let byzantine = matches!(ctx.config().faults.model, FaultModel::Byzantine);
-            if let (true, FailureKnowledge::Local(view)) = (byzantine, knowledge) {
-                // Honest members share their genuine suspicion list; a
-                // compromised member may lace it with slander against a
-                // healthy Kautz-graph neighbor (the decision and victim
-                // come from the node's own simulator stream, so it is
-                // thread-invariant).
-                let mut accused = view.suspected_nodes(ctx.now());
-                if ctx.self_compromised(me) {
-                    let neighbors: Vec<NodeId> = roster
-                        .kautz_neighbor_owners(me)
-                        .map(|(_, _, owner)| owner)
-                        .filter(|owner| !accused.contains(owner))
-                        .collect();
-                    if let Some(victim) = ctx.byz_slander(me, &neighbors) {
-                        accused.push(victim);
-                    }
-                }
-                if !accused.is_empty() {
-                    let gossip = ReferMsg::Gossip { accused: accused.into() };
-                    ctx.broadcast(me, CTRL_BITS, EnergyAccount::Communication, gossip);
-                }
-            }
         }
         self.rearm(ctx, roster, BEACON_INTERVAL, KIND_BEACON);
     }

@@ -24,7 +24,7 @@
 //! module), and the handlers that touch only that node are its methods.
 //! [`ReferProtocol`] holds the rows beside the shared [`Roster`] and
 //! failure knowledge, and keeps what spans nodes: construction,
-//! maintenance, the data path, gossip receipt and dispatch.
+//! maintenance, the data path and dispatch.
 //!
 //! Drops and handovers are counted by the engine (`RunSummary`), not
 //! here: [`ReferStats`] holds only what no engine counter sees.
@@ -45,10 +45,10 @@ use kautz::{KautzId, RouteTable};
 use rand::Rng;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use refer_proto::{AccuseOutcome, FailureKnowledge, ProtoCtx, SansIo};
+use refer_proto::{FailureKnowledge, ProtoCtx, SansIo};
 use wsan_sim::{
-    Ctx, DataId, DropReason, EnergyAccount, FaultModel, HopReason, Message, NodeId, NodeKind,
-    Protocol, RoutingStrategy, SimDuration,
+    Ctx, DataId, DropReason, EnergyAccount, HopReason, Message, NodeId, NodeKind, Protocol,
+    RoutingStrategy, SimDuration,
 };
 
 // Timer tag layout: high 16 bits = kind, low 48 bits = argument.
@@ -132,13 +132,6 @@ pub enum ReferMsg {
     CellReady,
     /// Periodic member announcement.
     Beacon,
-    /// Suspicion gossip riding the beacon round (`FaultModel::Byzantine`
-    /// only): the sender's current suspicion list — honest members share
-    /// genuine suspicions, compromised members lace the list with slander.
-    Gossip {
-        /// Nodes the sender claims to suspect (shared across receivers).
-        accused: Arc<[NodeId]>,
-    },
     /// A sleeping sensor registers as replacement candidate.
     Probe,
     /// A member hands its KID to a candidate.
@@ -214,10 +207,10 @@ pub struct ReferProtocol {
     /// The maintenance tick's lists, kept across ticks.
     tick: TickLists,
     next_qid: u64,
-    /// The fault oracle, or (`FaultModel::Discovered` / `Byzantine`, set
-    /// at init) local failure suspicion — ACK timeouts and heartbeat
-    /// silence — shared across members, a stand-in for the per-node
-    /// suspicion gossip of a real deployment.
+    /// The fault oracle, or (`FaultModel::Discovered`, set at init) local
+    /// failure suspicion — ACK timeouts and heartbeat silence — shared
+    /// across members, a stand-in for the per-node views of a real
+    /// deployment.
     knowledge: FailureKnowledge,
     /// Observable counters.
     pub stats: ReferStats,
@@ -1043,21 +1036,6 @@ impl SansIo for ReferProtocol {
                 let maintain = self.rcfg.maintenance_enabled;
                 self.nodes[at.index()].on_beacon(ctx, &self.roster, msg.from, maintain);
             }
-            ReferMsg::Gossip { accused } => {
-                let byzantine = matches!(ctx.config().faults.model, FaultModel::Byzantine);
-                if let (true, FailureKnowledge::Local(view)) = (byzantine, &mut self.knowledge) {
-                    for &suspect in accused.iter() {
-                        if suspect == at {
-                            continue; // a node knows its own health; no rumor needed
-                        }
-                        if view.accuse(msg.from, suspect, ctx.now())
-                            == AccuseOutcome::Suspected
-                        {
-                            ctx.record_suspicion(suspect);
-                        }
-                    }
-                }
-            }
             ReferMsg::Probe => self.nodes[at.index()].on_probe(msg.from),
             ReferMsg::Data(frame) => self.carry(ctx, at, frame, HopReason::Access),
         }
@@ -1072,7 +1050,7 @@ impl SansIo for ReferProtocol {
             KIND_READY => self.on_ready_timer(ctx, arg as usize),
             KIND_QPICK => self.on_query_pick(ctx, arg, at),
             KIND_BEACON => {
-                self.nodes[at.index()].on_beacon_timer(ctx, &self.roster, &self.knowledge);
+                self.nodes[at.index()].on_beacon_timer(ctx, &self.roster);
             }
             KIND_MAINT => self.maintain(ctx, at),
             KIND_PROBE if self.rcfg.maintenance_enabled => {

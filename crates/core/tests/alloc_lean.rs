@@ -306,9 +306,6 @@ impl ProtoCtx<ReferMsg> for Refusing {
     fn self_faulty(&self, id: NodeId) -> bool {
         self.dead.contains(&id)
     }
-    fn self_compromised(&self, _id: NodeId) -> bool {
-        false
-    }
     fn link_ok(&self, a: NodeId, b: NodeId) -> bool {
         !self.dead.contains(&a) && !self.dead.contains(&b) && self.io.link_ok(a, b)
     }
@@ -345,9 +342,6 @@ impl ProtoCtx<ReferMsg> for Refusing {
     fn record_suspicion(&mut self, _node: NodeId) {}
     fn record_eviction(&mut self, _node: NodeId) {}
     fn record_handover(&mut self) {}
-    fn byz_slander(&mut self, _accuser: NodeId, _candidates: &[NodeId]) -> Option<NodeId> {
-        None
-    }
     fn data_origin(&self, _data: DataId) -> Option<NodeId> {
         None
     }

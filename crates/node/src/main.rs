@@ -34,7 +34,7 @@ mod wire_golden;
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::io::{BufWriter, Write as _};
+use std::io::BufWriter;
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -42,9 +42,9 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use refer::{ReferConfig, ReferMsg, ReferProtocol};
 use refer_bench::cli::{exit_usage, Args, Command};
-use refer_obs::{read_jsonl, write_jsonl_line, MeasuredStats, PacketLedger, VecSink};
+use refer_obs::{read_jsonl, JsonlSink, MeasuredStats, PacketLedger, VecSink};
 use refer_proto::{EngineCore, Input, Output, PacketMeta, WorldView};
-use wsan_sim::trace::TraceEvent;
+use wsan_sim::trace::{TraceEvent, TraceSink};
 use wsan_sim::{
     runner, Area, DataId, Message, NodeId, RunSummary, SimConfig, SimDuration, SimTime,
 };
@@ -194,9 +194,10 @@ struct Daemon {
     /// Every node's address, resolved once at boot.
     peers: Vec<SocketAddr>,
     me: NodeId,
-    trace: BufWriter<Box<dyn std::io::Write + Send>>,
-    /// The trace line being written, reused across events.
-    line: Vec<u8>,
+    /// The node's JSONL trace. A failed write or flush panics, so the
+    /// process ends nonzero: a trace with a hole would fail the cluster's
+    /// ledger integrity check anyway.
+    trace: JsonlSink<BufWriter<Box<dyn std::io::Write + Send>>>,
     /// Armed timers for the owned node: `(fire_at_us, tag)`.
     timers: BinaryHeap<Reverse<(u64, u64)>>,
     packet_bits: u32,
@@ -235,11 +236,7 @@ impl Daemon {
     }
 
     fn trace_event(&mut self, ev: &TraceEvent) {
-        self.line.clear();
-        write_jsonl_line(ev, &mut self.line);
-        self.line.push(b'\n');
-        // A dead trace pipe should not take the data plane down with it.
-        let _ = self.trace.write_all(&self.line);
+        self.trace.on_event(ev);
     }
 
     /// Executes everything the protocol asked for in response to one
@@ -423,8 +420,7 @@ fn cmd_run(args: &Args) -> ExitCode {
         socket,
         peers,
         me,
-        trace: BufWriter::new(trace),
-        line: Vec::new(),
+        trace: JsonlSink::new(BufWriter::new(trace)),
         timers: BinaryHeap::new(),
         packet_bits,
         tally: Tally::default(),
@@ -496,10 +492,7 @@ fn cmd_run(args: &Args) -> ExitCode {
         }
     }
 
-    if daemon.trace.flush().is_err() {
-        eprintln!("refer-node[{node}]: trace flush failed");
-        return ExitCode::FAILURE;
-    }
+    daemon.trace.flush();
     let t = &daemon.tally;
     println!(
         "refer-node[{node}]: done (emitted {seq}, delivered {}, sent {} frames / {} bytes, \
@@ -705,7 +698,7 @@ fn gate(sim: &MeasuredStats, measured: &MeasuredStats, problems: &[String]) -> R
         Err(format!("ledger integrity: {} problem(s)", problems.len()))
     } else if measured.offered == 0 {
         Err("no measured packets were offered".to_string())
-    } else if divergence > DELIVERY_TOLERANCE {
+    } else if divergence.is_nan() || divergence > DELIVERY_TOLERANCE {
         Err(format!(
             "measured delivery {:.4} diverges from predicted {:.4} by {divergence:.4} \
              (> {DELIVERY_TOLERANCE})",
@@ -838,6 +831,15 @@ mod tests {
         assert_eq!(why, "measured delivery 0.7000 diverges from predicted 0.8400 by 0.1400 (> 0.1)");
     }
 
+    /// A NaN on either side makes the divergence NaN, which compares
+    /// false with everything: the gate must fail it, not pass it.
+    #[test]
+    fn a_nan_prediction_fails_the_gate() {
+        let sim = MeasuredStats { delivery_ratio: f64::NAN, ..column(100, 84) };
+        let why = gate(&sim, &column(80, 70), &[]).expect_err("fails");
+        assert_eq!(why, "measured delivery 0.8750 diverges from predicted NaN by NaN (> 0.1)");
+    }
+
     #[test]
     fn a_cluster_that_offered_nothing_fails_the_gate() {
         let why = gate(&column(100, 84), &column(0, 0), &[]).expect_err("fails");
@@ -890,8 +892,7 @@ mod tests {
             socket: UdpSocket::bind("127.0.0.1:0").expect("bind"),
             peers: Vec::new(),
             me: NodeId(3),
-            trace: BufWriter::new(Box::new(std::io::sink())),
-            line: Vec::new(),
+            trace: JsonlSink::new(BufWriter::new(Box::new(std::io::sink()))),
             timers: BinaryHeap::new(),
             packet_bits: cfg.traffic.packet_bits,
             tally: Tally::default(),
@@ -987,7 +988,6 @@ mod tests {
     fn hostile_sequence_counts_are_counted_rejects() {
         let mut daemon = offline_daemon();
         let empty = [
-            ReferMsg::Gossip { accused: Arc::default() },
             ReferMsg::PathQuery { qid: 0, ttl: 0, target: NodeId(0), path: Arc::default() },
             ReferMsg::PathAssign { assignments: vec![], hop: 0 },
         ];
@@ -1012,7 +1012,6 @@ mod tests {
         let mut daemon = offline_daemon();
         // The second item's node id (2) sits this far from the end.
         let cases = [
-            (ReferMsg::Gossip { accused: Arc::new([NodeId(1), NodeId(2)]) }, 1),
             (
                 ReferMsg::PathQuery {
                     qid: 0,
@@ -1110,9 +1109,33 @@ mod tests {
         assert_eq!((t.misaddressed, t.rejects), (1, 0));
     }
 
+    /// A trace file that refuses every write, as a full disk does.
+    struct FullDisk;
+
+    impl std::io::Write for FullDisk {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::StorageFull.into())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A trace write that fails is not ignored: the daemon panics, so its
+    /// process exits nonzero instead of leaving a trace with a hole.
+    #[test]
+    #[should_panic(expected = "trace sink flush")]
+    fn a_failed_trace_write_ends_the_daemon() {
+        let mut daemon = offline_daemon();
+        daemon.trace = JsonlSink::new(BufWriter::new(Box::new(FullDisk)));
+        let at = SimTime::from_micros(1);
+        daemon.trace_event(&TraceEvent::Suspected { at, node: NodeId(1) });
+        daemon.trace.flush();
+    }
+
     /// What `daemon` traced into `captured`.
     fn traced(daemon: &mut Daemon, captured: &SharedBuf) -> Vec<TraceEvent> {
-        daemon.trace.flush().expect("in memory");
+        daemon.trace.flush();
         let text = String::from_utf8(captured.bytes()).expect("JSONL");
         text.lines().map(|line| refer_obs::from_jsonl_line(line).expect("a trace line")).collect()
     }
@@ -1127,7 +1150,7 @@ mod tests {
     fn hostile_indices_and_cells_are_dropped_not_followed() {
         let mut daemon = offline_daemon();
         let captured = SharedBuf::new();
-        daemon.trace = BufWriter::new(Box::new(captured.clone()));
+        daemon.trace = JsonlSink::new(BufWriter::new(Box::new(captured.clone())));
         for hop in [1, 7, usize::MAX] {
             let assign = ReferMsg::PathAssign { assignments: vec![], hop };
             daemon.on_datagram(1, &wire::encode_datagram(NodeId(3), 0, &from_7(assign)));

@@ -15,8 +15,23 @@
 //! | format | one byte, [`FORMAT`] |
 //! | `to`, `created_us`, `from`, `size_bits` | minimal unsigned LEB128 varints |
 //! | flags | one byte: bit 0 `account == Communication`, bit 1 `broadcast`, the rest 0 |
-//! | payload tag | one byte: the variant's index in `ReferMsg` declaration order |
+//! | payload tag | one byte, from the table below |
 //! | payload | the variant's fields in declaration order |
+//!
+//! | payload tag | `ReferMsg` variant |
+//! |---|---|
+//! | 0 | `Ctrl` |
+//! | 1 | `Assignment` |
+//! | 2 | `PathQuery` |
+//! | 3 | `PathAssign` |
+//! | 4 | `StartStage2` |
+//! | 5 | `CellReady` |
+//! | 6 | `Beacon` |
+//! | 7 | retired: it carried `Gossip`, the suspicion list of the removed Byzantine fault model; never reused, and refused as unknown |
+//! | 8 | `Probe` |
+//! | 9 | `Replace` |
+//! | 10 | `ReplaceNotice` |
+//! | 11 | `Data` |
 //!
 //! Inside a payload a `u8` is one byte and every wider integer a varint.
 //! A cell vertex is its arc-table index, a `u32` varint: one byte for
@@ -109,7 +124,7 @@ fn put_varint(out: &mut Vec<u8>, mut x: u64) {
     out.push(x as u8);
 }
 
-/// The variant's index in `ReferMsg` declaration order.
+/// The variant's payload tag, as the module doc's table lists it.
 fn tag(msg: &ReferMsg) -> u8 {
     match msg {
         ReferMsg::Ctrl => 0,
@@ -119,7 +134,6 @@ fn tag(msg: &ReferMsg) -> u8 {
         ReferMsg::StartStage2 { .. } => 4,
         ReferMsg::CellReady => 5,
         ReferMsg::Beacon => 6,
-        ReferMsg::Gossip { .. } => 7,
         ReferMsg::Probe => 8,
         ReferMsg::Replace => 9,
         ReferMsg::ReplaceNotice => 10,
@@ -138,7 +152,6 @@ fn payload_max(msg: &ReferMsg) -> usize {
             VARINT_U64 + assignments.len() * 2 * VARINT_U32 + VARINT_U64
         }
         ReferMsg::StartStage2 { .. } => VARINT_U64 + VARINT_U32,
-        ReferMsg::Gossip { accused } => VARINT_U64 + accused.len() * VARINT_U32,
         ReferMsg::Data(_) => 2 * VARINT_U64 + VARINT_U32 + 2 + 2,
         _ => 0,
     }
@@ -168,12 +181,6 @@ fn put_payload(out: &mut Vec<u8>, msg: &ReferMsg) {
         ReferMsg::StartStage2 { qid, target } => {
             put_varint(out, *qid);
             put_varint(out, u64::from(target.0));
-        }
-        ReferMsg::Gossip { accused } => {
-            put_varint(out, accused.len() as u64);
-            for n in accused.iter() {
-                put_varint(out, u64::from(n.0));
-            }
         }
         ReferMsg::Data(frame) => {
             put_varint(out, frame.data.0);
@@ -342,14 +349,6 @@ impl<'a> Reader<'a> {
             },
             5 => ReferMsg::CellReady,
             6 => ReferMsg::Beacon,
-            7 => {
-                let n = self.count(1)?;
-                let mut accused = Vec::with_capacity(n);
-                for _ in 0..n {
-                    accused.push(self.node("accused node")?);
-                }
-                ReferMsg::Gossip { accused: accused.into() }
-            }
             8 => ReferMsg::Probe,
             9 => ReferMsg::Replace,
             10 => ReferMsg::ReplaceNotice,
@@ -464,7 +463,6 @@ mod tests {
             ReferMsg::StartStage2 { qid: 7, target: NodeId(11) },
             ReferMsg::CellReady,
             ReferMsg::Beacon,
-            ReferMsg::Gossip { accused: Arc::new([NodeId(3), NodeId(8)]) },
             ReferMsg::Probe,
             ReferMsg::Replace,
             ReferMsg::ReplaceNotice,
@@ -476,6 +474,20 @@ mod tests {
             // structural fingerprint for these variants.
             assert_eq!(format!("{:?}", got.payload), tag);
         }
+    }
+
+    /// Tag 7 is retired, not reused: the bytes of an empty `Gossip` frame
+    /// (a well-formed envelope, tag 7, a zero count) are refused at the
+    /// tag byte, as any unknown tag is.
+    #[test]
+    fn retired_gossip_tag_7_is_unknown() {
+        let mut wire = encode_datagram(NodeId(0), 0, &msg(ReferMsg::Beacon));
+        let at = wire.len() - 1;
+        assert_eq!(wire[at], 6, "Beacon's tag is the last byte");
+        wire[at] = 7;
+        wire.push(0);
+        let err = decode_datagram(&wire).unwrap_err();
+        assert_eq!((err.at, err.reason), (at, Reason::Unknown("payload tag", 7)));
     }
 
     #[test]

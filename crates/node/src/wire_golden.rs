@@ -109,8 +109,6 @@ fn samples() -> Vec<Datagram> {
         ReferMsg::StartStage2 { qid: 7, target: NodeId(11) },
         ReferMsg::CellReady,
         ReferMsg::Beacon,
-        ReferMsg::Gossip { accused: Arc::new([NodeId(3), NodeId(128), NodeId(u32::MAX)]) },
-        ReferMsg::Gossip { accused: Arc::default() },
         ReferMsg::Probe,
         ReferMsg::Replace,
         ReferMsg::ReplaceNotice,
@@ -173,10 +171,6 @@ const GOLDEN: &[&str] = &[
     "b203b9600780080105",
     // Beacon
     "b2ffffffff0fffffffffffffffffff0100ffffffff0f0206",
-    // Gossip
-    "b203b960078008010703038001ffffffff0f",
-    // Gossip, empty
-    "b2ffffffff0fffffffffffffffffff0100ffffffff0f020700",
     // Probe
     "b203b9600780080108",
     // Replace
@@ -226,7 +220,7 @@ fn golden_bytes_pin_every_variant_and_edge() {
         assert!(canonical(&unhex(golden)), "bit-exact batteries included");
         variants.insert(format!("{:?}", msg.payload).split([' ', '(', '{']).next().map(str::to_string));
     }
-    assert_eq!(variants.len(), 12, "every ReferMsg variant sampled: {variants:?}");
+    assert_eq!(variants.len(), 11, "every ReferMsg variant sampled: {variants:?}");
 }
 
 #[test]
@@ -303,7 +297,6 @@ fn payload() -> impl Strategy<Value = ReferMsg> {
         (u64s(), node()).prop_map(|(qid, target)| ReferMsg::StartStage2 { qid, target }),
         Just(ReferMsg::CellReady),
         Just(ReferMsg::Beacon),
-        vec(node(), 0..8).prop_map(|accused| ReferMsg::Gossip { accused: accused.into() }),
         Just(ReferMsg::Probe),
         Just(ReferMsg::Replace),
         Just(ReferMsg::ReplaceNotice),

@@ -75,7 +75,7 @@ const SHARDED: Command = Command {
         &["--sharded", "--seeds N", "--threads N"],
         SIZE,
         // `--workload` and `--offered-load`.
-        &[SHARED[3], SHARED[5]],
+        &[SHARED[2], SHARED[4]],
     ],
 };
 const COMMANDS: [&Command; 7] = [&RECORD, &PACKET, &NODE, &SUMMARY, &DIFF, &VERIFY, &SHARDED];

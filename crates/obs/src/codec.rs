@@ -86,18 +86,7 @@ pub fn write_jsonl_line(event: &TraceEvent, out: &mut Vec<u8>) {
             write_node(w, "to", to);
             w.key("attempt").u64(u64::from(attempt));
         }
-        TraceEvent::Suspected { node, .. } | TraceEvent::ForgedAck { node, .. } => {
-            write_node(w, "node", node);
-        }
-        TraceEvent::Misroute { from, intended, actual, .. } => {
-            write_node(w, "from", from);
-            write_node(w, "intended", intended);
-            write_node(w, "actual", actual);
-        }
-        TraceEvent::Slander { accuser, accused, .. } => {
-            write_node(w, "accuser", accuser);
-            write_node(w, "accused", accused);
-        }
+        TraceEvent::Suspected { node, .. } => write_node(w, "node", node),
     }
     w.end_object().end_object();
 }
@@ -250,20 +239,6 @@ pub fn event_from_value(value: &Value) -> Result<TraceEvent, Error> {
         "Suspected" => {
             TraceEvent::Suspected { at: get_time(body)?, node: get_node(body, "node")? }
         }
-        "Misroute" => TraceEvent::Misroute {
-            at: get_time(body)?,
-            from: get_node(body, "from")?,
-            intended: get_node(body, "intended")?,
-            actual: get_node(body, "actual")?,
-        },
-        "ForgedAck" => {
-            TraceEvent::ForgedAck { at: get_time(body)?, node: get_node(body, "node")? }
-        }
-        "Slander" => TraceEvent::Slander {
-            at: get_time(body)?,
-            accuser: get_node(body, "accuser")?,
-            accused: get_node(body, "accused")?,
-        },
         other => return Err(Error::msg(format!("unknown event kind {other:?}"))),
     };
     Ok(event)
@@ -387,20 +362,6 @@ mod tests {
             TraceEvent::Suspected { at, node: n } => {
                 map(vec![("at", time(*at)), ("node", node(*n))])
             }
-            TraceEvent::Misroute { at, from, intended, actual } => map(vec![
-                ("at", time(*at)),
-                ("from", node(*from)),
-                ("intended", node(*intended)),
-                ("actual", node(*actual)),
-            ]),
-            TraceEvent::ForgedAck { at, node: n } => {
-                map(vec![("at", time(*at)), ("node", node(*n))])
-            }
-            TraceEvent::Slander { at, accuser, accused } => map(vec![
-                ("at", time(*at)),
-                ("accuser", node(*accuser)),
-                ("accused", node(*accused)),
-            ]),
         };
         Value::Map(vec![(event.kind().to_string(), body)])
     }
@@ -457,14 +418,6 @@ mod tests {
             },
             TraceEvent::Retransmit { at: t(10), from: NodeId(3), to: NodeId(4), attempt: 2 },
             TraceEvent::Suspected { at: t(11), node: NodeId(5) },
-            TraceEvent::Misroute {
-                at: t(12),
-                from: NodeId(6),
-                intended: NodeId(7),
-                actual: NodeId(8),
-            },
-            TraceEvent::ForgedAck { at: t(13), node: NodeId(9) },
-            TraceEvent::Slander { at: t(14), accuser: NodeId(10), accused: NodeId(11) },
         ]
     }
 

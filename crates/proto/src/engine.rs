@@ -332,9 +332,6 @@ impl<P: Clone + Debug> ProtoCtx<P> for IoCtx<P> {
     fn self_faulty(&self, _id: NodeId) -> bool {
         false
     }
-    fn self_compromised(&self, _id: NodeId) -> bool {
-        false
-    }
     fn link_ok(&self, a: NodeId, b: NodeId) -> bool {
         a != b && self.in_range(a, b)
     }
@@ -449,9 +446,6 @@ impl<P: Clone + Debug> ProtoCtx<P> for IoCtx<P> {
     }
     fn record_eviction(&mut self, _node: NodeId) {}
     fn record_handover(&mut self) {}
-    fn byz_slander(&mut self, _accuser: NodeId, _candidates: &[NodeId]) -> Option<NodeId> {
-        None
-    }
     fn data_origin(&self, data: DataId) -> Option<NodeId> {
         self.data.get(data).map(|m| m.origin)
     }

@@ -7,65 +7,23 @@
 //! heartbeat). Suspicions age out after a TTL so a transient fault — the
 //! simulator's rotating faulty set — does not blacklist a recovered node
 //! forever, and any later contact clears the suspicion immediately.
-//!
-//! Under [`FaultModel::Byzantine`](wsan_sim::FaultModel) the view also
-//! accepts *remote accusations* (suspicion gossip) through
-//! [`accuse`](FailureView::accuse). Remote evidence is reputation-weighted
-//! per accuser and audited against direct contact: an accusation against a
-//! node we have just heard from contradicts first-hand evidence, so it is
-//! rejected and the accuser's weight is halved. A node becomes suspected
-//! on rumor alone only once the *weighted* accusation mass crosses a
-//! threshold, so a slandering minority whose weights have decayed cannot
-//! evict a healthy node, while corroborated accusers earn their weight
-//! back. Everything here is deterministic and derives only from
-//! information a deployed node could really have.
+//! Everything here is deterministic and derives only from information a
+//! deployed node could really have: its own contacts and timeouts.
 
 use crate::ProtoCtx;
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 use wsan_sim::{DataId, EnergyAccount, FaultModel, HopReason, NodeId, SimDuration, SimTime};
 
-/// Weighted accusation mass at which rumor alone creates a suspicion: a
-/// single full-weight accuser can never evict on their own.
-pub const ACCUSATION_THRESHOLD: f64 = 2.0;
-
-/// Multiplier applied to an accuser's weight when their accusation is
-/// contradicted by fresh direct contact with the accused.
-pub const WEIGHT_DECAY: f64 = 0.5;
-
-/// Weight floor: even a serial slanderer keeps a trace of a voice, so a
-/// later true accusation is not discarded outright.
-pub const MIN_WEIGHT: f64 = 1.0 / 32.0;
-
-/// Outcome of recording a remote accusation via [`FailureView::accuse`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccuseOutcome {
-    /// Contradicted by fresh direct contact with the accused; rejected,
-    /// and the accuser's reputation weight decayed.
-    Audited,
-    /// Recorded, but the weighted accusation mass is still below the
-    /// eviction threshold.
-    Recorded,
-    /// The weighted mass crossed the threshold: the accused is now
-    /// suspected (a fresh incident, exactly once per crossing).
-    Suspected,
-}
-
 /// A suspected-node set fed by ACK timeouts and heartbeat silence, cleared
-/// by contact, with TTL-based forgiveness and reputation-weighted remote
-/// accusations.
+/// by contact, with TTL-based forgiveness.
 #[derive(Debug, Clone)]
 pub struct FailureView {
     /// When each currently suspected node was suspected.
     suspected: BTreeMap<NodeId, SimTime>,
     /// When each node was last heard from (any received frame or ACK).
     last_contact: BTreeMap<NodeId, SimTime>,
-    /// Standing remote accusations: accused -> accuser -> when.
-    accusations: BTreeMap<NodeId, BTreeMap<NodeId, SimTime>>,
-    /// Per-accuser reputation weight (absent = 1.0, the default).
-    accuser_weights: BTreeMap<NodeId, f64>,
-    /// How long a suspicion (or standing accusation) lasts without fresh
-    /// evidence.
+    /// How long a suspicion lasts without fresh evidence.
     ttl: SimDuration,
 }
 
@@ -75,18 +33,15 @@ impl FailureView {
         FailureView {
             suspected: BTreeMap::new(),
             last_contact: BTreeMap::new(),
-            accusations: BTreeMap::new(),
-            accuser_weights: BTreeMap::new(),
             ttl,
         }
     }
 
     /// Evidence that `node` is alive right `now`: records the contact and
-    /// clears any standing suspicion and accusations against it.
+    /// clears any standing suspicion of it.
     pub fn contact(&mut self, node: NodeId, now: SimTime) {
         self.last_contact.insert(node, now);
         self.suspected.remove(&node);
-        self.accusations.remove(&node);
     }
 
     /// Evidence that `node` may be down (ACK timeout, missed heartbeat).
@@ -100,19 +55,6 @@ impl FailureView {
         if self.last_contact.get(&node) == Some(&now) {
             return false;
         }
-        // Direct evidence corroborates standing accusers: restore their
-        // reputation toward full weight.
-        let accusers: Vec<NodeId> = self
-            .accusations
-            .get(&node)
-            .map(|m| m.keys().copied().collect())
-            .unwrap_or_default();
-        for accuser in accusers {
-            let w = self.weight_of(accuser);
-            if w < 1.0 {
-                self.accuser_weights.insert(accuser, (w / WEIGHT_DECAY).min(1.0));
-            }
-        }
         if self.is_suspected(node, now) {
             // Refresh the suspicion clock but report nothing new.
             self.suspected.insert(node, now);
@@ -120,45 +62,6 @@ impl FailureView {
         }
         self.suspected.insert(node, now);
         true
-    }
-
-    /// A remote accusation from `accuser` that `accused` is down
-    /// (suspicion gossip). Audited against direct contact and weighted by
-    /// the accuser's reputation; see [`AccuseOutcome`].
-    pub fn accuse(&mut self, accuser: NodeId, accused: NodeId, now: SimTime) -> AccuseOutcome {
-        if accuser == accused {
-            return AccuseOutcome::Recorded;
-        }
-        // Audit: we heard the accused ourselves within the suspicion TTL,
-        // so the rumor contradicts first-hand evidence. Reject it and
-        // decay the accuser's reputation.
-        if let Some(&heard) = self.last_contact.get(&accused) {
-            if now.saturating_since(heard) < self.ttl {
-                let w = self.weight_of(accuser);
-                self.accuser_weights.insert(accuser, (w * WEIGHT_DECAY).max(MIN_WEIGHT));
-                return AccuseOutcome::Audited;
-            }
-        }
-        let entry = self.accusations.entry(accused).or_default();
-        entry.insert(accuser, now);
-        // Prune expired accusations, then tally the weighted mass.
-        let ttl = self.ttl;
-        entry.retain(|_, &mut at| now.saturating_since(at) < ttl);
-        let mass: f64 = entry
-            .keys()
-            .map(|a| self.accuser_weights.get(a).copied().unwrap_or(1.0))
-            .sum();
-        if mass >= ACCUSATION_THRESHOLD && !self.is_suspected(accused, now) {
-            self.suspected.insert(accused, now);
-            AccuseOutcome::Suspected
-        } else {
-            AccuseOutcome::Recorded
-        }
-    }
-
-    /// The reputation weight of `accuser` (1.0 unless decayed by audits).
-    pub fn weight_of(&self, accuser: NodeId) -> f64 {
-        self.accuser_weights.get(&accuser).copied().unwrap_or(1.0)
     }
 
     /// Whether `node` is currently suspected. A suspicion recorded exactly
@@ -186,23 +89,10 @@ impl FailureView {
         }
     }
 
-    /// The nodes suspected right `now` (TTL-unexpired), in ascending id
-    /// order — the honest payload of a suspicion-gossip round.
-    pub fn suspected_nodes(&self, now: SimTime) -> Vec<NodeId> {
-        self.suspected
-            .iter()
-            .filter(|&(_, &at)| now.saturating_since(at) < self.ttl)
-            .map(|(&node, _)| node)
-            .collect()
-    }
-
-    /// Drops suspicion, contact and reputation state entirely (e.g. on a
-    /// role change).
+    /// Drops suspicion and contact state entirely (e.g. on a role change).
     pub fn clear(&mut self) {
         self.suspected.clear();
         self.last_contact.clear();
-        self.accusations.clear();
-        self.accuser_weights.clear();
     }
 }
 
@@ -215,8 +105,8 @@ pub enum FailureKnowledge {
     /// [`FaultModel::Oracle`]: the link and fault oracles answer (and the
     /// simulator counts each consultation).
     Oracle,
-    /// [`FaultModel::Discovered`] and [`FaultModel::Byzantine`]: geometry,
-    /// the node's own health, and this suspicion view.
+    /// [`FaultModel::Discovered`]: geometry, the node's own health, and
+    /// this suspicion view.
     Local(FailureView),
 }
 
@@ -226,9 +116,7 @@ impl FailureKnowledge {
     pub fn for_model(model: FaultModel, ttl: SimDuration) -> Self {
         match model {
             FaultModel::Oracle => FailureKnowledge::Oracle,
-            FaultModel::Discovered | FaultModel::Byzantine => {
-                FailureKnowledge::Local(FailureView::new(ttl))
-            }
+            FaultModel::Discovered => FailureKnowledge::Local(FailureView::new(ttl)),
         }
     }
 
@@ -367,101 +255,5 @@ mod tests {
         v.contact(NodeId(5), t(10));
         assert!(!v.is_suspected(NodeId(5), t(10)));
         // Either way the end state is identical: not suspected.
-    }
-
-    #[test]
-    fn single_accuser_cannot_evict() {
-        let mut v = FailureView::new(SimDuration::from_secs(30));
-        assert_eq!(v.accuse(NodeId(9), NodeId(1), t(0)), AccuseOutcome::Recorded);
-        assert!(!v.is_suspected(NodeId(1), t(0)));
-    }
-
-    #[test]
-    fn accusation_mass_crosses_threshold_once() {
-        let mut v = FailureView::new(SimDuration::from_secs(30));
-        assert_eq!(v.accuse(NodeId(9), NodeId(1), t(0)), AccuseOutcome::Recorded);
-        assert_eq!(v.accuse(NodeId(8), NodeId(1), t(1)), AccuseOutcome::Suspected);
-        assert!(v.is_suspected(NodeId(1), t(1)));
-        // A third voice refreshes nothing new.
-        assert_eq!(v.accuse(NodeId(7), NodeId(1), t(2)), AccuseOutcome::Recorded);
-    }
-
-    #[test]
-    fn audited_accusations_decay_the_accuser() {
-        let mut v = FailureView::new(SimDuration::from_secs(30));
-        // We just heard node 1 ourselves: the accusation is slander.
-        v.contact(NodeId(1), t(10));
-        assert_eq!(v.accuse(NodeId(9), NodeId(1), t(11)), AccuseOutcome::Audited);
-        assert_eq!(v.weight_of(NodeId(9)), 0.5);
-        assert_eq!(v.accuse(NodeId(9), NodeId(1), t(12)), AccuseOutcome::Audited);
-        assert_eq!(v.weight_of(NodeId(9)), 0.25);
-        assert!(!v.is_suspected(NodeId(1), t(12)));
-    }
-
-    #[test]
-    fn corroborated_accusers_earn_weight_back() {
-        let mut v = FailureView::new(SimDuration::from_secs(30));
-        v.contact(NodeId(1), t(0));
-        assert_eq!(v.accuse(NodeId(9), NodeId(1), t(1)), AccuseOutcome::Audited);
-        assert_eq!(v.weight_of(NodeId(9)), 0.5);
-        // Much later the same accuser flags node 1 again — and this time
-        // our own ACK timeout agrees.
-        assert_eq!(v.accuse(NodeId(9), NodeId(1), t(40)), AccuseOutcome::Recorded);
-        assert!(v.suspect(NodeId(1), t(41)));
-        assert_eq!(v.weight_of(NodeId(9)), 1.0);
-    }
-
-    #[test]
-    fn accusations_expire_with_the_ttl() {
-        let mut v = FailureView::new(SimDuration::from_secs(30));
-        assert_eq!(v.accuse(NodeId(9), NodeId(1), t(0)), AccuseOutcome::Recorded);
-        // 40 s later the first accusation has lapsed; a second accuser
-        // alone is below threshold.
-        assert_eq!(v.accuse(NodeId(8), NodeId(1), t(40)), AccuseOutcome::Recorded);
-        assert!(!v.is_suspected(NodeId(1), t(40)));
-    }
-
-    /// The acceptance comparison: with ≥20% slanderers gossiping against a
-    /// healthy, regularly-heard node, raw suspicion counting evicts it
-    /// while the reputation-weighted view never does.
-    #[test]
-    fn reputation_weighting_resists_slander_where_raw_counting_evicts() {
-        let ttl = SimDuration::from_secs(30);
-        let healthy = NodeId(100);
-        // 10 accusers, 2 of them slanderers (20%).
-        let slanderers = [NodeId(0), NodeId(1)];
-        let mut raw_evictions = 0u32;
-        let mut weighted_evictions = 0u32;
-
-        let mut raw = FailureView::new(ttl);
-        let mut weighted = FailureView::new(ttl);
-        for round in 0..20u64 {
-            let now = t(round * 5);
-            // The healthy node beacons every round: both views hear it.
-            raw.contact(healthy, now);
-            weighted.contact(healthy, now);
-            let later = SimTime::ZERO + SimDuration::from_secs(round * 5 + 1);
-            for &s in &slanderers {
-                // Raw counting treats every rumor as a first-hand timeout.
-                if raw.suspect(healthy, later) {
-                    raw_evictions += 1;
-                }
-                if weighted.accuse(s, healthy, later) == AccuseOutcome::Suspected {
-                    weighted_evictions += 1;
-                }
-            }
-        }
-        assert!(
-            raw_evictions > 0,
-            "raw suspicion counting must evict the healthy node at least once"
-        );
-        assert_eq!(
-            weighted_evictions, 0,
-            "reputation-weighted view must never evict the regularly-heard node"
-        );
-        // The slanderers paid for it.
-        for &s in &slanderers {
-            assert!(weighted.weight_of(s) < 0.1, "slanderer weight decayed");
-        }
     }
 }

@@ -35,7 +35,7 @@ mod engine;
 pub mod failure;
 
 pub use engine::{EngineCore, Input, IoCtx, Output, PacketMeta, WorldView};
-pub use failure::{AccuseOutcome, FailureKnowledge, FailureView, ACCUSATION_THRESHOLD, MIN_WEIGHT, WEIGHT_DECAY};
+pub use failure::{FailureKnowledge, FailureView};
 
 use rand::rngs::StdRng;
 use std::fmt::Debug;
@@ -95,8 +95,12 @@ pub trait ProtoCtx<P: Clone + Debug> {
     fn is_faulty(&self, id: NodeId) -> bool;
     /// Whether `id` itself is currently broken down (self-knowledge).
     fn self_faulty(&self, id: NodeId) -> bool;
-    /// Whether `id` itself is Byzantine-compromised (self-knowledge).
-    fn self_compromised(&self, id: NodeId) -> bool;
+    /// Always `false`: no fault model compromises a node. It stays only
+    /// because the benchmark's `SpanCtx` (`benchmark/src/probe.rs`)
+    /// overrides it; once that override goes, so does this method.
+    fn self_compromised(&self, _id: NodeId) -> bool {
+        false
+    }
     /// Whether a frame from `a` would currently reach `b` (link oracle).
     fn link_ok(&self, a: NodeId, b: NodeId) -> bool;
     /// Alive nodes currently within `id`'s range (oracle).
@@ -174,8 +178,12 @@ pub trait ProtoCtx<P: Clone + Debug> {
     fn record_eviction(&mut self, node: NodeId);
     /// Records one Kautz-ID handover.
     fn record_handover(&mut self);
-    /// Adversary gossip hook; `None` for honest nodes and skipped rounds.
-    fn byz_slander(&mut self, accuser: NodeId, candidates: &[NodeId]) -> Option<NodeId>;
+    /// Always `None`: no fault model slanders a node. It stays only
+    /// because the benchmark's `SpanCtx` (`benchmark/src/probe.rs`)
+    /// overrides it; once that override goes, so does this method.
+    fn byz_slander(&mut self, _accuser: NodeId, _candidates: &[NodeId]) -> Option<NodeId> {
+        None
+    }
     /// The origin node of an application packet (if locally known).
     fn data_origin(&self, data: DataId) -> Option<NodeId>;
     /// The application payload size of a packet, bits (if locally known).
@@ -249,10 +257,6 @@ impl<P: Clone + Debug> ProtoCtx<P> for Ctx<P> {
     #[inline]
     fn self_faulty(&self, id: NodeId) -> bool {
         Ctx::self_faulty(self, id)
-    }
-    #[inline]
-    fn self_compromised(&self, id: NodeId) -> bool {
-        Ctx::self_compromised(self, id)
     }
     #[inline]
     fn link_ok(&self, a: NodeId, b: NodeId) -> bool {
@@ -341,10 +345,6 @@ impl<P: Clone + Debug> ProtoCtx<P> for Ctx<P> {
     #[inline]
     fn record_handover(&mut self) {
         Ctx::record_handover(self)
-    }
-    #[inline]
-    fn byz_slander(&mut self, accuser: NodeId, candidates: &[NodeId]) -> Option<NodeId> {
-        Ctx::byz_slander(self, accuser, candidates)
     }
     #[inline]
     fn data_origin(&self, data: DataId) -> Option<NodeId> {

@@ -108,47 +108,7 @@ pub enum FaultModel {
     /// [`RunSummary::oracle_queries`](crate::RunSummary::oracle_queries) so
     /// tests can assert the data path stayed honest.
     Discovered,
-    /// [`Discovered`](FaultModel::Discovered) plus an active adversary: a
-    /// seeded fraction of sensors ([`ByzantineConfig`]) is *compromised*
-    /// and misbehaves with the fixed `BYZ_*` probabilities — misrouting
-    /// frames, selectively dropping data while still acknowledging it
-    /// (forged ACKs), and slandering healthy neighbors in suspicion
-    /// gossip. Compromised nodes are physically alive (the fault oracle
-    /// does not flag them); defenses must come from the
-    /// reputation-weighted `FailureView` (hosted by the `refer-proto`
-    /// crate since the sans-io split). All adversary
-    /// decisions are drawn from the per-node simulator RNG streams, so
-    /// runs stay deterministic per seed and thread-invariant under
-    /// [`Engine::Sharded`].
-    Byzantine,
 }
-
-/// The adversary of [`FaultModel::Byzantine`]. How many sensors it holds
-/// is the scenario knob; how each one misbehaves is fixed (the
-/// `BYZ_*` constants), every probability per decision and drawn from the
-/// acting node's simulator RNG stream.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ByzantineConfig {
-    /// Fraction of sensors compromised at t=0, in `[0, 1]`. The set is
-    /// drawn once from the master RNG after placement and stays fixed for
-    /// the run (compromise is a property of the node, not a rotating
-    /// fault).
-    pub attacker_fraction: f64,
-}
-
-/// Probability that a compromised *sender* redirects a unicast frame to a
-/// random physical neighbor instead of the intended next hop.
-pub const BYZ_MISROUTE_PROB: f64 = 0.25;
-
-/// Probability that a compromised *receiver* silently discards a delivered
-/// frame instead of processing it. A dropped acknowledged frame still
-/// returns its ACK (a forged one): the sender believes the hop succeeded
-/// and never retransmits.
-pub const BYZ_DROP_PROB: f64 = 0.5;
-
-/// Probability per gossip opportunity that a compromised node fabricates
-/// an accusation against a healthy neighbor.
-pub const BYZ_SLANDER_PROB: f64 = 0.25;
 
 /// Fault injection: every `rotation`, the previous faulty set recovers and
 /// `count` random sensors break down (Section IV-B).
@@ -164,8 +124,6 @@ pub struct FaultConfig {
     /// permanently (it is never recovered by fault rotation). Off by
     /// default: the paper's figures do not kill depleted nodes.
     pub battery_death: bool,
-    /// Adversary knobs, active only under [`FaultModel::Byzantine`].
-    pub byzantine: ByzantineConfig,
 }
 
 impl Default for FaultConfig {
@@ -175,7 +133,6 @@ impl Default for FaultConfig {
             rotation: SimDuration::from_secs(10),
             model: FaultModel::Oracle,
             battery_death: false,
-            byzantine: ByzantineConfig::default(),
         }
     }
 }
@@ -295,9 +252,8 @@ pub struct RadioConfig {
     pub receiver_occupancy: f64,
     /// Residual per-link packet-drop rate in `[0, 1]`: every frame
     /// (unicast, ACK, broadcast leg) is additionally lost with this
-    /// probability, independent of distance and of any attacker. Lossy
-    /// links thus exist on their own; the link-layer ACK machinery is what
-    /// recovers from them. Does not affect MAC-visible reachability
+    /// probability, independent of distance. The link-layer ACK machinery
+    /// is what recovers from it. Does not affect MAC-visible reachability
     /// ([`in_unit_disk`]) or the spatial grid's cell sizing.
     pub link_pdr: f64,
     /// Link-layer ACK timeout for [`Ctx::send_acked`](crate::Ctx::send_acked)
@@ -478,10 +434,6 @@ impl SimConfig {
                 format!("`{name}` must be finite and non-negative, got {speed}")
             })?;
         }
-        let fraction = self.faults.byzantine.attacker_fraction;
-        ensure((0.0..=1.0).contains(&fraction), || {
-            format!("`faults.byzantine.attacker_fraction` must be within [0, 1], got {fraction}")
-        })?;
         // Each periodic driver re-arms itself one period after it fires;
         // a zero period would re-arm it at the same instant forever. The
         // rotation driver only runs when there are faults to rotate.

@@ -1,10 +1,7 @@
 //! The simulation context: world state plus the API protocols use to act.
 
 use crate::acks::AckTable;
-use crate::config::{
-    in_unit_disk, SimConfig, BYZ_DROP_PROB, BYZ_MISROUTE_PROB, BYZ_SLANDER_PROB, MAC_OVERHEAD,
-    MAX_JITTER, MAX_QUEUE, QOS_DEADLINE,
-};
+use crate::config::{in_unit_disk, SimConfig, MAC_OVERHEAD, MAX_JITTER, MAX_QUEUE, QOS_DEADLINE};
 use crate::energy::{EnergyAccount, EnergyModel};
 use crate::geometry::Point;
 use crate::grid::SpatialGrid;
@@ -653,17 +650,6 @@ impl<P> Ctx<P> {
         self.nodes[id.index()].faulty
     }
 
-    /// Whether `id` itself is Byzantine-compromised
-    /// ([`FaultModel::Byzantine`](crate::config::FaultModel)) — a node's
-    /// knowledge of its *own* allegiance, like [`Ctx::self_faulty`].
-    /// Protocols may consult this only to play the attacker's role (e.g.
-    /// deciding whether this node emits slander); honest routing and
-    /// suspicion logic must never branch on another node's flag, which is
-    /// why no oracle-style `is_compromised(other)` exists.
-    pub fn self_compromised(&self, id: NodeId) -> bool {
-        self.nodes[id.index()].compromised
-    }
-
     /// Remaining battery of `id`, Joules.
     pub fn battery(&self, id: NodeId) -> f64 {
         self.nodes[id.index()].battery
@@ -815,7 +801,6 @@ impl<P> Ctx<P> {
             self.record(|at| crate::trace::TraceEvent::QueueDrop { at, from });
             return true;
         }
-        let to = self.byz_misroute(from, to);
         self.charge_tx(from, account);
         self.metrics.frames_sent += 1;
         if !self.link_ok_internal(from, to) {
@@ -895,10 +880,6 @@ impl<P> Ctx<P> {
         let Some(p) = self.pending_acks.get(id) else { return };
         let (from, to, size_bits, account, attempt) =
             (p.from, p.to, p.size_bits, p.account, p.attempt);
-        // A compromised sender may redirect each attempt independently; the
-        // pending entry keeps the *intended* receiver, so the sender still
-        // believes the hop it meant succeeded when an ACK comes back.
-        let to = self.byz_misroute(from, to);
         let timeout = self.ack_wait(attempt);
         if !self.unbounded_queue && self.queue_delay(from) > MAX_QUEUE {
             // Interface-queue overflow: this attempt is tail-dropped before
@@ -1182,16 +1163,6 @@ impl<P> Ctx<P> {
                 let lat = self.now.as_micros().saturating_sub(since);
                 self.metrics.detection_latency_sum_s += lat as f64 / 1e6;
             }
-        } else if state.compromised {
-            // Suspecting an attacker is containment, not a false alarm.
-            // Attackers misbehave from t = 0, so the earliest suspicion
-            // time *is* the containment time.
-            let at = self.now.as_micros();
-            self.metrics
-                .first_suspected
-                .entry(node.0)
-                .and_modify(|earliest| *earliest = (*earliest).min(at))
-                .or_insert(at);
         } else {
             self.metrics.false_suspicions += 1;
         }
@@ -1201,100 +1172,13 @@ impl<P> Ctx<P> {
     /// Records that the protocol *evicted* `node` — removed it from
     /// membership (e.g. replaced its Kautz ID with a standby) based on its
     /// failure belief. Graded against ground truth without leaking it:
-    /// evicting an alive, honest node is a wrongful eviction (the damage
-    /// slander causes); evicting a compromised or broken node is the
-    /// failure view doing its job.
+    /// evicting an alive node is a wrongful eviction (the damage a false
+    /// suspicion causes); evicting a broken node is the failure view doing
+    /// its job.
     pub fn record_eviction(&mut self, node: NodeId) {
-        let state = &self.nodes[node.index()];
-        if !state.faulty && !state.compromised {
+        if !self.nodes[node.index()].faulty {
             self.metrics.wrongful_evictions += 1;
         }
-    }
-
-    // ----- Byzantine adversary hooks ------------------------------------
-    //
-    // All adversary randomness is drawn from [`Ctx::sim_rng`] — the acting
-    // node's private stream under the sharded engine — so a compromised
-    // node's decisions are identical at any thread count. Every draw is
-    // gated on the node actually being compromised, and no node is
-    // compromised unless `FaultModel::Byzantine` selected attackers, so
-    // runs with Byzantine off make exactly the pre-adversary draw
-    // sequences.
-
-    /// If `from` is compromised, rolls its misroute decision for this
-    /// frame: with [`BYZ_MISROUTE_PROB`] the frame is redirected to a
-    /// uniformly-drawn physical neighbor other than the intended receiver.
-    /// Returns the (possibly replaced) receiver.
-    pub(crate) fn byz_misroute(&mut self, from: NodeId, to: NodeId) -> NodeId {
-        if !self.nodes[from.index()].compromised {
-            return to;
-        }
-        if !self.sim_rng().gen_bool(BYZ_MISROUTE_PROB) {
-            return to;
-        }
-        let mut buf = std::mem::take(&mut self.recv_buf);
-        self.physical_neighbors_into(from, &mut buf);
-        buf.retain(|&n| n != to);
-        let actual = if buf.is_empty() {
-            to // nowhere to misroute to; the frame goes where intended
-        } else {
-            buf[self.sim_rng().gen_range(0..buf.len())]
-        };
-        buf.clear();
-        self.recv_buf = buf;
-        if actual != to {
-            self.metrics.misroutes += 1;
-            self.record(|at| crate::trace::TraceEvent::Misroute { at, from, intended: to, actual });
-        }
-        actual
-    }
-
-    /// Byzantine receiver behavior for a unicast frame just delivered to
-    /// compromised node `to`: with [`BYZ_DROP_PROB`] the frame is
-    /// silently swallowed — and the attacker still returns the link-layer
-    /// ACK of an acknowledged frame, so the honest sender
-    /// believes the hop succeeded and suspicion never triggers. Returns
-    /// `true` when the frame was swallowed (the caller must then skip
-    /// `on_message`); receive energy has already been charged — a
-    /// dishonest radio still listens.
-    pub(crate) fn byz_swallow(
-        &mut self,
-        to: NodeId,
-        from: NodeId,
-        ack_id: Option<u64>,
-        broadcast: bool,
-    ) -> bool {
-        if broadcast || !self.nodes[to.index()].compromised {
-            return false;
-        }
-        if !self.sim_rng().gen_bool(BYZ_DROP_PROB) {
-            return false;
-        }
-        if let Some(id) = ack_id {
-            self.metrics.forged_acks += 1;
-            self.record(|at| crate::trace::TraceEvent::ForgedAck { at, node: to });
-            self.schedule_ack(id, to, from);
-        }
-        true
-    }
-
-    /// Adversary gossip hook: if `accuser` is compromised, rolls its
-    /// slander decision for this gossip round and picks a victim uniformly
-    /// from `candidates` (the accuser's current neighbor view). Returns the
-    /// node to slander, or `None` for honest nodes and skipped rounds. The
-    /// event is counted and traced here; the protocol carries the
-    /// fabricated accusation in its own gossip payload.
-    pub fn byz_slander(&mut self, accuser: NodeId, candidates: &[NodeId]) -> Option<NodeId> {
-        if !self.nodes[accuser.index()].compromised || candidates.is_empty() {
-            return None;
-        }
-        if !self.sim_rng().gen_bool(BYZ_SLANDER_PROB) {
-            return None;
-        }
-        let victim = candidates[self.sim_rng().gen_range(0..candidates.len())];
-        self.metrics.slander_events += 1;
-        self.record(|at| crate::trace::TraceEvent::Slander { at, accuser, accused: victim });
-        Some(victim)
     }
 
     /// Records one Section III-B4 Kautz-ID handover (a maintenance

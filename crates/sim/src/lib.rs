@@ -56,7 +56,7 @@ pub mod traffic;
 mod wheel;
 
 pub use config::{
-    ActuatorPlacement, ByzantineConfig, Engine, FaultConfig, FaultModel, MobilityConfig,
+    ActuatorPlacement, Engine, FaultConfig, FaultModel, MobilityConfig,
     RadioConfig, RoutingStrategy, SensorPlacement, ShardedConfig, SimConfig, TrafficConfig,
 };
 pub use ctx::Ctx;

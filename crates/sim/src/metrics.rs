@@ -85,23 +85,8 @@ pub struct Metrics {
     /// Measured-window drops on hop-budget exhaustion.
     pub drop_hops: u64,
     /// Evictions (membership removals driven by failure belief) of nodes
-    /// that were actually alive and honest — the damage slander and false
-    /// suspicion cause.
+    /// that were actually alive — the damage false suspicion causes.
     pub wrongful_evictions: u64,
-    /// ACKs a compromised receiver returned for frames it silently
-    /// dropped ([`FaultModel::Byzantine`](crate::config::FaultModel)).
-    pub forged_acks: u64,
-    /// Fabricated accusations compromised nodes injected into suspicion
-    /// gossip.
-    pub slander_events: u64,
-    /// Unicast frames a compromised sender redirected away from their
-    /// intended next hop.
-    pub misroutes: u64,
-    /// Earliest suspicion time per compromised node (attacker id →
-    /// microseconds). Compromised nodes exist from t=0, so this is the
-    /// containment time directly. Min-merged across shards: associative
-    /// and commutative, like every other field.
-    pub first_suspected: std::collections::BTreeMap<u32, u64>,
     /// Energy totals per account and mode.
     pub energy: EnergyLedger,
     /// Per-frame radio queue waits (time between a frame being handed to
@@ -169,22 +154,9 @@ pub struct RunSummary {
     pub drop_no_route: u64,
     /// Measured-window drops on hop-budget exhaustion.
     pub drop_hops: u64,
-    /// Evictions of nodes that were alive and honest — the membership
-    /// damage a slandering minority (or plain false suspicion) caused.
+    /// Evictions of nodes that were alive — the membership damage false
+    /// suspicion caused.
     pub wrongful_evictions: u64,
-    /// ACKs compromised receivers forged for frames they silently dropped.
-    pub forged_acks: u64,
-    /// Fabricated accusations compromised nodes injected into gossip.
-    pub slander_events: u64,
-    /// Unicast frames compromised senders redirected off-path.
-    pub misroutes: u64,
-    /// Compromised nodes the protocol came to suspect at least once.
-    pub attackers_contained: u64,
-    /// Mean time from run start to first suspicion over contained
-    /// attackers, seconds. NaN when no attacker was ever suspected (or
-    /// none existed) — absence of containment must not read as instant
-    /// containment.
-    pub mean_containment_time_s: f64,
     /// Fault-oracle consultations (`is_faulty`/`link_ok`/`neighbors`) made
     /// during the run: zero in an honest `FaultModel::Discovered` run.
     pub oracle_queries: u64,
@@ -255,11 +227,6 @@ impl PartialEq for RunSummary {
             && self.drop_no_route == other.drop_no_route
             && self.drop_hops == other.drop_hops
             && self.wrongful_evictions == other.wrongful_evictions
-            && self.forged_acks == other.forged_acks
-            && self.slander_events == other.slander_events
-            && self.misroutes == other.misroutes
-            && self.attackers_contained == other.attackers_contained
-            && f(self.mean_containment_time_s, other.mean_containment_time_s)
             && self.oracle_queries == other.oracle_queries
             && f(self.delay_p50_s, other.delay_p50_s)
             && f(self.delay_p95_s, other.delay_p95_s)
@@ -315,15 +282,6 @@ impl Metrics {
         self.drop_no_route += other.drop_no_route;
         self.drop_hops += other.drop_hops;
         self.wrongful_evictions += other.wrongful_evictions;
-        self.forged_acks += other.forged_acks;
-        self.slander_events += other.slander_events;
-        self.misroutes += other.misroutes;
-        for (&attacker, &at) in &other.first_suspected {
-            self.first_suspected
-                .entry(attacker)
-                .and_modify(|earliest| *earliest = (*earliest).min(at))
-                .or_insert(at);
-        }
         self.energy.merge(&other.energy);
         self.queue_hist.merge(&other.queue_hist);
         self.queue_max_us = self.queue_max_us.max(other.queue_max_us);
@@ -367,16 +325,6 @@ impl Metrics {
             drop_no_route: self.drop_no_route,
             drop_hops: self.drop_hops,
             wrongful_evictions: self.wrongful_evictions,
-            forged_acks: self.forged_acks,
-            slander_events: self.slander_events,
-            misroutes: self.misroutes,
-            attackers_contained: self.first_suspected.len() as u64,
-            mean_containment_time_s: if self.first_suspected.is_empty() {
-                f64::NAN
-            } else {
-                self.first_suspected.values().map(|&us| us as f64 / 1e6).sum::<f64>()
-                    / self.first_suspected.len() as f64
-            },
             oracle_queries: 0,
             delay_p50_s: self.delay_hist.quantile_secs(0.50),
             delay_p95_s: self.delay_hist.quantile_secs(0.95),
@@ -457,28 +405,6 @@ mod tests {
         assert!((jain_fairness(&[10.0, 0.0, 0.0, 0.0]) - 0.25).abs() < 1e-12);
         let skewed = jain_fairness(&[9.0, 1.0, 1.0, 1.0]);
         assert!(skewed > 0.25 && skewed < 1.0);
-    }
-
-    #[test]
-    fn first_suspicion_min_merges_and_summarizes_as_containment() {
-        let mut a = Metrics::default();
-        a.first_suspected.insert(3, 5_000_000);
-        a.first_suspected.insert(7, 2_000_000);
-        let mut b = Metrics::default();
-        b.first_suspected.insert(3, 1_000_000);
-        b.first_suspected.insert(9, 4_000_000);
-        a.merge(&b);
-        assert_eq!(a.first_suspected[&3], 1_000_000);
-        assert_eq!(a.first_suspected[&7], 2_000_000);
-        assert_eq!(a.first_suspected[&9], 4_000_000);
-        let s = a.summarize(SimDuration::from_secs(10));
-        assert_eq!(s.attackers_contained, 3);
-        // Mean of 1 s, 2 s and 4 s.
-        assert!((s.mean_containment_time_s - 7.0 / 3.0).abs() < 1e-12);
-        // No attackers suspected => undefined, not zero.
-        let empty = Metrics::default().summarize(SimDuration::from_secs(10));
-        assert!(empty.mean_containment_time_s.is_nan());
-        assert_eq!(empty.attackers_contained, 0);
     }
 
     #[test]

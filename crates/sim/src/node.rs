@@ -43,12 +43,6 @@ pub struct NodeState {
     pub range: f64,
     /// Whether the node is currently broken down (fault injection).
     pub faulty: bool,
-    /// Whether the node is Byzantine-compromised
-    /// ([`FaultModel::Byzantine`](crate::config::FaultModel)): physically
-    /// alive and oracle-clean, but actively misbehaving. Fixed for the
-    /// whole run; ground truth for grading wrongful evictions and
-    /// containment — protocols never see it.
-    pub compromised: bool,
     /// When the current breakdown started (microseconds), if faulty.
     /// Ground truth for grading suspicion latency; protocols never see it.
     pub fault_since_micros: Option<u64>,
@@ -84,7 +78,6 @@ impl NodeState {
             position,
             range,
             faulty: false,
-            compromised: false,
             fault_since_micros: None,
             depleted: false,
             battery,

@@ -152,9 +152,6 @@ pub(crate) fn dispatch_node_event<P: Protocol>(
                 return; // receiver died in flight; frame lost, no ACK
             }
             ctx.charge_rx(to, msg.account);
-            if ctx.byz_swallow(to, msg.from, ack_id, msg.broadcast) {
-                return; // attacker swallowed it (ACK forged inside)
-            }
             // The receiver's MAC acks before the stack processes.
             if let Some(id) = ack_id {
                 ctx.schedule_ack(id, to, msg.from);
@@ -238,8 +235,8 @@ pub(crate) fn hot_link_utilization(nodes: &[NodeState], cfg: &SimConfig) -> f64 
 fn ack_expire<P: Protocol>(ctx: &mut Ctx<P::Payload>, protocol: &mut P, id: u64) {
     // One lookup decides everything; later steps tolerate the entry
     // disappearing rather than `expect`ing it, so no interleaving of
-    // ACKs, retries and expiries (including ones future lossy/Byzantine
-    // link models may produce) can panic the run.
+    // ACKs, retries and expiries (including ones a lossy link produces)
+    // can panic the run.
     let Some((from, to, attempt)) =
         ctx.pending_acks.get(id).map(|p| (p.from, p.to, p.attempt))
     else {
@@ -292,21 +289,6 @@ pub(crate) fn build_ctx<Pl>(cfg: SimConfig) -> Ctx<Pl> {
         let id = NodeId(nodes.len() as u32);
         nodes.push(NodeState::new(NodeKind::Actuator, p, cfg.actuator_range, f64::INFINITY));
         actuators.push(id);
-    }
-
-    // Byzantine attacker selection, drawn AFTER every placement and
-    // battery draw and gated on the model, so a run with Byzantine off
-    // makes exactly the pre-adversary draw sequence (Oracle/Discovered
-    // output stays byte-identical). Compromised nodes are physically
-    // alive and oracle-clean; only their behavior differs.
-    if matches!(cfg.faults.model, crate::config::FaultModel::Byzantine) {
-        let fraction = cfg.faults.byzantine.attacker_fraction;
-        if fraction > 0.0 {
-            let k = ((sensors.len() as f64) * fraction).round() as usize;
-            for &id in sensors.choose_multiple(&mut rng, k.min(sensors.len())) {
-                nodes[id.index()].compromised = true;
-            }
-        }
     }
 
     // Cell side: the largest radio range of the node kinds present (the

@@ -210,37 +210,6 @@ pub enum TraceEvent {
         /// The suspected node.
         node: NodeId,
     },
-    /// A compromised sender redirected a unicast frame away from its
-    /// intended next hop
-    /// ([`FaultModel::Byzantine`](crate::config::FaultModel::Byzantine)).
-    Misroute {
-        /// When.
-        at: SimTime,
-        /// The compromised sender.
-        from: NodeId,
-        /// Where the frame was supposed to go.
-        intended: NodeId,
-        /// Where it actually went.
-        actual: NodeId,
-    },
-    /// A compromised receiver dropped an acknowledged frame but returned
-    /// the ACK anyway, so the sender believes the hop succeeded.
-    ForgedAck {
-        /// When.
-        at: SimTime,
-        /// The compromised receiver.
-        node: NodeId,
-    },
-    /// A compromised node fabricated a suspicion accusation against a
-    /// healthy neighbor in gossip.
-    Slander {
-        /// When.
-        at: SimTime,
-        /// The compromised accuser.
-        accuser: NodeId,
-        /// The healthy node being slandered.
-        accused: NodeId,
-    },
 }
 
 impl TraceEvent {
@@ -258,10 +227,7 @@ impl TraceEvent {
             | TraceEvent::Dropped { at, .. }
             | TraceEvent::FaultRotation { at, .. }
             | TraceEvent::Retransmit { at, .. }
-            | TraceEvent::Suspected { at, .. }
-            | TraceEvent::Misroute { at, .. }
-            | TraceEvent::ForgedAck { at, .. }
-            | TraceEvent::Slander { at, .. } => *at,
+            | TraceEvent::Suspected { at, .. } => *at,
         }
     }
 
@@ -281,9 +247,6 @@ impl TraceEvent {
             TraceEvent::FaultRotation { .. } => "FaultRotation",
             TraceEvent::Retransmit { .. } => "Retransmit",
             TraceEvent::Suspected { .. } => "Suspected",
-            TraceEvent::Misroute { .. } => "Misroute",
-            TraceEvent::ForgedAck { .. } => "ForgedAck",
-            TraceEvent::Slander { .. } => "Slander",
         }
     }
 }

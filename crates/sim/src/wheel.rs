@@ -66,7 +66,7 @@
 //! [`EventQueue`] carries a shadow heap of bare `(at, seq)` keys: each
 //! `pop` and `next_at` asserts the wheel returned the shadow's minimum, so
 //! every simulation a debug-profile test runs — serial, sharded, lossy
-//! ACKs, Byzantine, traffic matrices — checks the wheel on the engine's
+//! ACKs, discovered faults, traffic matrices — checks the wheel on the engine's
 //! real operation sequence. Release builds compile the shadow out. See
 //! DESIGN.md §14.
 

@@ -13,8 +13,8 @@ use wsan_sim::flood::{FloodPayload, FloodProtocol};
 use wsan_sim::shard::run_sharded_with_sinks;
 use wsan_sim::trace::{TraceEvent, TraceSink};
 use wsan_sim::{
-    Ctx, DataId, EnergyAccount, Engine, FaultModel, Message, NodeId, Protocol, RunSummary,
-    ShardableProtocol, ShardedConfig, SimConfig, SimDuration, TrafficPattern,
+    Ctx, DataId, EnergyAccount, Engine, Message, NodeId, Protocol, RunSummary, ShardableProtocol,
+    ShardedConfig, SimConfig, SimDuration, TrafficPattern,
 };
 
 /// Collects the canonical merged trace stream for byte-level comparison.
@@ -170,8 +170,7 @@ impl Protocol for AckedDirect {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<DataId>, at: NodeId, msg: Message<DataId>) {
-        // A Byzantine sender may misroute the frame to any physical
-        // neighbor; only an actuator terminates the packet.
+        // Only an actuator terminates the packet.
         if ctx.actuator_ids().contains(&at) {
             ctx.deliver_data(msg.payload, at);
         } else {
@@ -360,37 +359,12 @@ fn the_caller_is_one_of_the_threads_that_run_shards() {
     }
 }
 
-#[test]
-fn byzantine_adversary_is_thread_invariant() {
-    // Compromised senders misroute, compromised receivers swallow and
-    // forge ACKs, and every link is lossy: all adversary draws come from
-    // the per-node simulator RNG streams, so the worker-thread count must
-    // still be invisible.
-    let cfg = |threads| {
-        let mut cfg = sharded_cfg(19, threads);
-        cfg.faults.model = FaultModel::Byzantine;
-        cfg.faults.byzantine.attacker_fraction = 0.25;
-        cfg.radio.link_pdr = 0.15;
-        cfg.radio.ack_timeout = SimDuration::from_millis(4);
-        cfg
-    };
-    let a = traced_run(cfg(1), &mut AckedDirect { expired: 0 });
-    let b = traced_run(cfg(4), &mut AckedDirect { expired: 0 });
-    assert_eq!(a.0, b.0, "Byzantine summary diverged across thread counts");
-    assert_eq!(a.1, b.1, "Byzantine trace stream diverged across thread counts");
-    let misrouted = a.1.iter().any(|ev| matches!(ev, TraceEvent::Misroute { .. }));
-    let forged = a.1.iter().any(|ev| matches!(ev, TraceEvent::ForgedAck { .. }));
-    assert!(misrouted, "a quarter of compromised senders should misroute at least once");
-    assert!(forged, "compromised receivers should forge at least one ACK");
-    assert!(a.0.misroutes > 0 && a.0.forged_acks > 0, "{:?}", a.0);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    // Satellite: the ACK layer under residual link loss with NO attackers.
-    // Retransmissions recover delivery, stale ACKs and false suspicions
-    // stay bounded, and the 1-thread and n-thread executions agree.
+    // The ACK layer under residual link loss. Retransmissions recover
+    // delivery, stale ACKs and false suspicions stay bounded, and the
+    // 1-thread and n-thread executions agree.
     #[test]
     fn lossy_links_recover_via_retransmission(
         seed in 1u64..1_000_000,
@@ -425,7 +399,7 @@ proptest! {
             lossy.0.stale_acks <= lossy.0.retransmissions + lossy.0.frames_sent,
             "{:?}", lossy.0
         );
-        prop_assert_eq!(lossy.0.false_suspicions, 0, "no one to suspect without attackers");
+        prop_assert_eq!(lossy.0.false_suspicions, 0, "AckedDirect suspects no one");
     }
 
     // Any seed, any thread split: the 1-thread and n-thread executions

@@ -22,11 +22,10 @@ pin() { { echo "# Written by scripts/pins.sh; do not edit."; cat; } > "results/$
 # records. A change to its event order, RNG draws, either protocol's state
 # scans or the trace codec moves a line. Each fault model walks different
 # scans of REFER's state (oracle: healing on the fault oracle; discovered:
-# heartbeats, expiry re-entry; byzantine: gossip, slander victims). The
-# Kautz overlay shares REFER's roster, failure policy and data path, so it
-# is pinned under oracle and discovered too. The paper trickle rarely
-# leaves a cell, so a hotspot run of each loads the inter-cell path (CAN
-# relays, forward_toward_cell's drops).
+# heartbeats, expiry re-entry). The Kautz overlay shares REFER's roster,
+# failure policy and data path, so it is pinned under both models too. The
+# paper trickle rarely leaves a cell, so a hotspot run of each loads the
+# inter-cell path (CAN relays, forward_toward_cell's drops).
 md5() {
   local label=$1
   shift
@@ -35,7 +34,7 @@ md5() {
 }
 hotspot=(--fault-model discovered --workload hotspot --offered-load 20)
 {
-  for m in oracle discovered byzantine; do md5 "$m" --fault-model $m; done
+  for m in oracle discovered; do md5 "$m" --fault-model $m; done
   for m in oracle discovered; do md5 "kautz-$m" --system kautz --fault-model $m; done
   md5 hotspot "${hotspot[@]}"
   md5 kautz-hotspot --system kautz "${hotspot[@]}"
@@ -53,10 +52,9 @@ sharded=("$bin/trace" verify --sharded --scale 0.02 --sensors 80 --seeds 2 --thr
 } | pin sharded_determinism.txt
 
 # compare_smoke.txt: the RunSummary counters no trace md5 sees (oracle
-# consultations, energy, retransmissions, the Byzantine columns) for all
-# four systems.
-"$bin/compare" --scale 0.02 --seed 7 --faults 4 --fault-model byzantine \
-  --attacker-fraction 0.2 | pin compare_smoke.txt
+# consultations, energy, retransmissions, detections, handovers) for all
+# four systems, under discovered failures.
+"$bin/compare" --scale 0.02 --seed 7 --faults 4 --fault-model discovered | pin compare_smoke.txt
 
 # compare_fabric_smoke.txt: K(2,8) under all-to-all load on the sharded
 # engine, shortest against regular routing: delivery, delay and queueing
@@ -69,21 +67,20 @@ sharded=("$bin/trace" verify --sharded --scale 0.02 --sensors 80 --seeds 2 --thr
 "$bin/figures" --fig all --seeds 1,2 --scale 0.1 --no-out --quiet | pin figures_smoke.txt
 
 # sweep_dump_smoke.txt: the faulty sweep's JSON dump, two seeds: every
-# dumped statistic (mean, ci95 and n of all 33 columns, `null` where no
+# dumped statistic (mean, ci95 and n of all 28 columns, `null` where no
 # seed defined one), not only the five the figure tables print. The
 # `git_commit` line is cut, since it names the tree that wrote the dump.
 "$bin/figures" --fig 6,7 --seeds 1,2 --scale 0.02 --quiet --out "$tmp/fig" >/dev/null
 grep -v '"git_commit":' "$tmp/fig/sweep_faults.json" | pin sweep_dump_smoke.txt
 
-# sweeps_smoke.txt: the faulty sweep under both failure knowledges, the
-# Byzantine degradation table and the load sweep on both traffic matrices,
-# one seed each, under the command that printed them.
+# sweeps_smoke.txt: the faulty sweep under both failure knowledges and the
+# load sweep on both traffic matrices, one seed each, under the command
+# that printed them.
 sweep() { echo "\$ figures $*" && "$bin/figures" "$@"; }
 small=(--seeds 1 --scale 0.02 --no-out --quiet)
 {
   sweep --fig 6,7 "${small[@]}" --fault-model oracle
   sweep --fig 6,7 "${small[@]}" --fault-model discovered
-  sweep --degradation "${small[@]}"
   sweep --load "${small[@]}" --workload all2all --fault-model discovered
   sweep --load "${small[@]}" --workload hotspot --fault-model discovered
 } | pin sweeps_smoke.txt
